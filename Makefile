@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build lint test race fuzz bench bench-quick bench-json bench-smoke bench-full fault-smoke cache-smoke serve-smoke trace-smoke
+.PHONY: all build lint test race fuzz bench bench-quick bench-json bench-smoke bench-full fault-smoke cache-smoke trace-smoke
 
 all: build lint test
 
@@ -64,27 +64,53 @@ bench-smoke:
 bench-full:
 	REPRO_BENCH_FULL=1 $(GO) test -run='^TestFullWindowCellBudget$$' -count=1 -v -timeout 600s .
 
-# Result-cache smoke (see DESIGN.md "Result cache & incremental
-# recomputation"): the bench-quick grid configuration runs twice against
-# a fresh cache directory. The second run must take cache hits, finish
-# faster, and emit byte-identical figures.
+# Result-cache and resume smoke (see DESIGN.md "Result cache & incremental
+# recomputation"): resuming a run means rerunning it against the same
+# cache directory. On the bench-quick figure-7 grid:
+#   1. an uninterrupted -no-cache run records the reference figures;
+#   2. a run into a fresh -cache-dir is SIGKILLed once at least one cell
+#      entry has landed (calibrated-IPC entries land first, and a cell
+#      entry is the one a rerun counts as a hit); it must still be running
+#      when killed;
+#   3. a rerun over that directory must emit the reference bytes, take
+#      cache hits, and simulate fewer cells than the grid holds;
+#   4. a warm run over the full directory must simulate nothing, emit the
+#      reference bytes, and finish faster than the reference run.
 cache-smoke:
 	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
-	echo "--- cold run into $$dir"; \
+	$(GO) build -o "$$dir/figures" ./cmd/figures || exit 1; \
+	run() { "$$dir/figures" -workloads spec -window 4 -figure 7 "$$@"; }; \
+	echo "--- reference run (-no-cache)"; \
 	t0=$$(date +%s%N); \
-	$(GO) run ./cmd/figures -workloads spec -window 4 -figure 7 -cache-dir "$$dir" \
-		>"$$dir/cold.out" 2>"$$dir/cold.err" || { cat "$$dir/cold.err"; echo "FAIL: cold run"; exit 1; }; \
+	run -no-cache >"$$dir/ref.out" 2>"$$dir/ref.err" || { cat "$$dir/ref.err"; echo "FAIL: reference run"; exit 1; }; \
 	t1=$$(date +%s%N); \
+	echo "--- run into $$dir/cache, SIGKILLed once a cell entry lands"; \
+	"$$dir/figures" -workloads spec -window 4 -figure 7 -cache-dir "$$dir/cache" >/dev/null 2>&1 & pid=$$!; \
+	until grep -qs '"Scheme"' "$$dir"/cache/[0-9a-f]*; do \
+		kill -0 $$pid 2>/dev/null || break; sleep 0.05; \
+	done; \
+	kill -9 $$pid 2>/dev/null; wait $$pid; code=$$?; \
+	test $$code -eq 137 || { echo "FAIL: run exited with status $$code before the kill"; exit 1; }; \
+	echo "killed after $$(ls "$$dir/cache" | grep -cv '^tmp-') entries landed"; \
+	echo "--- rerun against the same directory"; \
+	run -cache-dir "$$dir/cache" >"$$dir/resume.out" 2>"$$dir/resume.err" || { cat "$$dir/resume.err"; echo "FAIL: rerun"; exit 1; }; \
+	stats=$$(grep -o 'cell cache: [0-9]* hits.*' "$$dir/resume.err"); echo "$$stats"; \
+	hits=$$(echo "$$stats" | sed 's/cell cache: \([0-9]*\) hits.*/\1/'); \
+	sim=$$(echo "$$stats" | sed 's/.* \([0-9]*\) simulated.*/\1/'); \
+	cmp -s "$$dir/ref.out" "$$dir/resume.out" || { echo "FAIL: resumed output differs from the reference"; exit 1; }; \
+	test "$$hits" -ge 1 || { echo "FAIL: rerun took no cache hits"; exit 1; }; \
+	test "$$sim" -lt $$((hits + sim)) || { echo "FAIL: rerun simulated all $$sim cells of the grid"; exit 1; }; \
 	echo "--- warm run from the same directory"; \
-	$(GO) run ./cmd/figures -workloads spec -window 4 -figure 7 -cache-dir "$$dir" \
-		>"$$dir/warm.out" 2>"$$dir/warm.err" || { cat "$$dir/warm.err"; echo "FAIL: warm run"; exit 1; }; \
 	t2=$$(date +%s%N); \
-	cold_ms=$$(( (t1 - t0) / 1000000 )); warm_ms=$$(( (t2 - t1) / 1000000 )); \
-	echo "cold $${cold_ms}ms, warm $${warm_ms}ms"; \
+	run -cache-dir "$$dir/cache" >"$$dir/warm.out" 2>"$$dir/warm.err" || { cat "$$dir/warm.err"; echo "FAIL: warm run"; exit 1; }; \
+	t3=$$(date +%s%N); \
+	ref_ms=$$(( (t1 - t0) / 1000000 )); warm_ms=$$(( (t3 - t2) / 1000000 )); \
+	echo "reference $${ref_ms}ms, warm $${warm_ms}ms"; \
 	grep -o 'cell cache: [0-9]* hits.*' "$$dir/warm.err"; \
-	grep -q 'cell cache: [1-9][0-9]* hits' "$$dir/warm.err" || { echo "FAIL: warm run took no cache hits"; exit 1; }; \
-	cmp -s "$$dir/cold.out" "$$dir/warm.out" || { echo "FAIL: warm output differs from cold"; exit 1; }; \
-	test "$$warm_ms" -lt "$$cold_ms" || { echo "FAIL: warm run not faster ($${warm_ms}ms vs $${cold_ms}ms)"; exit 1; }; \
+	grep -q 'cell cache: [1-9][0-9]* hits, [0-9]* misses, [0-9]* deduped, 0 simulated' "$$dir/warm.err" \
+		|| { echo "FAIL: warm run simulated cells or took no hits"; exit 1; }; \
+	cmp -s "$$dir/ref.out" "$$dir/warm.out" || { echo "FAIL: warm output differs from the reference"; exit 1; }; \
+	test "$$warm_ms" -lt "$$ref_ms" || { echo "FAIL: warm run not faster ($${warm_ms}ms vs $${ref_ms}ms)"; exit 1; }; \
 	echo "cache-smoke OK"
 
 # Trace capture/replay smoke (see DESIGN.md "Trace capture & replay"):
@@ -107,28 +133,6 @@ trace-smoke:
 	if grep -q 'trace tier:' "$$dir/gen.err"; then echo "FAIL: -no-trace-replay still used the trace tier"; exit 1; fi; \
 	cmp -s "$$dir/replay.out" "$$dir/gen.out" || { echo "FAIL: replayed figures differ from generated"; exit 1; }; \
 	echo "trace-smoke OK"
-
-# Experiment-service smoke (see DESIGN.md "Service architecture &
-# failure domains"): two end-to-end acceptance scenarios against real
-# aquaserve processes.
-#   overload — concurrent duplicate golden-grid jobs against a
-#     deliberately tiny queue: submissions shed with 429 + Retry-After,
-#     clients retry with seeded backoff, and every completed job's output
-#     is byte-identical to testdata/lab_golden.txt.
-#   chaos — server A SIGKILLs itself mid-grid holding a compute lease;
-#     server B on the same cache/checkpoint directories must finish the
-#     duplicate job byte-identically via lease expiry + resume.
-serve-smoke:
-	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
-	$(GO) build -o "$$dir/aquaserve" ./cmd/aquaserve || exit 1; \
-	$(GO) build -o "$$dir/aquaload" ./cmd/aquaload || exit 1; \
-	echo "--- overload: duplicate grids vs a full queue (429 + seeded-backoff retry)"; \
-	"$$dir/aquaload" -mode load -serve-bin "$$dir/aquaserve" -golden testdata/lab_golden.txt \
-		-n 40 -c 16 -expect-shed || { echo "FAIL: load smoke"; exit 1; }; \
-	echo "--- chaos: SIGKILL a worker mid-grid, recover via lease expiry + resume"; \
-	"$$dir/aquaload" -mode chaos -serve-bin "$$dir/aquaserve" -golden testdata/lab_golden.txt \
-		|| { echo "FAIL: chaos smoke"; exit 1; }; \
-	echo "serve-smoke OK"
 
 # Fault-matrix smoke (see DESIGN.md "Failure model & graceful
 # degradation"): an injected panicking cell must not abort the run — the

@@ -5,9 +5,9 @@ package repro
 //
 //   - a lab rendered entirely from a warm on-disk cache emits the exact
 //     golden byte stream, without simulating a single cell;
-//   - the cache composes with the PR 4 checkpoint: a resumed lab with a
-//     warm cache still reproduces the golden bytes, serves cells from
-//     both sources, and double-counts nothing;
+//   - resuming is rerunning: a calibrated lab rerun over a partly filled
+//     cache directory renders the uninterrupted run's bytes, serves the
+//     stored cells and calibrated IPCs, and double-counts nothing;
 //   - fault-injected cells re-simulate on every run even with a warm
 //     cache, and appear exactly once in the degraded-cell summary.
 
@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"repro/internal/cellcache"
+	"repro/internal/dram"
 )
 
 // warmStore builds a store over dir, failing the test on error.
@@ -71,68 +72,72 @@ func TestLabCacheWarmGolden(t *testing.T) {
 	}
 }
 
-// TestLabCacheResumeInteraction composes the cache with the checkpoint:
-// a lab resuming a partial checkpoint over a warm cache must render the
-// golden bytes exactly, serving the checkpointed cells from the file
-// and the rest from the cache — still with zero simulations.
+// TestLabCacheResumeInteraction resumes a calibrated lab, at a different
+// parallelism than the run it resumes, by rerunning it over the same
+// cache directory. The rerun must render the uninterrupted lab's bytes
+// exactly, serve the partial run's cells and calibrated IPCs from the
+// store — so it simulates fewer cells than a cold lab and runs no
+// calibration pass — and keep its cell accounting exact.
 func TestLabCacheResumeInteraction(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "lab_golden.txt"))
+	calibrated := func(parallel int, seed uint64) *Lab {
+		return NewLab(LabOptions{
+			Window:    500 * dram.PS(dram.Microsecond),
+			Workloads: []string{"xz", "wrf"},
+			Parallel:  parallel,
+			Seed:      seed,
+		})
+	}
+	cold := calibrated(1, 0)
+	want, err := renderGoldenLab(cold)
 	if err != nil {
-		t.Fatalf("missing golden file: %v", err)
+		t.Fatal(err)
 	}
 	dir := t.TempDir()
 
-	// Warm the cache with a full cold render.
-	cold := labAt(1)
-	cold.AttachCache(warmStore(t, dir))
-	if _, err := renderGoldenLab(cold); err != nil {
-		t.Fatal(err)
-	}
-
-	// Partial checkpointed run (no cache): two renderers' worth of cells.
-	ckpt := filepath.Join(t.TempDir(), "lab.ckpt")
-	partial := labAt(1)
-	if err := partial.AttachCheckpoint(ckpt); err != nil {
-		t.Fatal(err)
-	}
+	// Partial run: one renderer's worth of cells, four at a time.
+	partial := calibrated(4, 0)
+	partial.AttachCache(warmStore(t, dir))
 	if _, err := partial.Figure7(); err != nil {
 		t.Fatal(err)
 	}
-	if err := partial.CloseCheckpoint(); err != nil {
-		t.Fatal(err)
-	}
+	done := partial.CellStats().Simulated
 
-	// Resume with both sources attached.
-	resumed := labAt(1)
+	resumed := calibrated(1, 0)
 	resumed.AttachCache(warmStore(t, dir))
-	if err := resumed.AttachCheckpoint(ckpt); err != nil {
-		t.Fatal(err)
-	}
 	got, err := renderGoldenLab(resumed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits := resumed.CheckpointHits(); hits == 0 {
-		t.Fatal("resumed lab never hit the checkpoint")
+	if got != want {
+		t.Errorf("resumed lab diverged from the uninterrupted lab:\n%s", firstDiff(want, got))
 	}
-	if err := resumed.CloseCheckpoint(); err != nil {
-		t.Fatal(err)
+	cs, coldCS := resumed.CellStats(), cold.CellStats()
+	if done == 0 || cs.CacheHits != done {
+		t.Fatalf("resumed lab stats %+v; want the partial run's %d cells served from the store", cs, done)
 	}
-	if got != string(want) {
-		t.Errorf("resumed+cached lab diverged from golden:\n%s", firstDiff(string(want), got))
+	if cs.Simulated >= coldCS.Simulated {
+		t.Fatalf("resumed lab simulated %d cells, a cold lab %d", cs.Simulated, coldCS.Simulated)
 	}
-	cs := resumed.CellStats()
-	if cs.Simulated != 0 {
-		t.Fatalf("resumed lab stats %+v; simulated %d cells, want 0", cs, cs.Simulated)
+	// The cold lab captured every core's stream at nominal IPC 1.0 for
+	// calibration and again at the calibrated IPC; the resumed lab read
+	// both workloads' IPCs from the store, so it captured only the latter.
+	if cs.TraceCaptures*2 != coldCS.TraceCaptures {
+		t.Fatalf("resumed lab captured %d streams, cold lab %d; want half (no calibration pass)",
+			cs.TraceCaptures, coldCS.TraceCaptures)
 	}
-	if cs.CacheHits == 0 {
-		t.Fatalf("resumed lab stats %+v; the non-checkpointed cells should have come from the cache", cs)
-	}
-	// No double counting: checkpoint-served cells never enter the cell
-	// accounting, so hits + dedup + simulated covers exactly the cache-path
-	// requests.
 	if total := cs.CacheHits + cs.Deduped() + cs.Simulated + cs.Errors; total != cs.Requests {
 		t.Fatalf("stats %+v don't add up: %d accounted of %d requests", cs, total, cs.Requests)
+	}
+
+	// A different seed misses every stored cell and IPC.
+	store := warmStore(t, dir)
+	other := calibrated(1, 0xD15EA5E)
+	other.AttachCache(store)
+	if _, err := other.Figure7(); err != nil {
+		t.Fatal(err)
+	}
+	if hits := store.Stats().Hits(); other.CellStats().CacheHits != 0 || hits != 0 {
+		t.Fatalf("different-seed lab took %d cell hits and %d store hits, want 0", other.CellStats().CacheHits, hits)
 	}
 }
 

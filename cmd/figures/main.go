@@ -14,16 +14,17 @@
 //
 //	figures -faults 'xz/rrs/1000=panic@once:0'   # deterministic fault injection
 //	figures -timeout 10m                         # cancel the whole run after a deadline
-//	figures -resume run.ckpt                     # checkpoint completed cells; resume after interrupt
 //
-// Incremental recomputation (see DESIGN.md "Result cache & incremental
-// recomputation"):
+// Incremental recomputation and resume (see DESIGN.md "Result cache &
+// incremental recomputation"):
 //
 //	figures -cache-dir ~/.cache/aqua             # persist finished cells; later runs serve them
 //	figures -no-cache                            # force every cell to simulate
 //
-// Cached output is byte-identical to a cold run; hit/miss/dedup counts
-// are reported on stderr at exit.
+// An interrupted run resumes by rerunning it with the same -cache-dir:
+// finished cells are served, the rest simulate. Cached output is
+// byte-identical to a cold run; hit/miss/dedup counts are reported on
+// stderr at exit.
 //
 // A failing cell no longer aborts the run: every figure that doesn't
 // depend on it still renders byte-identically, failed figures are listed
@@ -62,8 +63,8 @@ import (
 )
 
 func main() {
-	// Indirection so deferred cleanup (profiles, checkpoint close) runs
-	// even when the process exits non-zero for failed cells.
+	// Indirection so deferred cleanup (profiles, stats lines) runs even
+	// when the process exits non-zero for failed cells.
 	os.Exit(realMain())
 }
 
@@ -81,10 +82,8 @@ func realMain() int {
 	par := flag.Int("j", 0, "concurrent simulations (0 = one per core, 1 = serial)")
 	faultSpec := flag.String("faults", "", "fault-injection rules, e.g. 'xz/rrs/1000=panic@once:0;*/aqua-memmapped/*=ecc-flip@p:0.01'")
 	timeout := flag.Duration("timeout", 0, "cancel the whole run after this wall-clock duration (0 = none)")
-	resume := flag.String("resume", "", "checkpoint file: completed cells are persisted here and served on re-run")
-	cache := flag.Bool("cache", true, "serve grid cells from the content-addressed result cache (in-memory; add -cache-dir to persist)")
-	cacheDir := flag.String("cache-dir", "", "directory for the on-disk cache tier: completed cells persist here and warm future runs (implies -cache)")
-	noCache := flag.Bool("no-cache", false, "disable the result cache entirely (overrides -cache and -cache-dir)")
+	cacheDir := flag.String("cache-dir", "", "directory for the on-disk cache tier: completed cells persist here, so a rerun resumes an interrupted run and warms future ones")
+	noCache := flag.Bool("no-cache", false, "disable the result cache entirely (overrides -cache-dir)")
 	noTraceReplay := flag.Bool("no-trace-replay", false, "regenerate workload streams for every cell instead of replaying captured traces (byte-identical, slower; see make trace-smoke)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
@@ -161,11 +160,11 @@ func realMain() int {
 	lab := repro.NewLab(opts)
 	defer func() {
 		if cs := lab.CellStats(); cs.TraceCaptures > 0 || cs.TraceReplays > 0 {
-			fmt.Fprintf(os.Stderr, "[trace tier: %d streams captured, %d replayed (%d from disk)]\n",
-				cs.TraceCaptures, cs.TraceReplays, cs.TraceDiskHits)
+			fmt.Fprintf(os.Stderr, "[trace tier: %d streams captured, %d replayed]\n",
+				cs.TraceCaptures, cs.TraceReplays)
 		}
 	}()
-	if !*noCache && (*cache || *cacheDir != "") {
+	if !*noCache {
 		store, err := cellcache.New(*cacheDir)
 		if err != nil {
 			log.Fatalf("-cache-dir: %v", err)
@@ -175,19 +174,6 @@ func realMain() int {
 			if cs := lab.CellStats(); cs.Requests > 0 {
 				fmt.Fprintf(os.Stderr, "[cell cache: %d hits, %d misses, %d deduped, %d simulated]\n",
 					cs.CacheHits, cs.CacheMisses, cs.Deduped(), cs.Simulated)
-			}
-		}()
-	}
-	if *resume != "" {
-		if err := lab.AttachCheckpoint(*resume); err != nil {
-			log.Fatalf("-resume: %v", err)
-		}
-		defer func() {
-			if hits := lab.CheckpointHits(); hits > 0 {
-				fmt.Fprintf(os.Stderr, "[%d results served from checkpoint %s]\n", hits, *resume)
-			}
-			if err := lab.CloseCheckpoint(); err != nil {
-				log.Printf("checkpoint: %v", err)
 			}
 		}()
 	}

@@ -1,8 +1,8 @@
 package main
 
 // convert and stats subcommands. Both auto-detect the input container
-// (text, v1 binary, v2 blocked) from its leading bytes and are written
-// against io.Writer so tests drive them directly.
+// (text or v1 binary) from its leading bytes and are written against
+// io.Writer so tests drive them directly.
 
 import (
 	"errors"
@@ -30,20 +30,19 @@ func detectFile(path string) (string, error) {
 	return trace.DetectFormat(prefix[:n]), nil
 }
 
-// runConvert converts a trace between the text, v1, and v2 containers.
-// The v1→v2 path streams block-by-block with bounded memory; narrowing a
-// multi-core v2 trace to a single-stream format takes -core.
+// runConvert converts a trace between the text and v1 binary containers.
 func runConvert(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("convert", flag.ContinueOnError)
-	to := fs.String("to", "", "output format: text, v1, v2 (required)")
+	to := fs.String("to", "", "output format: text, v1 (required)")
 	out := fs.String("o", "", "output file (required)")
-	core := fs.Int("core", 0, "source core when narrowing a v2 trace to text or v1")
-	block := fs.Int("block", trace.DefaultBlockTarget, "records per block for v2 output")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *out == "" || *to == "" {
 		return errors.New("convert: -o and -to are required")
+	}
+	if *to != "text" && *to != "v1" {
+		return fmt.Errorf("convert: unknown output format %q", *to)
 	}
 	if fs.NArg() != 1 {
 		return errors.New("convert: need exactly one input trace")
@@ -53,21 +52,16 @@ func runConvert(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
+	recs, err := loadRecords(in, from)
+	if err != nil {
+		return err
+	}
 
 	dst, err := os.Create(*out)
 	if err != nil {
 		return err
 	}
-	var written int64
-	switch *to {
-	case "text", "v1":
-		written, err = convertSingle(dst, in, from, *to, *core)
-	case "v2":
-		written, err = convertToV2(dst, in, from, *core, *block)
-	default:
-		err = fmt.Errorf("convert: unknown output format %q", *to)
-	}
-	if err != nil {
+	if err := writeRecords(dst, *to, recs); err != nil {
 		dst.Close()
 		os.Remove(*out)
 		return err
@@ -75,171 +69,55 @@ func runConvert(args []string, stdout io.Writer) error {
 	if err := dst.Close(); err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "converted %s (%s) -> %s (%s): %d records\n", in, from, *out, *to, written)
+	fmt.Fprintf(stdout, "converted %s (%s) -> %s (%s): %d records\n", in, from, *out, *to, len(recs))
 	return nil
 }
 
-// loadSingle reads one record stream out of any container: the whole
-// trace for text and v1, one core for v2.
-func loadSingle(path, format string, core int) ([]trace.Record, error) {
-	switch format {
-	case trace.FormatText:
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return trace.ReadText(f)
-	case trace.FormatV1:
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		r, err := trace.NewReader(f)
-		if err != nil {
-			return nil, err
-		}
-		var recs []trace.Record
-		for {
-			rec, err := r.Read()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return nil, err
-			}
-			recs = append(recs, rec)
-		}
-		return recs, nil
-	case trace.FormatV2:
-		m, err := trace.OpenFile(path)
-		if err != nil {
-			return nil, err
-		}
-		defer m.Close()
-		if core < 0 || core >= m.Header().Cores {
-			return nil, fmt.Errorf("convert: -core %d out of range [0,%d)", core, m.Header().Cores)
-		}
-		recs := make([]trace.Record, 0, m.CoreRecords(core))
-		s := m.Stream(core)
-		for {
-			req, ok := s.Next()
-			if !ok {
-				break
-			}
-			recs = append(recs, trace.Record{Row: req.Row, Write: req.Write, GapInstr: req.GapInstr})
-		}
-		if err := s.Err(); err != nil {
-			return nil, err
-		}
-		return recs, nil
+// loadRecords reads the record stream of a text or v1 trace.
+func loadRecords(path, format string) ([]trace.Record, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("convert: unknown input format %q", format)
+	defer f.Close()
+	if format == trace.FormatText {
+		return trace.ReadText(f)
+	}
+	r, err := trace.NewReader(f)
+	if err != nil {
+		return nil, err
+	}
+	var recs []trace.Record
+	for {
+		rec, err := r.Read()
+		if err == io.EOF {
+			return recs, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		recs = append(recs, rec)
+	}
 }
 
-// convertSingle writes one record stream as text or v1.
-func convertSingle(dst io.Writer, in, from, to string, core int) (int64, error) {
-	recs, err := loadSingle(in, from, core)
-	if err != nil {
-		return 0, err
-	}
+// writeRecords writes one record stream as text or v1.
+func writeRecords(dst io.Writer, to string, recs []trace.Record) error {
 	if to == "text" {
-		return int64(len(recs)), trace.WriteText(dst, recs)
+		return trace.WriteText(dst, recs)
 	}
 	w, err := trace.NewWriter(dst, int64(len(recs)))
 	if err != nil {
-		return 0, err
+		return err
 	}
 	for _, rec := range recs {
 		if err := w.Append(rec); err != nil {
-			return 0, err
+			return err
 		}
 	}
-	return int64(len(recs)), w.Close()
+	return w.Close()
 }
 
-// convertToV2 writes any input as a v2 blocked trace. A v1 input streams
-// with bounded memory; a v2 input is re-blocked core by core from the
-// mapping (so a huge trace never fully decodes into memory either).
-func convertToV2(dst io.Writer, in, from string, core, block int) (int64, error) {
-	switch from {
-	case trace.FormatV1:
-		f, err := os.Open(in)
-		if err != nil {
-			return 0, err
-		}
-		defer f.Close()
-		r, err := trace.NewReader(f)
-		if err != nil {
-			return 0, err
-		}
-		if err := trace.CopyV1ToV2(dst, r, block); err != nil {
-			return 0, err
-		}
-		return r.Header().Records, nil
-	case trace.FormatText:
-		recs, err := loadSingle(in, from, core)
-		if err != nil {
-			return 0, err
-		}
-		p := &trace.Packed{}
-		for _, rec := range recs {
-			p.Append(rec)
-		}
-		return int64(len(recs)), trace.WriteSet(dst, &trace.Set{Cores: []*trace.Packed{p}}, block)
-	case trace.FormatV2:
-		m, err := trace.OpenFile(in)
-		if err != nil {
-			return 0, err
-		}
-		defer m.Close()
-		hdr := m.Header()
-		bw, err := trace.NewBlockWriter(dst, hdr.Cores, block, hdr.Records)
-		if err != nil {
-			return 0, err
-		}
-		for c := 0; c < hdr.Cores; c++ {
-			s := m.Stream(c)
-			for {
-				req, ok := s.Next()
-				if !ok {
-					break
-				}
-				rec := trace.Record{Row: req.Row, Write: req.Write, GapInstr: req.GapInstr}
-				if err := bw.Append(c, rec); err != nil {
-					return 0, err
-				}
-			}
-			if err := s.Err(); err != nil {
-				return 0, err
-			}
-		}
-		return hdr.Records, bw.Close()
-	}
-	return 0, fmt.Errorf("convert: unknown input format %q", from)
-}
-
-// coreStats aggregates one record stream.
-type coreStats struct {
-	records, writes, instr int64
-	rows                   map[dram.Row]struct{}
-}
-
-func (c *coreStats) add(rec trace.Record) {
-	if c.rows == nil {
-		c.rows = make(map[dram.Row]struct{})
-	}
-	c.records++
-	if rec.Write {
-		c.writes++
-	}
-	c.instr += rec.GapInstr
-	c.rows[rec.Row] = struct{}{}
-}
-
-// runStats prints container-level and per-stream statistics for a trace
-// in any format.
+// runStats prints statistics for a text or v1 trace.
 func runStats(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("stats", flag.ContinueOnError)
 	if err := fs.Parse(args); err != nil {
@@ -257,59 +135,28 @@ func runStats(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	size := st.Size()
-
-	perRec := func(records int64) string {
-		if records == 0 {
-			return "-"
-		}
-		return fmt.Sprintf("%.2f B/record", float64(size)/float64(records))
-	}
-
-	if format == trace.FormatV2 {
-		m, err := trace.OpenFile(path)
-		if err != nil {
-			return err
-		}
-		defer m.Close()
-		hdr := m.Header()
-		fmt.Fprintf(stdout, "format        %s\n", format)
-		fmt.Fprintf(stdout, "cores         %d\n", hdr.Cores)
-		fmt.Fprintf(stdout, "block target  %d\n", hdr.BlockTarget)
-		fmt.Fprintf(stdout, "records       %d\n", hdr.Records)
-		fmt.Fprintf(stdout, "file bytes    %d (%s)\n", size, perRec(hdr.Records))
-		for c := 0; c < hdr.Cores; c++ {
-			var cs coreStats
-			s := m.Stream(c)
-			for {
-				req, ok := s.Next()
-				if !ok {
-					break
-				}
-				cs.add(trace.Record{Row: req.Row, Write: req.Write, GapInstr: req.GapInstr})
-			}
-			if err := s.Err(); err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "core %-3d      records %d, blocks %d, writes %d, instructions %d, distinct rows %d\n",
-				c, cs.records, m.CoreBlocks(c), cs.writes, cs.instr, len(cs.rows))
-		}
-		return nil
-	}
-
-	recs, err := loadSingle(path, format, 0)
+	recs, err := loadRecords(path, format)
 	if err != nil {
 		return err
 	}
-	var cs coreStats
+	var writes, instr int64
+	rows := make(map[dram.Row]struct{})
 	for _, rec := range recs {
-		cs.add(rec)
+		if rec.Write {
+			writes++
+		}
+		instr += rec.GapInstr
+		rows[rec.Row] = struct{}{}
+	}
+	perRec := "-"
+	if len(recs) > 0 {
+		perRec = fmt.Sprintf("%.2f B/record", float64(st.Size())/float64(len(recs)))
 	}
 	fmt.Fprintf(stdout, "format        %s\n", format)
-	fmt.Fprintf(stdout, "records       %d\n", cs.records)
-	fmt.Fprintf(stdout, "file bytes    %d (%s)\n", size, perRec(cs.records))
-	fmt.Fprintf(stdout, "writes        %d\n", cs.writes)
-	fmt.Fprintf(stdout, "instructions  %d\n", cs.instr)
-	fmt.Fprintf(stdout, "distinct rows %d\n", len(cs.rows))
+	fmt.Fprintf(stdout, "records       %d\n", len(recs))
+	fmt.Fprintf(stdout, "file bytes    %d (%s)\n", st.Size(), perRec)
+	fmt.Fprintf(stdout, "writes        %d\n", writes)
+	fmt.Fprintf(stdout, "instructions  %d\n", instr)
+	fmt.Fprintf(stdout, "distinct rows %d\n", len(rows))
 	return nil
 }

@@ -8,8 +8,8 @@
 //	tracedump info gcc.trace                                # header + stats
 //	tracedump dump gcc.trace | head                         # text format
 //	tracedump replay gcc.trace -scheme aqua-memmapped       # run through a scheme
-//	tracedump convert -to v2 -o gcc.aqt2 gcc.trace          # text/v1/v2 conversion
-//	tracedump stats gcc.aqt2                                # per-core statistics
+//	tracedump convert -to text -o gcc.txt gcc.trace         # text <-> v1 conversion
+//	tracedump stats gcc.trace                               # record statistics
 package main
 
 import (
@@ -33,7 +33,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tracedump: ")
 	if len(os.Args) < 2 {
-		log.Fatal("usage: tracedump record|info|dump|replay ...")
+		log.Fatal("usage: tracedump record|info|dump|replay|convert|stats ...")
 	}
 	switch os.Args[1] {
 	case "record":

@@ -47,19 +47,11 @@ type LabOptions struct {
 	// it is done; figure calls then return its error. Nil means
 	// context.Background().
 	Context context.Context
-	// OnCellStart, when set, observes the start of every cell compute
-	// attempt (cells served from caches never fire it). The experiment
-	// farm hooks it for harness-level fault injection; it must not mutate
-	// anything the simulation reads.
-	OnCellStart func(workload string, scheme Scheme, trh int64)
 	// NoTraceReplay disables the workload capture/replay tier: every cell
 	// regenerates its streams instead of replaying the first cell's
 	// captured trace. Replay is byte-identical to generation; the flag
 	// exists for the make trace-smoke equivalence gate.
 	NoTraceReplay bool
-	// TraceBudgetBytes bounds the in-memory captured-trace tier (0 =
-	// default 1 GiB, negative = unlimited); see sim.ExpConfig.
-	TraceBudgetBytes int64
 }
 
 // AllWorkloads returns all 34 case names (18 SPEC + 16 mixes).
@@ -117,42 +109,21 @@ func NewLab(opts LabOptions) *Lab {
 			Calibrate:          !opts.NoCalibration,
 			Parallel:           opts.Parallel,
 			Faults:             opts.Faults,
-			OnCellStart:        opts.OnCellStart,
 			DisableTraceReplay: opts.NoTraceReplay,
-			TraceBudgetBytes:   opts.TraceBudgetBytes,
 		}),
 		cache: make(map[labKey]sim.WorkloadRun),
 	}
 }
 
-// AttachCheckpoint persists completed cells to path and serves already-
-// completed cells from it, so an interrupted lab run can resume with
-// byte-identical output. The file is bound to the lab's configuration;
-// attaching one written under different options is an error.
-func (l *Lab) AttachCheckpoint(path string) error { return l.runner.AttachCheckpoint(path) }
-
-// CheckpointHits reports how many results were served from the attached
-// checkpoint instead of being recomputed.
-func (l *Lab) CheckpointHits() int64 { return l.runner.CheckpointHits() }
-
-// CloseCheckpoint flushes and closes the attached checkpoint, surfacing
-// any append error encountered during the run.
-func (l *Lab) CloseCheckpoint() error { return l.runner.CloseCheckpoint() }
-
 // AttachCache attaches a content-addressed result store: clean completed
-// cells are served from it without re-simulating and written back to it
-// as they complete (see DESIGN.md "Result cache & incremental
-// recomputation"). Unlike a checkpoint, the store is shared across any
-// number of configurations — the key hashes the configuration, so a
-// changed option simply misses. Fault-injected and cancelled cells never
-// enter the store.
+// cells and calibrated IPCs are served from it without re-simulating and
+// written back to it as they complete (see DESIGN.md "Result cache &
+// incremental recomputation"). The store is shared across any number of
+// configurations — the key hashes the configuration, so a changed option
+// simply misses — and a lab interrupted mid-run resumes by rerunning over
+// the same directory. Fault-injected and cancelled cells never enter the
+// store.
 func (l *Lab) AttachCache(s *cellcache.Store) { l.runner.AttachCellCache(s) }
-
-// AttachLeaser attaches a cross-process compute coordinator to the lab's
-// runner (effective only alongside AttachCache; see sim.CellLeaser). The
-// farm uses it so two servers sharing a cache directory compute each
-// missed cell once between them.
-func (l *Lab) AttachLeaser(cl sim.CellLeaser) { l.runner.AttachLeaser(cl) }
 
 // CellStats reports how the lab's cell requests were satisfied: cache
 // hits/misses, deduplicated requests, and real simulations.

@@ -32,8 +32,8 @@ func renderGolden() (string, error) {
 }
 
 // renderGoldenLab renders every registry renderer (render.go — shared
-// with the experiment farm and the checkpoint/resume acceptance tests,
-// which must reproduce this byte stream) on the given lab.
+// with the cache and resume acceptance tests, which must reproduce this
+// byte stream) on the given lab.
 func renderGoldenLab(l *Lab) (string, error) {
 	return RenderAll(l)
 }

@@ -4,16 +4,20 @@
 // so a repeat run serves finished cells from the store instead of
 // simulating them again.
 //
+// It is the repository's only persistence layer: resuming an interrupted
+// run means rerunning it against the same cache directory, which serves
+// every cell (and calibrated IPC) the first run finished.
+//
 // The store is two-tiered. The in-memory tier is a plain map and always
 // present; the on-disk tier (one file per key under a cache directory)
-// is optional and survives the process. Disk writes follow the same
-// durability discipline as the PR 4 checkpoint: the entry is written to
-// a temp file, fsynced, and renamed into place, so a reader never sees
-// a torn entry. Each file carries a checksum header; an entry that fails
-// the checksum — corruption, truncation, a foreign file — is treated as
-// a miss, never as an error, mirroring the checkpoint's torn-tail
-// tolerance. Stale entries cannot be served at all: any semantic change
-// to the simulator bumps sim.SchemaVersion, which changes every key.
+// is optional and survives the process. Each disk write lands a temp
+// file, fsyncs it, and renames it into place, so a reader never sees a
+// torn entry and a killed writer leaves at most an orphaned temp file.
+// Each file carries a checksum header; an entry that fails the checksum
+// — corruption, truncation, a foreign file — is treated as a miss, never
+// as an error. Stale entries cannot be served at all: any semantic
+// change to the simulator bumps sim.SchemaVersion, which changes every
+// key.
 //
 // Values are opaque bytes to this package; the sim layer encodes and
 // decodes them and performs its own identity validation on top.
@@ -62,11 +66,9 @@ func (s Stats) Hits() int64 { return s.MemHits + s.DiskHits }
 type Store struct {
 	dir string // "" = memory tier only
 
-	mu     sync.Mutex
-	mem    map[string][]byte // guarded by mu
-	stats  Stats             // guarded by mu
-	leases map[string]lease  // guarded by mu (memory-tier lease protocol)
-	lstats LeaseStats        // guarded by mu
+	mu    sync.Mutex
+	mem   map[string][]byte // guarded by mu
+	stats Stats             // guarded by mu
 }
 
 // New builds a store. dir "" keeps the store memory-only; otherwise the
@@ -78,14 +80,6 @@ func New(dir string) (*Store, error) {
 		}
 	}
 	return &Store{dir: dir, mem: make(map[string][]byte)}, nil
-}
-
-// Dir reports the disk-tier directory ("" when memory-only).
-func (s *Store) Dir() string {
-	if s == nil {
-		return ""
-	}
-	return s.dir
 }
 
 // validKey rejects keys that could escape the cache directory or collide

@@ -127,9 +127,6 @@ func TestNilStore(t *testing.T) {
 	if st := s.Stats(); st != (Stats{}) {
 		t.Fatalf("nil store stats %+v; want zero", st)
 	}
-	if s.Dir() != "" {
-		t.Fatal("nil store reported a directory")
-	}
 }
 
 // TestInvalidKeys pins the path-safety gate: keys that could escape the
@@ -190,6 +187,44 @@ func TestNoTempLeftovers(t *testing.T) {
 		if strings.HasPrefix(e.Name(), "tmp-") {
 			t.Fatalf("leftover temp file %s", e.Name())
 		}
+	}
+}
+
+// TestCrashMidWrite models a writer killed mid-Put: an orphaned temp
+// file that never reached its rename, and a torn entry whose payload
+// was cut short. A fresh store over the directory reads the torn entry
+// as a corrupt miss, never as a hit, and a recomputed Put lands
+// atomically over it.
+func TestCrashMidWrite(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "tmp-crash123"), []byte("partial"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	full := encodeEntry([]byte("the full payload bytes"))
+	if err := os.WriteFile(filepath.Join(dir, "cellX"), full[:len(full)-7], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := New(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := s.Get("cellX"); ok {
+		t.Fatalf("torn entry served as a hit: %q", v)
+	}
+	if v, ok := s.Get("tmp-crash123"); ok {
+		t.Fatalf("orphaned temp file served as an entry: %q", v)
+	}
+	if st := s.Stats(); st.Corrupt != 2 || st.Hits() != 0 {
+		t.Fatalf("stats = %+v, want the torn entry and the orphan counted corrupt", st)
+	}
+	s.Put("cellX", []byte("recomputed"))
+	fresh, err := New(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := fresh.Get("cellX"); !ok || string(v) != "recomputed" {
+		t.Fatalf("recomputed entry not served: %q, %v", v, ok)
 	}
 }
 

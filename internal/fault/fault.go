@@ -62,14 +62,11 @@ const (
 	// CellTransient is an experiment-engine fault: the grid cell fails
 	// with a transient (retryable) error that clears on the next attempt.
 	CellTransient
-	// WorkerKill is a harness-level fault consumed by the experiment farm
-	// (internal/farm), never by the simulator: when it fires at a cell-start
-	// opportunity the worker process is SIGKILLed mid-grid, exercising lease
-	// expiry and checkpoint handoff. The farm strips WorkerKill arms out of
-	// the rules before handing them to the sim layer (Rules.WithoutKind), so
-	// a kill rule does not put matched cells onto the cache-bypassing fault
-	// path.
-	WorkerKill
+	// kindReserved keeps the slot of a retired harness-level kind. Result
+	// values serialize FaultStats.ByKind, whose length committed result
+	// digests pin, so the slot stays; it has no rules-grammar name and
+	// never fires.
+	kindReserved
 
 	// NumKinds bounds the enum for per-kind arrays.
 	NumKinds
@@ -86,7 +83,6 @@ var kindNames = [NumKinds]string{
 	TrackerCorrupt:   "tracker-corrupt",
 	CellPanic:        "panic",
 	CellTransient:    "transient",
-	WorkerKill:       "worker-kill",
 }
 
 // String returns the rules-grammar name of the kind.
@@ -100,7 +96,7 @@ func (k Kind) String() string {
 // KindByName resolves a rules-grammar name to its Kind.
 func KindByName(name string) (Kind, bool) {
 	for k, n := range kindNames {
-		if n == name {
+		if n != "" && n == name {
 			return Kind(k), true
 		}
 	}

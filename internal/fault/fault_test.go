@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -178,6 +177,8 @@ func TestParseRulesEmptyAndErrors(t *testing.T) {
 		"xz/rrs/1000=panic@burst:10",   // burst missing count
 		"xz/rrs/1000=panic@once:-5",    // negative time
 		"xz//1000=panic@once:0",        // empty scheme
+		"xz/rrs/1000=@once:0",          // empty kind (the reserved slot has no name)
+		"*/*/*=worker-kill@once:0",     // retired kind
 	} {
 		if _, err := ParseRules(bad); err == nil {
 			t.Fatalf("ParseRules(%q) accepted malformed spec", bad)
@@ -236,57 +237,5 @@ func TestTransientErrorWrapping(t *testing.T) {
 	}
 	if Transient(nil) != nil {
 		t.Fatal("Transient(nil) must be nil")
-	}
-}
-
-func TestKindPlanAndWithoutKind(t *testing.T) {
-	r, err := ParseRules("*/*/*=worker-kill@once:2;xz/rrs/1000=panic@once:0;*/*/*=worker-kill@once:5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// KindPlan collects every arm of the kind, ignoring cell patterns.
-	kp := r.KindPlan(WorkerKill)
-	if len(kp.Arms) != 2 || kp.Arms[0].Schedule.At != 2 || kp.Arms[1].Schedule.At != 5 {
-		t.Fatalf("KindPlan(WorkerKill) = %+v, want the two once: arms in order", kp.Arms)
-	}
-	for _, a := range kp.Arms {
-		if a.Kind != WorkerKill {
-			t.Fatalf("KindPlan leaked a foreign kind: %+v", a)
-		}
-	}
-	if p := r.KindPlan(ECCFlip); !p.Empty() {
-		t.Fatalf("KindPlan(ECCFlip) = %+v, want empty", p.Arms)
-	}
-
-	// WithoutKind strips the harness-level arms and rebuilds the canonical
-	// spec, so ckpt signatures only bind the rules the sim layer sees.
-	stripped := r.WithoutKind(WorkerKill)
-	if got, want := stripped.String(), "xz/rrs/1000=panic@once:0"; got != want {
-		t.Fatalf("WithoutKind canonical spec = %q, want %q", got, want)
-	}
-	if !stripped.KindPlan(WorkerKill).Empty() {
-		t.Fatal("WithoutKind left worker-kill arms behind")
-	}
-	if p := stripped.PlanFor("xz", "rrs", 1000); len(p.Arms) != 1 || p.Arms[0].Kind != CellPanic {
-		t.Fatalf("WithoutKind dropped a surviving rule: %+v", p.Arms)
-	}
-	// The original is untouched.
-	if got := r.String(); !strings.Contains(got, "worker-kill@once:2") {
-		t.Fatalf("WithoutKind mutated the receiver: %q", got)
-	}
-
-	// Stripping the only kind present collapses to nil (no faults).
-	only, err := ParseRules("*/*/*=worker-kill@once:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := only.WithoutKind(WorkerKill); got != nil {
-		t.Fatalf("WithoutKind on a worker-kill-only spec = %v, want nil", got)
-	}
-
-	// Nil receivers are inert.
-	var nilRules *Rules
-	if !nilRules.KindPlan(WorkerKill).Empty() || nilRules.WithoutKind(WorkerKill) != nil {
-		t.Fatal("nil *Rules must be inert for KindPlan/WithoutKind")
 	}
 }

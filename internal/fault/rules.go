@@ -34,7 +34,7 @@ type rule struct {
 // Rules maps grid cells to fault plans. A nil *Rules matches nothing.
 type Rules struct {
 	rules []rule
-	spec  string // canonical form, stable for checkpoint signatures
+	spec  string // canonical form, parse-stable
 }
 
 // ParseRules parses the -faults grammar. An empty spec returns nil (no
@@ -92,7 +92,7 @@ func parseEntry(entry string) (rule, error) {
 	}
 	kind, ok := KindByName(strings.TrimSpace(kindStr))
 	if !ok {
-		return rule{}, fmt.Errorf("fault: unknown kind %q (known: %s)", kindStr, strings.Join(kindNames[:], ", "))
+		return rule{}, fmt.Errorf("fault: unknown kind %q (known: %s)", kindStr, strings.Join(kindNames[:kindReserved], ", "))
 	}
 	sched, err := parseTrigger(strings.TrimSpace(trig))
 	if err != nil {
@@ -142,57 +142,13 @@ func (ru rule) String() string {
 	return fmt.Sprintf("%s/%s/%s=%s@%s", ru.workload, ru.scheme, trh, ru.arm.Kind, ru.arm.Schedule)
 }
 
-// String returns the canonical spec: parse-stable, used in checkpoint
-// signatures so a resumed run provably carries the same fault rules. A
-// nil *Rules renders as the empty string.
+// String returns the canonical spec: parse-stable, so a printed rule set
+// re-parses to the same rules. A nil *Rules renders as the empty string.
 func (r *Rules) String() string {
 	if r == nil {
 		return ""
 	}
 	return r.spec
-}
-
-// KindPlan collects every arm of kind k across all rules, ignoring the
-// cell patterns. Harness-level kinds (WorkerKill) are keyed on process
-// opportunities — cell-start ordinals — not on grid cells, so the farm
-// consumes them whole; the conventional spelling is `*/*/*=worker-kill@...`.
-// A nil *Rules returns the empty plan.
-func (r *Rules) KindPlan(k Kind) Plan {
-	if r == nil {
-		return Plan{}
-	}
-	var p Plan
-	for _, ru := range r.rules {
-		if ru.arm.Kind == k {
-			p.Arms = append(p.Arms, ru.arm)
-		}
-	}
-	return p
-}
-
-// WithoutKind returns a copy of the rules with every arm of kind k
-// removed, or nil when nothing remains. The farm uses it to strip its
-// harness-level kinds before handing the rules to the sim layer, so a
-// worker-kill rule never forces matched cells onto the cache-bypassing
-// fault path.
-func (r *Rules) WithoutKind(k Kind) *Rules {
-	if r == nil {
-		return nil
-	}
-	out := &Rules{}
-	var canon []string
-	for _, ru := range r.rules {
-		if ru.arm.Kind == k {
-			continue
-		}
-		out.rules = append(out.rules, ru)
-		canon = append(canon, ru.String())
-	}
-	if len(out.rules) == 0 {
-		return nil
-	}
-	out.spec = strings.Join(canon, ";")
-	return out
 }
 
 // PlanFor collects the arms whose cell patterns match (workload, scheme,

@@ -27,8 +27,7 @@ var Analyzer = &lint.Analyzer{
 		if !strings.HasPrefix(pkgPath, "repro") {
 			return true
 		}
-		return pkgPath == "repro/internal/flight" || pkgPath == "repro/internal/sim" ||
-			pkgPath == "repro/internal/farm"
+		return pkgPath == "repro/internal/flight" || pkgPath == "repro/internal/sim"
 	},
 	Run: run,
 }

@@ -80,33 +80,48 @@ func (m *Monitor) Attach(r *dram.Rank) {
 }
 
 // RecordACT observes one activation of a physical row at the given time.
+//
+// ACTs to different banks can arrive slightly out of timestamp order. A
+// late ACT is counted in the half-window it belongs to, as long as that
+// is the current or the previous one, and inserted in order into its
+// row's exact queue; an ACT more than one half-window late panics.
 func (m *Monitor) RecordACT(row dram.Row, at dram.PS) {
 	m.acts++
 
 	// Roll the coarse half-window counters forward.
 	half := at / (m.window / 2)
+	counts := m.cur
 	switch {
 	case half == m.halfIdx:
 	case half == m.halfIdx+1:
 		m.prev, m.cur = m.cur, m.prev
 		clear(m.cur)
 		m.halfIdx = half
+		counts = m.cur
 	case half > m.halfIdx+1:
 		clear(m.prev)
 		clear(m.cur)
 		m.halfIdx = half
+	case half == m.halfIdx-1:
+		counts = m.prev
 	default:
 		panic(fmt.Sprintf("security: time went backwards: %d then %d", m.halfIdx, half))
 	}
 
 	if q, tracked := m.hot[row]; tracked {
+		// Keep the queue sorted so the trim below stays exact: append an
+		// in-order ACT, insert a late one from the back.
+		q = append(q, at)
+		for j := len(q) - 1; j > 0 && q[j-1] > at; j-- {
+			q[j-1], q[j] = q[j], q[j-1]
+		}
 		// Exact sliding window: drop timestamps older than `window`.
 		cutoff := at - m.window
 		i := 0
 		for i < len(q) && q[i] <= cutoff {
 			i++
 		}
-		q = append(q[i:], at)
+		q = q[i:]
 		m.hot[row] = q
 		n := len(q)
 		if n > m.hotPeak[row] {
@@ -122,7 +137,7 @@ func (m *Monitor) RecordACT(row dram.Row, at dram.PS) {
 		return
 	}
 
-	m.cur[row]++
+	counts[row]++
 	if m.cur[row]+m.prev[row] >= m.trackFloor {
 		// Promote: seed the exact queue with the activation we know about.
 		// Earlier activations are not reconstructed; the promotion floor

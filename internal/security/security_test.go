@@ -157,6 +157,41 @@ func TestTimeBackwardsPanics(t *testing.T) {
 	m.RecordACT(dram.Row(1), 5*ms)
 }
 
+// TestLateACTAcrossHalfWindowRoll feeds the monitor ACTs slightly out of
+// timestamp order, as cross-bank ACTs reach it. A late ACT that straddles
+// the 32 ms half-window roll is counted in the previous half-window
+// instead of panicking, and a late ACT of a hot row is inserted in order,
+// so later trims drop exactly the ACTs that left the window.
+func TestLateACTAcrossHalfWindowRoll(t *testing.T) {
+	m := NewMonitor(40, 64*ms) // promotion floor 10
+	cold, other := dram.Row(1), dram.Row(2)
+	for i := 0; i < 9; i++ {
+		m.RecordACT(cold, dram.PS(20+i)*ms)
+	}
+	m.RecordACT(other, 33*ms) // rolls into the second half-window
+	m.RecordACT(cold, 32*ms-1)
+	if hot := m.HotRows(); len(hot) != 1 || hot[0] != cold {
+		t.Fatalf("hot rows %v: the late ACT should count toward the first half-window and promote row %d", hot, cold)
+	}
+
+	m = NewMonitor(4, 64*ms) // promotion floor 1: every ACT is exact
+	row := dram.Row(7)
+	m.RecordACT(row, 10*ms)
+	m.RecordACT(other, 33*ms)
+	m.RecordACT(row, 33*ms)
+	m.RecordACT(row, 31*ms) // late: 10, 31, 33 in one window
+	// At 95.5 ms the window holds 33 and 95.5 only; an unsorted queue
+	// would keep 31 behind 33 and count 3, then reach T_RH at 96 ms.
+	m.RecordACT(row, 95*ms+ms/2)
+	m.RecordACT(row, 96*ms)
+	if m.Violated() {
+		t.Fatalf("violations %+v: the trim kept an ACT that left the window", m.Violations())
+	}
+	if n := m.PeakWindowCount(row); n != 3 {
+		t.Fatalf("peak window count %d, want 3", n)
+	}
+}
+
 func TestConstructorPanics(t *testing.T) {
 	for i, fn := range []func(){
 		func() { NewMonitor(1, 64*ms) },

@@ -101,7 +101,7 @@ func TestCellCacheSchemaBump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldKey, err := r1.cellKeyAt("aqua-cell-v0", "xz", SchemeAquaMemMapped, 1000)
+	oldKey, err := r1.cellKeyAt("aqua-cell-v0", "xz", SchemeAquaMemMapped, 1000, false)
 	if err != nil {
 		t.Fatal(err)
 	}

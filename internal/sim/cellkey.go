@@ -1,13 +1,13 @@
 package sim
 
-// Content-addressed cell caching (see DESIGN.md "Result cache &
-// incremental recomputation"). Every grid cell is a pure function of the
-// experiment configuration, so its result can be stored under a hash of
-// that configuration and served on any later run — across processes,
-// unlike the checkpoint, which binds one file to one run configuration.
+// Content-addressed result caching (see DESIGN.md "Result cache &
+// incremental recomputation"). Every grid cell and every calibrated IPC
+// is a pure function of the experiment configuration, so its result can
+// be stored under a hash of that configuration and served on any later
+// run. The store is the only persistence layer: resuming an interrupted
+// run means rerunning it against the same cache directory.
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -24,6 +24,13 @@ import (
 // a key no runner will ever ask for again: stale results cannot be
 // served, only ignored.
 const SchemaVersion = "aqua-cell-v1"
+
+// cellKey identifies one grid cell within a Runner.
+type cellKey struct {
+	workload string
+	scheme   Scheme
+	trh      int64
+}
 
 // CellKey returns the content-addressed cache key for one grid cell: a
 // SHA-256 over the schema version, every ExpConfig field that determines
@@ -42,18 +49,27 @@ const SchemaVersion = "aqua-cell-v1"
 // deterministic function of everything already hashed, so the static
 // budget pins it transitively.
 func (r *Runner) CellKey(name string, scheme Scheme, trh int64) (string, error) {
-	return r.cellKeyAt(SchemaVersion, name, scheme, trh)
+	return r.cellKeyAt(SchemaVersion, name, scheme, trh, false)
+}
+
+// ipcKey is the store key of a workload's calibrated IPC. The calibration
+// pass is the baseline cell run at nominal IPC 1.0 — exactly the inputs
+// the baseline cell's key text records — so the IPC key hashes that text
+// plus an "ipc" line, which no cell key text contains.
+func (r *Runner) ipcKey(name string) (string, error) {
+	return r.cellKeyAt(SchemaVersion, name, SchemeBaseline, 1000, true)
 }
 
 // cellKeyAt is CellKey under an explicit schema version (tests derive
-// old-generation keys with it to prove a bump invalidates).
+// old-generation keys with it to prove a bump invalidates); ipc selects
+// the workload's calibrated-IPC entry instead of the cell's result.
 //
 // The aquakey:hash annotation is the keycoverage analyzer's contract:
 // every field of ExpConfig and workload.Spec must be hashed below or
 // carry an //aquakey:exclude on its declaration.
 //
 //aquakey:hash ExpConfig workload.Spec
-func (r *Runner) cellKeyAt(version, name string, scheme Scheme, trh int64) (string, error) {
+func (r *Runner) cellKeyAt(version, name string, scheme Scheme, trh int64, ipc bool) (string, error) {
 	specs, err := caseSpecs(name)
 	if err != nil {
 		return "", err
@@ -72,76 +88,21 @@ func (r *Runner) cellKeyAt(version, name string, scheme Scheme, trh int64) (stri
 			i, sp.Name, sp.MPKI, sp.Rows166, sp.Rows500, sp.Rows1K,
 			int64(windowInstr*sp.MPKI/1000)+16)
 	}
+	if ipc {
+		b.WriteString("ipc\n")
+	}
 	sum := sha256.Sum256([]byte(b.String()))
 	return hex.EncodeToString(sum[:]), nil
 }
 
 // AttachCellCache attaches a content-addressed store: clean completed
-// cells are served from it without constructing a System and written
-// back to it as they complete. Fault-injected and cancelled cells never
-// enter the store. Pass nil to detach.
+// cells and calibrated IPCs are served from it without simulating and
+// written back to it as they complete. Fault-injected and cancelled
+// cells never enter the store. Pass nil to detach.
 func (r *Runner) AttachCellCache(s *cellcache.Store) { r.cells = s }
 
-// CellLeaser lifts singleflight semantics to the cache layer: where the
-// in-process flight.Group coalesces concurrent callers inside one
-// Runner, a leaser coordinates Runners in different processes sharing a
-// cache directory (cellcache leases are one implementation; the farm
-// wraps them with its clock and backoff). The Runner stays clock-free —
-// how long Wait blocks, and whether it does at all, is the leaser's
-// business.
-type CellLeaser interface {
-	// Claim tries to acquire the compute lease for the content-addressed
-	// cache key, reporting whether the caller should simulate the cell.
-	// False means another owner holds a live lease.
-	Claim(key string) bool
-	// Wait blocks until the lease for key may have changed hands (the
-	// holder finished, released, or expired), or ctx ends; it returns
-	// ctx.Err() on cancellation and nil otherwise. Implementations
-	// choose the polling or notification strategy.
-	Wait(ctx context.Context, key string) error
-	// Release drops a lease acquired by Claim once the result has been
-	// stored (or the attempt failed). Releasing an expired/lost lease
-	// must be a harmless no-op.
-	Release(key string)
-}
-
-// AttachLeaser attaches the cross-process compute coordinator. It only
-// takes effect alongside an attached cell cache — without a store to
-// poll, waiting on another process's lease could never observe its
-// result. Pass nil to detach. Attach before any cells run; the field is
-// read concurrently afterwards.
-func (r *Runner) AttachLeaser(l CellLeaser) { r.leaser = l }
-
-// awaitLease is the lease protocol around one missed cell: claim, and
-// while another owner holds the lease, wait and re-poll the store. It
-// returns (run, true, nil) when the cell landed in the store while
-// waiting, (zero, false, nil) when the lease was acquired — the caller
-// must simulate and then Release — and an error only on cancellation.
-func (r *Runner) awaitLease(ctx context.Context, key cellKey, hash string) (WorkloadRun, bool, error) {
-	for {
-		if r.leaser.Claim(hash) {
-			return WorkloadRun{}, false, nil
-		}
-		r.mu.Lock()
-		r.cellStats.LeaseWaits++
-		r.mu.Unlock()
-		if err := r.leaser.Wait(ctx, hash); err != nil {
-			return WorkloadRun{}, false, err
-		}
-		if run, ok := r.cacheLookup(key); ok {
-			r.mu.Lock()
-			r.cellStats.CacheHits++
-			r.cellStats.LeaseHits++
-			r.cellMemo[key] = run
-			r.mu.Unlock()
-			return run, true, nil
-		}
-	}
-}
-
 // CellStats summarizes how RunCtx requests for cacheable (fault-free)
-// cells were satisfied. Checkpoint-served cells are counted separately
-// by CheckpointHits; fault-injected cells bypass this accounting.
+// cells were satisfied; fault-injected cells bypass this accounting.
 type CellStats struct {
 	// Requests is the number of cacheable cell requests.
 	Requests int64
@@ -153,26 +114,14 @@ type CellStats struct {
 	Simulated int64
 	// Errors is the number of requests that failed.
 	Errors int64
-	// LeaseWaits counts times a cell found another process's live compute
-	// lease and waited instead of simulating.
-	LeaseWaits int64
-	// LeaseHits counts waits that ended with the other process's result
-	// served from the store — cross-process dedup. Each is also counted
-	// in CacheHits (it is one).
-	LeaseHits int64
 	// TraceCaptures counts workload core-streams generated once and
 	// packed into the capture/replay tier (tracetier.go), including
-	// captures that spilled to disk or ran over budget and were served
-	// uncached.
+	// captures that ran over budget and were served uncached.
 	TraceCaptures int64
 	// TraceReplays counts core-streams served by replaying a captured
 	// trace instead of running the generator — every stream build after
 	// a workload's first touch.
 	TraceReplays int64
-	// TraceDiskHits counts replays served from a memory-mapped v2 trace
-	// file under the cell cache directory rather than the in-memory
-	// packed tier. Each is also counted in TraceReplays.
-	TraceDiskHits int64
 }
 
 // Deduped is the number of requests served from an identical cell
@@ -194,19 +143,34 @@ func (r *Runner) CellStats() CellStats {
 	return r.cellStats
 }
 
+// ipcEntry is the stored form of a workload's calibrated IPC.
+type ipcEntry struct {
+	Workload string
+	IPC      float64
+}
+
+// storeGet decodes the entry stored under hash into v. A missing or
+// undecodable entry reads as a miss, never an error.
+func (r *Runner) storeGet(hash string, v any) bool {
+	data, ok := r.cells.Get(hash)
+	return ok && json.Unmarshal(data, v) == nil
+}
+
+// storePut writes v under hash. encoding/json round-trips float64
+// exactly, so a later run serving the entry renders the same bytes an
+// uncached run would.
+func (r *Runner) storePut(hash string, v any) {
+	if data, err := json.Marshal(v); err == nil {
+		r.cells.Put(hash, data)
+	}
+}
+
 // cacheLookup decodes a stored cell. Any defect — undecodable payload,
 // identity mismatch — reads as a miss, never an error or a wrong result.
 func (r *Runner) cacheLookup(key cellKey) (WorkloadRun, bool) {
 	hash, err := r.CellKey(key.workload, key.scheme, key.trh)
-	if err != nil {
-		return WorkloadRun{}, false
-	}
-	data, ok := r.cells.Get(hash)
-	if !ok {
-		return WorkloadRun{}, false
-	}
 	var run WorkloadRun
-	if err := json.Unmarshal(data, &run); err != nil {
+	if err != nil || !r.storeGet(hash, &run) {
 		return WorkloadRun{}, false
 	}
 	if run.Workload != key.workload || run.Scheme != key.scheme || run.TRH != key.trh {
@@ -215,17 +179,26 @@ func (r *Runner) cacheLookup(key cellKey) (WorkloadRun, bool) {
 	return run, true
 }
 
-// cacheStore writes a clean completed cell. encoding/json round-trips
-// float64 exactly, so a later run serving this entry renders the same
-// bytes an uncached run would.
+// cacheStore writes a clean completed cell.
 func (r *Runner) cacheStore(key cellKey, run WorkloadRun) {
-	hash, err := r.CellKey(key.workload, key.scheme, key.trh)
-	if err != nil {
-		return
+	if hash, err := r.CellKey(key.workload, key.scheme, key.trh); err == nil {
+		r.storePut(hash, run)
 	}
-	data, err := json.Marshal(run)
-	if err != nil {
-		return
+}
+
+// cachedIPC reads a workload's calibrated IPC from the store.
+func (r *Runner) cachedIPC(name string) (float64, bool) {
+	hash, err := r.ipcKey(name)
+	var e ipcEntry
+	if err != nil || !r.storeGet(hash, &e) || e.Workload != name {
+		return 0, false
 	}
-	r.cells.Put(hash, data)
+	return e.IPC, true
+}
+
+// storeIPC writes a workload's calibrated IPC.
+func (r *Runner) storeIPC(name string, ipc float64) {
+	if hash, err := r.ipcKey(name); err == nil {
+		r.storePut(hash, ipcEntry{Workload: name, IPC: ipc})
+	}
 }

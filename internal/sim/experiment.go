@@ -55,13 +55,6 @@ type ExpConfig struct {
 	// failure clears exactly the way a real one would.
 	//aquakey:exclude retry count changes recovery behaviour only; a cell that succeeds yields the same bytes on any attempt
 	Retries int
-	// OnCellStart, when set, is called at the start of every cell compute
-	// attempt (after cache/memo/checkpoint resolution — served cells never
-	// fire it). The experiment farm hooks it to count compute opportunities
-	// for harness-level fault injection (fault.WorkerKill); it must not
-	// mutate anything the simulation reads.
-	//aquakey:exclude observation hook; fires only on cells that actually simulate and cannot change their results
-	OnCellStart func(workload string, scheme Scheme, trh int64)
 	// DisableTraceReplay turns off the record-once/replay-many stream
 	// tier (see tracetier.go): every cell regenerates its workload
 	// streams from the generator instead of replaying a captured trace.
@@ -71,13 +64,6 @@ type ExpConfig struct {
 	// gate (make trace-smoke).
 	//aquakey:exclude replay is byte-identical to generation (equivalence gate: make trace-smoke); the tier changes wall-clock only
 	DisableTraceReplay bool
-	// TraceBudgetBytes bounds the in-memory captured-trace tier (0 =
-	// default 1 GiB, negative = unlimited). Captures past the budget
-	// spill as v2 trace files under the attached cell cache's directory
-	// and replay from the memory mapping, or — with no disk tier — are
-	// served once, uncached.
-	//aquakey:exclude the budget moves streams between replay tiers, which all yield the same bytes
-	TraceBudgetBytes int64
 }
 
 func (e *ExpConfig) fillDefaults() {
@@ -157,20 +143,15 @@ type Runner struct {
 	// to count attempts. Deliberately not time-based by default — the
 	// simulator is deterministic and wall-clock sleeps are banned.
 	retryBackoff func(attempt int)
-	// ckpt, when attached, persists completed cells so an interrupted grid
-	// run can resume without recomputing them. Nil-safe: all lookups on a
-	// nil checkpoint miss.
-	ckpt *checkpoint
 	// cells, when attached, is the content-addressed result cache (see
-	// cellkey.go): clean completed cells are served from it across
-	// processes and written back to it. Nil means no cache.
+	// cellkey.go): clean completed cells and calibrated IPCs are served
+	// from it across processes and written back to it. Nil means no
+	// cache.
 	cells *cellcache.Store
-	// leaser, when attached alongside cells, coordinates cell computation
-	// across processes sharing the cache: a missed cell claims a compute
-	// lease before simulating, and a claim lost to another owner polls the
-	// store instead of duplicating the work (see CellLeaser). Nil means
-	// every miss simulates.
-	leaser CellLeaser
+	// traceBudget bounds the in-memory trace tier's bytes: always
+	// traceBudgetBytes, except in in-package tests that lower it to
+	// exercise the over-budget path.
+	traceBudget int64
 
 	mu sync.Mutex
 	// calibrated per-workload IPC from the baseline pass.
@@ -188,10 +169,9 @@ type Runner struct {
 	// traceMem is the in-memory tier of the capture/replay layer
 	// (tracetier.go): packed per-core request traces keyed like genCache,
 	// replayed by every cell sharing the workload. traceBytes tracks its
-	// footprint against the budget; traceDisk holds mapped spill files.
-	traceMem   map[genKey]*trace.Packed    // guarded by mu
-	traceDisk  map[genKey]*trace.MappedSet // guarded by mu
-	traceBytes int64                       // guarded by mu
+	// footprint against the budget.
+	traceMem   map[genKey]*trace.Packed // guarded by mu
+	traceBytes int64                    // guarded by mu
 	// cellMemo memoizes clean completed cells for the life of the Runner,
 	// so identical grid cells (the same baseline repeated at every sweep
 	// point) simulate at most once even with no cache attached and even
@@ -217,13 +197,13 @@ type genKey struct {
 func NewRunner(cfg ExpConfig) *Runner {
 	cfg.fillDefaults()
 	r := &Runner{
-		cfg:       cfg,
-		ipcCache:  make(map[string]float64),
-		baseCache: make(map[string]Result),
-		genCache:  make(map[genKey]*workload.Generator),
-		traceMem:  make(map[genKey]*trace.Packed),
-		traceDisk: make(map[genKey]*trace.MappedSet),
-		cellMemo:  make(map[cellKey]WorkloadRun),
+		cfg:         cfg,
+		traceBudget: traceBudgetBytes,
+		ipcCache:    make(map[string]float64),
+		baseCache:   make(map[string]Result),
+		genCache:    make(map[genKey]*workload.Generator),
+		traceMem:    make(map[genKey]*trace.Packed),
+		cellMemo:    make(map[cellKey]WorkloadRun),
 	}
 	if err := cfg.validate(); err != nil {
 		r.initErr = err
@@ -286,7 +266,8 @@ func (g *GridError) Error() string {
 }
 
 // measuredBaseline runs (or returns the cached) baseline measurement for a
-// workload at the given nominal IPC.
+// workload at the given nominal IPC. The baseline cell's store entry holds
+// this very Result, so it is read before simulating.
 func (r *Runner) measuredBaseline(ctx context.Context, name string, nominal float64) (Result, error) {
 	r.mu.Lock()
 	res, ok := r.baseCache[name]
@@ -303,11 +284,13 @@ func (r *Runner) measuredBaseline(ctx context.Context, name string, nominal floa
 		if ok {
 			return res, nil
 		}
-		if res, ok := r.ckpt.lookupBase(name); ok {
-			r.mu.Lock()
-			r.baseCache[name] = res
-			r.mu.Unlock()
-			return res, nil
+		if !r.faulted(name, SchemeBaseline, 1000) {
+			if run, ok := r.cacheLookup(cellKey{name, SchemeBaseline, 1000}); ok {
+				r.mu.Lock()
+				r.baseCache[name] = run.Result
+				r.mu.Unlock()
+				return run.Result, nil
+			}
 		}
 		res, err := r.runOnce(ctx, name, SchemeBaseline, 1000, nominal, 0)
 		if err != nil {
@@ -316,7 +299,6 @@ func (r *Runner) measuredBaseline(ctx context.Context, name string, nominal floa
 		r.mu.Lock()
 		r.baseCache[name] = res
 		r.mu.Unlock()
-		r.ckpt.storeBase(name, res)
 		return res, nil
 	})
 }
@@ -418,6 +400,8 @@ func (r *Runner) generator(spec workload.Spec, coreIdx int, nominalIPC float64) 
 }
 
 // baselineIPC returns (and caches) the calibrated baseline IPC for a case.
+// A clean workload's IPC is also a store entry (see ipcKey), so a rerun
+// skips the calibration pass.
 func (r *Runner) baselineIPC(ctx context.Context, name string) (float64, error) {
 	r.mu.Lock()
 	ipc, ok := r.ipcCache[name]
@@ -432,11 +416,14 @@ func (r *Runner) baselineIPC(ctx context.Context, name string) (float64, error) 
 		if ok {
 			return ipc, nil
 		}
-		if ipc, ok := r.ckpt.lookupIPC(name); ok {
-			r.mu.Lock()
-			r.ipcCache[name] = ipc
-			r.mu.Unlock()
-			return ipc, nil
+		clean := !r.faulted(name, SchemeBaseline, 1000)
+		if clean {
+			if ipc, ok := r.cachedIPC(name); ok {
+				r.mu.Lock()
+				r.ipcCache[name] = ipc
+				r.mu.Unlock()
+				return ipc, nil
+			}
 		}
 		res, err := r.runOnce(ctx, name, SchemeBaseline, 1000, 1.0, 0)
 		if err != nil {
@@ -452,7 +439,9 @@ func (r *Runner) baselineIPC(ctx context.Context, name string) (float64, error) 
 		r.mu.Lock()
 		r.ipcCache[name] = ipc
 		r.mu.Unlock()
-		r.ckpt.storeIPC(name, ipc)
+		if clean {
+			r.storeIPC(name, ipc)
+		}
 		return ipc, nil
 	})
 }
@@ -475,6 +464,14 @@ func (r *Runner) baseline(ctx context.Context, name string) (Result, float64, er
 		return Result{}, 0, err
 	}
 	return base, nominal, nil
+}
+
+// faulted reports whether a fault rule matches the cell. A matched cell
+// bypasses the memo and the store. The baseline cell's rules also reach
+// its workload's calibration and baseline passes, so those bypass the
+// store too.
+func (r *Runner) faulted(name string, scheme Scheme, trh int64) bool {
+	return !r.cfg.Faults.PlanFor(name, scheme.String(), trh).Empty()
 }
 
 // injectorFor arms the cell's injected faults. Cell-level kinds ("panic",
@@ -542,12 +539,7 @@ func (r *Runner) protectCell(name string, scheme Scheme, trh int64, fn func(atte
 	if r.initErr != nil {
 		return &CellError{Workload: name, Scheme: scheme, TRH: trh, Err: r.initErr}
 	}
-	err := flight.Retry(r.cfg.Retries+1, r.retryBackoff, func(attempt int) error {
-		if r.cfg.OnCellStart != nil {
-			r.cfg.OnCellStart(name, scheme, trh)
-		}
-		return fn(attempt)
-	})
+	err := flight.Retry(r.cfg.Retries+1, r.retryBackoff, fn)
 	if err == nil {
 		return nil
 	}
@@ -590,8 +582,8 @@ func (r *Runner) RunVariant(name string, scheme Scheme, trh int64, overrides Con
 }
 
 // RunVariantCtx is RunVariant with cancellation, panic isolation and
-// retry. Variant runs are never checkpointed: the structural overrides are
-// not part of the checkpoint cell key.
+// retry. Variant runs are never memoized or stored: the structural
+// overrides are not part of the cell key.
 func (r *Runner) RunVariantCtx(ctx context.Context, name string, scheme Scheme, trh int64, overrides Config) (WorkloadRun, error) {
 	var run WorkloadRun
 	err := r.protectCell(name, scheme, trh, func(attempt int) error {
@@ -623,31 +615,22 @@ func (r *Runner) Run(name string, scheme Scheme, trh int64) (WorkloadRun, error)
 }
 
 // RunCtx is Run with cancellation, panic isolation, bounded retry for
-// transient failures, checkpoint lookup/store, and cell caching. A
-// failure comes back as a *CellError (identity + cause + panic stack);
-// cancellation comes back as the context's error, unwrapped.
+// transient failures, and cell caching. A failure comes back as a
+// *CellError (identity + cause + panic stack); cancellation comes back as
+// the context's error, unwrapped.
 //
-// Resolution order: the attached checkpoint (bound to this exact run
-// configuration) wins, then the in-memory memo, then a coalesced
-// in-flight execution of the same cell, then the content-addressed
-// cache, and only then a fresh simulation. Cells matched by a fault rule
-// skip everything but the checkpoint: they re-simulate on every request
-// so injected behaviour is observed, and their results never enter the
-// memo or the store. Failed (including cancelled) cells are never stored
-// anywhere — only clean, complete results persist.
+// Resolution order: the in-memory memo, then a coalesced in-flight
+// execution of the same cell, then the content-addressed cache, and only
+// then a fresh simulation. Cells matched by a fault rule skip all of it:
+// they re-simulate on every request so injected behaviour is observed,
+// and their results never enter the memo or the store. Failed (including
+// cancelled) cells are never stored either — only clean, complete results
+// persist.
 //
 //detertaint:root
 func (r *Runner) RunCtx(ctx context.Context, name string, scheme Scheme, trh int64) (WorkloadRun, error) {
-	if run, ok := r.ckpt.lookupCell(name, scheme, trh); ok {
-		return run, nil
-	}
-	if !r.cfg.Faults.PlanFor(name, scheme.String(), trh).Empty() {
-		run, err := r.runCellProtected(ctx, name, scheme, trh)
-		if err != nil {
-			return WorkloadRun{}, err
-		}
-		r.ckpt.storeCell(run)
-		return run, nil
+	if r.faulted(name, scheme, trh) {
+		return r.runCellProtected(ctx, name, scheme, trh)
 	}
 	key := cellKey{name, scheme, trh}
 	r.mu.Lock()
@@ -666,7 +649,6 @@ func (r *Runner) RunCtx(ctx context.Context, name string, scheme Scheme, trh int
 		r.mu.Unlock()
 		return WorkloadRun{}, err
 	}
-	r.ckpt.storeCell(run)
 	return run, nil
 }
 
@@ -692,18 +674,6 @@ func (r *Runner) computeCell(ctx context.Context, key cellKey) (WorkloadRun, err
 		r.mu.Lock()
 		r.cellStats.CacheMisses++
 		r.mu.Unlock()
-	}
-	if r.cells != nil && r.leaser != nil {
-		if hash, err := r.CellKey(key.workload, key.scheme, key.trh); err == nil {
-			run, served, err := r.awaitLease(ctx, key, hash)
-			if err != nil {
-				return WorkloadRun{}, err
-			}
-			if served {
-				return run, nil
-			}
-			defer r.leaser.Release(hash)
-		}
 	}
 	run, err := r.runCellProtected(ctx, key.workload, key.scheme, key.trh)
 	if err != nil {

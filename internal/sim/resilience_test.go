@@ -3,12 +3,11 @@ package sim
 import (
 	"context"
 	"errors"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/cellcache"
 	"repro/internal/dram"
 	"repro/internal/fault"
 	"repro/internal/flight"
@@ -205,82 +204,81 @@ func TestGridCancellation(t *testing.T) {
 	}
 }
 
-// TestCheckpointResume: a grid interrupted after partial completion and
-// resumed from its checkpoint must produce a byte-identical final grid
-// while serving the already-done cells from the file.
-func TestCheckpointResume(t *testing.T) {
+// TestCacheResume: a grid interrupted after partial completion and then
+// rerun against the same cache directory must produce a grid identical
+// to an uninterrupted run, while serving the interrupted run's cells and
+// calibrated IPCs from the store — so fewer cells simulate than in a cold
+// run, and no workload repeats its calibration pass.
+func TestCacheResume(t *testing.T) {
 	names := []string{"xz", "wrf"}
 	cells := []GridCell{
 		{Scheme: SchemeRRS, TRH: 1000},
 		{Scheme: SchemeAquaMemMapped, TRH: 1000},
 	}
-	clean, err := NewRunner(resCfg(nil)).RunGrid(names, cells)
+	cfg := resCfg(nil)
+	cfg.Calibrate = true
+	cold := NewRunner(cfg)
+	clean, err := cold.RunGrid(names, cells)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join(t.TempDir(), "grid.ckpt")
-
-	// First run: only one workload — a stand-in for an interrupted grid
-	// that checkpointed part of the work.
-	r1 := NewRunner(resCfg(nil))
-	if err := r1.AttachCheckpoint(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r1.RunGrid(names[:1], cells); err != nil {
-		t.Fatal(err)
-	}
-	if err := r1.CloseCheckpoint(); err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	open := func() *cellcache.Store {
+		s, err := cellcache.New(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
 
-	// Resume: a fresh Runner on the same file completes the grid. The
-	// first workload's cells must be served from the checkpoint and the
-	// final grid must match an uninterrupted run exactly.
-	r2 := NewRunner(resCfg(nil))
-	if err := r2.AttachCheckpoint(path); err != nil {
+	// The interrupted run: every workload's calibration, baseline and
+	// first cell finished; the second cells never started.
+	partial := NewRunner(cfg)
+	partial.AttachCellCache(open())
+	if _, err := partial.RunGrid(names, cells[:1]); err != nil {
 		t.Fatal(err)
 	}
-	grid, err := r2.RunGrid(names, cells)
+
+	// The rerun: a fresh Runner and Store over the same directory.
+	resumed := NewRunner(cfg)
+	resumed.AttachCellCache(open())
+	grid, err := resumed.RunGrid(names, cells)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if r2.CheckpointHits() == 0 {
-		t.Fatalf("resumed run never hit the checkpoint")
 	}
 	if !reflect.DeepEqual(grid, clean) {
 		t.Fatalf("resumed grid diverged from uninterrupted run:\ngot:  %+v\nwant: %+v", grid, clean)
 	}
-	if err := r2.CloseCheckpoint(); err != nil {
-		t.Fatal(err)
+	st, coldSt := resumed.CellStats(), cold.CellStats()
+	if done := partial.CellStats().Simulated; st.CacheHits != done {
+		t.Fatalf("rerun stats %+v; want the interrupted run's %d cells served from the store", st, done)
+	}
+	if st.Simulated >= coldSt.Simulated {
+		t.Fatalf("rerun simulated %d cells, a cold run %d", st.Simulated, coldSt.Simulated)
+	}
+	// A cold run captures each core's stream twice per workload: at
+	// nominal IPC 1.0 for the calibration pass, then at the calibrated
+	// IPC. The rerun reads the stored IPC and baseline, so it captures
+	// only the calibrated streams its new cells replay.
+	want := int64(resumed.Config().Cores * len(names))
+	if st.TraceCaptures != want || coldSt.TraceCaptures != 2*want {
+		t.Fatalf("trace captures: rerun %d, cold %d; want %d and %d",
+			st.TraceCaptures, coldSt.TraceCaptures, want, 2*want)
 	}
 
-	// A config change must refuse the file rather than replay wrong
-	// numbers.
-	other := resCfg(nil)
+	// A different seed hashes every cell and IPC to a new key, so a
+	// Runner under it takes no hits from the directory.
+	other := cfg
 	other.Seed = 0xBADC0FFEE
-	r3 := NewRunner(other)
-	if err := r3.AttachCheckpoint(path); err == nil {
-		t.Fatalf("checkpoint accepted a different configuration")
-	}
-
-	// A torn trailing record (killed mid-append) must be tolerated.
-	data, err := os.ReadFile(path)
-	if err != nil {
+	store := open()
+	r := NewRunner(other)
+	r.AttachCellCache(store)
+	if _, err := r.RunGrid(names, cells[:1]); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, data[:len(data)-7], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	r4 := NewRunner(resCfg(nil))
-	if err := r4.AttachCheckpoint(path); err != nil {
-		t.Fatalf("torn checkpoint refused: %v", err)
-	}
-	grid4, err := r4.RunGrid(names, cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(grid4, clean) {
-		t.Fatalf("torn-checkpoint resume diverged from uninterrupted run")
+	if hits := store.Stats().Hits(); r.CellStats().CacheHits != 0 || hits != 0 {
+		t.Fatalf("different-seed runner took %d cell hits and %d store hits, want 0",
+			r.CellStats().CacheHits, hits)
 	}
 }

@@ -173,8 +173,8 @@ type System struct {
 	// lanes armed (see internal/event). Owned by the run loop; reused
 	// across runs so the steady-state request path stays allocation-free.
 	// Deliberately not `// guarded by` anything: a System is confined to
-	// one grid worker (checkpointing and the result cache exchange Result
-	// values, never live Systems), so the calendar is never shared.
+	// one grid worker (the result cache exchanges Result values, never
+	// live Systems), so the calendar is never shared.
 	cal event.Calendar
 
 	// Blocked-bank overlap scheduler state (DESIGN.md "Blocked-bank

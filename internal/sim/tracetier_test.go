@@ -2,11 +2,9 @@ package sim
 
 import (
 	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
-	"repro/internal/cellcache"
 	"repro/internal/dram"
 )
 
@@ -62,9 +60,6 @@ func TestTraceTierCounters(t *testing.T) {
 	if want := 2 * cores; stats.TraceReplays != want {
 		t.Fatalf("TraceReplays = %d, want %d", stats.TraceReplays, want)
 	}
-	if stats.TraceDiskHits != 0 {
-		t.Fatalf("TraceDiskHits = %d, want 0 (in-memory tier only)", stats.TraceDiskHits)
-	}
 
 	off := traceCfg()
 	off.DisableTraceReplay = true
@@ -77,17 +72,16 @@ func TestTraceTierCounters(t *testing.T) {
 	}
 }
 
-// TestTraceBudgetFallback runs with a budget below any capture and no
-// disk tier: every stream build captures and is served uncached, and the
-// results still match the in-memory-tier run.
+// TestTraceBudgetFallback runs with a budget below any capture: every
+// stream build captures and is served uncached, and the results still
+// match the in-memory-tier run.
 func TestTraceBudgetFallback(t *testing.T) {
 	want, err := NewRunner(traceCfg()).RunGrid([]string{"xz"}, traceCells)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := traceCfg()
-	cfg.TraceBudgetBytes = 1
-	r := NewRunner(cfg)
+	r := NewRunner(traceCfg())
+	r.traceBudget = 1
 	got, err := r.RunGrid([]string{"xz"}, traceCells)
 	if err != nil {
 		t.Fatal(err)
@@ -100,115 +94,59 @@ func TestTraceBudgetFallback(t *testing.T) {
 	if stats.TraceCaptures != 3*cores {
 		t.Fatalf("TraceCaptures = %d, want %d (every build recaptures)", stats.TraceCaptures, 3*cores)
 	}
-	if stats.TraceReplays != 0 || stats.TraceDiskHits != 0 {
+	if stats.TraceReplays != 0 {
 		t.Fatalf("uncached fallback still counted replays: %+v", stats)
 	}
 }
 
-// TestTraceSpillToDisk forces the in-memory budget to zero so every
-// capture spills as a v2 file under the cell cache directory, then
-// checks later Runners sharing the directory replay the spilled traces
-// instead of generating (cross-process reuse), and that a corrupt spill
-// reads as a miss — recaptured, never replayed wrong.
-func TestTraceSpillToDisk(t *testing.T) {
-	dir := t.TempDir()
-	store, err := cellcache.New(dir)
-	if err != nil {
-		t.Fatal(err)
+// TestFullGridTraceTier measures the trace tier the full paper grid
+// needs: its bytes after every workload's calibration and baseline pass
+// over the 34-workload 64 ms grid at the default seed. Scheme cells only
+// replay those streams, so this is the tier's peak, and it must fit the
+// in-memory budget because nothing spills. The run takes minutes, so it
+// is opt-in:
+//
+//	REPRO_TRACE_TIER_FULL=1 go test -run TestFullGridTraceTier -v ./internal/sim
+func TestFullGridTraceTier(t *testing.T) {
+	if os.Getenv("REPRO_TRACE_TIER_FULL") == "" {
+		t.Skip("set REPRO_TRACE_TIER_FULL=1 to measure the full-grid trace tier")
 	}
-	cfg := traceCfg()
-	cfg.TraceBudgetBytes = 1 // below any capture's footprint
-	r := NewRunner(cfg)
-	r.AttachCellCache(store)
-	if _, err := r.RunGrid([]string{"xz"}, traceCells); err != nil {
-		t.Fatal(err)
+	r := NewRunner(ExpConfig{Calibrate: true, Parallel: 1})
+	var calibrated, calibratedStreams int64
+	dropped := make(map[genKey]bool)
+	for _, name := range AllCaseNames() {
+		if _, err := r.Run(name, SchemeBaseline, 1000); err != nil {
+			t.Fatal(err)
+		}
+		// A stream at a calibrated IPC belongs to one workload: tally it
+		// and drop it, keeping the test's footprint near the shared
+		// nominal-1.0 calibration streams, which the mixes reuse.
+		r.mu.Lock()
+		for k, p := range r.traceMem {
+			if k.nominal == 1.0 {
+				continue
+			}
+			if dropped[k] {
+				t.Errorf("stream %+v captured twice", k)
+			}
+			dropped[k] = true
+			calibrated += p.Bytes()
+			calibratedStreams++
+			r.traceBytes -= p.Bytes()
+			delete(r.traceMem, k)
+		}
+		r.mu.Unlock()
 	}
-	stats := r.CellStats()
-	cores := int64(r.Config().Cores)
-	if stats.TraceCaptures != cores {
-		t.Fatalf("TraceCaptures = %d, want %d", stats.TraceCaptures, cores)
+	r.mu.Lock()
+	nominal := r.traceBytes
+	r.mu.Unlock()
+	total := nominal + calibrated
+	st := r.CellStats()
+	const mib = 1 << 20
+	t.Logf("trace tier: %d B (%.1f MiB) = %.1f MiB nominal-1.0 calibration streams + %.1f MiB calibrated streams (%d); %d captures, %d replays; budget %d B",
+		total, float64(total)/mib, float64(nominal)/mib, float64(calibrated)/mib, calibratedStreams,
+		st.TraceCaptures, st.TraceReplays, int64(traceBudgetBytes))
+	if total > traceBudgetBytes {
+		t.Errorf("full-grid trace tier %d B exceeds the %d B budget", total, int64(traceBudgetBytes))
 	}
-	if stats.TraceDiskHits != 2*cores {
-		t.Fatalf("TraceDiskHits = %d, want %d (replays served from spill)", stats.TraceDiskHits, 2*cores)
-	}
-	files, err := filepath.Glob(filepath.Join(dir, "traces", "*.aqt2"))
-	if err != nil || int64(len(files)) != cores {
-		t.Fatalf("spilled %d trace files (%v), want %d", len(files), err, cores)
-	}
-
-	// A second Runner over the same directory with cells the result cache
-	// has not seen (different threshold) must simulate — and replay the
-	// spilled traces rather than capture. Reference results come from a
-	// regenerating runner.
-	freshCells := []GridCell{{Scheme: SchemeAquaMemMapped, TRH: 2000}}
-	regenCfg := traceCfg()
-	regenCfg.DisableTraceReplay = true
-	want, err := NewRunner(regenCfg).RunGrid([]string{"xz"}, freshCells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2 := NewRunner(cfg)
-	store2, err := cellcache.New(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2.AttachCellCache(store2)
-	got, err := r2.RunGrid([]string{"xz"}, freshCells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("disk-replayed grid diverged from regenerated:\nreplay: %+v\nregen:  %+v", got, want)
-	}
-	s2 := r2.CellStats()
-	if s2.TraceCaptures != 0 {
-		t.Fatalf("second process re-captured %d streams; want replay from spill", s2.TraceCaptures)
-	}
-	if s2.TraceDiskHits == 0 {
-		t.Fatalf("second process never hit the spilled traces: %+v", s2)
-	}
-
-	// Corrupt one spilled file: its core recaptures (and rewrites the
-	// spill); the others still replay. Results stay correct.
-	if err := corruptFile(files[0]); err != nil {
-		t.Fatal(err)
-	}
-	moreCells := []GridCell{{Scheme: SchemeAquaMemMapped, TRH: 3000}}
-	want3, err := NewRunner(regenCfg).RunGrid([]string{"xz"}, moreCells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r3 := NewRunner(cfg)
-	store3, err := cellcache.New(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r3.AttachCellCache(store3)
-	got3, err := r3.RunGrid([]string{"xz"}, moreCells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want3, got3) {
-		t.Fatalf("grid with corrupt spill diverged from regenerated")
-	}
-	s3 := r3.CellStats()
-	if s3.TraceCaptures != 1 {
-		t.Fatalf("TraceCaptures = %d, want 1 (only the corrupt core recaptures)", s3.TraceCaptures)
-	}
-	// First build: cores-1 healthy spills hit, one recaptures. Second
-	// build: all cores hit the (rewritten) mappings.
-	if want := 2*cores - 1; s3.TraceDiskHits != want {
-		t.Fatalf("TraceDiskHits = %d, want %d", s3.TraceDiskHits, want)
-	}
-}
-
-// corruptFile flips one byte in the middle of the file (a block payload;
-// the index and footer live at the end).
-func corruptFile(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	data[len(data)/2] ^= 0x01
-	return os.WriteFile(path, data, 0o644)
 }

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"repro/internal/dram"
 )
 
 // FuzzBinaryReader: arbitrary input must never panic or loop; every
@@ -22,9 +20,10 @@ func FuzzBinaryReader(f *testing.F) {
 	f.Add(valid[:len(valid)-1])
 	f.Add([]byte("garbage"))
 	f.Add([]byte{})
-	// A v2 trace: the v1 reader must reject it at the magic, not decode
-	// blocked bytes as records.
-	f.Add(v2Seed(2))
+	// An unknown format version: rejected at the header, never decoded.
+	bumped := bytes.Clone(valid)
+	bumped[4]++
+	f.Add(bumped)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := NewReader(bytes.NewReader(data))
@@ -61,114 +60,6 @@ func FuzzBinaryReader(f *testing.F) {
 			got, err := rr.Read()
 			if err != nil || got != want {
 				t.Fatalf("record %d: %+v vs %+v (%v)", i, got, want, err)
-			}
-		}
-	})
-}
-
-// v2Seed builds a small valid v2 trace with the given number of cores.
-func v2Seed(cores int) []byte {
-	set := &Set{Cores: make([]*Packed, cores)}
-	for i := range set.Cores {
-		p := &Packed{}
-		p.Append(Record{Row: 100, GapInstr: 5})
-		p.Append(Record{Row: 7, Write: true, GapInstr: 0})
-		set.Cores[i] = p
-	}
-	var buf bytes.Buffer
-	if err := WriteSet(&buf, set, 0); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
-}
-
-// FuzzBlockedReader extends FuzzBinaryReader to the v2 blocked format:
-// arbitrary bytes must never panic or loop in either v2 reader
-// (sequential blocks or mapped random access), the two readers must
-// agree on what a valid image contains, and whatever decodes must
-// round-trip losslessly through WriteSet.
-func FuzzBlockedReader(f *testing.F) {
-	valid := v2Seed(2)
-	f.Add(valid)
-	// Truncated frame index: cut inside the index block + footer.
-	f.Add(valid[: len(valid)-footerLen2-frameLen2 : len(valid)-footerLen2-frameLen2])
-	// Corrupt block checksum: flip a payload byte of the first data block.
-	corrupt := bytes.Clone(valid)
-	corrupt[headerLen2+blockHdr2] ^= 0x01
-	f.Add(corrupt)
-	// Zero-record blocks: an empty two-core trace (no data blocks at all).
-	f.Add(func() []byte {
-		var buf bytes.Buffer
-		if err := WriteSet(&buf, &Set{Cores: []*Packed{{}, {}}}, 0); err != nil {
-			panic(err)
-		}
-		return buf.Bytes()
-	}())
-	// A hand-forged zero-record data block ahead of a legitimate one.
-	f.Add(func() []byte {
-		var buf bytes.Buffer
-		bw, err := NewBlockWriter(&buf, 1, 1, 3)
-		if err != nil {
-			panic(err)
-		}
-		for i := 0; i < 3; i++ {
-			if err := bw.Append(0, Record{Row: dram.Row(i)}); err != nil {
-				panic(err)
-			}
-		}
-		if err := bw.Close(); err != nil {
-			panic(err)
-		}
-		return buf.Bytes()
-	}())
-	f.Add([]byte("garbage"))
-	f.Add([]byte{})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		// Sequential path. Decode bounded by the self-delimiting blocks;
-		// NextBlock caps payloads, so memory stays bounded too.
-		set, seqErr := ReadSet(bytes.NewReader(data))
-
-		// Mapped path over the same bytes (the fallback file read makes
-		// this exact on every platform).
-		m, mapErr := newMappedSet(data, nil)
-		if mapErr == nil {
-			for core := 0; core < m.Header().Cores; core++ {
-				s := m.Stream(core)
-				n := 0
-				for {
-					if _, ok := s.Next(); !ok {
-						break
-					}
-					n++
-				}
-				if seqErr == nil && s.Err() == nil && set.Cores[core].Len() != int64(n) {
-					t.Fatalf("core %d: sequential decoded %d records, mapped %d",
-						core, set.Cores[core].Len(), n)
-				}
-			}
-		}
-		if seqErr != nil {
-			return
-		}
-		// Round-trip whatever the sequential reader accepted.
-		var out bytes.Buffer
-		if err := WriteSet(&out, set, 0); err != nil {
-			t.Fatalf("re-encode of decoded set failed: %v", err)
-		}
-		again, err := ReadSet(bytes.NewReader(out.Bytes()))
-		if err != nil {
-			t.Fatalf("round-trip decode failed: %v", err)
-		}
-		if again.Records() != set.Records() || len(again.Cores) != len(set.Cores) {
-			t.Fatalf("round-trip %d records/%d cores vs %d/%d",
-				again.Records(), len(again.Cores), set.Records(), len(set.Cores))
-		}
-		for core := range set.Cores {
-			for i := int64(0); i < set.Cores[core].Len(); i++ {
-				if got, want := again.Cores[core].At(i), set.Cores[core].At(i); got != want {
-					t.Fatalf("core %d record %d: %+v vs %+v", core, i, got, want)
-				}
 			}
 		}
 	})

@@ -35,6 +35,22 @@ const (
 	version = 1
 )
 
+// Container format names returned by DetectFormat.
+const (
+	FormatV1   = "aqua-trace-v1"
+	FormatText = "text"
+)
+
+// DetectFormat reports which trace container the leading bytes of a file
+// belong to. Anything without the binary magic — including fewer than
+// four bytes — reads as text, the only format with no magic to check.
+func DetectFormat(prefix []byte) string {
+	if len(prefix) >= 4 && binary.LittleEndian.Uint32(prefix) == magic {
+		return FormatV1
+	}
+	return FormatText
+}
+
 // Record is one memory request.
 type Record struct {
 	Row      dram.Row

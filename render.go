@@ -2,9 +2,9 @@ package repro
 
 // The canonical renderer registry: every simulation-backed table/figure,
 // in the fixed order the golden file (testdata/lab_golden.txt) commits
-// to. The golden test, the checkpoint/resume acceptance tests, and the
-// experiment farm all render through this registry, so "byte-identical
-// figures" means the same bytes everywhere.
+// to. The golden test, the cache and resume acceptance tests, and the
+// benchmark all render through this registry, so "byte-identical figures"
+// means the same bytes everywhere.
 
 import (
 	"fmt"
@@ -32,16 +32,6 @@ func Renderers() []Renderer {
 		{"section5f", (*Lab).SensitivityVF},
 		{"section5h", (*Lab).PowerReport},
 	}
-}
-
-// RendererNames returns the registry's names in canonical order.
-func RendererNames() []string {
-	rs := Renderers()
-	names := make([]string, len(rs))
-	for i, r := range rs {
-		names[i] = r.Name
-	}
-	return names
 }
 
 // RendererByName resolves one registry entry.

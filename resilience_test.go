@@ -10,8 +10,8 @@ package repro
 //     file;
 //   - a degraded cell (injected hardware fault the scheme recovered from)
 //     completes and shows up in FaultedCells;
-//   - a run interrupted after partial completion and resumed from its
-//     checkpoint reproduces the uninterrupted golden output exactly;
+//   - a run interrupted after partial completion and rerun over its
+//     cache directory reproduces the uninterrupted golden output exactly;
 //   - a cancelled lab surfaces the context's error.
 
 import (
@@ -125,46 +125,34 @@ func TestLabFaultMatrix(t *testing.T) {
 	}
 }
 
-// TestLabCheckpointResumeGolden: a lab that completed only part of the
-// evaluation before stopping, then a fresh lab resumed from the same
-// checkpoint, must reproduce the uninterrupted golden byte stream exactly
-// — while provably serving the already-done cells from the file.
-func TestLabCheckpointResumeGolden(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "lab.ckpt")
+// TestLabResumeGolden: a lab that completed only part of the evaluation
+// before stopping, then a fresh lab rerun over the same cache directory,
+// must reproduce the uninterrupted golden byte stream exactly — while
+// serving every cell the first lab finished from the store and
+// simulating only the rest.
+func TestLabResumeGolden(t *testing.T) {
+	dir := t.TempDir()
 
 	// Partial run: two renderers' worth of cells, then stop (standing in
-	// for a run killed mid-grid; the checkpoint is synced per cell, so any
-	// kill point leaves a valid prefix).
+	// for a run killed mid-grid; entries land atomically one cell at a
+	// time, so any kill point leaves a valid set).
 	l1 := labAt(1)
-	if err := l1.AttachCheckpoint(path); err != nil {
-		t.Fatal(err)
-	}
+	l1.AttachCache(warmStore(t, dir))
 	if _, err := l1.Figure7(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l1.Figure10(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l1.CloseCheckpoint(); err != nil {
-		t.Fatal(err)
-	}
+	done := l1.CellStats().Simulated
 
-	// Resumed run: full render from a fresh lab on the same file.
+	// Rerun: full render from a fresh lab over the same directory.
 	l2 := labAt(1)
-	if err := l2.AttachCheckpoint(path); err != nil {
-		t.Fatal(err)
-	}
+	l2.AttachCache(warmStore(t, dir))
 	got, err := renderGoldenLab(l2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l2.CheckpointHits() == 0 {
-		t.Fatalf("resumed lab never hit the checkpoint")
-	}
-	if err := l2.CloseCheckpoint(); err != nil {
-		t.Fatal(err)
-	}
-
 	want, err := os.ReadFile(filepath.Join("testdata", "lab_golden.txt"))
 	if err != nil {
 		t.Fatal(err)
@@ -172,8 +160,23 @@ func TestLabCheckpointResumeGolden(t *testing.T) {
 	if got != string(want) {
 		t.Errorf("resumed lab output diverged from golden:\n%s", firstDiff(string(want), got))
 	}
+	cs := l2.CellStats()
+	if done == 0 || cs.CacheHits != done {
+		t.Fatalf("rerun stats %+v; want the first lab's %d cells served from the store", cs, done)
+	}
+	// A cold lab simulates every unique cell of the render: the ones the
+	// rerun served plus the ones it simulated.
+	cold := labAt(1)
+	if _, err := renderGoldenLab(cold); err != nil {
+		t.Fatal(err)
+	}
+	if coldSim := cold.CellStats().Simulated; cs.Simulated+done != coldSim {
+		t.Fatalf("rerun simulated %d cells after %d served; a cold lab simulated %d", cs.Simulated, done, coldSim)
+	}
 
-	// The checkpoint must refuse a lab with different options.
+	// A lab with different options hashes to different keys: nothing the
+	// first lab stored is served to it.
+	store := warmStore(t, dir)
 	l3 := NewLab(LabOptions{
 		Window:        500 * dram.PS(dram.Microsecond),
 		Workloads:     []string{"xz", "wrf"},
@@ -181,8 +184,12 @@ func TestLabCheckpointResumeGolden(t *testing.T) {
 		Parallel:      1,
 		Seed:          0xD15EA5E,
 	})
-	if err := l3.AttachCheckpoint(path); err == nil {
-		t.Fatalf("checkpoint accepted a lab with a different seed")
+	l3.AttachCache(store)
+	if _, err := l3.Figure7(); err != nil {
+		t.Fatal(err)
+	}
+	if hits := store.Stats().Hits(); l3.CellStats().CacheHits != 0 || hits != 0 {
+		t.Fatalf("different-seed lab took %d cell hits and %d store hits, want 0", l3.CellStats().CacheHits, hits)
 	}
 }
 
