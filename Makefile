@@ -10,12 +10,15 @@ all: build lint test
 build:
 	$(GO) build ./...
 
-# lint = the standard vet pass plus aqualint, the repo's own analyzer
-# suite: the per-package determinism and numeric-comparison rules plus
-# the module-wide detertaint / keycoverage / guardedby analyzers (see
-# cmd/aqualint -list). The lint framework's own tests run under -race
-# because module analyses share a loader across goroutine-using tests.
+# lint = a gofmt check over every tracked .go file, the standard vet pass
+# plus aqualint, the repo's own analyzer suite: the per-package
+# determinism and numeric-comparison rules plus the module-wide
+# detertaint / keycoverage / guardedby analyzers (see cmd/aqualint -list).
+# The lint framework's own tests run under -race because module analyses
+# share a loader across goroutine-using tests.
 lint:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	test -z "$$out" || { echo "gofmt -l lists unformatted files (run gofmt -w on them):"; echo "$$out"; exit 1; }
 	$(GO) vet ./...
 	$(GO) run ./cmd/aqualint ./...
 	$(GO) test -race ./internal/lint/...

@@ -23,18 +23,20 @@ func collect(s cpu.Stream) []cpu.Request {
 	}
 }
 
-// actsOn replays a stream against a rank and returns the ACT count of a row.
-func actsOn(geom dram.Geometry, s cpu.Stream, row dram.Row) uint64 {
+// replayACTs replays a stream against a fresh rank and returns every row's
+// activation count, observed through a rank listener.
+func replayACTs(geom dram.Geometry, s cpu.Stream) map[dram.Row]uint64 {
 	rank := dram.NewRank(geom, dram.DDR4())
+	acts := map[dram.Row]uint64{}
+	rank.Listen(func(row dram.Row, _ dram.PS) { acts[row]++ })
 	at := dram.PS(0)
 	for {
 		req, ok := s.Next()
 		if !ok {
-			break
+			return acts
 		}
 		at, _ = rank.Access(req.Row, req.Write, at)
 	}
-	return rank.ActCount(row)
 }
 
 func TestSequenceCyclesAndEnds(t *testing.T) {
@@ -61,7 +63,7 @@ func TestConcat(t *testing.T) {
 func TestSingleSidedActivatesEveryVisit(t *testing.T) {
 	g := testGeom()
 	aggr := g.RowOf(0, 10)
-	acts := actsOn(g, SingleSided(g, aggr, 200, 100), aggr)
+	acts := replayACTs(g, SingleSided(g, aggr, 200, 100))[aggr]
 	if acts != 100 {
 		t.Fatalf("aggressor ACTs = %d, want 100", acts)
 	}
@@ -70,21 +72,12 @@ func TestSingleSidedActivatesEveryVisit(t *testing.T) {
 func TestDoubleSidedHitsBothNeighbors(t *testing.T) {
 	g := testGeom()
 	victim := g.RowOf(1, 50)
-	s := DoubleSided(g, victim, 40)
-	rank := dram.NewRank(g, dram.DDR4())
-	at := dram.PS(0)
-	for {
-		req, ok := s.Next()
-		if !ok {
-			break
-		}
-		at, _ = rank.Access(req.Row, req.Write, at)
-	}
+	acts := replayACTs(g, DoubleSided(g, victim, 40))
 	left, right := g.RowOf(1, 49), g.RowOf(1, 51)
-	if rank.ActCount(left) != 40 || rank.ActCount(right) != 40 {
-		t.Fatalf("ACTs = %d/%d, want 40/40", rank.ActCount(left), rank.ActCount(right))
+	if acts[left] != 40 || acts[right] != 40 {
+		t.Fatalf("ACTs = %d/%d, want 40/40", acts[left], acts[right])
 	}
-	if rank.ActCount(victim) != 0 {
+	if acts[victim] != 0 {
 		t.Fatal("victim itself activated")
 	}
 }
@@ -135,23 +128,14 @@ func TestHalfDoubleTargetsDistanceTwo(t *testing.T) {
 func TestRotatingDoSCoversAllBanksAndRotates(t *testing.T) {
 	g := testGeom()
 	const threshold = 10
-	s := NewRotatingDoS(g, 200, threshold, 2000)
-	rank := dram.NewRank(g, dram.DDR4())
-	at := dram.PS(0)
-	for {
-		req, ok := s.Next()
-		if !ok {
-			break
-		}
-		at, _ = rank.Access(req.Row, req.Write, at)
-	}
+	rowActs := replayACTs(g, NewRotatingDoS(g, 200, threshold, 2000))
 	// Every bank saw activity.
 	banksTouched := 0
 	maxACT := uint64(0)
 	for b := 0; b < g.Banks; b++ {
 		touched := false
 		for i := 0; i < 200; i++ {
-			acts := rank.ActCount(g.RowOf(b, i))
+			acts := rowActs[g.RowOf(b, i)]
 			if acts > 0 {
 				touched = true
 			}
@@ -220,7 +204,7 @@ func TestAdaptiveHammerActivatesTargetEveryRound(t *testing.T) {
 	g := testGeom()
 	target := g.RowOf(2, 33)
 	const rounds = 50
-	acts := actsOn(g, AdaptiveHammer(g, target, 200, rounds), target)
+	acts := replayACTs(g, AdaptiveHammer(g, target, 200, rounds))[target]
 	if acts != rounds {
 		t.Fatalf("target ACTs = %d, want %d", acts, rounds)
 	}

@@ -36,6 +36,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/invariant"
 	"repro/internal/mitigation"
+	"repro/internal/rowmap"
 	"repro/internal/sramcache"
 	"repro/internal/tracker"
 )
@@ -173,10 +174,11 @@ type Engine struct {
 	rptTableRows    int
 	tableRowsPerBnk int
 
-	// fptSlot is the authoritative forward mapping: install row -> RQA slot
-	// (-1 when not quarantined). In hardware this is the FPT content; the
+	// fptSlot is the authoritative forward mapping: install row -> RQA slot,
+	// holding exactly the quarantined rows (at most one per slot, so it is
+	// made RQA-sized up front). In hardware this is the FPT content; the
 	// SRAM CAT / in-DRAM table model the *access cost* of reaching it.
-	fptSlot []int32
+	fptSlot rowmap.Map
 	rpt     []rptEntry
 	// fast is the Translate fast path: bit `row` is set exactly when the
 	// row resolves to itself through the slow path's cheapest early
@@ -197,8 +199,8 @@ type Engine struct {
 	// LookupSRAM in SRAM mode), so the hot path is branch-free on mode.
 	fastLat   dram.PS
 	fastClass mitigation.LookupClass
-	head    int
-	epoch   int64
+	head      int
+	epoch     int64
 	// quarCount tracks the number of valid RPT entries incrementally, so
 	// the invariant layer can assert occupancy in O(1) after each
 	// mitigation and cross-check it against the full scan at epoch ends.
@@ -281,7 +283,7 @@ func layoutFor(geom dram.Geometry, timing dram.Timing, cfg Config) layout {
 
 // VisibleRowsPerBankFor returns the software-visible rows per bank an
 // engine with this configuration would leave, without building one: the
-// layout arithmetic alone, not the multi-megabyte FPT/tracker state. An
+// layout arithmetic alone, not the tracker, bitmap and filter state. An
 // engine build per region query used to dominate experiment setup time.
 func VisibleRowsPerBankFor(geom dram.Geometry, timing dram.Timing, cfg Config) int {
 	cfg.fillDefaults()
@@ -309,11 +311,8 @@ func New(rank *dram.Rank, cfg Config) *Engine {
 		fptTableRows:    l.fptTableRows,
 		rptTableRows:    l.rptTableRows,
 		tableRowsPerBnk: l.tableRowsPerBnk,
-		fptSlot:         make([]int32, geom.Rows()),
+		fptSlot:         rowmap.New(rqa),
 		rpt:             make([]rptEntry, rqa),
-	}
-	for i := range e.fptSlot {
-		e.fptSlot[i] = -1
 	}
 	for i := range e.rpt {
 		e.rpt[i].epochUsed = -1
@@ -449,7 +448,16 @@ func (e *Engine) VisibleRowsPerBank() int {
 func (e *Engine) RQASize() int { return e.rqaRows }
 
 // IsQuarantined reports whether install row x currently lives in the RQA.
-func (e *Engine) IsQuarantined(x dram.Row) bool { return e.fptSlot[x] >= 0 }
+func (e *Engine) IsQuarantined(x dram.Row) bool { return e.fptSlot.Ref(x) != nil }
+
+// physRow resolves install row x through the forward table: the row of
+// its RQA slot when quarantined, x itself otherwise.
+func (e *Engine) physRow(x dram.Row) dram.Row {
+	if s, ok := e.fptSlot.Get(x); ok {
+		return e.slotRow(int(s))
+	}
+	return x
+}
 
 // QuarantinedCount returns the number of currently quarantined rows.
 func (e *Engine) QuarantinedCount() int {
@@ -518,7 +526,7 @@ func (e *Engine) fastEligible(r dram.Row) bool {
 	if _, isSlot := e.rowSlot(r); isSlot {
 		return false
 	}
-	if e.isTableRow(r) || e.fptSlot[r] >= 0 {
+	if e.isTableRow(r) || e.IsQuarantined(r) {
 		return false
 	}
 	if e.cfg.Mode == ModeMemMapped && e.bloom.GroupOccupancy(uint32(r)) > 0 {
@@ -558,24 +566,16 @@ func (e *Engine) translateSlow(row dram.Row, now dram.PS) mitigation.Translation
 	// The forward-table read is deferred into the branches that resolve
 	// through it: the memory-mapped bloom/cache/singleton paths below
 	// never consult fptSlot directly (the FPT-Cache and the in-DRAM walk
-	// carry the mapping), so probing the big array up front would cost
-	// every bloom false positive a pointless cache miss.
+	// carry the mapping).
 
 	// Rows holding AQUA's own tables resolve from pinned SRAM entries.
 	if e.isTableRow(row) {
-		phys := row
-		if s := e.fptSlot[row]; s >= 0 {
-			phys = e.slotRow(int(s))
-		}
 		e.stats.Lookups[mitigation.LookupPinned]++
-		return mitigation.Translation{PhysRow: phys, Latency: e.cfg.SRAMLatency, Class: mitigation.LookupPinned}
+		return mitigation.Translation{PhysRow: e.physRow(row), Latency: e.cfg.SRAMLatency, Class: mitigation.LookupPinned}
 	}
 
 	if e.cfg.Mode == ModeSRAM {
-		phys := row
-		if s := e.fptSlot[row]; s >= 0 {
-			phys = e.slotRow(int(s))
-		}
+		phys := e.physRow(row)
 		e.stats.Lookups[mitigation.LookupSRAM]++
 		return mitigation.Translation{PhysRow: phys, Latency: e.cfg.SRAMLatency, Class: mitigation.LookupSRAM}
 	}
@@ -590,7 +590,7 @@ func (e *Engine) translateSlow(row dram.Row, now dram.PS) mitigation.Translation
 		// Poisoned FPT-Cache entry: drop it so the lookup must walk the
 		// in-DRAM FPT below, which re-inserts the authoritative mapping —
 		// the cache self-heals and the translation stays correct (the
-		// fptSlot array, not the cache, is the source of truth).
+		// fptSlot map, not the cache, is the source of truth).
 		e.fptCache.Invalidate(uint32(row))
 	}
 	lat += e.cfg.CacheLatency
@@ -608,7 +608,7 @@ func (e *Engine) translateSlow(row dram.Row, now dram.PS) mitigation.Translation
 	done := e.tableAccess(e.fptTableRowFor(row), false, now+lat)
 	lat = done - now
 	e.stats.Lookups[mitigation.LookupDRAM]++
-	if s := e.fptSlot[row]; s >= 0 {
+	if s, ok := e.fptSlot.Get(row); ok {
 		e.fptCache.Insert(uint32(row), uint16(s), e.bloom.GroupOccupancy(uint32(row)) == 1)
 		return mitigation.Translation{PhysRow: e.slotRow(int(s)), Latency: lat, Class: mitigation.LookupDRAM}
 	}
@@ -619,10 +619,7 @@ func (e *Engine) translateSlow(row dram.Row, now dram.PS) mitigation.Translation
 // the (pinned) indirection for the table row itself and feeding the
 // resulting activation to the tracker via the pending queue.
 func (e *Engine) tableAccess(tr dram.Row, write bool, at dram.PS) dram.PS {
-	phys := tr
-	if s := e.fptSlot[tr]; s >= 0 {
-		phys = e.slotRow(int(s))
-	}
+	phys := e.physRow(tr)
 	done, activated := e.rank.Access(phys, write, at)
 	e.stats.TableDRAMAccesses++
 	if activated {
@@ -687,7 +684,7 @@ func (e *Engine) mitigate(physRow dram.Row, at dram.PS) dram.PS {
 		e.quarCount--
 		srcSlot = slot
 	} else {
-		if e.fptSlot[physRow] >= 0 {
+		if e.IsQuarantined(physRow) {
 			// The original location of an already-quarantined row (its
 			// only ACTs come from evictions); demand accesses are routed
 			// to the RQA, so no action is needed here.
@@ -737,8 +734,8 @@ func (e *Engine) mitigate(physRow dram.Row, at dram.PS) dram.PS {
 	e.stats.RowMigrations++
 
 	// Update FPT and RPT.
-	wasQuarantined := e.fptSlot[install] >= 0
-	e.fptSlot[install] = int32(d)
+	wasQuarantined := e.IsQuarantined(install)
+	e.fptSlot.Set(install, int32(d))
 	e.setFast(install, false) // quarantined rows always take the slow path
 	e.rpt[d] = rptEntry{install: install, valid: true, epochUsed: e.epoch}
 	e.quarCount++
@@ -773,7 +770,8 @@ func (e *Engine) mitigate(physRow dram.Row, at dram.PS) dram.PS {
 	if e.chk != nil {
 		// O(1) structural checks on the slot just written; the full-table
 		// sweep runs at epoch boundaries.
-		e.chk.Checkf(e.fptSlot[install] == int32(d) && e.rpt[d].valid && e.rpt[d].install == install,
+		s, _ := e.fptSlot.Get(install)
+		e.chk.Checkf(s == int32(d) && e.rpt[d].valid && e.rpt[d].install == install,
 			"core", "fpt-rpt-bijection", t,
 			"install row %d and slot %d disagree after quarantine", install, d)
 		e.chk.Checkf(e.quarCount <= e.rqaRows, "core", "rqa-occupancy", t,
@@ -861,7 +859,7 @@ func (e *Engine) corruptTracker(at dram.PS) {
 // clearMapping removes install row old from all mapping structures after
 // its eviction completes at time t.
 func (e *Engine) clearMapping(old dram.Row, t dram.PS) {
-	e.fptSlot[old] = -1
+	e.fptSlot.Delete(old)
 	switch e.cfg.Mode {
 	case ModeSRAM:
 		e.fptCAT.Delete(old)
@@ -990,21 +988,20 @@ func (e *Engine) StatsReset() {
 //     the number of quarantined (non-table) rows in that group, and every
 //     quarantined row tests positive.
 func (e *Engine) CheckInvariants() error {
-	quarantined := 0
-	for x, s := range e.fptSlot {
-		if s < 0 {
-			continue
+	var err error
+	e.fptSlot.Range(func(x dram.Row, s int32) bool {
+		switch {
+		case s < 0 || int(s) >= len(e.rpt):
+			err = fmt.Errorf("core: fptSlot[%d] = %d out of RQA range", x, s)
+		case !e.rpt[s].valid:
+			err = fmt.Errorf("core: fptSlot[%d] = %d but slot invalid", x, s)
+		case e.rpt[s].install != x:
+			err = fmt.Errorf("core: slot %d holds %d, expected %d", s, e.rpt[s].install, x)
 		}
-		quarantined++
-		if int(s) >= len(e.rpt) {
-			return fmt.Errorf("core: fptSlot[%d] = %d out of RQA range", x, s)
-		}
-		if !e.rpt[s].valid {
-			return fmt.Errorf("core: fptSlot[%d] = %d but slot invalid", x, s)
-		}
-		if e.rpt[s].install != dram.Row(x) {
-			return fmt.Errorf("core: slot %d holds %d, expected %d", s, e.rpt[s].install, x)
-		}
+		return err == nil
+	})
+	if err != nil {
+		return err
 	}
 	valid := 0
 	for s, ent := range e.rpt {
@@ -1012,12 +1009,12 @@ func (e *Engine) CheckInvariants() error {
 			continue
 		}
 		valid++
-		if e.fptSlot[ent.install] != int32(s) {
-			return fmt.Errorf("core: slot %d points to %d whose fptSlot is %d",
-				s, ent.install, e.fptSlot[ent.install])
+		if got, ok := e.fptSlot.Get(ent.install); !ok || got != int32(s) {
+			return fmt.Errorf("core: slot %d points to %d whose fptSlot is %d (present %v)",
+				s, ent.install, got, ok)
 		}
 	}
-	if quarantined != valid {
+	if quarantined := e.fptSlot.Len(); quarantined != valid {
 		return fmt.Errorf("core: %d forward pointers vs %d valid slots", quarantined, valid)
 	}
 	for r := uint64(0); r < e.fastRows; r++ {
@@ -1028,13 +1025,18 @@ func (e *Engine) CheckInvariants() error {
 	}
 	if e.cfg.Mode == ModeMemMapped {
 		occ := make(map[uint32]int)
-		for x, s := range e.fptSlot {
-			if s >= 0 && !e.isTableRow(dram.Row(x)) {
-				occ[e.bloom.GroupOf(uint32(x))]++
-				if !e.bloom.MightContain(uint32(x)) {
-					return fmt.Errorf("core: quarantined row %d tests negative in bloom", x)
-				}
+		e.fptSlot.Range(func(x dram.Row, _ int32) bool {
+			if e.isTableRow(x) {
+				return true
 			}
+			occ[e.bloom.GroupOf(uint32(x))]++
+			if !e.bloom.MightContain(uint32(x)) {
+				err = fmt.Errorf("core: quarantined row %d tests negative in bloom", x)
+			}
+			return err == nil
+		})
+		if err != nil {
+			return err
 		}
 		for g, n := range occ {
 			row := g * uint32(e.bloom.GroupSize())

@@ -526,7 +526,7 @@ func TestModesMakeIdenticalQuarantineDecisions(t *testing.T) {
 			if sram.IsQuarantined(x) != mm.IsQuarantined(x) {
 				return false
 			}
-			if sram.IsQuarantined(x) && sram.fptSlot[x] != mm.fptSlot[x] {
+			if sram.physRow(x) != mm.physRow(x) {
 				return false
 			}
 		}

@@ -73,10 +73,10 @@ func TestCorruptedFPTEntryDetected(t *testing.T) {
 	// Corrupt: point a never-quarantined row at slot 0 behind the
 	// engine's back, breaking the FPT<->RPT bijection.
 	victim := geom.RowOf(1, 9)
-	if e.fptSlot[victim] != -1 {
+	if e.IsQuarantined(victim) {
 		t.Fatalf("row %d unexpectedly quarantined", victim)
 	}
-	e.fptSlot[victim] = 0
+	e.fptSlot.Set(victim, 0)
 
 	e.OnEpoch(at)
 	if chk.Count() == 0 {

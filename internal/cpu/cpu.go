@@ -227,8 +227,8 @@ func (c *Core) Issue(at dram.PS, submit func(row dram.Row, write bool, at dram.P
 	// across banks, so the bubble loop almost never iterates.
 	i := c.outLen
 	c.outLen++
-	for i > 0 && *c.outSlot(i-1) > done {
-		*c.outSlot(i) = *c.outSlot(i-1)
+	for i > 0 && *c.outSlot(i - 1) > done {
+		*c.outSlot(i) = *c.outSlot(i - 1)
 		i--
 	}
 	*c.outSlot(i) = done

@@ -1,7 +1,8 @@
 // Package dram models a DDR4 rank at transaction level: bank state machines
 // with open-page row buffers, the timing constraints that matter for
 // Rowhammer arithmetic (tRC, tRCD, tCL, tRP, tCCD, tRFC, tREFI, tREFW), and
-// per-row activation accounting.
+// activation listeners through which trackers and monitors observe every
+// row activation.
 //
 // The model reproduces the latency arithmetic the AQUA paper relies on:
 // streaming one 8KB row takes tRC + 127*tCCD_L ~= 680ns, so a quarantine
@@ -272,10 +273,6 @@ type Rank struct {
 	actHist [4]PS
 	actIdx  int
 
-	// actCounts is the lifetime ACT count per row. uint32 halves the array
-	// (8MB at 2M rows) to ease hot-loop cache pressure; ms-scale windows
-	// top out at ~tREFW/tRC ~ 1.4M ACTs per row per epoch, far below 2^32.
-	actCounts []uint32
 	listeners []ActListener
 	// single caches the sole listener when exactly one is registered — the
 	// common case (one tracker) — so activate makes a direct call instead
@@ -343,10 +340,9 @@ func NewRank(g Geometry, t Timing) *Rank {
 		panic(err)
 	}
 	r := &Rank{
-		geom:      g,
-		timing:    t,
-		banks:     make([]bank, g.Banks),
-		actCounts: make([]uint32, g.Rows()),
+		geom:   g,
+		timing: t,
+		banks:  make([]bank, g.Banks),
 	}
 	for i := range r.banks {
 		r.banks[i].openRow = InvalidRow
@@ -466,11 +462,6 @@ func (r *Rank) checkCol(bank int, at PS) {
 	}
 }
 
-// ActCount returns the lifetime number of activations of a row.
-func (r *Rank) ActCount(row Row) uint64 {
-	return uint64(r.actCounts[row])
-}
-
 // bankOpen reports whether b's row buffer is effectively open: the stored
 // flag is only meaningful if no refresh has closed it since (lazy close).
 func (r *Rank) bankOpen(b *bank) bool { return b.hasOpen && b.gen == r.refGen }
@@ -502,7 +493,6 @@ func (r *Rank) activate(b *bank, row Row, at PS) {
 	b.readyACT = at + r.timing.TRC
 	b.readyCol = at + r.timing.TRCD
 	b.readyPRE = at + r.timing.TRCD // simplified tRAS floor
-	r.actCounts[row]++
 	r.stats.Activates++
 	if r.single != nil {
 		r.single(row, at)

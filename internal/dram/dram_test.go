@@ -185,8 +185,16 @@ func TestAccessRowMissThenHit(t *testing.T) {
 	}
 }
 
+// countACTs counts the rank's activations per row through a listener.
+func countACTs(r *Rank) map[Row]int {
+	acts := map[Row]int{}
+	r.Listen(func(row Row, _ PS) { acts[row]++ })
+	return acts
+}
+
 func TestAccessConflictActivates(t *testing.T) {
 	r := NewRank(testGeom(), DDR4())
+	acts := countACTs(r)
 	g := r.Geometry()
 	a, b := g.RowOf(0, 1), g.RowOf(0, 2)
 	r.Access(a, false, 0)
@@ -194,8 +202,8 @@ func TestAccessConflictActivates(t *testing.T) {
 	if !act {
 		t.Fatal("conflicting access did not activate")
 	}
-	if r.ActCount(a) != 1 || r.ActCount(b) != 1 {
-		t.Fatalf("act counts: %d, %d", r.ActCount(a), r.ActCount(b))
+	if acts[a] != 1 || acts[b] != 1 {
+		t.Fatalf("act counts: %d, %d", acts[a], acts[b])
 	}
 	st := r.Stats()
 	if st.RowHits != 0 || st.RowMisses != 2 {
@@ -243,13 +251,14 @@ func TestListenerSeesActivations(t *testing.T) {
 
 func TestStreamRowTiming(t *testing.T) {
 	r := NewRank(testGeom(), DDR4())
+	acts := countACTs(r)
 	row := r.Geometry().RowOf(0, 3)
 	done := r.StreamRow(row, false, 0)
 	want := r.Timing().RowTransferTime(r.Geometry().LinesPerRow())
 	if done != want {
 		t.Fatalf("stream done at %d, want %d", done, want)
 	}
-	if r.ActCount(row) != 1 {
+	if acts[row] != 1 {
 		t.Fatal("stream did not activate the row")
 	}
 	if r.Stats().RowStreams != 1 {

@@ -192,7 +192,7 @@ func BenchTranslate(b *testing.B) {
 
 // BenchTrackerACTHot measures the tracker's already-tracked fast path:
 // every op hits a row with a live Misra-Gries entry, so the cost is one
-// dense-array probe, increment, and divide-free threshold test.
+// row-map probe, increment, and divide-free threshold test.
 func BenchTrackerACTHot(b *testing.B) {
 	geom := dram.Baseline()
 	timing := dram.DDR4()

@@ -26,6 +26,7 @@ import (
 	"repro/internal/dram"
 	"repro/internal/mitigation"
 	"repro/internal/rng"
+	"repro/internal/rowmap"
 	"repro/internal/tracker"
 )
 
@@ -77,9 +78,11 @@ type Engine struct {
 	rnd  *rng.Rand
 	art  tracker.Tracker
 
-	// partner[x] is the row x's content currently resides in (InvalidRow
-	// when unswapped). Swaps are symmetric: partner[partner[x]] == x.
-	partner []dram.Row
+	// partner maps each swapped row to the row its content currently
+	// resides in; unswapped rows are absent. Swaps are symmetric:
+	// partner[partner[x]] == x, so the map holds two entries per pair. It
+	// grows while pairs accumulate and keeps its size across epochs.
+	partner rowmap.Map
 
 	// rit mirrors the swapped pairs in a CAT to account for the SRAM
 	// structure's set-conflict behaviour and storage.
@@ -98,14 +101,10 @@ func New(rank *dram.Rank, cfg Config) *Engine {
 	cfg.fillDefaults()
 	geom := rank.Geometry()
 	e := &Engine{
-		cfg:     cfg,
-		rank:    rank,
-		geom:    geom,
-		rnd:     rng.New(cfg.Seed ^ 0x5272735f), // "rrs_"
-		partner: make([]dram.Row, geom.Rows()),
-	}
-	for i := range e.partner {
-		e.partner[i] = dram.InvalidRow
+		cfg:  cfg,
+		rank: rank,
+		geom: geom,
+		rnd:  rng.New(cfg.Seed ^ 0x5272735f), // "rrs_"
 	}
 	// RIT provisioning: entries for every row swappable in one epoch (two
 	// per swap), 1.4x overprovisioned, organised as a 2-skew x 8-way CAT.
@@ -129,23 +128,12 @@ func New(rank *dram.Rank, cfg Config) *Engine {
 func (e *Engine) Name() string { return "rrs" }
 
 // SwappedPairs returns the number of currently swapped pairs.
-func (e *Engine) SwappedPairs() int {
-	n := 0
-	for x, p := range e.partner {
-		if p != dram.InvalidRow && dram.Row(x) < p {
-			n++
-		}
-	}
-	return n
-}
+func (e *Engine) SwappedPairs() int { return e.partner.Len() / 2 }
 
 // Partner returns where install row x's content currently lives.
 func (e *Engine) Partner(x dram.Row) (dram.Row, bool) {
-	p := e.partner[x]
-	if p == dram.InvalidRow {
-		return 0, false
-	}
-	return p, true
+	p, ok := e.partner.Get(x)
+	return dram.Row(p), ok
 }
 
 // RITFailures returns CAT placement failures (0 with correct provisioning).
@@ -161,7 +149,7 @@ func (e *Engine) Translate(row dram.Row, _ dram.PS) mitigation.Translation {
 		panic(fmt.Sprintf("rrs: translate of row %d outside geometry", row))
 	}
 	phys := row
-	if p := e.partner[row]; p != dram.InvalidRow {
+	if p, ok := e.Partner(row); ok {
 		phys = p
 	}
 	e.stats.Lookups[mitigation.LookupSRAM]++
@@ -171,19 +159,21 @@ func (e *Engine) Translate(row dram.Row, _ dram.PS) mitigation.Translation {
 // Delay implements mitigation.Mitigator; RRS never throttles.
 func (e *Engine) Delay(_ dram.Row, now dram.PS) dram.PS { return now }
 
-// OnActivate implements mitigation.Mitigator.
+// OnActivate implements mitigation.Mitigator. Activations caused by the
+// swaps' own row streams are fed back to the tracker in FIFO order; the
+// indexed drain (appends during the loop extend it) with a final
+// truncation keeps the queue's backing array for the next call.
 func (e *Engine) OnActivate(physRow dram.Row, at dram.PS) dram.PS {
 	var busy dram.PS
 	if e.art.RecordACT(physRow) {
 		busy += e.mitigate(physRow, at+busy)
 	}
-	for len(e.pending) > 0 {
-		row := e.pending[0]
-		e.pending = e.pending[1:]
-		if e.art.RecordACT(row) {
-			busy += e.mitigate(row, at+busy)
+	for i := 0; i < len(e.pending); i++ {
+		if e.art.RecordACT(e.pending[i]) {
+			busy += e.mitigate(e.pending[i], at+busy)
 		}
 	}
+	e.pending = e.pending[:0]
 	return busy
 }
 
@@ -192,7 +182,7 @@ func (e *Engine) OnActivate(physRow dram.Row, at dram.PS) dram.PS {
 func (e *Engine) mitigate(physRow dram.Row, at dram.PS) dram.PS {
 	// Map the hammered physical row back to the install row it holds.
 	install := physRow
-	if p := e.partner[physRow]; p != dram.InvalidRow {
+	if p, ok := e.Partner(physRow); ok {
 		install = p
 	}
 	e.stats.Mitigations++
@@ -200,7 +190,7 @@ func (e *Engine) mitigate(physRow dram.Row, at dram.PS) dram.PS {
 
 	// Repeat mitigation of a swapped row: dissolve the existing pair first
 	// (two additional row moves; the 4x case of Section IV-F).
-	if p := e.partner[install]; p != dram.InvalidRow {
+	if p, ok := e.Partner(install); ok {
 		t = e.moveRows(install, p, t)
 		e.unlink(install, p)
 	}
@@ -227,14 +217,14 @@ func (e *Engine) pickDestination(x dram.Row) dram.Row {
 	var cand dram.Row
 	for try := 0; try < 16; try++ {
 		cand = dram.Row(e.rnd.Intn(space))
-		if cand != x && e.partner[cand] == dram.InvalidRow {
+		if _, swapped := e.Partner(cand); cand != x && !swapped {
 			return cand
 		}
 	}
 	if cand == x {
 		cand = dram.Row((int(x) + 1) % space)
 	}
-	if p := e.partner[cand]; p != dram.InvalidRow {
+	if p, ok := e.Partner(cand); ok {
 		e.unlink(cand, p)
 	}
 	return cand
@@ -255,8 +245,8 @@ func (e *Engine) moveRows(a, b dram.Row, at dram.PS) dram.PS {
 }
 
 func (e *Engine) link(a, b dram.Row) {
-	e.partner[a] = b
-	e.partner[b] = a
+	e.partner.Set(a, int32(b))
+	e.partner.Set(b, int32(a))
 	if err := e.rit.Insert(a, uint32(b)); err != nil {
 		e.ritFailures++
 	}
@@ -266,8 +256,8 @@ func (e *Engine) link(a, b dram.Row) {
 }
 
 func (e *Engine) unlink(a, b dram.Row) {
-	e.partner[a] = dram.InvalidRow
-	e.partner[b] = dram.InvalidRow
+	e.partner.Delete(a)
+	e.partner.Delete(b)
 	e.rit.Delete(a)
 	e.rit.Delete(b)
 }
@@ -277,12 +267,11 @@ func (e *Engine) unlink(a, b dram.Row) {
 // Appendix-A accounting).
 func (e *Engine) OnEpoch(_ dram.PS) {
 	e.art.Reset()
-	for x := range e.partner {
-		p := e.partner[x]
-		if p != dram.InvalidRow && dram.Row(x) < p {
-			e.unlink(dram.Row(x), p)
-		}
-	}
+	e.partner.Range(func(x dram.Row, _ int32) bool {
+		e.rit.Delete(x)
+		return true
+	})
+	e.partner.Clear()
 }
 
 // Stats implements mitigation.Mitigator.

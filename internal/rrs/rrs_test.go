@@ -1,6 +1,7 @@
 package rrs
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -23,6 +24,19 @@ func newEngine(t *testing.T, trh int64) (*dram.Rank, *Engine) {
 		Seed:    2,
 	})
 	return rank, eng
+}
+
+// asymmetricPair returns a partner link x->p whose reverse link p->x is
+// missing, or nil when every link is mutual.
+func asymmetricPair(eng *Engine) []dram.Row {
+	var bad []dram.Row
+	eng.partner.Range(func(x dram.Row, p int32) bool {
+		if back, ok := eng.Partner(dram.Row(p)); !ok || back != x {
+			bad = []dram.Row{x, dram.Row(p)}
+		}
+		return bad == nil
+	})
+	return bad
 }
 
 func hammer(eng *Engine, install dram.Row, acts int, at dram.PS) dram.PS {
@@ -132,12 +146,7 @@ func TestPairsSymmetricProperty(t *testing.T) {
 			at += 100 * dram.Microsecond
 		}
 		// Every partner link must be mutual.
-		for x, p := range eng.partner {
-			if p != dram.InvalidRow && eng.partner[p] != dram.Row(x) {
-				return false
-			}
-		}
-		return true
+		return asymmetricPair(eng) == nil
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
@@ -218,10 +227,8 @@ func TestCrowdedDestinationSpaceStillSwaps(t *testing.T) {
 		hammer(eng, row, 10, at)
 		at += dram.Millisecond
 	}
-	for x, p := range eng.partner {
-		if p != dram.InvalidRow && eng.partner[p] != dram.Row(x) {
-			t.Fatalf("asymmetric pair after crowded swaps: %d<->%d", x, p)
-		}
+	if pair := asymmetricPair(eng); pair != nil {
+		t.Fatalf("asymmetric pair after crowded swaps: %d<->%d", pair[0], pair[1])
 	}
 	if eng.Stats().Mitigations == 0 {
 		t.Fatal("no swaps happened")
@@ -235,5 +242,35 @@ func TestDefaultTrackerProvisioned(t *testing.T) {
 	hammer(eng, row, 10, 0)
 	if eng.Stats().Mitigations == 0 {
 		t.Fatal("default tracker never triggered")
+	}
+}
+
+// TestWarmMitigationsDoNotAllocate holds RRS's mitigation path to zero
+// allocations once warm. It counts runtime mallocs across a whole burst
+// of mitigations rather than using testing.AllocsPerRun, which rounds a
+// fractional per-ACT rate down to zero. The round-robin hammer swaps
+// every row of the test rank many times over, so the warm-up leaves the
+// partner map, the tracker and the stream-activation queue at their
+// steady-state sizes.
+func TestWarmMitigationsDoNotAllocate(t *testing.T) {
+	rank := dram.NewRank(testGeom(), dram.DDR4())
+	eng := New(rank, Config{TRH: 60, Seed: 1}) // default Misra-Gries tracker
+	rows := testGeom().Rows()
+	at := dram.PS(0)
+	i := 0
+	mitigate := func(n int64) {
+		for target := eng.Stats().Mitigations + n; eng.Stats().Mitigations < target; i++ {
+			tr := eng.Translate(dram.Row(i*7%rows), at)
+			at += eng.OnActivate(tr.PhysRow, at) + 50*dram.Nanosecond
+		}
+	}
+	mitigate(1250)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	mitigate(1250)
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("1250 warm mitigations made %d mallocs, want 0", n)
 	}
 }

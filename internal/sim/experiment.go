@@ -16,6 +16,7 @@ import (
 	"repro/internal/flight"
 	"repro/internal/mitigation"
 	"repro/internal/rng"
+	"repro/internal/rowmap"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -815,6 +816,16 @@ func (r *Runner) RowTierCounts(name string, tiers []int64) (map[int64]int, error
 	if err != nil {
 		return nil, err
 	}
+	// Count activations per row through a rank listener; only the rows
+	// the run activates take an entry.
+	var acts rowmap.Map
+	sys.Rank.Listen(func(row dram.Row, _ dram.PS) {
+		if n := acts.Ref(row); n != nil {
+			*n++
+		} else {
+			acts.Set(row, 1)
+		}
+	})
 	res := sys.Run(0)
 
 	scale := float64(res.SimTime) / float64(64*dram.Millisecond)
@@ -822,15 +833,14 @@ func (r *Runner) RowTierCounts(name string, tiers []int64) (map[int64]int, error
 		scale = 1
 	}
 	counts := make(map[int64]int, len(tiers))
-	rows := cfg.Geometry.Rows()
-	for row := 0; row < rows; row++ {
-		acts := float64(sys.Rank.ActCount(dram.Row(row)))
+	acts.Range(func(_ dram.Row, n int32) bool {
 		for _, tier := range tiers {
-			if acts >= float64(tier)*scale {
+			if float64(n) >= float64(tier)*scale {
 				counts[tier]++
 			}
 		}
-	}
+		return true
+	})
 	sortTiers(tiers)
 	return counts, nil
 }

@@ -26,6 +26,7 @@ import (
 	"math/bits"
 
 	"repro/internal/dram"
+	"repro/internal/rowmap"
 )
 
 // Tracker observes activations and flags aggressor rows.
@@ -65,9 +66,9 @@ type entry struct {
 // banks therefore trigger occasional *spurious* mitigations exactly as the
 // paper reports for workloads like imagick (Section IV-F).
 //
-// Layout: the authoritative counts live in the dense cnt array (one probe
-// per RecordACT on the already-tracked fast path — the common case, since
-// hot rows stay tracked). Each bank's heap orders entries by a stale
+// Layout: the authoritative counts live in the cnt row map (one probe per
+// RecordACT on the already-tracked fast path — the common case, since hot
+// rows stay tracked). Each bank's heap orders entries by a stale
 // (count, row) key that is a lower bound on the true count; keys are
 // refreshed top-down only when the full-table install path needs the true
 // minimum. Deferring the per-hit sift-down this way keeps the eviction
@@ -80,14 +81,14 @@ type MisraGries struct {
 	threshold int64
 	capacity  int
 	banks     []mgBank
-	// cnt is the dense row -> estimated-count array shared by all banks
-	// (each row belongs to exactly one bank); 0 means untracked (a tracked
-	// entry's count is always >= 1, so 0 is a sound sentinel). This is the
-	// single probe of the RecordACT fast path. int32 halves the probe's
-	// cache footprint and cannot overflow: counts reset every epoch, and
-	// an epoch holds at most ~tREFW/tRC ~ 1.4M activations per bank, far
-	// below 2^31.
-	cnt []int32
+	// cnt maps every tracked row to its estimated count, shared by all
+	// banks (each row belongs to exactly one bank); a row is present
+	// exactly when it sits in its bank's heap, so the map never holds more
+	// than capacity entries per bank and is made that big up front. This
+	// is the single probe of the RecordACT fast path. int32 cannot
+	// overflow: counts reset every epoch, and an epoch holds at most
+	// ~tREFW/tRC ~ 1.4M activations per bank, far below 2^31.
+	cnt rowmap.Map
 	// thr is the precomputed divide-free divisibility test for threshold.
 	thr multiple
 }
@@ -108,16 +109,18 @@ func NewMisraGries(geom dram.Geometry, threshold int64, entriesPerBank int) *Mis
 	if entriesPerBank < 1 {
 		panic("tracker: need at least one entry per bank")
 	}
+	// A bank's table never holds more rows than the bank has.
+	live := min(entriesPerBank, geom.RowsPerBank)
 	t := &MisraGries{
 		geom:      geom,
 		threshold: threshold,
 		capacity:  entriesPerBank,
 		banks:     make([]mgBank, geom.Banks),
-		cnt:       make([]int32, geom.Rows()),
+		cnt:       rowmap.New(live * geom.Banks),
 		thr:       newMultiple(threshold),
 	}
 	for i := range t.banks {
-		t.banks[i] = mgBank{heap: make([]entry, 0, entriesPerBank)}
+		t.banks[i] = mgBank{heap: make([]entry, 0, live)}
 	}
 	return t
 }
@@ -208,7 +211,7 @@ func (b *mgBank) siftDown(i int) int {
 // RecordACT calls the work is bounded by the hit-path sifts it replaced.
 func (t *MisraGries) ensureMin(b *mgBank) {
 	for {
-		true_ := int64(t.cnt[b.heap[0].row])
+		true_ := t.EstimatedCount(b.heap[0].row)
 		if true_ == b.heap[0].count {
 			return
 		}
@@ -238,13 +241,12 @@ func (t *MisraGries) Name() string { return "misra-gries" }
 func (t *MisraGries) Threshold() int64 { return t.threshold }
 
 // RecordACT implements Tracker. The already-tracked fast path is a single
-// dense-array probe and increment; the heap is not touched (its key for
-// this row goes stale as a lower bound, repaired lazily by ensureMin).
+// row-map probe and increment; the heap is not touched (its key for this
+// row goes stale as a lower bound, repaired lazily by ensureMin).
 func (t *MisraGries) RecordACT(row dram.Row) bool {
-	if c := t.cnt[row]; c != 0 {
-		c++
-		t.cnt[row] = c
-		return t.thr.of(int64(c))
+	if c := t.cnt.Ref(row); c != nil {
+		*c++
+		return t.thr.of(int64(*c))
 	}
 	return t.install(row)
 }
@@ -257,7 +259,7 @@ func (t *MisraGries) install(row dram.Row) bool {
 		// Free slot: install with the spill counter inherited, which may
 		// immediately cross the threshold (the spurious-mitigation path).
 		c := b.spill + 1
-		t.cnt[row] = int32(c)
+		t.cnt.Set(row, int32(c))
 		b.heap = append(b.heap, entry{row: row, count: c})
 		b.siftUp(len(b.heap) - 1)
 		return t.thr.of(c)
@@ -276,9 +278,9 @@ func (t *MisraGries) install(row dram.Row) bool {
 		t.ensureMin(b)
 		if b.spill >= b.heap[0].count {
 			evicted := b.heap[0].count
-			t.cnt[b.heap[0].row] = 0
+			t.cnt.Delete(b.heap[0].row)
 			c := b.spill
-			t.cnt[row] = int32(c)
+			t.cnt.Set(row, int32(c))
 			b.heap[0] = entry{row: row, count: c}
 			b.siftDown(0)
 			b.spill = evicted
@@ -288,23 +290,21 @@ func (t *MisraGries) install(row dram.Row) bool {
 	return false
 }
 
-// Reset implements Tracker. The dense count array is un-marked entry by
-// entry (bounded by table occupancy) rather than wholesale, so a reset
-// costs O(tracked rows), not O(all rows).
+// Reset implements Tracker.
 func (t *MisraGries) Reset() {
+	t.cnt.Clear()
 	for i := range t.banks {
-		b := &t.banks[i]
-		for _, e := range b.heap {
-			t.cnt[e.row] = 0
-		}
-		b.heap = b.heap[:0]
-		b.spill = 0
+		t.banks[i].heap = t.banks[i].heap[:0]
+		t.banks[i].spill = 0
 	}
 }
 
 // EstimatedCount returns the tracker's current estimate for a row (0 if
 // untracked); exposed for tests.
-func (t *MisraGries) EstimatedCount(row dram.Row) int64 { return int64(t.cnt[row]) }
+func (t *MisraGries) EstimatedCount(row dram.Row) int64 {
+	c, _ := t.cnt.Get(row)
+	return int64(c)
+}
 
 // Spill returns the current spill counter of the row's bank; exposed for
 // tests of the Misra-Gries invariant.
@@ -330,7 +330,7 @@ func (t *MisraGries) CorruptEntry(bank, idx int, newCount int64) (row dram.Row, 
 	row = b.heap[i].row
 	// The corruption lands on the authoritative count and the heap key
 	// together (the key must stay a lower bound on the count).
-	t.cnt[row] = int32(newCount)
+	t.cnt.Set(row, int32(newCount))
 	b.heap[i].count = newCount
 	// Recovery: restore heap order around the bad value. siftDown handles
 	// an increased key; if the key shrank, siftDown is a no-op and siftUp
@@ -343,14 +343,16 @@ func (t *MisraGries) CorruptEntry(bank, idx int, newCount int64) (row dram.Row, 
 
 // CheckConsistency verifies the tracker's structural invariants: min-heap
 // order on the stale keys in every bank, every key a lower bound on the
-// row's authoritative count, and counts at least 1. Fault injection calls
-// it after CorruptEntry to prove re-sifting restored a well-formed
-// structure.
+// row's authoritative count, counts at least 1, and no counted row outside
+// the heaps. Fault injection calls it after CorruptEntry to prove
+// re-sifting restored a well-formed structure.
 func (t *MisraGries) CheckConsistency() error {
+	tracked := 0
 	for bi := range t.banks {
 		b := &t.banks[bi]
+		tracked += len(b.heap)
 		for i := range b.heap {
-			c := int64(t.cnt[b.heap[i].row])
+			c := t.EstimatedCount(b.heap[i].row)
 			if c < 1 {
 				return fmt.Errorf("tracker: bank %d heap[%d] row %d has count %d < 1", bi, i, b.heap[i].row, c)
 			}
@@ -366,14 +368,19 @@ func (t *MisraGries) CheckConsistency() error {
 			}
 		}
 	}
+	// Heap rows are distinct and each is counted, so equal sizes mean the
+	// map holds nothing else.
+	if t.cnt.Len() != tracked {
+		return fmt.Errorf("tracker: %d rows counted but %d tracked in the heaps", t.cnt.Len(), tracked)
+	}
 	return nil
 }
 
 // SRAMBytes implements Tracker: per entry one row tag (log2 rowsPerBank
 // bits, rounded up) plus a counter, per bank, matching the ~396KB/rank the
-// paper charges the MG tracker at threshold 500 (Appendix B). The dense
-// count array is a simulator acceleration structure, not hardware state,
-// so it is not charged here.
+// paper charges the MG tracker at threshold 500 (Appendix B). The count
+// map is a simulator acceleration structure, not hardware state, so it is
+// not charged here.
 func (t *MisraGries) SRAMBytes() int {
 	perEntry := 5 // 21-bit row tag + ~19-bit counter, rounded up to 5 bytes
 	return t.capacity * perEntry * len(t.banks)
@@ -437,8 +444,8 @@ type Hydra struct {
 	// split holds the materialized per-row counters as a dense array keyed
 	// by flat Row; 0 means "not yet materialized" (sound as a sentinel:
 	// a materialized counter starts at the split-time group count >= 1 and
-	// only ever increments). Like MisraGries.cnt, int32 is safe because
-	// per-epoch counts are physically bounded far below 2^31.
+	// only ever increments). int32 is safe because per-epoch counts are
+	// physically bounded far below 2^31.
 	split []int32
 	// DRAMLookups counts accesses that had to consult the in-DRAM row
 	// counters (a proxy for Hydra's extra memory traffic).

@@ -109,11 +109,18 @@ func (r Region) rows() int {
 	return r.Geom.RowsPerBank
 }
 
-// RowAt maps a flat visible-row index to a physical install row.
+// RowAt maps a flat visible-row index to a physical install row: with n
+// visible rows per bank, index i is row i mod n of bank (i / n) mod Banks.
+// Generator builds call it for every background row, so it takes a single
+// division.
 func (r Region) RowAt(i int) dram.Row {
 	n := r.rows()
-	bank := i / n % r.Geom.Banks
-	return r.Geom.RowOf(bank, i%n)
+	bank := i / n
+	idx := i - bank*n
+	if bank >= r.Geom.Banks {
+		bank %= r.Geom.Banks
+	}
+	return r.Geom.RowOf(bank, idx)
 }
 
 // VisibleRows returns the number of addressable rows.
@@ -226,8 +233,12 @@ func NewGenerator(spec Spec, region Region, coreIdx int, seed uint64, params Par
 		n166 = 0
 	}
 
+	// A precomputed Uniform draws exactly what r.Intn(visible) would
+	// without recomputing the rejection bound for each of the 64K
+	// background rows.
 	visible := region.VisibleRows()
-	pick := func() dram.Row { return region.RowAt(r.Intn(visible)) }
+	draw := rng.NewUniform(uint64(visible))
+	pick := func() dram.Row { return region.RowAt(int(draw.Draw(r))) }
 
 	addTier := func(count int, lo, hi float64) {
 		for i := 0; i < count; i++ {

@@ -80,6 +80,40 @@ func TestRegionMapping(t *testing.T) {
 	}
 }
 
+// TestRowAtMatchesFormula pins the single-division RowAt to the plain
+// formula bank = i/n mod Banks, index = i mod n, on power-of-two and
+// other geometries, across whole visible ranges, wrapped indices past
+// them, and indices around and above 2^32.
+func TestRowAtMatchesFormula(t *testing.T) {
+	regions := []Region{
+		{Geom: dram.Baseline()},
+		{Geom: dram.Baseline(), VisibleRowsPerBank: 128*1024 - 2911},
+		{Geom: dram.Geometry{Banks: 3, RowsPerBank: 1000, RowBytes: 1024, LineBytes: 64}, VisibleRowsPerBank: 999},
+		{Geom: dram.Geometry{Banks: 5, RowsPerBank: 96, RowBytes: 1024, LineBytes: 64}},
+		{Geom: dram.Geometry{Banks: 1, RowsPerBank: 7, RowBytes: 1024, LineBytes: 64}},
+	}
+	for _, r := range regions {
+		n := r.rows()
+		want := func(i int) dram.Row { return r.Geom.RowOf(i/n%r.Geom.Banks, i%n) }
+		check := func(i int) {
+			if got := r.RowAt(i); got != want(i) {
+				t.Fatalf("%+v: RowAt(%d) = %d, formula gives %d", r, i, got, want(i))
+			}
+		}
+		stride := max(1, r.VisibleRows()/50000)
+		for i := 0; i < 3*r.VisibleRows(); i += stride {
+			check(i)
+		}
+		for k := 1; k <= 3*r.Geom.Banks; k++ {
+			check(k*n - 1)
+			check(k * n)
+		}
+		for _, i := range []int{math.MaxUint32 - 1, math.MaxUint32, math.MaxUint32 + 1, 1<<40 + 12345} {
+			check(i)
+		}
+	}
+}
+
 func TestStreamDeterminism(t *testing.T) {
 	spec, _ := ByName("gcc")
 	gen1 := NewGenerator(spec, testRegion(), 0, 42, Params{})
