@@ -70,7 +70,7 @@ bench-full:
 # Result-cache and resume smoke (see DESIGN.md "Result cache & incremental
 # recomputation"): resuming a run means rerunning it against the same
 # cache directory. On the bench-quick figure-7 grid:
-#   1. an uninterrupted -no-cache run records the reference figures;
+#   1. an uninterrupted run without -cache-dir records the reference figures;
 #   2. a run into a fresh -cache-dir is SIGKILLed once at least one cell
 #      entry has landed (calibrated-IPC entries land first, and a cell
 #      entry is the one a rerun counts as a hit); it must still be running
@@ -83,9 +83,9 @@ cache-smoke:
 	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) build -o "$$dir/figures" ./cmd/figures || exit 1; \
 	run() { "$$dir/figures" -workloads spec -window 4 -figure 7 "$$@"; }; \
-	echo "--- reference run (-no-cache)"; \
+	echo "--- reference run (no -cache-dir)"; \
 	t0=$$(date +%s%N); \
-	run -no-cache >"$$dir/ref.out" 2>"$$dir/ref.err" || { cat "$$dir/ref.err"; echo "FAIL: reference run"; exit 1; }; \
+	run >"$$dir/ref.out" 2>"$$dir/ref.err" || { cat "$$dir/ref.err"; echo "FAIL: reference run"; exit 1; }; \
 	t1=$$(date +%s%N); \
 	echo "--- run into $$dir/cache, SIGKILLed once a cell entry lands"; \
 	"$$dir/figures" -workloads spec -window 4 -figure 7 -cache-dir "$$dir/cache" >/dev/null 2>&1 & pid=$$!; \
@@ -141,7 +141,11 @@ trace-smoke:
 # degradation"): an injected panicking cell must not abort the run — the
 # process finishes, names the cell in the failure summary, and exits 1 —
 # and an injected RQA overflow must degrade to the victim-refresh
-# fallback and be reported, not crash.
+# fallback and be reported, not crash. Fault-matched cells are cached
+# under keys that hash the rules: a rerun with the same rules over the
+# same -cache-dir must print the same output, degraded-cells table
+# included, while simulating nothing, and a run without the rules over
+# that directory must take no hits.
 fault-smoke:
 	@echo "--- panic cell: run completes, reports the cell, exits non-zero"
 	@out=$$($(GO) run ./cmd/figures -workloads spec -window 1 -j 4 -figure 7 \
@@ -155,4 +159,20 @@ fault-smoke:
 		-faults 'lbm/aqua-memmapped/125=rqa-overflow@p:1' 2>&1) || { echo "$$out"; echo "FAIL: aquasim exited non-zero"; exit 1; }; \
 	echo "$$out" | grep 'faults injected'; \
 	echo "$$out" | grep -q 'overflow fallbacks' || { echo "FAIL: overflow fallback not reported"; exit 1; }
+	@echo "--- degraded cell, cached: a rerun with the same rules serves it; a run without them takes no hits"
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/figures" ./cmd/figures || exit 1; \
+	run() { "$$dir/figures" -workloads spec -window 1 -figure 7 -cache-dir "$$dir/cache" "$$@"; }; \
+	rules='wrf/aqua-sram/1000=refresh-collision@p:0.5'; \
+	run -faults "$$rules" >"$$dir/cold.out" 2>"$$dir/cold.err" || { cat "$$dir/cold.err"; echo "FAIL: faulted run"; exit 1; }; \
+	grep -q '^wrf  *aqua-sram  *1000 ' "$$dir/cold.out" || { echo "FAIL: degraded cell not reported"; exit 1; }; \
+	run -faults "$$rules" >"$$dir/rerun.out" 2>"$$dir/rerun.err" || { cat "$$dir/rerun.err"; echo "FAIL: faulted rerun"; exit 1; }; \
+	grep -o 'cell cache: .*' "$$dir/rerun.err"; \
+	cmp -s "$$dir/cold.out" "$$dir/rerun.out" || { echo "FAIL: cached rerun printed different output"; exit 1; }; \
+	sim=$$(sed -n 's/.*cell cache: .* \([0-9]*\) simulated.*/\1/p' "$$dir/cold.err"); \
+	grep -q "cell cache: $$sim hits, 0 misses, .* 0 simulated" "$$dir/rerun.err" \
+		|| { echo "FAIL: cached rerun did not serve all $$sim cells the first run simulated"; exit 1; }; \
+	run >/dev/null 2>"$$dir/clean.err" || { cat "$$dir/clean.err"; echo "FAIL: fault-free run"; exit 1; }; \
+	grep -o 'cell cache: .*' "$$dir/clean.err"; \
+	grep -q 'cell cache: 0 hits' "$$dir/clean.err" || { echo "FAIL: a fault-free run was served entries written under rules"; exit 1; }
 	@echo "fault-smoke OK"

@@ -8,16 +8,21 @@ package repro
 //   - resuming is rerunning: a calibrated lab rerun over a partly filled
 //     cache directory renders the uninterrupted run's bytes, serves the
 //     stored cells and calibrated IPCs, and double-counts nothing;
-//   - fault-injected cells re-simulate on every run even with a warm
-//     cache, and appear exactly once in the degraded-cell summary.
+//   - under fault rules every cell takes the same cached path: a rerun
+//     with the same rules serves the degraded cell, faults intact and
+//     listed once in the degraded-cell summary, while a lab without rules
+//     takes no hits from the directory.
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/cellcache"
 	"repro/internal/dram"
+	"repro/internal/sim"
 )
 
 // warmStore builds a store over dir, failing the test on error.
@@ -136,31 +141,31 @@ func TestLabCacheResumeInteraction(t *testing.T) {
 	if _, err := other.Figure7(); err != nil {
 		t.Fatal(err)
 	}
-	if hits := store.Stats().Hits(); other.CellStats().CacheHits != 0 || hits != 0 {
+	if hits := store.Stats().DiskHits; other.CellStats().CacheHits != 0 || hits != 0 {
 		t.Fatalf("different-seed lab took %d cell hits and %d store hits, want 0", other.CellStats().CacheHits, hits)
 	}
 }
 
-// TestLabCacheFaultedCellsResimulate pins the fault exclusion at the lab
-// level: with a warm cache, a fault-matched cell still re-simulates on
-// every run (its injections are observed each time) and is listed
-// exactly once in the degraded summary; the clean cells around it are
-// served from the cache.
-func TestLabCacheFaultedCellsResimulate(t *testing.T) {
-	const spec = "wrf/aqua-sram/1000=refresh-collision@p:0.5"
-	store, err := cellcache.New("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	render := func() *Lab {
+// TestLabCacheFaultedCellsServed pins the fault contract at lab level.
+// A degraded cell is stored under a key that hashes the rules, so a rerun
+// with the same rules over the directory serves it, its injected faults
+// intact and listed exactly once, and simulates nothing. A panicking cell
+// fails as a *sim.CellError with its stack on every run and is never
+// stored. A lab without rules over the same directory takes no hits.
+func TestLabCacheFaultedCellsServed(t *testing.T) {
+	const spec = "wrf/aqua-sram/1000=refresh-collision@p:0.5;xz/rrs/1000=panic@once:0"
+	dir := t.TempDir()
+	render := func(which string) *Lab {
 		l := faultedLab(t, spec)
-		l.AttachCache(store)
+		l.AttachCache(warmStore(t, dir))
 		if _, err := l.Figure9(); err != nil {
-			t.Fatalf("figure9 should survive a recovered hardware fault: %v", err)
+			t.Fatalf("%s run: figure9 should survive a recovered hardware fault: %v", which, err)
 		}
-		return l
-	}
-	assertFaultedOnce := func(which string, l *Lab) {
+		_, err := l.Figure7()
+		var ce *sim.CellError
+		if !errors.As(err, &ce) || ce.Workload != "xz" || ce.Scheme != SchemeRRS || len(ce.Stack) == 0 {
+			t.Fatalf("%s run: figure7 returned %v, want xz/rrs/1000's *sim.CellError with a stack", which, err)
+		}
 		count := 0
 		for _, c := range l.FaultedCells() {
 			if c.Workload == "wrf" && c.Scheme == SchemeAquaSRAM && c.TRH == 1000 {
@@ -173,17 +178,39 @@ func TestLabCacheFaultedCellsResimulate(t *testing.T) {
 		if count != 1 {
 			t.Fatalf("%s run: degraded cell listed %d times, want exactly once", which, count)
 		}
+		return l
+	}
+	degraded := func(l *Lab) sim.WorkloadRun {
+		run, err := l.Run("wrf", SchemeAquaSRAM, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return run
 	}
 
-	assertFaultedOnce("first", render())
-
-	second := render()
-	assertFaultedOnce("second", second)
+	first := render("first")
+	if cs := first.CellStats(); cs.Simulated == 0 {
+		t.Fatalf("first run stats %+v; expected simulations", cs)
+	}
+	second := render("second")
 	cs := second.CellStats()
-	if cs.CacheHits == 0 {
-		t.Fatalf("second run stats %+v; clean cells should be served from the cache", cs)
+	if cs.CacheHits == 0 || cs.Simulated != 0 {
+		t.Fatalf("second run stats %+v; every completed cell, the degraded one included, should be served from the store", cs)
 	}
-	if cs.Simulated != 0 {
-		t.Fatalf("second run stats %+v; only the faulted cell may simulate, and it bypasses this accounting", cs)
+	if cs.CacheMisses != 1 || cs.Errors != 1 {
+		t.Fatalf("second run stats %+v; want only the panicking cell to miss and fail", cs)
+	}
+	if !reflect.DeepEqual(degraded(second), degraded(first)) {
+		t.Fatal("the stored degraded cell diverged from the one simulated")
+	}
+
+	store := warmStore(t, dir)
+	clean := faultedLab(t, "")
+	clean.AttachCache(store)
+	if _, err := clean.Figure9(); err != nil {
+		t.Fatal(err)
+	}
+	if hits := store.Stats().DiskHits; clean.CellStats().CacheHits != 0 || hits != 0 {
+		t.Fatalf("lab without rules took %d cell hits and %d store hits, want 0", clean.CellStats().CacheHits, hits)
 	}
 }

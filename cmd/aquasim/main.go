@@ -54,8 +54,7 @@ func main() {
 	seed := flag.Uint64("seed", 0, "experiment seed")
 	faultSpec := flag.String("faults", "", "fault-injection rules, e.g. 'lbm/aqua-memmapped/1000=ecc-flip@p:0.01'")
 	timeout := flag.Duration("timeout", 0, "cancel the run after this wall-clock duration (0 = none)")
-	cacheDir := flag.String("cache-dir", "", "directory for the on-disk cache tier shared with cmd/figures")
-	noCache := flag.Bool("no-cache", false, "disable the result cache entirely (overrides -cache-dir)")
+	cacheDir := flag.String("cache-dir", "", "result cache directory shared with cmd/figures (empty = no cache)")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of text")
 	list := flag.Bool("list", false, "list workloads and schemes")
 	flag.Parse()
@@ -102,7 +101,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	useCache := !*noCache
+	useCache := *cacheDir != ""
 	if useCache {
 		store, err := cellcache.New(*cacheDir)
 		if err != nil {

@@ -19,9 +19,9 @@
 // incremental recomputation"):
 //
 //	figures -cache-dir ~/.cache/aqua             # persist finished cells; later runs serve them
-//	figures -no-cache                            # force every cell to simulate
 //
-// An interrupted run resumes by rerunning it with the same -cache-dir:
+// Without -cache-dir nothing persists and every cell simulates. An
+// interrupted run resumes by rerunning it with the same -cache-dir:
 // finished cells are served, the rest simulate. Cached output is
 // byte-identical to a cold run; hit/miss/dedup counts are reported on
 // stderr at exit.
@@ -82,8 +82,7 @@ func realMain() int {
 	par := flag.Int("j", 0, "concurrent simulations (0 = one per core, 1 = serial)")
 	faultSpec := flag.String("faults", "", "fault-injection rules, e.g. 'xz/rrs/1000=panic@once:0;*/aqua-memmapped/*=ecc-flip@p:0.01'")
 	timeout := flag.Duration("timeout", 0, "cancel the whole run after this wall-clock duration (0 = none)")
-	cacheDir := flag.String("cache-dir", "", "directory for the on-disk cache tier: completed cells persist here, so a rerun resumes an interrupted run and warms future ones")
-	noCache := flag.Bool("no-cache", false, "disable the result cache entirely (overrides -cache-dir)")
+	cacheDir := flag.String("cache-dir", "", "result cache directory: completed cells persist here, so a rerun resumes an interrupted run and warms future ones (empty = no cache)")
 	noTraceReplay := flag.Bool("no-trace-replay", false, "regenerate workload streams for every cell instead of replaying captured traces (byte-identical, slower; see make trace-smoke)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
@@ -164,7 +163,7 @@ func realMain() int {
 				cs.TraceCaptures, cs.TraceReplays)
 		}
 	}()
-	if !*noCache {
+	if *cacheDir != "" {
 		store, err := cellcache.New(*cacheDir)
 		if err != nil {
 			log.Fatalf("-cache-dir: %v", err)

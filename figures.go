@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/analytic"
 	"repro/internal/cellcache"
@@ -40,8 +38,9 @@ type LabOptions struct {
 	// back in canonical workload/cell order (see DESIGN.md).
 	Parallel int
 	// Faults injects deterministic faults into matching grid cells (see
-	// fault.ParseRules). Cells the rules don't match are bit-for-bit
-	// unaffected.
+	// fault.ParseRules). A rule on a workload's baseline cell also reaches
+	// its calibration and baseline passes, and so every cell of that
+	// workload. Every other cell is bit-for-bit unaffected.
 	Faults *fault.Rules
 	// Context, when set, cancels in-flight and pending simulations when
 	// it is done; figure calls then return its error. Nil means
@@ -60,26 +59,16 @@ func AllWorkloads() []string { return sim.AllCaseNames() }
 // SPECWorkloads returns the 18 SPEC rate workload names.
 func SPECWorkloads() []string { return sim.SPECCaseNames() }
 
-// Lab runs the paper's experiments with a shared result cache, so figures
-// that need the same (workload, scheme, threshold) cell don't re-simulate.
-// A Lab is safe for concurrent use, and every simulation-backed figure
-// first fans its grid out to a worker pool (LabOptions.Parallel wide)
-// before rendering serially from the cache — so tables come out
-// byte-identical to a serial run at any parallelism.
+// Lab runs the paper's experiments over one sim.Runner, whose memo lets
+// figures that need the same (workload, scheme, threshold) cell share one
+// simulation. A Lab is safe for concurrent use, and every
+// simulation-backed figure first fans its grid out to a worker pool
+// (LabOptions.Parallel wide) before rendering serially from the memo — so
+// tables come out byte-identical to a serial run at any parallelism.
 type Lab struct {
 	opts   LabOptions
 	ctx    context.Context
 	runner *sim.Runner
-
-	mu     sync.Mutex
-	cache  map[labKey]sim.WorkloadRun // guarded by mu
-	flight flight.Group[labKey, sim.WorkloadRun]
-}
-
-type labKey struct {
-	workload string
-	scheme   Scheme
-	trh      int64
 }
 
 // NewLab builds a Lab.
@@ -111,22 +100,22 @@ func NewLab(opts LabOptions) *Lab {
 			Faults:             opts.Faults,
 			DisableTraceReplay: opts.NoTraceReplay,
 		}),
-		cache: make(map[labKey]sim.WorkloadRun),
 	}
 }
 
-// AttachCache attaches a content-addressed result store: clean completed
-// cells and calibrated IPCs are served from it without re-simulating and
+// AttachCache attaches a content-addressed result store: completed cells
+// and calibrated IPCs are served from it without re-simulating and
 // written back to it as they complete (see DESIGN.md "Result cache &
 // incremental recomputation"). The store is shared across any number of
-// configurations — the key hashes the configuration, so a changed option
-// simply misses — and a lab interrupted mid-run resumes by rerunning over
-// the same directory. Fault-injected and cancelled cells never enter the
-// store.
+// configurations — the key hashes the configuration, fault rules
+// included, so a changed option simply misses — and a lab interrupted
+// mid-run resumes by rerunning over the same directory. Failed and
+// cancelled cells never enter the store.
 func (l *Lab) AttachCache(s *cellcache.Store) { l.runner.AttachCellCache(s) }
 
 // CellStats reports how the lab's cell requests were satisfied: cache
-// hits/misses, deduplicated requests, and real simulations.
+// hits/misses, deduplicated requests (renders re-reading a cell
+// included), and real simulations.
 func (l *Lab) CellStats() sim.CellStats { return l.runner.CellStats() }
 
 // FaultedCell summarizes one completed cell that had faults injected.
@@ -138,59 +127,26 @@ type FaultedCell struct {
 }
 
 // FaultedCells lists every completed cell whose run had injected faults,
-// in canonical workload/scheme/trh order. Cells that failed outright are
-// not in the cache and are reported through CellError instead.
+// in canonical workload/scheme/trh order, whether it simulated here or
+// was served from the store. Cells that failed outright have no result
+// and are reported through CellError instead.
 func (l *Lab) FaultedCells() []FaultedCell {
-	l.mu.Lock()
 	var out []FaultedCell
-	for k, r := range l.cache {
+	for _, r := range l.runner.Cells() {
 		if n := r.Result.FaultStats.Injected; n > 0 {
-			out = append(out, FaultedCell{Workload: k.workload, Scheme: k.scheme, TRH: k.trh, Injected: n})
+			out = append(out, FaultedCell{Workload: r.Workload, Scheme: r.Scheme, TRH: r.TRH, Injected: n})
 		}
 	}
-	l.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Workload != b.Workload {
-			return a.Workload < b.Workload
-		}
-		if a.Scheme != b.Scheme {
-			return a.Scheme < b.Scheme
-		}
-		return a.TRH < b.TRH
-	})
 	return out
 }
 
-// Run measures one workload under one scheme at a threshold, caching the
-// result. Concurrent callers asking for the same cell share one
-// simulation.
+// Run measures one workload under one scheme at a threshold through the
+// runner (see sim.Runner.RunCtx): memoized, coalesced with concurrent
+// callers asking for the same cell, and served from an attached store.
 //
 //detertaint:root
 func (l *Lab) Run(name string, scheme Scheme, trh int64) (sim.WorkloadRun, error) {
-	key := labKey{name, scheme, trh}
-	l.mu.Lock()
-	r, ok := l.cache[key]
-	l.mu.Unlock()
-	if ok {
-		return r, nil
-	}
-	return l.flight.DoCtx(l.ctx, key, func() (sim.WorkloadRun, error) {
-		l.mu.Lock()
-		r, ok := l.cache[key]
-		l.mu.Unlock()
-		if ok {
-			return r, nil
-		}
-		r, err := l.runner.RunCtx(l.ctx, name, scheme, trh)
-		if err != nil {
-			return sim.WorkloadRun{}, err
-		}
-		l.mu.Lock()
-		l.cache[key] = r
-		l.mu.Unlock()
-		return r, nil
-	})
+	return l.runner.RunCtx(l.ctx, name, scheme, trh)
 }
 
 // Precompute simulates every (workload, cell) combination of the lab's
@@ -777,17 +733,15 @@ func StorageReport() string {
 	return b.String()
 }
 
-// SortedCacheKeys lists the lab's cached cells (for debugging/reports).
+// SortedCacheKeys lists the lab's memoized cells as workload/scheme/trh,
+// in canonical order (for debugging/reports).
 //
 //detertaint:root
 func (l *Lab) SortedCacheKeys() []string {
-	l.mu.Lock()
 	var keys []string
-	for k := range l.cache {
-		keys = append(keys, fmt.Sprintf("%s/%s/%d", k.workload, k.scheme, k.trh))
+	for _, r := range l.runner.Cells() {
+		keys = append(keys, fmt.Sprintf("%s/%s/%d", r.Workload, r.Scheme, r.TRH))
 	}
-	l.mu.Unlock()
-	sort.Strings(keys)
 	return keys
 }
 

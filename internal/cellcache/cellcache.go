@@ -8,16 +8,15 @@
 // run means rerunning it against the same cache directory, which serves
 // every cell (and calibrated IPC) the first run finished.
 //
-// The store is two-tiered. The in-memory tier is a plain map and always
-// present; the on-disk tier (one file per key under a cache directory)
-// is optional and survives the process. Each disk write lands a temp
-// file, fsyncs it, and renames it into place, so a reader never sees a
-// torn entry and a killed writer leaves at most an orphaned temp file.
-// Each file carries a checksum header; an entry that fails the checksum
-// — corruption, truncation, a foreign file — is treated as a miss, never
-// as an error. Stale entries cannot be served at all: any semantic
-// change to the simulator bumps sim.SchemaVersion, which changes every
-// key.
+// The store is one file per key under a cache directory; it keeps no
+// copy in memory (the Runner memoizes decoded results itself). Each
+// write lands a temp file, fsyncs it, and renames it into place, so a
+// reader never sees a torn entry and a killed writer leaves at most an
+// orphaned temp file. Each file carries a checksum header; an entry that
+// fails the checksum — corruption, truncation, a foreign file — is
+// treated as a miss, never as an error. Stale entries cannot be served
+// at all: any semantic change to the simulator bumps sim.SchemaVersion,
+// which changes every key.
 //
 // Values are opaque bytes to this package; the sim layer encodes and
 // decodes them and performs its own identity validation on top.
@@ -27,6 +26,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -39,13 +39,11 @@ import (
 // themselves via sim.SchemaVersion.
 const fileVersion = "aqua-cellcache-v1"
 
-// Stats counts how the store's tiers answered.
+// Stats counts how the store answered.
 type Stats struct {
-	// MemHits were served from the in-memory tier.
-	MemHits int64
 	// DiskHits were read (and checksum-verified) from the cache directory.
 	DiskHits int64
-	// Misses had no entry in either tier.
+	// Misses had no valid entry.
 	Misses int64
 	// Corrupt entries were found on disk but failed validation (checksum
 	// mismatch, bad framing) and were reported as misses.
@@ -53,33 +51,29 @@ type Stats struct {
 	// Puts is the number of entries written.
 	Puts int64
 	// WriteErrors counts failed disk writes. A failed write only costs
-	// persistence — the entry still lands in the memory tier.
+	// a future recomputation.
 	WriteErrors int64
 }
 
-// Hits is the total across both tiers.
-func (s Stats) Hits() int64 { return s.MemHits + s.DiskHits }
-
-// Store is a two-tier content-addressed byte store. The zero tier set —
-// a nil *Store — is inert: every Get misses and every Put is dropped,
-// so callers need no "is caching on?" branches.
+// Store is a content-addressed byte store over a cache directory. A nil
+// *Store is inert: every Get misses and every Put is dropped, so callers
+// need no "is caching on?" branches.
 type Store struct {
-	dir string // "" = memory tier only
+	dir string
 
 	mu    sync.Mutex
-	mem   map[string][]byte // guarded by mu
-	stats Stats             // guarded by mu
+	stats Stats // guarded by mu
 }
 
-// New builds a store. dir "" keeps the store memory-only; otherwise the
-// directory is created (with parents) and used as the disk tier.
+// New opens a store over dir, creating the directory (with parents).
 func New(dir string) (*Store, error) {
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("cellcache: %w", err)
-		}
+	if dir == "" {
+		return nil, errors.New("cellcache: no cache directory")
 	}
-	return &Store{dir: dir, mem: make(map[string][]byte)}, nil
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("cellcache: %w", err)
+	}
+	return &Store{dir: dir}, nil
 }
 
 // validKey rejects keys that could escape the cache directory or collide
@@ -103,17 +97,6 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	if s == nil || !validKey(key) {
 		return nil, false
 	}
-	s.mu.Lock()
-	if v, ok := s.mem[key]; ok {
-		s.stats.MemHits++
-		s.mu.Unlock()
-		return v, true
-	}
-	s.mu.Unlock()
-	if s.dir == "" {
-		s.miss()
-		return nil, false
-	}
 	raw, err := os.ReadFile(filepath.Join(s.dir, key))
 	if err != nil {
 		s.miss()
@@ -128,7 +111,6 @@ func (s *Store) Get(key string) ([]byte, bool) {
 		return nil, false
 	}
 	s.mu.Lock()
-	s.mem[key] = payload
 	s.stats.DiskHits++
 	s.mu.Unlock()
 	return payload, true
@@ -140,8 +122,7 @@ func (s *Store) miss() {
 	s.mu.Unlock()
 }
 
-// Put stores value under key in the memory tier and, when a cache
-// directory is configured, atomically on disk (temp file + fsync +
+// Put stores value under key atomically on disk (temp file + fsync +
 // rename). Disk failures are absorbed into Stats.WriteErrors — losing
 // an entry only costs a future recomputation, never correctness.
 //
@@ -151,12 +132,8 @@ func (s *Store) Put(key string, value []byte) {
 		return
 	}
 	s.mu.Lock()
-	s.mem[key] = append([]byte(nil), value...)
 	s.stats.Puts++
 	s.mu.Unlock()
-	if s.dir == "" {
-		return
-	}
 	if err := s.writeFile(key, value); err != nil {
 		s.mu.Lock()
 		s.stats.WriteErrors++

@@ -59,14 +59,13 @@ const (
 	// CellPanic is an experiment-engine fault: the grid cell panics,
 	// exercising the worker pool's panic isolation.
 	CellPanic
-	// CellTransient is an experiment-engine fault: the grid cell fails
-	// with a transient (retryable) error that clears on the next attempt.
-	CellTransient
-	// kindReserved keeps the slot of a retired harness-level kind. Result
-	// values serialize FaultStats.ByKind, whose length committed result
-	// digests pin, so the slot stays; it has no rules-grammar name and
-	// never fires.
-	kindReserved
+	// The next two slots belong to retired harness-level kinds (a
+	// transient, retried cell failure and a worker kill). Result values
+	// serialize FaultStats.ByKind, whose length committed result digests
+	// pin, so the slots stay; they have no rules-grammar name and never
+	// fire.
+	_
+	_
 
 	// NumKinds bounds the enum for per-kind arrays.
 	NumKinds
@@ -82,7 +81,6 @@ var kindNames = [NumKinds]string{
 	FPTCachePoison:   "fpt-poison",
 	TrackerCorrupt:   "tracker-corrupt",
 	CellPanic:        "panic",
-	CellTransient:    "transient",
 }
 
 // String returns the rules-grammar name of the kind.
@@ -145,10 +143,6 @@ func (s Schedule) String() string {
 type Arm struct {
 	Kind     Kind
 	Schedule Schedule
-	// Transient arms are skipped on retry attempts (attempt > 0),
-	// modelling faults that clear when the work is re-executed. The
-	// "transient" cell fault defaults to true; hardware faults to false.
-	Transient bool
 }
 
 // Plan is the set of arms active for one simulation run.
@@ -198,23 +192,14 @@ type Injector struct {
 	stats   Stats
 }
 
-// NewInjector builds an injector for a plan. Arms marked Transient are
-// dropped when attempt > 0, so a retried run sees the same schedule minus
-// the faults that model transient failures. Returns nil for an empty
-// (or fully transient-skipped) plan, keeping the disabled fast path.
-func NewInjector(seed uint64, plan Plan, attempt int) *Injector {
-	var arms []Arm
-	for _, a := range plan.Arms {
-		if a.Transient && attempt > 0 {
-			continue
-		}
-		arms = append(arms, a)
-	}
-	if len(arms) == 0 {
+// NewInjector builds an injector for a plan. Returns nil for an empty
+// plan, keeping the disabled fast path.
+func NewInjector(seed uint64, plan Plan) *Injector {
+	if plan.Empty() {
 		return nil
 	}
 	in := &Injector{seed: seed}
-	for i, a := range arms {
+	for i, a := range plan.Arms {
 		st := &armState{arm: a}
 		if a.Schedule.Trigger == TriggerProb {
 			// Each arm draws from its own stream keyed by (kind, position)
@@ -334,20 +319,4 @@ func (in *Injector) Stats() Stats {
 		return Stats{}
 	}
 	return in.stats
-}
-
-// transientError marks an error as transient for flight.IsTransient-style
-// classification (interface{ Transient() bool }).
-type transientError struct{ err error }
-
-func (e transientError) Error() string   { return e.err.Error() }
-func (e transientError) Unwrap() error   { return e.err }
-func (e transientError) Transient() bool { return true }
-
-// Transient wraps err as a transient (retryable) failure.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return transientError{err: err}
 }

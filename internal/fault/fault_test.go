@@ -1,8 +1,6 @@
 package fault
 
 import (
-	"errors"
-	"fmt"
 	"reflect"
 	"testing"
 )
@@ -25,13 +23,13 @@ func TestNilInjectorIsDisabled(t *testing.T) {
 }
 
 func TestEmptyPlanYieldsNilInjector(t *testing.T) {
-	if in := NewInjector(1, Plan{}, 0); in != nil {
+	if in := NewInjector(1, Plan{}); in != nil {
 		t.Fatal("empty plan built an injector")
 	}
 }
 
 func TestOnceFiresExactlyOnceAtOrAfterAt(t *testing.T) {
-	in := NewInjector(7, Plan{Arms: []Arm{{Kind: CellPanic, Schedule: Schedule{Trigger: TriggerOnce, At: 100}}}}, 0)
+	in := NewInjector(7, Plan{Arms: []Arm{{Kind: CellPanic, Schedule: Schedule{Trigger: TriggerOnce, At: 100}}}})
 	if in.Fire(CellPanic, 50) {
 		t.Fatal("fired before At")
 	}
@@ -49,7 +47,7 @@ func TestOnceFiresExactlyOnceAtOrAfterAt(t *testing.T) {
 }
 
 func TestBurstFiresCountTimesFromAt(t *testing.T) {
-	in := NewInjector(7, Plan{Arms: []Arm{{Kind: ECCFlip, Schedule: Schedule{Trigger: TriggerBurst, At: 10, Count: 3}}}}, 0)
+	in := NewInjector(7, Plan{Arms: []Arm{{Kind: ECCFlip, Schedule: Schedule{Trigger: TriggerBurst, At: 10, Count: 3}}}})
 	fires := 0
 	for now := int64(0); now < 20; now++ {
 		if in.Fire(ECCFlip, now) {
@@ -67,7 +65,7 @@ func TestBurstFiresCountTimesFromAt(t *testing.T) {
 func TestProbabilisticRoughRateAndDeterminism(t *testing.T) {
 	plan := Plan{Arms: []Arm{{Kind: RQAOverflow, Schedule: Schedule{Trigger: TriggerProb, P: 0.25}}}}
 	run := func(seed uint64) (int, []Event) {
-		in := NewInjector(seed, plan, 0)
+		in := NewInjector(seed, plan)
 		n := 0
 		for i := int64(0); i < 4000; i++ {
 			if in.Fire(RQAOverflow, i) {
@@ -90,26 +88,8 @@ func TestProbabilisticRoughRateAndDeterminism(t *testing.T) {
 	}
 }
 
-func TestTransientArmSkippedOnRetry(t *testing.T) {
-	plan := Plan{Arms: []Arm{
-		{Kind: CellTransient, Schedule: Schedule{Trigger: TriggerOnce, At: 0}, Transient: true},
-		{Kind: CellPanic, Schedule: Schedule{Trigger: TriggerOnce, At: 0}},
-	}}
-	first := NewInjector(3, plan, 0)
-	if !first.Fire(CellTransient, 0) || !first.Fire(CellPanic, 0) {
-		t.Fatal("attempt 0 should fire both arms")
-	}
-	retry := NewInjector(3, plan, 1)
-	if retry.Fire(CellTransient, 0) {
-		t.Fatal("transient arm fired on retry")
-	}
-	if !retry.Fire(CellPanic, 0) {
-		t.Fatal("persistent arm must still fire on retry")
-	}
-}
-
 func TestRowFilterScopesFiring(t *testing.T) {
-	in := NewInjector(5, Plan{Arms: []Arm{{Kind: ECCFlip, Schedule: Schedule{Trigger: TriggerProb, P: 1}}}}, 0)
+	in := NewInjector(5, Plan{Arms: []Arm{{Kind: ECCFlip, Schedule: Schedule{Trigger: TriggerProb, P: 1}}}})
 	in.SetRowFilter(ECCFlip, func(row int64) bool { return row >= 1000 })
 	if in.FireRow(ECCFlip, 5, 0) {
 		t.Fatal("fired outside the row filter")
@@ -121,14 +101,14 @@ func TestRowFilterScopesFiring(t *testing.T) {
 
 func TestDrawIsDeterministicPerSeed(t *testing.T) {
 	plan := Plan{Arms: []Arm{{Kind: TrackerCorrupt, Schedule: Schedule{Trigger: TriggerProb, P: 0.5}}}}
-	a := NewInjector(9, plan, 0)
-	b := NewInjector(9, plan, 0)
+	a := NewInjector(9, plan)
+	b := NewInjector(9, plan)
 	for i := 0; i < 16; i++ {
 		if a.Draw(TrackerCorrupt) != b.Draw(TrackerCorrupt) {
 			t.Fatal("same-seed payload streams diverged")
 		}
 	}
-	c := NewInjector(10, plan, 0)
+	c := NewInjector(10, plan)
 	same := true
 	for i := 0; i < 16; i++ {
 		if a.Draw(TrackerCorrupt) != c.Draw(TrackerCorrupt) {
@@ -179,6 +159,7 @@ func TestParseRulesEmptyAndErrors(t *testing.T) {
 		"xz//1000=panic@once:0",        // empty scheme
 		"xz/rrs/1000=@once:0",          // empty kind (the reserved slot has no name)
 		"*/*/*=worker-kill@once:0",     // retired kind
+		"*/*/*=transient@once:0",       // retired kind
 	} {
 		if _, err := ParseRules(bad); err == nil {
 			t.Fatalf("ParseRules(%q) accepted malformed spec", bad)
@@ -187,7 +168,7 @@ func TestParseRulesEmptyAndErrors(t *testing.T) {
 }
 
 func TestPlanForMatching(t *testing.T) {
-	r, err := ParseRules("xz/rrs/1000=panic@once:0;*/aqua-sram/*=rqa-overflow@p:0.5;wrf/*/*=transient@once:0")
+	r, err := ParseRules("xz/rrs/1000=panic@once:0;*/aqua-sram/*=rqa-overflow@p:0.5;wrf/*/*=stuck-row@once:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,8 +180,8 @@ func TestPlanForMatching(t *testing.T) {
 		{"xz", "rrs", 1000, []Kind{CellPanic}},
 		{"xz", "rrs", 500, nil},
 		{"xz", "aqua-sram", 1000, []Kind{RQAOverflow}},
-		{"wrf", "aqua-sram", 2000, []Kind{RQAOverflow, CellTransient}},
-		{"wrf", "baseline", 1000, []Kind{CellTransient}},
+		{"wrf", "aqua-sram", 2000, []Kind{RQAOverflow, StuckRow}},
+		{"wrf", "baseline", 1000, []Kind{StuckRow}},
 		{"mcf", "blockhammer", 1000, nil},
 	}
 	for _, c := range cases {
@@ -213,29 +194,9 @@ func TestPlanForMatching(t *testing.T) {
 			t.Fatalf("PlanFor(%s,%s,%d) = %v, want %v", c.workload, c.scheme, c.trh, got, c.wantKinds)
 		}
 	}
-	// The transient cell kind defaults to a transient arm.
-	p := r.PlanFor("wrf", "baseline", 1000)
-	if len(p.Arms) != 1 || !p.Arms[0].Transient {
-		t.Fatalf("transient kind should parse as a Transient arm: %+v", p.Arms)
-	}
 	// Nil rules match nothing.
 	var nilRules *Rules
 	if !nilRules.PlanFor("xz", "rrs", 1000).Empty() || nilRules.String() != "" {
 		t.Fatal("nil *Rules must be inert")
-	}
-}
-
-func TestTransientErrorWrapping(t *testing.T) {
-	base := errors.New("injected")
-	err := Transient(fmt.Errorf("cell failed: %w", base))
-	var tr interface{ Transient() bool }
-	if !errors.As(err, &tr) || !tr.Transient() {
-		t.Fatal("Transient() lost the marker")
-	}
-	if !errors.Is(err, base) {
-		t.Fatal("Transient() broke the error chain")
-	}
-	if Transient(nil) != nil {
-		t.Fatal("Transient(nil) must be nil")
 	}
 }

@@ -33,6 +33,7 @@ type rule struct {
 
 // Rules maps grid cells to fault plans. A nil *Rules matches nothing.
 type Rules struct {
+	//aquakey:exclude the canonical spec renders every rule, and it is what cell keys hash
 	rules []rule
 	spec  string // canonical form, parse-stable
 }
@@ -92,13 +93,13 @@ func parseEntry(entry string) (rule, error) {
 	}
 	kind, ok := KindByName(strings.TrimSpace(kindStr))
 	if !ok {
-		return rule{}, fmt.Errorf("fault: unknown kind %q (known: %s)", kindStr, strings.Join(kindNames[:kindReserved], ", "))
+		return rule{}, fmt.Errorf("fault: unknown kind %q (known: %s)", kindStr, strings.Join(kindNames[:CellPanic+1], ", "))
 	}
 	sched, err := parseTrigger(strings.TrimSpace(trig))
 	if err != nil {
 		return rule{}, err
 	}
-	ru.arm = Arm{Kind: kind, Schedule: sched, Transient: kind == CellTransient}
+	ru.arm = Arm{Kind: kind, Schedule: sched}
 	return ru, nil
 }
 

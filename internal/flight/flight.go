@@ -2,8 +2,7 @@
 // engine is built on: a generic singleflight group (concurrent callers
 // asking for the same key share one execution and its result), a bounded
 // worker pool with deterministic error selection, and the resilience
-// helpers layered on both — context cancellation, panic containment, and
-// bounded retry.
+// helpers layered on both — context cancellation and panic containment.
 //
 // The primitives are deliberately free of any randomness or wall-clock
 // reads: which goroutine computes a value may vary run to run, but the
@@ -21,11 +20,7 @@ package flight
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io"
-	"net"
-	"os"
 	"runtime/debug"
 	"sync"
 )
@@ -57,64 +52,6 @@ func Protect(fn func() error) (err error) {
 		}
 	}()
 	return fn()
-}
-
-// IsTransient reports whether err is worth retrying. The classification,
-// in precedence order:
-//
-//  1. An explicit marker anywhere in the chain (interface{ Transient()
-//     bool }) is authoritative in both directions: Transient() == false
-//     pins the error as permanent even if a timeout sits deeper in the
-//     chain.
-//  2. net.Error timeouts (net/http round-trip deadlines, dial timeouts)
-//     are transient: the peer may well answer the next attempt.
-//  3. Torn short reads (io.ErrUnexpectedEOF) and expired I/O deadlines
-//     (os.ErrDeadlineExceeded) are transient: both mean the bytes were
-//     cut off mid-flight, not that they can never arrive.
-//
-// Cancellation is never transient — context.Canceled and
-// context.DeadlineExceeded mean the caller gave up, and retrying against
-// a dead context would spin through attempts doing nothing.
-func IsTransient(err error) bool {
-	if err == nil {
-		return false
-	}
-	var tr interface{ Transient() bool }
-	if errors.As(err, &tr) {
-		return tr.Transient()
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return false
-	}
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
-		return true
-	}
-	return errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, os.ErrDeadlineExceeded)
-}
-
-// Retry runs fn up to `attempts` times, stopping at the first success or
-// the first non-transient error (panics are contained by Protect around
-// fn and are non-transient). backoff, when non-nil, runs before each
-// re-attempt with the attempt number (1, 2, …); the simulator passes nil
-// — its faults clear by re-execution, not by waiting — while interactive
-// front-ends may sleep.
-func Retry(attempts int, backoff func(attempt int), fn func(attempt int) error) error {
-	if attempts < 1 {
-		attempts = 1
-	}
-	var err error
-	for a := 0; a < attempts; a++ {
-		if a > 0 && backoff != nil {
-			backoff(a)
-		}
-		attempt := a
-		err = Protect(func() error { return fn(attempt) })
-		if err == nil || !IsTransient(err) {
-			return err
-		}
-	}
-	return err
 }
 
 // call is one in-flight computation. done is closed when val/err are

@@ -3,10 +3,6 @@ package flight
 import (
 	"context"
 	"errors"
-	"fmt"
-	"io"
-	"net"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -345,120 +341,5 @@ func TestProtect(t *testing.T) {
 	var pe *PanicError
 	if !errors.As(err, &pe) || pe.Value != 42 {
 		t.Fatalf("got %v, want *PanicError{42}", err)
-	}
-}
-
-// transientErr marks itself retryable for Retry/IsTransient.
-type transientErr struct{ msg string }
-
-func (e transientErr) Error() string   { return e.msg }
-func (e transientErr) Transient() bool { return true }
-
-// permanentErr carries an explicit Transient() == false marker wrapping
-// an inner error, pinning the chain as non-retryable.
-type permanentErr struct{ err error }
-
-func (e permanentErr) Error() string   { return "permanent: " + e.err.Error() }
-func (e permanentErr) Unwrap() error   { return e.err }
-func (e permanentErr) Transient() bool { return false }
-
-// fakeNetErr implements net.Error with a configurable Timeout answer.
-type fakeNetErr struct{ timeout bool }
-
-func (e fakeNetErr) Error() string   { return "fake net error" }
-func (e fakeNetErr) Timeout() bool   { return e.timeout }
-func (e fakeNetErr) Temporary() bool { return false }
-
-func TestIsTransient(t *testing.T) {
-	cases := []struct {
-		name string
-		err  error
-		want bool
-	}{
-		{"nil", nil, false},
-		{"plain", errors.New("plain"), false},
-		{"marker", transientErr{"flaky"}, true},
-		{"marker joined", errors.Join(errors.New("context"), transientErr{"flaky"}), true},
-		{"marker wrapped", fmt.Errorf("cell: %w", transientErr{"flaky"}), true},
-
-		// net.Error classification: timeouts retry, other net errors do not.
-		{"net timeout", fakeNetErr{timeout: true}, true},
-		{"net timeout wrapped", fmt.Errorf("round trip: %w", fakeNetErr{timeout: true}), true},
-		{"net non-timeout", fakeNetErr{timeout: false}, false},
-		{"op error timeout", &net.OpError{Op: "read", Err: os.ErrDeadlineExceeded}, true},
-
-		// Wrapped I/O: torn reads and expired I/O deadlines retry.
-		{"unexpected EOF", io.ErrUnexpectedEOF, true},
-		{"unexpected EOF wrapped", fmt.Errorf("decode header: %w", io.ErrUnexpectedEOF), true},
-		{"io deadline wrapped", fmt.Errorf("conn read: %w", os.ErrDeadlineExceeded), true},
-		{"plain EOF", io.EOF, false},
-
-		// Cancellation is the caller giving up, never retried — even
-		// though context.DeadlineExceeded itself answers Timeout() true.
-		{"ctx canceled", context.Canceled, false},
-		{"ctx deadline", fmt.Errorf("job: %w", context.DeadlineExceeded), false},
-
-		// An explicit marker is authoritative in both directions.
-		{"permanent marker over timeout", permanentErr{os.ErrDeadlineExceeded}, false},
-		{"permanent marker over net timeout", fmt.Errorf("x: %w", permanentErr{fakeNetErr{timeout: true}}), false},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			if got := IsTransient(c.err); got != c.want {
-				t.Fatalf("IsTransient(%v) = %v, want %v", c.err, got, c.want)
-			}
-		})
-	}
-}
-
-func TestRetryStopsOnSuccessAndNonTransient(t *testing.T) {
-	var calls int
-	if err := Retry(5, nil, func(int) error { calls++; return nil }); err != nil || calls != 1 {
-		t.Fatalf("success: err=%v calls=%d", err, calls)
-	}
-	calls = 0
-	hard := errors.New("hard failure")
-	if err := Retry(5, nil, func(int) error { calls++; return hard }); err != hard || calls != 1 {
-		t.Fatalf("non-transient: err=%v calls=%d (must not retry)", err, calls)
-	}
-}
-
-func TestRetryRetriesTransientWithBackoff(t *testing.T) {
-	var attempts, backoffs []int
-	err := Retry(5, func(a int) { backoffs = append(backoffs, a) }, func(a int) error {
-		attempts = append(attempts, a)
-		if a < 2 {
-			return transientErr{"flaky"}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []int{0, 1, 2}; len(attempts) != 3 || attempts[0] != want[0] || attempts[1] != want[1] || attempts[2] != want[2] {
-		t.Fatalf("attempt numbers %v, want %v", attempts, want)
-	}
-	if want := []int{1, 2}; len(backoffs) != 2 || backoffs[0] != want[0] || backoffs[1] != want[1] {
-		t.Fatalf("backoff ran with %v, want %v (before each re-attempt only)", backoffs, want)
-	}
-}
-
-func TestRetryExhaustsAttempts(t *testing.T) {
-	var calls int
-	err := Retry(3, nil, func(int) error { calls++; return transientErr{"always flaky"} })
-	if calls != 3 {
-		t.Fatalf("ran %d attempts, want 3", calls)
-	}
-	if !IsTransient(err) {
-		t.Fatalf("final error %v lost its transient marker", err)
-	}
-}
-
-func TestRetryContainsPanicAsNonTransient(t *testing.T) {
-	var calls int
-	err := Retry(5, nil, func(int) error { calls++; panic("poisoned cell") })
-	var pe *PanicError
-	if !errors.As(err, &pe) || calls != 1 {
-		t.Fatalf("err=%v calls=%d; a panic must surface once as *PanicError, not retry", err, calls)
 	}
 }

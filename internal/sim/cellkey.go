@@ -35,14 +35,16 @@ type cellKey struct {
 // CellKey returns the content-addressed cache key for one grid cell: a
 // SHA-256 over the schema version, every ExpConfig field that determines
 // simulated numbers (window, cores, seed, calibration, geometry,
-// timing), the cell identity, and the per-core workload specs with their
-// static request budgets.
+// timing), the cell identity, the per-core workload specs with their
+// static request budgets, and the canonical fault rules when there are
+// any. Parallel and DisableTraceReplay are excluded: they change
+// wall-clock only, never results.
 //
-// Two deliberate exclusions: Parallel and Retries change wall-clock and
-// recovery only, never results; and fault rules are omitted because a
-// cell matched by a rule bypasses the cache entirely (see RunCtx) while
-// an unmatched cell is bit-identical to its fault-free run — so clean
-// cells are shared between faulted and fault-free invocations.
+// The rules are hashed whole, not just the ones matching the cell: a rule
+// on a workload's baseline cell reaches its calibration and baseline
+// passes, and so every cell of that workload. A run under rules therefore
+// never shares an entry with a fault-free run, whose key text carries no
+// faults line at all.
 //
 // The request budget is recorded at nominal IPC 1.0. The calibrated
 // budget scales with the measured baseline IPC, which is itself a
@@ -88,6 +90,9 @@ func (r *Runner) cellKeyAt(version, name string, scheme Scheme, trh int64, ipc b
 			i, sp.Name, sp.MPKI, sp.Rows166, sp.Rows500, sp.Rows1K,
 			int64(windowInstr*sp.MPKI/1000)+16)
 	}
+	if faults := r.cfg.Faults.String(); faults != "" {
+		fmt.Fprintf(&b, "faults=%s\n", faults)
+	}
 	if ipc {
 		b.WriteString("ipc\n")
 	}
@@ -95,16 +100,18 @@ func (r *Runner) cellKeyAt(version, name string, scheme Scheme, trh int64, ipc b
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// AttachCellCache attaches a content-addressed store: clean completed
-// cells and calibrated IPCs are served from it without simulating and
-// written back to it as they complete. Fault-injected and cancelled
-// cells never enter the store. Pass nil to detach.
+// AttachCellCache attaches a content-addressed store: completed cells
+// and calibrated IPCs are served from it without simulating and written
+// back to it as they complete. Results computed under fault rules are
+// keyed by those rules; failed and cancelled cells never enter the
+// store. Pass nil to detach.
 func (r *Runner) AttachCellCache(s *cellcache.Store) { r.cells = s }
 
-// CellStats summarizes how RunCtx requests for cacheable (fault-free)
-// cells were satisfied; fault-injected cells bypass this accounting.
+// CellStats summarizes how RunCtx requests were satisfied, fault-matched
+// cells included. Every request counts, so a renderer re-reading a cell
+// it already resolved adds a Request served by the memo (Deduped).
 type CellStats struct {
-	// Requests is the number of cacheable cell requests.
+	// Requests is the number of RunCtx cell requests.
 	Requests int64
 	// CacheHits were served from the attached content-addressed cache.
 	CacheHits int64
@@ -179,7 +186,7 @@ func (r *Runner) cacheLookup(key cellKey) (WorkloadRun, bool) {
 	return run, true
 }
 
-// cacheStore writes a clean completed cell.
+// cacheStore writes a completed cell.
 func (r *Runner) cacheStore(key cellKey, run WorkloadRun) {
 	if hash, err := r.CellKey(key.workload, key.scheme, key.trh); err == nil {
 		r.storePut(hash, run)

@@ -45,17 +45,11 @@ type ExpConfig struct {
 	Geometry dram.Geometry
 	Timing   dram.Timing
 	// Faults maps grid cells to injected fault plans (see fault.ParseRules
-	// for the grammar). Nil means no faults anywhere. Cell-level kinds
-	// ("panic", "transient") fire before the simulation is built; hardware
-	// kinds are threaded through the system layers.
-	//aquakey:exclude a cell matched by a fault rule bypasses the cache entirely (see RunCtx); unmatched cells are bit-identical to fault-free runs
+	// for the grammar). Nil means no faults anywhere. The cell-level kind
+	// ("panic") fires before the simulation is built; hardware kinds are
+	// threaded through the system layers. Non-empty rules are hashed into
+	// every cell and IPC key (see cellKeyAt).
 	Faults *fault.Rules
-	// Retries bounds re-attempts for transiently failing cells (default 2
-	// re-attempts after the first try; negative disables retry). Transient
-	// fault arms are dropped on retry attempts, so an injected transient
-	// failure clears exactly the way a real one would.
-	//aquakey:exclude retry count changes recovery behaviour only; a cell that succeeds yields the same bytes on any attempt
-	Retries int
 	// DisableTraceReplay turns off the record-once/replay-many stream
 	// tier (see tracetier.go): every cell regenerates its workload
 	// streams from the generator instead of replaying a captured trace.
@@ -86,12 +80,6 @@ func (e *ExpConfig) fillDefaults() {
 	if e.Parallel <= 0 {
 		e.Parallel = runtime.GOMAXPROCS(0)
 	}
-	if e.Retries == 0 {
-		e.Retries = 2
-	}
-	if e.Retries < 0 {
-		e.Retries = 0
-	}
 }
 
 // validate rejects configurations no cell could run under. It operates on
@@ -108,9 +96,6 @@ func (e *ExpConfig) validate() error {
 	}
 	return e.Timing.Validate()
 }
-
-// Default ExpConfig calibration flag handling: zero value means enabled.
-// (Use NoCalibration to disable in fast tests.)
 
 // WorkloadRun is one (workload, scheme) measurement.
 type WorkloadRun struct {
@@ -139,15 +124,9 @@ type Runner struct {
 	// cell it is asked to run fails with a CellError wrapping initErr
 	// instead of crashing the process.
 	initErr error
-	// retryBackoff, when set, is called before re-attempt n (1-based) of a
-	// transiently failing cell. Nil means retry immediately; tests hook it
-	// to count attempts. Deliberately not time-based by default — the
-	// simulator is deterministic and wall-clock sleeps are banned.
-	retryBackoff func(attempt int)
 	// cells, when attached, is the content-addressed result cache (see
-	// cellkey.go): clean completed cells and calibrated IPCs are served
-	// from it across processes and written back to it. Nil means no
-	// cache.
+	// cellkey.go): completed cells and calibrated IPCs are served from it
+	// across processes and written back to it. Nil means no cache.
 	cells *cellcache.Store
 	// traceBudget bounds the in-memory trace tier's bytes: always
 	// traceBudgetBytes, except in in-package tests that lower it to
@@ -173,8 +152,8 @@ type Runner struct {
 	// footprint against the budget.
 	traceMem   map[genKey]*trace.Packed // guarded by mu
 	traceBytes int64                    // guarded by mu
-	// cellMemo memoizes clean completed cells for the life of the Runner,
-	// so identical grid cells (the same baseline repeated at every sweep
+	// cellMemo memoizes completed cells for the life of the Runner, so
+	// identical grid cells (the same baseline repeated at every sweep
 	// point) simulate at most once even with no cache attached and even
 	// when requested sequentially.
 	cellMemo map[cellKey]WorkloadRun // guarded by mu
@@ -285,15 +264,13 @@ func (r *Runner) measuredBaseline(ctx context.Context, name string, nominal floa
 		if ok {
 			return res, nil
 		}
-		if !r.faulted(name, SchemeBaseline, 1000) {
-			if run, ok := r.cacheLookup(cellKey{name, SchemeBaseline, 1000}); ok {
-				r.mu.Lock()
-				r.baseCache[name] = run.Result
-				r.mu.Unlock()
-				return run.Result, nil
-			}
+		if run, ok := r.cacheLookup(cellKey{name, SchemeBaseline, 1000}); ok {
+			r.mu.Lock()
+			r.baseCache[name] = run.Result
+			r.mu.Unlock()
+			return run.Result, nil
 		}
-		res, err := r.runOnce(ctx, name, SchemeBaseline, 1000, nominal, 0)
+		res, err := r.runOnce(ctx, name, SchemeBaseline, 1000, nominal)
 		if err != nil {
 			return Result{}, err
 		}
@@ -401,8 +378,8 @@ func (r *Runner) generator(spec workload.Spec, coreIdx int, nominalIPC float64) 
 }
 
 // baselineIPC returns (and caches) the calibrated baseline IPC for a case.
-// A clean workload's IPC is also a store entry (see ipcKey), so a rerun
-// skips the calibration pass.
+// The IPC is also a store entry (see ipcKey), so a rerun skips the
+// calibration pass.
 func (r *Runner) baselineIPC(ctx context.Context, name string) (float64, error) {
 	r.mu.Lock()
 	ipc, ok := r.ipcCache[name]
@@ -417,16 +394,13 @@ func (r *Runner) baselineIPC(ctx context.Context, name string) (float64, error) 
 		if ok {
 			return ipc, nil
 		}
-		clean := !r.faulted(name, SchemeBaseline, 1000)
-		if clean {
-			if ipc, ok := r.cachedIPC(name); ok {
-				r.mu.Lock()
-				r.ipcCache[name] = ipc
-				r.mu.Unlock()
-				return ipc, nil
-			}
+		if ipc, ok := r.cachedIPC(name); ok {
+			r.mu.Lock()
+			r.ipcCache[name] = ipc
+			r.mu.Unlock()
+			return ipc, nil
 		}
-		res, err := r.runOnce(ctx, name, SchemeBaseline, 1000, 1.0, 0)
+		res, err := r.runOnce(ctx, name, SchemeBaseline, 1000, 1.0)
 		if err != nil {
 			return 0, err
 		}
@@ -440,9 +414,7 @@ func (r *Runner) baselineIPC(ctx context.Context, name string) (float64, error) 
 		r.mu.Lock()
 		r.ipcCache[name] = ipc
 		r.mu.Unlock()
-		if clean {
-			r.storeIPC(name, ipc)
-		}
+		r.storeIPC(name, ipc)
 		return ipc, nil
 	})
 }
@@ -467,51 +439,36 @@ func (r *Runner) baseline(ctx context.Context, name string) (Result, float64, er
 	return base, nominal, nil
 }
 
-// faulted reports whether a fault rule matches the cell. A matched cell
-// bypasses the memo and the store. The baseline cell's rules also reach
-// its workload's calibration and baseline passes, so those bypass the
-// store too.
-func (r *Runner) faulted(name string, scheme Scheme, trh int64) bool {
-	return !r.cfg.Faults.PlanFor(name, scheme.String(), trh).Empty()
-}
-
-// injectorFor arms the cell's injected faults. Cell-level kinds ("panic",
-// "transient") fire here, before the system is built — they model harness
-// failures rather than hardware ones. Hardware kinds ride the returned
-// injector into the system layers. Attempt > 0 drops transient arms, so a
-// retried cell recovers exactly the way a real transient failure would.
-func (r *Runner) injectorFor(name string, scheme Scheme, trh int64, attempt int) (*fault.Injector, error) {
+// injectorFor arms the cell's injected faults. The cell-level kind
+// ("panic") fires here, before the system is built — it models a harness
+// failure rather than a hardware one. Hardware kinds ride the returned
+// injector into the system layers.
+func (r *Runner) injectorFor(name string, scheme Scheme, trh int64) *fault.Injector {
 	plan := r.cfg.Faults.PlanFor(name, scheme.String(), trh)
 	if plan.Empty() {
-		return nil, nil
+		return nil
 	}
 	seed := rng.Derive(r.cfg.Seed, rng.HashString(name), rng.HashString(scheme.String()), uint64(trh), 0xFA17)
-	inj := fault.NewInjector(seed, plan, attempt)
+	inj := fault.NewInjector(seed, plan)
 	if inj.Fire(fault.CellPanic, 0) {
 		panic(fmt.Sprintf("injected panic in cell %s/%s/%d", name, scheme, trh))
 	}
-	if inj.Fire(fault.CellTransient, 0) {
-		return nil, fault.Transient(fmt.Errorf("injected transient failure in cell %s/%s/%d", name, scheme, trh))
-	}
-	return inj, nil
+	return inj
 }
 
 // runOnce builds and runs one system.
-func (r *Runner) runOnce(ctx context.Context, name string, scheme Scheme, trh int64, nominalIPC float64, attempt int) (Result, error) {
-	return r.runVariantOnce(ctx, name, scheme, trh, nominalIPC, Config{}, attempt)
+func (r *Runner) runOnce(ctx context.Context, name string, scheme Scheme, trh int64, nominalIPC float64) (Result, error) {
+	return r.runVariantOnce(ctx, name, scheme, trh, nominalIPC, Config{})
 }
 
 // runVariantOnce builds and runs one system with structural overrides
 // (tracker kind, bloom/cache sizing, proactive drain) merged in.
-func (r *Runner) runVariantOnce(ctx context.Context, name string, scheme Scheme, trh int64, nominalIPC float64, overrides Config, attempt int) (Result, error) {
+func (r *Runner) runVariantOnce(ctx context.Context, name string, scheme Scheme, trh int64, nominalIPC float64, overrides Config) (Result, error) {
 	streams, err := r.streamsFor(name, nominalIPC)
 	if err != nil {
 		return Result{}, err
 	}
-	inj, err := r.injectorFor(name, scheme, trh, attempt)
-	if err != nil {
-		return Result{}, err
-	}
+	inj := r.injectorFor(name, scheme, trh)
 	cfg := Config{
 		Geometry:        r.cfg.Geometry,
 		Timing:          r.cfg.Timing,
@@ -532,15 +489,17 @@ func (r *Runner) runVariantOnce(ctx context.Context, name string, scheme Scheme,
 	return sys.RunCtx(ctx, 0)
 }
 
-// protectCell runs fn with panic isolation and bounded retry, converting
-// any failure into a *CellError carrying the cell's identity (and, for a
-// recovered panic, the stack). Cancellation passes through untouched so
-// callers can tell "the run was stopped" from "this cell is broken".
-func (r *Runner) protectCell(name string, scheme Scheme, trh int64, fn func(attempt int) error) error {
+// protectCell runs fn once with panic isolation, converting any failure
+// into a *CellError carrying the cell's identity (and, for a recovered
+// panic, the stack). A cell is deterministic, so a failed one would fail
+// the same way again: nothing is retried. Cancellation passes through
+// untouched so callers can tell "the run was stopped" from "this cell is
+// broken".
+func (r *Runner) protectCell(name string, scheme Scheme, trh int64, fn func() error) error {
 	if r.initErr != nil {
 		return &CellError{Workload: name, Scheme: scheme, TRH: trh, Err: r.initErr}
 	}
-	err := flight.Retry(r.cfg.Retries+1, r.retryBackoff, fn)
+	err := flight.Protect(fn)
 	if err == nil {
 		return nil
 	}
@@ -557,7 +516,7 @@ func (r *Runner) protectCell(name string, scheme Scheme, trh int64, fn func(atte
 
 // runCell is one unprotected cell execution: baseline resolution plus the
 // scheme measurement, normalized.
-func (r *Runner) runCell(ctx context.Context, name string, scheme Scheme, trh int64, attempt int) (WorkloadRun, error) {
+func (r *Runner) runCell(ctx context.Context, name string, scheme Scheme, trh int64) (WorkloadRun, error) {
 	base, nominal, err := r.baseline(ctx, name)
 	if err != nil {
 		return WorkloadRun{}, err
@@ -565,7 +524,7 @@ func (r *Runner) runCell(ctx context.Context, name string, scheme Scheme, trh in
 	if scheme == SchemeBaseline {
 		return WorkloadRun{Workload: name, Scheme: scheme, TRH: trh, Result: base, NormIPC: 1}, nil
 	}
-	res, err := r.runOnce(ctx, name, scheme, trh, nominal, attempt)
+	res, err := r.runOnce(ctx, name, scheme, trh, nominal)
 	if err != nil {
 		return WorkloadRun{}, err
 	}
@@ -582,17 +541,17 @@ func (r *Runner) RunVariant(name string, scheme Scheme, trh int64, overrides Con
 	return r.RunVariantCtx(context.Background(), name, scheme, trh, overrides)
 }
 
-// RunVariantCtx is RunVariant with cancellation, panic isolation and
-// retry. Variant runs are never memoized or stored: the structural
-// overrides are not part of the cell key.
+// RunVariantCtx is RunVariant with cancellation and panic isolation.
+// Variant runs are never memoized or stored: the structural overrides
+// are not part of the cell key.
 func (r *Runner) RunVariantCtx(ctx context.Context, name string, scheme Scheme, trh int64, overrides Config) (WorkloadRun, error) {
 	var run WorkloadRun
-	err := r.protectCell(name, scheme, trh, func(attempt int) error {
+	err := r.protectCell(name, scheme, trh, func() error {
 		base, nominal, err := r.baseline(ctx, name)
 		if err != nil {
 			return err
 		}
-		res, err := r.runVariantOnce(ctx, name, scheme, trh, nominal, overrides, attempt)
+		res, err := r.runVariantOnce(ctx, name, scheme, trh, nominal, overrides)
 		if err != nil {
 			return err
 		}
@@ -615,24 +574,19 @@ func (r *Runner) Run(name string, scheme Scheme, trh int64) (WorkloadRun, error)
 	return r.RunCtx(context.Background(), name, scheme, trh)
 }
 
-// RunCtx is Run with cancellation, panic isolation, bounded retry for
-// transient failures, and cell caching. A failure comes back as a
-// *CellError (identity + cause + panic stack); cancellation comes back as
-// the context's error, unwrapped.
+// RunCtx is Run with cancellation, panic isolation and cell caching. A
+// failure comes back as a *CellError (identity + cause + panic stack);
+// cancellation comes back as the context's error, unwrapped.
 //
-// Resolution order: the in-memory memo, then a coalesced in-flight
-// execution of the same cell, then the content-addressed cache, and only
-// then a fresh simulation. Cells matched by a fault rule skip all of it:
-// they re-simulate on every request so injected behaviour is observed,
-// and their results never enter the memo or the store. Failed (including
-// cancelled) cells are never stored either — only clean, complete results
-// persist.
+// Every cell takes one path, whether or not a fault rule matches it: the
+// in-memory memo, then a coalesced in-flight execution of the same cell,
+// then the content-addressed cache, and only then one protected
+// simulation. Fault rules are part of the cache key, so a result computed
+// under rules is only ever served to a Runner with the same rules. Failed
+// (including cancelled) cells are neither memoized nor stored.
 //
 //detertaint:root
 func (r *Runner) RunCtx(ctx context.Context, name string, scheme Scheme, trh int64) (WorkloadRun, error) {
-	if r.faulted(name, scheme, trh) {
-		return r.runCellProtected(ctx, name, scheme, trh)
-	}
 	key := cellKey{name, scheme, trh}
 	r.mu.Lock()
 	r.cellStats.Requests++
@@ -653,10 +607,10 @@ func (r *Runner) RunCtx(ctx context.Context, name string, scheme Scheme, trh int
 	return run, nil
 }
 
-// computeCell resolves one clean cell inside its singleflight execution:
-// memo recheck (a flight that completed between the caller's miss and
-// DoCtx may have stored it), then the content-addressed cache, then a
-// real simulation. Only clean results are memoized and stored.
+// computeCell resolves one cell inside its singleflight execution: memo
+// recheck (a flight that completed between the caller's miss and DoCtx
+// may have stored it), then the content-addressed cache, then a real
+// simulation.
 func (r *Runner) computeCell(ctx context.Context, key cellKey) (WorkloadRun, error) {
 	r.mu.Lock()
 	run, ok := r.cellMemo[key]
@@ -676,7 +630,11 @@ func (r *Runner) computeCell(ctx context.Context, key cellKey) (WorkloadRun, err
 		r.cellStats.CacheMisses++
 		r.mu.Unlock()
 	}
-	run, err := r.runCellProtected(ctx, key.workload, key.scheme, key.trh)
+	err := r.protectCell(key.workload, key.scheme, key.trh, func() error {
+		var err error
+		run, err = r.runCell(ctx, key.workload, key.scheme, key.trh)
+		return err
+	})
 	if err != nil {
 		return WorkloadRun{}, err
 	}
@@ -684,28 +642,34 @@ func (r *Runner) computeCell(ctx context.Context, key cellKey) (WorkloadRun, err
 	r.cellStats.Simulated++
 	r.cellMemo[key] = run
 	r.mu.Unlock()
-	// Defensive: the fault-rule branch in RunCtx already keeps injected
-	// cells out of this path, but no run that saw a fault may ever be
-	// served as a clean result.
-	if r.cells != nil && run.Result.FaultStats.Injected == 0 {
+	if r.cells != nil {
 		r.cacheStore(key, run)
 	}
 	return run, nil
 }
 
-// runCellProtected is one protected cell execution (panic isolation,
-// bounded retry), without any caching.
-func (r *Runner) runCellProtected(ctx context.Context, name string, scheme Scheme, trh int64) (WorkloadRun, error) {
-	var run WorkloadRun
-	err := r.protectCell(name, scheme, trh, func(attempt int) error {
-		var err error
-		run, err = r.runCell(ctx, name, scheme, trh, attempt)
-		return err
-	})
-	if err != nil {
-		return WorkloadRun{}, err
+// Cells returns every memoized cell, in canonical workload/scheme/trh
+// order.
+//
+//detertaint:root
+func (r *Runner) Cells() []WorkloadRun {
+	r.mu.Lock()
+	out := make([]WorkloadRun, 0, len(r.cellMemo))
+	for _, run := range r.cellMemo {
+		out = append(out, run)
 	}
-	return run, nil
+	r.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.Workload != b.Workload {
+			return a.Workload < b.Workload
+		}
+		if a.Scheme != b.Scheme {
+			return a.Scheme < b.Scheme
+		}
+		return a.TRH < b.TRH
+	})
+	return out
 }
 
 // RunGrid measures each workload under each (scheme, trh) pair, reusing

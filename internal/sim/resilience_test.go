@@ -5,12 +5,11 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
-	"repro/internal/cellcache"
 	"repro/internal/dram"
 	"repro/internal/fault"
-	"repro/internal/flight"
 )
 
 func mustRules(t *testing.T, spec string) *fault.Rules {
@@ -141,66 +140,51 @@ func TestFaultScheduleDeterminism(t *testing.T) {
 	}
 }
 
-// TestTransientRetry: an injected transient failure must be retried (with
-// the transient arms dropped) and converge to the fault-free result.
-func TestTransientRetry(t *testing.T) {
-	clean, err := NewRunner(resCfg(nil)).Run("xz", SchemeRRS, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
+// pollCancelCtx cancels itself on its at-th Err poll: a fixed point
+// inside a run, reached without any hook into the Runner. Cells poll from
+// several workers, so the count is atomic.
+type pollCancelCtx struct {
+	context.Context
+	cancel context.CancelFunc
+	polls  atomic.Int64
+	at     int64
+}
 
-	rules := mustRules(t, "xz/rrs/1000=transient@once:0")
-	r := NewRunner(resCfg(rules))
-	var attempts []int
-	r.retryBackoff = func(attempt int) { attempts = append(attempts, attempt) }
-	got, err := r.Run("xz", SchemeRRS, 1000)
-	if err != nil {
-		t.Fatalf("transient cell did not recover: %v", err)
+func (c *pollCancelCtx) Err() error {
+	if c.polls.Add(1) == c.at {
+		c.cancel()
 	}
-	if len(attempts) != 1 || attempts[0] != 1 {
-		t.Fatalf("backoff calls = %v, want [1]", attempts)
-	}
-	if !reflect.DeepEqual(got, clean) {
-		t.Fatalf("retried cell diverged from fault-free run:\ngot:   %+v\nclean: %+v", got, clean)
-	}
-
-	// With retries disabled the same cell must fail as a CellError.
-	noRetry := resCfg(rules)
-	noRetry.Retries = -1
-	_, err = NewRunner(noRetry).Run("xz", SchemeRRS, 1000)
-	var ce *CellError
-	if !errors.As(err, &ce) {
-		t.Fatalf("unretried transient returned %v, want *CellError", err)
-	}
-	if !flight.IsTransient(ce) {
-		t.Fatalf("CellError should still expose the transient marker")
-	}
+	return c.Context.Err()
 }
 
 // TestGridCancellation: cancelling mid-grid must stop the run promptly,
 // return the context's error, and leak no goroutines (the -race build of
-// this test is the acceptance check for clean shutdown). The cancel is
-// triggered from inside the grid — the retry-backoff hook of an injected
-// transient failure — so the run is provably mid-flight, with cells both
-// executing and still undispatched.
+// this test is the acceptance check for clean shutdown). The context
+// cancels itself at its 20th poll. The grid polls about 90 times in all,
+// and each of xz's cells (dispatched first) completes within a handful,
+// so the run is provably mid-flight: some cells done, one cut short, the
+// rest not yet run.
 func TestGridCancellation(t *testing.T) {
-	rules := mustRules(t, "xz/rrs/1000=transient@once:0")
-	r := NewRunner(resCfg(rules))
+	r := NewRunner(resCfg(nil))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	r.retryBackoff = func(int) { cancel() }
+	pctx := &pollCancelCtx{Context: ctx, cancel: cancel, at: 20}
 	names := []string{"xz", "wrf", "lbm", "mcf"}
 	cells := []GridCell{
 		{Scheme: SchemeRRS, TRH: 1000},
 		{Scheme: SchemeAquaMemMapped, TRH: 1000},
 	}
-	grid, err := r.RunGridCtx(ctx, names, cells)
+	grid, err := r.RunGridCtx(pctx, names, cells)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled grid returned %v, want context.Canceled", err)
 	}
 	// The partial grid is still handed back alongside the error.
 	if len(grid) != len(names) {
 		t.Fatalf("cancelled grid lost its shape: %d rows", len(grid))
+	}
+	all := int64(len(names) * (len(cells) + 1))
+	if st := r.CellStats(); st.Simulated == 0 || st.Simulated == all || st.Errors == 0 {
+		t.Fatalf("stats %+v; want some of the %d cells simulated and a cancelled one counted", st, all)
 	}
 }
 
@@ -224,25 +208,18 @@ func TestCacheResume(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	open := func() *cellcache.Store {
-		s, err := cellcache.New(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
 
 	// The interrupted run: every workload's calibration, baseline and
 	// first cell finished; the second cells never started.
 	partial := NewRunner(cfg)
-	partial.AttachCellCache(open())
+	partial.AttachCellCache(storeAt(t, dir))
 	if _, err := partial.RunGrid(names, cells[:1]); err != nil {
 		t.Fatal(err)
 	}
 
 	// The rerun: a fresh Runner and Store over the same directory.
 	resumed := NewRunner(cfg)
-	resumed.AttachCellCache(open())
+	resumed.AttachCellCache(storeAt(t, dir))
 	grid, err := resumed.RunGrid(names, cells)
 	if err != nil {
 		t.Fatal(err)
@@ -271,13 +248,13 @@ func TestCacheResume(t *testing.T) {
 	// Runner under it takes no hits from the directory.
 	other := cfg
 	other.Seed = 0xBADC0FFEE
-	store := open()
+	store := storeAt(t, dir)
 	r := NewRunner(other)
 	r.AttachCellCache(store)
 	if _, err := r.RunGrid(names, cells[:1]); err != nil {
 		t.Fatal(err)
 	}
-	if hits := store.Stats().Hits(); r.CellStats().CacheHits != 0 || hits != 0 {
+	if hits := store.Stats().DiskHits; r.CellStats().CacheHits != 0 || hits != 0 {
 		t.Fatalf("different-seed runner took %d cell hits and %d store hits, want 0",
 			r.CellStats().CacheHits, hits)
 	}

@@ -632,26 +632,6 @@ func WorkloadStreams(spec workload.Spec, region workload.Region, cores int, reqs
 	return streams
 }
 
-// MixStreams builds per-core streams for a mixed workload.
-func MixStreams(mix [4]workload.Spec, region workload.Region, reqsPerCore int64, seed uint64, params workload.Params) []cpu.Stream {
-	streams := make([]cpu.Stream, len(mix))
-	for i, spec := range mix {
-		gen := workload.NewGenerator(spec, region, i, seed, params)
-		streams[i] = gen.Stream(reqsPerCore, seed+uint64(i)*7919)
-	}
-	return streams
-}
-
-// ReqsForInstructions converts a per-core instruction budget into the
-// request count for a workload's MPKI.
-func ReqsForInstructions(spec workload.Spec, instrPerCore int64) int64 {
-	n := int64(float64(instrPerCore) * spec.MPKI / 1000)
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
 func max64(a, b int64) int64 {
 	if a > b {
 		return a

@@ -188,7 +188,7 @@ func TestLabResumeGolden(t *testing.T) {
 	if _, err := l3.Figure7(); err != nil {
 		t.Fatal(err)
 	}
-	if hits := store.Stats().Hits(); l3.CellStats().CacheHits != 0 || hits != 0 {
+	if hits := store.Stats().DiskHits; l3.CellStats().CacheHits != 0 || hits != 0 {
 		t.Fatalf("different-seed lab took %d cell hits and %d store hits, want 0", l3.CellStats().CacheHits, hits)
 	}
 }
