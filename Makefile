@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build lint test race fuzz bench bench-quick bench-json bench-smoke bench-full fault-smoke cache-smoke trace-smoke
+.PHONY: all build lint test race fuzz bench bench-quick bench-json bench-smoke bench-full fault-smoke cache-smoke
 
 all: build lint test
 
@@ -29,9 +29,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short fuzz smoke against the AQUA engine's structural invariants.
+# Short fuzz smoke against the AQUA engine's structural invariants and
+# the aqua-trace-v1 reader (the only trace file format the repo parses).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCore -fuzztime=10s ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzBinaryReader -fuzztime=10s ./internal/trace
 
 # Full benchmark sweep (64ms window, 34 workloads). Knobs:
 #   REPRO_BENCH_WINDOW_MS=4 REPRO_BENCH_WORKLOADS=spec  quick mode
@@ -115,27 +117,6 @@ cache-smoke:
 	cmp -s "$$dir/ref.out" "$$dir/warm.out" || { echo "FAIL: warm output differs from the reference"; exit 1; }; \
 	test "$$warm_ms" -lt "$$ref_ms" || { echo "FAIL: warm run not faster ($${warm_ms}ms vs $${ref_ms}ms)"; exit 1; }; \
 	echo "cache-smoke OK"
-
-# Trace capture/replay smoke (see DESIGN.md "Trace capture & replay"):
-# the bench-quick grid runs once with the stream-replay tier on (the
-# default) and once with -no-trace-replay (full synthesis every cell).
-# The figures must be byte-identical — the replay-vs-generate
-# equivalence gate — and the replay run must report capture/replay
-# activity on stderr while the disabled run reports none.
-trace-smoke:
-	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
-	echo "--- replay on (capture once, replay every later cell)"; \
-	$(GO) run ./cmd/figures -workloads spec -window 4 -figure 7 \
-		>"$$dir/replay.out" 2>"$$dir/replay.err" || { cat "$$dir/replay.err"; echo "FAIL: replay run"; exit 1; }; \
-	echo "--- replay off (-no-trace-replay, synthesis in every cell)"; \
-	$(GO) run ./cmd/figures -workloads spec -window 4 -figure 7 -no-trace-replay \
-		>"$$dir/gen.out" 2>"$$dir/gen.err" || { cat "$$dir/gen.err"; echo "FAIL: generation run"; exit 1; }; \
-	grep -o 'trace tier: .*' "$$dir/replay.err"; \
-	grep -q 'trace tier: [1-9][0-9]* streams captured, [1-9][0-9]* replayed' "$$dir/replay.err" \
-		|| { echo "FAIL: replay run recorded no captures/replays"; exit 1; }; \
-	if grep -q 'trace tier:' "$$dir/gen.err"; then echo "FAIL: -no-trace-replay still used the trace tier"; exit 1; fi; \
-	cmp -s "$$dir/replay.out" "$$dir/gen.out" || { echo "FAIL: replayed figures differ from generated"; exit 1; }; \
-	echo "trace-smoke OK"
 
 # Fault-matrix smoke (see DESIGN.md "Failure model & graceful
 # degradation"): an injected panicking cell must not abort the run — the

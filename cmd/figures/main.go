@@ -83,7 +83,6 @@ func realMain() int {
 	faultSpec := flag.String("faults", "", "fault-injection rules, e.g. 'xz/rrs/1000=panic@once:0;*/aqua-memmapped/*=ecc-flip@p:0.01'")
 	timeout := flag.Duration("timeout", 0, "cancel the whole run after this wall-clock duration (0 = none)")
 	cacheDir := flag.String("cache-dir", "", "result cache directory: completed cells persist here, so a rerun resumes an interrupted run and warms future ones (empty = no cache)")
-	noTraceReplay := flag.Bool("no-trace-replay", false, "regenerate workload streams for every cell instead of replaying captured traces (byte-identical, slower; see make trace-smoke)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	traceFile := flag.String("trace", "", "write a runtime execution trace to this file")
@@ -141,12 +140,11 @@ func realMain() int {
 	}
 
 	opts := repro.LabOptions{
-		Window:        dram.PS(*windowMS) * dram.Millisecond,
-		Seed:          *seed,
-		Parallel:      *par,
-		Faults:        rules,
-		Context:       ctx,
-		NoTraceReplay: *noTraceReplay,
+		Window:   dram.PS(*windowMS) * dram.Millisecond,
+		Seed:     *seed,
+		Parallel: *par,
+		Faults:   rules,
+		Context:  ctx,
 	}
 	switch *workloads {
 	case "all":

@@ -1,20 +1,19 @@
 // Command tracedump records, inspects, and replays memory request traces
-// (the reproducible-artifact format of internal/trace).
+// in aqua-trace-v1, the reproducible-artifact format of internal/trace.
 //
 // Usage:
 //
 //	tracedump record -workload gcc -n 100000 -o gcc.trace   # synthesize + save
 //	tracedump record -attack double-sided -o atk.trace      # attack pattern
-//	tracedump info gcc.trace                                # header + stats
-//	tracedump dump gcc.trace | head                         # text format
-//	tracedump replay gcc.trace -scheme aqua-memmapped       # run through a scheme
-//	tracedump convert -to text -o gcc.txt gcc.trace         # text <-> v1 conversion
-//	tracedump stats gcc.trace                               # record statistics
+//	tracedump stats gcc.trace                               # header + record statistics
+//	tracedump dump gcc.trace | head                         # one "R|W row gap" line per record
+//	tracedump replay -scheme aqua-memmapped gcc.trace       # run through a scheme
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -33,27 +32,23 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tracedump: ")
 	if len(os.Args) < 2 {
-		log.Fatal("usage: tracedump record|info|dump|replay|convert|stats ...")
+		log.Fatal("usage: tracedump record|stats|dump|replay ...")
 	}
-	switch os.Args[1] {
+	var err error
+	switch args := os.Args[2:]; os.Args[1] {
 	case "record":
-		record(os.Args[2:])
-	case "info":
-		info(os.Args[2:])
-	case "dump":
-		dump(os.Args[2:])
-	case "replay":
-		replay(os.Args[2:])
-	case "convert":
-		if err := runConvert(os.Args[2:], os.Stdout); err != nil {
-			log.Fatal(err)
-		}
+		record(args)
 	case "stats":
-		if err := runStats(os.Args[2:], os.Stdout); err != nil {
-			log.Fatal(err)
-		}
+		err = runStats(args, os.Stdout)
+	case "dump":
+		err = runDump(args, os.Stdout)
+	case "replay":
+		err = runReplay(args, os.Stdout)
 	default:
 		log.Fatalf("unknown subcommand %q", os.Args[1])
+	}
+	if err != nil {
+		log.Fatal(err)
 	}
 }
 
@@ -112,89 +107,130 @@ func record(args []string) {
 	fmt.Printf("wrote %d records to %s\n", written, *out)
 }
 
-func open(path string) *trace.Reader {
+// readTrace decodes every record of a trace file. Any decode error, a
+// truncated body included, fails the whole read, so no subcommand acts on
+// a partial trace.
+func readTrace(path string) ([]trace.Record, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
+	defer f.Close()
 	r, err := trace.NewReader(f)
 	if err != nil {
-		log.Fatal(err)
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return r
-}
-
-func info(args []string) {
-	if len(args) < 1 {
-		log.Fatal("info: need a trace file")
-	}
-	r := open(args[0])
-	fmt.Printf("records: %d\n", r.Header().Records)
-	geom := repro.BaselineGeometry()
-	rows := make(map[dram.Row]int64)
-	banks := make(map[int]int64)
-	var writes, instr int64
+	var recs []trace.Record
 	for {
 		rec, err := r.Read()
+		if err == io.EOF {
+			return recs, nil
+		}
 		if err != nil {
-			break
+			return nil, fmt.Errorf("%s: record %d: %w", path, len(recs), err)
 		}
-		rows[rec.Row]++
-		if geom.Contains(rec.Row) {
-			banks[geom.BankOf(rec.Row)]++
-		}
+		recs = append(recs, rec)
+	}
+}
+
+// traceArg parses a subcommand that takes flags and exactly one trace
+// file, returning the file's path.
+func traceArg(fs *flag.FlagSet, args []string) (string, error) {
+	if err := fs.Parse(args); err != nil {
+		return "", err
+	}
+	if fs.NArg() != 1 {
+		return "", fmt.Errorf("%s: need exactly one trace file, after any flags", fs.Name())
+	}
+	return fs.Arg(0), nil
+}
+
+// runStats prints a trace's size and record statistics.
+func runStats(args []string, stdout io.Writer) error {
+	path, err := traceArg(flag.NewFlagSet("stats", flag.ContinueOnError), args)
+	if err != nil {
+		return err
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		return err
+	}
+	recs, err := readTrace(path)
+	if err != nil {
+		return err
+	}
+	geom := dram.Baseline()
+	var writes, instr int64
+	rows := make(map[dram.Row]int64)
+	banks := make(map[int]bool)
+	for _, rec := range recs {
 		if rec.Write {
 			writes++
 		}
 		instr += rec.GapInstr
+		rows[rec.Row]++
+		if geom.Contains(rec.Row) {
+			banks[geom.BankOf(rec.Row)] = true
+		}
 	}
-	if r.Err() != nil {
-		log.Fatal(r.Err())
-	}
-	var hottest dram.Row
+	var hotRow dram.Row
 	var hot int64
 	for row, n := range rows {
-		if n > hot || (n == hot && row < hottest) {
-			hottest, hot = row, n
+		if n > hot || (n == hot && row < hotRow) {
+			hotRow, hot = row, n
 		}
 	}
-	fmt.Printf("distinct rows: %d\n", len(rows))
-	fmt.Printf("banks touched: %d\n", len(banks))
-	fmt.Printf("writes: %d\n", writes)
-	fmt.Printf("instructions: %d\n", instr)
-	fmt.Printf("hottest row: %d (%d accesses)\n", hottest, hot)
+	perRec, hottest := "-", "-"
+	if len(recs) > 0 {
+		perRec = fmt.Sprintf("%.2f B/record", float64(st.Size())/float64(len(recs)))
+		hottest = fmt.Sprintf("%d (%d accesses)", hotRow, hot)
+	}
+	fmt.Fprintf(stdout, "records       %d\n", len(recs))
+	fmt.Fprintf(stdout, "file bytes    %d (%s)\n", st.Size(), perRec)
+	fmt.Fprintf(stdout, "writes        %d\n", writes)
+	fmt.Fprintf(stdout, "instructions  %d\n", instr)
+	fmt.Fprintf(stdout, "distinct rows %d\n", len(rows))
+	fmt.Fprintf(stdout, "banks touched %d\n", len(banks))
+	fmt.Fprintf(stdout, "hottest row   %s\n", hottest)
+	return nil
 }
 
-func dump(args []string) {
-	if len(args) < 1 {
-		log.Fatal("dump: need a trace file")
+// runDump prints a trace one text line per record (trace.WriteText).
+func runDump(args []string, stdout io.Writer) error {
+	path, err := traceArg(flag.NewFlagSet("dump", flag.ContinueOnError), args)
+	if err != nil {
+		return err
 	}
-	r := open(args[0])
-	var recs []trace.Record
-	for {
-		rec, err := r.Read()
-		if err != nil {
-			break
-		}
-		recs = append(recs, rec)
+	recs, err := readTrace(path)
+	if err != nil {
+		return err
 	}
-	if r.Err() != nil {
-		log.Fatal(r.Err())
-	}
-	if err := trace.WriteText(os.Stdout, recs); err != nil {
-		log.Fatal(err)
-	}
+	return trace.WriteText(stdout, recs)
 }
 
-func replay(args []string) {
-	fs := flag.NewFlagSet("replay", flag.ExitOnError)
-	scheme := fs.String("scheme", "aqua-memmapped", "mitigation scheme")
+// runReplay runs a trace as one core through a scheme on the baseline
+// rank and prints the outcome. Every row must lie in the region the
+// simulator addresses (sim.VisibleRegion); a trace with any other row is
+// rejected before anything runs.
+func runReplay(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
+	scheme := fs.String("scheme", "aqua-memmapped", "mitigation scheme: baseline, aqua-sram, aqua-memmapped, rrs")
 	trh := fs.Int64("trh", 1000, "Rowhammer threshold")
-	fs.Parse(args)
-	if fs.NArg() < 1 {
-		log.Fatal("replay: need a trace file")
+	path, err := traceArg(fs, args)
+	if err != nil {
+		return err
 	}
-	r := open(fs.Arg(0))
+	recs, err := readTrace(path)
+	if err != nil {
+		return err
+	}
+	region := sim.VisibleRegion(sim.Config{})
+	for i, rec := range recs {
+		if !region.Geom.Contains(rec.Row) || region.Geom.IndexOf(rec.Row) >= region.VisibleRowsPerBank {
+			return fmt.Errorf("replay: record %d: row %d is outside the simulated region (%d banks x %d visible rows)",
+				i, rec.Row, region.Geom.Banks, region.VisibleRowsPerBank)
+		}
+	}
 
 	rank := repro.NewBaselineRank()
 	var mit mitigation.Mitigator
@@ -208,11 +244,11 @@ func replay(args []string) {
 	case "rrs":
 		mit = repro.NewRRS(rank, repro.RRSConfig{TRH: *trh})
 	default:
-		log.Fatalf("unknown scheme %q", *scheme)
+		return fmt.Errorf("replay: unknown scheme %q", *scheme)
 	}
 	mon := repro.NewSecurityMonitor(rank, int(*trh))
 	ctrl := memctrl.New(rank, mit, memctrl.Config{})
-	c := cpu.New(0, r, cpu.Config{})
+	c := cpu.New(0, trace.NewSliceStream(recs), cpu.Config{})
 	for {
 		at, ok := c.NextIssueTime()
 		if !ok {
@@ -220,19 +256,17 @@ func replay(args []string) {
 		}
 		c.Issue(at, ctrl.Submit)
 	}
-	if r.Err() != nil {
-		log.Fatal(r.Err())
-	}
 	st := mit.Stats()
-	fmt.Printf("scheme          %s\n", mit.Name())
-	fmt.Printf("simulated time  %.3f ms\n", float64(c.FinishTime())/1e9)
-	fmt.Printf("instructions    %d\n", c.InstrRetired())
-	fmt.Printf("IPC             %.3f\n", c.IPC(c.FinishTime()))
-	fmt.Printf("mitigations     %d (migrations %d)\n", st.Mitigations, st.RowMigrations)
+	fmt.Fprintf(stdout, "scheme          %s\n", mit.Name())
+	fmt.Fprintf(stdout, "simulated time  %.3f ms\n", float64(c.FinishTime())/1e9)
+	fmt.Fprintf(stdout, "instructions    %d\n", c.InstrRetired())
+	fmt.Fprintf(stdout, "IPC             %.3f\n", c.IPC(c.FinishTime()))
+	fmt.Fprintf(stdout, "mitigations     %d (migrations %d)\n", st.Mitigations, st.RowMigrations)
 	if mon.Violated() {
 		v := mon.Violations()[0]
-		fmt.Printf("VIOLATED        row %d reached %d ACTs\n", v.Row, v.Count)
+		fmt.Fprintf(stdout, "VIOLATED        row %d reached %d ACTs\n", v.Row, v.Count)
 	} else {
-		fmt.Printf("invariant held\n")
+		fmt.Fprintf(stdout, "invariant held\n")
 	}
+	return nil
 }

@@ -28,8 +28,8 @@ type LabOptions struct {
 	Workloads []string
 	// Seed drives all randomization.
 	Seed uint64
-	// Calibrate enables the two-pass baseline-IPC calibration (default
-	// true; see DESIGN.md).
+	// NoCalibration turns off the two-pass baseline-IPC calibration,
+	// which runs by default (see DESIGN.md).
 	NoCalibration bool
 	// Parallel bounds how many simulations run concurrently when a
 	// figure (or Precompute) sweeps its grid (0 = GOMAXPROCS, 1 =
@@ -46,11 +46,6 @@ type LabOptions struct {
 	// it is done; figure calls then return its error. Nil means
 	// context.Background().
 	Context context.Context
-	// NoTraceReplay disables the workload capture/replay tier: every cell
-	// regenerates its streams instead of replaying the first cell's
-	// captured trace. Replay is byte-identical to generation; the flag
-	// exists for the make trace-smoke equivalence gate.
-	NoTraceReplay bool
 }
 
 // AllWorkloads returns all 34 case names (18 SPEC + 16 mixes).
@@ -93,12 +88,11 @@ func NewLab(opts LabOptions) *Lab {
 		opts: opts,
 		ctx:  ctx,
 		runner: sim.NewRunner(sim.ExpConfig{
-			Window:             opts.Window,
-			Seed:               opts.Seed,
-			Calibrate:          !opts.NoCalibration,
-			Parallel:           opts.Parallel,
-			Faults:             opts.Faults,
-			DisableTraceReplay: opts.NoTraceReplay,
+			Window:    opts.Window,
+			Seed:      opts.Seed,
+			Calibrate: !opts.NoCalibration,
+			Parallel:  opts.Parallel,
+			Faults:    opts.Faults,
 		}),
 	}
 }
@@ -187,7 +181,7 @@ func PaperGrid() []sim.GridCell {
 	}
 }
 
-// slowdownRow collects normalized IPC for each workload under the cells,
+// normIPCTable renders normalized IPC for each workload under the cells,
 // appending a geometric-mean row.
 //
 //detertaint:root

@@ -67,8 +67,8 @@ type call[V any] struct {
 // same result instead of re-executing. The zero value is ready to use.
 //
 // Unlike a cache, a Group forgets the key once the call completes; pair
-// it with a mutex-guarded map when results should persist (the Runner
-// and Lab caches do exactly that).
+// it with a mutex-guarded map when results should persist (the Runner's
+// calibration, baseline and cell memos do exactly that).
 type Group[K comparable, V any] struct {
 	mu sync.Mutex
 	m  map[K]*call[V] // guarded by mu

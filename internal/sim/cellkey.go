@@ -37,8 +37,7 @@ type cellKey struct {
 // simulated numbers (window, cores, seed, calibration, geometry,
 // timing), the cell identity, the per-core workload specs with their
 // static request budgets, and the canonical fault rules when there are
-// any. Parallel and DisableTraceReplay are excluded: they change
-// wall-clock only, never results.
+// any. Parallel is excluded: it changes wall-clock only, never results.
 //
 // The rules are hashed whole, not just the ones matching the cell: a rule
 // on a workload's baseline cell reaches its calibration and baseline

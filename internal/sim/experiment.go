@@ -32,7 +32,8 @@ type ExpConfig struct {
 	Seed uint64
 	// Calibrate runs a baseline pass first and regenerates streams with
 	// the measured IPC so hot rows hit their Table II activation targets
-	// within real time (default true; see DESIGN.md).
+	// within real time (see DESIGN.md). A zero ExpConfig does not
+	// calibrate; the Lab sets it unless LabOptions.NoCalibration.
 	Calibrate bool
 	// Parallel bounds how many grid cells simulate concurrently (0 =
 	// GOMAXPROCS, 1 = serial). Each cell builds a fully isolated system,
@@ -50,15 +51,6 @@ type ExpConfig struct {
 	// threaded through the system layers. Non-empty rules are hashed into
 	// every cell and IPC key (see cellKeyAt).
 	Faults *fault.Rules
-	// DisableTraceReplay turns off the record-once/replay-many stream
-	// tier (see tracetier.go): every cell regenerates its workload
-	// streams from the generator instead of replaying a captured trace.
-	// Replay is byte-identical to generation — captures carry addresses
-	// and instruction gaps, never timestamps — so the flag changes
-	// wall-clock only; it exists for the replay-vs-generate equivalence
-	// gate (make trace-smoke).
-	//aquakey:exclude replay is byte-identical to generation (equivalence gate: make trace-smoke); the tier changes wall-clock only
-	DisableTraceReplay bool
 }
 
 func (e *ExpConfig) fillDefaults() {
@@ -140,18 +132,12 @@ type Runner struct {
 	// depends only on the workload and its calibrated IPC, not on the
 	// scheme or threshold being compared against).
 	baseCache map[string]Result // guarded by mu
-	// genCache shares workload generators across grid cells. A generator
-	// is a pure function of (spec, core, nominal IPC) under the Runner's
-	// fixed region/seed/params and is immutable once built, so every cell
-	// of a workload can draw fresh streams from one shared instance
-	// instead of re-deriving the hot-row placement and background set.
-	genCache map[genKey]*workload.Generator // guarded by mu
-	// traceMem is the in-memory tier of the capture/replay layer
-	// (tracetier.go): packed per-core request traces keyed like genCache,
-	// replayed by every cell sharing the workload. traceBytes tracks its
-	// footprint against the budget.
-	traceMem   map[genKey]*trace.Packed // guarded by mu
-	traceBytes int64                    // guarded by mu
+	// traceMem is the trace tier (tracetier.go): packed per-core request
+	// streams keyed by (spec, core, nominal IPC), replayed by every cell
+	// sharing the workload. traceBytes tracks its footprint against the
+	// budget.
+	traceMem   map[streamKey]*trace.Packed // guarded by mu
+	traceBytes int64                       // guarded by mu
 	// cellMemo memoizes completed cells for the life of the Runner, so
 	// identical grid cells (the same baseline repeated at every sweep
 	// point) simulate at most once even with no cache attached and even
@@ -165,7 +151,9 @@ type Runner struct {
 	cellFlight flight.Group[cellKey, WorkloadRun]
 }
 
-type genKey struct {
+// streamKey identifies one core's request stream: under the Runner's
+// fixed region, seed and window it is a pure function of these three.
+type streamKey struct {
 	spec    string
 	core    int
 	nominal float64
@@ -181,8 +169,7 @@ func NewRunner(cfg ExpConfig) *Runner {
 		traceBudget: traceBudgetBytes,
 		ipcCache:    make(map[string]float64),
 		baseCache:   make(map[string]Result),
-		genCache:    make(map[genKey]*workload.Generator),
-		traceMem:    make(map[genKey]*trace.Packed),
+		traceMem:    make(map[streamKey]*trace.Packed),
 		cellMemo:    make(map[cellKey]WorkloadRun),
 	}
 	if err := cfg.validate(); err != nil {
@@ -321,9 +308,10 @@ func SPECCaseNames() []string {
 }
 
 // streamsFor builds per-core streams for the case with the given nominal
-// IPC. Stream lengths encode a fixed instruction budget — the paper's
-// methodology — so a slowed-down scheme executes the same work over a
-// longer simulated time, and per-64ms metrics are rate-normalized.
+// IPC, each served from the trace tier. Stream lengths encode a fixed
+// instruction budget — the paper's methodology — so a slowed-down scheme
+// executes the same work over a longer simulated time, and per-64ms
+// metrics are rate-normalized.
 func (r *Runner) streamsFor(name string, nominalIPC float64) ([]cpu.Stream, error) {
 	specs, err := caseSpecs(name)
 	if err != nil {
@@ -337,44 +325,9 @@ func (r *Runner) streamsFor(name string, nominalIPC float64) ([]cpu.Stream, erro
 	for i := 0; i < r.cfg.Cores; i++ {
 		spec := specs[i]
 		reqs := int64(windowInstr*spec.MPKI/1000) + 16
-		if r.cfg.DisableTraceReplay {
-			gen := r.generator(spec, i, nominalIPC)
-			out[i] = gen.Stream(reqs, r.cfg.Seed+uint64(i)*7919)
-			continue
-		}
 		out[i] = r.replayStream(spec, i, nominalIPC, reqs)
 	}
 	return out, nil
-}
-
-// generator returns the shared generator for (spec, core, nominal IPC),
-// building it on first use. Generators are immutable after construction
-// and streams carry their own RNG state, so sharing one across concurrent
-// cells cannot couple their results.
-func (r *Runner) generator(spec workload.Spec, coreIdx int, nominalIPC float64) *workload.Generator {
-	key := genKey{spec: spec.Name, core: coreIdx, nominal: nominalIPC}
-	r.mu.Lock()
-	gen, ok := r.genCache[key]
-	r.mu.Unlock()
-	if ok {
-		return gen
-	}
-	params := workload.Params{
-		EpochLength: r.cfg.Timing.TREFW,
-		NominalIPC:  nominalIPC,
-		Cores:       r.cfg.Cores,
-	}
-	gen = workload.NewGenerator(spec, r.region, coreIdx, r.cfg.Seed, params)
-	r.mu.Lock()
-	// A concurrent builder may have won the race; keep the first instance
-	// (both are identical by construction).
-	if prior, ok := r.genCache[key]; ok {
-		gen = prior
-	} else {
-		r.genCache[key] = gen
-	}
-	r.mu.Unlock()
-	return gen
 }
 
 // baselineIPC returns (and caches) the calibrated baseline IPC for a case.
@@ -672,8 +625,7 @@ func (r *Runner) Cells() []WorkloadRun {
 	return out
 }
 
-// RunGrid measures each workload under each (scheme, trh) pair, reusing
-// per-workload baselines. Results are grouped by workload in input order.
+// GridCell is one (scheme, threshold) column of a grid.
 type GridCell struct {
 	Scheme Scheme
 	TRH    int64
@@ -686,13 +638,14 @@ type GridResult struct {
 	Cells    []WorkloadRun
 }
 
-// RunGrid runs the full grid: every (workload, cell) pair fans out to
-// the worker pool (cfg.Parallel wide), each on its own isolated system
-// build, with the per-workload calibration and baseline deduplicated
-// across concurrent cells. Results land in preallocated slots addressed
-// by (workload index, cell index), so the returned grid — and anything
-// rendered from it — is byte-identical to a serial run regardless of
-// completion order.
+// RunGrid measures each workload under each (scheme, trh) pair, reusing
+// per-workload baselines; results are grouped by workload in input
+// order. Every (workload, cell) pair fans out to the worker pool
+// (cfg.Parallel wide), each on its own isolated system build, with the
+// per-workload calibration and baseline deduplicated across concurrent
+// cells. Results land in preallocated slots addressed by (workload
+// index, cell index), so the returned grid — and anything rendered from
+// it — is byte-identical to a serial run regardless of completion order.
 func (r *Runner) RunGrid(names []string, cells []GridCell) ([]GridResult, error) {
 	return r.RunGridCtx(context.Background(), names, cells)
 }

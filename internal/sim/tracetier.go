@@ -8,8 +8,8 @@ package sim
 // threshold. The first cell to touch a stream runs the generator once
 // and packs the records; every cell (including that first one) then
 // replays the packed trace, which is several times cheaper per record
-// than generation and byte-identical to it (pinned by the golden tests
-// and the make trace-smoke equivalence gate).
+// than generation and byte-identical to it (pinned against the generator
+// by TestTraceReplayMatchesGeneration, and by the golden tests).
 //
 // The tier lives in memory under a byte budget. A capture that would
 // exceed it is served once, uncached, and later cells capture again.
@@ -29,7 +29,7 @@ const traceBudgetBytes = 1 << 30
 // replayStream serves one core's stream from the trace tier, capturing
 // it first if the tier does not hold it yet.
 func (r *Runner) replayStream(spec workload.Spec, core int, nominal float64, reqs int64) cpu.Stream {
-	key := genKey{spec: spec.Name, core: core, nominal: nominal}
+	key := streamKey{spec: spec.Name, core: core, nominal: nominal}
 	r.mu.Lock()
 	if p, ok := r.traceMem[key]; ok {
 		r.cellStats.TraceReplays++
@@ -38,8 +38,14 @@ func (r *Runner) replayStream(spec workload.Spec, core int, nominal float64, req
 	}
 	r.mu.Unlock()
 
-	// Capture: run the generator once, packing its records.
-	gen := r.generator(spec, core, nominal)
+	// Capture: build the generator, pack its stream and drop it; only the
+	// packed records outlive the capture.
+	params := workload.Params{
+		EpochLength: r.cfg.Timing.TREFW,
+		NominalIPC:  nominal,
+		Cores:       r.cfg.Cores,
+	}
+	gen := workload.NewGenerator(spec, r.region, core, r.cfg.Seed, params)
 	p := trace.PackStream(gen.Stream(reqs, r.cfg.Seed+uint64(core)*7919), reqs)
 
 	r.mu.Lock()

@@ -3,9 +3,12 @@ package sim
 import (
 	"os"
 	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/dram"
+	"repro/internal/workload"
 )
 
 // traceCfg is a reduced experiment for trace-tier tests: tiny window, no
@@ -23,23 +26,84 @@ var traceCells = []GridCell{
 	{Scheme: SchemeRRS, TRH: 1000},
 }
 
-// TestTraceReplayMatchesGeneration is the scheme-invariance equivalence
-// gate in unit form: a grid run replaying captured traces must be
-// byte-identical to one regenerating every stream.
+// generated returns the streams a case's cores would draw straight from
+// the workload generator at the given nominal IPC, built here rather
+// than by the Runner: the reference the trace tier must reproduce.
+func generated(t *testing.T, r *Runner, name string, nominal float64) []cpu.Stream {
+	t.Helper()
+	specs, err := caseSpecs(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := r.Config()
+	params := workload.Params{EpochLength: cfg.Timing.TREFW, NominalIPC: nominal, Cores: cfg.Cores}
+	windowInstr := float64(cfg.Window) / 1e12 * 3e9 * nominal
+	out := make([]cpu.Stream, cfg.Cores)
+	for core := range out {
+		reqs := int64(windowInstr*specs[core].MPKI/1000) + 16
+		gen := workload.NewGenerator(specs[core], r.region, core, cfg.Seed, params)
+		out[core] = gen.Stream(reqs, cfg.Seed+uint64(core)*7919)
+	}
+	return out
+}
+
+func drainRequests(s cpu.Stream) []cpu.Request {
+	var reqs []cpu.Request
+	for {
+		req, ok := s.Next()
+		if !ok {
+			return reqs
+		}
+		reqs = append(reqs, req)
+	}
+}
+
+// TestTraceReplayMatchesGeneration is the replay-vs-generation
+// equivalence gate. For every case at two nominal IPCs, the streams the
+// Runner serves — the first call captures (or replays a stream another
+// case captured), the second replays — must equal the generator's own,
+// record for record. A cell simulated over replayed streams must then
+// equal a System run over the generator's streams.
 func TestTraceReplayMatchesGeneration(t *testing.T) {
-	names := []string{"xz", "wrf"}
-	replay, err := NewRunner(traceCfg()).RunGrid(names, traceCells)
+	r := NewRunner(ExpConfig{Window: dram.Millisecond, Parallel: 1})
+	cores := int64(r.Config().Cores)
+	for _, name := range AllCaseNames() {
+		for _, nominal := range []float64{1.0, 0.37} {
+			var want [][]cpu.Request
+			for _, s := range generated(t, r, name, nominal) {
+				want = append(want, drainRequests(s))
+			}
+			for call := 0; call < 2; call++ {
+				before := r.CellStats()
+				got, err := r.streamsFor(name, nominal)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st := r.CellStats(); call == 1 &&
+					(st.TraceCaptures != before.TraceCaptures || st.TraceReplays != before.TraceReplays+cores) {
+					t.Fatalf("%s@%v: second streamsFor captured %d and replayed %d streams, want 0 and %d",
+						name, nominal, st.TraceCaptures-before.TraceCaptures, st.TraceReplays-before.TraceReplays, cores)
+				}
+				for core, s := range got {
+					if !slices.Equal(drainRequests(s), want[core]) {
+						t.Fatalf("%s@%v core %d call %d: served stream differs from the generator's", name, nominal, core, call)
+					}
+				}
+			}
+		}
+	}
+
+	run, err := r.Run("xz", SchemeAquaMemMapped, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := traceCfg()
-	cfg.DisableTraceReplay = true
-	regen, err := NewRunner(cfg).RunGrid(names, traceCells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(replay, regen) {
-		t.Fatalf("replayed grid diverged from regenerated:\nreplay: %+v\nregen:  %+v", replay, regen)
+	cfg := r.Config()
+	want := NewSystem(Config{
+		Geometry: cfg.Geometry, Timing: cfg.Timing, TRH: 1000, Scheme: SchemeAquaMemMapped,
+		Cores: cfg.Cores, Seed: cfg.Seed,
+	}, generated(t, r, "xz", 1.0)).Run(0)
+	if !reflect.DeepEqual(run.Result, want) {
+		t.Fatalf("replayed cell diverged from a run over generated streams:\nreplay: %+v\ngen:    %+v", run.Result, want)
 	}
 }
 
@@ -59,16 +123,6 @@ func TestTraceTierCounters(t *testing.T) {
 	// cells); the first captures, the other two replay.
 	if want := 2 * cores; stats.TraceReplays != want {
 		t.Fatalf("TraceReplays = %d, want %d", stats.TraceReplays, want)
-	}
-
-	off := traceCfg()
-	off.DisableTraceReplay = true
-	r2 := NewRunner(off)
-	if _, err := r2.RunGrid([]string{"xz"}, traceCells); err != nil {
-		t.Fatal(err)
-	}
-	if s := r2.CellStats(); s.TraceCaptures != 0 || s.TraceReplays != 0 {
-		t.Fatalf("disabled tier still counted: %+v", s)
 	}
 }
 
@@ -113,7 +167,7 @@ func TestFullGridTraceTier(t *testing.T) {
 	}
 	r := NewRunner(ExpConfig{Calibrate: true, Parallel: 1})
 	var calibrated, calibratedStreams int64
-	dropped := make(map[genKey]bool)
+	dropped := make(map[streamKey]bool)
 	for _, name := range AllCaseNames() {
 		if _, err := r.Run(name, SchemeBaseline, 1000); err != nil {
 			t.Fatal(err)

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 )
 
@@ -60,38 +59,6 @@ func FuzzBinaryReader(f *testing.F) {
 			got, err := rr.Read()
 			if err != nil || got != want {
 				t.Fatalf("record %d: %+v vs %+v (%v)", i, got, want, err)
-			}
-		}
-	})
-}
-
-// FuzzTextReader: arbitrary text must never panic; valid parses must
-// round-trip through WriteText.
-func FuzzTextReader(f *testing.F) {
-	f.Add("R 5 10\nW 6 0\n")
-	f.Add("# comment\n\nR 1 2")
-	f.Add("X 1 2")
-	f.Add(strings.Repeat("R 4294967295 9223372036854775807\n", 3))
-
-	f.Fuzz(func(t *testing.T, data string) {
-		recs, err := ReadText(strings.NewReader(data))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := WriteText(&buf, recs); err != nil {
-			t.Fatal(err)
-		}
-		again, err := ReadText(&buf)
-		if err != nil {
-			t.Fatalf("round-trip parse failed: %v", err)
-		}
-		if len(again) != len(recs) {
-			t.Fatalf("round-trip length %d vs %d", len(again), len(recs))
-		}
-		for i := range recs {
-			if again[i] != recs[i] {
-				t.Fatalf("round-trip record %d: %+v vs %+v", i, again[i], recs[i])
 			}
 		}
 	})

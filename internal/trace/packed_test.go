@@ -58,15 +58,29 @@ func TestPackedReplayMatchesGenerator(t *testing.T) {
 	sameRecords(t, drain(t, p.Stream()), want, "second packed replay")
 }
 
+// TestPackedGapOverflow pins the uint32 gap column: the largest gap that
+// fits replays exactly, and a gap outside [0, 2^32) panics at Append
+// instead of replaying wrong.
 func TestPackedGapOverflow(t *testing.T) {
 	recs := []Record{
 		{Row: 5, GapInstr: 100},
-		{Row: 9, Write: true, GapInstr: math.MaxInt64 >> 2},
+		{Row: 9, Write: true, GapInstr: math.MaxUint32},
 		{Row: 2, GapInstr: 0},
 	}
 	p := &Packed{}
 	for _, r := range recs {
 		p.Append(r)
 	}
-	sameRecords(t, drain(t, p.Stream()), recs, "overflow replay")
+	sameRecords(t, drain(t, p.Stream()), recs, "uint32-limit replay")
+
+	for _, gap := range []int64{math.MaxUint32 + 1, math.MaxInt64 >> 2, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Append accepted gap %d", gap)
+				}
+			}()
+			(&Packed{}).Append(Record{Row: 1, GapInstr: gap})
+		}()
+	}
 }

@@ -4,13 +4,12 @@
 // through any mitigation configuration (the role gem5 checkpoints play for
 // the paper's artifact).
 //
-// Two encodings share one logical schema (Row, Write, GapInstr):
-//
-//   - binary: a fixed 16-byte header followed by varint-delta records —
-//     rows are XOR-delta encoded against the previous row and gaps are
-//     raw varints, which compresses typical streams to ~3-5 bytes/record;
-//   - text: one "R|W <row> <gap>" line per record, for inspection and
-//     hand-written fixtures.
+// aqua-trace-v1 is the only file format: a fixed 16-byte header followed
+// by varint-delta records (Row, Write, GapInstr) — rows are XOR-delta
+// encoded against the previous row and gaps are raw varints, which
+// compresses typical streams to ~3-5 bytes/record. WriteText prints
+// records one "R|W <row> <gap>" line each for inspection; nothing parses
+// that text back.
 //
 // Readers implement cpu.Stream, so a trace plugs directly into the
 // simulator in place of a generator.
@@ -22,8 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 
 	"repro/internal/cpu"
 	"repro/internal/dram"
@@ -34,22 +31,6 @@ const (
 	magic   = 0x41515452
 	version = 1
 )
-
-// Container format names returned by DetectFormat.
-const (
-	FormatV1   = "aqua-trace-v1"
-	FormatText = "text"
-)
-
-// DetectFormat reports which trace container the leading bytes of a file
-// belong to. Anything without the binary magic — including fewer than
-// four bytes — reads as text, the only format with no magic to check.
-func DetectFormat(prefix []byte) string {
-	if len(prefix) >= 4 && binary.LittleEndian.Uint32(prefix) == magic {
-		return FormatV1
-	}
-	return FormatText
-}
 
 // Record is one memory request.
 type Record struct {
@@ -257,7 +238,7 @@ func Capture(w io.Writer, s cpu.Stream, limit int64) (int64, error) {
 	return int64(len(recs)), tw.Close()
 }
 
-// WriteText encodes records in the line-oriented text format.
+// WriteText prints records one "R|W <row> <gap>" line each.
 func WriteText(w io.Writer, recs []Record) error {
 	bw := bufio.NewWriter(w)
 	for _, r := range recs {
@@ -272,49 +253,7 @@ func WriteText(w io.Writer, recs []Record) error {
 	return bw.Flush()
 }
 
-// ReadText decodes the text format: one "R|W <row> <gap>" record per
-// line; blank lines and lines starting with '#' are skipped.
-func ReadText(r io.Reader) ([]Record, error) {
-	var recs []Record
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("trace: line %d: want 'R|W row gap', got %q", lineNo, line)
-		}
-		var write bool
-		switch fields[0] {
-		case "R", "r":
-		case "W", "w":
-			write = true
-		default:
-			return nil, fmt.Errorf("trace: line %d: bad op %q", lineNo, fields[0])
-		}
-		row, err := strconv.ParseUint(fields[1], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: row: %v", lineNo, err)
-		}
-		gap, err := strconv.ParseInt(fields[2], 10, 64)
-		if err != nil || gap < 0 {
-			return nil, fmt.Errorf("trace: line %d: bad gap %q", lineNo, fields[2])
-		}
-		recs = append(recs, Record{Row: dram.Row(row), Write: write, GapInstr: gap})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return recs, nil
-}
-
-// SliceStream adapts a record slice to cpu.Stream (for text traces and
-// tests).
+// SliceStream adapts a record slice to cpu.Stream.
 type SliceStream struct {
 	recs []Record
 	pos  int

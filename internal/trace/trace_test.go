@@ -201,44 +201,6 @@ func TestCaptureLimit(t *testing.T) {
 	}
 }
 
-func TestTextRoundTrip(t *testing.T) {
-	recs := sample()
-	var buf bytes.Buffer
-	if err := WriteText(&buf, recs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadText(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(recs) {
-		t.Fatalf("len = %d", len(got))
-	}
-	for i := range recs {
-		if got[i] != recs[i] {
-			t.Fatalf("record %d: %+v != %+v", i, got[i], recs[i])
-		}
-	}
-}
-
-func TestTextCommentsAndErrors(t *testing.T) {
-	got, err := ReadText(strings.NewReader("# header\n\nR 5 10\nW 6 0\n"))
-	if err != nil || len(got) != 2 {
-		t.Fatalf("got %v, %v", got, err)
-	}
-	bad := []string{
-		"X 5 10",
-		"R five 10",
-		"R 5",
-		"R 5 -1",
-	}
-	for _, line := range bad {
-		if _, err := ReadText(strings.NewReader(line)); err == nil {
-			t.Errorf("accepted %q", line)
-		}
-	}
-}
-
 func TestCompressionRatio(t *testing.T) {
 	// Locality-heavy streams must encode well below the naive 13-byte
 	// fixed record.
