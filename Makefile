@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build lint test race fuzz bench bench-quick bench-json bench-smoke bench-full fault-smoke cache-smoke
+.PHONY: all build lint test race fuzz bench bench-quick bench-json bench-smoke bench-full fault-smoke cache-smoke examples-smoke
 
 all: build lint test
 
@@ -157,3 +157,17 @@ fault-smoke:
 	grep -o 'cell cache: .*' "$$dir/clean.err"; \
 	grep -q 'cell cache: 0 hits' "$$dir/clean.err" || { echo "FAIL: a fault-free run was served entries written under rules"; exit 1; }
 	@echo "fault-smoke OK"
+
+# Examples smoke: every example under examples/ must run to exit 0 (CI
+# otherwise only compiles them), and the Half-Double demo must show its
+# two outcomes — a flipped victim under victim refresh, an intact one
+# under AQUA. The five take a few seconds together.
+examples-smoke:
+	@for ex in examples/*/; do \
+		echo "--- $$ex"; \
+		$(GO) run ./$$ex >/dev/null || { echo "FAIL: $$ex exited non-zero"; exit 1; }; \
+	done
+	@out=$$($(GO) run ./examples/halfdouble) || { echo "$$out"; echo "FAIL: halfdouble"; exit 1; }; \
+	echo "$$out" | grep -q '^victim-refresh .*Half-Double succeeded' || { echo "$$out"; echo "FAIL: Half-Double did not flip the victim under victim refresh"; exit 1; }; \
+	echo "$$out" | grep -q '^aqua .*victim intact' || { echo "$$out"; echo "FAIL: the victim did not stay intact under AQUA"; exit 1; }
+	@echo "examples-smoke OK"

@@ -37,7 +37,6 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/dram"
 	"repro/internal/memctrl"
-	"repro/internal/mitigation"
 	"repro/internal/perf"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -296,30 +295,17 @@ func BenchmarkTable7Storage(b *testing.B) {
 // --- Section VI-C: worst-case DoS bound -------------------------------------
 
 func BenchmarkSection6CWorstCaseDoS(b *testing.B) {
-	geom := BaselineGeometry()
 	region := sim.VisibleRegion(sim.Config{})
-	run := func(useAqua bool) dram.PS {
-		rank := NewRank(geom, DDR4Timing())
-		var mit mitigation.Mitigator = mitigation.None{}
-		if useAqua {
-			mit = core.New(rank, core.Config{TRH: 1000, Mode: core.ModeSRAM})
-		}
-		ctrl := memctrl.New(rank, mit, memctrl.Config{})
-		s := attack.NewRotatingDoS(geom, region.VisibleRowsPerBank, 500, 200_000)
-		c := cpu.New(0, s, cpu.Config{MLP: 4})
-		for {
-			at, ok := c.NextIssueTime()
-			if !ok {
-				break
-			}
-			c.Issue(at, ctrl.Submit)
-		}
-		return c.FinishTime()
+	run := func(scheme Scheme) dram.PS {
+		s := attack.NewRotatingDoS(region.Geom, region.VisibleRowsPerBank, 500, 200_000)
+		sys := sim.NewSystem(sim.Config{Scheme: scheme, TRH: 1000, Cores: 1, CoreCfg: cpu.Config{MLP: 4}},
+			[]cpu.Stream{s})
+		return sys.Run(0).SimTime
 	}
 	var slowdown float64
 	for i := 0; i < b.N; i++ {
-		base := run(false)
-		aqua := run(true)
+		base := run(SchemeBaseline)
+		aqua := run(SchemeAquaSRAM)
 		slowdown = float64(aqua) / float64(base)
 	}
 	b.ReportMetric(slowdown, "dos-slowdown-x")

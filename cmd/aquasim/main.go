@@ -1,6 +1,10 @@
-// Command aquasim runs one workload under one Rowhammer mitigation scheme
-// on the baseline 16GB DDR4 system and reports performance and mitigation
-// statistics.
+// Command aquasim runs one simulation on the baseline 16GB DDR4 system.
+// By default it runs one workload under one Rowhammer mitigation scheme
+// and reports performance and mitigation statistics. With -attack it
+// runs one attack pattern on a single core instead and reports the
+// security outcome: the peak sliding-window activation count of any
+// physical row versus the Rowhammer threshold, whether any row crossed
+// it, and whether the charge model flipped a bit.
 //
 // Usage:
 //
@@ -9,10 +13,16 @@
 //	aquasim -faults '*/*/*=ecc-flip@p:0.01' -workload lbm
 //	aquasim -timeout 2m -workload mix03
 //	aquasim -cache-dir ~/.cache/aqua -workload lbm   # persist + reuse results
+//	aquasim -attack double-sided -scheme baseline              # succeeds (flips)
+//	aquasim -attack double-sided -scheme aqua-memmapped        # defeated
+//	aquasim -attack half-double -scheme victim-refresh -trh 400 # Half-Double wins
+//	aquasim -attack dos -scheme aqua-sram                      # bounded slowdown
+//	aquasim -attack adaptive -scheme rrs
 //	aquasim -list
 //
 // Schemes: baseline, aqua-sram, aqua-memmapped, rrs, blockhammer,
-// victim-refresh.
+// victim-refresh. Attacks: single-sided, double-sided, many-sided,
+// half-double, adaptive, dos, table-hammer.
 package main
 
 import (
@@ -21,9 +31,10 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
-	"sort"
+	"strings"
 	"time"
 
 	"repro"
@@ -34,56 +45,62 @@ import (
 	"repro/internal/sim"
 )
 
-var schemes = map[string]repro.Scheme{
-	"baseline":       repro.SchemeBaseline,
-	"aqua-sram":      repro.SchemeAquaSRAM,
-	"aqua-memmapped": repro.SchemeAquaMemMapped,
-	"rrs":            repro.SchemeRRS,
-	"blockhammer":    repro.SchemeBlockhammer,
-	"victim-refresh": repro.SchemeVictimRefresh,
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("aquasim: ")
-
-	workload := flag.String("workload", "lbm", "workload name (SPEC name or mixNN)")
-	scheme := flag.String("scheme", "aqua-memmapped", "mitigation scheme")
-	trh := flag.Int64("trh", 1000, "Rowhammer threshold T_RH")
-	windowMS := flag.Int("window", 64, "simulated window in ms")
-	seed := flag.Uint64("seed", 0, "experiment seed")
-	faultSpec := flag.String("faults", "", "fault-injection rules, e.g. 'lbm/aqua-memmapped/1000=ecc-flip@p:0.01'")
-	timeout := flag.Duration("timeout", 0, "cancel the run after this wall-clock duration (0 = none)")
-	cacheDir := flag.String("cache-dir", "", "result cache directory shared with cmd/figures (empty = no cache)")
-	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of text")
-	list := flag.Bool("list", false, "list workloads and schemes")
-	flag.Parse()
-
-	if *list {
-		fmt.Println("workloads:")
-		for _, n := range repro.AllWorkloads() {
-			fmt.Println("  ", n)
-		}
-		fmt.Println("schemes:")
-		names := make([]string, 0, len(schemes))
-		for n := range schemes {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			fmt.Println("  ", n)
-		}
+	err := run(os.Args[1:], os.Stdout)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
 		return
 	}
+	var ce *sim.CellError
+	if errors.As(err, &ce) && len(ce.Stack) > 0 {
+		log.Printf("%v", ce)
+		log.Fatalf("recovered panic stack:\n%s", ce.Stack)
+	}
+	log.Fatal(err)
+}
 
-	sch, ok := schemes[*scheme]
-	if !ok {
-		log.Fatalf("unknown scheme %q (try -list)", *scheme)
+// run parses args and runs the workload or attack they select, writing
+// the report to stdout.
+func run(args []string, stdout io.Writer) error {
+	flags := flag.NewFlagSet("aquasim", flag.ContinueOnError)
+	workload := flags.String("workload", "lbm", "workload name (SPEC name or mixNN)")
+	attackName := flags.String("attack", "", "run this attack pattern on one core instead of a workload")
+	scheme := flags.String("scheme", "aqua-memmapped", "mitigation scheme")
+	trh := flags.Int64("trh", 1000, "Rowhammer threshold T_RH (>= 2)")
+	windowMS := flags.Int("window", 64, "simulated window in ms")
+	seed := flags.Uint64("seed", 0, "experiment seed")
+	faultSpec := flags.String("faults", "", "fault-injection rules, e.g. 'lbm/aqua-memmapped/1000=ecc-flip@p:0.01'")
+	timeout := flags.Duration("timeout", 0, "cancel the run after this wall-clock duration (0 = none)")
+	cacheDir := flags.String("cache-dir", "", "result cache directory shared with cmd/figures (empty = no cache)")
+	jsonOut := flags.Bool("json", false, "emit machine-readable JSON instead of text")
+	list := flags.Bool("list", false, "list workloads, schemes and attacks")
+	if err := flags.Parse(args); err != nil {
+		return err
 	}
 
-	rules, err := fault.ParseRules(*faultSpec)
+	if *list {
+		fmt.Fprintln(stdout, "workloads:")
+		for _, n := range repro.AllWorkloads() {
+			fmt.Fprintln(stdout, "  ", n)
+		}
+		fmt.Fprintln(stdout, "schemes:")
+		for s := sim.SchemeBaseline; s <= sim.SchemeVictimRefresh; s++ {
+			fmt.Fprintln(stdout, "  ", s)
+		}
+		fmt.Fprintln(stdout, "attacks:")
+		for _, n := range attackNames {
+			fmt.Fprintln(stdout, "  ", n)
+		}
+		return nil
+	}
+
+	sch, err := sim.ParseScheme(*scheme)
 	if err != nil {
-		log.Fatalf("-faults: %v", err)
+		return fmt.Errorf("%w (try -list)", err)
+	}
+	if err := sim.CheckTRH(*trh); err != nil {
+		return fmt.Errorf("-trh: %w", err)
 	}
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -92,6 +109,25 @@ func main() {
 		defer cancel()
 	}
 
+	if *attackName != "" {
+		// The flags that configure a workload run have no meaning here.
+		var set []string
+		flags.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "workload", "window", "faults", "cache-dir", "json":
+				set = append(set, "-"+f.Name)
+			}
+		})
+		if len(set) > 0 {
+			return fmt.Errorf("-attack runs no workload: %s cannot be combined with it", strings.Join(set, ", "))
+		}
+		return runAttack(ctx, stdout, *attackName, sch, *trh, *seed)
+	}
+
+	rules, err := fault.ParseRules(*faultSpec)
+	if err != nil {
+		return fmt.Errorf("-faults: %w", err)
+	}
 	runner, err := sim.NewRunnerE(sim.ExpConfig{
 		Window:    dram.PS(*windowMS) * dram.Millisecond,
 		Seed:      *seed,
@@ -99,29 +135,24 @@ func main() {
 		Faults:    rules,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	useCache := *cacheDir != ""
 	if useCache {
 		store, err := cellcache.New(*cacheDir)
 		if err != nil {
-			log.Fatalf("-cache-dir: %v", err)
+			return fmt.Errorf("-cache-dir: %w", err)
 		}
 		runner.AttachCellCache(store)
 	}
 
 	start := time.Now()
-	run, err := runner.RunCtx(ctx, *workload, sch, *trh)
+	cell, err := runner.RunCtx(ctx, *workload, sch, *trh)
 	if err != nil {
-		var ce *sim.CellError
-		if errors.As(err, &ce) && len(ce.Stack) > 0 {
-			log.Printf("%v", ce)
-			log.Fatalf("recovered panic stack:\n%s", ce.Stack)
-		}
-		log.Fatal(err)
+		return err
 	}
 
-	res := run.Result
+	res := cell.Result
 	if *jsonOut {
 		bd := sim.BreakdownOf(res)
 		out := map[string]interface{}{
@@ -132,8 +163,8 @@ func main() {
 			"instructions":     res.Instr,
 			"requests":         res.Requests,
 			"ipc":              res.IPC,
-			"normalized_ipc":   run.NormIPC,
-			"slowdown_pct":     (1/run.NormIPC - 1) * 100,
+			"normalized_ipc":   cell.NormIPC,
+			"slowdown_pct":     (1/cell.NormIPC - 1) * 100,
 			"avg_latency_ns":   float64(res.CtrlStats.AvgLatency()) / 1e3,
 			"mitigations":      res.MitStats.Mitigations,
 			"row_migrations":   res.MitStats.RowMigrations,
@@ -157,34 +188,31 @@ func main() {
 			out["cache_deduped"] = cs.Deduped()
 			out["cache_simulated"] = cs.Simulated
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			log.Fatal(err)
-		}
-		return
+		return enc.Encode(out)
 	}
-	fmt.Printf("workload        %s\n", *workload)
-	fmt.Printf("scheme          %s (T_RH=%d)\n", sch, *trh)
-	fmt.Printf("simulated time  %.2f ms\n", float64(res.SimTime)/1e9)
-	fmt.Printf("instructions    %d\n", res.Instr)
-	fmt.Printf("requests        %d\n", res.Requests)
-	fmt.Printf("IPC             %.3f\n", res.IPC)
-	fmt.Printf("normalized IPC  %.3f (slowdown %.1f%%)\n", run.NormIPC, (1/run.NormIPC-1)*100)
-	fmt.Printf("avg latency     %.1f ns\n", float64(res.CtrlStats.AvgLatency())/1e3)
+	fmt.Fprintf(stdout, "workload        %s\n", *workload)
+	fmt.Fprintf(stdout, "scheme          %s (T_RH=%d)\n", sch, *trh)
+	fmt.Fprintf(stdout, "simulated time  %.2f ms\n", float64(res.SimTime)/1e9)
+	fmt.Fprintf(stdout, "instructions    %d\n", res.Instr)
+	fmt.Fprintf(stdout, "requests        %d\n", res.Requests)
+	fmt.Fprintf(stdout, "IPC             %.3f\n", res.IPC)
+	fmt.Fprintf(stdout, "normalized IPC  %.3f (slowdown %.1f%%)\n", cell.NormIPC, (1/cell.NormIPC-1)*100)
+	fmt.Fprintf(stdout, "avg latency     %.1f ns\n", float64(res.CtrlStats.AvgLatency())/1e3)
 
 	st := res.MitStats
 	if sch != repro.SchemeBaseline {
-		fmt.Printf("mitigations     %d\n", st.Mitigations)
-		fmt.Printf("row migrations  %d (%.0f per 64ms)\n", st.RowMigrations, res.MigrationsPer64ms)
-		fmt.Printf("evictions       %d\n", st.Evictions)
-		fmt.Printf("channel busy    %.2f ms (mitigation)\n", float64(st.ChannelBusy)/1e9)
+		fmt.Fprintf(stdout, "mitigations     %d\n", st.Mitigations)
+		fmt.Fprintf(stdout, "row migrations  %d (%.0f per 64ms)\n", st.RowMigrations, res.MigrationsPer64ms)
+		fmt.Fprintf(stdout, "evictions       %d\n", st.Evictions)
+		fmt.Fprintf(stdout, "channel busy    %.2f ms (mitigation)\n", float64(st.ChannelBusy)/1e9)
 		if st.ThrottleDelay > 0 {
-			fmt.Printf("throttle delay  %.2f ms\n", float64(st.ThrottleDelay)/1e9)
+			fmt.Fprintf(stdout, "throttle delay  %.2f ms\n", float64(st.ThrottleDelay)/1e9)
 		}
 		if total := st.TotalLookups(); total > 0 && sch == repro.SchemeAquaMemMapped {
 			bd := sim.BreakdownOf(res)
-			fmt.Printf("FPT lookups     %.1f%% bloom-filtered, %.1f%% cache hits, %.2f%% singleton, %.3f%% DRAM\n",
+			fmt.Fprintf(stdout, "FPT lookups     %.1f%% bloom-filtered, %.1f%% cache hits, %.2f%% singleton, %.3f%% DRAM\n",
 				bd.BloomFiltered*100, bd.CacheHit*100, bd.Singleton*100, bd.DRAM*100)
 		}
 		var classes string
@@ -194,18 +222,19 @@ func main() {
 			}
 		}
 		if classes != "" {
-			fmt.Printf("lookup classes %s\n", classes)
+			fmt.Fprintf(stdout, "lookup classes %s\n", classes)
 		}
 	}
 	if fs := res.FaultStats; fs.Injected > 0 {
-		fmt.Printf("faults injected %d (migration aborts %d, overflow fallbacks %d, refresh collisions %d)\n",
+		fmt.Fprintf(stdout, "faults injected %d (migration aborts %d, overflow fallbacks %d, refresh collisions %d)\n",
 			fs.Injected, st.MigrationAborts, st.OverflowFallbacks, res.CtrlStats.RefreshCollisions)
 	}
 	if useCache {
 		if cs := runner.CellStats(); cs.Requests > 0 {
-			fmt.Printf("result cache    %d hits, %d misses, %d simulated\n",
+			fmt.Fprintf(stdout, "result cache    %d hits, %d misses, %d simulated\n",
 				cs.CacheHits, cs.CacheMisses, cs.Simulated)
 		}
 	}
-	fmt.Printf("wall time       %s\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stdout, "wall time       %s\n", time.Since(start).Round(time.Millisecond))
+	return nil
 }

@@ -17,12 +17,9 @@ import (
 	"log"
 	"os"
 
-	"repro"
 	"repro/internal/attack"
 	"repro/internal/cpu"
 	"repro/internal/dram"
-	"repro/internal/memctrl"
-	"repro/internal/mitigation"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -208,17 +205,24 @@ func runDump(args []string, stdout io.Writer) error {
 	return trace.WriteText(stdout, recs)
 }
 
-// runReplay runs a trace as one core through a scheme on the baseline
-// rank and prints the outcome. Every row must lie in the region the
-// simulator addresses (sim.VisibleRegion); a trace with any other row is
-// rejected before anything runs.
+// runReplay runs a trace as one core of a full system under a scheme and
+// prints the outcome. Every row must lie in the region the simulator
+// addresses (sim.VisibleRegion); a trace with any other row is rejected
+// before anything runs.
 func runReplay(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
-	scheme := fs.String("scheme", "aqua-memmapped", "mitigation scheme: baseline, aqua-sram, aqua-memmapped, rrs")
-	trh := fs.Int64("trh", 1000, "Rowhammer threshold")
+	scheme := fs.String("scheme", "aqua-memmapped", "mitigation scheme: baseline, aqua-sram, aqua-memmapped, rrs, blockhammer, victim-refresh")
+	trh := fs.Int64("trh", 1000, "Rowhammer threshold (>= 2)")
 	path, err := traceArg(fs, args)
 	if err != nil {
 		return err
+	}
+	sch, err := sim.ParseScheme(*scheme)
+	if err != nil {
+		return fmt.Errorf("replay: %w", err)
+	}
+	if err := sim.CheckTRH(*trh); err != nil {
+		return fmt.Errorf("replay: -trh: %w", err)
 	}
 	recs, err := readTrace(path)
 	if err != nil {
@@ -232,37 +236,18 @@ func runReplay(args []string, stdout io.Writer) error {
 		}
 	}
 
-	rank := repro.NewBaselineRank()
-	var mit mitigation.Mitigator
-	switch *scheme {
-	case "baseline":
-		mit = mitigation.None{}
-	case "aqua-sram":
-		mit = repro.NewAqua(rank, repro.AquaConfig{TRH: *trh, Mode: repro.ModeSRAM})
-	case "aqua-memmapped":
-		mit = repro.NewAqua(rank, repro.AquaConfig{TRH: *trh, Mode: repro.ModeMemMapped})
-	case "rrs":
-		mit = repro.NewRRS(rank, repro.RRSConfig{TRH: *trh})
-	default:
-		return fmt.Errorf("replay: unknown scheme %q", *scheme)
+	sys, err := sim.NewSystemE(sim.Config{Scheme: sch, TRH: *trh, Cores: 1, Monitor: true},
+		[]cpu.Stream{trace.NewSliceStream(recs)})
+	if err != nil {
+		return err
 	}
-	mon := repro.NewSecurityMonitor(rank, int(*trh))
-	ctrl := memctrl.New(rank, mit, memctrl.Config{})
-	c := cpu.New(0, trace.NewSliceStream(recs), cpu.Config{})
-	for {
-		at, ok := c.NextIssueTime()
-		if !ok {
-			break
-		}
-		c.Issue(at, ctrl.Submit)
-	}
-	st := mit.Stats()
-	fmt.Fprintf(stdout, "scheme          %s\n", mit.Name())
-	fmt.Fprintf(stdout, "simulated time  %.3f ms\n", float64(c.FinishTime())/1e9)
-	fmt.Fprintf(stdout, "instructions    %d\n", c.InstrRetired())
-	fmt.Fprintf(stdout, "IPC             %.3f\n", c.IPC(c.FinishTime()))
-	fmt.Fprintf(stdout, "mitigations     %d (migrations %d)\n", st.Mitigations, st.RowMigrations)
-	if mon.Violated() {
+	res := sys.Run(0)
+	fmt.Fprintf(stdout, "scheme          %s\n", sys.Mit.Name())
+	fmt.Fprintf(stdout, "simulated time  %.3f ms\n", float64(res.SimTime)/1e9)
+	fmt.Fprintf(stdout, "instructions    %d\n", res.Instr)
+	fmt.Fprintf(stdout, "IPC             %.3f\n", res.IPC)
+	fmt.Fprintf(stdout, "mitigations     %d (migrations %d)\n", res.MitStats.Mitigations, res.MitStats.RowMigrations)
+	if mon := sys.Monitor; mon.Violated() {
 		v := mon.Violations()[0]
 		fmt.Fprintf(stdout, "VIOLATED        row %d reached %d ACTs\n", v.Row, v.Count)
 	} else {

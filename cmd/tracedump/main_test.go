@@ -134,7 +134,7 @@ func TestReplayRejectsRowsOutsideRegion(t *testing.T) {
 			{Row: 100, GapInstr: 10},
 			{Row: row, GapInstr: 10},
 		})
-		for _, scheme := range []string{"aqua-memmapped", "aqua-sram", "rrs", "baseline"} {
+		for _, scheme := range []string{"aqua-memmapped", "aqua-sram", "rrs", "baseline", "blockhammer", "victim-refresh"} {
 			var out bytes.Buffer
 			err := runReplay([]string{"-scheme", scheme, path}, &out)
 			if err == nil || !strings.Contains(err.Error(), "record 1:") {
@@ -152,5 +152,29 @@ func TestReplayRejectsRowsOutsideRegion(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "invariant held") {
 		t.Fatalf("replay of an in-region trace:\n%s", out.String())
+	}
+}
+
+// TestReplayRejectsThresholdBelowTwo: replay -trh below 2 is an error
+// that prints nothing, as is an unknown scheme.
+func TestReplayRejectsThresholdBelowTwo(t *testing.T) {
+	path := writeTrace(t, gccRecords(t, 100))
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-trh", "0"}, "must be >= 2"},
+		{[]string{"-trh", "1"}, "must be >= 2"},
+		{[]string{"-trh", "-5"}, "must be >= 2"},
+		{[]string{"-scheme", "no-such-scheme"}, "unknown scheme"},
+	} {
+		args := tc.args
+		var out bytes.Buffer
+		if err := runReplay(append(args, path), &out); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("replay %s: err = %v, want %q", strings.Join(args, " "), err, tc.want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("replay %s printed:\n%s", strings.Join(args, " "), out.String())
+		}
 	}
 }

@@ -12,11 +12,7 @@ import (
 	"repro"
 	"repro/internal/analytic"
 	"repro/internal/attack"
-	"repro/internal/core"
 	"repro/internal/cpu"
-	"repro/internal/dram"
-	"repro/internal/memctrl"
-	"repro/internal/mitigation"
 	"repro/internal/sim"
 )
 
@@ -25,41 +21,30 @@ const (
 	requests = 400_000
 )
 
-func run(geom dram.Geometry, visible int, mit func(*dram.Rank) mitigation.Mitigator) (dram.PS, mitigation.Stats) {
-	rank := repro.NewRank(geom, repro.DDR4Timing())
-	m := mit(rank)
-	ctrl := memctrl.New(rank, m, memctrl.Config{})
-	s := attack.NewRotatingDoS(geom, visible, trh/2, requests)
-	c := cpu.New(0, s, cpu.Config{MLP: 4})
-	for {
-		at, ok := c.NextIssueTime()
-		if !ok {
-			break
-		}
-		c.Issue(at, ctrl.Submit)
-	}
-	return c.FinishTime(), m.Stats()
+// run drives the DoS stream through one core of a full system under
+// scheme and returns the result.
+func run(scheme sim.Scheme) sim.Result {
+	region := sim.VisibleRegion(sim.Config{})
+	s := attack.NewRotatingDoS(region.Geom, region.VisibleRowsPerBank, trh/2, requests)
+	sys := sim.NewSystem(sim.Config{Scheme: scheme, TRH: trh, Cores: 1, CoreCfg: cpu.Config{MLP: 4}},
+		[]cpu.Stream{s})
+	return sys.Run(0)
 }
 
 func main() {
 	geom := repro.BaselineGeometry()
-	region := sim.VisibleRegion(sim.Config{})
-
 	fmt.Printf("DoS pattern: in each of %d banks, hammer a fresh row %d times, repeat\n",
 		geom.Banks, trh/2)
 
-	baseTime, _ := run(geom, region.VisibleRowsPerBank,
-		func(*dram.Rank) mitigation.Mitigator { return mitigation.None{} })
-	aquaTime, st := run(geom, region.VisibleRowsPerBank,
-		func(r *dram.Rank) mitigation.Mitigator {
-			return core.New(r, core.Config{TRH: trh, Mode: core.ModeSRAM})
-		})
+	base := run(sim.SchemeBaseline)
+	aqua := run(sim.SchemeAquaSRAM)
+	st := aqua.MitStats
 
 	bound := analytic.WorstCaseSlowdown(analytic.BaselineRQAParams(trh / 2))
-	fmt.Printf("\nbaseline:  %8.2f ms for %d requests\n", float64(baseTime)/1e9, requests)
+	fmt.Printf("\nbaseline:  %8.2f ms for %d requests\n", float64(base.SimTime)/1e9, requests)
 	fmt.Printf("AQUA:      %8.2f ms (%d quarantines, %.2f ms of migration busy time)\n",
-		float64(aquaTime)/1e9, st.Mitigations, float64(st.ChannelBusy)/1e9)
-	fmt.Printf("\nmeasured slowdown:   %.2fx\n", float64(aquaTime)/float64(baseTime))
+		float64(aqua.SimTime)/1e9, st.Mitigations, float64(st.ChannelBusy)/1e9)
+	fmt.Printf("\nmeasured slowdown:   %.2fx\n", float64(aqua.SimTime)/float64(base.SimTime))
 	fmt.Printf("analytical bound:    %.2fx (Section VI-C)\n", bound)
 	fmt.Println("\nCompare Blockhammer's 1280x worst case (Table VI) — AQUA's DoS exposure")
 	fmt.Println("is comparable to ordinary row-buffer-conflict slowdowns.")

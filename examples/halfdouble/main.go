@@ -15,13 +15,10 @@ import (
 
 	"repro"
 	"repro/internal/attack"
-	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/dram"
 	"repro/internal/flipmodel"
-	"repro/internal/memctrl"
-	"repro/internal/mitigation"
-	"repro/internal/vrefresh"
+	"repro/internal/sim"
 )
 
 const trh = 400 // Rowhammer threshold for the demo
@@ -32,44 +29,24 @@ func main() {
 	fmt.Printf("victim: bank %d row %d; attacker hammers the distance-2 ring\n\n",
 		geom.BankOf(victim), geom.IndexOf(victim))
 
-	run("victim-refresh", geom, victim, func(rank *dram.Rank, fm *flipmodel.Model) mitigation.Mitigator {
-		return vrefresh.New(rank, vrefresh.Config{
-			TRH: trh,
-			// The charge model observes the mitigating refreshes — the
-			// mechanism Half-Double exploits.
-			OnRefresh: func(r dram.Row, at dram.PS) { fm.RowOpened(r, at) },
-		})
-	})
-
-	run("aqua", geom, victim, func(rank *dram.Rank, _ *flipmodel.Model) mitigation.Mitigator {
-		return core.New(rank, core.Config{TRH: trh, Mode: core.ModeMemMapped})
-	})
+	run("victim-refresh", sim.SchemeVictimRefresh, geom, victim)
+	run("aqua", sim.SchemeAquaMemMapped, geom, victim)
 }
 
-func run(name string, geom dram.Geometry, victim dram.Row,
-	mitigator func(*dram.Rank, *flipmodel.Model) mitigation.Mitigator) {
-
-	rank := repro.NewRank(geom, repro.DDR4Timing())
-	// Flip threshold: 2*T_RH combined disturbance (T_RH is defined per
-	// aggressor row; a victim has two distance-1 neighbours).
-	fm := flipmodel.New(geom, 2*trh, rank.Timing().TREFW)
-	fm.Attach(rank)
-
-	mit := mitigator(rank, fm)
-	ctrl := memctrl.New(rank, mit, memctrl.Config{})
-
-	// Half-Double pattern: hammer the distance-2 ring hard.
+func run(name string, scheme sim.Scheme, geom dram.Geometry, victim dram.Row) {
+	// Half-Double pattern: hammer the distance-2 ring hard, from one core.
 	stream := attack.HalfDouble(geom, victim, trh*trh)
-	c := cpu.New(0, stream, cpu.Config{MLP: 1})
-	for {
-		at, ok := c.NextIssueTime()
-		if !ok {
-			break
-		}
-		c.Issue(at, ctrl.Submit)
-	}
+	sys := sim.NewSystem(sim.Config{Scheme: scheme, TRH: trh, Cores: 1, CoreCfg: cpu.Config{MLP: 1}},
+		[]cpu.Stream{stream})
 
-	st := mit.Stats()
+	// Flip threshold: 2*T_RH combined disturbance (T_RH is defined per
+	// aggressor row; a victim has two distance-1 neighbours). The charge
+	// model observes activations and the mitigating refreshes victim
+	// refresh reports to the rank — the mechanism Half-Double exploits.
+	fm := flipmodel.New(geom, 2*trh, sys.Cfg.Timing.TREFW)
+	fm.Attach(sys.Rank)
+	st := sys.Run(0).MitStats
+
 	fmt.Printf("%-14s mitigations=%-5d refreshes=%-5d migrations=%-4d victim disturbance=%d\n",
 		name, st.Mitigations, st.VictimRefreshes, st.RowMigrations, fm.Disturbance(victim))
 	flipped := false

@@ -11,10 +11,7 @@ import (
 	"fmt"
 	"log"
 
-	"repro"
 	"repro/internal/cpu"
-	"repro/internal/memctrl"
-	"repro/internal/mitigation"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -36,36 +33,24 @@ func main() {
 	fmt.Printf("recorded %d requests (%d bytes, %.1f bytes/request)\n\n",
 		n, buf.Len(), float64(buf.Len())/float64(n))
 
-	// 2. Replay the identical stream through two configurations.
-	replay := func(name string, mitigate bool) {
+	// 2. Replay the identical stream through two configurations, each on
+	// one core of a full system.
+	replay := func(name string, scheme sim.Scheme) {
 		r, err := trace.NewReader(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			log.Fatal(err)
 		}
-		rank := repro.NewBaselineRank()
-		var mit mitigation.Mitigator = mitigation.None{}
-		if mitigate {
-			mit = repro.NewAqua(rank, repro.AquaConfig{TRH: 1000})
-		}
-		ctrl := memctrl.New(rank, mit, memctrl.Config{})
-		c := cpu.New(0, r, cpu.Config{})
-		for {
-			at, ok := c.NextIssueTime()
-			if !ok {
-				break
-			}
-			c.Issue(at, ctrl.Submit)
-		}
+		sys := sim.NewSystem(sim.Config{Scheme: scheme, TRH: 1000, Cores: 1}, []cpu.Stream{r})
+		res := sys.Run(0)
 		if r.Err() != nil {
 			log.Fatal(r.Err())
 		}
-		st := mit.Stats()
 		fmt.Printf("%-10s IPC=%.3f time=%.2fms mitigations=%d migrations=%d\n",
-			name, c.IPC(c.FinishTime()), float64(c.FinishTime())/1e9,
-			st.Mitigations, st.RowMigrations)
+			name, res.IPC, float64(res.SimTime)/1e9,
+			res.MitStats.Mitigations, res.MitStats.RowMigrations)
 	}
-	replay("baseline", false)
-	replay("aqua", true)
+	replay("baseline", sim.SchemeBaseline)
+	replay("aqua", sim.SchemeAquaSRAM)
 
 	fmt.Println("\nThe same bits drive both runs — any difference is the mitigation.")
 	fmt.Println("Use `go run ./cmd/tracedump` to record/inspect/replay traces on disk.")

@@ -239,9 +239,9 @@ func (d *RotatingDoS) Next() (cpu.Request, bool) {
 // same FPT table row, hammering it.
 //
 // groupRows must contain, per group, at least two setup rows followed by
-// the sweep rows; the caller (tests, cmd/attacksim) derives them from the
-// engine's layout. setupActs is the activation count that quarantines a
-// row (T_RH/2).
+// the sweep rows; the caller (tests, aquasim -attack) derives them and
+// visibleRowsPerBank from AQUA's table layout (core.VisibleRowsPerBankFor).
+// setupActs is the activation count that quarantines a row (T_RH/2).
 func TableHammer(geom dram.Geometry, visibleRowsPerBank int, setupRows, sweepRows []dram.Row, setupActs, sweepRounds int64) cpu.Stream {
 	streams := make([]cpu.Stream, 0, len(setupRows)+1)
 	for _, r := range setupRows {

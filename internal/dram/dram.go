@@ -2,7 +2,8 @@
 // with open-page row buffers, the timing constraints that matter for
 // Rowhammer arithmetic (tRC, tRCD, tCL, tRP, tCCD, tRFC, tREFI, tREFW), and
 // activation listeners through which trackers and monitors observe every
-// row activation.
+// row activation, plus refresh listeners that observe the targeted row
+// refreshes a mitigation issues.
 //
 // The model reproduces the latency arithmetic the AQUA paper relies on:
 // streaming one 8KB row takes tRC + 127*tCCD_L ~= 680ns, so a quarantine
@@ -299,6 +300,11 @@ type Rank struct {
 	faults *fault.Injector
 
 	stats RankStats
+
+	// refreshListeners observe targeted row refreshes (NotifyRefresh);
+	// activation listeners never see them. Last in the struct so the
+	// per-access fields keep their offsets.
+	refreshListeners []ActListener
 }
 
 // timingShadow holds the invariant checker's independent view of bank
@@ -371,6 +377,23 @@ func (r *Rank) Listen(l ActListener) {
 		r.single = l
 	} else {
 		r.single = nil
+	}
+}
+
+// ListenRefresh registers a listener for the targeted row refreshes a
+// mitigation reports through NotifyRefresh (victim refresh's neighbour
+// refreshes). Activation listeners are not called for them.
+func (r *Rank) ListenRefresh(l ActListener) {
+	r.refreshListeners = append(r.refreshListeners, l)
+}
+
+// NotifyRefresh reports that a mitigation refreshed row at time at. It
+// only notifies the refresh listeners: the refresh's bank time is the
+// caller's to charge (victim refresh reserves one tRC per row), and it
+// counts in no RankStats field.
+func (r *Rank) NotifyRefresh(row Row, at PS) {
+	for _, l := range r.refreshListeners {
+		l(row, at)
 	}
 }
 

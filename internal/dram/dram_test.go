@@ -249,6 +249,28 @@ func TestListenerSeesActivations(t *testing.T) {
 	}
 }
 
+// TestRefreshListenersSeeOnlyRefreshes: NotifyRefresh reaches the refresh
+// listeners and nothing else — no activation listener call, no RankStats
+// change, no bank timing.
+func TestRefreshListenersSeeOnlyRefreshes(t *testing.T) {
+	r := NewRank(testGeom(), DDR4())
+	var acts, refreshes []Row
+	r.Listen(func(row Row, _ PS) { acts = append(acts, row) })
+	r.ListenRefresh(func(row Row, _ PS) { refreshes = append(refreshes, row) })
+	a := r.Geometry().RowOf(1, 7)
+	r.NotifyRefresh(a, 5000)
+	if len(refreshes) != 1 || refreshes[0] != a || len(acts) != 0 {
+		t.Fatalf("refresh listener saw %v, activation listener saw %v", refreshes, acts)
+	}
+	if r.Stats() != (RankStats{}) || r.BankReadyAt(1) != 0 {
+		t.Fatalf("a notification changed the rank: stats %+v, bank ready at %d", r.Stats(), r.BankReadyAt(1))
+	}
+	r.Access(a, false, 0)
+	if len(refreshes) != 1 || len(acts) != 1 {
+		t.Fatalf("after an ACT: refresh listener saw %v, activation listener saw %v", refreshes, acts)
+	}
+}
+
 func TestStreamRowTiming(t *testing.T) {
 	r := NewRank(testGeom(), DDR4())
 	acts := countACTs(r)

@@ -65,12 +65,13 @@ func New(geom dram.Geometry, threshold int64, window dram.PS) *Model {
 	}
 }
 
-// Attach wires the model to a rank so every committed activation is
-// observed. Victim-refresh engines must additionally route their
-// mitigating refreshes to RowOpened via the vrefresh.Config.OnRefresh
-// hook.
+// Attach wires the model to a rank so every committed activation and
+// every targeted refresh a mitigation reports to the rank (victim
+// refresh's, through dram.Rank.NotifyRefresh) is observed as a row
+// opening.
 func (m *Model) Attach(r *dram.Rank) {
-	r.Listen(func(row dram.Row, at dram.PS) { m.RowOpened(row, at) })
+	r.Listen(m.RowOpened)
+	r.ListenRefresh(m.RowOpened)
 }
 
 // RowOpened records that a row was opened (activated or refreshed) at the

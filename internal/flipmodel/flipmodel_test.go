@@ -166,6 +166,22 @@ func TestAttach(t *testing.T) {
 	}
 }
 
+// TestAttachObservesRefreshes: a targeted refresh reported to the rank
+// disturbs the refreshed row's neighbours like an activation, which is
+// how victim refresh's own refreshes reach the model (Half-Double).
+func TestAttachObservesRefreshes(t *testing.T) {
+	g := testGeom()
+	rank := dram.NewRank(g, dram.DDR4())
+	m := New(g, 5, 64*ms)
+	m.Attach(rank)
+	for i := 0; i < 5; i++ {
+		rank.NotifyRefresh(g.RowOf(0, 11), dram.PS(i))
+	}
+	if m.Opens() != 5 || m.Disturbance(g.RowOf(0, 12)) != 5 || !m.Flipped() {
+		t.Fatalf("opens %d, neighbour disturbance %d, flipped %v", m.Opens(), m.Disturbance(g.RowOf(0, 12)), m.Flipped())
+	}
+}
+
 func TestReset(t *testing.T) {
 	m := New(testGeom(), 10, 64*ms)
 	for i := 0; i < 20; i++ {

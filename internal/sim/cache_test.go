@@ -371,6 +371,31 @@ func TestCancelledCellNotCached(t *testing.T) {
 	}
 }
 
+// TestThresholdBelowTwoFailsBeforeCache: a T_RH below 2 fails as a
+// CellError carrying the cell's identity, without simulating or writing
+// anything under the bad key.
+func TestThresholdBelowTwoFailsBeforeCache(t *testing.T) {
+	store := storeAt(t, t.TempDir())
+	r := NewRunner(gridCfg(1))
+	r.AttachCellCache(store)
+	for _, trh := range []int64{0, 1, -5} {
+		_, err := r.Run("xz", SchemeAquaMemMapped, trh)
+		var ce *CellError
+		if !errors.As(err, &ce) || ce.TRH != trh || ce.Workload != "xz" {
+			t.Errorf("T_RH %d: err = %v, want a CellError for xz/aqua-memmapped/%d", trh, err, trh)
+		}
+	}
+	if st := r.CellStats(); st.Simulated != 0 {
+		t.Fatalf("cell stats %+v; a bad threshold simulated", st)
+	}
+	if st := store.Stats(); st.Puts != 0 {
+		t.Fatalf("store stats %+v; a bad threshold was cached", st)
+	}
+	if len(r.Cells()) != 0 {
+		t.Fatal("a bad threshold was memoized")
+	}
+}
+
 // TestCellKeyDeterminism pins that the key is a pure function of the
 // configuration: same config same key, any varied determinant a
 // different key, and wall-clock-only knobs (Parallel) no change.

@@ -531,6 +531,9 @@ func (r *Runner) Run(name string, scheme Scheme, trh int64) (WorkloadRun, error)
 // failure comes back as a *CellError (identity + cause + panic stack);
 // cancellation comes back as the context's error, unwrapped.
 //
+// A threshold CheckTRH rejects fails as a *CellError before the memo or
+// the cache is consulted, so nothing is ever stored under its key.
+//
 // Every cell takes one path, whether or not a fault rule matches it: the
 // in-memory memo, then a coalesced in-flight execution of the same cell,
 // then the content-addressed cache, and only then one protected
@@ -540,6 +543,9 @@ func (r *Runner) Run(name string, scheme Scheme, trh int64) (WorkloadRun, error)
 //
 //detertaint:root
 func (r *Runner) RunCtx(ctx context.Context, name string, scheme Scheme, trh int64) (WorkloadRun, error) {
+	if err := CheckTRH(trh); err != nil {
+		return WorkloadRun{}, &CellError{Workload: name, Scheme: scheme, TRH: trh, Err: err}
+	}
 	key := cellKey{name, scheme, trh}
 	r.mu.Lock()
 	r.cellStats.Requests++

@@ -68,6 +68,27 @@ func (s Scheme) String() string {
 	}
 }
 
+// ParseScheme returns the scheme whose String is name: the one table that
+// maps a scheme name to a Scheme.
+func ParseScheme(name string) (Scheme, error) {
+	for s := SchemeBaseline; s <= SchemeVictimRefresh; s++ {
+		if s.String() == name {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown scheme %q", name)
+}
+
+// CheckTRH rejects a Rowhammer threshold below 2: the security monitor
+// counts to T_RH and the mitigations act at T_RH/2, so a smaller
+// threshold has no meaning.
+func CheckTRH(trh int64) error {
+	if trh < 2 {
+		return fmt.Errorf("T_RH %d: must be >= 2", trh)
+	}
+	return nil
+}
+
 // Config parameterizes a system build.
 type Config struct {
 	Geometry dram.Geometry
@@ -308,13 +329,17 @@ func NewSystem(cfg Config, streams []cpu.Stream) *System {
 }
 
 // NewSystemE is NewSystem with validation and panic containment: malformed
-// configurations (bad geometry/timing, a stream/core mismatch, a layout
-// the RQA arithmetic rejects) come back as errors instead of process
-// aborts, so a bad grid cell fails as a CellError. The library panics in
-// analytic/layout code stay — NewSystemE converts them at this boundary.
+// configurations (a T_RH below 2 once defaulted, bad geometry/timing, a
+// stream/core mismatch, a layout the RQA arithmetic rejects) come back as
+// errors instead of process aborts, so a bad grid cell fails as a
+// CellError. The library panics in analytic/layout code stay — NewSystemE
+// converts them at this boundary.
 func NewSystemE(cfg Config, streams []cpu.Stream) (*System, error) {
 	probe := cfg
 	probe.fillDefaults()
+	if err := CheckTRH(probe.TRH); err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
 	if len(streams) != probe.Cores {
 		return nil, fmt.Errorf("sim: %d streams for %d cores", len(streams), probe.Cores)
 	}

@@ -38,6 +38,37 @@ func TestSchemeStrings(t *testing.T) {
 		if s.String() != want {
 			t.Errorf("%d -> %q", s, s.String())
 		}
+		// ParseScheme inverts String for every scheme and rejects the rest.
+		got, err := ParseScheme(want)
+		if s == Scheme(99) {
+			if err == nil {
+				t.Errorf("ParseScheme(%q) accepted", want)
+			}
+		} else if err != nil || got != s {
+			t.Errorf("ParseScheme(%q) = %v, %v; want %v", want, got, err, s)
+		}
+	}
+}
+
+// TestNewSystemERejectsThresholdBelowTwo: T_RH is checked after defaults,
+// so 0 builds the default T_RH-1000 system while 1 and -5 are errors, not
+// a panic in the monitor or a hang in the engine.
+func TestNewSystemERejectsThresholdBelowTwo(t *testing.T) {
+	for _, trh := range []int64{1, -5} {
+		cfg := fastCfg(SchemeAquaMemMapped)
+		cfg.TRH = trh
+		if _, err := NewSystemE(cfg, xzStreams(t, 10)); err == nil {
+			t.Errorf("NewSystemE accepted T_RH %d", trh)
+		}
+	}
+	cfg := fastCfg(SchemeAquaMemMapped)
+	cfg.TRH = 0
+	sys, err := NewSystemE(cfg, xzStreams(t, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sys.Cfg.TRH != 1000 {
+		t.Fatalf("T_RH 0 defaulted to %d, want 1000", sys.Cfg.TRH)
 	}
 }
 

@@ -6,11 +6,12 @@
 // victim refresh stops classic single- and double-sided Rowhammer but (a)
 // requires knowledge of the DRAM-internal row mapping and (b) is defeated
 // by Half-Double, where the mitigating refreshes of distance-1 rows
-// themselves disturb rows at distance 2 (Figure 1a). The engine exposes a
-// refresh callback so the charge model in internal/flipmodel can observe
-// mitigating refreshes and reproduce the Half-Double effect; configuring
-// RefreshDistance > 1 demonstrates the paper's observation that refreshing
-// further neighbours merely pushes the attack to distance N+1.
+// themselves disturb rows at distance 2 (Figure 1a). The engine reports
+// each mitigating refresh to the rank (dram.Rank.NotifyRefresh), where the
+// charge model in internal/flipmodel observes it and reproduces the
+// Half-Double effect; configuring RefreshDistance > 1 demonstrates the
+// paper's observation that refreshing further neighbours merely pushes the
+// attack to distance N+1.
 package vrefresh
 
 import (
@@ -29,9 +30,6 @@ type Config struct {
 	RefreshDistance int
 	// Tracker overrides the aggressor tracker.
 	Tracker tracker.Tracker
-	// OnRefresh, if set, observes every mitigating refresh (row, time).
-	// The flip model hooks in here.
-	OnRefresh func(row dram.Row, at dram.PS)
 }
 
 func (c *Config) fillDefaults() {
@@ -104,9 +102,7 @@ func (e *Engine) OnActivate(physRow dram.Row, at dram.PS) dram.PS {
 			// victim: one tRC of bank time.
 			t += trc
 			e.stats.VictimRefreshes++
-			if e.cfg.OnRefresh != nil {
-				e.cfg.OnRefresh(victim, t)
-			}
+			e.rank.NotifyRefresh(victim, t)
 		}
 	}
 	e.rank.Reserve(t)

@@ -14,11 +14,13 @@ func testGeom() dram.Geometry {
 func newEngine(t *testing.T, trh int64, distance int, onRefresh func(dram.Row, dram.PS)) *Engine {
 	t.Helper()
 	rank := dram.NewRank(testGeom(), dram.DDR4())
+	if onRefresh != nil {
+		rank.ListenRefresh(onRefresh)
+	}
 	return New(rank, Config{
 		TRH:             trh,
 		RefreshDistance: distance,
 		Tracker:         tracker.NewExact(testGeom(), trh/2),
-		OnRefresh:       onRefresh,
 	})
 }
 

@@ -168,19 +168,6 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if mon.Violated() {
 		t.Fatal("fresh monitor violated")
 	}
-	// Other facade constructors wire up.
-	rank2 := NewBaselineRank()
-	if NewRRS(rank2, RRSConfig{TRH: 1000}).Name() != "rrs" {
-		t.Fatal("rrs facade")
-	}
-	rank3 := NewBaselineRank()
-	if NewBlockhammer(rank3, BlockhammerConfig{}).Name() != "blockhammer" {
-		t.Fatal("blockhammer facade")
-	}
-	rank4 := NewBaselineRank()
-	if NewVictimRefresh(rank4, VictimRefreshConfig{}).Name() != "victim-refresh" {
-		t.Fatal("vrefresh facade")
-	}
 	if len(AllWorkloads()) != 34 || len(SPECWorkloads()) != 18 {
 		t.Fatal("workload lists")
 	}

@@ -10,8 +10,8 @@
 // The root package is the public facade: it re-exports the types needed to
 // assemble a protected memory system and provides the Lab, which
 // regenerates every table and figure of the paper's evaluation. The
-// runnable entry points live in cmd/ (aquasim, figures, attacksim) and
-// examples/.
+// runnable entry points live in cmd/ (aquasim for one workload or attack
+// run, figures, tracedump) and examples/.
 //
 // Quick start:
 //
@@ -27,16 +27,13 @@
 package repro
 
 import (
-	"repro/internal/blockhammer"
 	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/memctrl"
 	"repro/internal/mitigation"
-	"repro/internal/rrs"
 	"repro/internal/security"
 	"repro/internal/sim"
 	"repro/internal/tracker"
-	"repro/internal/vrefresh"
 )
 
 // Core DRAM types.
@@ -63,12 +60,6 @@ type (
 	AquaConfig = core.Config
 	// AquaEngine is the AQUA mitigation engine (the paper's contribution).
 	AquaEngine = core.Engine
-	// RRSConfig parameterizes the Randomized Row-Swap baseline.
-	RRSConfig = rrs.Config
-	// BlockhammerConfig parameterizes the rate-limiting baseline.
-	BlockhammerConfig = blockhammer.Config
-	// VictimRefreshConfig parameterizes the victim-refresh baseline.
-	VictimRefreshConfig = vrefresh.Config
 	// Controller is the memory controller.
 	Controller = memctrl.Controller
 	// Tracker is an aggressor-row tracker.
@@ -131,19 +122,6 @@ func NewRank(g Geometry, t Timing) *Rank { return dram.NewRank(g, t) }
 
 // NewAqua builds an AQUA engine bound to a rank.
 func NewAqua(rank *Rank, cfg AquaConfig) *AquaEngine { return core.New(rank, cfg) }
-
-// NewRRS builds a Randomized Row-Swap engine bound to a rank.
-func NewRRS(rank *Rank, cfg RRSConfig) Mitigator { return rrs.New(rank, cfg) }
-
-// NewBlockhammer builds a Blockhammer engine bound to a rank.
-func NewBlockhammer(rank *Rank, cfg BlockhammerConfig) Mitigator {
-	return blockhammer.New(rank, cfg)
-}
-
-// NewVictimRefresh builds a victim-refresh engine bound to a rank.
-func NewVictimRefresh(rank *Rank, cfg VictimRefreshConfig) Mitigator {
-	return vrefresh.New(rank, cfg)
-}
 
 // NewController builds a memory controller binding a rank to a mitigation
 // scheme (nil = unprotected baseline).

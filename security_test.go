@@ -8,73 +8,68 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/dram"
 	"repro/internal/flipmodel"
-	"repro/internal/memctrl"
-	"repro/internal/mitigation"
-	"repro/internal/rrs"
-	"repro/internal/security"
 	"repro/internal/sim"
-	"repro/internal/tracker"
-	"repro/internal/vrefresh"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
-// runAttack drives one attack stream through a single core against the
-// given mitigator and returns the system pieces for inspection.
-func runAttack(t *testing.T, mit mitigation.Mitigator, rank *dram.Rank, trh int, stream cpu.Stream) (*security.Monitor, *memctrl.Controller) {
+// runAttack drives one attack stream through a single core of a full
+// sim.System (MLP 1 unless cfg.CoreCfg sets it) with the security monitor
+// attached, and returns the system for inspection. fm, when non-nil,
+// observes the rank's activations and refreshes.
+func runAttack(t *testing.T, cfg sim.Config, stream cpu.Stream, fm *flipmodel.Model) (*sim.System, sim.Result) {
 	t.Helper()
-	mon := security.NewMonitor(trh, rank.Timing().TREFW)
-	mon.Attach(rank)
-	ctrl := memctrl.New(rank, mit, memctrl.Config{})
-	c := cpu.New(0, stream, cpu.Config{MLP: 1})
-	for {
-		at, ok := c.NextIssueTime()
-		if !ok {
-			break
-		}
-		c.Issue(at, ctrl.Submit)
+	cfg.Cores = 1
+	if cfg.CoreCfg.MLP == 0 {
+		cfg.CoreCfg.MLP = 1
 	}
-	return mon, ctrl
+	cfg.Monitor = true
+	sys, err := sim.NewSystemE(cfg, []cpu.Stream{stream})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fm != nil {
+		fm.Attach(sys.Rank)
+	}
+	return sys, sys.Run(0)
 }
 
 func TestBaselineVulnerableToDoubleSided(t *testing.T) {
 	geom := BaselineGeometry()
-	rank := NewRank(geom, DDR4Timing())
 	victim := geom.RowOf(3, 5000)
 	const trh = 1000
-	mon, _ := runAttack(t, mitigation.None{}, rank, trh,
-		attack.DoubleSided(geom, victim, 2*trh))
-	if !mon.Violated() {
+	sys, _ := runAttack(t, sim.Config{Scheme: SchemeBaseline, TRH: trh},
+		attack.DoubleSided(geom, victim, 2*trh), nil)
+	if !sys.Monitor.Violated() {
 		t.Fatal("unprotected memory survived a double-sided attack")
 	}
 }
 
 func TestBaselineVulnerableToSingleSided(t *testing.T) {
 	geom := BaselineGeometry()
-	rank := NewRank(geom, DDR4Timing())
 	aggr := geom.RowOf(0, 777)
-	mon, _ := runAttack(t, mitigation.None{}, rank, 1000,
-		attack.SingleSided(geom, aggr, geom.RowsPerBank, 2000))
-	if !mon.Violated() {
+	sys, _ := runAttack(t, sim.Config{Scheme: SchemeBaseline, TRH: 1000},
+		attack.SingleSided(geom, aggr, geom.RowsPerBank, 2000), nil)
+	if !sys.Monitor.Violated() {
 		t.Fatal("unprotected memory survived single-sided hammering")
 	}
 }
 
 func TestAquaStopsDoubleSided(t *testing.T) {
-	for _, mode := range []core.Mode{core.ModeSRAM, core.ModeMemMapped} {
-		rank := NewBaselineRank()
-		geom := rank.Geometry()
-		eng := core.New(rank, core.Config{TRH: 1000, Mode: mode})
+	for _, scheme := range []sim.Scheme{SchemeAquaSRAM, SchemeAquaMemMapped} {
+		geom := BaselineGeometry()
 		victim := geom.RowOf(3, 5000)
-		mon, _ := runAttack(t, eng, rank, 1000,
-			attack.DoubleSided(geom, victim, 4000))
+		sys, _ := runAttack(t, sim.Config{Scheme: scheme, TRH: 1000},
+			attack.DoubleSided(geom, victim, 4000), nil)
+		mon := sys.Monitor
 		if mon.Violated() {
-			t.Fatalf("%s: AQUA violated: %+v", mode, mon.Violations()[0])
+			t.Fatalf("%s: AQUA violated: %+v", scheme, mon.Violations()[0])
 		}
-		if eng.Stats().Mitigations == 0 {
-			t.Fatalf("%s: attack triggered no mitigations", mode)
+		if sys.Aqua.Stats().Mitigations == 0 {
+			t.Fatalf("%s: attack triggered no mitigations", scheme)
 		}
 		if _, max := mon.MaxWindowCount(); max >= 1000 {
-			t.Fatalf("%s: a row reached %d ACTs", mode, max)
+			t.Fatalf("%s: a row reached %d ACTs", scheme, max)
 		}
 	}
 }
@@ -83,28 +78,17 @@ func TestAquaStopsSustainedHammering(t *testing.T) {
 	// The attacker follows the row through every quarantine: translate,
 	// hammer, repeat — 20x the threshold in total. Property P3: even the
 	// quarantine slots migrate before reaching T_RH.
-	rank := NewBaselineRank()
-	geom := rank.Geometry()
+	geom := BaselineGeometry()
 	const trh = 1000
-	eng := core.New(rank, core.Config{TRH: trh, Mode: core.ModeMemMapped})
-	mon := security.NewMonitor(trh, rank.Timing().TREFW)
-	mon.Attach(rank)
-	ctrl := memctrl.New(rank, eng, memctrl.Config{})
 
 	// The adaptive pattern forces one target activation per round even as
 	// migrations move the row across banks.
 	aggr := geom.RowOf(0, 42)
-	stream := attack.AdaptiveHammer(geom, aggr, 60000, 8*trh)
-	c := cpu.New(0, stream, cpu.Config{MLP: 1})
-	for {
-		at, ok := c.NextIssueTime()
-		if !ok {
-			break
-		}
-		c.Issue(at, ctrl.Submit)
-	}
-	if mon.Violated() {
-		t.Fatalf("sustained hammering violated: %+v", mon.Violations()[0])
+	sys, _ := runAttack(t, sim.Config{Scheme: SchemeAquaMemMapped, TRH: trh},
+		attack.AdaptiveHammer(geom, aggr, 60000, 8*trh), nil)
+	eng := sys.Aqua
+	if sys.Monitor.Violated() {
+		t.Fatalf("sustained hammering violated: %+v", sys.Monitor.Violations()[0])
 	}
 	if eng.Stats().Mitigations < 10 {
 		t.Fatalf("expected many internal migrations, got %d", eng.Stats().Mitigations)
@@ -115,28 +99,15 @@ func TestAquaStopsSustainedHammering(t *testing.T) {
 }
 
 func TestRRSStopsSustainedHammering(t *testing.T) {
-	rank := NewBaselineRank()
-	geom := rank.Geometry()
+	geom := BaselineGeometry()
 	const trh = 1000
-	eng := rrs.New(rank, rrs.Config{TRH: trh, Seed: 9})
-	mon := security.NewMonitor(trh, rank.Timing().TREFW)
-	mon.Attach(rank)
-	ctrl := memctrl.New(rank, eng, memctrl.Config{})
-
 	aggr := geom.RowOf(1, 42)
-	stream := attack.AdaptiveHammer(geom, aggr, geom.RowsPerBank, 6*trh)
-	c := cpu.New(0, stream, cpu.Config{MLP: 1})
-	for {
-		at, ok := c.NextIssueTime()
-		if !ok {
-			break
-		}
-		c.Issue(at, ctrl.Submit)
+	sys, _ := runAttack(t, sim.Config{Scheme: SchemeRRS, TRH: trh, Seed: 9},
+		attack.AdaptiveHammer(geom, aggr, geom.RowsPerBank, 6*trh), nil)
+	if sys.Monitor.Violated() {
+		t.Fatalf("RRS violated: %+v", sys.Monitor.Violations()[0])
 	}
-	if mon.Violated() {
-		t.Fatalf("RRS violated: %+v", mon.Violations()[0])
-	}
-	if eng.Stats().Mitigations == 0 {
+	if sys.Mit.Stats().Mitigations == 0 {
 		t.Fatal("RRS never swapped under sustained hammering")
 	}
 }
@@ -154,17 +125,12 @@ func TestHalfDoubleDefeatsVictimRefreshButNotAqua(t *testing.T) {
 	// per aggressor row, and a victim has two distance-1 neighbours.
 	const flipThreshold = 2 * trh
 
-	// Victim refresh: flips the distance-2 victim (Figure 1a).
+	// Victim refresh: flips the distance-2 victim (Figure 1a). The charge
+	// model sees the mitigating refreshes the engine reports to the rank.
 	{
-		rank := NewRank(geom, DDR4Timing())
-		fm := flipmodel.New(geom, flipThreshold, rank.Timing().TREFW)
-		fm.Attach(rank)
-		eng := vrefresh.New(rank, vrefresh.Config{
-			TRH:       trh,
-			OnRefresh: func(r dram.Row, at dram.PS) { fm.RowOpened(r, at) },
-		})
-		mon, _ := runAttack(t, eng, rank, trh, attack.HalfDouble(geom, victim, acts))
-		_ = mon
+		fm := flipmodel.New(geom, flipThreshold, DDR4Timing().TREFW)
+		runAttack(t, sim.Config{Scheme: SchemeVictimRefresh, TRH: trh},
+			attack.HalfDouble(geom, victim, acts), fm)
 		flipped := false
 		for _, f := range fm.Flips() {
 			if f.Victim == victim {
@@ -180,18 +146,16 @@ func TestHalfDoubleDefeatsVictimRefreshButNotAqua(t *testing.T) {
 	// neighbourhood accumulates the threshold. Deliberately checked at the
 	// *stricter* 1x combined threshold — AQUA holds with margin.
 	{
-		rank := NewRank(geom, DDR4Timing())
-		fm := flipmodel.New(geom, trh, rank.Timing().TREFW)
-		fm.Attach(rank)
-		eng := core.New(rank, core.Config{TRH: trh, Mode: core.ModeMemMapped})
-		mon, _ := runAttack(t, eng, rank, trh, attack.HalfDouble(geom, victim, acts))
+		fm := flipmodel.New(geom, trh, DDR4Timing().TREFW)
+		sys, _ := runAttack(t, sim.Config{Scheme: SchemeAquaMemMapped, TRH: trh},
+			attack.HalfDouble(geom, victim, acts), fm)
 		for _, f := range fm.Flips() {
 			if f.Victim == victim {
 				t.Fatal("Half-Double flipped the victim despite AQUA")
 			}
 		}
-		if mon.Violated() {
-			t.Fatalf("AQUA activation invariant violated: %+v", mon.Violations()[0])
+		if sys.Monitor.Violated() {
+			t.Fatalf("AQUA activation invariant violated: %+v", sys.Monitor.Violations()[0])
 		}
 	}
 }
@@ -203,26 +167,13 @@ func TestWorstCaseDoSBounded(t *testing.T) {
 	geom := BaselineGeometry()
 	const trh = 1000
 	region := sim.VisibleRegion(sim.Config{})
-	run := func(mit func(*dram.Rank) mitigation.Mitigator) dram.PS {
-		rank := NewRank(geom, DDR4Timing())
-		ctrl := memctrl.New(rank, mit(rank), memctrl.Config{})
-		s := attack.NewRotatingDoS(geom, region.VisibleRowsPerBank, trh/2, 200_000)
-		c := cpu.New(0, s, cpu.Config{MLP: 4})
-		var last dram.PS
-		for {
-			at, ok := c.NextIssueTime()
-			if !ok {
-				break
-			}
-			c.Issue(at, ctrl.Submit)
-			last = c.FinishTime()
-		}
-		return last
+	run := func(scheme sim.Scheme) dram.PS {
+		_, res := runAttack(t, sim.Config{Scheme: scheme, TRH: trh, CoreCfg: cpu.Config{MLP: 4}},
+			attack.NewRotatingDoS(geom, region.VisibleRowsPerBank, trh/2, 200_000), nil)
+		return res.SimTime
 	}
-	base := run(func(*dram.Rank) mitigation.Mitigator { return mitigation.None{} })
-	aqua := run(func(r *dram.Rank) mitigation.Mitigator {
-		return core.New(r, core.Config{TRH: trh, Mode: core.ModeSRAM})
-	})
+	base := run(SchemeBaseline)
+	aqua := run(SchemeAquaSRAM)
 	slowdown := float64(aqua) / float64(base)
 	if slowdown > 3.1 {
 		t.Fatalf("DoS slowdown %.2fx exceeds the 2.95x analytical bound", slowdown)
@@ -236,13 +187,8 @@ func TestTableHammerDefended(t *testing.T) {
 	// Section VI-B integrity: hammering AQUA's in-DRAM FPT via forced
 	// lookup misses must quarantine the table row itself, and no physical
 	// row may reach T_RH.
-	rank := NewBaselineRank()
-	geom := rank.Geometry()
+	geom := BaselineGeometry()
 	const trh = 200
-	eng := core.New(rank, core.Config{TRH: trh, Mode: core.ModeMemMapped})
-	mon := security.NewMonitor(trh, rank.Timing().TREFW)
-	mon.Attach(rank)
-	ctrl := memctrl.New(rank, eng, memctrl.Config{})
 
 	// Setup: quarantine two rows in each of two groups of the first FPT
 	// table row's coverage (rows 0..4095 share one 8KB FPT row).
@@ -256,14 +202,12 @@ func TestTableHammerDefended(t *testing.T) {
 	for i := 18; i < 32; i++ {
 		sweep = append(sweep, geom.RowOf(0, i))
 	}
-	stream := attack.TableHammer(geom, eng.VisibleRowsPerBank(), setup, sweep, trh/2, 40)
-	c := cpu.New(0, stream, cpu.Config{MLP: 1})
-	for {
-		at, ok := c.NextIssueTime()
-		if !ok {
-			break
-		}
-		c.Issue(at, ctrl.Submit)
+	visible := core.VisibleRowsPerBankFor(geom, DDR4Timing(), core.Config{TRH: trh, Mode: core.ModeMemMapped})
+	sys, _ := runAttack(t, sim.Config{Scheme: SchemeAquaMemMapped, TRH: trh},
+		attack.TableHammer(geom, visible, setup, sweep, trh/2, 40), nil)
+	eng := sys.Aqua
+	if got := eng.VisibleRowsPerBank(); got != visible {
+		t.Fatalf("engine exposes %d visible rows per bank, the stream assumed %d", got, visible)
 	}
 	for _, r := range setup {
 		if !eng.IsQuarantined(r) {
@@ -273,8 +217,8 @@ func TestTableHammerDefended(t *testing.T) {
 	if eng.Stats().TableDRAMAccesses == 0 {
 		t.Fatal("sweep never reached the in-DRAM FPT")
 	}
-	if mon.Violated() {
-		t.Fatalf("table hammering violated the invariant: %+v", mon.Violations()[0])
+	if sys.Monitor.Violated() {
+		t.Fatalf("table hammering violated the invariant: %+v", sys.Monitor.Violations()[0])
 	}
 	if err := eng.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -285,41 +229,35 @@ func TestBirthdayProbingAgainstRRS(t *testing.T) {
 	// RRS's threat: an attacker who hammers a row and probes random rows
 	// hoping to find the swap destination. Whatever the probes hit, no
 	// physical row may cross T_RH.
-	rank := NewBaselineRank()
-	geom := rank.Geometry()
+	geom := BaselineGeometry()
 	const trh = 600
-	eng := rrs.New(rank, rrs.Config{TRH: trh, Seed: 4})
-	mon := security.NewMonitor(trh, rank.Timing().TREFW)
-	mon.Attach(rank)
-	ctrl := memctrl.New(rank, eng, memctrl.Config{})
-
 	aggr := geom.RowOf(0, 9)
-	at := dram.PS(0)
+	// With no instruction gaps, the MLP-1 core issues each access the
+	// moment the previous one completes.
+	var recs []trace.Record
 	probe := dram.Row(1)
 	for i := 0; i < 6*trh; i++ {
-		at = ctrl.Submit(aggr, false, at)
 		probe = dram.Row((uint64(probe)*2862933555777941757 + 3037000493) % uint64(geom.Rows()))
 		// Probes must avoid the reserved strips only in AQUA; RRS has
 		// none, so any row is fair game.
-		at = ctrl.Submit(probe, false, at)
+		recs = append(recs, trace.Record{Row: aggr}, trace.Record{Row: probe})
 	}
-	if mon.Violated() {
-		t.Fatalf("birthday probing violated: %+v", mon.Violations()[0])
+	sys, _ := runAttack(t, sim.Config{Scheme: SchemeRRS, TRH: trh, Seed: 4}, trace.NewSliceStream(recs), nil)
+	if sys.Monitor.Violated() {
+		t.Fatalf("birthday probing violated: %+v", sys.Monitor.Violations()[0])
 	}
 }
 
 func TestManySidedAgainstAqua(t *testing.T) {
-	rank := NewBaselineRank()
-	geom := rank.Geometry()
+	geom := BaselineGeometry()
 	const trh = 500
-	eng := core.New(rank, core.Config{TRH: trh, Mode: core.ModeSRAM})
 	victim := geom.RowOf(1, 4000)
-	mon, _ := runAttack(t, eng, rank, trh,
-		attack.ManySided(geom, victim, 4, 3*trh))
-	if mon.Violated() {
-		t.Fatalf("many-sided attack violated: %+v", mon.Violations()[0])
+	sys, _ := runAttack(t, sim.Config{Scheme: SchemeAquaSRAM, TRH: trh},
+		attack.ManySided(geom, victim, 4, 3*trh), nil)
+	if sys.Monitor.Violated() {
+		t.Fatalf("many-sided attack violated: %+v", sys.Monitor.Violations()[0])
 	}
-	if eng.Stats().Mitigations == 0 {
+	if sys.Aqua.Stats().Mitigations == 0 {
 		t.Fatal("many-sided attack triggered no quarantines")
 	}
 }
@@ -327,60 +265,31 @@ func TestManySidedAgainstAqua(t *testing.T) {
 func TestAquaHydraTrackerStopsAttack(t *testing.T) {
 	// Appendix B's AQUA-Hydra configuration: the storage-optimized hybrid
 	// tracker must preserve the security invariant end-to-end.
-	rank := NewBaselineRank()
-	geom := rank.Geometry()
+	geom := BaselineGeometry()
 	const trh = 1000
-	eng := core.New(rank, core.Config{
-		TRH:     trh,
-		Mode:    core.ModeMemMapped,
-		Tracker: tracker.NewHydra(geom, trh/2, 128),
-	})
-	mon := security.NewMonitor(trh, rank.Timing().TREFW)
-	mon.Attach(rank)
-	ctrl := memctrl.New(rank, eng, memctrl.Config{})
-	stream := attack.AdaptiveHammer(geom, geom.RowOf(2, 42), 60000, 5*trh)
-	c := cpu.New(0, stream, cpu.Config{MLP: 1})
-	for {
-		at, ok := c.NextIssueTime()
-		if !ok {
-			break
-		}
-		c.Issue(at, ctrl.Submit)
+	sys, _ := runAttack(t, sim.Config{Scheme: SchemeAquaMemMapped, TRH: trh, Tracker: sim.TrackerHydra},
+		attack.AdaptiveHammer(geom, geom.RowOf(2, 42), 60000, 5*trh), nil)
+	if sys.Monitor.Violated() {
+		t.Fatalf("AQUA-Hydra violated: %+v", sys.Monitor.Violations()[0])
 	}
-	if mon.Violated() {
-		t.Fatalf("AQUA-Hydra violated: %+v", mon.Violations()[0])
-	}
-	if eng.Stats().Mitigations == 0 {
+	if sys.Aqua.Stats().Mitigations == 0 {
 		t.Fatal("Hydra tracker never triggered")
 	}
 }
 
 func TestProactiveDrainPreservesSecurity(t *testing.T) {
 	// The Section IV-D background drainer must not weaken the invariant:
-	// run the sustained attack across an epoch boundary with draining on.
-	rank := NewBaselineRank()
-	geom := rank.Geometry()
+	// run the sustained attack across an epoch boundary with draining on
+	// (serviced at the System's fixed 10 us interval).
+	geom := BaselineGeometry()
 	const trh = 400
-	eng := core.New(rank, core.Config{
-		TRH: trh, Mode: core.ModeMemMapped, ProactiveDrain: true,
-	})
-	mon := security.NewMonitor(trh, rank.Timing().TREFW)
-	mon.Attach(rank)
-	ctrl := memctrl.New(rank, eng, memctrl.Config{
-		EpochLength:       2 * dram.Millisecond,
-		IdleDrainInterval: 20 * dram.Microsecond,
-	})
-	stream := attack.AdaptiveHammer(geom, geom.RowOf(1, 7), 60000, 12*trh)
-	c := cpu.New(0, stream, cpu.Config{MLP: 1})
-	for {
-		at, ok := c.NextIssueTime()
-		if !ok {
-			break
-		}
-		c.Issue(at, ctrl.Submit)
-	}
-	if mon.Violated() {
-		t.Fatalf("drain-enabled AQUA violated: %+v", mon.Violations()[0])
+	sys, _ := runAttack(t, sim.Config{
+		Scheme: SchemeAquaMemMapped, TRH: trh, ProactiveDrain: true,
+		EpochLength: 2 * dram.Millisecond,
+	}, attack.AdaptiveHammer(geom, geom.RowOf(1, 7), 60000, 12*trh), nil)
+	eng := sys.Aqua
+	if sys.Monitor.Violated() {
+		t.Fatalf("drain-enabled AQUA violated: %+v", sys.Monitor.Violations()[0])
 	}
 	if eng.Stats().ProactiveDrains == 0 {
 		t.Fatal("drainer never ran despite epoch rollover")
