@@ -80,7 +80,11 @@ bench-full:
 #   3. a rerun over that directory must emit the reference bytes, take
 #      cache hits, and simulate fewer cells than the grid holds;
 #   4. a warm run over the full directory must simulate nothing, emit the
-#      reference bytes, and finish faster than the reference run.
+#      reference bytes, and finish faster than the reference run;
+#   5. every simulated run is a cell: `-all` (Section V-F variants, Table II
+#      tier counts and the Section VI-C co-run included) run twice into a
+#      fresh directory must print the same bytes, simulate nothing the
+#      second time, and build no system (no trace-tier line on stderr).
 cache-smoke:
 	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) build -o "$$dir/figures" ./cmd/figures || exit 1; \
@@ -116,6 +120,14 @@ cache-smoke:
 		|| { echo "FAIL: warm run simulated cells or took no hits"; exit 1; }; \
 	cmp -s "$$dir/ref.out" "$$dir/warm.out" || { echo "FAIL: warm output differs from the reference"; exit 1; }; \
 	test "$$warm_ms" -lt "$$ref_ms" || { echo "FAIL: warm run not faster ($${warm_ms}ms vs $${ref_ms}ms)"; exit 1; }; \
+	echo "--- -all twice into a fresh directory: the second run builds no system"; \
+	all() { "$$dir/figures" -all -workloads spec -window 1 -cache-dir "$$dir/all" >"$$dir/all$$1.out" 2>"$$dir/all$$1.err" \
+		|| { cat "$$dir/all$$1.err"; echo "FAIL: -all run $$1"; exit 1; }; }; \
+	all 1; all 2; \
+	grep -o 'cell cache: .*' "$$dir/all2.err"; \
+	cmp -s "$$dir/all1.out" "$$dir/all2.out" || { echo "FAIL: warm -all output differs from the cold run"; exit 1; }; \
+	grep -q 'cell cache: .* 0 simulated' "$$dir/all2.err" || { echo "FAIL: warm -all run simulated cells"; exit 1; }; \
+	! grep -q '\[trace tier:' "$$dir/all2.err" || { grep '\[trace tier:' "$$dir/all2.err"; echo "FAIL: warm -all run built systems"; exit 1; }; \
 	echo "cache-smoke OK"
 
 # Fault-matrix smoke (see DESIGN.md "Failure model & graceful

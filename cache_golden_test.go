@@ -38,7 +38,8 @@ func warmStore(t *testing.T, dir string) *cellcache.Store {
 // TestLabCacheWarmGolden is the cache's headline acceptance: a cold lab
 // populates a cache directory while rendering the golden stream, and a
 // fresh lab over a fresh Store on the same directory re-renders it
-// byte-identically — with every cell served from disk, none simulated.
+// byte-identically — with every cell served from disk, none simulated,
+// and no system built (no stream captured or replayed).
 func TestLabCacheWarmGolden(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "lab_golden.txt"))
 	if err != nil {
@@ -74,6 +75,10 @@ func TestLabCacheWarmGolden(t *testing.T) {
 	}
 	if cs.Simulated != 0 {
 		t.Fatalf("warm lab stats %+v; simulated %d cells, want 0", cs, cs.Simulated)
+	}
+	if cs.TraceCaptures != 0 || cs.TraceReplays != 0 {
+		t.Fatalf("warm lab stats %+v; built systems over %d captured and %d replayed streams, want none",
+			cs, cs.TraceCaptures, cs.TraceReplays)
 	}
 }
 

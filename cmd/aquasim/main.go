@@ -147,7 +147,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	start := time.Now()
-	cell, err := runner.RunCtx(ctx, *workload, sch, *trh)
+	cell, err := runner.RunCtx(ctx, *workload, sim.GridCell{Scheme: sch, TRH: *trh})
 	if err != nil {
 		return err
 	}

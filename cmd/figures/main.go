@@ -37,9 +37,10 @@
 //	figures -trace trace.out         # runtime execution trace
 //
 // Simulation-backed outputs share one result cache, so -all simulates each
-// (workload, scheme, threshold) cell exactly once; with -j > 1 the grid
-// fans out to a worker pool, and the emitted text is byte-identical to a
-// serial run (results are collected in canonical cell order).
+// cell (variants, tier counts and the co-run included) exactly once; with
+// -j > 1 the grid fans out to a worker pool, and the emitted text is
+// byte-identical to a serial run (results are collected in canonical cell
+// order).
 package main
 
 import (
@@ -274,7 +275,11 @@ func realMain() int {
 		t := stats.NewTable("Fault-injection summary: degraded cells (run completed)",
 			"Workload", "Scheme", "T_RH", "Faults injected")
 		for _, c := range faulted {
-			t.AddRow(c.Workload, c.Scheme.String(), fmt.Sprintf("%d", c.TRH), fmt.Sprintf("%d", c.Injected))
+			scheme := c.Scheme.String()
+			if c.Variant != "" {
+				scheme += " (" + c.Variant + ")"
+			}
+			t.AddRow(c.Workload, scheme, fmt.Sprintf("%d", c.TRH), fmt.Sprintf("%d", c.Injected))
 		}
 		fmt.Println(t.String())
 	}
@@ -286,7 +291,7 @@ func realMain() int {
 			cell, cause := "-", f.err.Error()
 			var ce *sim.CellError
 			if errors.As(f.err, &ce) {
-				cell = fmt.Sprintf("%s/%s/%d", ce.Workload, ce.Scheme, ce.TRH)
+				cell = ce.Label()
 				cause = ce.Err.Error()
 			}
 			t.AddRow(f.name, cell, cause)

@@ -117,18 +117,19 @@ type FaultedCell struct {
 	Workload string
 	Scheme   Scheme
 	TRH      int64
+	Variant  string // the cell's sim.Variant label
 	Injected int64
 }
 
 // FaultedCells lists every completed cell whose run had injected faults,
-// in canonical workload/scheme/trh order, whether it simulated here or
-// was served from the store. Cells that failed outright have no result
-// and are reported through CellError instead.
+// in canonical cell order, whether it simulated here or was served from
+// the store. Cells that failed outright have no result and are reported
+// through CellError instead.
 func (l *Lab) FaultedCells() []FaultedCell {
 	var out []FaultedCell
 	for _, r := range l.runner.Cells() {
 		if n := r.Result.FaultStats.Injected; n > 0 {
-			out = append(out, FaultedCell{Workload: r.Workload, Scheme: r.Scheme, TRH: r.TRH, Injected: n})
+			out = append(out, FaultedCell{Workload: r.Workload, Scheme: r.Scheme, TRH: r.TRH, Variant: r.Variant, Injected: n})
 		}
 	}
 	return out
@@ -140,7 +141,7 @@ func (l *Lab) FaultedCells() []FaultedCell {
 //
 //detertaint:root
 func (l *Lab) Run(name string, scheme Scheme, trh int64) (sim.WorkloadRun, error) {
-	return l.runner.RunCtx(l.ctx, name, scheme, trh)
+	return l.runner.RunCtx(l.ctx, name, sim.GridCell{Scheme: scheme, TRH: trh})
 }
 
 // Precompute simulates every (workload, cell) combination of the lab's
@@ -151,13 +152,16 @@ func (l *Lab) Run(name string, scheme Scheme, trh int64) (sim.WorkloadRun, error
 //
 //detertaint:root
 func (l *Lab) Precompute(cells ...sim.GridCell) error {
+	return l.precompute(l.opts.Workloads, cells)
+}
+
+// precompute is Precompute over the given workloads.
+func (l *Lab) precompute(names []string, cells []sim.GridCell) error {
 	if len(cells) == 0 {
 		return nil
 	}
-	names := l.opts.Workloads
 	return flight.ForEachCtx(l.ctx, len(names)*len(cells), l.opts.Parallel, func(k int) error {
-		name, cell := names[k/len(cells)], cells[k%len(cells)]
-		_, err := l.Run(name, cell.Scheme, cell.TRH)
+		_, err := l.runner.RunCtx(l.ctx, names[k/len(cells)], cells[k%len(cells)])
 		return err
 	})
 }
@@ -186,30 +190,52 @@ func PaperGrid() []sim.GridCell {
 //
 //detertaint:root
 func (l *Lab) normIPCTable(title string, cells []sim.GridCell, colNames []string) (string, error) {
-	if err := l.Precompute(cells...); err != nil {
+	cols, err := l.columns(l.opts.Workloads, cells...)
+	if err != nil {
 		return "", err
 	}
-	headers := append([]string{"Workload"}, colNames...)
-	t := stats.NewTable(title, headers...)
-	per := make([][]float64, len(cells))
-	for _, name := range l.opts.Workloads {
+	t := stats.NewTable(title, append([]string{"Workload"}, colNames...)...)
+	for j, name := range l.opts.Workloads {
 		row := []string{name}
-		for i, cell := range cells {
-			r, err := l.Run(name, cell.Scheme, cell.TRH)
-			if err != nil {
-				return "", err
-			}
-			per[i] = append(per[i], r.NormIPC)
-			row = append(row, fmt.Sprintf("%.3f", r.NormIPC))
+		for _, col := range cols {
+			row = append(row, fmt.Sprintf("%.3f", col[j].NormIPC))
 		}
 		t.AddRow(row...)
 	}
 	gm := []string{fmt.Sprintf("Gmean-%d", len(l.opts.Workloads))}
-	for i := range cells {
-		gm = append(gm, fmt.Sprintf("%.3f", stats.Geomean(per[i])))
+	for _, col := range cols {
+		gm = append(gm, fmt.Sprintf("%.3f", gmeanNorm(col)))
 	}
 	t.AddRow(gm...)
 	return t.String(), nil
+}
+
+// columns precomputes the cells over names and returns each cell's runs,
+// one per name, in order.
+func (l *Lab) columns(names []string, cells ...sim.GridCell) ([][]sim.WorkloadRun, error) {
+	if err := l.precompute(names, cells); err != nil {
+		return nil, err
+	}
+	cols := make([][]sim.WorkloadRun, len(cells))
+	for i, cell := range cells {
+		cols[i] = make([]sim.WorkloadRun, len(names))
+		for j, name := range names {
+			var err error
+			if cols[i][j], err = l.runner.RunCtx(l.ctx, name, cell); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return cols, nil
+}
+
+// gmeanNorm is the geometric mean of the runs' normalized IPCs.
+func gmeanNorm(runs []sim.WorkloadRun) float64 {
+	norms := make([]float64, len(runs))
+	for i, r := range runs {
+		norms[i] = r.NormIPC
+	}
+	return stats.Geomean(norms)
 }
 
 // Figure2 renders the historical Rowhammer-threshold trend (Section II-C):
@@ -243,7 +269,7 @@ func (l *Lab) Figure3() (string, error) {
 //
 //detertaint:root
 func (l *Lab) Figure6() (string, error) {
-	err := l.Precompute(
+	cols, err := l.columns(l.opts.Workloads,
 		sim.GridCell{Scheme: SchemeAquaMemMapped, TRH: 1000},
 		sim.GridCell{Scheme: SchemeRRS, TRH: 1000})
 	if err != nil {
@@ -253,24 +279,15 @@ func (l *Lab) Figure6() (string, error) {
 		"Figure 6: Row migrations per 64ms at T_RH=1K (paper avg: AQUA 1099, RRS 9935)",
 		"Workload", "AQUA", "RRS", "RRS/AQUA")
 	var aquaAll, rrsAll []float64
-	for _, name := range l.opts.Workloads {
-		a, err := l.Run(name, SchemeAquaMemMapped, 1000)
-		if err != nil {
-			return "", err
-		}
-		r, err := l.Run(name, SchemeRRS, 1000)
-		if err != nil {
-			return "", err
-		}
-		aquaAll = append(aquaAll, a.Result.MigrationsPer64ms)
-		rrsAll = append(rrsAll, r.Result.MigrationsPer64ms)
+	for j, name := range l.opts.Workloads {
+		a, r := cols[0][j].Result.MigrationsPer64ms, cols[1][j].Result.MigrationsPer64ms
+		aquaAll = append(aquaAll, a)
+		rrsAll = append(rrsAll, r)
 		ratio := "-"
-		if a.Result.MigrationsPer64ms > 0 {
-			ratio = fmt.Sprintf("%.1fx", r.Result.MigrationsPer64ms/a.Result.MigrationsPer64ms)
+		if a > 0 {
+			ratio = fmt.Sprintf("%.1fx", r/a)
 		}
-		t.AddRow(name,
-			fmt.Sprintf("%.0f", a.Result.MigrationsPer64ms),
-			fmt.Sprintf("%.0f", r.Result.MigrationsPer64ms), ratio)
+		t.AddRow(name, fmt.Sprintf("%.0f", a), fmt.Sprintf("%.0f", r), ratio)
 	}
 	avgA, avgR := stats.Mean(aquaAll), stats.Mean(rrsAll)
 	ratio := "-"
@@ -315,19 +332,16 @@ func (l *Lab) Figure9() (string, error) {
 //
 //detertaint:root
 func (l *Lab) Figure10() (string, error) {
-	if err := l.Precompute(sim.GridCell{Scheme: SchemeAquaMemMapped, TRH: 1000}); err != nil {
+	cols, err := l.columns(l.opts.Workloads, sim.GridCell{Scheme: SchemeAquaMemMapped, TRH: 1000})
+	if err != nil {
 		return "", err
 	}
 	t := stats.NewTable(
 		"Figure 10: FPT-lookup breakdown (paper avg: 92.2% bloom / 7.3% cache / 0.4% singleton / 0.02% DRAM)",
 		"Workload", "Bloom-reset", "FPT-Cache hit", "Singleton", "DRAM")
 	var b, c, s, d []float64
-	for _, name := range l.opts.Workloads {
-		r, err := l.Run(name, SchemeAquaMemMapped, 1000)
-		if err != nil {
-			return "", err
-		}
-		bd := sim.BreakdownOf(r.Result)
+	for j, name := range l.opts.Workloads {
+		bd := sim.BreakdownOf(cols[0][j].Result)
 		b = append(b, bd.BloomFiltered)
 		c = append(c, bd.CacheHit)
 		s = append(s, bd.Singleton)
@@ -343,7 +357,7 @@ func (l *Lab) Figure10() (string, error) {
 //
 //detertaint:root
 func (l *Lab) Figure11() (string, error) {
-	err := l.Precompute(
+	cols, err := l.columns(l.opts.Workloads,
 		sim.GridCell{Scheme: SchemeAquaMemMapped, TRH: 2000},
 		sim.GridCell{Scheme: SchemeAquaMemMapped, TRH: 1000},
 		sim.GridCell{Scheme: SchemeAquaMemMapped, TRH: 500})
@@ -353,16 +367,8 @@ func (l *Lab) Figure11() (string, error) {
 	t := stats.NewTable(
 		"Figure 11: AQUA (memory-mapped) sensitivity to T_RH (paper slowdown: 0.2% / 2.1% / 6.8%)",
 		"T_RH", "Gmean norm. IPC", "Slowdown")
-	for _, trh := range []int64{2000, 1000, 500} {
-		var norms []float64
-		for _, name := range l.opts.Workloads {
-			r, err := l.Run(name, SchemeAquaMemMapped, trh)
-			if err != nil {
-				return "", err
-			}
-			norms = append(norms, r.NormIPC)
-		}
-		gm := stats.Geomean(norms)
+	for i, trh := range []int64{2000, 1000, 500} {
+		gm := gmeanNorm(cols[i])
 		t.AddRow(fmt.Sprintf("%d", trh), fmt.Sprintf("%.3f", gm), pct(1-gm))
 	}
 	return t.String(), nil
@@ -372,48 +378,34 @@ func (l *Lab) Figure11() (string, error) {
 // AQUA's slowdown as the bloom filter is varied from 8KB to 32KB (paper:
 // 2.3% / 2.1% / 2.0%) and the FPT-Cache from 8KB to 32KB (paper: flat at
 // 2.1%). Bloom bytes map to group sizes (8KB = 32 rows/bit, 16KB = 16,
-// 32KB = 8); cache bytes to entry counts (2K/4K/8K).
+// 32KB = 8); cache bytes to entry counts (2K/4K/8K), each a variant cell.
 //
 //detertaint:root
 func (l *Lab) SensitivityVF() (string, error) {
-	t := stats.NewTable(
-		"Section V-F: sensitivity to bloom-filter and FPT-Cache size (paper: 2.3%/2.1%/2.0% and flat)",
-		"Structure", "Size", "Gmean norm. IPC", "Slowdown")
-	type variant struct {
-		label string
-		size  string
-		cfg   sim.Config
+	variants := []struct {
+		label, size string
+		variant     sim.Variant
+	}{
+		{"bloom-filter", "8 KB", sim.Variant{BloomGroupSize: 32}},
+		{"bloom-filter", "16 KB", sim.Variant{BloomGroupSize: 16}},
+		{"bloom-filter", "32 KB", sim.Variant{BloomGroupSize: 8}},
+		{"fpt-cache", "8 KB", sim.Variant{FPTCacheEntries: 2048}},
+		{"fpt-cache", "16 KB", sim.Variant{FPTCacheEntries: 4096}},
+		{"fpt-cache", "32 KB", sim.Variant{FPTCacheEntries: 8192}},
 	}
-	variants := []variant{
-		{"bloom-filter", "8 KB", sim.Config{BloomGroupSize: 32}},
-		{"bloom-filter", "16 KB", sim.Config{BloomGroupSize: 16}},
-		{"bloom-filter", "32 KB", sim.Config{BloomGroupSize: 8}},
-		{"fpt-cache", "8 KB", sim.Config{FPTCacheEntries: 2048}},
-		{"fpt-cache", "16 KB", sim.Config{FPTCacheEntries: 4096}},
-		{"fpt-cache", "32 KB", sim.Config{FPTCacheEntries: 8192}},
+	cells := make([]sim.GridCell, len(variants))
+	for i, v := range variants {
+		cells[i] = sim.GridCell{Scheme: SchemeAquaMemMapped, TRH: 1000, Variant: v.variant}
 	}
-	// Variant runs bypass the cell cache (their structural overrides are
-	// not part of the cell key), so fan the whole variant x workload
-	// plane out to the worker pool and render from the indexed results.
-	names := l.opts.Workloads
-	norms := make([][]float64, len(variants))
-	for i := range norms {
-		norms[i] = make([]float64, len(names))
-	}
-	err := flight.ForEachCtx(l.ctx, len(variants)*len(names), l.opts.Parallel, func(k int) error {
-		vi, wi := k/len(names), k%len(names)
-		r, err := l.runner.RunVariantCtx(l.ctx, names[wi], SchemeAquaMemMapped, 1000, variants[vi].cfg)
-		if err != nil {
-			return err
-		}
-		norms[vi][wi] = r.NormIPC
-		return nil
-	})
+	cols, err := l.columns(l.opts.Workloads, cells...)
 	if err != nil {
 		return "", err
 	}
+	t := stats.NewTable(
+		"Section V-F: sensitivity to bloom-filter and FPT-Cache size (paper: 2.3%/2.1%/2.0% and flat)",
+		"Structure", "Size", "Gmean norm. IPC", "Slowdown")
 	for i, v := range variants {
-		gm := stats.Geomean(norms[i])
+		gm := gmeanNorm(cols[i])
 		t.AddRow(v.label, v.size, fmt.Sprintf("%.3f", gm), pct(1-gm))
 	}
 	return t.String(), nil
@@ -451,25 +443,19 @@ func Table1() string {
 	return t.String()
 }
 
-// CoRunReport regenerates the Section VI-C quality-of-service experiment:
-// a DoS attacker on one core, a benign workload on the rest; the victims'
-// slowdown attributable to AQUA's migrations must stay under the 2.95x
-// analytical bound.
+// CoRunReport regenerates the Section VI-C quality-of-service experiment
+// from one co-run cell: a DoS attacker on one core, a benign workload on
+// the rest; the victims' slowdown attributable to AQUA's migrations must
+// stay under the 2.95x analytical bound.
 //
 //detertaint:root
 func (l *Lab) CoRunReport(workloadName string) (string, error) {
-	spec, ok := workload.ByName(workloadName)
-	if !ok {
-		return "", fmt.Errorf("repro: unknown workload %q", workloadName)
-	}
-	window := l.opts.Window
-	if window > 8*dram.Millisecond {
-		window = 8 * dram.Millisecond // co-run needs no full refresh window
-	}
-	res, err := sim.CoRun(SchemeAquaSRAM, 1000, spec, window, l.opts.Seed)
+	run, err := l.runner.RunCtx(l.ctx, workloadName, sim.GridCell{
+		Scheme: SchemeAquaSRAM, TRH: 1000, Variant: sim.Variant{Measure: sim.MeasureCoRun}})
 	if err != nil {
 		return "", err
 	}
+	res := run.CoRun
 	bound := analytic.WorstCaseSlowdown(analytic.BaselineRQAParams(500))
 	var b strings.Builder
 	fmt.Fprintf(&b, "Section VI-C co-run: DoS attacker on core 0, %s on cores 1-3\n", workloadName)
@@ -479,59 +465,48 @@ func (l *Lab) CoRunReport(workloadName string) (string, error) {
 	fmt.Fprintf(&b, "  AQUA-attributable slowdown: %.2fx (analytical bound %.2fx)\n",
 		res.AttackSlowdown, bound)
 	fmt.Fprintf(&b, "  mitigations during co-run:  %d; invariant violated: %v\n",
-		res.Mitigations, res.Violated)
+		run.Result.MitStats.Mitigations, run.Result.Violated)
 	return b.String(), nil
 }
 
 // Table2 regenerates Table II: measured MPKI-driven workload
-// characterization vs the paper's reference values.
+// characterization vs the paper's reference values, from tier cells.
 //
 //detertaint:root
 func (l *Lab) Table2() (string, error) {
-	t := stats.NewTable(
-		"Table II: Workload characteristics (measured on the synthetic streams; paper values in parentheses)",
-		"Workload", "MPKI", "ACT-166+", "ACT-500+", "ACT-1K+")
-	tiers := []int64{166, 500, 1000}
-	var specNames []string
-	var specs []workload.Spec
+	var names []string
 	for _, name := range l.opts.Workloads {
-		if spec, ok := workload.ByName(name); ok {
+		if _, ok := workload.ByName(name); ok {
 			// Table II covers the 18 SPEC workloads only; mixes are skipped.
-			specNames = append(specNames, name)
-			specs = append(specs, spec)
+			names = append(names, name)
 		}
 	}
-	allCounts := make([]map[int64]int, len(specNames))
-	err := flight.ForEachCtx(l.ctx, len(specNames), l.opts.Parallel, func(i int) error {
-		counts, err := l.runner.RowTierCounts(specNames[i], tiers)
-		if err != nil {
-			return err
-		}
-		allCounts[i] = counts
-		return nil
-	})
+	cols, err := l.columns(names,
+		sim.GridCell{Scheme: SchemeBaseline, TRH: 1000, Variant: sim.Variant{Measure: sim.MeasureTiers}})
 	if err != nil {
 		return "", err
 	}
+	t := stats.NewTable(
+		"Table II: Workload characteristics (measured on the synthetic streams; paper values in parentheses)",
+		"Workload", "MPKI", "ACT-166+", "ACT-500+", "ACT-1K+")
 	var sums [3]float64
-	n := 0
-	for i, name := range specNames {
-		spec, counts := specs[i], allCounts[i]
+	for i, name := range names {
+		spec, _ := workload.ByName(name)
+		c := cols[0][i].Tiers
 		t.AddRow(name,
 			fmt.Sprintf("%.2f", spec.MPKI),
-			fmt.Sprintf("%d (%d)", counts[166], spec.Rows166),
-			fmt.Sprintf("%d (%d)", counts[500], spec.Rows500),
-			fmt.Sprintf("%d (%d)", counts[1000], spec.Rows1K))
-		sums[0] += float64(counts[166])
-		sums[1] += float64(counts[500])
-		sums[2] += float64(counts[1000])
-		n++
+			fmt.Sprintf("%d (%d)", c.ACT166, spec.Rows166),
+			fmt.Sprintf("%d (%d)", c.ACT500, spec.Rows500),
+			fmt.Sprintf("%d (%d)", c.ACT1K, spec.Rows1K))
+		sums[0] += float64(c.ACT166)
+		sums[1] += float64(c.ACT500)
+		sums[2] += float64(c.ACT1K)
 	}
-	if n > 0 {
+	if n := float64(len(names)); n > 0 {
 		t.AddRow("Average", "",
-			fmt.Sprintf("%.0f (1665)", sums[0]/float64(n)),
-			fmt.Sprintf("%.0f (694)", sums[1]/float64(n)),
-			fmt.Sprintf("%.0f (57)", sums[2]/float64(n)))
+			fmt.Sprintf("%.0f (1665)", sums[0]/n),
+			fmt.Sprintf("%.0f (694)", sums[1]/n),
+			fmt.Sprintf("%.0f (57)", sums[2]/n))
 	}
 	return t.String(), nil
 }
@@ -554,28 +529,15 @@ func Table3() string {
 //
 //detertaint:root
 func (l *Lab) Table4() (string, error) {
-	err := l.Precompute(
+	cols, err := l.columns(l.opts.Workloads,
 		sim.GridCell{Scheme: SchemeVictimRefresh, TRH: 1000},
 		sim.GridCell{Scheme: SchemeAquaMemMapped, TRH: 1000})
 	if err != nil {
 		return "", err
 	}
-	var vr, aq []float64
-	for _, name := range l.opts.Workloads {
-		v, err := l.Run(name, SchemeVictimRefresh, 1000)
-		if err != nil {
-			return "", err
-		}
-		a, err := l.Run(name, SchemeAquaMemMapped, 1000)
-		if err != nil {
-			return "", err
-		}
-		vr = append(vr, v.NormIPC)
-		aq = append(aq, a.NormIPC)
-	}
 	t := stats.NewTable("Table IV: Comparison of AQUA with victim refresh",
 		"Attribute", "Victim-Refresh", "AQUA")
-	t.AddRow("Slowdown (measured)", pct(1-stats.Geomean(vr)), pct(1-stats.Geomean(aq)))
+	t.AddRow("Slowdown (measured)", pct(1-gmeanNorm(cols[0])), pct(1-gmeanNorm(cols[1])))
 	t.AddRow("Mitigates classic Rowhammer", "yes", "yes")
 	t.AddRow("Mitigates complex patterns (Half-Double)", "NO", "yes")
 	t.AddRow("Works without knowing DRAM mapping", "NO", "yes")
@@ -600,36 +562,14 @@ func Table5() string {
 //
 //detertaint:root
 func (l *Lab) Table6() (string, error) {
-	err := l.Precompute(
+	cols, err := l.columns(l.opts.Workloads,
 		sim.GridCell{Scheme: SchemeBlockhammer, TRH: 1000},
 		sim.GridCell{Scheme: SchemeRRS, TRH: 1000},
 		sim.GridCell{Scheme: SchemeAquaMemMapped, TRH: 1000})
 	if err != nil {
 		return "", err
 	}
-	slow := func(scheme Scheme) (string, error) {
-		var norms []float64
-		for _, name := range l.opts.Workloads {
-			r, err := l.Run(name, scheme, 1000)
-			if err != nil {
-				return "", err
-			}
-			norms = append(norms, r.NormIPC)
-		}
-		return pct(1 - stats.Geomean(norms)), nil
-	}
-	bh, err := slow(SchemeBlockhammer)
-	if err != nil {
-		return "", err
-	}
-	rr, err := slow(SchemeRRS)
-	if err != nil {
-		return "", err
-	}
-	aq, err := slow(SchemeAquaMemMapped)
-	if err != nil {
-		return "", err
-	}
+	bh, rr, aq := pct(1-gmeanNorm(cols[0])), pct(1-gmeanNorm(cols[1])), pct(1-gmeanNorm(cols[2]))
 
 	storage := analytic.ComputeStorage(dram.Baseline(), analytic.BaselineRQAParams(500).RMax())
 	wc := analytic.WorstCaseSlowdown(analytic.BaselineRQAParams(500))
@@ -666,25 +606,17 @@ func Table7() string {
 //
 //detertaint:root
 func (l *Lab) PowerReport() (string, error) {
-	err := l.Precompute(
+	cols, err := l.columns(l.opts.Workloads,
 		sim.GridCell{Scheme: SchemeBaseline, TRH: 1000},
 		sim.GridCell{Scheme: SchemeAquaMemMapped, TRH: 1000})
 	if err != nil {
 		return "", err
 	}
 	var basePW, aquaPW []float64
-	for _, name := range l.opts.Workloads {
-		base, err := l.Run(name, SchemeBaseline, 1000)
-		if err != nil {
-			return "", err
-		}
-		aqua, err := l.Run(name, SchemeAquaMemMapped, 1000)
-		if err != nil {
-			return "", err
-		}
+	for j, base := range cols[0] {
 		if base.Result.DRAMPowerMW > 0 {
 			basePW = append(basePW, base.Result.DRAMPowerMW)
-			aquaPW = append(aquaPW, aqua.Result.DRAMPowerMW)
+			aquaPW = append(aquaPW, cols[1][j].Result.DRAMPowerMW)
 		}
 	}
 	pb, pa := stats.Mean(basePW), stats.Mean(aquaPW)
@@ -727,14 +659,14 @@ func StorageReport() string {
 	return b.String()
 }
 
-// SortedCacheKeys lists the lab's memoized cells as workload/scheme/trh,
-// in canonical order (for debugging/reports).
+// SortedCacheKeys lists the lab's memoized cells by label
+// (sim.WorkloadRun.Label), in canonical order (for debugging/reports).
 //
 //detertaint:root
 func (l *Lab) SortedCacheKeys() []string {
 	var keys []string
 	for _, r := range l.runner.Cells() {
-		keys = append(keys, fmt.Sprintf("%s/%s/%d", r.Workload, r.Scheme, r.TRH))
+		keys = append(keys, r.Label())
 	}
 	return keys
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/cellcache"
+	"repro/internal/dram"
 )
 
 // storeAt opens a store over dir, failing the test on error.
@@ -73,33 +74,41 @@ func TestRunGridDedupSimulatesOnce(t *testing.T) {
 	}
 }
 
-// TestCellCacheRoundTrip pins the cross-runner contract: a cell computed
-// by one Runner is served — bit-identical — to a fresh Runner sharing
-// the store, without simulating.
-func TestCellCacheRoundTrip(t *testing.T) {
-	store := storeAt(t, t.TempDir())
-	r1 := NewRunner(gridCfg(1))
-	r1.AttachCellCache(store)
-	want, err := r1.Run("xz", SchemeAquaMemMapped, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := r1.CellStats(); st.CacheMisses == 0 || st.Simulated == 0 {
-		t.Fatalf("cold runner stats %+v; want a miss and a simulation", st)
-	}
+// cellKinds is one cell of each kind: plain, Section V-F variant, Table
+// II tiers and Section VI-C co-run.
+var cellKinds = []GridCell{{Scheme: SchemeAquaMemMapped, TRH: 1000}, bloomCell, tierCell, coRunCell}
 
-	r2 := NewRunner(gridCfg(1))
-	r2.AttachCellCache(store)
-	got, err := r2.Run("xz", SchemeAquaMemMapped, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("cached result diverged:\nwant %+v\ngot  %+v", want, got)
-	}
-	st := r2.CellStats()
-	if st.CacheHits == 0 || st.Simulated != 0 {
-		t.Fatalf("warm runner stats %+v; want a hit and no simulation", st)
+// TestCellCacheRoundTrip pins the cross-runner contract for every kind of
+// cell: a cell computed by one Runner is served — bit-identical — to a
+// fresh Runner sharing the store, without simulating or building a
+// system.
+func TestCellCacheRoundTrip(t *testing.T) {
+	for _, cell := range cellKinds {
+		label := cellLabel("xz", cell.Scheme, cell.TRH, cell.Variant.String())
+		store := storeAt(t, t.TempDir())
+		r1 := NewRunner(gridCfg(1))
+		r1.AttachCellCache(store)
+		want, err := r1.RunCtx(context.Background(), "xz", cell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := r1.CellStats(); st.CacheMisses == 0 || st.Simulated == 0 {
+			t.Fatalf("%s: cold runner stats %+v; want a miss and a simulation", label, st)
+		}
+
+		r2 := NewRunner(gridCfg(1))
+		r2.AttachCellCache(store)
+		got, err := r2.RunCtx(context.Background(), "xz", cell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: cached result diverged:\nwant %+v\ngot  %+v", label, want, got)
+		}
+		st := r2.CellStats()
+		if st.CacheHits == 0 || st.Simulated != 0 || st.TraceCaptures+st.TraceReplays != 0 {
+			t.Fatalf("%s: warm runner stats %+v; want a hit and no simulation or stream", label, st)
+		}
 	}
 }
 
@@ -115,7 +124,7 @@ func TestCellCacheSchemaBump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldKey, err := r1.cellKeyAt("aqua-cell-v0", "xz", SchemeAquaMemMapped, 1000, false)
+	oldKey, err := r1.cellKeyAt("aqua-cell-v0", cellKey{"xz", GridCell{Scheme: SchemeAquaMemMapped, TRH: 1000}}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,6 +220,42 @@ func TestCellCachePayloadMismatch(t *testing.T) {
 	}
 	if st := r2.CellStats(); st.CacheHits != 0 || st.Simulated != 1 {
 		t.Fatalf("stats %+v; mismatched payload must be a miss", st)
+	}
+
+	// A plain cell's payload planted under a variant key or a tier key
+	// names the same workload, scheme and threshold, but not the variant;
+	// labelled as a tier payload, it still lacks the counts.
+	base, err := r1.Run("xz", SchemeBaseline, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	labelled := base
+	labelled.Variant = tierCell.Variant.String()
+	for _, plant := range []struct {
+		cell GridCell
+		run  WorkloadRun
+	}{{bloomCell, got}, {tierCell, base}, {tierCell, labelled}} {
+		hash, err := r1.cellKeyAt(SchemaVersion, cellKey{"xz", plant.cell}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(plant.run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store.Put(hash, data)
+		r3 := NewRunner(gridCfg(1))
+		r3.AttachCellCache(store)
+		got, err := r3.RunCtx(context.Background(), "xz", plant.cell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Variant != plant.cell.Variant.String() {
+			t.Fatalf("served a %q payload for variant %q", got.Variant, plant.cell.Variant)
+		}
+		if st := r3.CellStats(); st.CacheHits != 0 || st.Simulated != 1 {
+			t.Fatalf("%s payload under %s: stats %+v; mismatched payload must be a miss", plant.run.Label(), plant.cell.Variant, st)
+		}
 	}
 }
 
@@ -352,22 +397,44 @@ func TestFaultFreeKeysPinned(t *testing.T) {
 	}
 }
 
-// TestCancelledCellNotCached pins the cancellation exclusion: a cell cut
-// short by its context must not leave a partial result in the store.
+// TestCancelledCellNotCached pins the cancellation exclusion for every
+// kind of cell: a cell cut short by its context, before it starts or in
+// the middle of its run, returns context.Canceled and leaves nothing in
+// the store or the memo.
 func TestCancelledCellNotCached(t *testing.T) {
 	store := storeAt(t, t.TempDir())
-	r := NewRunner(gridCfg(1))
+	// A window several ctx-check strides long, so every cell's run
+	// crosses one.
+	r := NewRunner(ExpConfig{Window: 500 * dram.Microsecond, Parallel: 1})
 	r.AttachCellCache(store)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := r.RunCtx(ctx, "xz", SchemeAquaMemMapped, 1000); err == nil {
-		t.Fatal("cancelled cell reported success")
+	// Resolve the baseline first, so each cell's first system is its own.
+	if _, err := r.Run("xz", SchemeBaseline, 1000); err != nil {
+		t.Fatal(err)
 	}
-	if st := store.Stats(); st.Puts != 0 {
+	puts := store.Stats().Puts
+	pre, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, cell := range cellKinds {
+		label := cellLabel("xz", cell.Scheme, cell.TRH, cell.Variant.String())
+		if _, err := r.RunCtx(pre, "xz", cell); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: pre-cancelled cell returned %v, want context.Canceled", label, err)
+		}
+		// The singleflight polls once before the cell starts and the
+		// run once at its first event; the third poll is the first
+		// stride boundary, mid-run.
+		mid := &countingCtx{Context: context.Background(), cancelAt: 3}
+		if _, err := r.RunCtx(mid, "xz", cell); !errors.Is(err, context.Canceled) || mid.calls != 3 {
+			t.Errorf("%s: mid-run cancellation returned %v after %d polls, want context.Canceled after 3", label, err, mid.calls)
+		}
+	}
+	if st := store.Stats(); st.Puts != puts {
 		t.Fatalf("store stats %+v; a cancelled cell was cached", st)
 	}
-	if st := r.CellStats(); st.Errors == 0 {
-		t.Fatalf("cell stats %+v; the cancelled request was not counted", st)
+	if st := r.CellStats(); st.Errors != 2*int64(len(cellKinds)) {
+		t.Fatalf("cell stats %+v; want all %d cancelled requests counted", st, 2*len(cellKinds))
+	}
+	if n := len(r.Cells()); n != 1 {
+		t.Fatalf("memo holds %d cells; want only the baseline", n)
 	}
 }
 

@@ -25,19 +25,25 @@ import (
 // served, only ignored.
 const SchemaVersion = "aqua-cell-v1"
 
-// cellKey identifies one grid cell within a Runner.
+// cellKey identifies one cell within a Runner.
 type cellKey struct {
 	workload string
-	scheme   Scheme
-	trh      int64
+	cell     GridCell
+}
+
+// fail wraps a cell failure with the cell's identity.
+func (k cellKey) fail(err error) *CellError {
+	c := k.cell
+	return &CellError{Workload: k.workload, Scheme: c.Scheme, TRH: c.TRH, Variant: c.Variant.String(), Err: err}
 }
 
 // CellKey returns the content-addressed cache key for one grid cell: a
 // SHA-256 over the schema version, every ExpConfig field that determines
 // simulated numbers (window, cores, seed, calibration, geometry,
 // timing), the cell identity, the per-core workload specs with their
-// static request budgets, and the canonical fault rules when there are
-// any. Parallel is excluded: it changes wall-clock only, never results.
+// static request budgets, and the canonical fault rules and non-zero
+// Variant when there are any. Parallel is excluded: it changes
+// wall-clock only, never results.
 //
 // The rules are hashed whole, not just the ones matching the cell: a rule
 // on a workload's baseline cell reaches its calibration and baseline
@@ -48,9 +54,9 @@ type cellKey struct {
 // The request budget is recorded at nominal IPC 1.0. The calibrated
 // budget scales with the measured baseline IPC, which is itself a
 // deterministic function of everything already hashed, so the static
-// budget pins it transitively.
+// budget pins it transitively, as it pins a co-run's shorter budget.
 func (r *Runner) CellKey(name string, scheme Scheme, trh int64) (string, error) {
-	return r.cellKeyAt(SchemaVersion, name, scheme, trh, false)
+	return r.cellKeyAt(SchemaVersion, cellKey{name, GridCell{Scheme: scheme, TRH: trh}}, false)
 }
 
 // ipcKey is the store key of a workload's calibrated IPC. The calibration
@@ -58,20 +64,20 @@ func (r *Runner) CellKey(name string, scheme Scheme, trh int64) (string, error) 
 // the baseline cell's key text records — so the IPC key hashes that text
 // plus an "ipc" line, which no cell key text contains.
 func (r *Runner) ipcKey(name string) (string, error) {
-	return r.cellKeyAt(SchemaVersion, name, SchemeBaseline, 1000, true)
+	return r.cellKeyAt(SchemaVersion, cellKey{name, baselineCell}, true)
 }
 
-// cellKeyAt is CellKey under an explicit schema version (tests derive
+// cellKeyAt is a cell's key under an explicit schema version (tests derive
 // old-generation keys with it to prove a bump invalidates); ipc selects
 // the workload's calibrated-IPC entry instead of the cell's result.
 //
 // The aquakey:hash annotation is the keycoverage analyzer's contract:
-// every field of ExpConfig and workload.Spec must be hashed below or
-// carry an //aquakey:exclude on its declaration.
+// every field of ExpConfig, workload.Spec and Variant must be hashed
+// below or carry an //aquakey:exclude on its declaration.
 //
-//aquakey:hash ExpConfig workload.Spec
-func (r *Runner) cellKeyAt(version, name string, scheme Scheme, trh int64, ipc bool) (string, error) {
-	specs, err := caseSpecs(name)
+//aquakey:hash ExpConfig workload.Spec Variant
+func (r *Runner) cellKeyAt(version string, key cellKey, ipc bool) (string, error) {
+	specs, err := caseSpecs(key.workload)
 	if err != nil {
 		return "", err
 	}
@@ -81,16 +87,18 @@ func (r *Runner) cellKeyAt(version, name string, scheme Scheme, trh int64, ipc b
 		r.cfg.Window, r.cfg.Cores, r.cfg.Seed, r.cfg.Calibrate)
 	fmt.Fprintf(&b, "geom=%+v\n", r.cfg.Geometry)
 	fmt.Fprintf(&b, "timing=%+v\n", r.cfg.Timing)
-	fmt.Fprintf(&b, "cell=%s/%s/%d\n", name, scheme, trh)
-	windowInstr := float64(r.cfg.Window) / 1e12 * 3e9
+	fmt.Fprintf(&b, "cell=%s/%s/%d\n", key.workload, key.cell.Scheme, key.cell.TRH)
 	for i := 0; i < r.cfg.Cores && i < len(specs); i++ {
 		sp := specs[i]
 		fmt.Fprintf(&b, "core%d spec=%s mpki=%g rows=%d/%d/%d budget=%d\n",
 			i, sp.Name, sp.MPKI, sp.Rows166, sp.Rows500, sp.Rows1K,
-			int64(windowInstr*sp.MPKI/1000)+16)
+			requestBudget(r.cfg.Window, 1.0, sp.MPKI))
 	}
 	if faults := r.cfg.Faults.String(); faults != "" {
 		fmt.Fprintf(&b, "faults=%s\n", faults)
+	}
+	if v := key.cell.Variant; v != (Variant{}) {
+		fmt.Fprintf(&b, "variant=%s\n", v)
 	}
 	if ipc {
 		b.WriteString("ipc\n")
@@ -106,9 +114,11 @@ func (r *Runner) cellKeyAt(version, name string, scheme Scheme, trh int64, ipc b
 // store. Pass nil to detach.
 func (r *Runner) AttachCellCache(s *cellcache.Store) { r.cells = s }
 
-// CellStats summarizes how RunCtx requests were satisfied, fault-matched
-// cells included. Every request counts, so a renderer re-reading a cell
-// it already resolved adds a Request served by the memo (Deduped).
+// CellStats summarizes how RunCtx requests were satisfied, for cells of
+// every kind. Every request counts, so a renderer re-reading a cell adds
+// a Request served by the memo (Deduped); calibration and the measured
+// baseline are uncounted inputs. Every system a Runner builds replays its
+// streams, so TraceCaptures+TraceReplays == 0 means none was built.
 type CellStats struct {
 	// Requests is the number of RunCtx cell requests.
 	Requests int64
@@ -172,14 +182,19 @@ func (r *Runner) storePut(hash string, v any) {
 }
 
 // cacheLookup decodes a stored cell. Any defect — undecodable payload,
-// identity mismatch — reads as a miss, never an error or a wrong result.
+// identity mismatch, a measurement other than the key's — reads as a
+// miss, never an error or a wrong result.
 func (r *Runner) cacheLookup(key cellKey) (WorkloadRun, bool) {
-	hash, err := r.CellKey(key.workload, key.scheme, key.trh)
+	hash, err := r.cellKeyAt(SchemaVersion, key, false)
 	var run WorkloadRun
 	if err != nil || !r.storeGet(hash, &run) {
 		return WorkloadRun{}, false
 	}
-	if run.Workload != key.workload || run.Scheme != key.scheme || run.TRH != key.trh {
+	c := key.cell
+	if run.Workload != key.workload || run.Scheme != c.Scheme || run.TRH != c.TRH ||
+		run.Variant != c.Variant.String() ||
+		(run.Tiers != nil) != (c.Variant.Measure == MeasureTiers) ||
+		(run.CoRun != nil) != (c.Variant.Measure == MeasureCoRun) {
 		return WorkloadRun{}, false
 	}
 	return run, true
@@ -187,7 +202,7 @@ func (r *Runner) cacheLookup(key cellKey) (WorkloadRun, bool) {
 
 // cacheStore writes a completed cell.
 func (r *Runner) cacheStore(key cellKey, run WorkloadRun) {
-	if hash, err := r.CellKey(key.workload, key.scheme, key.trh); err == nil {
+	if hash, err := r.cellKeyAt(SchemaVersion, key, false); err == nil {
 		r.storePut(hash, run)
 	}
 }

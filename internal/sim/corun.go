@@ -1,12 +1,13 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/attack"
 	"repro/internal/cpu"
 	"repro/internal/dram"
-	"repro/internal/workload"
+	"repro/internal/trace"
 )
 
 // CoRunResult reports the Section VI-C quality-of-service experiment: one
@@ -14,95 +15,90 @@ import (
 // benign workload; the victim cores' IPC under the mitigation, relative to
 // their IPC when co-running with the same attacker on an *unprotected*
 // system, shows how much extra interference the mitigation's migrations
-// add on top of the attack's own bandwidth use.
+// add on top of the attack's own bandwidth use. The protected run itself
+// (mitigations, security outcome) is the co-run cell's Result.
 type CoRunResult struct {
-	Scheme Scheme
 	// VictimIPC is the benign cores' aggregate IPC with the attacker
 	// present, under the scheme.
 	VictimIPC float64
 	// BaselineVictimIPC is the same with no mitigation.
 	BaselineVictimIPC float64
 	// SoloVictimIPC is the benign cores' IPC with no attacker and no
-	// mitigation (the unloaded reference).
+	// mitigation: core 0 idles on an empty stream.
 	SoloVictimIPC float64
 	// AttackSlowdown is the mitigation-vs-baseline degradation of the
 	// victims: BaselineVictimIPC / VictimIPC.
 	AttackSlowdown float64
-	// Mitigations performed during the co-run.
-	Mitigations int64
-	// Violated reports the security outcome for the protected run.
-	Violated bool
 }
 
-// CoRun executes the experiment: `spec` on cores 1..N-1, the rotating DoS
-// pattern on core 0, for the given window.
-func CoRun(scheme Scheme, trh int64, spec workload.Spec, window dram.PS, seed uint64) (CoRunResult, error) {
+// coRun measures a co-run cell's three legs over min(Window, 8 ms) and
+// returns them with the protected leg's run.
+func (r *Runner) coRun(ctx context.Context, name string, cell GridCell) (CoRunResult, Result, error) {
+	window := min(r.cfg.Window, 8*dram.Millisecond) // no full refresh window needed
+	var ipc [3]float64
+	var res Result
+	for i, leg := range []struct {
+		scheme   Scheme
+		attacked bool
+	}{{SchemeBaseline, false}, {SchemeBaseline, true}, {cell.Scheme, true}} {
+		var err error
+		if ipc[i], res, err = r.coRunLeg(ctx, name, leg.scheme, cell.TRH, window, leg.attacked); err != nil {
+			return CoRunResult{}, Result{}, err
+		}
+	}
+	co := CoRunResult{SoloVictimIPC: ipc[0], BaselineVictimIPC: ipc[1], VictimIPC: ipc[2]}
+	if ipc[2] > 0 {
+		co.AttackSlowdown = ipc[1] / ipc[2]
+	}
+	return co, res, nil
+}
+
+// coRunLeg runs one monitored leg: core 0 runs the rotating DoS pattern,
+// or idles, beside the workload's nominal-IPC-1.0 streams from the trace
+// tier. It returns the victims' aggregate IPC and the leg's run.
+func (r *Runner) coRunLeg(ctx context.Context, name string, scheme Scheme, trh int64, window dram.PS, attacked bool) (float64, Result, error) {
 	if window <= 0 {
-		return CoRunResult{}, fmt.Errorf("sim: co-run window must be positive")
+		return 0, Result{}, fmt.Errorf("sim: co-run window must be positive")
 	}
-	region := VisibleRegion(Config{})
-	params := workload.Params{Cores: 4}
-
-	victimIPC := func(s Scheme, withAttacker bool) (float64, int64, bool, error) {
-		cfg := Config{TRH: trh, Scheme: s, Seed: seed, Monitor: true}
-		streams := make([]cpu.Stream, 4)
-		reqs := int64(float64(window)/1e12*3e9*spec.MPKI/1000) + 16
-		if withAttacker {
-			streams[0] = attack.NewRotatingDoS(region.Geom, region.VisibleRowsPerBank,
-				max64(trh/2, 1), 1<<40)
-		} else {
-			// An idle-ish core: minimal traffic so the system shape stays
-			// comparable.
-			gen := workload.NewGenerator(spec, region, 0, seed^0x1d1e, params)
-			streams[0] = gen.Stream(reqs, seed)
-		}
-		for i := 1; i < 4; i++ {
-			gen := workload.NewGenerator(spec, region, i, seed, params)
-			streams[i] = gen.Stream(reqs, seed+uint64(i)*7919)
-		}
-		sys := NewSystem(cfg, streams)
-		res := sys.Run(window)
-		var instr int64
-		var end dram.PS
-		for _, c := range sys.Cores[1:] {
-			instr += c.InstrRetired()
-			if c.FinishTime() > end {
-				end = c.FinishTime()
-			}
-		}
-		if end > window {
-			end = window
-		}
-		if end <= 0 {
-			return 0, 0, false, fmt.Errorf("sim: co-run made no progress")
-		}
-		cycles := float64(end) / 1e12 * 3e9
-		return float64(instr) / cycles / 3, res.MitStats.Mitigations, res.Violated, nil
-	}
-
-	solo, _, _, err := victimIPC(SchemeBaseline, false)
+	specs, err := caseSpecs(name)
 	if err != nil {
-		return CoRunResult{}, err
+		return 0, Result{}, err
 	}
-	baseAttacked, _, _, err := victimIPC(SchemeBaseline, true)
+	streams := make([]cpu.Stream, r.cfg.Cores)
+	streams[0] = trace.NewSliceStream(nil)
+	if attacked {
+		streams[0] = attack.NewRotatingDoS(r.region.Geom, r.region.VisibleRowsPerBank, max(trh/2, 1), 1<<40)
+	}
+	for i := 1; i < len(streams); i++ {
+		streams[i] = r.replayStream(specs[i], i, 1.0, requestBudget(window, 1.0, specs[i].MPKI))
+	}
+	sys, err := NewSystemE(Config{
+		Geometry: r.cfg.Geometry,
+		Timing:   r.cfg.Timing,
+		TRH:      trh,
+		Scheme:   scheme,
+		Cores:    r.cfg.Cores,
+		Seed:     r.cfg.Seed,
+		Monitor:  true,
+		Faults:   r.injectorFor(name, scheme, trh),
+	}, streams)
 	if err != nil {
-		return CoRunResult{}, err
+		return 0, Result{}, err
 	}
-	prot, mitigations, violated, err := victimIPC(scheme, true)
+	res, err := sys.RunCtx(ctx, window)
 	if err != nil {
-		return CoRunResult{}, err
+		return 0, Result{}, err
 	}
-
-	r := CoRunResult{
-		Scheme:            scheme,
-		VictimIPC:         prot,
-		BaselineVictimIPC: baseAttacked,
-		SoloVictimIPC:     solo,
-		Mitigations:       mitigations,
-		Violated:          violated,
+	var instr int64
+	var end dram.PS
+	for _, c := range sys.Cores[1:] {
+		instr += c.InstrRetired()
+		end = max(end, c.FinishTime())
 	}
-	if prot > 0 {
-		r.AttackSlowdown = baseAttacked / prot
+	end = min(end, window)
+	if end <= 0 {
+		return 0, Result{}, fmt.Errorf("sim: co-run made no progress")
 	}
-	return r, nil
+	cycles := float64(end) / 1e12 * 3e9
+	return float64(instr) / cycles / float64(len(sys.Cores)-1), res, nil
 }

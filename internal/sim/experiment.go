@@ -6,11 +6,11 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/cellcache"
 	"repro/internal/cpu"
-
 	"repro/internal/dram"
 	"repro/internal/fault"
 	"repro/internal/flight"
@@ -89,15 +89,33 @@ func (e *ExpConfig) validate() error {
 	return e.Timing.Validate()
 }
 
-// WorkloadRun is one (workload, scheme) measurement.
+// WorkloadRun is one cell's measurement: a workload under a GridCell.
 type WorkloadRun struct {
 	Workload string
 	Scheme   Scheme
 	TRH      int64
-	Result   Result
+	// Variant is the cell's Variant.String(), empty for a plain cell.
+	Variant string `json:",omitempty"`
+	// Result is the cell's run (a co-run cell's protected leg).
+	Result Result
 	// NormIPC is IPC relative to the unprotected baseline of the same
-	// workload (1.0 = no slowdown).
+	// workload (1.0 = no slowdown), set by MeasureIPC cells only.
 	NormIPC float64
+	// Tiers and CoRun hold a MeasureTiers or MeasureCoRun cell's
+	// measurement, and are nil otherwise.
+	Tiers *RowTiers    `json:",omitempty"`
+	CoRun *CoRunResult `json:",omitempty"`
+}
+
+// Label names the cell as workload/scheme/trh[/variant].
+func (w WorkloadRun) Label() string { return cellLabel(w.Workload, w.Scheme, w.TRH, w.Variant) }
+
+func cellLabel(name string, scheme Scheme, trh int64, variant string) string {
+	label := fmt.Sprintf("%s/%s/%d", name, scheme, trh)
+	if variant != "" {
+		label += "/" + variant
+	}
+	return label
 }
 
 // Runner executes workload x scheme grids with shared calibration. A
@@ -138,10 +156,10 @@ type Runner struct {
 	// budget.
 	traceMem   map[streamKey]*trace.Packed // guarded by mu
 	traceBytes int64                       // guarded by mu
-	// cellMemo memoizes completed cells for the life of the Runner, so
-	// identical grid cells (the same baseline repeated at every sweep
-	// point) simulate at most once even with no cache attached and even
-	// when requested sequentially.
+	// cellMemo memoizes completed cells, keyed by (workload, GridCell),
+	// for the life of the Runner, so identical grid cells (the same
+	// baseline repeated at every sweep point) simulate at most once even
+	// with no cache attached and even when requested sequentially.
 	cellMemo map[cellKey]WorkloadRun // guarded by mu
 	// cellStats counts how cacheable cell requests were satisfied.
 	cellStats CellStats // guarded by mu
@@ -152,11 +170,13 @@ type Runner struct {
 }
 
 // streamKey identifies one core's request stream: under the Runner's
-// fixed region, seed and window it is a pure function of these three.
+// fixed region and seed it is a pure function of these four (a co-run's
+// capped window shortens reqs at the same nominal IPC).
 type streamKey struct {
 	spec    string
 	core    int
 	nominal float64
+	reqs    int64
 }
 
 // NewRunner builds a Runner. It never panics: an invalid configuration
@@ -201,6 +221,7 @@ type CellError struct {
 	Workload string
 	Scheme   Scheme
 	TRH      int64
+	Variant  string // the cell's Variant.String()
 	// Err is the underlying failure; a recovered panic arrives as a
 	// *flight.PanicError.
 	Err error
@@ -211,8 +232,11 @@ type CellError struct {
 
 // Error implements error.
 func (c *CellError) Error() string {
-	return fmt.Sprintf("cell %s/%s/%d: %v", c.Workload, c.Scheme, c.TRH, c.Err)
+	return fmt.Sprintf("cell %s: %v", c.Label(), c.Err)
 }
+
+// Label names the failed cell as WorkloadRun.Label does.
+func (c *CellError) Label() string { return cellLabel(c.Workload, c.Scheme, c.TRH, c.Variant) }
 
 // Unwrap exposes the underlying failure to errors.Is/As.
 func (c *CellError) Unwrap() error { return c.Err }
@@ -251,13 +275,13 @@ func (r *Runner) measuredBaseline(ctx context.Context, name string, nominal floa
 		if ok {
 			return res, nil
 		}
-		if run, ok := r.cacheLookup(cellKey{name, SchemeBaseline, 1000}); ok {
+		if run, ok := r.cacheLookup(cellKey{name, baselineCell}); ok {
 			r.mu.Lock()
 			r.baseCache[name] = run.Result
 			r.mu.Unlock()
 			return run.Result, nil
 		}
-		res, err := r.runOnce(ctx, name, SchemeBaseline, 1000, nominal)
+		res, err := r.runOnce(ctx, name, baselineCell, nominal)
 		if err != nil {
 			return Result{}, err
 		}
@@ -317,17 +341,17 @@ func (r *Runner) streamsFor(name string, nominalIPC float64) ([]cpu.Stream, erro
 	if err != nil {
 		return nil, err
 	}
-	if len(specs) < r.cfg.Cores {
-		return nil, fmt.Errorf("sim: case %q has %d specs for %d cores", name, len(specs), r.cfg.Cores)
-	}
-	windowInstr := float64(r.cfg.Window) / 1e12 * 3e9 * nominalIPC
 	out := make([]cpu.Stream, r.cfg.Cores)
-	for i := 0; i < r.cfg.Cores; i++ {
-		spec := specs[i]
-		reqs := int64(windowInstr*spec.MPKI/1000) + 16
-		out[i] = r.replayStream(spec, i, nominalIPC, reqs)
+	for i := range out {
+		out[i] = r.replayStream(specs[i], i, nominalIPC, requestBudget(r.cfg.Window, nominalIPC, specs[i].MPKI))
 	}
 	return out, nil
+}
+
+// requestBudget is a core's request count: a window's instructions at
+// 3 GHz and the nominal IPC, at the spec's MPKI, plus a small floor.
+func requestBudget(window dram.PS, nominalIPC, mpki float64) int64 {
+	return int64(float64(window)/1e12*3e9*nominalIPC*mpki/1000) + 16
 }
 
 // baselineIPC returns (and caches) the calibrated baseline IPC for a case.
@@ -353,7 +377,7 @@ func (r *Runner) baselineIPC(ctx context.Context, name string) (float64, error) 
 			r.mu.Unlock()
 			return ipc, nil
 		}
-		res, err := r.runOnce(ctx, name, SchemeBaseline, 1000, 1.0)
+		res, err := r.runOnce(ctx, name, baselineCell, 1.0)
 		if err != nil {
 			return 0, err
 		}
@@ -372,18 +396,23 @@ func (r *Runner) baselineIPC(ctx context.Context, name string) (float64, error) 
 	})
 }
 
+// nominalIPC is the IPC every cell of the workload simulates at: the
+// calibrated baseline IPC when calibration is on, else 1.0.
+func (r *Runner) nominalIPC(ctx context.Context, name string) (float64, error) {
+	if !r.cfg.Calibrate {
+		return 1.0, nil
+	}
+	return r.baselineIPC(ctx, name)
+}
+
 // baseline resolves the shared per-workload work — the calibration pass
 // (when enabled) and the baseline measurement — and returns the baseline
 // result plus the nominal IPC every cell of this workload simulates at.
 // Concurrent callers for the same workload share one execution.
 func (r *Runner) baseline(ctx context.Context, name string) (Result, float64, error) {
-	nominal := 1.0
-	if r.cfg.Calibrate {
-		ipc, err := r.baselineIPC(ctx, name)
-		if err != nil {
-			return Result{}, 0, err
-		}
-		nominal = ipc
+	nominal, err := r.nominalIPC(ctx, name)
+	if err != nil {
+		return Result{}, 0, err
 	}
 	base, err := r.measuredBaseline(ctx, name, nominal)
 	if err != nil {
@@ -409,33 +438,29 @@ func (r *Runner) injectorFor(name string, scheme Scheme, trh int64) *fault.Injec
 	return inj
 }
 
-// runOnce builds and runs one system.
-func (r *Runner) runOnce(ctx context.Context, name string, scheme Scheme, trh int64, nominalIPC float64) (Result, error) {
-	return r.runVariantOnce(ctx, name, scheme, trh, nominalIPC, Config{})
-}
-
-// runVariantOnce builds and runs one system with structural overrides
-// (tracker kind, bloom/cache sizing, proactive drain) merged in.
-func (r *Runner) runVariantOnce(ctx context.Context, name string, scheme Scheme, trh int64, nominalIPC float64, overrides Config) (Result, error) {
+// newSystem builds the cell's system over the workload's streams at the
+// nominal IPC, with the cell's structure sizes and fault plan.
+func (r *Runner) newSystem(name string, cell GridCell, nominalIPC float64) (*System, error) {
 	streams, err := r.streamsFor(name, nominalIPC)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
-	inj := r.injectorFor(name, scheme, trh)
-	cfg := Config{
+	return NewSystemE(Config{
 		Geometry:        r.cfg.Geometry,
 		Timing:          r.cfg.Timing,
-		TRH:             trh,
-		Scheme:          scheme,
+		TRH:             cell.TRH,
+		Scheme:          cell.Scheme,
 		Cores:           r.cfg.Cores,
 		Seed:            r.cfg.Seed,
-		Tracker:         overrides.Tracker,
-		BloomGroupSize:  overrides.BloomGroupSize,
-		FPTCacheEntries: overrides.FPTCacheEntries,
-		ProactiveDrain:  overrides.ProactiveDrain,
-		Faults:          inj,
-	}
-	sys, err := NewSystemE(cfg, streams)
+		BloomGroupSize:  cell.Variant.BloomGroupSize,
+		FPTCacheEntries: cell.Variant.FPTCacheEntries,
+		Faults:          r.injectorFor(name, cell.Scheme, cell.TRH),
+	}, streams)
+}
+
+// runOnce builds and runs one cell's system.
+func (r *Runner) runOnce(ctx context.Context, name string, cell GridCell, nominalIPC float64) (Result, error) {
+	sys, err := r.newSystem(name, cell, nominalIPC)
 	if err != nil {
 		return Result{}, err
 	}
@@ -448,9 +473,9 @@ func (r *Runner) runVariantOnce(ctx context.Context, name string, scheme Scheme,
 // the same way again: nothing is retried. Cancellation passes through
 // untouched so callers can tell "the run was stopped" from "this cell is
 // broken".
-func (r *Runner) protectCell(name string, scheme Scheme, trh int64, fn func() error) error {
+func (r *Runner) protectCell(key cellKey, fn func() error) error {
 	if r.initErr != nil {
-		return &CellError{Workload: name, Scheme: scheme, TRH: trh, Err: r.initErr}
+		return key.fail(r.initErr)
 	}
 	err := flight.Protect(fn)
 	if err == nil {
@@ -459,7 +484,7 @@ func (r *Runner) protectCell(name string, scheme Scheme, trh int64, fn func() er
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return err
 	}
-	ce := &CellError{Workload: name, Scheme: scheme, TRH: trh, Err: err}
+	ce := key.fail(err)
 	var pe *flight.PanicError
 	if errors.As(err, &pe) {
 		ce.Stack = pe.Stack
@@ -467,69 +492,61 @@ func (r *Runner) protectCell(name string, scheme Scheme, trh int64, fn func() er
 	return ce
 }
 
-// runCell is one unprotected cell execution: baseline resolution plus the
-// scheme measurement, normalized.
-func (r *Runner) runCell(ctx context.Context, name string, scheme Scheme, trh int64) (WorkloadRun, error) {
-	base, nominal, err := r.baseline(ctx, name)
-	if err != nil {
-		return WorkloadRun{}, err
-	}
-	if scheme == SchemeBaseline {
-		return WorkloadRun{Workload: name, Scheme: scheme, TRH: trh, Result: base, NormIPC: 1}, nil
-	}
-	res, err := r.runOnce(ctx, name, scheme, trh, nominal)
-	if err != nil {
-		return WorkloadRun{}, err
-	}
-	norm := 1.0
-	if base.IPC > 0 {
-		norm = res.IPC / base.IPC
-	}
-	return WorkloadRun{Workload: name, Scheme: scheme, TRH: trh, Result: res, NormIPC: norm}, nil
-}
-
-// RunVariant measures one workload under a scheme with structural
-// overrides, normalized against the unmodified baseline.
-func (r *Runner) RunVariant(name string, scheme Scheme, trh int64, overrides Config) (WorkloadRun, error) {
-	return r.RunVariantCtx(context.Background(), name, scheme, trh, overrides)
-}
-
-// RunVariantCtx is RunVariant with cancellation and panic isolation.
-// Variant runs are never memoized or stored: the structural overrides
-// are not part of the cell key.
-func (r *Runner) RunVariantCtx(ctx context.Context, name string, scheme Scheme, trh int64, overrides Config) (WorkloadRun, error) {
-	var run WorkloadRun
-	err := r.protectCell(name, scheme, trh, func() error {
+// runCell is one unprotected cell execution. An IPC cell is normalized
+// against the workload's baseline; a tier cell needs only the nominal
+// IPC; a co-run cell runs at nominal IPC 1.0.
+func (r *Runner) runCell(ctx context.Context, key cellKey) (WorkloadRun, error) {
+	name, cell := key.workload, key.cell
+	run := WorkloadRun{Workload: name, Scheme: cell.Scheme, TRH: cell.TRH, Variant: cell.Variant.String()}
+	switch cell.Variant.Measure {
+	case MeasureIPC:
 		base, nominal, err := r.baseline(ctx, name)
 		if err != nil {
-			return err
+			return WorkloadRun{}, err
 		}
-		res, err := r.runVariantOnce(ctx, name, scheme, trh, nominal, overrides)
-		if err != nil {
-			return err
+		run.Result, run.NormIPC = base, 1
+		if cell.Scheme == SchemeBaseline {
+			return run, nil
 		}
-		norm := 1.0
+		if run.Result, err = r.runOnce(ctx, name, cell, nominal); err != nil {
+			return WorkloadRun{}, err
+		}
 		if base.IPC > 0 {
-			norm = res.IPC / base.IPC
+			run.NormIPC = run.Result.IPC / base.IPC
 		}
-		run = WorkloadRun{Workload: name, Scheme: scheme, TRH: trh, Result: res, NormIPC: norm}
-		return nil
-	})
-	if err != nil {
-		return WorkloadRun{}, err
+		return run, nil
+	case MeasureTiers:
+		nominal, err := r.nominalIPC(ctx, name)
+		if err != nil {
+			return WorkloadRun{}, err
+		}
+		tiers, res, err := r.rowTiers(ctx, name, cell, nominal)
+		if err != nil {
+			return WorkloadRun{}, err
+		}
+		run.Result, run.Tiers = res, &tiers
+		return run, nil
+	case MeasureCoRun:
+		co, res, err := r.coRun(ctx, name, cell)
+		if err != nil {
+			return WorkloadRun{}, err
+		}
+		run.Result, run.CoRun = res, &co
+		return run, nil
 	}
-	return run, nil
+	return WorkloadRun{}, fmt.Errorf("sim: unknown measure %d", cell.Variant.Measure)
 }
 
 // Run measures one workload under one scheme at the given threshold,
 // returning the scheme result and the normalized IPC vs the baseline.
 func (r *Runner) Run(name string, scheme Scheme, trh int64) (WorkloadRun, error) {
-	return r.RunCtx(context.Background(), name, scheme, trh)
+	return r.RunCtx(context.Background(), name, GridCell{Scheme: scheme, TRH: trh})
 }
 
-// RunCtx is Run with cancellation, panic isolation and cell caching. A
-// failure comes back as a *CellError (identity + cause + panic stack);
-// cancellation comes back as the context's error, unwrapped.
+// RunCtx is Run for a cell of any kind, with cancellation, panic
+// isolation and cell caching. A failure comes back as a *CellError
+// (identity + cause + panic stack); cancellation comes back as the
+// context's error, unwrapped.
 //
 // A threshold CheckTRH rejects fails as a *CellError before the memo or
 // the cache is consulted, so nothing is ever stored under its key.
@@ -542,11 +559,11 @@ func (r *Runner) Run(name string, scheme Scheme, trh int64) (WorkloadRun, error)
 // (including cancelled) cells are neither memoized nor stored.
 //
 //detertaint:root
-func (r *Runner) RunCtx(ctx context.Context, name string, scheme Scheme, trh int64) (WorkloadRun, error) {
-	if err := CheckTRH(trh); err != nil {
-		return WorkloadRun{}, &CellError{Workload: name, Scheme: scheme, TRH: trh, Err: err}
+func (r *Runner) RunCtx(ctx context.Context, name string, cell GridCell) (WorkloadRun, error) {
+	key := cellKey{name, cell}
+	if err := CheckTRH(cell.TRH); err != nil {
+		return WorkloadRun{}, key.fail(err)
 	}
-	key := cellKey{name, scheme, trh}
 	r.mu.Lock()
 	r.cellStats.Requests++
 	run, ok := r.cellMemo[key]
@@ -589,9 +606,9 @@ func (r *Runner) computeCell(ctx context.Context, key cellKey) (WorkloadRun, err
 		r.cellStats.CacheMisses++
 		r.mu.Unlock()
 	}
-	err := r.protectCell(key.workload, key.scheme, key.trh, func() error {
+	err := r.protectCell(key, func() error {
 		var err error
-		run, err = r.runCell(ctx, key.workload, key.scheme, key.trh)
+		run, err = r.runCell(ctx, key)
 		return err
 	})
 	if err != nil {
@@ -608,7 +625,7 @@ func (r *Runner) computeCell(ctx context.Context, key cellKey) (WorkloadRun, err
 }
 
 // Cells returns every memoized cell, in canonical workload/scheme/trh
-// order.
+// order, a plain cell before its variants and variants by label.
 //
 //detertaint:root
 func (r *Runner) Cells() []WorkloadRun {
@@ -626,15 +643,67 @@ func (r *Runner) Cells() []WorkloadRun {
 		if a.Scheme != b.Scheme {
 			return a.Scheme < b.Scheme
 		}
-		return a.TRH < b.TRH
+		if a.TRH != b.TRH {
+			return a.TRH < b.TRH
+		}
+		return a.Variant < b.Variant
 	})
 	return out
 }
 
-// GridCell is one (scheme, threshold) column of a grid.
+// GridCell is one keyed cell of a grid: a (scheme, threshold) column
+// and a Variant, zero for the plain IPC cell.
 type GridCell struct {
-	Scheme Scheme
-	TRH    int64
+	Scheme  Scheme
+	TRH     int64
+	Variant Variant
+}
+
+// baselineCell is every workload's unprotected reference cell.
+var baselineCell = GridCell{Scheme: SchemeBaseline, TRH: 1000}
+
+// Variant is what a cell sets beyond its scheme and threshold.
+type Variant struct {
+	// BloomGroupSize and FPTCacheEntries size AQUA's memory-mapped
+	// structures for the Section V-F sweep, as the Config fields of the
+	// same names do (0 = paper defaults).
+	BloomGroupSize  int
+	FPTCacheEntries int
+	Measure         Measure
+}
+
+// Measure selects what a cell measures on its run.
+type Measure uint8
+
+const (
+	// MeasureIPC: the scheme's IPC, normalized against the baseline.
+	MeasureIPC Measure = iota
+	// MeasureTiers: the rows reaching each Table II activation tier.
+	MeasureTiers
+	// MeasureCoRun: the Section VI-C co-run beside a DoS attacker.
+	MeasureCoRun
+)
+
+// String labels the variant for cell keys and reports by its non-zero
+// settings, comma-separated; distinct variants get distinct labels.
+func (v Variant) String() string {
+	var parts []string
+	if v.BloomGroupSize != 0 {
+		parts = append(parts, fmt.Sprintf("bloom=%d", v.BloomGroupSize))
+	}
+	if v.FPTCacheEntries != 0 {
+		parts = append(parts, fmt.Sprintf("fpt-cache=%d", v.FPTCacheEntries))
+	}
+	switch v.Measure {
+	case MeasureIPC:
+	case MeasureTiers:
+		parts = append(parts, "tiers")
+	case MeasureCoRun:
+		parts = append(parts, "corun")
+	default:
+		parts = append(parts, fmt.Sprintf("measure=%d", v.Measure))
+	}
+	return strings.Join(parts, ",")
 }
 
 // GridResult holds one workload's row of the grid.
@@ -675,11 +744,11 @@ func (r *Runner) RunGridCtx(ctx context.Context, names []string, cells []GridCel
 	cellErrs := make([]*CellError, len(names)*perName)
 	err := flight.ForEachCtx(ctx, len(names)*perName, r.cfg.Parallel, func(k int) error {
 		i, j := k/perName, k%perName
-		scheme, trh := SchemeBaseline, int64(1000)
+		cell := baselineCell
 		if j < len(cells) {
-			scheme, trh = cells[j].Scheme, cells[j].TRH
+			cell = cells[j]
 		}
-		run, err := r.RunCtx(ctx, names[i], scheme, trh)
+		run, err := r.RunCtx(ctx, names[i], cell)
 		if err != nil {
 			var ce *CellError
 			if errors.As(err, &ce) {
@@ -712,35 +781,19 @@ func (r *Runner) RunGridCtx(ctx context.Context, names []string, cells []GridCel
 	return out, nil
 }
 
-// RowTierCounts measures the Table II characterization on a baseline run:
-// the number of rows whose activation count within the window reaches each
-// tier (scaled to the 64ms epoch when the window differs).
-func (r *Runner) RowTierCounts(name string, tiers []int64) (map[int64]int, error) {
-	if r.initErr != nil {
-		return nil, r.initErr
-	}
-	nominal := 1.0
-	if r.cfg.Calibrate {
-		ipc, err := r.baselineIPC(context.Background(), name)
-		if err != nil {
-			return nil, err
-		}
-		nominal = ipc
-	}
-	streams, err := r.streamsFor(name, nominal)
+// RowTiers counts the rows whose activations within a run reach each
+// Table II tier, scaled to the 64 ms epoch.
+type RowTiers struct {
+	ACT166, ACT500, ACT1K int
+}
+
+// rowTiers runs the cell's system, counting activations per row (only
+// rows the run activates take an entry), and returns the tiers and run.
+func (r *Runner) rowTiers(ctx context.Context, name string, cell GridCell, nominalIPC float64) (RowTiers, Result, error) {
+	sys, err := r.newSystem(name, cell, nominalIPC)
 	if err != nil {
-		return nil, err
+		return RowTiers{}, Result{}, err
 	}
-	cfg := Config{
-		Geometry: r.cfg.Geometry, Timing: r.cfg.Timing,
-		TRH: 1000, Scheme: SchemeBaseline, Cores: r.cfg.Cores, Seed: r.cfg.Seed,
-	}
-	sys, err := NewSystemE(cfg, streams)
-	if err != nil {
-		return nil, err
-	}
-	// Count activations per row through a rank listener; only the rows
-	// the run activates take an entry.
 	var acts rowmap.Map
 	sys.Rank.Listen(func(row dram.Row, _ dram.PS) {
 		if n := acts.Ref(row); n != nil {
@@ -749,27 +802,28 @@ func (r *Runner) RowTierCounts(name string, tiers []int64) (map[int64]int, error
 			acts.Set(row, 1)
 		}
 	})
-	res := sys.Run(0)
-
+	res, err := sys.RunCtx(ctx, 0)
+	if err != nil {
+		return RowTiers{}, Result{}, err
+	}
 	scale := float64(res.SimTime) / float64(64*dram.Millisecond)
 	if scale == 0 {
 		scale = 1
 	}
-	counts := make(map[int64]int, len(tiers))
+	var tiers RowTiers
 	acts.Range(func(_ dram.Row, n int32) bool {
-		for _, tier := range tiers {
-			if float64(n) >= float64(tier)*scale {
-				counts[tier]++
+		reaches := func(tier float64) int {
+			if float64(n) >= tier*scale {
+				return 1
 			}
+			return 0
 		}
+		tiers.ACT166 += reaches(166)
+		tiers.ACT500 += reaches(500)
+		tiers.ACT1K += reaches(1000)
 		return true
 	})
-	sortTiers(tiers)
-	return counts, nil
-}
-
-func sortTiers(tiers []int64) {
-	sort.Slice(tiers, func(i, j int) bool { return tiers[i] < tiers[j] })
+	return tiers, res, nil
 }
 
 // LookupBreakdown summarizes Translate resolutions as fractions (Figure

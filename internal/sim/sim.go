@@ -271,7 +271,7 @@ func NewSystem(cfg Config, streams []cpu.Stream) *System {
 			TRH:             trh,
 			Mode:            mode,
 			Seed:            cfg.Seed,
-			Tracker:         cfg.Tracker.build(cfg.Geometry, cfg.Timing, max64(trh/2, 1)),
+			Tracker:         cfg.Tracker.build(cfg.Geometry, cfg.Timing, max(trh/2, 1)),
 			BloomGroupSize:  cfg.BloomGroupSize,
 			FPTCacheEntries: cfg.FPTCacheEntries,
 			ProactiveDrain:  cfg.ProactiveDrain,
@@ -291,14 +291,14 @@ func NewSystem(cfg Config, streams []cpu.Stream) *System {
 	case SchemeRRS:
 		s.Mit = rrs.New(rank, rrs.Config{
 			TRH: cfg.TRH, Seed: cfg.Seed,
-			Tracker: cfg.Tracker.build(cfg.Geometry, cfg.Timing, max64(cfg.TRH/rrs.SwapDivisor, 1)),
+			Tracker: cfg.Tracker.build(cfg.Geometry, cfg.Timing, max(cfg.TRH/rrs.SwapDivisor, 1)),
 		})
 	case SchemeBlockhammer:
 		s.Mit = blockhammer.New(rank, blockhammer.Config{TRH: cfg.TRH})
 	case SchemeVictimRefresh:
 		s.Mit = vrefresh.New(rank, vrefresh.Config{
 			TRH:     cfg.TRH,
-			Tracker: cfg.Tracker.build(cfg.Geometry, cfg.Timing, max64(cfg.TRH/2, 1)),
+			Tracker: cfg.Tracker.build(cfg.Geometry, cfg.Timing, max(cfg.TRH/2, 1)),
 		})
 	default:
 		panic(fmt.Sprintf("sim: unknown scheme %d", cfg.Scheme))
@@ -655,11 +655,4 @@ func WorkloadStreams(spec workload.Spec, region workload.Region, cores int, reqs
 		streams[i] = gen.Stream(reqsPerCore, seed+uint64(i)*7919)
 	}
 	return streams
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cpu"
@@ -203,16 +204,26 @@ func TestRunnerSingleRun(t *testing.T) {
 	}
 }
 
+// tierCell, coRunCell and bloomCell are the three kinds of variant cell
+// the figures request: Table II's tier counts, the Section VI-C co-run
+// and a Section V-F structure size.
+var (
+	tierCell  = GridCell{Scheme: SchemeBaseline, TRH: 1000, Variant: Variant{Measure: MeasureTiers}}
+	coRunCell = GridCell{Scheme: SchemeAquaSRAM, TRH: 1000, Variant: Variant{Measure: MeasureCoRun}}
+	bloomCell = GridCell{Scheme: SchemeAquaMemMapped, TRH: 1000, Variant: Variant{BloomGroupSize: 32}}
+)
+
 func TestRowTierCounts(t *testing.T) {
 	r := NewRunner(ExpConfig{Window: 2 * dram.Millisecond, Calibrate: false})
-	counts, err := r.RowTierCounts("gcc", []int64{166, 500, 1000})
+	run, err := r.RunCtx(context.Background(), "gcc", tierCell)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if counts[166] < counts[500] || counts[500] < counts[1000] {
-		t.Fatalf("tier counts not cumulative: %v", counts)
+	counts := run.Tiers
+	if counts.ACT166 < counts.ACT500 || counts.ACT500 < counts.ACT1K {
+		t.Fatalf("tier counts not cumulative: %+v", *counts)
 	}
-	if counts[166] == 0 {
+	if counts.ACT166 == 0 {
 		t.Fatal("gcc produced no 166+ rows")
 	}
 }
@@ -255,7 +266,7 @@ func TestStructureOverridesApply(t *testing.T) {
 
 func TestRunVariantNormalizes(t *testing.T) {
 	r := NewRunner(ExpConfig{Window: 500 * dram.Microsecond, Calibrate: false})
-	run, err := r.RunVariant("xz", SchemeAquaMemMapped, 1000, Config{BloomGroupSize: 32})
+	run, err := r.RunCtx(context.Background(), "xz", bloomCell)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,34 +284,35 @@ func TestDRAMPowerReported(t *testing.T) {
 }
 
 func TestCoRunReportsAllLegs(t *testing.T) {
-	spec, _ := workload.ByName("xz")
-	res, err := CoRun(SchemeAquaSRAM, 1000, spec, 300*dram.Microsecond, 3)
+	r := NewRunner(ExpConfig{Window: 300 * dram.Microsecond, Seed: 3})
+	run, err := r.RunCtx(context.Background(), "xz", coRunCell)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := run.CoRun
 	if res.SoloVictimIPC <= 0 || res.BaselineVictimIPC <= 0 || res.VictimIPC <= 0 {
-		t.Fatalf("degenerate: %+v", res)
+		t.Fatalf("degenerate: %+v", *res)
 	}
-	if res.Scheme != SchemeAquaSRAM {
+	if run.Scheme != SchemeAquaSRAM {
 		t.Fatal("scheme not recorded")
 	}
-	if _, err := CoRun(SchemeAquaSRAM, 1000, spec, 0, 3); err == nil {
+	if _, _, err := r.coRunLeg(context.Background(), "xz", SchemeAquaSRAM, 1000, 0, true); err == nil {
 		t.Fatal("zero window accepted")
 	}
 }
 
-// TestCoRunFullWindowMonitor runs the Section VI-C co-run over a full
-// 64 ms window with the security monitor attached. Cross-bank ACTs reach
-// the monitor slightly out of timestamp order, and at this seed one of
-// them straddles the monitor's 32 ms half-window roll; the run must
-// complete, and AQUA must keep every row under T_RH.
+// TestCoRunFullWindowMonitor runs the Section VI-C co-run's protected leg
+// over a full 64 ms window with the security monitor attached. Cross-bank
+// ACTs reach the monitor slightly out of timestamp order, and at this
+// seed one of them straddles the monitor's 32 ms half-window roll; the
+// run must complete, and AQUA must keep every row under T_RH.
 func TestCoRunFullWindowMonitor(t *testing.T) {
-	spec, _ := workload.ByName("gcc")
-	res, err := CoRun(SchemeAquaMemMapped, 1000, spec, 64*dram.Millisecond, 801)
+	r := NewRunner(ExpConfig{Seed: 801})
+	_, res, err := r.coRunLeg(context.Background(), "gcc", SchemeAquaMemMapped, 1000, 64*dram.Millisecond, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Violated {
-		t.Fatalf("AQUA co-run violated T_RH: %+v", res)
+		t.Fatalf("AQUA co-run violated T_RH: %d mitigations", res.MitStats.Mitigations)
 	}
 }

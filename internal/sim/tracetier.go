@@ -2,10 +2,10 @@ package sim
 
 // Record-once/replay-many workload streams (see DESIGN.md "Trace capture
 // & replay"). A workload core-stream is a pure function of (spec, core,
-// nominal IPC) under the Runner's fixed region/seed/window — it carries
-// addresses and instruction gaps, never timestamps — so one capture
-// serves every grid cell sharing the workload regardless of scheme or
-// threshold. The first cell to touch a stream runs the generator once
+// nominal IPC, request budget) under the Runner's fixed region and seed —
+// it carries addresses and instruction gaps, never timestamps — so one
+// capture serves every cell sharing the workload regardless of scheme,
+// threshold or variant. The first cell to touch a stream runs the generator once
 // and packs the records; every cell (including that first one) then
 // replays the packed trace, which is several times cheaper per record
 // than generation and byte-identical to it (pinned against the generator
@@ -29,7 +29,7 @@ const traceBudgetBytes = 1 << 30
 // replayStream serves one core's stream from the trace tier, capturing
 // it first if the tier does not hold it yet.
 func (r *Runner) replayStream(spec workload.Spec, core int, nominal float64, reqs int64) cpu.Stream {
-	key := streamKey{spec: spec.Name, core: core, nominal: nominal}
+	key := streamKey{spec: spec.Name, core: core, nominal: nominal, reqs: reqs}
 	r.mu.Lock()
 	if p, ok := r.traceMem[key]; ok {
 		r.cellStats.TraceReplays++

@@ -1,6 +1,8 @@
 package repro
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -223,5 +225,17 @@ func TestLabCoRunReport(t *testing.T) {
 	}
 	if _, err := l.CoRunReport("ghost"); err == nil {
 		t.Fatal("ghost workload accepted")
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	stopped := NewLab(LabOptions{
+		Window:        500 * dram.PS(dram.Microsecond),
+		Workloads:     []string{"xz"},
+		NoCalibration: true,
+		Context:       ctx,
+	})
+	if out, err := stopped.CoRunReport("xz"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled lab returned %v and %d bytes, want context.Canceled", err, len(out))
 	}
 }

@@ -56,9 +56,16 @@ func TestParallelMatchesSerial(t *testing.T) {
 				r.name, want, got)
 		}
 	}
-	// Both engines simulated the identical cell set.
-	if s, p := serial.SortedCacheKeys(), parallel.SortedCacheKeys(); !reflect.DeepEqual(s, p) {
+	// Both engines simulated the identical cell set, in the same order,
+	// each cell (the Section V-F variants included) under its own label.
+	s, p := serial.SortedCacheKeys(), parallel.SortedCacheKeys()
+	if !reflect.DeepEqual(s, p) {
 		t.Errorf("cell sets diverged:\nserial:   %v\nparallel: %v", s, p)
+	}
+	for i := 1; i < len(s); i++ {
+		if s[i] == s[i-1] {
+			t.Errorf("two cells listed as %s", s[i])
+		}
 	}
 }
 

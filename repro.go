@@ -94,8 +94,9 @@ const (
 // Simulation schemes (re-exported from internal/sim).
 type Scheme = sim.Scheme
 
-// GridCell is one (scheme, threshold) column of an experiment grid, used
-// with Lab.Precompute and Runner grids.
+// GridCell is one keyed cell of an experiment grid, used with
+// Lab.Precompute and Runner grids: a (scheme, threshold) column plus a
+// sim.Variant (Section V-F sizes, Table II tiers, the Section VI-C co-run).
 type GridCell = sim.GridCell
 
 const (

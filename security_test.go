@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/attack"
@@ -10,7 +11,6 @@ import (
 	"repro/internal/flipmodel"
 	"repro/internal/sim"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // runAttack drives one attack stream through a single core of a full
@@ -304,32 +304,29 @@ func TestCoRunDoSImpactBounded(t *testing.T) {
 	// benign workload on the others, AQUA's extra interference on the
 	// victims (beyond the attack's own bandwidth use) stays within the
 	// 2.95x analytical bound, and the invariant holds throughout.
-	spec, ok := workloadByName("gcc")
-	if !ok {
-		t.Fatal("gcc spec missing")
-	}
-	res, err := sim.CoRun(sim.SchemeAquaSRAM, 1000, spec, 4*dram.Millisecond, 7)
+	r := sim.NewRunner(sim.ExpConfig{Window: 4 * dram.Millisecond, Seed: 7})
+	run, err := r.RunCtx(context.Background(), "gcc", sim.GridCell{
+		Scheme: sim.SchemeAquaSRAM, TRH: 1000, Variant: sim.Variant{Measure: sim.MeasureCoRun}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Violated {
+	if run.Result.Violated {
 		t.Fatal("co-run violated the invariant")
 	}
-	if res.Mitigations == 0 {
+	if run.Result.MitStats.Mitigations == 0 {
 		t.Fatal("attacker triggered no mitigations")
 	}
+	res := run.CoRun
 	if res.AttackSlowdown > 3.1 {
 		t.Fatalf("victim slowdown %.2fx exceeds the DoS bound", res.AttackSlowdown)
 	}
 	if res.VictimIPC <= 0 || res.BaselineVictimIPC <= 0 || res.SoloVictimIPC <= 0 {
 		t.Fatalf("degenerate IPCs: %+v", res)
 	}
-	// The attack itself must cost the victims something relative to solo.
+	// The attack itself must cost the victims something relative to solo,
+	// where core 0 idles.
 	if res.BaselineVictimIPC >= res.SoloVictimIPC {
-		t.Logf("note: attacker did not measurably disturb victims (%.3f vs %.3f)",
+		t.Fatalf("attacker did not disturb the victims: %.3f under attack vs %.3f solo",
 			res.BaselineVictimIPC, res.SoloVictimIPC)
 	}
 }
-
-// workloadByName re-exports workload lookup for the co-run test.
-func workloadByName(name string) (workload.Spec, bool) { return workload.ByName(name) }
