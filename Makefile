@@ -29,11 +29,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short fuzz smoke against the AQUA engine's structural invariants and
-# the aqua-trace-v1 reader (the only trace file format the repo parses).
+# Short fuzz smoke against the AQUA engine's structural invariants, the
+# aqua-trace-v1 reader (the only trace file format the repo parses) and
+# the trace tier's packed column codec.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCore -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzBinaryReader -fuzztime=10s ./internal/trace
+	$(GO) test -run='^$$' -fuzz=FuzzPackedRoundTrip -fuzztime=10s ./internal/trace
 
 # Full benchmark sweep (64ms window, 34 workloads). Knobs:
 #   REPRO_BENCH_WINDOW_MS=4 REPRO_BENCH_WORKLOADS=spec  quick mode

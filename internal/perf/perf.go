@@ -246,7 +246,7 @@ func BenchGeneratorStream(b *testing.B) {
 }
 
 // traceReplayRecords sizes the packed capture BenchTraceReplay cycles
-// over: big enough that cursor resets are noise, small enough (~8 MiB
+// over: big enough that cursor resets are noise, small enough (~4 MiB
 // packed) to build instantly.
 const traceReplayRecords = 1 << 20
 

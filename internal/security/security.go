@@ -12,9 +12,10 @@ package security
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/dram"
+	"repro/internal/rowmap"
 )
 
 // Violation records one detected Rowhammer condition.
@@ -30,9 +31,11 @@ type Monitor struct {
 	trh    int
 	window dram.PS
 
-	// hot holds exact timestamp queues for rows under scrutiny. A row is
-	// promoted to hot once its coarse per-window count crosses trackFloor.
-	hot        map[dram.Row][]dram.PS
+	// hot maps each row under scrutiny to its exact timestamp queue in
+	// queues. A row is promoted to hot once its coarse per-window count
+	// crosses trackFloor, and stays hot until Reset.
+	hot        rowmap.Map
+	queues     []actQueue
 	trackFloor int
 
 	// coarse per-half-window counts used only to decide promotion; counts
@@ -40,9 +43,8 @@ type Monitor struct {
 	// could reach trackFloor activations in a full window is promoted no
 	// later than activation number trackFloor.
 	halfIdx  int64
-	cur      map[dram.Row]int
-	prev     map[dram.Row]int
-	hotPeak  map[dram.Row]int
+	cur      rowmap.Map
+	prev     rowmap.Map
 	maxCount int
 	maxRow   dram.Row
 
@@ -63,15 +65,37 @@ func NewMonitor(trh int, window dram.PS) *Monitor {
 	if floor < 1 {
 		floor = 1
 	}
-	return &Monitor{
-		trh:        trh,
-		window:     window,
-		trackFloor: floor,
-		hot:        make(map[dram.Row][]dram.PS),
-		cur:        make(map[dram.Row]int),
-		prev:       make(map[dram.Row]int),
-		hotPeak:    make(map[dram.Row]int),
+	return &Monitor{trh: trh, window: window, trackFloor: floor}
+}
+
+// actQueue is one hot row's exact activation timestamps: ts[head:] are
+// the ACTs inside the sliding window, in time order, and peak is the
+// largest window count a tracked ACT has seen.
+type actQueue struct {
+	ts   []dram.PS
+	head int
+	peak int
+}
+
+// record adds an ACT at time at and returns the ACTs left in the window
+// ending at at. A late ACT is inserted in order from the back, so the
+// trim stays exact. The trim advances head; once the dead prefix passes
+// half the slice, the live ACTs move to its front, so append reuses the
+// slice's capacity instead of reallocating as the window slides.
+func (q *actQueue) record(at, window dram.PS) int {
+	q.ts = append(q.ts, at)
+	for j := len(q.ts) - 1; j > q.head && q.ts[j-1] > at; j-- {
+		q.ts[j-1], q.ts[j] = q.ts[j], q.ts[j-1]
 	}
+	cutoff := at - window
+	for q.head < len(q.ts) && q.ts[q.head] <= cutoff {
+		q.head++
+	}
+	if q.head > len(q.ts)/2 {
+		q.ts = q.ts[:copy(q.ts, q.ts[q.head:])]
+		q.head = 0
+	}
+	return len(q.ts) - q.head
 }
 
 // Attach registers the monitor on a rank so every committed ACT is observed.
@@ -90,42 +114,28 @@ func (m *Monitor) RecordACT(row dram.Row, at dram.PS) {
 
 	// Roll the coarse half-window counters forward.
 	half := at / (m.window / 2)
-	counts := m.cur
+	counts := &m.cur
 	switch {
 	case half == m.halfIdx:
 	case half == m.halfIdx+1:
 		m.prev, m.cur = m.cur, m.prev
-		clear(m.cur)
+		m.cur.Clear()
 		m.halfIdx = half
-		counts = m.cur
 	case half > m.halfIdx+1:
-		clear(m.prev)
-		clear(m.cur)
+		m.prev.Clear()
+		m.cur.Clear()
 		m.halfIdx = half
 	case half == m.halfIdx-1:
-		counts = m.prev
+		counts = &m.prev
 	default:
 		panic(fmt.Sprintf("security: time went backwards: %d then %d", m.halfIdx, half))
 	}
 
-	if q, tracked := m.hot[row]; tracked {
-		// Keep the queue sorted so the trim below stays exact: append an
-		// in-order ACT, insert a late one from the back.
-		q = append(q, at)
-		for j := len(q) - 1; j > 0 && q[j-1] > at; j-- {
-			q[j-1], q[j] = q[j], q[j-1]
-		}
-		// Exact sliding window: drop timestamps older than `window`.
-		cutoff := at - m.window
-		i := 0
-		for i < len(q) && q[i] <= cutoff {
-			i++
-		}
-		q = q[i:]
-		m.hot[row] = q
-		n := len(q)
-		if n > m.hotPeak[row] {
-			m.hotPeak[row] = n
+	if i, tracked := m.hot.Get(row); tracked {
+		q := &m.queues[i]
+		n := q.record(at, m.window)
+		if n > q.peak {
+			q.peak = n
 		}
 		if n > m.maxCount {
 			m.maxCount = n
@@ -137,15 +147,22 @@ func (m *Monitor) RecordACT(row dram.Row, at dram.PS) {
 		return
 	}
 
-	counts[row]++
-	if m.cur[row]+m.prev[row] >= m.trackFloor {
+	if c := counts.Ref(row); c != nil {
+		*c++
+	} else {
+		counts.Set(row, 1)
+	}
+	cur, _ := m.cur.Get(row)
+	prev, _ := m.prev.Get(row)
+	if int(cur+prev) >= m.trackFloor {
 		// Promote: seed the exact queue with the activation we know about.
 		// Earlier activations are not reconstructed; the promotion floor
 		// (trh/4) means at most trh/2 activations across two half-windows
 		// are unaccounted, so the monitor remains sound for detecting
 		// violations (it can only undercount, never overcount) while the
 		// MaxWindowCount lower bound stays within trh/2 of truth.
-		m.hot[row] = append(m.hot[row], at)
+		m.hot.Set(row, int32(len(m.queues)))
+		m.queues = append(m.queues, actQueue{ts: []dram.PS{at}})
 	}
 }
 
@@ -163,17 +180,23 @@ func (m *Monitor) MaxWindowCount() (dram.Row, int) { return m.maxRow, m.maxCount
 
 // HotRows returns the rows currently under exact tracking, sorted.
 func (m *Monitor) HotRows() []dram.Row {
-	rows := make([]dram.Row, 0, len(m.hot))
-	for r := range m.hot {
+	rows := make([]dram.Row, 0, m.hot.Len())
+	m.hot.Range(func(r dram.Row, _ int32) bool {
 		rows = append(rows, r)
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i] < rows[j] })
+		return true
+	})
+	slices.Sort(rows)
 	return rows
 }
 
 // PeakWindowCount returns the peak sliding-window count seen for a row (0
 // if the row never became hot).
-func (m *Monitor) PeakWindowCount(row dram.Row) int { return m.hotPeak[row] }
+func (m *Monitor) PeakWindowCount(row dram.Row) int {
+	if i, ok := m.hot.Get(row); ok {
+		return m.queues[i].peak
+	}
+	return 0
+}
 
 // TotalACTs returns the number of activations observed.
 func (m *Monitor) TotalACTs() int64 { return m.acts }
@@ -183,10 +206,11 @@ func (m *Monitor) Threshold() int { return m.trh }
 
 // Reset clears all state (between experiments).
 func (m *Monitor) Reset() {
-	clear(m.hot)
-	clear(m.cur)
-	clear(m.prev)
-	clear(m.hotPeak)
+	m.hot.Clear()
+	clear(m.queues)
+	m.queues = m.queues[:0]
+	m.cur.Clear()
+	m.prev.Clear()
 	m.halfIdx = 0
 	m.maxCount = 0
 	m.maxRow = 0

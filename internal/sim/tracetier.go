@@ -21,9 +21,9 @@ import (
 )
 
 // traceBudgetBytes bounds the in-memory packed tier. The full 34-workload
-// 64 ms grid holds 1,057,995,720 B after every workload's calibration and
-// baseline pass at the default seed, under this 1 GiB bound (DESIGN.md
-// "Trace capture & replay" has the measurement).
+// 64 ms grid holds 555,585,796 B after every workload's calibration and
+// baseline pass at the default seed, about half this 1 GiB bound
+// (DESIGN.md "Trace capture & replay" has the measurement).
 const traceBudgetBytes = 1 << 30
 
 // replayStream serves one core's stream from the trace tier, capturing

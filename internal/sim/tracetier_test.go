@@ -157,8 +157,8 @@ func TestTraceBudgetFallback(t *testing.T) {
 // needs: its bytes after every workload's calibration and baseline pass
 // over the 34-workload 64 ms grid at the default seed. Scheme cells only
 // replay those streams, so this is the tier's peak, and it must fit the
-// in-memory budget because nothing spills. The run takes minutes, so it
-// is opt-in:
+// in-memory budget because nothing spills. The run takes about 20 s on
+// a 2-vCPU host, so it is opt-in (CI runs it):
 //
 //	REPRO_TRACE_TIER_FULL=1 go test -run TestFullGridTraceTier -v ./internal/sim
 func TestFullGridTraceTier(t *testing.T) {
@@ -166,7 +166,7 @@ func TestFullGridTraceTier(t *testing.T) {
 		t.Skip("set REPRO_TRACE_TIER_FULL=1 to measure the full-grid trace tier")
 	}
 	r := NewRunner(ExpConfig{Calibrate: true, Parallel: 1})
-	var calibrated, calibratedStreams int64
+	var calibrated, calibratedStreams, records int64
 	dropped := make(map[streamKey]bool)
 	for _, name := range AllCaseNames() {
 		if _, err := r.Run(name, SchemeBaseline, 1000); err != nil {
@@ -186,6 +186,7 @@ func TestFullGridTraceTier(t *testing.T) {
 			dropped[k] = true
 			calibrated += p.Bytes()
 			calibratedStreams++
+			records += p.Len()
 			r.traceBytes -= p.Bytes()
 			delete(r.traceMem, k)
 		}
@@ -193,13 +194,16 @@ func TestFullGridTraceTier(t *testing.T) {
 	}
 	r.mu.Lock()
 	nominal := r.traceBytes
+	for _, p := range r.traceMem {
+		records += p.Len()
+	}
 	r.mu.Unlock()
 	total := nominal + calibrated
 	st := r.CellStats()
 	const mib = 1 << 20
-	t.Logf("trace tier: %d B (%.1f MiB) = %.1f MiB nominal-1.0 calibration streams + %.1f MiB calibrated streams (%d); %d captures, %d replays; budget %d B",
+	t.Logf("trace tier: %d B (%.1f MiB) = %.1f MiB nominal-1.0 calibration streams + %.1f MiB calibrated streams (%d); %d records, %.3f B/record; %d captures, %d replays; budget %d B",
 		total, float64(total)/mib, float64(nominal)/mib, float64(calibrated)/mib, calibratedStreams,
-		st.TraceCaptures, st.TraceReplays, int64(traceBudgetBytes))
+		records, float64(total)/float64(records), st.TraceCaptures, st.TraceReplays, int64(traceBudgetBytes))
 	if total > traceBudgetBytes {
 		t.Errorf("full-grid trace tier %d B exceeds the %d B budget", total, int64(traceBudgetBytes))
 	}

@@ -2,7 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
+
+	"repro/internal/dram"
 )
 
 // FuzzBinaryReader: arbitrary input must never panic or loop; every
@@ -61,5 +64,42 @@ func FuzzBinaryReader(f *testing.F) {
 				t.Fatalf("record %d: %+v vs %+v (%v)", i, got, want, err)
 			}
 		}
+	})
+}
+
+// packedRecordBytes is one fuzzed record: a little-endian row, a
+// little-endian gap and a byte whose low bit is the write flag.
+const packedRecordBytes = 9
+
+// FuzzPackedRoundTrip: any records whose gaps fit 32 bits, packed under
+// any limit, must replay exactly from the narrowest columns, with every
+// column's capacity equal to its length and Bytes counting exactly the
+// widths, the pad bytes and the bitset.
+func FuzzPackedRoundTrip(f *testing.F) {
+	for _, tc := range packedCases {
+		var data []byte
+		for _, r := range tc.records() {
+			data = binary.LittleEndian.AppendUint32(data, uint32(r.Row))
+			data = binary.LittleEndian.AppendUint32(data, uint32(r.GapInstr))
+			var write byte
+			if r.Write {
+				write = 1
+			}
+			data = append(data, write)
+		}
+		f.Add(data, uint16(tc.packLimit()))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte, limit uint16) {
+		recs := make([]Record, len(data)/packedRecordBytes)
+		for i := range recs {
+			b := data[i*packedRecordBytes:]
+			recs[i] = Record{
+				Row:      dram.Row(binary.LittleEndian.Uint32(b)),
+				GapInstr: int64(binary.LittleEndian.Uint32(b[4:])),
+				Write:    b[8]&1 != 0,
+			}
+		}
+		packAndCheck(t, recs, int64(limit))
 	})
 }
