@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build lint test race fuzz bench bench-quick bench-json bench-smoke bench-full fault-smoke cache-smoke examples-smoke
+.PHONY: all build lint test race fuzz bench bench-quick bench-smoke bench-full fault-smoke cache-smoke examples-smoke
 
 all: build lint test
 
@@ -47,17 +47,6 @@ bench:
 # harness, minutes instead of hours.
 bench-quick:
 	REPRO_BENCH_WINDOW_MS=4 REPRO_BENCH_WORKLOADS=spec $(GO) test -run='^$$' -bench=. -benchtime=1x -timeout 0 .
-
-# Record headline metrics (slowdowns, migrations/64ms, grid wall-clock at
-# -j 1 vs -j 4, full-cell wall-clock) to BENCH_<date>.json. Defaults to
-# the quick configuration; unset the REPRO_BENCH_* overrides for a
-# full-window record. On a 1-core host the speedup is recorded as null
-# (the serial/parallel ratio is scheduler noise there) with a warning.
-bench-json:
-	REPRO_BENCH_WINDOW_MS=$${REPRO_BENCH_WINDOW_MS:-4} \
-	REPRO_BENCH_WORKLOADS=$${REPRO_BENCH_WORKLOADS:-spec} \
-	REPRO_BENCH_JSON=BENCH_$$(date +%F).json \
-	$(GO) test -run='^TestBenchJSON$$' -timeout 0 .
 
 # CI smoke over the hot-path measurement layer: one iteration of each
 # internal/perf microbenchmark plus the zero-allocation budget tests.

@@ -13,8 +13,6 @@
 //	REPRO_BENCH_PAR        concurrent simulations (default 0 = one per
 //	                       core; 1 = serial). Results are identical at any
 //	                       setting — only wall-clock changes.
-//	REPRO_BENCH_JSON       path to write headline metrics as JSON (used by
-//	                       `make bench-json`, which runs TestBenchJSON)
 //
 // The same tables are available interactively via cmd/figures. A quick
 // benchmark configuration for contributors is `make bench-quick`
@@ -22,25 +20,17 @@
 package repro
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/attack"
-	"repro/internal/cellcache"
-	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/dram"
-	"repro/internal/memctrl"
-	"repro/internal/perf"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/tracker"
 )
 
 var (
@@ -86,29 +76,19 @@ func emit(name, table string) {
 	}
 }
 
-// labGmean computes the geometric-mean normalized IPC for a scheme cell
-// across a lab's workloads.
-func labGmean(l *Lab, scheme Scheme, trh int64) (float64, error) {
-	var norms []float64
-	for _, name := range l.opts.Workloads {
-		r, err := l.Run(name, scheme, trh)
-		if err != nil {
-			return 0, err
-		}
-		norms = append(norms, r.NormIPC)
-	}
-	return stats.Geomean(norms), nil
-}
-
 // gmeanNormIPC extracts the geometric-mean normalized IPC for a scheme
 // cell across the lab's workloads.
 func gmeanNormIPC(b *testing.B, l *Lab, scheme Scheme, trh int64) float64 {
 	b.Helper()
-	gm, err := labGmean(l, scheme, trh)
-	if err != nil {
-		b.Fatal(err)
+	var norms []float64
+	for _, name := range l.opts.Workloads {
+		r, err := l.Run(name, scheme, trh)
+		if err != nil {
+			b.Fatal(err)
+		}
+		norms = append(norms, r.NormIPC)
 	}
-	return gm
+	return stats.Geomean(norms)
 }
 
 // --- Figures --------------------------------------------------------------
@@ -313,40 +293,6 @@ func BenchmarkSection6CWorstCaseDoS(b *testing.B) {
 		"Section VI-C worst-case DoS: measured %.2fx (analytical bound 2.95x)", slowdown))
 }
 
-// --- Microbenchmarks on the core data structures ----------------------------
-
-func BenchmarkAquaTranslateSRAM(b *testing.B) {
-	rank := NewBaselineRank()
-	eng := core.New(rank, core.Config{TRH: 1000, Mode: core.ModeSRAM})
-	visible := eng.VisibleRowsPerBank()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Translate(dram.Row(i%visible), 0)
-	}
-}
-
-func BenchmarkAquaTranslateMemMapped(b *testing.B) {
-	rank := NewBaselineRank()
-	eng := core.New(rank, core.Config{TRH: 1000, Mode: core.ModeMemMapped})
-	visible := eng.VisibleRowsPerBank()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Translate(dram.Row(i%visible), 0)
-	}
-}
-
-func BenchmarkControllerSubmit(b *testing.B) {
-	rank := NewBaselineRank()
-	eng := core.New(rank, core.Config{TRH: 1000, Mode: core.ModeMemMapped})
-	ctrl := memctrl.New(rank, eng, memctrl.Config{})
-	geom := rank.Geometry()
-	at := dram.PS(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		at = ctrl.Submit(geom.RowOf(i%16, i%100000), false, at)
-	}
-}
-
 func BenchmarkSection5FSensitivity(b *testing.B) {
 	l := sharedLab()
 	var out string
@@ -371,354 +317,4 @@ func BenchmarkSection5HPower(b *testing.B) {
 		}
 	}
 	emit("section5h", out)
-}
-
-// --- Machine-readable bench record (make bench-json) ------------------------
-
-// BenchRecord is the headline-metric snapshot `make bench-json` writes to
-// BENCH_<date>.json, recording the repo's performance trajectory PR over
-// PR: paper metrics (slowdowns, migrations/64ms) plus grid wall-clock at
-// -j 1 and -j N on the same grid.
-type BenchRecord struct {
-	Date       string `json:"date"`
-	GoVersion  string `json:"go_version"`
-	HostCores  int    `json:"host_cores"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	WindowMS   int    `json:"window_ms"`
-	Workloads  int    `json:"workloads"`
-	GridCells  int    `json:"grid_cells"`
-	Jobs       int    `json:"jobs"`
-
-	WallSerialSec float64 `json:"wall_serial_sec"`
-	// WallParallelSec is null on a 1-core host: the -j N pass is skipped
-	// outright there (it would measure scheduler overhead, and at ~13s it
-	// doubled bench-json's cost for a number SpeedupNote then disclaimed).
-	WallParallelSec *float64 `json:"wall_parallel_sec"`
-	// Speedup is wall_serial/wall_parallel — but only when the host has
-	// cores to parallelize over. On a 1-core host the ratio measures
-	// scheduler overhead, not the engine, so it is recorded as null with
-	// SpeedupNote explaining why (a 0.90 "slowdown" recorded from a 1-core
-	// CI host is what this guards against).
-	Speedup     *float64 `json:"speedup"`
-	SpeedupNote string   `json:"speedup_note,omitempty"`
-
-	// WallFullSec is the wall-clock for one full 64ms-window cell (lbm
-	// under AQUA memory-mapped, 4 cores) — the unit of work every figure
-	// grid decomposes into, and the number the event-driven core is
-	// budgeted against (< 1s; see `make bench-full`).
-	WallFullSec float64 `json:"wall_full_sec"`
-
-	// Cold vs warm wall-clock over the same grid against an on-disk
-	// result cache: the cold pass simulates and populates the cache, the
-	// warm pass replays it from disk. CacheHits is the warm pass's hit
-	// count (one per grid cell when the cache is healthy).
-	WallColdSec float64 `json:"wall_cold_sec"`
-	WallWarmSec float64 `json:"wall_warm_sec"`
-	CacheHits   int64   `json:"cache_hits"`
-
-	// TraceCaptures/TraceReplays are the cold pass's stream-tier counters:
-	// with trace replay on by default, each workload's core streams are
-	// synthesized once (captures) and every later cell sharing them replays
-	// the packed capture instead of regenerating. Replays of zero would
-	// mean the tier is dark and wall_cold_sec is paying full synthesis.
-	TraceCaptures int64 `json:"trace_captures"`
-	TraceReplays  int64 `json:"trace_replays"`
-
-	SlowdownAqua1KPct float64 `json:"slowdown_aqua_1k_pct"`
-	SlowdownRRS1KPct  float64 `json:"slowdown_rrs_1k_pct"`
-	MigrAquaPer64ms   float64 `json:"migrations_per_64ms_aqua"`
-	MigrRRSPer64ms    float64 `json:"migrations_per_64ms_rrs"`
-
-	// Micro holds the internal/perf hot-path microbenchmarks, keyed by
-	// pipeline layer, so per-layer regressions are visible in the
-	// trajectory even when grid wall-clock hides them.
-	Micro map[string]MicroMetric `json:"micro"`
-}
-
-// MicroMetric is one microbenchmark sample in the bench record.
-type MicroMetric struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-}
-
-// runMicrobenches runs the internal/perf layer benchmarks through
-// testing.Benchmark and collapses each into a MicroMetric.
-func runMicrobenches() map[string]MicroMetric {
-	benches := map[string]func(*testing.B){
-		"dram_access":          perf.BenchAccess,
-		"ctrl_submit":          perf.BenchSubmit,
-		"ctrl_submitbatch":     perf.BenchSubmitBatch,
-		"tracker_act":          perf.BenchTrackerACT,
-		"tracker_act_hot":      perf.BenchTrackerACTHot,
-		"tracker_act_cold":     perf.BenchTrackerACTCold,
-		"mitigation_translate": perf.BenchTranslate,
-		"workload_stream":      perf.BenchGeneratorStream,
-		"trace_replay":         perf.BenchTraceReplay,
-		"event_pop":            perf.BenchEventPop,
-		"issue_loop_8c":        perf.BenchIssueLoop8,
-		"issue_loop_16c":       perf.BenchIssueLoop16,
-	}
-	out := make(map[string]MicroMetric, len(benches))
-	for name, fn := range benches {
-		r := testing.Benchmark(fn)
-		out[name] = MicroMetric{
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: r.AllocsPerOp(),
-		}
-	}
-	return out
-}
-
-// TestBenchJSON records headline metrics to the file named by
-// REPRO_BENCH_JSON (it skips when unset, so plain `go test` never pays
-// for it). It runs the same grid serially and at -j N, checks the
-// rendered output is byte-identical, and writes wall-clock for both, so
-// the recorded speedup is backed by a determinism check. Window,
-// workload set, and N follow the REPRO_BENCH_* knobs.
-func TestBenchJSON(t *testing.T) {
-	path := os.Getenv("REPRO_BENCH_JSON")
-	if path == "" {
-		t.Skip("set REPRO_BENCH_JSON=<path> (or run `make bench-json`) to record metrics")
-	}
-	opts := benchOptions()
-	jobs := opts.Parallel
-	if jobs <= 1 {
-		jobs = 4 // the acceptance configuration; override with REPRO_BENCH_PAR
-	}
-	grid := PaperGrid()
-
-	serialOpts, parallelOpts := opts, opts
-	serialOpts.Parallel = 1
-	parallelOpts.Parallel = jobs
-	serialLab := NewLab(serialOpts)
-
-	// On a 1-core host the -j N pass measures goroutine scheduling, not
-	// the engine, and the record disclaims it anyway — skip the timing run
-	// entirely and record wall_parallel_sec as null. Every downstream
-	// consumer (figures, metrics) reads from the serial lab instead.
-	oneCore := runtime.NumCPU() == 1
-	var parallelLab *Lab
-	var wallParallel time.Duration
-	if !oneCore {
-		parallelLab = NewLab(parallelOpts)
-		start := time.Now()
-		if err := parallelLab.Precompute(grid...); err != nil {
-			t.Fatal(err)
-		}
-		wallParallel = time.Since(start)
-	}
-	metricsLab := parallelLab
-	if oneCore {
-		metricsLab = serialLab
-	}
-
-	start := time.Now()
-	if err := serialLab.Precompute(grid...); err != nil {
-		t.Fatal(err)
-	}
-	wallSerial := time.Since(start)
-
-	// Cold vs warm against the on-disk result cache: the cold pass runs
-	// the same grid into an empty cache directory, the warm pass replays
-	// it through a fresh Lab and a fresh Store over the same directory —
-	// so every hit crosses the disk tier, not process memory.
-	cacheDir := t.TempDir()
-	coldLab := NewLab(parallelOpts)
-	coldStore, err := cellcache.New(cacheDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coldLab.AttachCache(coldStore)
-	start = time.Now()
-	if err := coldLab.Precompute(grid...); err != nil {
-		t.Fatal(err)
-	}
-	wallCold := time.Since(start)
-	coldStats := coldLab.CellStats()
-
-	warmLab := NewLab(parallelOpts)
-	warmStore, err := cellcache.New(cacheDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmLab.AttachCache(warmStore)
-	start = time.Now()
-	if err := warmLab.Precompute(grid...); err != nil {
-		t.Fatal(err)
-	}
-	wallWarm := time.Since(start)
-	warmStats := warmLab.CellStats()
-	if warmStats.CacheHits == 0 {
-		t.Errorf("warm pass took no cache hits (stats %+v)", warmStats)
-	}
-	if warmStats.Simulated != 0 {
-		t.Errorf("warm pass simulated %d cells, want 0 (stats %+v)", warmStats.Simulated, warmStats)
-	}
-	// The acceptance bar: a warm grid costs at most a quarter of a cold
-	// one. Only meaningful when the cold pass did real work.
-	if wallCold > 500*time.Millisecond && wallWarm > wallCold/4 {
-		t.Errorf("warm grid took %s, want <= 25%% of cold %s", wallWarm, wallCold)
-	}
-
-	// The speedup only counts if both engines emit the same bytes.
-	serialOut, err := serialLab.Figure7()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !oneCore {
-		parallelOut, err := parallelLab.Figure7()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if serialOut != parallelOut {
-			t.Fatalf("parallel output diverged from serial:\n--- serial ---\n%s\n--- parallel ---\n%s",
-				serialOut, parallelOut)
-		}
-	}
-	warmOut, err := warmLab.Figure7()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warmOut != serialOut {
-		t.Fatalf("warm-cache output diverged from serial:\n--- serial ---\n%s\n--- warm ---\n%s",
-			serialOut, warmOut)
-	}
-
-	aquaGM, err := labGmean(metricsLab, SchemeAquaMemMapped, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rrsGM, err := labGmean(metricsLab, SchemeRRS, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var migrAqua, migrRRS float64
-	for _, name := range opts.Workloads {
-		a, err := metricsLab.Run(name, SchemeAquaMemMapped, 1000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := metricsLab.Run(name, SchemeRRS, 1000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		migrAqua += a.Result.MigrationsPer64ms
-		migrRRS += r.Result.MigrationsPer64ms
-	}
-	n := float64(len(opts.Workloads))
-
-	wallFull := runFullWindowCell(t)
-
-	rec := BenchRecord{
-		Date:              time.Now().Format("2006-01-02"),
-		GoVersion:         runtime.Version(),
-		HostCores:         runtime.NumCPU(),
-		GOMAXPROCS:        runtime.GOMAXPROCS(0),
-		WindowMS:          int(opts.Window / dram.Millisecond),
-		Workloads:         len(opts.Workloads),
-		GridCells:         len(grid),
-		Jobs:              jobs,
-		WallSerialSec:     wallSerial.Seconds(),
-		WallFullSec:       wallFull.Seconds(),
-		WallColdSec:       wallCold.Seconds(),
-		WallWarmSec:       wallWarm.Seconds(),
-		CacheHits:         warmStats.CacheHits,
-		TraceCaptures:     coldStats.TraceCaptures,
-		TraceReplays:      coldStats.TraceReplays,
-		SlowdownAqua1KPct: (1 - aquaGM) * 100,
-		SlowdownRRS1KPct:  (1 - rrsGM) * 100,
-		MigrAquaPer64ms:   migrAqua / n,
-		MigrRRSPer64ms:    migrRRS / n,
-		Micro:             runMicrobenches(),
-	}
-	if oneCore {
-		// A serial/parallel ratio measured with no cores to spare is
-		// scheduler noise; don't record it as an engine property (and the
-		// pass was skipped above, so there is nothing to record).
-		rec.SpeedupNote = "host has 1 core; serial/parallel ratio not meaningful, speedup omitted"
-		fmt.Fprintf(os.Stderr, "bench-json: warning: %s\n", rec.SpeedupNote)
-	} else {
-		wp := wallParallel.Seconds()
-		rec.WallParallelSec = &wp
-		speedup := wallSerial.Seconds() / wp
-		rec.Speedup = &speedup
-	}
-	// A 2x speedup at -j 4 is the acceptance bar, but it is only
-	// physically reachable with cores to spare; hosts without them record
-	// their (flat) numbers without failing.
-	if rec.HostCores >= 4 && rec.Speedup != nil && *rec.Speedup < 2 {
-		t.Errorf("grid speedup at -j %d is %.2fx on %d cores, want >= 2x",
-			jobs, *rec.Speedup, rec.HostCores)
-	}
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	speedupStr, parStr := "n/a", "skipped"
-	if rec.Speedup != nil {
-		speedupStr = fmt.Sprintf("%.2fx", *rec.Speedup)
-	}
-	if rec.WallParallelSec != nil {
-		parStr = fmt.Sprintf("%.1fs", *rec.WallParallelSec)
-	}
-	t.Logf("recorded %s: serial %.1fs, -j %d %s (%s), full cell %.2fs, cache cold %.1fs warm %.2fs (%d hits)",
-		path, rec.WallSerialSec, jobs, parStr, speedupStr,
-		rec.WallFullSec, rec.WallColdSec, rec.WallWarmSec, rec.CacheHits)
-}
-
-// BenchmarkAblationProactiveDrain quantifies the Section IV-D note: with
-// background draining, a quarantine whose destination slot holds a stale
-// entry pays ~1.37us on the critical path instead of ~2.74us.
-func BenchmarkAblationProactiveDrain(b *testing.B) {
-	geom := dram.Geometry{Banks: 4, RowsPerBank: 512, RowBytes: 1024, LineBytes: 64}
-	measure := func(drain bool) dram.PS {
-		rank := dram.NewRank(geom, DDR4Timing())
-		eng := core.New(rank, core.Config{
-			TRH: 40, Mode: core.ModeSRAM, RQARows: 8,
-			Tracker:        tracker.NewExact(geom, 20),
-			ProactiveDrain: drain,
-		})
-		at := dram.PS(0)
-		hammerOnce := func(row dram.Row) dram.PS {
-			var busy dram.PS
-			for i := 0; i < 20; i++ {
-				tr := eng.Translate(row, at)
-				busy += eng.OnActivate(tr.PhysRow, at)
-				at += 50 * dram.Nanosecond
-			}
-			return busy
-		}
-		// Epoch 0: fill all 8 slots.
-		for i := 0; i < 8; i++ {
-			hammerOnce(geom.RowOf(i%4, 1+i/4))
-		}
-		eng.OnEpoch(64 * dram.Millisecond)
-		at = 65 * dram.Millisecond
-		if drain {
-			for eng.OnIdle(at) > 0 {
-				at += 10 * dram.Microsecond
-			}
-		}
-		// Epoch 1: the next quarantines reuse stale slots; without the
-		// drain each pays an eviction on the critical path.
-		var busy dram.PS
-		for i := 0; i < 4; i++ {
-			busy += hammerOnce(geom.RowOf(i, 100+i))
-		}
-		return busy
-	}
-	var with, without dram.PS
-	for i := 0; i < b.N; i++ {
-		without = measure(false)
-		with = measure(true)
-	}
-	b.ReportMetric(float64(without)/1e3, "critical-ns-no-drain")
-	b.ReportMetric(float64(with)/1e3, "critical-ns-drained")
-	emit("ablation-drain", fmt.Sprintf(
-		"Ablation (Section IV-D): critical-path busy for 4 quarantines over stale slots:\n"+
-			"  without proactive drain: %.2f us\n  with proactive drain:    %.2f us",
-		float64(without)/1e6, float64(with)/1e6))
 }

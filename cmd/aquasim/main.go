@@ -68,7 +68,7 @@ func run(args []string, stdout io.Writer) error {
 	attackName := flags.String("attack", "", "run this attack pattern on one core instead of a workload")
 	scheme := flags.String("scheme", "aqua-memmapped", "mitigation scheme")
 	trh := flags.Int64("trh", 1000, "Rowhammer threshold T_RH (>= 2)")
-	windowMS := flags.Int("window", 64, "simulated window in ms")
+	windowMS := flags.Int("window", 64, "simulated window in ms (>= 1)")
 	seed := flags.Uint64("seed", 0, "experiment seed")
 	faultSpec := flags.String("faults", "", "fault-injection rules, e.g. 'lbm/aqua-memmapped/1000=ecc-flip@p:0.01'")
 	timeout := flags.Duration("timeout", 0, "cancel the run after this wall-clock duration (0 = none)")
@@ -124,6 +124,9 @@ func run(args []string, stdout io.Writer) error {
 		return runAttack(ctx, stdout, *attackName, sch, *trh, *seed)
 	}
 
+	if *windowMS < 1 {
+		return fmt.Errorf("-window %d: must be at least 1 ms", *windowMS)
+	}
 	rules, err := fault.ParseRules(*faultSpec)
 	if err != nil {
 		return fmt.Errorf("-faults: %w", err)

@@ -88,6 +88,22 @@ func TestRejectsThresholdBelowTwo(t *testing.T) {
 	}
 }
 
+// TestRejectsWindowBelowOneMs: -window below 1 ms is an error naming the
+// flag, before anything runs (0 would otherwise run the default 64 ms).
+func TestRejectsWindowBelowOneMs(t *testing.T) {
+	for _, window := range []string{"0", "-1"} {
+		args := []string{"-workload", "xz", "-window", window}
+		var out bytes.Buffer
+		err := run(args, &out)
+		if err == nil || !strings.Contains(err.Error(), "-window") {
+			t.Errorf("aquasim %s: err = %v, want a -window error", strings.Join(args, " "), err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("aquasim %s printed:\n%s", strings.Join(args, " "), out.String())
+		}
+	}
+}
+
 // TestAttackRejectsWorkloadFlags: the flags that configure a workload run
 // are errors next to -attack.
 func TestAttackRejectsWorkloadFlags(t *testing.T) {

@@ -78,7 +78,7 @@ func realMain() int {
 	section := flag.String("section", "", `regenerate one section ("5f" sensitivity, "5h" power)`)
 	all := flag.Bool("all", false, "regenerate everything")
 	workloads := flag.String("workloads", "all", `workload set: "all" (34) or "spec" (18)`)
-	windowMS := flag.Int("window", 64, "simulated window per run in ms")
+	windowMS := flag.Int("window", 64, "simulated window per run in ms (>= 1)")
 	seed := flag.Uint64("seed", 0, "experiment seed (0 = default)")
 	par := flag.Int("j", 0, "concurrent simulations (0 = one per core, 1 = serial)")
 	faultSpec := flag.String("faults", "", "fault-injection rules, e.g. 'xz/rrs/1000=panic@once:0;*/aqua-memmapped/*=ecc-flip@p:0.01'")
@@ -88,6 +88,9 @@ func realMain() int {
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	traceFile := flag.String("trace", "", "write a runtime execution trace to this file")
 	flag.Parse()
+	if *windowMS < 1 {
+		log.Fatalf("-window %d: must be at least 1 ms", *windowMS)
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

@@ -3,14 +3,12 @@ package repro
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
 
 	"repro/internal/analytic"
 	"repro/internal/cellcache"
 	"repro/internal/dram"
 	"repro/internal/fault"
-	"repro/internal/flight"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -57,28 +55,20 @@ func SPECWorkloads() []string { return sim.SPECCaseNames() }
 // Lab runs the paper's experiments over one sim.Runner, whose memo lets
 // figures that need the same (workload, scheme, threshold) cell share one
 // simulation. A Lab is safe for concurrent use, and every
-// simulation-backed figure first fans its grid out to a worker pool
-// (LabOptions.Parallel wide) before rendering serially from the memo — so
-// tables come out byte-identical to a serial run at any parallelism.
+// simulation-backed figure first fans its grid out through
+// sim.Runner.Precompute (LabOptions.Parallel wide) before rendering
+// serially from the memo — so tables come out byte-identical to a serial
+// run at any parallelism.
 type Lab struct {
 	opts   LabOptions
 	ctx    context.Context
 	runner *sim.Runner
 }
 
-// NewLab builds a Lab.
+// NewLab builds a Lab. The Runner defaults Window, Seed and Parallel.
 func NewLab(opts LabOptions) *Lab {
-	if opts.Window == 0 {
-		opts.Window = 64 * dram.Millisecond
-	}
 	if len(opts.Workloads) == 0 {
 		opts.Workloads = sim.AllCaseNames()
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 0x41515541
-	}
-	if opts.Parallel <= 0 {
-		opts.Parallel = runtime.GOMAXPROCS(0)
 	}
 	ctx := opts.Context
 	if ctx == nil {
@@ -144,26 +134,16 @@ func (l *Lab) Run(name string, scheme Scheme, trh int64) (sim.WorkloadRun, error
 	return l.runner.RunCtx(l.ctx, name, sim.GridCell{Scheme: scheme, TRH: trh})
 }
 
-// Precompute simulates every (workload, cell) combination of the lab's
-// workload set into the cache, fanning the grid out to at most
-// LabOptions.Parallel concurrent workers. Figures call it before
-// rendering; callers sweeping several figures can warm the union of
-// their grids (e.g. PaperGrid) in one parallel pass up front.
+// Precompute resolves every (workload, cell) combination of the lab's
+// workload set through the runner (sim.Runner.Precompute), fanning the
+// grid out to at most LabOptions.Parallel concurrent workers. Figures
+// call it before rendering; callers sweeping several figures can warm
+// the union of their grids (e.g. PaperGrid) in one parallel pass up
+// front.
 //
 //detertaint:root
 func (l *Lab) Precompute(cells ...sim.GridCell) error {
-	return l.precompute(l.opts.Workloads, cells)
-}
-
-// precompute is Precompute over the given workloads.
-func (l *Lab) precompute(names []string, cells []sim.GridCell) error {
-	if len(cells) == 0 {
-		return nil
-	}
-	return flight.ForEachCtx(l.ctx, len(names)*len(cells), l.opts.Parallel, func(k int) error {
-		_, err := l.runner.RunCtx(l.ctx, names[k/len(cells)], cells[k%len(cells)])
-		return err
-	})
+	return l.runner.Precompute(l.ctx, l.opts.Workloads, cells)
 }
 
 // PaperGrid returns the (scheme, threshold) cells the full evaluation
@@ -213,7 +193,7 @@ func (l *Lab) normIPCTable(title string, cells []sim.GridCell, colNames []string
 // columns precomputes the cells over names and returns each cell's runs,
 // one per name, in order.
 func (l *Lab) columns(names []string, cells ...sim.GridCell) ([][]sim.WorkloadRun, error) {
-	if err := l.precompute(names, cells); err != nil {
+	if err := l.runner.Precompute(l.ctx, names, cells); err != nil {
 		return nil, err
 	}
 	cols := make([][]sim.WorkloadRun, len(cells))

@@ -1,9 +1,7 @@
 // Full-window cell budget: one complete 64ms refresh-window simulation —
 // the unit of work every figure grid decomposes into — must stay under a
 // wall-clock budget, so grid regeneration time stays bounded as the
-// simulator grows. `make bench-full` runs the gated budget test; the
-// measured wall-clock is also recorded as wall_full_sec in
-// BENCH_<date>.json by `make bench-json`.
+// simulator grows. `make bench-full` runs the gated budget test.
 package repro
 
 import (

@@ -101,7 +101,7 @@ func TestForEachRunsEveryIndex(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 16} {
 		n := 50
 		seen := make([]atomic.Int64, n)
-		if err := ForEach(n, workers, func(i int) error {
+		if err := ForEachCtx(context.Background(), n, workers, func(i int) error {
 			seen[i].Add(1)
 			return nil
 		}); err != nil {
@@ -118,7 +118,7 @@ func TestForEachRunsEveryIndex(t *testing.T) {
 func TestForEachReturnsLowestIndexError(t *testing.T) {
 	errLow, errHigh := errors.New("low"), errors.New("high")
 	for _, workers := range []int{1, 4} {
-		err := ForEach(20, workers, func(i int) error {
+		err := ForEachCtx(context.Background(), 20, workers, func(i int) error {
 			switch i {
 			case 3:
 				return errLow
@@ -135,7 +135,7 @@ func TestForEachReturnsLowestIndexError(t *testing.T) {
 
 func TestForEachKeepsRunningAfterFailure(t *testing.T) {
 	var ran atomic.Int64
-	err := ForEach(10, 2, func(i int) error {
+	err := ForEachCtx(context.Background(), 10, 2, func(i int) error {
 		ran.Add(1)
 		if i == 0 {
 			return errors.New("early")
@@ -151,7 +151,7 @@ func TestForEachKeepsRunningAfterFailure(t *testing.T) {
 }
 
 func TestForEachEmpty(t *testing.T) {
-	if err := ForEach(0, 4, func(int) error { return errors.New("never") }); err != nil {
+	if err := ForEachCtx(context.Background(), 0, 4, func(int) error { return errors.New("never") }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -159,7 +159,7 @@ func TestForEachEmpty(t *testing.T) {
 func TestForEachConvertsPanicToPanicError(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var ran atomic.Int64
-		err := ForEach(10, workers, func(i int) error {
+		err := ForEachCtx(context.Background(), 10, workers, func(i int) error {
 			ran.Add(1)
 			if i == 3 {
 				panic("kaboom")

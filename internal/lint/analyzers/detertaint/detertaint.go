@@ -6,8 +6,9 @@
 //
 // Roots are declared in source with a `//detertaint:root` directive on
 // the function — the repo marks the experiment engine's cell execution
-// (sim.Runner.RunCtx/RunGridCtx), the content-addressed cache write path
-// (cellcache.Store.Put), and every figure/table rendering entry point.
+// and grid fan-out (sim.Runner.RunCtx/Precompute), the content-addressed
+// cache write path (cellcache.Store.Put), and every figure/table
+// rendering entry point.
 // Anything those reach, at any depth and through any interface, must be
 // a pure function of the configuration: results feed SHA-256 cell keys
 // and byte-compared golden figures, so one wall-clock read or

@@ -7,9 +7,9 @@
 // The benchmark bodies are exported as ordinary functions taking
 // *testing.B so two callers can share them: the package's own
 // Benchmark wrappers (run in CI with -benchtime=1x as a smoke test, and
-// by hand when optimizing), and the repository bench harness, which runs
-// them through testing.Benchmark and records ns/op and allocs/op in the
-// committed BENCH_<date>.json trajectory.
+// by hand when optimizing), and aquabench, the repository benchmark
+// (bench/aquabench), which runs them through testing.Benchmark and
+// reports their ns/op as its perf.* per-layer metrics.
 //
 // Every benchmark builds the paper's baseline configuration (16 banks x
 // 128K rows, DDR4-2400, AQUA memory-mapped at T_RH=1K) so the numbers
@@ -309,8 +309,8 @@ func benchIssueLoop(b *testing.B, cores int) {
 // BenchEventPop measures the calendar primitive the run loop leans on:
 // one pop + re-push cycle against a 16-entry indexed heap with two armed
 // far-future lanes — the shape of a 16-core system between background
-// events. This is the `event_pop` micro in BENCH_<date>.json; its alloc
-// count must stay at zero.
+// events. This is aquabench's perf.event_pop_ns micro; its alloc count
+// must stay at zero.
 func BenchEventPop(b *testing.B) {
 	var c event.Calendar
 	const entries = 16

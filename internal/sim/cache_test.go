@@ -41,21 +41,21 @@ var dupCells = []GridCell{
 	{Scheme: SchemeAquaMemMapped, TRH: 1000},
 }
 
-// TestRunGridDedupSimulatesOnce pins the no-cache dedup guarantee:
+// TestPrecomputeDedupSimulatesOnce pins the no-cache dedup guarantee:
 // identical cells inside one grid — whether requested sequentially
 // (serial) or concurrently (parallel) — simulate exactly once, and the
 // duplicate requests are answered from the same completed execution.
-func TestRunGridDedupSimulatesOnce(t *testing.T) {
+func TestPrecomputeDedupSimulatesOnce(t *testing.T) {
+	cells := withBaseline(dupCells)
 	for _, parallel := range []int{1, 4} {
 		r := NewRunner(gridCfg(parallel))
-		out, err := r.RunGrid(gridNames, dupCells)
-		if err != nil {
+		if err := r.Precompute(context.Background(), gridNames, cells); err != nil {
 			t.Fatal(err)
 		}
-		// Per workload: 3 requested cells + 1 baseline row, of which the
-		// repeated aqua cell is a duplicate -> 3 unique simulations.
+		// Per workload: 3 requested cells + the baseline cell, of which
+		// the repeated aqua cell is a duplicate -> 3 unique simulations.
 		st := r.CellStats()
-		wantRequests := int64(len(gridNames) * (len(dupCells) + 1))
+		wantRequests := int64(len(gridNames) * len(cells))
 		wantSimulated := int64(len(gridNames) * 3)
 		if st.Requests != wantRequests {
 			t.Fatalf("parallel=%d: %d requests, want %d (stats %+v)", parallel, st.Requests, wantRequests, st)
@@ -66,9 +66,9 @@ func TestRunGridDedupSimulatesOnce(t *testing.T) {
 		if want := wantRequests - wantSimulated; st.Deduped() != want {
 			t.Fatalf("parallel=%d: Deduped() = %d, want %d (stats %+v)", parallel, st.Deduped(), want, st)
 		}
-		for _, gr := range out {
-			if !reflect.DeepEqual(gr.Cells[0], gr.Cells[2]) {
-				t.Fatalf("parallel=%d: %s duplicate cells diverged", parallel, gr.Workload)
+		for i, row := range gridOf(t, r, gridNames, dupCells) {
+			if !reflect.DeepEqual(row[0], row[2]) {
+				t.Fatalf("parallel=%d: %s duplicate cells diverged", parallel, gridNames[i])
 			}
 		}
 	}

@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"repro/internal/cellcache"
+	"repro/internal/dram"
 )
 
 // SchemaVersion names the generation of simulation semantics that cached
@@ -39,11 +40,12 @@ func (k cellKey) fail(err error) *CellError {
 
 // CellKey returns the content-addressed cache key for one grid cell: a
 // SHA-256 over the schema version, every ExpConfig field that determines
-// simulated numbers (window, cores, seed, calibration, geometry,
-// timing), the cell identity, the per-core workload specs with their
-// static request budgets, and the canonical fault rules and non-zero
-// Variant when there are any. Parallel is excluded: it changes
-// wall-clock only, never results.
+// simulated numbers (window, seed, calibration), the fixed Table I
+// system every cell runs on (cores, geometry, timing), the cell
+// identity, the per-core workload specs with their static request
+// budgets, and the canonical fault rules and non-zero Variant when there
+// are any. Parallel is excluded: it changes wall-clock only, never
+// results.
 //
 // The rules are hashed whole, not just the ones matching the cell: a rule
 // on a workload's baseline cell reaches its calibration and baseline
@@ -84,11 +86,11 @@ func (r *Runner) cellKeyAt(version string, key cellKey, ipc bool) (string, error
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", version)
 	fmt.Fprintf(&b, "window=%d cores=%d seed=%#x calibrate=%t\n",
-		r.cfg.Window, r.cfg.Cores, r.cfg.Seed, r.cfg.Calibrate)
-	fmt.Fprintf(&b, "geom=%+v\n", r.cfg.Geometry)
-	fmt.Fprintf(&b, "timing=%+v\n", r.cfg.Timing)
+		r.cfg.Window, paperCores, r.cfg.Seed, r.cfg.Calibrate)
+	fmt.Fprintf(&b, "geom=%+v\n", dram.Baseline())
+	fmt.Fprintf(&b, "timing=%+v\n", dram.DDR4())
 	fmt.Fprintf(&b, "cell=%s/%s/%d\n", key.workload, key.cell.Scheme, key.cell.TRH)
-	for i := 0; i < r.cfg.Cores && i < len(specs); i++ {
+	for i := 0; i < paperCores && i < len(specs); i++ {
 		sp := specs[i]
 		fmt.Fprintf(&b, "core%d spec=%s mpki=%g rows=%d/%d/%d budget=%d\n",
 			i, sp.Name, sp.MPKI, sp.Rows166, sp.Rows500, sp.Rows1K,

@@ -64,7 +64,7 @@ func (r *Runner) coRunLeg(ctx context.Context, name string, scheme Scheme, trh i
 	if err != nil {
 		return 0, Result{}, err
 	}
-	streams := make([]cpu.Stream, r.cfg.Cores)
+	streams := make([]cpu.Stream, paperCores)
 	streams[0] = trace.NewSliceStream(nil)
 	if attacked {
 		streams[0] = attack.NewRotatingDoS(r.region.Geom, r.region.VisibleRowsPerBank, max(trh/2, 1), 1<<40)
@@ -73,14 +73,12 @@ func (r *Runner) coRunLeg(ctx context.Context, name string, scheme Scheme, trh i
 		streams[i] = r.replayStream(specs[i], i, 1.0, requestBudget(window, 1.0, specs[i].MPKI))
 	}
 	sys, err := NewSystemE(Config{
-		Geometry: r.cfg.Geometry,
-		Timing:   r.cfg.Timing,
-		TRH:      trh,
-		Scheme:   scheme,
-		Cores:    r.cfg.Cores,
-		Seed:     r.cfg.Seed,
-		Monitor:  true,
-		Faults:   r.injectorFor(name, scheme, trh),
+		TRH:     trh,
+		Scheme:  scheme,
+		Cores:   paperCores,
+		Seed:    r.cfg.Seed,
+		Monitor: true,
+		Faults:  r.injectorFor(name, scheme, trh),
 	}, streams)
 	if err != nil {
 		return 0, Result{}, err

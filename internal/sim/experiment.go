@@ -26,8 +26,6 @@ type ExpConfig struct {
 	// Window is the simulated measurement window (default one refresh
 	// window, 64ms, matching the paper's per-64ms metrics).
 	Window dram.PS
-	// Cores (default 4).
-	Cores int
 	// Seed for workload and scheme randomization.
 	Seed uint64
 	// Calibrate runs a baseline pass first and regenerates streams with
@@ -35,16 +33,13 @@ type ExpConfig struct {
 	// within real time (see DESIGN.md). A zero ExpConfig does not
 	// calibrate; the Lab sets it unless LabOptions.NoCalibration.
 	Calibrate bool
-	// Parallel bounds how many grid cells simulate concurrently (0 =
-	// GOMAXPROCS, 1 = serial). Each cell builds a fully isolated system,
-	// and results are collected by cell index, so the value changes
-	// wall-clock only — never the numbers (see DESIGN.md "Concurrency
-	// model").
-	//aquakey:exclude concurrency width changes wall-clock only; results are collected by index
+	// Parallel bounds how many grid cells Precompute simulates
+	// concurrently (0 = GOMAXPROCS, 1 = serial). Each cell builds a fully
+	// isolated system, and callers read results back in their own
+	// canonical order, so the value changes wall-clock only — never the
+	// numbers (see DESIGN.md "Concurrency model").
+	//aquakey:exclude concurrency width changes wall-clock only; results are read back in canonical order
 	Parallel int
-	// Geometry/Timing override the baseline system.
-	Geometry dram.Geometry
-	Timing   dram.Timing
 	// Faults maps grid cells to injected fault plans (see fault.ParseRules
 	// for the grammar). Nil means no faults anywhere. The cell-level kind
 	// ("panic") fires before the simulation is built; hardware kinds are
@@ -56,15 +51,6 @@ type ExpConfig struct {
 func (e *ExpConfig) fillDefaults() {
 	if e.Window == 0 {
 		e.Window = 64 * dram.Millisecond
-	}
-	if e.Cores == 0 {
-		e.Cores = 4
-	}
-	if e.Geometry == (dram.Geometry{}) {
-		e.Geometry = dram.Baseline()
-	}
-	if e.Timing == (dram.Timing{}) {
-		e.Timing = dram.DDR4()
 	}
 	if e.Seed == 0 {
 		e.Seed = 0x41515541 // "AQUA"
@@ -80,14 +66,12 @@ func (e *ExpConfig) validate() error {
 	if e.Window < 0 {
 		return fmt.Errorf("sim: negative window %d", e.Window)
 	}
-	if e.Cores < 1 || e.Cores > 4 {
-		return fmt.Errorf("sim: cores must be 1..4, got %d", e.Cores)
-	}
-	if err := e.Geometry.Validate(); err != nil {
-		return err
-	}
-	return e.Timing.Validate()
+	return nil
 }
+
+// paperCores is the core count of the paper's Table I system, which every
+// Runner cell simulates on one baseline 16 GB DDR4-2400 rank.
+const paperCores = 4
 
 // WorkloadRun is one cell's measurement: a workload under a GridCell.
 type WorkloadRun struct {
@@ -126,13 +110,13 @@ func cellLabel(name string, scheme Scheme, trh int64, variant string) string {
 // own simulation runs on a fully isolated system build.
 type Runner struct {
 	cfg ExpConfig
-	// region is the software-visible address region, fixed for the
-	// Runner's geometry/timing and shared by every stream build.
+	// region is the baseline system's software-visible address region,
+	// shared by every stream build.
 	region workload.Region
-	// initErr records a construction failure (bad config, geometry the
-	// AQUA layout cannot host). A Runner with initErr set is inert: every
-	// cell it is asked to run fails with a CellError wrapping initErr
-	// instead of crashing the process.
+	// initErr records a construction failure (a config no cell could run
+	// under). A Runner with initErr set is inert: every cell it is asked
+	// to run fails with a CellError wrapping initErr instead of crashing
+	// the process.
 	initErr error
 	// cells, when attached, is the content-addressed result cache (see
 	// cellkey.go): completed cells and calibrated IPCs are served from it
@@ -179,30 +163,22 @@ type streamKey struct {
 	reqs    int64
 }
 
-// NewRunner builds a Runner. It never panics: an invalid configuration
+// NewRunner builds a Runner over the paper's Table I system: paperCores
+// cores on one baseline rank. It never panics: an invalid configuration
 // yields an inert Runner whose cells all fail with a CellError wrapping
 // the construction error (use NewRunnerE or Err to see it directly).
 func NewRunner(cfg ExpConfig) *Runner {
 	cfg.fillDefaults()
-	r := &Runner{
+	return &Runner{
 		cfg:         cfg,
+		region:      VisibleRegion(Config{}),
+		initErr:     cfg.validate(),
 		traceBudget: traceBudgetBytes,
 		ipcCache:    make(map[string]float64),
 		baseCache:   make(map[string]Result),
 		traceMem:    make(map[streamKey]*trace.Packed),
 		cellMemo:    make(map[cellKey]WorkloadRun),
 	}
-	if err := cfg.validate(); err != nil {
-		r.initErr = err
-		return r
-	}
-	// VisibleRegion walks the AQUA table layout, which rejects geometries
-	// it cannot host by panicking; convert that into a construction error.
-	r.initErr = flight.Protect(func() error {
-		r.region = VisibleRegion(Config{Geometry: cfg.Geometry, Timing: cfg.Timing})
-		return nil
-	})
-	return r
 }
 
 // NewRunnerE is NewRunner with the construction error surfaced.
@@ -240,21 +216,6 @@ func (c *CellError) Label() string { return cellLabel(c.Workload, c.Scheme, c.TR
 
 // Unwrap exposes the underlying failure to errors.Is/As.
 func (c *CellError) Unwrap() error { return c.Err }
-
-// GridError aggregates every failed cell of a grid run, in grid order.
-// RunGrid returns it alongside the partial grid, which still holds every
-// healthy cell's result.
-type GridError struct {
-	Cells []*CellError
-}
-
-// Error implements error.
-func (g *GridError) Error() string {
-	if len(g.Cells) == 1 {
-		return g.Cells[0].Error()
-	}
-	return fmt.Sprintf("%d cells failed (first: %v)", len(g.Cells), g.Cells[0])
-}
 
 // measuredBaseline runs (or returns the cached) baseline measurement for a
 // workload at the given nominal IPC. The baseline cell's store entry holds
@@ -341,7 +302,7 @@ func (r *Runner) streamsFor(name string, nominalIPC float64) ([]cpu.Stream, erro
 	if err != nil {
 		return nil, err
 	}
-	out := make([]cpu.Stream, r.cfg.Cores)
+	out := make([]cpu.Stream, paperCores)
 	for i := range out {
 		out[i] = r.replayStream(specs[i], i, nominalIPC, requestBudget(r.cfg.Window, nominalIPC, specs[i].MPKI))
 	}
@@ -446,11 +407,9 @@ func (r *Runner) newSystem(name string, cell GridCell, nominalIPC float64) (*Sys
 		return nil, err
 	}
 	return NewSystemE(Config{
-		Geometry:        r.cfg.Geometry,
-		Timing:          r.cfg.Timing,
 		TRH:             cell.TRH,
 		Scheme:          cell.Scheme,
-		Cores:           r.cfg.Cores,
+		Cores:           paperCores,
 		Seed:            r.cfg.Seed,
 		BloomGroupSize:  cell.Variant.BloomGroupSize,
 		FPTCacheEntries: cell.Variant.FPTCacheEntries,
@@ -624,6 +583,31 @@ func (r *Runner) computeCell(ctx context.Context, key cellKey) (WorkloadRun, err
 	return run, nil
 }
 
+// Precompute resolves every (workload, cell) pair of names x cells
+// through RunCtx on at most ExpConfig.Parallel workers, each cell on its
+// own isolated system, with the per-workload calibration and baseline
+// shared across concurrent cells. Completed cells land in the memo, where
+// callers read them back with RunCtx in their own canonical order, so
+// anything rendered from them is byte-identical to a serial run. It is
+// the engine's only grid fan-out.
+//
+// A failing cell does not stop the fan-out: every other cell still runs,
+// and the error returned is the failure at the lowest grid index (a
+// *CellError), independent of completion order. When ctx ends, no
+// further cell is dispatched and the context's error is returned; the
+// cells completed so far stay memoized.
+//
+//detertaint:root
+func (r *Runner) Precompute(ctx context.Context, names []string, cells []GridCell) error {
+	if len(cells) == 0 {
+		return nil
+	}
+	return flight.ForEachCtx(ctx, len(names)*len(cells), r.cfg.Parallel, func(k int) error {
+		_, err := r.RunCtx(ctx, names[k/len(cells)], cells[k%len(cells)])
+		return err
+	})
+}
+
 // Cells returns every memoized cell, in canonical workload/scheme/trh
 // order, a plain cell before its variants and variants by label.
 //
@@ -704,81 +688,6 @@ func (v Variant) String() string {
 		parts = append(parts, fmt.Sprintf("measure=%d", v.Measure))
 	}
 	return strings.Join(parts, ",")
-}
-
-// GridResult holds one workload's row of the grid.
-type GridResult struct {
-	Workload string
-	Baseline Result
-	Cells    []WorkloadRun
-}
-
-// RunGrid measures each workload under each (scheme, trh) pair, reusing
-// per-workload baselines; results are grouped by workload in input
-// order. Every (workload, cell) pair fans out to the worker pool
-// (cfg.Parallel wide), each on its own isolated system build, with the
-// per-workload calibration and baseline deduplicated across concurrent
-// cells. Results land in preallocated slots addressed by (workload
-// index, cell index), so the returned grid — and anything rendered from
-// it — is byte-identical to a serial run regardless of completion order.
-func (r *Runner) RunGrid(names []string, cells []GridCell) ([]GridResult, error) {
-	return r.RunGridCtx(context.Background(), names, cells)
-}
-
-// RunGridCtx is RunGrid with cancellation and per-cell fault isolation. A
-// failing cell does not abort the fan-out: its failure is recorded and the
-// remaining cells run to completion. The partial grid is always returned;
-// when any cells failed, the error is a *GridError listing them in grid
-// order. When the context is cancelled the grid stops promptly and the
-// context's error is returned with whatever completed so far.
-//
-//detertaint:root
-func (r *Runner) RunGridCtx(ctx context.Context, names []string, cells []GridCell) ([]GridResult, error) {
-	out := make([]GridResult, len(names))
-	for i, name := range names {
-		out[i] = GridResult{Workload: name, Cells: make([]WorkloadRun, len(cells))}
-	}
-	// One task per cell, plus one per workload so baselines are resolved
-	// (and recorded in out[i].Baseline) even for an empty cell list.
-	perName := len(cells) + 1
-	cellErrs := make([]*CellError, len(names)*perName)
-	err := flight.ForEachCtx(ctx, len(names)*perName, r.cfg.Parallel, func(k int) error {
-		i, j := k/perName, k%perName
-		cell := baselineCell
-		if j < len(cells) {
-			cell = cells[j]
-		}
-		run, err := r.RunCtx(ctx, names[i], cell)
-		if err != nil {
-			var ce *CellError
-			if errors.As(err, &ce) {
-				// Isolate the broken cell; the rest of the grid proceeds.
-				cellErrs[k] = ce
-				return nil
-			}
-			// Cancellation (or a non-cell failure): abort the fan-out.
-			return err
-		}
-		if j == len(cells) {
-			out[i].Baseline = run.Result
-		} else {
-			out[i].Cells[j] = run
-		}
-		return nil
-	})
-	if err != nil {
-		return out, err
-	}
-	var failed []*CellError
-	for _, ce := range cellErrs {
-		if ce != nil {
-			failed = append(failed, ce)
-		}
-	}
-	if len(failed) > 0 {
-		return out, &GridError{Cells: failed}
-	}
-	return out, nil
 }
 
 // RowTiers counts the rows whose activations within a run reach each

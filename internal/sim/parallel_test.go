@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -27,39 +28,63 @@ var (
 	}
 )
 
-func TestRunGridParallelMatchesSerial(t *testing.T) {
-	serial, err := NewRunner(gridCfg(1)).RunGrid(gridNames, gridCells)
+// cellOf reads one cell back from r with RunCtx, failing the test on
+// error.
+func cellOf(t *testing.T, r *Runner, name string, cell GridCell) WorkloadRun {
+	t.Helper()
+	run, err := r.RunCtx(context.Background(), name, cell)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := NewRunner(gridCfg(4)).RunGrid(gridNames, gridCells)
-	if err != nil {
+	return run
+}
+
+// gridOf reads names x cells back from r: grid[i][j] is names[i] under
+// cells[j]. After a Precompute over the same grid every read is a memo
+// hit.
+func gridOf(t *testing.T, r *Runner, names []string, cells []GridCell) [][]WorkloadRun {
+	t.Helper()
+	grid := make([][]WorkloadRun, len(names))
+	for i, name := range names {
+		grid[i] = make([]WorkloadRun, len(cells))
+		for j, cell := range cells {
+			grid[i][j] = cellOf(t, r, name, cell)
+		}
+	}
+	return grid
+}
+
+// precomputeGrid fans names x cells out with Precompute, then reads the
+// grid back with gridOf.
+func precomputeGrid(t *testing.T, r *Runner, names []string, cells []GridCell) [][]WorkloadRun {
+	t.Helper()
+	if err := r.Precompute(context.Background(), names, cells); err != nil {
 		t.Fatal(err)
 	}
+	return gridOf(t, r, names, cells)
+}
+
+// withBaseline is cells plus every workload's baseline cell, last.
+func withBaseline(cells []GridCell) []GridCell {
+	return append(cells[:len(cells):len(cells)], baselineCell)
+}
+
+func TestPrecomputeParallelMatchesSerial(t *testing.T) {
+	cells := withBaseline(gridCells)
+	serial := precomputeGrid(t, NewRunner(gridCfg(1)), gridNames, cells)
+	parallel := precomputeGrid(t, NewRunner(gridCfg(4)), gridNames, cells)
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("parallel grid diverged from serial:\nserial:   %+v\nparallel: %+v", serial, parallel)
 	}
-	for i, gr := range parallel {
-		if gr.Workload != gridNames[i] {
-			t.Fatalf("grid row %d is %q, want %q (canonical order lost)", i, gr.Workload, gridNames[i])
+	for i, row := range parallel {
+		for j, run := range row {
+			if run.Workload != gridNames[i] || run.Scheme != cells[j].Scheme || run.TRH != cells[j].TRH {
+				t.Fatalf("grid cell %d/%d is %s, want %s (canonical order lost)",
+					i, j, run.Label(), cellLabel(gridNames[i], cells[j].Scheme, cells[j].TRH, ""))
+			}
 		}
-		if gr.Baseline.IPC <= 0 {
-			t.Fatalf("%s: baseline not resolved", gr.Workload)
-		}
-	}
-}
-
-func TestRunGridEmptyCellsStillResolvesBaselines(t *testing.T) {
-	out, err := NewRunner(gridCfg(4)).RunGrid(gridNames[:2], nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, gr := range out {
-		if gr.Baseline.IPC <= 0 {
-			t.Fatalf("%s: baseline missing with empty cell list", gr.Workload)
-		}
-		if len(gr.Cells) != 0 {
-			t.Fatalf("%s: unexpected cells", gr.Workload)
+		if base := row[len(cells)-1]; base.Result.IPC <= 0 {
+			t.Fatalf("%s: baseline not resolved", gridNames[i])
 		}
 	}
 }

@@ -32,28 +32,22 @@ func resCfg(faults *fault.Rules) ExpConfig {
 // TestNewRunnerInvalidConfig: a config no cell could run under must yield
 // an inert Runner and an error, never a panic or process abort.
 func TestNewRunnerInvalidConfig(t *testing.T) {
-	cases := []ExpConfig{
-		{Cores: 9},
-		{Window: -1},
-		{Geometry: dram.Geometry{RowsPerBank: 7, Banks: 3}},
+	cfg := ExpConfig{Window: -1}
+	r, err := NewRunnerE(cfg)
+	if err == nil {
+		t.Fatalf("NewRunnerE(%+v): expected error", cfg)
 	}
-	for _, cfg := range cases {
-		r, err := NewRunnerE(cfg)
-		if err == nil {
-			t.Fatalf("NewRunnerE(%+v): expected error", cfg)
-		}
-		if r.Err() == nil {
-			t.Fatalf("Err() should report the construction error")
-		}
-		// The inert Runner converts every cell into a CellError.
-		_, runErr := r.Run("xz", SchemeRRS, 1000)
-		var ce *CellError
-		if !errors.As(runErr, &ce) {
-			t.Fatalf("inert Runner returned %v, want *CellError", runErr)
-		}
-		if ce.Workload != "xz" || !errors.Is(ce, err) {
-			t.Fatalf("CellError %v does not carry the construction error %v", ce, err)
-		}
+	if r.Err() == nil {
+		t.Fatalf("Err() should report the construction error")
+	}
+	// The inert Runner converts every cell into a CellError.
+	_, runErr := r.Run("xz", SchemeRRS, 1000)
+	var ce *CellError
+	if !errors.As(runErr, &ce) {
+		t.Fatalf("inert Runner returned %v, want *CellError", runErr)
+	}
+	if ce.Workload != "xz" || !errors.Is(ce, err) {
+		t.Fatalf("CellError %v does not carry the construction error %v", ce, err)
 	}
 }
 
@@ -63,28 +57,25 @@ func TestNewRunnerInvalidConfig(t *testing.T) {
 // to a fault-free run.
 func TestGridPartialResults(t *testing.T) {
 	names := []string{"xz", "lbm"}
-	cells := []GridCell{
+	cells := withBaseline([]GridCell{
 		{Scheme: SchemeRRS, TRH: 1000},
 		// TRH 125 is low enough that lbm's hot rows cross it within the
 		// reduced window, so the scheme actually mitigates — a
 		// prerequisite for the RQA-overflow fault to have a site to fire.
 		{Scheme: SchemeAquaMemMapped, TRH: 125},
-	}
-	clean, err := NewRunner(resCfg(nil)).RunGrid(names, cells)
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
+	clean := precomputeGrid(t, NewRunner(resCfg(nil)), names, cells)
 
 	rules := mustRules(t, "xz/rrs/1000=panic@once:0;lbm/aqua-memmapped/125=rqa-overflow@p:1")
-	grid, err := NewRunner(resCfg(rules)).RunGrid(names, cells)
-	var ge *GridError
-	if !errors.As(err, &ge) {
-		t.Fatalf("RunGrid returned %v, want *GridError", err)
+	r := NewRunner(resCfg(rules))
+	err := r.Precompute(context.Background(), names, cells)
+	var ce *CellError
+	if !errors.As(err, &ce) {
+		t.Fatalf("Precompute returned %v, want *CellError", err)
 	}
-	if len(ge.Cells) != 1 {
-		t.Fatalf("GridError has %d cells, want 1: %v", len(ge.Cells), ge)
+	if st := r.CellStats(); st.Errors != 1 {
+		t.Fatalf("%d cells failed, want 1 (stats %+v)", st.Errors, st)
 	}
-	ce := ge.Cells[0]
 	if ce.Workload != "xz" || ce.Scheme != SchemeRRS || ce.TRH != 1000 {
 		t.Fatalf("failed cell identity = %s/%s/%d", ce.Workload, ce.Scheme, ce.TRH)
 	}
@@ -97,7 +88,7 @@ func TestGridPartialResults(t *testing.T) {
 
 	// The RQA-overflow cell must have survived, degraded to the
 	// victim-refresh fallback, and counted its faults.
-	over := grid[1].Cells[1]
+	over := cellOf(t, r, "lbm", cells[1])
 	if over.Result.FaultStats.Injected == 0 {
 		t.Fatalf("overflow cell reports no injected faults")
 	}
@@ -107,14 +98,14 @@ func TestGridPartialResults(t *testing.T) {
 
 	// Every cell the faults did not touch is byte-identical to the clean
 	// run (same structs, so DeepEqual is exact).
-	if !reflect.DeepEqual(grid[0].Cells[1], clean[0].Cells[1]) {
+	if !reflect.DeepEqual(cellOf(t, r, "xz", cells[1]), clean[0][1]) {
 		t.Fatalf("healthy cell xz/aqua-memmapped diverged under unrelated faults")
 	}
-	if !reflect.DeepEqual(grid[1].Cells[0], clean[1].Cells[0]) {
+	if !reflect.DeepEqual(cellOf(t, r, "lbm", cells[0]), clean[1][0]) {
 		t.Fatalf("healthy cell lbm/rrs diverged under unrelated faults")
 	}
-	if !reflect.DeepEqual(grid[0].Baseline, clean[0].Baseline) ||
-		!reflect.DeepEqual(grid[1].Baseline, clean[1].Baseline) {
+	if !reflect.DeepEqual(cellOf(t, r, "xz", baselineCell), clean[0][2]) ||
+		!reflect.DeepEqual(cellOf(t, r, "lbm", baselineCell), clean[1][2]) {
 		t.Fatalf("baselines diverged under faults")
 	}
 }
@@ -170,21 +161,22 @@ func TestGridCancellation(t *testing.T) {
 	defer cancel()
 	pctx := &pollCancelCtx{Context: ctx, cancel: cancel, at: 20}
 	names := []string{"xz", "wrf", "lbm", "mcf"}
-	cells := []GridCell{
+	cells := withBaseline([]GridCell{
 		{Scheme: SchemeRRS, TRH: 1000},
 		{Scheme: SchemeAquaMemMapped, TRH: 1000},
-	}
-	grid, err := r.RunGridCtx(pctx, names, cells)
+	})
+	err := r.Precompute(pctx, names, cells)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled grid returned %v, want context.Canceled", err)
 	}
-	// The partial grid is still handed back alongside the error.
-	if len(grid) != len(names) {
-		t.Fatalf("cancelled grid lost its shape: %d rows", len(grid))
-	}
-	all := int64(len(names) * (len(cells) + 1))
-	if st := r.CellStats(); st.Simulated == 0 || st.Simulated == all || st.Errors == 0 {
+	all := int64(len(names) * len(cells))
+	st := r.CellStats()
+	if st.Simulated == 0 || st.Simulated == all || st.Errors == 0 {
 		t.Fatalf("stats %+v; want some of the %d cells simulated and a cancelled one counted", st, all)
+	}
+	// The cells completed before the cancel are kept in the memo.
+	if n := int64(len(r.Cells())); n != st.Simulated {
+		t.Fatalf("%d cells memoized after the cancel, want the %d simulated", n, st.Simulated)
 	}
 }
 
@@ -195,17 +187,15 @@ func TestGridCancellation(t *testing.T) {
 // run, and no workload repeats its calibration pass.
 func TestCacheResume(t *testing.T) {
 	names := []string{"xz", "wrf"}
-	cells := []GridCell{
+	cells := withBaseline([]GridCell{
 		{Scheme: SchemeRRS, TRH: 1000},
 		{Scheme: SchemeAquaMemMapped, TRH: 1000},
-	}
+	})
+	first := withBaseline(cells[:1])
 	cfg := resCfg(nil)
 	cfg.Calibrate = true
 	cold := NewRunner(cfg)
-	clean, err := cold.RunGrid(names, cells)
-	if err != nil {
-		t.Fatal(err)
-	}
+	clean := precomputeGrid(t, cold, names, cells)
 
 	dir := t.TempDir()
 
@@ -213,17 +203,14 @@ func TestCacheResume(t *testing.T) {
 	// first cell finished; the second cells never started.
 	partial := NewRunner(cfg)
 	partial.AttachCellCache(storeAt(t, dir))
-	if _, err := partial.RunGrid(names, cells[:1]); err != nil {
+	if err := partial.Precompute(context.Background(), names, first); err != nil {
 		t.Fatal(err)
 	}
 
 	// The rerun: a fresh Runner and Store over the same directory.
 	resumed := NewRunner(cfg)
 	resumed.AttachCellCache(storeAt(t, dir))
-	grid, err := resumed.RunGrid(names, cells)
-	if err != nil {
-		t.Fatal(err)
-	}
+	grid := precomputeGrid(t, resumed, names, cells)
 	if !reflect.DeepEqual(grid, clean) {
 		t.Fatalf("resumed grid diverged from uninterrupted run:\ngot:  %+v\nwant: %+v", grid, clean)
 	}
@@ -238,7 +225,7 @@ func TestCacheResume(t *testing.T) {
 	// nominal IPC 1.0 for the calibration pass, then at the calibrated
 	// IPC. The rerun reads the stored IPC and baseline, so it captures
 	// only the calibrated streams its new cells replay.
-	want := int64(resumed.Config().Cores * len(names))
+	want := int64(paperCores * len(names))
 	if st.TraceCaptures != want || coldSt.TraceCaptures != 2*want {
 		t.Fatalf("trace captures: rerun %d, cold %d; want %d and %d",
 			st.TraceCaptures, coldSt.TraceCaptures, want, 2*want)
@@ -251,7 +238,7 @@ func TestCacheResume(t *testing.T) {
 	store := storeAt(t, dir)
 	r := NewRunner(other)
 	r.AttachCellCache(store)
-	if _, err := r.RunGrid(names, cells[:1]); err != nil {
+	if err := r.Precompute(context.Background(), names, first); err != nil {
 		t.Fatal(err)
 	}
 	if hits := store.Stats().DiskHits; r.CellStats().CacheHits != 0 || hits != 0 {

@@ -172,7 +172,7 @@ func (c *Config) fillDefaults() {
 		c.TRH = 1000
 	}
 	if c.Cores == 0 {
-		c.Cores = 4
+		c.Cores = paperCores
 	}
 }
 
@@ -524,17 +524,37 @@ func (s *System) issueHorizon() dram.PS {
 //
 //detertaint:root
 func (s *System) RunCtx(ctx context.Context, until dram.PS) (Result, error) {
+	if _, err := s.issueLoop(ctx, until, math.MaxInt); err != nil {
+		return Result{}, err
+	}
+	return s.result(until), nil
+}
+
+// IssueN runs the RunCtx loop for exactly n requests (or until all cores
+// finish), returning how many were issued. It is the perf-harness hook
+// for benchmarking the selection path at arbitrary core counts; figure
+// runs use RunCtx.
+func (s *System) IssueN(n int) int {
+	issued, _ := s.issueLoop(context.Background(), 0, n)
+	return issued
+}
+
+// issueLoop is the run loop behind RunCtx and IssueN. It issues requests
+// until every core finishes, the next event lies past until (when
+// until > 0), budget requests have issued, or ctx ends, and returns how
+// many issued plus ctx's error in the last case.
+func (s *System) issueLoop(ctx context.Context, until dram.PS, budget int) (int, error) {
 	s.resetEvents()
 	issued := 0
 	var nextCtxCheck dram.PS // 0: the very first event observes a pre-cancelled ctx
-	for {
+	for issued < budget {
 		root, ok := s.cal.MinIndexed()
 		if !ok {
 			break
 		}
 		if root.Time >= nextCtxCheck {
 			if err := ctx.Err(); err != nil {
-				return Result{}, err
+				return issued, err
 			}
 			nextCtxCheck = root.Time + ctxCheckSimStride
 		}
@@ -553,7 +573,7 @@ func (s *System) RunCtx(ctx context.Context, until dram.PS) (Result, error) {
 			limit = until + 1
 		}
 		n, next, more := s.Cores[root.Index].IssueRun(root.Time, limit,
-			ctxCheckInterval-issued%ctxCheckInterval, s.Ctrl.Submit)
+			min(ctxCheckInterval-issued%ctxCheckInterval, budget-issued), s.Ctrl.Submit)
 		issued += n
 		switch {
 		case !more:
@@ -565,43 +585,11 @@ func (s *System) RunCtx(ctx context.Context, until dram.PS) (Result, error) {
 		}
 		if issued%ctxCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
-				return Result{}, err
+				return issued, err
 			}
 		}
 	}
-	return s.result(until), nil
-}
-
-// IssueN drives the issue-selection loop for exactly n requests (or
-// until all cores finish), returning how many were issued. It is the
-// perf-harness hook for benchmarking the selection path at arbitrary
-// core counts; figure runs use RunCtx.
-func (s *System) IssueN(n int) int {
-	s.resetEvents()
-	issued := 0
-	for issued < n {
-		root, ok := s.cal.MinIndexed()
-		if !ok {
-			break
-		}
-		if root.Class == event.ClassBankExpiry {
-			s.cal.DropIndexedMin()
-			s.wakeBank(root.Index)
-			continue
-		}
-		k, next, more := s.Cores[root.Index].IssueRun(root.Time, s.issueHorizon(),
-			n-issued, s.Ctrl.Submit)
-		issued += k
-		switch {
-		case !more:
-			s.cal.DropIndexedMin()
-		case s.tryPark(root.Index, root.Time, next):
-			s.cal.DropIndexedMin()
-		default:
-			s.cal.ReplaceIndexedMin(next)
-		}
-	}
-	return issued
+	return issued, nil
 }
 
 func (s *System) result(until dram.PS) Result {
@@ -643,16 +631,4 @@ func (s *System) result(until dram.PS) Result {
 	}
 	res.FaultStats = s.Cfg.Faults.Stats()
 	return res
-}
-
-// WorkloadStreams builds per-core streams for a SPEC rate workload: every
-// core runs its own copy (its own hot rows), sized to reqsPerCore
-// requests.
-func WorkloadStreams(spec workload.Spec, region workload.Region, cores int, reqsPerCore int64, seed uint64, params workload.Params) []cpu.Stream {
-	streams := make([]cpu.Stream, cores)
-	for i := 0; i < cores; i++ {
-		gen := workload.NewGenerator(spec, region, i, seed, params)
-		streams[i] = gen.Stream(reqsPerCore, seed+uint64(i)*7919)
-	}
-	return streams
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/cpu"
@@ -22,7 +23,12 @@ func xzStreams(t *testing.T, reqs int64) []cpu.Stream {
 		t.Fatal("xz spec missing")
 	}
 	region := VisibleRegion(Config{})
-	return WorkloadStreams(spec, region, 4, reqs, 1, workload.Params{})
+	streams := make([]cpu.Stream, 4)
+	for i := range streams {
+		gen := workload.NewGenerator(spec, region, i, 1, workload.Params{})
+		streams[i] = gen.Stream(reqs, 1+uint64(i)*7919)
+	}
+	return streams
 }
 
 func TestSchemeStrings(t *testing.T) {
@@ -121,6 +127,42 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
+// TestIssueNRunsTheRunLoop: IssueN runs the RunCtx loop under a request
+// budget. Each call issues exactly its budget while requests remain, and
+// a system driven to completion in IssueN slices ends in the same Result
+// as one Run. One core, so same-core batches run long and a budget the
+// batch ignored would overshoot.
+func TestIssueNRunsTheRunLoop(t *testing.T) {
+	build := func() *System {
+		cfg := fastCfg(SchemeAquaMemMapped)
+		cfg.Cores = 1
+		return NewSystem(cfg, xzStreams(t, 12000)[:1])
+	}
+	want := build().Run(0)
+	sys := build()
+	var total int64
+	for i := 0; ; i++ {
+		budget := []int{1, 999, 4097}[i%3]
+		n := sys.IssueN(budget)
+		if n > budget {
+			t.Fatalf("IssueN(%d) issued %d requests", budget, n)
+		}
+		total += int64(n)
+		if got := sys.Ctrl.Stats().Requests; got != total {
+			t.Fatalf("after IssueN(%d) returned %d, the controller has seen %d requests, want %d", budget, n, got, total)
+		}
+		if n < budget {
+			break
+		}
+	}
+	if total != want.Requests {
+		t.Fatalf("IssueN slices issued %d requests, Run %d", total, want.Requests)
+	}
+	if got := sys.result(0); !reflect.DeepEqual(got, want) {
+		t.Fatalf("IssueN slices diverged from Run:\nslices: %+v\nrun:    %+v", got, want)
+	}
+}
+
 func TestAllSchemesConstruct(t *testing.T) {
 	for _, s := range []Scheme{
 		SchemeBaseline, SchemeAquaSRAM, SchemeAquaMemMapped,
@@ -173,19 +215,16 @@ func TestCaseSpecsResolvesMixes(t *testing.T) {
 
 func TestRunnerGridSmallWindow(t *testing.T) {
 	r := NewRunner(ExpConfig{Window: 500 * dram.Microsecond, Calibrate: false})
-	grid, err := r.RunGrid([]string{"xz", "wrf"}, []GridCell{
+	grid := precomputeGrid(t, r, []string{"xz", "wrf"}, []GridCell{
 		{Scheme: SchemeAquaMemMapped, TRH: 1000},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(grid) != 2 || len(grid[0].Cells) != 1 {
+	if len(grid) != 2 || len(grid[0]) != 1 {
 		t.Fatalf("grid shape: %+v", grid)
 	}
-	for _, g := range grid {
-		c := g.Cells[0]
+	for _, row := range grid {
+		c := row[0]
 		if c.NormIPC <= 0 || c.NormIPC > 1.2 {
-			t.Errorf("%s norm IPC = %g", g.Workload, c.NormIPC)
+			t.Errorf("%s norm IPC = %g", c.Workload, c.NormIPC)
 		}
 	}
 }

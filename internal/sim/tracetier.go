@@ -16,6 +16,7 @@ package sim
 
 import (
 	"repro/internal/cpu"
+	"repro/internal/dram"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -41,9 +42,9 @@ func (r *Runner) replayStream(spec workload.Spec, core int, nominal float64, req
 	// Capture: build the generator, pack its stream and drop it; only the
 	// packed records outlive the capture.
 	params := workload.Params{
-		EpochLength: r.cfg.Timing.TREFW,
+		EpochLength: dram.DDR4().TREFW,
 		NominalIPC:  nominal,
-		Cores:       r.cfg.Cores,
+		Cores:       paperCores,
 	}
 	gen := workload.NewGenerator(spec, r.region, core, r.cfg.Seed, params)
 	p := trace.PackStream(gen.Stream(reqs, r.cfg.Seed+uint64(core)*7919), reqs)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"os"
 	"reflect"
 	"slices"
@@ -36,9 +37,9 @@ func generated(t *testing.T, r *Runner, name string, nominal float64) []cpu.Stre
 		t.Fatal(err)
 	}
 	cfg := r.Config()
-	params := workload.Params{EpochLength: cfg.Timing.TREFW, NominalIPC: nominal, Cores: cfg.Cores}
+	params := workload.Params{EpochLength: dram.DDR4().TREFW, NominalIPC: nominal, Cores: paperCores}
 	windowInstr := float64(cfg.Window) / 1e12 * 3e9 * nominal
-	out := make([]cpu.Stream, cfg.Cores)
+	out := make([]cpu.Stream, paperCores)
 	for core := range out {
 		reqs := int64(windowInstr*specs[core].MPKI/1000) + 16
 		gen := workload.NewGenerator(specs[core], r.region, core, cfg.Seed, params)
@@ -66,7 +67,7 @@ func drainRequests(s cpu.Stream) []cpu.Request {
 // equal a System run over the generator's streams.
 func TestTraceReplayMatchesGeneration(t *testing.T) {
 	r := NewRunner(ExpConfig{Window: dram.Millisecond, Parallel: 1})
-	cores := int64(r.Config().Cores)
+	cores := int64(paperCores)
 	for _, name := range AllCaseNames() {
 		for _, nominal := range []float64{1.0, 0.37} {
 			var want [][]cpu.Request
@@ -97,11 +98,8 @@ func TestTraceReplayMatchesGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := r.Config()
-	want := NewSystem(Config{
-		Geometry: cfg.Geometry, Timing: cfg.Timing, TRH: 1000, Scheme: SchemeAquaMemMapped,
-		Cores: cfg.Cores, Seed: cfg.Seed,
-	}, generated(t, r, "xz", 1.0)).Run(0)
+	want := NewSystem(Config{TRH: 1000, Scheme: SchemeAquaMemMapped, Seed: r.Config().Seed},
+		generated(t, r, "xz", 1.0)).Run(0)
 	if !reflect.DeepEqual(run.Result, want) {
 		t.Fatalf("replayed cell diverged from a run over generated streams:\nreplay: %+v\ngen:    %+v", run.Result, want)
 	}
@@ -111,11 +109,11 @@ func TestTraceReplayMatchesGeneration(t *testing.T) {
 // (workload, core) captures once, and every later stream build replays.
 func TestTraceTierCounters(t *testing.T) {
 	r := NewRunner(traceCfg())
-	if _, err := r.RunGrid([]string{"xz"}, traceCells); err != nil {
+	if err := r.Precompute(context.Background(), []string{"xz"}, traceCells); err != nil {
 		t.Fatal(err)
 	}
 	stats := r.CellStats()
-	cores := int64(r.Config().Cores)
+	cores := int64(paperCores)
 	if stats.TraceCaptures != cores {
 		t.Fatalf("TraceCaptures = %d, want %d (one per core)", stats.TraceCaptures, cores)
 	}
@@ -130,21 +128,16 @@ func TestTraceTierCounters(t *testing.T) {
 // stream build captures and is served uncached, and the results still
 // match the in-memory-tier run.
 func TestTraceBudgetFallback(t *testing.T) {
-	want, err := NewRunner(traceCfg()).RunGrid([]string{"xz"}, traceCells)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cells := withBaseline(traceCells)
+	want := precomputeGrid(t, NewRunner(traceCfg()), []string{"xz"}, cells)
 	r := NewRunner(traceCfg())
 	r.traceBudget = 1
-	got, err := r.RunGrid([]string{"xz"}, traceCells)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := precomputeGrid(t, r, []string{"xz"}, cells)
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("over-budget grid diverged from in-memory-tier grid")
 	}
 	stats := r.CellStats()
-	cores := int64(r.Config().Cores)
+	cores := int64(paperCores)
 	if stats.TraceCaptures != 3*cores {
 		t.Fatalf("TraceCaptures = %d, want %d (every build recaptures)", stats.TraceCaptures, 3*cores)
 	}
