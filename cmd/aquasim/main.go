@@ -67,7 +67,7 @@ func run(args []string, stdout io.Writer) error {
 	workload := flags.String("workload", "lbm", "workload name (SPEC name or mixNN)")
 	attackName := flags.String("attack", "", "run this attack pattern on one core instead of a workload")
 	scheme := flags.String("scheme", "aqua-memmapped", "mitigation scheme")
-	trh := flags.Int64("trh", 1000, "Rowhammer threshold T_RH (>= 2)")
+	trh := flags.Int64("trh", 1000, "Rowhammer threshold T_RH (>= 2; AQUA >= 4, RRS >= 42)")
 	windowMS := flags.Int("window", 64, "simulated window in ms (>= 1)")
 	seed := flags.Uint64("seed", 0, "experiment seed")
 	faultSpec := flags.String("faults", "", "fault-injection rules, e.g. 'lbm/aqua-memmapped/1000=ecc-flip@p:0.01'")
@@ -99,7 +99,7 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("%w (try -list)", err)
 	}
-	if err := sim.CheckTRH(*trh); err != nil {
+	if err := sim.CheckTRH(sch, *trh); err != nil {
 		return fmt.Errorf("-trh: %w", err)
 	}
 	ctx := context.Background()

@@ -68,18 +68,30 @@ func TestAttackMatrix(t *testing.T) {
 }
 
 // TestRejectsThresholdBelowTwo: -trh below 2 is an error in both modes,
-// before anything runs.
+// before anything runs, and so is a threshold just under a scheme's
+// floor: AQUA at 3 and RRS at 41, which would otherwise run past any
+// -timeout.
 func TestRejectsThresholdBelowTwo(t *testing.T) {
 	for _, mode := range [][]string{
 		{"-workload", "xz", "-window", "1"},
 		{"-attack", "double-sided"},
 	} {
-		for _, trh := range []string{"0", "1", "-5"} {
-			args := append(append([]string{}, mode...), "-trh", trh)
+		for _, tc := range []struct {
+			args []string
+			want string
+		}{
+			{[]string{"-trh", "0"}, "must be >= 2"},
+			{[]string{"-trh", "1"}, "must be >= 2"},
+			{[]string{"-trh", "-5"}, "must be >= 2"},
+			{[]string{"-scheme", "aqua-sram", "-trh", "3"}, "aqua-sram needs T_RH >= 4"},
+			{[]string{"-scheme", "aqua-memmapped", "-trh", "3"}, "aqua-memmapped needs T_RH >= 4"},
+			{[]string{"-scheme", "rrs", "-trh", "41"}, "rrs needs T_RH >= 42"},
+		} {
+			args := append(append([]string{}, mode...), tc.args...)
 			var out bytes.Buffer
 			err := run(args, &out)
-			if err == nil || !strings.Contains(err.Error(), "must be >= 2") {
-				t.Errorf("aquasim %s: err = %v, want a T_RH error", strings.Join(args, " "), err)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("aquasim %s: err = %v, want a T_RH error containing %q", strings.Join(args, " "), err, tc.want)
 			}
 			if out.Len() != 0 {
 				t.Errorf("aquasim %s printed:\n%s", strings.Join(args, " "), out.String())

@@ -212,7 +212,7 @@ func runDump(args []string, stdout io.Writer) error {
 func runReplay(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
 	scheme := fs.String("scheme", "aqua-memmapped", "mitigation scheme: baseline, aqua-sram, aqua-memmapped, rrs, blockhammer, victim-refresh")
-	trh := fs.Int64("trh", 1000, "Rowhammer threshold (>= 2)")
+	trh := fs.Int64("trh", 1000, "Rowhammer threshold (>= 2; AQUA >= 4, RRS >= 42)")
 	path, err := traceArg(fs, args)
 	if err != nil {
 		return err
@@ -221,7 +221,7 @@ func runReplay(args []string, stdout io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("replay: %w", err)
 	}
-	if err := sim.CheckTRH(*trh); err != nil {
+	if err := sim.CheckTRH(sch, *trh); err != nil {
 		return fmt.Errorf("replay: -trh: %w", err)
 	}
 	recs, err := readTrace(path)

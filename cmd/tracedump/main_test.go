@@ -156,7 +156,8 @@ func TestReplayRejectsRowsOutsideRegion(t *testing.T) {
 }
 
 // TestReplayRejectsThresholdBelowTwo: replay -trh below 2 is an error
-// that prints nothing, as is an unknown scheme.
+// that prints nothing, as are a threshold under a scheme's floor (AQUA
+// at 3, RRS at 41) and an unknown scheme.
 func TestReplayRejectsThresholdBelowTwo(t *testing.T) {
 	path := writeTrace(t, gccRecords(t, 100))
 	for _, tc := range []struct {
@@ -166,6 +167,9 @@ func TestReplayRejectsThresholdBelowTwo(t *testing.T) {
 		{[]string{"-trh", "0"}, "must be >= 2"},
 		{[]string{"-trh", "1"}, "must be >= 2"},
 		{[]string{"-trh", "-5"}, "must be >= 2"},
+		{[]string{"-scheme", "aqua-sram", "-trh", "3"}, "aqua-sram needs T_RH >= 4"},
+		{[]string{"-scheme", "aqua-memmapped", "-trh", "3"}, "aqua-memmapped needs T_RH >= 4"},
+		{[]string{"-scheme", "rrs", "-trh", "41"}, "rrs needs T_RH >= 42"},
 		{[]string{"-scheme", "no-such-scheme"}, "unknown scheme"},
 	} {
 		args := tc.args

@@ -120,14 +120,6 @@ func (c *Core) IPC(elapsed dram.PS) float64 {
 	return float64(c.instrRetired) / cycles
 }
 
-// QueuedRow returns the row targeted by the core's buffered next request,
-// ok=false when none is buffered yet (call NextIssueTime first) or the
-// stream is exhausted. The run loop's blocked-bank scheduler reads it to
-// decide whether the core can park on its target bank's expiry event.
-func (c *Core) QueuedRow() (dram.Row, bool) {
-	return c.queued.Row, c.hasQueue
-}
-
 // gapTime converts an instruction gap into core time.
 func (c *Core) gapTime(instr int64) dram.PS {
 	if instr <= 0 {
@@ -167,17 +159,17 @@ func (c *Core) NextIssueTime() (dram.PS, bool) {
 // IssueRun issues a batch of consecutive requests on this core: the first
 // at time `at` (which must be the core's current next-issue time),
 // then repeatedly while the core's following issue time stays strictly
-// below `limit` — the foreign-event horizon the run loop computes from
-// its calendar. At most `max` requests are issued.
+// below `limit` — the bound the run loop computes from the other cores'
+// next issues and the controller's next background event. At most `max`
+// requests are issued.
 //
 // It returns the number issued, the core's next issue time, and whether
 // the core still has requests (more=false means the stream is exhausted).
 // Batching is sound because NextIssueTime reads only core-local state, so
-// a run of same-core issues below the horizon cannot change — or be
-// changed by — any other pending event; an issue time exactly AT the
-// horizon ends the batch and is re-ordered against the foreign event by
-// the calendar's (time, class, index) contract. See DESIGN.md
-// "Event-driven core & time-skip invariants".
+// a run of same-core issues below the limit cannot change — or be
+// changed by — any other core's issue; an issue time exactly AT the
+// limit ends the batch and goes back through the run loop's (time, core
+// index) heap. See DESIGN.md "Event-driven core & time-skip invariants".
 func (c *Core) IssueRun(at, limit dram.PS, max int, submit func(row dram.Row, write bool, at dram.PS) dram.PS) (n int, next dram.PS, more bool) {
 	for {
 		c.Issue(at, submit)

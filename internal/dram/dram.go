@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"repro/internal/event"
 	"repro/internal/fault"
 	"repro/internal/invariant"
 )
@@ -679,9 +678,6 @@ func (r *Rank) Reserve(until PS) {
 	}
 }
 
-// BusFreeAt returns the earliest time the shared data bus is free.
-func (r *Rank) BusFreeAt() PS { return r.busFree }
-
 // ReservedUntil returns the end of the latest channel reservation (0 if
 // the channel was never reserved).
 func (r *Rank) ReservedUntil() PS { return r.reservedUntil }
@@ -707,47 +703,6 @@ func (r *Rank) PrechargeAll(at PS) {
 			b.readyACT = maxPS(r.bankReadyACT(b), pre+r.timing.TRP)
 		}
 	}
-}
-
-// BankReadyAt returns the earliest time the given bank may issue its next
-// activation: the end of its tRC window, raised by any refresh (tRFC) or
-// reservation still blocking it.
-func (r *Rank) BankReadyAt(bankIdx int) PS {
-	return r.bankReadyACT(&r.banks[bankIdx])
-}
-
-// NextExpiry returns the earliest strictly-future time (> now) at which a
-// bank's activation window expires, or ok=false when every bank can
-// already activate at `now`. It is a pull API: the run loop stays
-// issue-driven (a blocked bank delays the access that touches it, so
-// nothing needs to wake up when the window ends), but schedulers that do
-// want wake-ups — FR-FCFS-style reordering experiments, diagnostics —
-// read the horizon here or subscribe via PublishExpiries.
-func (r *Rank) NextExpiry(now PS) (PS, bool) {
-	var best PS
-	ok := false
-	for i := range r.banks {
-		ready := r.bankReadyACT(&r.banks[i])
-		if ready > now && (!ok || ready < best) {
-			best, ok = ready, true
-		}
-	}
-	return best, ok
-}
-
-// PublishExpiries pushes one ClassBankExpiry event per still-blocked bank
-// (activation window ending after `now`) into the calendar, indexed by
-// bank, and returns how many were published. Idle banks — the steady
-// state outside refresh windows — publish nothing.
-func (r *Rank) PublishExpiries(cal *event.Calendar, now PS) int {
-	n := 0
-	for i := range r.banks {
-		if ready := r.bankReadyACT(&r.banks[i]); ready > now {
-			cal.Push(event.Event{Time: ready, Class: event.ClassBankExpiry, Index: int32(i)})
-			n++
-		}
-	}
-	return n
 }
 
 func maxPS(a, b PS) PS {

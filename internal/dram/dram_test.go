@@ -262,10 +262,15 @@ func TestRefreshListenersSeeOnlyRefreshes(t *testing.T) {
 	if len(refreshes) != 1 || refreshes[0] != a || len(acts) != 0 {
 		t.Fatalf("refresh listener saw %v, activation listener saw %v", refreshes, acts)
 	}
-	if r.Stats() != (RankStats{}) || r.BankReadyAt(1) != 0 {
-		t.Fatalf("a notification changed the rank: stats %+v, bank ready at %d", r.Stats(), r.BankReadyAt(1))
+	if r.Stats() != (RankStats{}) {
+		t.Fatalf("a notification changed the rank stats: %+v", r.Stats())
 	}
-	r.Access(a, false, 0)
+	// No bank timing either: the notified row's bank still serves a cold
+	// access at time 0 in exactly ACT -> column -> data -> burst end.
+	tm := DDR4()
+	if done, _ := r.Access(a, false, 0); done != tm.TRCD+tm.TCL+tm.TBL {
+		t.Fatalf("access after a notification completed at %d, want the cold-bank %d", done, tm.TRCD+tm.TCL+tm.TBL)
+	}
 	if len(refreshes) != 1 || len(acts) != 1 {
 		t.Fatalf("after an ACT: refresh listener saw %v, activation listener saw %v", refreshes, acts)
 	}

@@ -12,12 +12,8 @@ func TestLessTotalOrder(t *testing.T) {
 		name string
 		a, b Event
 	}{
-		{"time dominates", Event{Time: 1, Class: ClassCoreIssue, Index: 9}, Event{Time: 2, Class: ClassRefresh}},
-		{"class breaks time tie", Event{Time: 5, Class: ClassRefresh}, Event{Time: 5, Class: ClassEpoch}},
-		{"epoch before drain", Event{Time: 5, Class: ClassEpoch}, Event{Time: 5, Class: ClassDrain}},
-		{"drain before bank expiry", Event{Time: 5, Class: ClassDrain}, Event{Time: 5, Class: ClassBankExpiry}},
-		{"bank expiry before core issue", Event{Time: 5, Class: ClassBankExpiry}, Event{Time: 5, Class: ClassCoreIssue}},
-		{"index breaks class tie", Event{Time: 5, Class: ClassCoreIssue, Index: 0}, Event{Time: 5, Class: ClassCoreIssue, Index: 1}},
+		{"time dominates", Event{Time: 1, Index: 9}, Event{Time: 2, Index: 0}},
+		{"index breaks time tie", Event{Time: 5, Index: 0}, Event{Time: 5, Index: 1}},
 	}
 	for _, tc := range cases {
 		if !Less(tc.a, tc.b) {
@@ -27,161 +23,54 @@ func TestLessTotalOrder(t *testing.T) {
 			t.Errorf("%s: Less(%v, %v) = true, want false", tc.name, tc.b, tc.a)
 		}
 	}
-	e := Event{Time: 5, Class: ClassEpoch, Index: 3}
+	e := Event{Time: 5, Index: 3}
 	if Less(e, e) {
 		t.Errorf("Less(%v, %v) = true; the order must be strict", e, e)
 	}
 }
 
-// TestClassPriorityPinned pins the numeric class order documented in the
-// package comment: changing it changes golden figure bytes, so the values
-// are asserted literally rather than relative to each other.
-func TestClassPriorityPinned(t *testing.T) {
-	want := map[Class]uint8{
-		ClassRefresh:    0,
-		ClassEpoch:      1,
-		ClassDrain:      2,
-		ClassBankExpiry: 3,
-		ClassCoreIssue:  4,
-	}
-	for cl, v := range want {
-		if uint8(cl) != v {
-			t.Errorf("class %s = %d, want %d", cl, uint8(cl), v)
-		}
-	}
-	if NumClasses != 5 {
-		t.Errorf("NumClasses = %d, want 5", NumClasses)
-	}
-}
-
 func TestEqualTimestampCollision(t *testing.T) {
-	// All five classes armed at the same instant must pop in class order,
-	// with equal-time indexed events ordered by index.
+	// Events pushed at the same instant in any order must come off the
+	// root in core-index order.
 	var c Calendar
-	c.SetLane(ClassDrain, 100)
-	c.Push(Event{Time: 100, Class: ClassCoreIssue, Index: 2})
-	c.Push(Event{Time: 100, Class: ClassCoreIssue, Index: 0})
-	c.SetLane(ClassRefresh, 100)
-	c.Push(Event{Time: 100, Class: ClassBankExpiry, Index: 7})
-	c.SetLane(ClassEpoch, 100)
-	c.Push(Event{Time: 100, Class: ClassCoreIssue, Index: 1})
-
-	want := []Event{
-		{Time: 100, Class: ClassRefresh},
-		{Time: 100, Class: ClassEpoch},
-		{Time: 100, Class: ClassDrain},
-		{Time: 100, Class: ClassBankExpiry, Index: 7},
-		{Time: 100, Class: ClassCoreIssue, Index: 0},
-		{Time: 100, Class: ClassCoreIssue, Index: 1},
-		{Time: 100, Class: ClassCoreIssue, Index: 2},
+	for _, i := range []int32{2, 0, 3, 1} {
+		c.Push(Event{Time: 100, Index: i})
 	}
-	for i, w := range want {
-		got, ok := c.Pop()
+	for want := int32(0); want < 4; want++ {
+		got, ok := c.MinIndexed()
 		if !ok {
-			t.Fatalf("pop %d: calendar empty, want %v", i, w)
+			t.Fatalf("root %d: calendar empty, want core %d@100", want, want)
 		}
-		if got != w {
-			t.Fatalf("pop %d = %v, want %v", i, got, w)
+		if got != (Event{Time: 100, Index: want}) {
+			t.Fatalf("root %d = %v, want core %d@100", want, got, want)
 		}
+		c.DropIndexedMin()
 	}
-	if _, ok := c.Pop(); ok {
+	if _, ok := c.MinIndexed(); ok {
 		t.Fatal("calendar not empty after draining")
-	}
-}
-
-func TestLaneRearmAndClear(t *testing.T) {
-	var c Calendar
-	c.SetLane(ClassRefresh, 50)
-	c.SetLane(ClassEpoch, 40)
-	if e, _ := c.Peek(); e != (Event{Time: 40, Class: ClassEpoch}) {
-		t.Fatalf("peek = %v, want epoch@40", e)
-	}
-	// Re-arming forward moves the lane; the cached min must follow.
-	c.SetLane(ClassEpoch, 60)
-	if e, _ := c.Peek(); e != (Event{Time: 50, Class: ClassRefresh}) {
-		t.Fatalf("peek after re-arm = %v, want refresh@50", e)
-	}
-	c.ClearLane(ClassRefresh)
-	if e, _ := c.Peek(); e != (Event{Time: 60, Class: ClassEpoch}) {
-		t.Fatalf("peek after clear = %v, want epoch@60", e)
-	}
-	if tm, ok := c.Lane(ClassEpoch); !ok || tm != 60 {
-		t.Fatalf("Lane(epoch) = %d,%v, want 60,true", tm, ok)
-	}
-	if _, ok := c.Lane(ClassRefresh); ok {
-		t.Fatal("Lane(refresh) still armed after ClearLane")
-	}
-	c.ClearLane(ClassRefresh) // idempotent
-	if got := c.Len(); got != 1 {
-		t.Fatalf("Len = %d, want 1", got)
-	}
-}
-
-func TestPopPrefersHeapOnExactTie(t *testing.T) {
-	// A heap entry and a lane entry with the identical (time, class, index)
-	// tuple are the same point in the total order; Peek/Pop must still be
-	// deterministic. The implementation hands out the heap entry first.
-	var c Calendar
-	c.SetLane(ClassRefresh, 10)
-	c.Push(Event{Time: 10, Class: ClassRefresh, Index: 0})
-	first, _ := c.Pop()
-	second, _ := c.Pop()
-	if first != second || first != (Event{Time: 10, Class: ClassRefresh}) {
-		t.Fatalf("tie pops = %v, %v; want two refresh@10", first, second)
-	}
-	if c.Len() != 0 {
-		t.Fatalf("Len = %d after draining, want 0", c.Len())
-	}
-}
-
-func TestAdvanceToFoldsRearms(t *testing.T) {
-	var c Calendar
-	c.SetLane(ClassRefresh, 10)
-	c.Push(Event{Time: 15, Class: ClassCoreIssue, Index: 0})
-	var got []Event
-	// AdvanceTo pops each event before handing it over; a core-issue event
-	// with no successor needs no action, a lane re-arms itself forward.
-	n := c.AdvanceTo(30, func(e Event) {
-		got = append(got, e)
-		if e.Class == ClassRefresh && e.Time+10 <= 30 {
-			c.SetLane(ClassRefresh, e.Time+10)
-		}
-	})
-	if n != 4 {
-		t.Fatalf("AdvanceTo handled %d events, want 4", n)
-	}
-	want := []Event{
-		{Time: 10, Class: ClassRefresh},
-		{Time: 15, Class: ClassCoreIssue, Index: 0},
-		{Time: 20, Class: ClassRefresh},
-		{Time: 30, Class: ClassRefresh},
-	}
-	if len(got) != len(want) {
-		t.Fatalf("handled %d events %v, want %v", len(got), got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("event %d = %v, want %v", i, got[i], want[i])
-		}
 	}
 }
 
 func TestReplaceAndDropIndexedMin(t *testing.T) {
 	var c Calendar
 	for i := int32(0); i < 4; i++ {
-		c.Push(Event{Time: PS(10 + i), Class: ClassCoreIssue, Index: i})
+		c.Push(Event{Time: PS(10 + i), Index: i})
 	}
 	// Root is core 0 @10; pushing it to 25 must surface core 1 @11.
 	c.ReplaceIndexedMin(25)
-	if e, _ := c.MinIndexed(); e != (Event{Time: 11, Class: ClassCoreIssue, Index: 1}) {
+	if e, _ := c.MinIndexed(); e != (Event{Time: 11, Index: 1}) {
 		t.Fatalf("root after replace = %v, want core1@11", e)
 	}
 	c.DropIndexedMin()
-	if e, _ := c.MinIndexed(); e != (Event{Time: 12, Class: ClassCoreIssue, Index: 2}) {
+	if e, _ := c.MinIndexed(); e != (Event{Time: 12, Index: 2}) {
 		t.Fatalf("root after drop = %v, want core2@12", e)
 	}
-	if c.HeapLen() != 3 {
-		t.Fatalf("HeapLen = %d, want 3", c.HeapLen())
+	// Remaining: core2@12, core3@13, core0@25.
+	for _, want := range []Event{{Time: 12, Index: 2}, {Time: 13, Index: 3}, {Time: 25, Index: 0}} {
+		if e, ok := c.MinIndexed(); !ok || e != want {
+			t.Fatalf("root = %v,%v, want %v", e, ok, want)
+		}
+		c.DropIndexedMin()
 	}
 }
 
@@ -190,33 +79,28 @@ func TestHorizonExcludesRoot(t *testing.T) {
 	if _, ok := c.Horizon(); ok {
 		t.Fatal("empty calendar has a horizon")
 	}
-	c.Push(Event{Time: 10, Class: ClassCoreIssue, Index: 0})
+	c.Push(Event{Time: 10, Index: 0})
 	if _, ok := c.Horizon(); ok {
 		t.Fatal("single-entry heap has a horizon; the root is excluded")
 	}
-	c.Push(Event{Time: 30, Class: ClassCoreIssue, Index: 1})
-	c.Push(Event{Time: 20, Class: ClassCoreIssue, Index: 2})
-	if hz, _ := c.Horizon(); hz != (Event{Time: 20, Class: ClassCoreIssue, Index: 2}) {
+	c.Push(Event{Time: 30, Index: 1})
+	c.Push(Event{Time: 20, Index: 2})
+	if hz, _ := c.Horizon(); hz != (Event{Time: 20, Index: 2}) {
 		t.Fatalf("horizon = %v, want core2@20", hz)
 	}
-	// An earlier lane lowers the horizon without touching the heap.
-	c.SetLane(ClassRefresh, 15)
-	if hz, _ := c.Horizon(); hz != (Event{Time: 15, Class: ClassRefresh}) {
-		t.Fatalf("horizon with lane = %v, want refresh@15", hz)
-	}
-	// But the root itself stays out of it even when a lane is later.
-	c.SetLane(ClassRefresh, 40)
-	if hz, _ := c.Horizon(); hz != (Event{Time: 20, Class: ClassCoreIssue, Index: 2}) {
-		t.Fatalf("horizon with late lane = %v, want core2@20", hz)
+	// Rescheduling the root past every other event hands the horizon to
+	// the next-earliest remaining entry, never to the root itself.
+	c.ReplaceIndexedMin(40)
+	if hz, _ := c.Horizon(); hz != (Event{Time: 30, Index: 1}) {
+		t.Fatalf("horizon after replace = %v, want core1@30", hz)
 	}
 }
 
-// TestCalendarMatchesReferenceModel drives random interleavings of pushes,
-// lane arms and pops against a sorted-slice reference model, checking that
-// every pop returns exactly the reference minimum.
+// TestCalendarMatchesReferenceModel drives random interleavings of
+// pushes, root replacements and root drops against a sorted-slice
+// reference model, checking after every step that the root is exactly the
+// reference minimum and the horizon exactly the reference runner-up.
 func TestCalendarMatchesReferenceModel(t *testing.T) {
-	indexed := []Class{ClassBankExpiry, ClassCoreIssue}
-	lanes := []Class{ClassRefresh, ClassEpoch, ClassDrain}
 	for seed := uint64(1); seed <= 8; seed++ {
 		var c Calendar
 		r := rng.New(seed * 0x9e3779b97f4a7c15)
@@ -227,69 +111,40 @@ func TestCalendarMatchesReferenceModel(t *testing.T) {
 			copy(ref[i+1:], ref[i:])
 			ref[i] = e
 		}
-		remove := func(i int) {
-			ref = append(ref[:i], ref[i+1:]...)
-		}
 		for step := 0; step < 4000; step++ {
 			switch op := r.Intn(10); {
-			case op < 4: // push indexed
-				e := Event{
-					Time:  PS(r.Intn(1 << 20)),
-					Class: indexed[r.Intn(len(indexed))],
-					Index: int32(r.Intn(64)),
-				}
+			case op < 5 || len(ref) == 0: // push
+				e := Event{Time: PS(r.Intn(1 << 20)), Index: int32(r.Intn(64))}
 				c.Push(e)
 				insert(e)
-			case op < 6: // arm or re-arm a lane
-				cl := lanes[r.Intn(len(lanes))]
+			case op < 8: // reschedule the root, forward or back
+				root := ref[0]
 				tm := PS(r.Intn(1 << 20))
-				c.SetLane(cl, tm)
-				// Drop the lane's previous occurrence from the reference.
-				for i, x := range ref {
-					if x.Class == cl {
-						remove(i)
-						break
-					}
-				}
-				insert(Event{Time: tm, Class: cl})
-			case op < 7: // clear a lane
-				cl := lanes[r.Intn(len(lanes))]
-				c.ClearLane(cl)
-				for i, x := range ref {
-					if x.Class == cl {
-						remove(i)
-						break
-					}
-				}
-			default: // pop
-				got, ok := c.Pop()
-				if len(ref) == 0 {
-					if ok {
-						t.Fatalf("seed %d step %d: pop = %v on empty reference", seed, step, got)
-					}
-					continue
-				}
-				if !ok {
-					t.Fatalf("seed %d step %d: calendar empty, reference has %v", seed, step, ref[0])
-				}
-				if got != ref[0] {
-					t.Fatalf("seed %d step %d: pop = %v, want %v", seed, step, got, ref[0])
-				}
-				remove(0)
+				c.ReplaceIndexedMin(tm)
+				ref = ref[1:]
+				insert(Event{Time: tm, Index: root.Index})
+			default: // drop the root
+				c.DropIndexedMin()
+				ref = ref[1:]
 			}
-			if c.Len() != len(ref) {
-				t.Fatalf("seed %d step %d: Len = %d, reference %d", seed, step, c.Len(), len(ref))
+			got, ok := c.MinIndexed()
+			if ok != (len(ref) > 0) || (ok && got != ref[0]) {
+				t.Fatalf("seed %d step %d: root = %v,%v, reference %v", seed, step, got, ok, ref)
+			}
+			hz, ok := c.Horizon()
+			if ok != (len(ref) > 1) || (ok && hz != ref[1]) {
+				t.Fatalf("seed %d step %d: horizon = %v,%v, reference %v", seed, step, hz, ok, ref)
 			}
 		}
-		// Drain: the remaining pops must come out in exact sorted order.
-		for len(ref) > 0 {
-			got, ok := c.Pop()
-			if !ok || got != ref[0] {
-				t.Fatalf("seed %d drain: pop = %v,%v, want %v", seed, got, ok, ref[0])
+		// Drain: the remaining roots must come out in exact sorted order.
+		for _, want := range ref {
+			got, ok := c.MinIndexed()
+			if !ok || got != want {
+				t.Fatalf("seed %d drain: root = %v,%v, want %v", seed, got, ok, want)
 			}
-			remove(0)
+			c.DropIndexedMin()
 		}
-		if _, ok := c.Pop(); ok {
+		if _, ok := c.MinIndexed(); ok {
 			t.Fatalf("seed %d: calendar non-empty after drain", seed)
 		}
 	}
@@ -298,29 +153,26 @@ func TestCalendarMatchesReferenceModel(t *testing.T) {
 func TestResetKeepsCapacityEmptiesState(t *testing.T) {
 	var c Calendar
 	for i := int32(0); i < 32; i++ {
-		c.Push(Event{Time: PS(i), Class: ClassCoreIssue, Index: i})
+		c.Push(Event{Time: PS(i), Index: i})
 	}
-	c.SetLane(ClassRefresh, 5)
 	c.Reset()
-	if c.Len() != 0 {
-		t.Fatalf("Len after Reset = %d, want 0", c.Len())
-	}
-	if _, ok := c.Peek(); ok {
-		t.Fatal("Peek returned an event after Reset")
+	if _, ok := c.MinIndexed(); ok {
+		t.Fatal("MinIndexed returned an event after Reset")
 	}
 	// Steady-state reuse after Reset must not allocate.
 	allocs := testing.AllocsPerRun(100, func() {
 		c.Reset()
 		for i := int32(0); i < 32; i++ {
-			c.Push(Event{Time: PS(i), Class: ClassCoreIssue, Index: i})
+			c.Push(Event{Time: PS(i), Index: i})
 		}
 		for {
-			if _, ok := c.Pop(); !ok {
+			if _, ok := c.MinIndexed(); !ok {
 				break
 			}
+			c.DropIndexedMin()
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("push/pop cycle after Reset allocates %.1f/run, want 0", allocs)
+		t.Fatalf("push/drop cycle after Reset allocates %.1f/run, want 0", allocs)
 	}
 }

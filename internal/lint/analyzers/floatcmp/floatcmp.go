@@ -1,8 +1,8 @@
 // Package floatcmp flags == and != between floating-point operands in
-// the closed-form model packages (internal/analytic, internal/crowmodel).
-// Those packages reproduce the paper's tables bit-for-bit; an exact
-// float comparison there either works by accident of rounding or
-// silently diverges across architectures (FMA contraction, x87 spills).
+// the closed-form model package (internal/analytic). That package
+// reproduces the paper's tables bit-for-bit; an exact float comparison
+// there either works by accident of rounding or silently diverges across
+// architectures (FMA contraction, x87 spills).
 // Compare against an explicit tolerance, or restructure to integers.
 package floatcmp
 
@@ -19,12 +19,12 @@ import (
 var Analyzer = &lint.Analyzer{
 	Name: "floatcmp",
 	Doc: "flag ==/!= on floating-point values in the analytic model " +
-		"packages; use an explicit tolerance instead",
+		"package; use an explicit tolerance instead",
 	Applies: func(pkgPath string) bool {
 		if !strings.HasPrefix(pkgPath, "repro") {
 			return true // analyzer test corpora
 		}
-		return pkgPath == "repro/internal/analytic" || pkgPath == "repro/internal/crowmodel"
+		return pkgPath == "repro/internal/analytic"
 	},
 	Run: run,
 }

@@ -135,75 +135,3 @@ func TestIdleDrainEpochBoundaryOrder(t *testing.T) {
 		}
 	}
 }
-
-// TestSubmitBatchMatchesSubmit proves the batched path is identical to
-// per-request Submit — including batches that straddle a refresh (slow
-// path) and ones that fit before the next background event (fast path).
-func TestSubmitBatchMatchesSubmit(t *testing.T) {
-	geom := testGeom()
-	trefi := dram.DDR4().TREFI
-	build := func() []Request {
-		var reqs []Request
-		at := dram.PS(0)
-		for i := 0; i < 64; i++ {
-			reqs = append(reqs, Request{
-				Row:   geom.RowOf(i%geom.Banks, (i*7)%geom.RowsPerBank),
-				Write: i%3 == 0,
-				At:    at,
-			})
-			// March across a refresh boundary mid-batch.
-			at += trefi / 16
-		}
-		return reqs
-	}
-
-	_, serial := newCtrl(t, nil, Config{})
-	var want []dram.PS
-	for _, r := range build() {
-		want = append(want, serial.Submit(r.Row, r.Write, r.At))
-	}
-
-	_, batched := newCtrl(t, nil, Config{})
-	got := batched.SubmitBatch(build(), nil)
-
-	if len(got) != len(want) {
-		t.Fatalf("lengths differ: %d vs %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("completion %d: batch %d vs serial %d", i, got[i], want[i])
-		}
-	}
-	if serial.Stats() != batched.Stats() {
-		t.Fatalf("stats diverged: %+v vs %+v", serial.Stats(), batched.Stats())
-	}
-}
-
-// TestSubmitBatchFastPath checks that a batch entirely inside one
-// background-quiet window produces the same results and leaves the
-// controller in a state consistent with per-request submission.
-func TestSubmitBatchFastPath(t *testing.T) {
-	geom := testGeom()
-	mk := func() []Request {
-		var reqs []Request
-		for i := 0; i < 32; i++ {
-			reqs = append(reqs, Request{Row: geom.RowOf(i%geom.Banks, i), At: dram.PS(i) * dram.Nanosecond})
-		}
-		return reqs
-	}
-	_, serial := newCtrl(t, nil, Config{})
-	var want []dram.PS
-	for _, r := range mk() {
-		want = append(want, serial.Submit(r.Row, r.Write, r.At))
-	}
-	_, batched := newCtrl(t, nil, Config{})
-	got := batched.SubmitBatch(mk(), make([]dram.PS, 0, 32))
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("completion %d: %d vs %d", i, got[i], want[i])
-		}
-	}
-	if serial.Now() != batched.Now() {
-		t.Fatalf("now diverged: %d vs %d", serial.Now(), batched.Now())
-	}
-}

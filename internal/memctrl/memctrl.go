@@ -16,7 +16,6 @@ import (
 	"fmt"
 
 	"repro/internal/dram"
-	"repro/internal/event"
 	"repro/internal/fault"
 	"repro/internal/invariant"
 	"repro/internal/mitigation"
@@ -92,10 +91,6 @@ type Controller struct {
 	drainer Drainer
 	now     dram.PS
 	chk     *invariant.Checker
-	// cal, when non-nil, is the run loop's event calendar: the controller
-	// keeps its refresh/epoch/drain lanes armed at the same times bgNext
-	// summarizes, so the loop can bound time-skips without polling.
-	cal *event.Calendar
 
 	stats Stats
 }
@@ -129,8 +124,7 @@ func New(rank *dram.Rank, mit mitigation.Mitigator, cfg Config) *Controller {
 	return c
 }
 
-// updateBGNext recomputes the earliest pending background event and, when
-// a calendar is attached, re-arms its lanes to match.
+// updateBGNext recomputes the earliest pending background event.
 func (c *Controller) updateBGNext() {
 	n := c.nextEpoch
 	if !c.cfg.DisableRefresh && c.nextRefresh < n {
@@ -140,48 +134,12 @@ func (c *Controller) updateBGNext() {
 		n = c.nextDrain
 	}
 	c.bgNext = n
-	if c.cal != nil {
-		c.publishLanes()
-	}
-}
-
-// AttachCalendar registers the event calendar this controller publishes
-// its background events into. From then on every background-schedule
-// change (serviced refresh, epoch rollover, drain) re-arms the calendar's
-// refresh/epoch/drain lanes, so the run loop sees the controller's
-// horizon without polling Advance.
-func (c *Controller) AttachCalendar(cal *event.Calendar) {
-	c.cal = cal
-	c.publishLanes()
-}
-
-// PublishEvents re-arms the attached calendar's lanes from the current
-// background schedule (used after a calendar Reset). No-op when no
-// calendar is attached.
-func (c *Controller) PublishEvents() {
-	if c.cal != nil {
-		c.publishLanes()
-	}
-}
-
-func (c *Controller) publishLanes() {
-	if c.cfg.DisableRefresh {
-		c.cal.ClearLane(event.ClassRefresh)
-	} else {
-		c.cal.SetLane(event.ClassRefresh, c.nextRefresh)
-	}
-	c.cal.SetLane(event.ClassEpoch, c.nextEpoch)
-	if c.drainer != nil {
-		c.cal.SetLane(event.ClassDrain, c.nextDrain)
-	} else {
-		c.cal.ClearLane(event.ClassDrain)
-	}
 }
 
 // NextEvent returns the due time of the earliest pending background event
-// (refresh, epoch, or drain) — the controller's contribution to the
-// system event horizon. Submissions strictly before it cannot trigger
-// background work.
+// (refresh, epoch, or drain). Submissions strictly before it cannot
+// trigger background work. The run loop ends each same-core issue batch
+// at it.
 func (c *Controller) NextEvent() dram.PS { return c.bgNext }
 
 // Rank returns the attached rank.
@@ -192,9 +150,6 @@ func (c *Controller) Mitigator() mitigation.Mitigator { return c.mit }
 
 // Stats returns a snapshot of the controller counters.
 func (c *Controller) Stats() Stats { return c.stats }
-
-// Now returns the latest time the controller has advanced to.
-func (c *Controller) Now() dram.PS { return c.now }
 
 // StatsReset zeroes the counters (between warmup and measurement).
 func (c *Controller) StatsReset() { c.stats = Stats{} }
@@ -299,46 +254,6 @@ func (c *Controller) drainBackground(at dram.PS) {
 func (c *Controller) Submit(row dram.Row, write bool, at dram.PS) dram.PS {
 	c.Advance(at)
 	return c.submitOne(row, write, at)
-}
-
-// Request is one batched line access (see SubmitBatch).
-type Request struct {
-	Row   dram.Row
-	Write bool
-	At    dram.PS // arrival time; batches must be non-decreasing in At
-}
-
-// SubmitBatch processes a run of requests in arrival order and appends
-// each completion time to `done`, returning the extended slice. When the
-// whole batch lands before the next background event, the controller
-// advances once for the entire run instead of re-scanning the background
-// horizon per request — the batched analogue of Submit for callers that
-// already hold a sequence of same-epoch requests (trace replay, the perf
-// harness). Results are identical to calling Submit per request.
-func (c *Controller) SubmitBatch(reqs []Request, done []dram.PS) []dram.PS {
-	if len(reqs) == 0 {
-		return done
-	}
-	last := reqs[len(reqs)-1].At
-	if c.now <= last && last < c.bgNext {
-		// One bounds check covers the run: arrival times are monotonic, so
-		// no request can step over a background event the last one missed.
-		for i := range reqs {
-			r := &reqs[i]
-			if r.At < c.now {
-				panic(fmt.Sprintf("memctrl: time went backwards: %d then %d", c.now, r.At))
-			}
-			c.now = r.At
-			done = append(done, c.submitOne(r.Row, r.Write, r.At))
-		}
-		return done
-	}
-	for i := range reqs {
-		r := &reqs[i]
-		c.Advance(r.At)
-		done = append(done, c.submitOne(r.Row, r.Write, r.At))
-	}
-	return done
 }
 
 // submitOne runs the request pipeline after background work has been

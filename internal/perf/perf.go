@@ -22,7 +22,6 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/dram"
 	"repro/internal/event"
-	"repro/internal/memctrl"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/tracker"
@@ -39,24 +38,11 @@ var sinkRow dram.Row
 // benchmark run's horizon.
 const reqSpread = 4096
 
-// batchSpread is the row spread for the batched driver. A 64-deep closed
-// loop keeps every bank busy, so it sustains roughly banks× the
-// activation rate of the serial driver per unit of simulated time; the
-// spread must widen by the same factor to keep per-row activation counts
-// below T_RH/2 within a refresh window, or the benchmark measures
-// quarantine churn instead of steady-state submit cost.
-const batchSpread = reqSpread * 64
-
 // rowPattern returns the i-th row of the driver pattern: a stride walk
 // that changes bank every request (worst case for row-buffer locality,
 // the dominant shape of tracker-relevant traffic).
 func rowPattern(geom dram.Geometry, i int) dram.Row {
-	return rowPatternSpread(geom, i, reqSpread)
-}
-
-// rowPatternSpread is rowPattern over an explicit row spread.
-func rowPatternSpread(geom dram.Geometry, i, spread int) dram.Row {
-	n := i % spread
+	n := i % reqSpread
 	bank := n % geom.Banks
 	idx := (n / geom.Banks) * 3
 	return geom.RowOf(bank, idx)
@@ -102,59 +88,6 @@ func BenchSubmit(b *testing.B) {
 		if done > at {
 			at = done
 		}
-	}
-}
-
-// BenchSubmitBatch measures the batched submit path: 64-wide runs of
-// requests that share one background-event bounds check (64 matches the
-// issue loop's drain quantum, the width figure regeneration submits at).
-//
-// Arrivals are self-paced: slot j of each batch arrives when slot j of
-// the previous batch completed (clamped monotonic, as SubmitBatch
-// requires), modeling a closed loop with 64 outstanding requests. Giving
-// a whole batch one shared arrival instant instead compresses simulated
-// time by the controller's bank-level overlap factor, which pushes
-// per-window activation rates over T_RH/2 and drags quarantine
-// migrations and in-DRAM FPT walks into the measurement; batchSpread
-// keeps the paced loop's higher — but genuine — activation rate below
-// threshold.
-//
-// This benchmark legitimately costs ~4x ctrl_submit per request, and the
-// gap is the tracker, not accounting: a 64-deep closed loop keeps all 16
-// banks busy, sustaining ~16x the serial driver's activation rate, and
-// the Misra-Gries tracker is provisioned (ProvisionEntries) precisely so
-// no working set can be simultaneously resident in its per-bank tables
-// and below T_RH/2 per refresh window at that rate. Spread the rows
-// wider and nearly every ACT takes the install/evict path (the
-// tracker_act_cold micro); spread them tighter and rows cross the
-// threshold and quarantine. ctrl_submit measures the latency-mode
-// pipeline (tracker-hot, serial pacing); this measures the
-// throughput-mode pipeline, where tracker churn is the true per-request
-// cost of keeping every bank busy.
-func BenchSubmitBatch(b *testing.B) {
-	sys := newSystem()
-	geom := sys.Rank.Geometry()
-	const batch = 64
-	reqs := make([]memctrl.Request, 0, batch)
-	done := make([]dram.PS, 0, batch)
-	prev := make([]dram.PS, batch)
-	b.ReportAllocs()
-	b.ResetTimer()
-	at := dram.PS(0)
-	for i := 0; i < b.N; i += batch {
-		reqs = reqs[:0]
-		n := batch
-		if rem := b.N - i; rem < n {
-			n = rem
-		}
-		for j := 0; j < n; j++ {
-			if prev[j] > at {
-				at = prev[j]
-			}
-			reqs = append(reqs, memctrl.Request{Row: rowPatternSpread(geom, i+j, batchSpread), Write: (i+j)%3 == 0, At: at})
-		}
-		done = sys.Ctrl.SubmitBatch(reqs, done[:0])
-		copy(prev, done)
 	}
 }
 
@@ -306,19 +239,16 @@ func benchIssueLoop(b *testing.B, cores int) {
 	}
 }
 
-// BenchEventPop measures the calendar primitive the run loop leans on:
-// one pop + re-push cycle against a 16-entry indexed heap with two armed
-// far-future lanes — the shape of a 16-core system between background
-// events. This is aquabench's perf.event_pop_ns micro; its alloc count
-// must stay at zero.
+// BenchEventPop measures the issue-heap primitive the run loop leans on:
+// one read-root + reschedule-root cycle against a 16-entry heap — the
+// shape of a 16-core system between background events. This is
+// aquabench's perf.event_pop_ns micro; its alloc count must stay at zero.
 func BenchEventPop(b *testing.B) {
 	var c event.Calendar
 	const entries = 16
 	for i := int32(0); i < entries; i++ {
-		c.Push(event.Event{Time: event.PS(1000 + i), Class: event.ClassCoreIssue, Index: i})
+		c.Push(event.Event{Time: event.PS(1000 + i), Index: i})
 	}
-	c.SetLane(event.ClassRefresh, 1<<40)
-	c.SetLane(event.ClassEpoch, 1<<41)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -14,7 +14,6 @@ import (
 
 func BenchmarkAccess(b *testing.B)          { BenchAccess(b) }
 func BenchmarkSubmit(b *testing.B)          { BenchSubmit(b) }
-func BenchmarkSubmitBatch(b *testing.B)     { BenchSubmitBatch(b) }
 func BenchmarkTrackerACT(b *testing.B)      { BenchTrackerACT(b) }
 func BenchmarkTrackerACTHot(b *testing.B)   { BenchTrackerACTHot(b) }
 func BenchmarkTrackerACTCold(b *testing.B)  { BenchTrackerACTCold(b) }
@@ -106,30 +105,30 @@ func TestIssueLoopZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestEventCalendarZeroAlloc holds the budget for the calendar itself:
+// TestEventCalendarZeroAlloc holds the budget for the issue heap itself:
 // once the heap's backing slice exists, the run loop's primitives
-// (MinIndexed/ReplaceIndexedMin/Horizon, lane re-arms, and a Reset +
+// (MinIndexed/ReplaceIndexedMin/Horizon/DropIndexedMin and a Reset +
 // refill cycle) must not allocate.
 func TestEventCalendarZeroAlloc(t *testing.T) {
 	var c event.Calendar
 	fill := func() {
 		c.Reset()
 		for i := int32(0); i < 16; i++ {
-			c.Push(event.Event{Time: event.PS(100 + i), Class: event.ClassCoreIssue, Index: i})
+			c.Push(event.Event{Time: event.PS(100 + i), Index: i})
 		}
-		c.SetLane(event.ClassRefresh, 1<<40)
-		c.SetLane(event.ClassEpoch, 1<<41)
 	}
 	fill()
 	if avg := testing.AllocsPerRun(5000, func() {
 		e, _ := c.MinIndexed()
 		c.ReplaceIndexedMin(e.Time + 7919)
 		c.Horizon()
-		c.SetLane(event.ClassRefresh, e.Time+1<<40)
 	}); avg != 0 {
 		t.Fatalf("calendar hot loop allocates %.2f allocs/op, want 0", avg)
 	}
-	if avg := testing.AllocsPerRun(500, fill); avg != 0 {
+	if avg := testing.AllocsPerRun(500, func() {
+		fill()
+		c.DropIndexedMin()
+	}); avg != 0 {
 		t.Fatalf("calendar Reset+refill allocates %.2f allocs/op, want 0", avg)
 	}
 }

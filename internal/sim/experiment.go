@@ -520,7 +520,7 @@ func (r *Runner) Run(name string, scheme Scheme, trh int64) (WorkloadRun, error)
 //detertaint:root
 func (r *Runner) RunCtx(ctx context.Context, name string, cell GridCell) (WorkloadRun, error) {
 	key := cellKey{name, cell}
-	if err := CheckTRH(cell.TRH); err != nil {
+	if err := CheckTRH(cell.Scheme, cell.TRH); err != nil {
 		return WorkloadRun{}, key.fail(err)
 	}
 	r.mu.Lock()

@@ -31,7 +31,7 @@ func TestSystemFootprint(t *testing.T) {
 		cfg := Config{Scheme: c.scheme, TRH: 1000, Cores: 4}
 		streams := make([]cpu.Stream, cfg.Cores)
 		for i := range streams {
-			streams[i] = &hammerStream{left: 8, rows: [2]dram.Row{dram.Row(2 * i), dram.Row(2*i + 1)}}
+			streams[i] = &pairStream{left: 8, row: dram.Row(2 * i)}
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -79,12 +79,28 @@ func ParseScheme(name string) (Scheme, error) {
 	return 0, fmt.Errorf("unknown scheme %q", name)
 }
 
-// CheckTRH rejects a Rowhammer threshold below 2: the security monitor
-// counts to T_RH and the mitigations act at T_RH/2, so a smaller
-// threshold has no meaning.
-func CheckTRH(trh int64) error {
+// CheckTRH rejects a Rowhammer threshold the scheme cannot run at. Below
+// 2 no scheme has a meaning: the security monitor counts to T_RH and the
+// mitigations act at T_RH/2. AQUA (either table mode) needs T_RH >= 4, an
+// effective threshold T_RH/2 >= 2, and RRS needs T_RH >= 42, a swap
+// threshold T_RH/6 >= 7. Both floors are measured boundaries, not derived
+// ones: below them 1 ms cells on SPEC workloads (AQUA at 2 and 3, RRS as
+// high as 41) ran on past their -timeout, which cannot interrupt a single
+// Submit, while at the floors every workload and attack tried finished in
+// well under a second.
+func CheckTRH(scheme Scheme, trh int64) error {
 	if trh < 2 {
 		return fmt.Errorf("T_RH %d: must be >= 2", trh)
+	}
+	var floor int64
+	switch scheme {
+	case SchemeAquaSRAM, SchemeAquaMemMapped:
+		floor = 4
+	case SchemeRRS:
+		floor = 42
+	}
+	if trh < floor {
+		return fmt.Errorf("T_RH %d: %s needs T_RH >= %d", trh, scheme, floor)
 	}
 	return nil
 }
@@ -189,49 +205,13 @@ type System struct {
 	// and layout queries).
 	Aqua *core.Engine
 
-	// cal is the system's event calendar: core next-issue events live in
-	// its indexed heap, and the controller keeps its refresh/epoch/drain
-	// lanes armed (see internal/event). Owned by the run loop; reused
-	// across runs so the steady-state request path stays allocation-free.
-	// Deliberately not `// guarded by` anything: a System is confined to
-	// one grid worker (the result cache exchanges Result values, never
-	// live Systems), so the calendar is never shared.
+	// cal is the run loop's issue heap: one next-issue event per
+	// unfinished core, ordered by (time, core index) (see internal/event).
+	// Reused across runs so the steady-state request path stays
+	// allocation-free. Deliberately not `// guarded by` anything: a System
+	// is confined to one grid worker (the result cache exchanges Result
+	// values, never live Systems), so the heap is never shared.
 	cal event.Calendar
-
-	// Blocked-bank overlap scheduler state (DESIGN.md "Blocked-bank
-	// overlap scheduler"): a core whose next request targets a blocked
-	// bank and whose issue time lands at or past the bank's expiry is
-	// parked — dropped from the issue heap onto the bank's intrusive
-	// list — and re-enters when the bank's ClassBankExpiry event fires.
-	// parkedNext[i] links core i to the next parked core on the same bank
-	// (-1 ends the list); parkedWake[i] is core i's re-entry time, its
-	// NextIssueTime unchanged, which is what keeps every Submit at its
-	// original time and order. bankParked[b] heads bank b's list;
-	// bankMinWake[b] is the earliest expiry event pushed for b while its
-	// list is non-empty (stale once the list empties — the next park
-	// pushes unconditionally). Invariant: every parked core is covered by
-	// a pending ClassBankExpiry event for its bank at a time <= its wake,
-	// so no core can be woken late; duplicate expiry events pop as
-	// no-ops against an empty list.
-	parkedNext  []int32
-	parkedWake  []dram.PS
-	bankParked  []int32
-	bankMinWake []dram.PS
-	// parkSpan is the profitability gate: a core is only parked when it
-	// leaves the issue heap for at least this long (next - at). A park
-	// replaces one ReplaceIndexedMin with an expiry push/pop plus an
-	// issue push — roughly two extra calendar operations — so
-	// sub-window-scale parks cost more heap traffic than the calmer
-	// Horizon saves (measured: gating short parks out is worth ~10% of
-	// the full lbm 4-core cell). 4x tRC keeps incidental streaming-bank
-	// conflicts on the heap while genuinely contended cores still park.
-	parkSpan dram.PS
-	// parks counts successful tryPark calls across the system's lifetime;
-	// noPark disables parking altogether. Both exist for the park tests:
-	// the counter proves a scenario exercised the scheduler, the switch
-	// produces the reference run the parked run must match bit-for-bit.
-	parks  int64
-	noPark bool
 }
 
 // VisibleRegion returns the software-visible address region for a
@@ -315,29 +295,23 @@ func NewSystem(cfg Config, streams []cpu.Stream) *System {
 		ctrlCfg.IdleDrainInterval = 10 * dram.Microsecond
 	}
 	s.Ctrl = memctrl.New(rank, s.Mit, ctrlCfg)
-	s.Ctrl.AttachCalendar(&s.cal)
 	s.Cores = make([]*cpu.Core, cfg.Cores)
 	for i := range s.Cores {
 		s.Cores[i] = cpu.New(i, streams[i], cfg.CoreCfg)
 	}
-	s.parkSpan = 4 * cfg.Timing.TRC
-	s.parkedNext = make([]int32, cfg.Cores)
-	s.parkedWake = make([]dram.PS, cfg.Cores)
-	s.bankParked = make([]int32, cfg.Geometry.Banks)
-	s.bankMinWake = make([]dram.PS, cfg.Geometry.Banks)
 	return s
 }
 
 // NewSystemE is NewSystem with validation and panic containment: malformed
-// configurations (a T_RH below 2 once defaulted, bad geometry/timing, a
-// stream/core mismatch, a layout the RQA arithmetic rejects) come back as
-// errors instead of process aborts, so a bad grid cell fails as a
-// CellError. The library panics in analytic/layout code stay — NewSystemE
-// converts them at this boundary.
+// configurations (a T_RH CheckTRH rejects once defaulted, bad
+// geometry/timing, a stream/core mismatch, a layout the RQA arithmetic
+// rejects) come back as errors instead of process aborts, so a bad grid
+// cell fails as a CellError. The library panics in analytic/layout code
+// stay — NewSystemE converts them at this boundary.
 func NewSystemE(cfg Config, streams []cpu.Stream) (*System, error) {
 	probe := cfg
 	probe.fillDefaults()
-	if err := CheckTRH(probe.TRH); err != nil {
+	if err := CheckTRH(probe.Scheme, probe.TRH); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 	if len(streams) != probe.Cores {
@@ -402,125 +376,67 @@ func (s *System) Run(until dram.PS) Result {
 const ctxCheckInterval = 4096
 
 // ctxCheckSimStride is the simulated-time companion to ctxCheckInterval:
-// RunCtx also checks ctx at the first calendar event at or after each
-// stride boundary. The request stride alone lets a quiet cell (fewer
+// RunCtx also checks ctx at the first issue batch that starts at or after
+// each stride boundary. The request stride alone lets a quiet cell (fewer
 // than ctxCheckInterval requests in its whole window) run to completion
 // without ever observing cancellation; the stride bounds that latency in
-// simulated time instead. 100 us is ~13 refresh intervals — foreign
-// events are far denser than the stride, so the first event past a
-// boundary is never far past it, and the check stays off the per-request
-// path.
+// simulated time instead. 100 us is ~13 refresh intervals — every batch
+// ends at the controller's next refresh at the latest, so the first batch
+// past a boundary is never far past it, and the check stays off the
+// per-request path.
 const ctxCheckSimStride = 100 * dram.Microsecond
 
-// resetEvents rebuilds the calendar for a fresh run: the controller
-// re-arms its background lanes and every unfinished core contributes its
-// next-issue event. The heap's backing slice survives Reset, so repeat
-// runs allocate nothing.
+// resetEvents rebuilds the issue heap for a fresh run: every unfinished
+// core contributes its next-issue event. The heap's backing slice
+// survives Reset, so repeat runs allocate nothing.
 func (s *System) resetEvents() {
 	s.cal.Reset()
-	s.Ctrl.PublishEvents()
 	for i, c := range s.Cores {
 		if t, ok := c.NextIssueTime(); ok {
-			s.cal.Push(event.Event{Time: t, Class: event.ClassCoreIssue, Index: int32(i)})
+			s.cal.Push(event.Event{Time: t, Index: int32(i)})
 		}
 	}
-	for b := range s.bankParked {
-		s.bankParked[b] = -1
-	}
-	// A reused system can start with banks still inside their activation
-	// windows from the previous run; publish those expiries so the first
-	// parks have events to ride.
-	s.Rank.PublishExpiries(&s.cal, 0)
 }
 
-// tryPark parks the root core (which must have a queued request and
-// next-issue time `next`) when its target bank is still blocked at `at`
-// and will not free before the core issues anyway: next >= BankReadyAt.
-// The park is order-preserving — the core re-enters the issue heap at
-// exactly `next` when the bank's expiry event fires — so the stream of
-// Submit calls is bit-identical to leaving the core in the heap; what
-// changes is only who carries the wake-up (one expiry event per bank
-// instead of one heap entry per blocked core), which is what lets the
-// surviving root batch issues against a calmer Horizon. Reports whether
-// the core was parked.
-func (s *System) tryPark(ci int32, at, next dram.PS) bool {
-	if next-at < s.parkSpan || s.noPark {
-		// Too-short parks thrash the calendar (see parkSpan); this
-		// compare is also what keeps tryPark nearly free on streaming
-		// workloads whose issue cadence never reaches the gate.
-		return false
+// batchLimit returns the bound on the heap root's same-core batch: the
+// earlier of the next issue of any other core (the heap's Horizon) and the
+// controller's next background event, capped at until+1 when the run is
+// bounded. The root's core may issue freely at times strictly below it; an
+// issue time at or past it goes back through the heap, whose (time, core
+// index) order resolves the tie exactly as per-request selection would
+// have, and background work due at or before an issue still runs first,
+// inside that issue's Submit -> Advance.
+func (s *System) batchLimit(until dram.PS) dram.PS {
+	limit := s.Ctrl.NextEvent()
+	if hz, ok := s.cal.Horizon(); ok && hz.Time < limit {
+		limit = hz.Time
 	}
-	row, ok := s.Cores[ci].QueuedRow()
-	if !ok {
-		return false
+	if until > 0 && until+1 < limit {
+		// Issues AT until are still in-window; the first one past it ends
+		// the run.
+		limit = until + 1
 	}
-	b := s.Cfg.Geometry.BankOf(row)
-	ready := s.Rank.BankReadyAt(b)
-	if ready <= at || next < ready {
-		// Bank already free, or the core issues before the window ends
-		// (the controller charges that stall inside Submit): the core
-		// must stay on the issue heap.
-		return false
-	}
-	if s.bankParked[b] < 0 {
-		s.cal.Push(event.Event{Time: next, Class: event.ClassBankExpiry, Index: int32(b)})
-		s.bankMinWake[b] = next
-	} else if next < s.bankMinWake[b] {
-		s.cal.Push(event.Event{Time: next, Class: event.ClassBankExpiry, Index: int32(b)})
-		s.bankMinWake[b] = next
-	}
-	s.parkedNext[ci] = s.bankParked[b]
-	s.parkedWake[ci] = next
-	s.bankParked[b] = ci
-	s.parks++
-	return true
-}
-
-// wakeBank re-enters every core parked on bank b at its recorded wake
-// time. The firing event's time is <= every parked wake (the park
-// invariant), and ClassBankExpiry orders before ClassCoreIssue at equal
-// timestamps, so a woken core is back in the heap before its issue slot
-// comes up. Stale duplicate events find an empty list and do nothing.
-func (s *System) wakeBank(b int32) {
-	for i := s.bankParked[b]; i >= 0; {
-		next := s.parkedNext[i]
-		s.cal.Push(event.Event{Time: s.parkedWake[i], Class: event.ClassCoreIssue, Index: i})
-		i = next
-	}
-	s.bankParked[b] = -1
-}
-
-// issueHorizon returns the batching bound for the current heap root: the
-// time of the earliest foreign event. The root's core may issue freely
-// at times strictly below it; an issue time at or past it goes back
-// through the calendar, whose (time, class, index) order resolves the
-// tie exactly as the per-request loop would have.
-func (s *System) issueHorizon() dram.PS {
-	if hz, ok := s.cal.Horizon(); ok {
-		return hz.Time
-	}
-	return math.MaxInt64
+	return limit
 }
 
 // RunCtx is Run with cancellation: the issue loop polls ctx every
-// ctxCheckInterval requests AND at the first calendar event at or after
+// ctxCheckInterval requests AND at the first issue batch at or after
 // each ctxCheckSimStride boundary of simulated time, then abandons the
 // simulation with ctx.Err() when it has been cancelled. The dual stride
 // bounds cancellation latency for both request-dense cells (request
 // stride) and quiet ones (simulated-time stride); a pre-cancelled ctx is
-// observed before the first event is processed. The partial simulation
+// observed before the first request issues. The partial simulation
 // state is discarded — a cancelled cell has no result.
 //
-// The loop is event-driven: the calendar's indexed heap orders per-core
-// next-issue events by (time, core index) — bit-identical to the old
-// linear scan's "earliest time, lowest index on ties" — and the fast path
-// batches a run of same-core issues that provably stay ahead of the next
-// foreign event (Horizon), so quiet spans between refreshes cost one
-// bound computation instead of a heap fix-up per request. Background
-// events are never popped here: they are serviced, in due order, inside
-// Submit -> Advance at their due timestamps, exactly as before; the lanes
-// only bound the batch. See DESIGN.md "Event-driven core & time-skip
-// invariants".
+// The loop's only scheduling structure is a min-heap of per-core
+// next-issue times ordered by (time, core index) — "earliest time, lowest
+// index on ties", the order per-request selection defines. The fast path
+// batches a run of same-core issues that provably stays below batchLimit,
+// so quiet spans between refreshes cost one bound computation instead of
+// a heap fix-up per request. Background work is never scheduled here: it
+// is serviced, in due order, inside Submit -> Advance, and its next due
+// time (Controller.NextEvent) only bounds the batch. See DESIGN.md
+// "Event-driven core & time-skip invariants".
 //
 //detertaint:root
 func (s *System) RunCtx(ctx context.Context, until dram.PS) (Result, error) {
@@ -546,7 +462,7 @@ func (s *System) IssueN(n int) int {
 func (s *System) issueLoop(ctx context.Context, until dram.PS, budget int) (int, error) {
 	s.resetEvents()
 	issued := 0
-	var nextCtxCheck dram.PS // 0: the very first event observes a pre-cancelled ctx
+	var nextCtxCheck dram.PS // 0: the very first batch observes a pre-cancelled ctx
 	for issued < budget {
 		root, ok := s.cal.MinIndexed()
 		if !ok {
@@ -561,27 +477,13 @@ func (s *System) issueLoop(ctx context.Context, until dram.PS, budget int) (int,
 		if until > 0 && root.Time > until {
 			break
 		}
-		if root.Class == event.ClassBankExpiry {
-			s.cal.DropIndexedMin()
-			s.wakeBank(root.Index)
-			continue
-		}
-		limit := s.issueHorizon()
-		if until > 0 && until+1 < limit {
-			// The run bound caps the batch too: issues AT until are still
-			// in-window, the first one past it ends the run.
-			limit = until + 1
-		}
-		n, next, more := s.Cores[root.Index].IssueRun(root.Time, limit,
+		n, next, more := s.Cores[root.Index].IssueRun(root.Time, s.batchLimit(until),
 			min(ctxCheckInterval-issued%ctxCheckInterval, budget-issued), s.Ctrl.Submit)
 		issued += n
-		switch {
-		case !more:
-			s.cal.DropIndexedMin()
-		case s.tryPark(root.Index, root.Time, next):
-			s.cal.DropIndexedMin()
-		default:
+		if more {
 			s.cal.ReplaceIndexedMin(next)
+		} else {
+			s.cal.DropIndexedMin()
 		}
 		if issued%ctxCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {

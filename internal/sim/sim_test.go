@@ -130,36 +130,59 @@ func TestDeterministicRuns(t *testing.T) {
 // TestIssueNRunsTheRunLoop: IssueN runs the RunCtx loop under a request
 // budget. Each call issues exactly its budget while requests remain, and
 // a system driven to completion in IssueN slices ends in the same Result
-// as one Run. One core, so same-core batches run long and a budget the
-// batch ignored would overshoot.
+// as one Run. The one-core row cycles budgets that straddle the context
+// check interval, so same-core batches run long and a budget the batch
+// ignored would overshoot. The 4-core rows issue one request per call:
+// each IssueN(1) rebuilds the heap from every core's next issue time and
+// issues the (time, core index) minimum — per-request selection — so
+// matching one Run pins that the batch bound preserves the cross-core
+// issue order. The drain row puts the controller's idle-drain events into
+// NextEvent alongside refresh and epoch.
 func TestIssueNRunsTheRunLoop(t *testing.T) {
-	build := func() *System {
-		cfg := fastCfg(SchemeAquaMemMapped)
-		cfg.Cores = 1
-		return NewSystem(cfg, xzStreams(t, 12000)[:1])
-	}
-	want := build().Run(0)
-	sys := build()
-	var total int64
-	for i := 0; ; i++ {
-		budget := []int{1, 999, 4097}[i%3]
-		n := sys.IssueN(budget)
-		if n > budget {
-			t.Fatalf("IssueN(%d) issued %d requests", budget, n)
-		}
-		total += int64(n)
-		if got := sys.Ctrl.Stats().Requests; got != total {
-			t.Fatalf("after IssueN(%d) returned %d, the controller has seen %d requests, want %d", budget, n, got, total)
-		}
-		if n < budget {
-			break
-		}
-	}
-	if total != want.Requests {
-		t.Fatalf("IssueN slices issued %d requests, Run %d", total, want.Requests)
-	}
-	if got := sys.result(0); !reflect.DeepEqual(got, want) {
-		t.Fatalf("IssueN slices diverged from Run:\nslices: %+v\nrun:    %+v", got, want)
+	for _, tc := range []struct {
+		name    string
+		scheme  Scheme
+		cores   int
+		drain   bool
+		reqs    int64
+		budgets []int
+	}{
+		{"aqua-memmapped/1-core", SchemeAquaMemMapped, 1, false, 12000, []int{1, 999, 4097}},
+		{"aqua-memmapped/4-core", SchemeAquaMemMapped, 4, false, 6000, []int{1}},
+		{"rrs/4-core", SchemeRRS, 4, false, 6000, []int{1}},
+		{"aqua-sram-drain/4-core", SchemeAquaSRAM, 4, true, 6000, []int{1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func() *System {
+				cfg := fastCfg(tc.scheme)
+				cfg.Cores = tc.cores
+				cfg.ProactiveDrain = tc.drain
+				return NewSystem(cfg, xzStreams(t, tc.reqs)[:tc.cores])
+			}
+			want := build().Run(0)
+			sys := build()
+			var total int64
+			for i := 0; ; i++ {
+				budget := tc.budgets[i%len(tc.budgets)]
+				n := sys.IssueN(budget)
+				if n > budget {
+					t.Fatalf("IssueN(%d) issued %d requests", budget, n)
+				}
+				total += int64(n)
+				if got := sys.Ctrl.Stats().Requests; got != total {
+					t.Fatalf("after IssueN(%d) returned %d, the controller has seen %d requests, want %d", budget, n, got, total)
+				}
+				if n < budget {
+					break
+				}
+			}
+			if total != want.Requests || total != int64(tc.cores)*tc.reqs {
+				t.Fatalf("IssueN slices issued %d requests, Run %d, streams %d", total, want.Requests, int64(tc.cores)*tc.reqs)
+			}
+			if got := sys.result(0); !reflect.DeepEqual(got, want) {
+				t.Fatalf("IssueN slices diverged from Run:\nslices: %+v\nrun:    %+v", got, want)
+			}
+		})
 	}
 }
 

@@ -1,13 +1,12 @@
 // Package stats provides the small numerical and reporting utilities shared
-// by the simulator and the benchmark harness: geometric means, histograms,
-// and fixed-width table rendering for regenerating the paper's tables and
-// figures as text.
+// by the figure renderers and the benchmark harness: geometric and
+// arithmetic means, and fixed-width table rendering for regenerating the
+// paper's tables and figures as text.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -39,146 +38,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// MeanInt returns the arithmetic mean of integer samples as a float.
-func MeanInt(xs []int64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum int64
-	for _, x := range xs {
-		sum += x
-	}
-	return float64(sum) / float64(len(xs))
-}
-
-// Max returns the maximum of xs, or 0 for an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Min returns the minimum of xs, or 0 for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
-// interpolation between closest ranks. The input is not modified.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	if p < 0 || p > 100 {
-		panic("stats: percentile out of range")
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Histogram is a fixed-bucket histogram over int64 samples, used to report
-// per-row activation distributions.
-type Histogram struct {
-	// Bounds are the inclusive lower edges of each bucket; counts[i] tallies
-	// samples in [Bounds[i], Bounds[i+1]) with the final bucket unbounded.
-	Bounds []int64
-	counts []int64
-	total  int64
-}
-
-// NewHistogram returns a histogram over the given ascending bucket lower
-// bounds. Samples below Bounds[0] are dropped into an implicit underflow
-// bucket reported by Underflow.
-func NewHistogram(bounds []int64) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("stats: histogram bounds must be strictly ascending")
-		}
-	}
-	return &Histogram{
-		Bounds: append([]int64(nil), bounds...),
-		counts: make([]int64, len(bounds)+1), // counts[0] is underflow
-	}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(v int64) {
-	h.total++
-	// Binary search for the bucket: greatest i with Bounds[i] <= v.
-	i := sort.Search(len(h.Bounds), func(i int) bool { return h.Bounds[i] > v })
-	h.counts[i]++ // i==0 means underflow
-}
-
-// Count returns the number of samples at or above Bounds[i] and below
-// Bounds[i+1] (unbounded for the last bucket).
-func (h *Histogram) Count(i int) int64 {
-	if i < 0 || i >= len(h.Bounds) {
-		panic("stats: histogram bucket out of range")
-	}
-	return h.counts[i+1]
-}
-
-// CumulativeAtLeast returns the number of samples >= bound, where bound must
-// be one of the configured bucket bounds.
-func (h *Histogram) CumulativeAtLeast(bound int64) int64 {
-	idx := -1
-	for i, b := range h.Bounds {
-		if b == bound {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		panic(fmt.Sprintf("stats: %d is not a histogram bound", bound))
-	}
-	var sum int64
-	for i := idx + 1; i < len(h.counts); i++ {
-		sum += h.counts[i]
-	}
-	return sum
-}
-
-// Underflow returns the number of samples below the first bound.
-func (h *Histogram) Underflow() int64 { return h.counts[0] }
-
-// Total returns the total number of samples recorded.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Reset clears all recorded samples.
-func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.total = 0
-}
-
 // Table renders fixed-width text tables in the style of the paper's tables,
 // suitable for terminal output and for recording in EXPERIMENTS.md.
 type Table struct {
@@ -208,21 +67,6 @@ func (t *Table) AddRow(cells ...string) {
 		}
 	}
 	t.rows = append(t.rows, row)
-}
-
-// AddRowf appends a row where each cell is formatted with fmt.Sprint for
-// arbitrary values.
-func (t *Table) AddRowf(cells ...interface{}) {
-	s := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			s[i] = FormatFloat(v)
-		default:
-			s[i] = fmt.Sprint(c)
-		}
-	}
-	t.AddRow(s...)
 }
 
 // String renders the table.
@@ -270,30 +114,4 @@ func (t *Table) String() string {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-// FormatFloat renders a float compactly: integers without decimals, small
-// values with enough precision to be meaningful.
-func FormatFloat(v float64) string {
-	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
-		return fmt.Sprintf("%.0f", v)
-	}
-	if math.Abs(v) >= 100 {
-		return fmt.Sprintf("%.1f", v)
-	}
-	return fmt.Sprintf("%.3g", v)
-}
-
-// FormatPercent renders a ratio as a percentage string, e.g. 0.021 -> "2.1%".
-func FormatPercent(ratio float64) string {
-	return fmt.Sprintf("%.1f%%", ratio*100)
-}
-
-// NormalizedSlowdown converts normalized IPC (mitigated/baseline) into a
-// slowdown fraction, e.g. normIPC 0.98 -> 0.0204 (2.04% slower).
-func NormalizedSlowdown(normIPC float64) float64 {
-	if normIPC <= 0 {
-		panic("stats: non-positive normalized IPC")
-	}
-	return 1/normIPC - 1
 }
