@@ -76,9 +76,9 @@ func TestLabCacheWarmGolden(t *testing.T) {
 	if cs.Simulated != 0 {
 		t.Fatalf("warm lab stats %+v; simulated %d cells, want 0", cs, cs.Simulated)
 	}
-	if cs.TraceCaptures != 0 || cs.TraceReplays != 0 {
-		t.Fatalf("warm lab stats %+v; built systems over %d captured and %d replayed streams, want none",
-			cs, cs.TraceCaptures, cs.TraceReplays)
+	if cs.TraceCaptures != 0 || cs.TraceReplays != 0 || cs.TraceBytes != 0 {
+		t.Fatalf("warm lab stats %+v; built systems over %d captured and %d replayed streams holding %d bytes, want none",
+			cs, cs.TraceCaptures, cs.TraceReplays, cs.TraceBytes)
 	}
 }
 

@@ -161,8 +161,8 @@ func realMain() int {
 	lab := repro.NewLab(opts)
 	defer func() {
 		if cs := lab.CellStats(); cs.TraceCaptures > 0 || cs.TraceReplays > 0 {
-			fmt.Fprintf(os.Stderr, "[trace tier: %d streams captured, %d replayed]\n",
-				cs.TraceCaptures, cs.TraceReplays)
+			fmt.Fprintf(os.Stderr, "[trace tier: %d streams captured, %d replayed, %d bytes held]\n",
+				cs.TraceCaptures, cs.TraceReplays, cs.TraceBytes)
 		}
 	}()
 	if *cacheDir != "" {

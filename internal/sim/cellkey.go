@@ -134,12 +134,16 @@ type CellStats struct {
 	Errors int64
 	// TraceCaptures counts workload core-streams generated once and
 	// packed into the capture/replay tier (tracetier.go), including
-	// captures that ran over budget and were served uncached.
+	// captures served uncached: calibration passes' and those that ran
+	// over budget.
 	TraceCaptures int64
 	// TraceReplays counts core-streams served by replaying a captured
 	// trace instead of running the generator — every stream build after
 	// a workload's first touch.
 	TraceReplays int64
+	// TraceBytes is the bytes of packed streams the tier holds. The tier
+	// never evicts, so this is also its peak.
+	TraceBytes int64
 }
 
 // Deduped is the number of requests served from an identical cell

@@ -70,7 +70,7 @@ func (r *Runner) coRunLeg(ctx context.Context, name string, scheme Scheme, trh i
 		streams[0] = attack.NewRotatingDoS(r.region.Geom, r.region.VisibleRowsPerBank, max(trh/2, 1), 1<<40)
 	}
 	for i := 1; i < len(streams); i++ {
-		streams[i] = r.replayStream(specs[i], i, 1.0, requestBudget(window, 1.0, specs[i].MPKI))
+		streams[i] = r.replayStream(specs[i], i, 1.0, requestBudget(window, 1.0, specs[i].MPKI), true)
 	}
 	sys, err := NewSystemE(Config{
 		TRH:     trh,

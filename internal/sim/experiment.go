@@ -135,11 +135,10 @@ type Runner struct {
 	// scheme or threshold being compared against).
 	baseCache map[string]Result // guarded by mu
 	// traceMem is the trace tier (tracetier.go): packed per-core request
-	// streams keyed by (spec, core, nominal IPC), replayed by every cell
-	// sharing the workload. traceBytes tracks its footprint against the
-	// budget.
-	traceMem   map[streamKey]*trace.Packed // guarded by mu
-	traceBytes int64                       // guarded by mu
+	// streams keyed by (spec, core, nominal IPC, request budget), replayed
+	// by every cell sharing the workload. cellStats.TraceBytes tracks its
+	// footprint against the budget.
+	traceMem map[streamKey]*trace.Packed // guarded by mu
 	// cellMemo memoizes completed cells, keyed by (workload, GridCell),
 	// for the life of the Runner, so identical grid cells (the same
 	// baseline repeated at every sweep point) simulate at most once even
@@ -242,7 +241,7 @@ func (r *Runner) measuredBaseline(ctx context.Context, name string, nominal floa
 			r.mu.Unlock()
 			return run.Result, nil
 		}
-		res, err := r.runOnce(ctx, name, baselineCell, nominal)
+		res, err := r.runOnce(ctx, name, baselineCell, nominal, true)
 		if err != nil {
 			return Result{}, err
 		}
@@ -293,18 +292,19 @@ func SPECCaseNames() []string {
 }
 
 // streamsFor builds per-core streams for the case with the given nominal
-// IPC, each served from the trace tier. Stream lengths encode a fixed
-// instruction budget — the paper's methodology — so a slowed-down scheme
-// executes the same work over a longer simulated time, and per-64ms
-// metrics are rate-normalized.
-func (r *Runner) streamsFor(name string, nominalIPC float64) ([]cpu.Stream, error) {
+// IPC, each served from the trace tier, which keeps the ones it captures
+// only if keep is set. Stream lengths encode a fixed instruction budget —
+// the paper's methodology — so a slowed-down scheme executes the same
+// work over a longer simulated time, and per-64ms metrics are
+// rate-normalized.
+func (r *Runner) streamsFor(name string, nominalIPC float64, keep bool) ([]cpu.Stream, error) {
 	specs, err := caseSpecs(name)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]cpu.Stream, paperCores)
 	for i := range out {
-		out[i] = r.replayStream(specs[i], i, nominalIPC, requestBudget(r.cfg.Window, nominalIPC, specs[i].MPKI))
+		out[i] = r.replayStream(specs[i], i, nominalIPC, requestBudget(r.cfg.Window, nominalIPC, specs[i].MPKI), keep)
 	}
 	return out, nil
 }
@@ -317,7 +317,9 @@ func requestBudget(window dram.PS, nominalIPC, mpki float64) int64 {
 
 // baselineIPC returns (and caches) the calibrated baseline IPC for a case.
 // The IPC is also a store entry (see ipcKey), so a rerun skips the
-// calibration pass.
+// calibration pass. The pass's streams are served once and never enter
+// the trace tier: every cell of the workload runs at the calibrated IPC,
+// so none would replay them.
 func (r *Runner) baselineIPC(ctx context.Context, name string) (float64, error) {
 	r.mu.Lock()
 	ipc, ok := r.ipcCache[name]
@@ -338,7 +340,7 @@ func (r *Runner) baselineIPC(ctx context.Context, name string) (float64, error) 
 			r.mu.Unlock()
 			return ipc, nil
 		}
-		res, err := r.runOnce(ctx, name, baselineCell, 1.0)
+		res, err := r.runOnce(ctx, name, baselineCell, 1.0, false)
 		if err != nil {
 			return 0, err
 		}
@@ -400,9 +402,10 @@ func (r *Runner) injectorFor(name string, scheme Scheme, trh int64) *fault.Injec
 }
 
 // newSystem builds the cell's system over the workload's streams at the
-// nominal IPC, with the cell's structure sizes and fault plan.
-func (r *Runner) newSystem(name string, cell GridCell, nominalIPC float64) (*System, error) {
-	streams, err := r.streamsFor(name, nominalIPC)
+// nominal IPC, with the cell's structure sizes and fault plan. The trace
+// tier keeps the streams it captures for it only if keep is set.
+func (r *Runner) newSystem(name string, cell GridCell, nominalIPC float64, keep bool) (*System, error) {
+	streams, err := r.streamsFor(name, nominalIPC, keep)
 	if err != nil {
 		return nil, err
 	}
@@ -418,8 +421,8 @@ func (r *Runner) newSystem(name string, cell GridCell, nominalIPC float64) (*Sys
 }
 
 // runOnce builds and runs one cell's system.
-func (r *Runner) runOnce(ctx context.Context, name string, cell GridCell, nominalIPC float64) (Result, error) {
-	sys, err := r.newSystem(name, cell, nominalIPC)
+func (r *Runner) runOnce(ctx context.Context, name string, cell GridCell, nominalIPC float64, keep bool) (Result, error) {
+	sys, err := r.newSystem(name, cell, nominalIPC, keep)
 	if err != nil {
 		return Result{}, err
 	}
@@ -467,7 +470,7 @@ func (r *Runner) runCell(ctx context.Context, key cellKey) (WorkloadRun, error) 
 		if cell.Scheme == SchemeBaseline {
 			return run, nil
 		}
-		if run.Result, err = r.runOnce(ctx, name, cell, nominal); err != nil {
+		if run.Result, err = r.runOnce(ctx, name, cell, nominal, true); err != nil {
 			return WorkloadRun{}, err
 		}
 		if base.IPC > 0 {
@@ -699,7 +702,7 @@ type RowTiers struct {
 // rowTiers runs the cell's system, counting activations per row (only
 // rows the run activates take an entry), and returns the tiers and run.
 func (r *Runner) rowTiers(ctx context.Context, name string, cell GridCell, nominalIPC float64) (RowTiers, Result, error) {
-	sys, err := r.newSystem(name, cell, nominalIPC)
+	sys, err := r.newSystem(name, cell, nominalIPC, true)
 	if err != nil {
 		return RowTiers{}, Result{}, err
 	}

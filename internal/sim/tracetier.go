@@ -12,7 +12,10 @@ package sim
 // by TestTraceReplayMatchesGeneration, and by the golden tests).
 //
 // The tier lives in memory under a byte budget. A capture that would
-// exceed it is served once, uncached, and later cells capture again.
+// exceed it is served once, uncached, and later cells capture again. A
+// calibration pass's captures are served once the same way: its
+// nominal-IPC-1.0 streams run once per workload, before any cell, and
+// no cell replays them.
 
 import (
 	"repro/internal/cpu"
@@ -22,14 +25,16 @@ import (
 )
 
 // traceBudgetBytes bounds the in-memory packed tier. The full 34-workload
-// 64 ms grid holds 555,585,796 B after every workload's calibration and
-// baseline pass at the default seed, about half this 1 GiB bound
-// (DESIGN.md "Trace capture & replay" has the measurement).
+// 64 ms grid holds 364,555,576 B of calibrated streams once every
+// workload's baseline pass has run at the default seed, about a third of
+// this 1 GiB bound (DESIGN.md "Trace capture & replay" has the
+// measurement).
 const traceBudgetBytes = 1 << 30
 
 // replayStream serves one core's stream from the trace tier, capturing
-// it first if the tier does not hold it yet.
-func (r *Runner) replayStream(spec workload.Spec, core int, nominal float64, reqs int64) cpu.Stream {
+// it first if the tier does not hold it yet. Only a capture with keep
+// set enters the tier; without it the capture is served once, uncached.
+func (r *Runner) replayStream(spec workload.Spec, core int, nominal float64, reqs int64, keep bool) cpu.Stream {
 	key := streamKey{spec: spec.Name, core: core, nominal: nominal, reqs: reqs}
 	r.mu.Lock()
 	if p, ok := r.traceMem[key]; ok {
@@ -58,9 +63,9 @@ func (r *Runner) replayStream(spec workload.Spec, core int, nominal float64, req
 		return prior.Stream()
 	}
 	r.cellStats.TraceCaptures++
-	if r.traceBytes+p.Bytes() <= r.traceBudget {
+	if keep && r.cellStats.TraceBytes+p.Bytes() <= r.traceBudget {
 		r.traceMem[key] = p
-		r.traceBytes += p.Bytes()
+		r.cellStats.TraceBytes += p.Bytes()
 	}
 	return p.Stream()
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"maps"
 	"os"
 	"reflect"
 	"slices"
@@ -76,7 +77,7 @@ func TestTraceReplayMatchesGeneration(t *testing.T) {
 			}
 			for call := 0; call < 2; call++ {
 				before := r.CellStats()
-				got, err := r.streamsFor(name, nominal)
+				got, err := r.streamsFor(name, nominal, true)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -105,8 +106,21 @@ func TestTraceReplayMatchesGeneration(t *testing.T) {
 	}
 }
 
+// heldBytes sums the bytes of the packed streams r's trace tier holds.
+func heldBytes(r *Runner) int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var n int64
+	for _, p := range r.traceMem {
+		n += p.Bytes()
+	}
+	return n
+}
+
 // TestTraceTierCounters checks the capture/replay accounting: each
-// (workload, core) captures once, and every later stream build replays.
+// (workload, core) captures once, every later stream build replays, and
+// TraceBytes is what the held streams pack to. A calibration pass
+// captures its streams, counts them and keeps none of them.
 func TestTraceTierCounters(t *testing.T) {
 	r := NewRunner(traceCfg())
 	if err := r.Precompute(context.Background(), []string{"xz"}, traceCells); err != nil {
@@ -121,6 +135,50 @@ func TestTraceTierCounters(t *testing.T) {
 	// cells); the first captures, the other two replay.
 	if want := 2 * cores; stats.TraceReplays != want {
 		t.Fatalf("TraceReplays = %d, want %d", stats.TraceReplays, want)
+	}
+	if held := heldBytes(r); held == 0 || stats.TraceBytes != held {
+		t.Fatalf("TraceBytes = %d, want %d (the held streams' bytes)", stats.TraceBytes, held)
+	}
+
+	// Calibrated: mix06 runs xz on cores 0 and 2, so its calibration pass
+	// asks for two of xz's nominal-1.0 streams. Neither pass keeps them,
+	// so mix06 captures all four of its own, and after both baselines the
+	// tier holds exactly the two workloads' calibrated streams.
+	cal := NewRunner(ExpConfig{Window: dram.Millisecond, Calibrate: true, Parallel: 1})
+	want := make(map[streamKey]bool)
+	for i, name := range []string{"xz", "mix06"} {
+		if _, err := cal.Run(name, SchemeBaseline, 1000); err != nil {
+			t.Fatal(err)
+		}
+		specs, err := caseSpecs(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cal.mu.Lock()
+		ipc := cal.ipcCache[name]
+		cal.mu.Unlock()
+		for core, spec := range specs {
+			want[streamKey{spec.Name, core, ipc, requestBudget(dram.Millisecond, ipc, spec.MPKI)}] = true
+		}
+		// Each workload's calibration and baseline pass capture a stream
+		// per core.
+		st := cal.CellStats()
+		if caps := int64(i+1) * 2 * cores; st.TraceCaptures != caps || st.TraceReplays != 0 {
+			t.Fatalf("after %s: %d captures and %d replays, want %d and 0",
+				name, st.TraceCaptures, st.TraceReplays, caps)
+		}
+	}
+	cal.mu.Lock()
+	held := make(map[streamKey]bool)
+	for k := range cal.traceMem {
+		held[k] = true
+	}
+	cal.mu.Unlock()
+	if !maps.Equal(held, want) {
+		t.Fatalf("tier holds %v, want only the calibrated streams %v", held, want)
+	}
+	if st := cal.CellStats(); st.TraceBytes != heldBytes(cal) {
+		t.Fatalf("TraceBytes = %d, want %d (the held streams' bytes)", st.TraceBytes, heldBytes(cal))
 	}
 }
 
@@ -148,9 +206,10 @@ func TestTraceBudgetFallback(t *testing.T) {
 
 // TestFullGridTraceTier measures the trace tier the full paper grid
 // needs: its bytes after every workload's calibration and baseline pass
-// over the 34-workload 64 ms grid at the default seed. Scheme cells only
-// replay those streams, so this is the tier's peak, and it must fit the
-// in-memory budget because nothing spills. The run takes about 20 s on
+// over the 34-workload 64 ms grid at the default seed. Calibration passes
+// keep no stream and scheme cells only replay the baseline passes'
+// calibrated streams, so this is the tier's peak, and it must fit the
+// in-memory budget because nothing spills. The run takes about 25 s on
 // a 2-vCPU host, so it is opt-in (CI runs it):
 //
 //	REPRO_TRACE_TIER_FULL=1 go test -run TestFullGridTraceTier -v ./internal/sim
@@ -159,45 +218,38 @@ func TestFullGridTraceTier(t *testing.T) {
 		t.Skip("set REPRO_TRACE_TIER_FULL=1 to measure the full-grid trace tier")
 	}
 	r := NewRunner(ExpConfig{Calibrate: true, Parallel: 1})
-	var calibrated, calibratedStreams, records int64
-	dropped := make(map[streamKey]bool)
-	for _, name := range AllCaseNames() {
+	window := r.Config().Window
+	names := AllCaseNames()
+	for _, name := range names {
 		if _, err := r.Run(name, SchemeBaseline, 1000); err != nil {
 			t.Fatal(err)
 		}
-		// A stream at a calibrated IPC belongs to one workload: tally it
-		// and drop it, keeping the test's footprint near the shared
-		// nominal-1.0 calibration streams, which the mixes reuse.
-		r.mu.Lock()
-		for k, p := range r.traceMem {
-			if k.nominal == 1.0 {
-				continue
-			}
-			if dropped[k] {
-				t.Errorf("stream %+v captured twice", k)
-			}
-			dropped[k] = true
-			calibrated += p.Bytes()
-			calibratedStreams++
-			records += p.Len()
-			r.traceBytes -= p.Bytes()
-			delete(r.traceMem, k)
-		}
-		r.mu.Unlock()
 	}
 	r.mu.Lock()
-	nominal := r.traceBytes
+	var records int64
 	for _, p := range r.traceMem {
 		records += p.Len()
 	}
+	streams := len(r.traceMem)
+	for _, name := range names {
+		specs, err := caseSpecs(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for core, spec := range specs {
+			k := streamKey{spec.Name, core, 1.0, requestBudget(window, 1.0, spec.MPKI)}
+			if _, ok := r.traceMem[k]; ok {
+				t.Errorf("tier holds %s's calibration-pass stream %+v", name, k)
+			}
+		}
+	}
 	r.mu.Unlock()
-	total := nominal + calibrated
 	st := r.CellStats()
 	const mib = 1 << 20
-	t.Logf("trace tier: %d B (%.1f MiB) = %.1f MiB nominal-1.0 calibration streams + %.1f MiB calibrated streams (%d); %d records, %.3f B/record; %d captures, %d replays; budget %d B",
-		total, float64(total)/mib, float64(nominal)/mib, float64(calibrated)/mib, calibratedStreams,
-		records, float64(total)/float64(records), st.TraceCaptures, st.TraceReplays, int64(traceBudgetBytes))
-	if total > traceBudgetBytes {
-		t.Errorf("full-grid trace tier %d B exceeds the %d B budget", total, int64(traceBudgetBytes))
+	t.Logf("trace tier: %d B (%.1f MiB) in %d streams; %d records, %.3f B/record; %d captures, %d replays; budget %d B",
+		st.TraceBytes, float64(st.TraceBytes)/mib, streams, records, float64(st.TraceBytes)/float64(records),
+		st.TraceCaptures, st.TraceReplays, int64(traceBudgetBytes))
+	if st.TraceBytes > traceBudgetBytes {
+		t.Errorf("full-grid trace tier %d B exceeds the %d B budget", st.TraceBytes, int64(traceBudgetBytes))
 	}
 }
