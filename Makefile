@@ -11,11 +11,10 @@ build:
 	$(GO) build ./...
 
 # lint = a gofmt check over every tracked .go file, the standard vet pass
-# plus aqualint, the repo's own analyzer suite: the per-package
-# determinism and numeric-comparison rules plus the module-wide
-# detertaint / keycoverage / guardedby analyzers (see cmd/aqualint -list).
-# The lint framework's own tests run under -race because module analyses
-# share a loader across goroutine-using tests.
+# plus aqualint, the repo's own per-package analyzer suite: determinism,
+# float comparison, recovered goroutines and lock discipline (see
+# cmd/aqualint -list). The lint framework's own tests run here too, under
+# -race as in CI, so `make lint` alone checks a change to an analyzer.
 lint:
 	@out=$$(gofmt -l $$(git ls-files '*.go')); \
 	test -z "$$out" || { echo "gofmt -l lists unformatted files (run gofmt -w on them):"; echo "$$out"; exit 1; }

@@ -1,11 +1,9 @@
 // Command aqualint is the repository's static-analysis multichecker: it
-// type-checks the requested packages and runs the determinism/soundness
-// analyzer suite over them — the per-package syntactic rules
-// (nodirectrand, noclock, maporder, floatcmp, nakedgo) and the
-// module-wide interprocedural rules (detertaint, keycoverage, guardedby)
-// built on the call graph of the whole module. After the suite it audits
-// `//aqualint:ignore` directives and reports any that suppressed nothing
-// (analyzer name "unusedignore").
+// type-checks the requested packages one at a time and runs the
+// determinism and lock-discipline analyzer suite over each (nodirectrand,
+// noclock, maporder, floatcmp, nakedgo, guardedby). After the suite it
+// audits `//aqualint:ignore` directives and reports any that suppressed
+// nothing (analyzer name "unusedignore").
 //
 // Usage:
 //
@@ -13,20 +11,19 @@
 //	go run ./cmd/aqualint ./internal/dram
 //	go run ./cmd/aqualint -list                 # describe the analyzers
 //	go run ./cmd/aqualint -json ./...           # machine-readable output
-//	go run ./cmd/aqualint -enable detertaint ./...
-//	go run ./cmd/aqualint -disable nakedgo ./...
 //
-// Exit status: 0 clean, 1 diagnostics reported, 2 load failure.
+// Exit status: 0 clean, 1 diagnostics reported, 2 load or usage failure.
 // Suppress a reviewed finding with an `//aqualint:ignore <name>` comment
 // on the flagged line.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strings"
 
 	"repro/internal/lint"
 	"repro/internal/lint/analyzers"
@@ -42,83 +39,78 @@ type jsonDiag struct {
 }
 
 func main() {
-	list := flag.Bool("list", false, "describe the analyzers and exit")
-	asJSON := flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
-	enable := flag.String("enable", "", "comma-separated analyzers to run (default: all)")
-	disable := flag.String("disable", "", "comma-separated analyzers to skip")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run lints the packages args name, relative to the working directory's
+// module, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("aqualint", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	list := flags.Bool("list", false, "describe the analyzers and exit")
+	asJSON := flags.Bool("json", false, "emit diagnostics as a JSON array on stdout")
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "aqualint:", err)
+		return 2
+	}
 
 	suite := analyzers.All()
 	if *list {
 		for _, an := range suite {
-			kind := "package"
-			if an.RunModule != nil {
-				kind = "module"
-			}
-			fmt.Printf("%-14s [%s] %s\n", an.Name, kind, an.Doc)
+			fmt.Fprintf(stdout, "%-14s [package] %s\n", an.Name, an.Doc)
 		}
-		fmt.Printf("%-14s [%s] %s\n", "unusedignore", "audit",
+		fmt.Fprintf(stdout, "%-14s [audit] %s\n", "unusedignore",
 			"report //aqualint:ignore directives that suppressed nothing")
-		return
+		return 0
 	}
 
-	suite, full, err := selectAnalyzers(suite, *enable, *disable)
-	if err != nil {
-		fatal(err)
-	}
-	enabled := make(map[string]bool, len(suite))
-	for _, an := range suite {
-		enabled[an.Name] = true
-	}
-
-	patterns := flag.Args()
+	patterns := flags.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-
 	cwd, err := os.Getwd()
 	if err != nil {
-		fatal(err)
+		return fail(err)
+	}
+	loader, err := lint.NewLoader(cwd)
+	if err != nil {
+		return fail(err)
+	}
+	dirs, err := lint.PackageDirs(cwd, patterns)
+	if err != nil {
+		return fail(err)
+	}
+	if len(dirs) == 0 {
+		return fail(fmt.Errorf("no packages match %v", patterns))
 	}
 
+	// A package that fails to load is reported and skipped; the rest are
+	// still linted. The ignore audit runs last: only then is every
+	// suppression hit recorded.
 	exit := 0
-	mod, errs := lint.LoadModule(cwd, patterns)
-	for _, err := range errs {
-		fmt.Fprintf(os.Stderr, "aqualint: %v\n", err)
-		exit = 2
-	}
-	if mod == nil {
-		os.Exit(2)
-	}
-	if len(mod.Requested) == 0 {
-		fatal(fmt.Errorf("no packages match %v", patterns))
-	}
-	for _, pkg := range mod.Pkgs {
+	var pkgs []*lint.Package
+	var diags []lint.Diagnostic
+	for _, dir := range dirs {
+		pkg, err := loader.Load(dir)
+		if err != nil {
+			fmt.Fprintf(stderr, "aqualint: %s: %v\n", dir, err)
+			exit = 2
+			continue
+		}
 		for _, terr := range pkg.TypeErrors {
-			fmt.Fprintf(os.Stderr, "aqualint: %s: type error: %v\n", pkg.Path, terr)
+			fmt.Fprintf(stderr, "aqualint: %s: type error: %v\n", pkg.Path, terr)
 			exit = 2
 		}
-	}
-
-	// Per-package analyzers see the requested packages; module analyzers
-	// see the whole module (annotation contracts cross package lines), but
-	// their diagnostics are filtered to the requested set so `aqualint
-	// ./internal/dram` stays scoped. The ignore audit runs last: only then
-	// is every suppression hit recorded.
-	var diags []lint.Diagnostic
-	for _, pkg := range mod.Requested {
 		diags = append(diags, lint.RunAnalyzers(pkg, suite)...)
+		pkgs = append(pkgs, pkg)
 	}
-	requested := make(map[*lint.Package]bool, len(mod.Requested))
-	for _, pkg := range mod.Requested {
-		requested[pkg] = true
-	}
-	for _, d := range lint.RunModuleAnalyzers(mod, suite) {
-		if requested[mod.PackageOf(d.Pos.Filename)] {
-			diags = append(diags, d)
-		}
-	}
-	diags = append(diags, lint.UnusedIgnores(mod.Requested, enabled, full)...)
+	diags = append(diags, lint.UnusedIgnores(pkgs)...)
 
 	if *asJSON {
 		out := make([]jsonDiag, 0, len(diags))
@@ -131,68 +123,18 @@ func main() {
 				Message:  d.Message,
 			})
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	} else {
 		for _, d := range diags {
-			fmt.Println(d)
+			fmt.Fprintln(stdout, d)
 		}
 	}
 	if len(diags) > 0 && exit == 0 {
 		exit = 1
 	}
-	os.Exit(exit)
-}
-
-// selectAnalyzers applies -enable/-disable to the suite. full reports
-// whether the whole suite runs (the blanket-ignore audit keys on it).
-func selectAnalyzers(suite []*lint.Analyzer, enable, disable string) ([]*lint.Analyzer, bool, error) {
-	known := make(map[string]bool, len(suite))
-	for _, an := range suite {
-		known[an.Name] = true
-	}
-	parse := func(flagName, s string) (map[string]bool, error) {
-		if s == "" {
-			return nil, nil
-		}
-		set := make(map[string]bool)
-		for _, name := range strings.Split(s, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			if !known[name] {
-				return nil, fmt.Errorf("-%s: unknown analyzer %q (see -list)", flagName, name)
-			}
-			set[name] = true
-		}
-		return set, nil
-	}
-	on, err := parse("enable", enable)
-	if err != nil {
-		return nil, false, err
-	}
-	off, err := parse("disable", disable)
-	if err != nil {
-		return nil, false, err
-	}
-	var out []*lint.Analyzer
-	for _, an := range suite {
-		if on != nil && !on[an.Name] {
-			continue
-		}
-		if off[an.Name] {
-			continue
-		}
-		out = append(out, an)
-	}
-	return out, len(out) == len(suite), nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "aqualint:", err)
-	os.Exit(2)
+	return exit
 }

@@ -128,8 +128,6 @@ func (l *Lab) FaultedCells() []FaultedCell {
 // Run measures one workload under one scheme at a threshold through the
 // runner (see sim.Runner.RunCtx): memoized, coalesced with concurrent
 // callers asking for the same cell, and served from an attached store.
-//
-//detertaint:root
 func (l *Lab) Run(name string, scheme Scheme, trh int64) (sim.WorkloadRun, error) {
 	return l.runner.RunCtx(l.ctx, name, sim.GridCell{Scheme: scheme, TRH: trh})
 }
@@ -140,8 +138,6 @@ func (l *Lab) Run(name string, scheme Scheme, trh int64) (sim.WorkloadRun, error
 // call it before rendering; callers sweeping several figures can warm
 // the union of their grids (e.g. PaperGrid) in one parallel pass up
 // front.
-//
-//detertaint:root
 func (l *Lab) Precompute(cells ...sim.GridCell) error {
 	return l.runner.Precompute(l.ctx, l.opts.Workloads, cells)
 }
@@ -167,8 +163,6 @@ func PaperGrid() []sim.GridCell {
 
 // normIPCTable renders normalized IPC for each workload under the cells,
 // appending a geometric-mean row.
-//
-//detertaint:root
 func (l *Lab) normIPCTable(title string, cells []sim.GridCell, colNames []string) (string, error) {
 	cols, err := l.columns(l.opts.Workloads, cells...)
 	if err != nil {
@@ -231,8 +225,6 @@ func Figure2() string {
 }
 
 // Figure3 regenerates Figure 3: RRS slowdown as T_RH drops from 4K to 1K.
-//
-//detertaint:root
 func (l *Lab) Figure3() (string, error) {
 	cells := []sim.GridCell{
 		{Scheme: SchemeRRS, TRH: 4000},
@@ -246,8 +238,6 @@ func (l *Lab) Figure3() (string, error) {
 
 // Figure6 regenerates Figure 6: row migrations per 64ms for AQUA and RRS
 // at T_RH=1K (paper averages: 1099 vs 9935).
-//
-//detertaint:root
 func (l *Lab) Figure6() (string, error) {
 	cols, err := l.columns(l.opts.Workloads,
 		sim.GridCell{Scheme: SchemeAquaMemMapped, TRH: 1000},
@@ -280,8 +270,6 @@ func (l *Lab) Figure6() (string, error) {
 
 // Figure7 regenerates Figure 7: normalized IPC of AQUA (SRAM tables) and
 // RRS at T_RH=1K (paper gmean: AQUA 0.982, RRS 0.835).
-//
-//detertaint:root
 func (l *Lab) Figure7() (string, error) {
 	cells := []sim.GridCell{
 		{Scheme: SchemeAquaSRAM, TRH: 1000},
@@ -294,8 +282,6 @@ func (l *Lab) Figure7() (string, error) {
 
 // Figure9 regenerates Figure 9: AQUA with SRAM vs memory-mapped tables
 // (paper gmean: 0.982 vs 0.979).
-//
-//detertaint:root
 func (l *Lab) Figure9() (string, error) {
 	cells := []sim.GridCell{
 		{Scheme: SchemeAquaSRAM, TRH: 1000},
@@ -309,8 +295,6 @@ func (l *Lab) Figure9() (string, error) {
 // Figure10 regenerates Figure 10: the FPT-lookup breakdown of memory-
 // mapped AQUA (paper averages: 92.2% bloom-filtered, 7.3% cache hits, 0.4%
 // singleton, 0.02% DRAM).
-//
-//detertaint:root
 func (l *Lab) Figure10() (string, error) {
 	cols, err := l.columns(l.opts.Workloads, sim.GridCell{Scheme: SchemeAquaMemMapped, TRH: 1000})
 	if err != nil {
@@ -334,8 +318,6 @@ func (l *Lab) Figure10() (string, error) {
 
 // Figure11 regenerates Figure 11: AQUA's sensitivity to the Rowhammer
 // threshold (paper slowdowns: 0.2% at 2K, 2.1% at 1K, 6.8% at 500).
-//
-//detertaint:root
 func (l *Lab) Figure11() (string, error) {
 	cols, err := l.columns(l.opts.Workloads,
 		sim.GridCell{Scheme: SchemeAquaMemMapped, TRH: 2000},
@@ -359,8 +341,6 @@ func (l *Lab) Figure11() (string, error) {
 // 2.3% / 2.1% / 2.0%) and the FPT-Cache from 8KB to 32KB (paper: flat at
 // 2.1%). Bloom bytes map to group sizes (8KB = 32 rows/bit, 16KB = 16,
 // 32KB = 8); cache bytes to entry counts (2K/4K/8K), each a variant cell.
-//
-//detertaint:root
 func (l *Lab) SensitivityVF() (string, error) {
 	variants := []struct {
 		label, size string
@@ -427,8 +407,6 @@ func Table1() string {
 // from one co-run cell: a DoS attacker on one core, a benign workload on
 // the rest; the victims' slowdown attributable to AQUA's migrations must
 // stay under the 2.95x analytical bound.
-//
-//detertaint:root
 func (l *Lab) CoRunReport(workloadName string) (string, error) {
 	run, err := l.runner.RunCtx(l.ctx, workloadName, sim.GridCell{
 		Scheme: SchemeAquaSRAM, TRH: 1000, Variant: sim.Variant{Measure: sim.MeasureCoRun}})
@@ -451,8 +429,6 @@ func (l *Lab) CoRunReport(workloadName string) (string, error) {
 
 // Table2 regenerates Table II: measured MPKI-driven workload
 // characterization vs the paper's reference values, from tier cells.
-//
-//detertaint:root
 func (l *Lab) Table2() (string, error) {
 	var names []string
 	for _, name := range l.opts.Workloads {
@@ -506,8 +482,6 @@ func Table3() string {
 }
 
 // Table4 regenerates Table IV: victim refresh vs AQUA.
-//
-//detertaint:root
 func (l *Lab) Table4() (string, error) {
 	cols, err := l.columns(l.opts.Workloads,
 		sim.GridCell{Scheme: SchemeVictimRefresh, TRH: 1000},
@@ -539,8 +513,6 @@ func Table5() string {
 
 // Table6 regenerates Table VI: the scheme comparison at T_RH=1K, combining
 // measured slowdowns with the paper's storage analysis.
-//
-//detertaint:root
 func (l *Lab) Table6() (string, error) {
 	cols, err := l.columns(l.opts.Workloads,
 		sim.GridCell{Scheme: SchemeBlockhammer, TRH: 1000},
@@ -583,8 +555,6 @@ func Table7() string {
 // DRAM power of baseline vs AQUA (memory-mapped) runs, averaged over the
 // lab's workloads, plus the paper's CACTI SRAM constants. The paper
 // reports +0.7% (8.5mW) DRAM and 13.6mW SRAM.
-//
-//detertaint:root
 func (l *Lab) PowerReport() (string, error) {
 	cols, err := l.columns(l.opts.Workloads,
 		sim.GridCell{Scheme: SchemeBaseline, TRH: 1000},
@@ -641,8 +611,6 @@ func StorageReport() string {
 
 // SortedCacheKeys lists the lab's memoized cells by label
 // (sim.WorkloadRun.Label), in canonical order (for debugging/reports).
-//
-//detertaint:root
 func (l *Lab) SortedCacheKeys() []string {
 	var keys []string
 	for _, r := range l.runner.Cells() {

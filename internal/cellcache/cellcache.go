@@ -125,8 +125,6 @@ func (s *Store) miss() {
 // Put stores value under key atomically on disk (temp file + fsync +
 // rename). Disk failures are absorbed into Stats.WriteErrors — losing
 // an entry only costs a future recomputation, never correctness.
-//
-//detertaint:root
 func (s *Store) Put(key string, value []byte) {
 	if s == nil || !validKey(key) {
 		return

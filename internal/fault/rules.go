@@ -33,7 +33,6 @@ type rule struct {
 
 // Rules maps grid cells to fault plans. A nil *Rules matches nothing.
 type Rules struct {
-	//aquakey:exclude the canonical spec renders every rule, and it is what cell keys hash
 	rules []rule
 	spec  string // canonical form, parse-stable
 }

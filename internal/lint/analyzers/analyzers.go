@@ -1,19 +1,14 @@
 // Package analyzers registers the aqualint analyzer suite: the
-// determinism and soundness rules specific to this simulator. See each
-// analyzer's package documentation for the rationale behind its rule.
-//
-// The suite has two depths. The first five are per-package syntactic
-// rules; the last three (detertaint, keycoverage, guardedby) are
-// module-wide: they type-check the whole module, build a call graph,
-// and check interprocedural contracts declared by source annotations.
+// determinism and lock-discipline rules specific to this simulator.
+// Every analyzer inspects one type-checked package at a time; see each
+// analyzer's package documentation for the rationale behind its rule
+// and the packages it covers.
 package analyzers
 
 import (
 	"repro/internal/lint"
-	"repro/internal/lint/analyzers/detertaint"
 	"repro/internal/lint/analyzers/floatcmp"
 	"repro/internal/lint/analyzers/guardedby"
-	"repro/internal/lint/analyzers/keycoverage"
 	"repro/internal/lint/analyzers/maporder"
 	"repro/internal/lint/analyzers/nakedgo"
 	"repro/internal/lint/analyzers/noclock"
@@ -28,8 +23,6 @@ func All() []*lint.Analyzer {
 		maporder.Analyzer,
 		floatcmp.Analyzer,
 		nakedgo.Analyzer,
-		detertaint.Analyzer,
-		keycoverage.Analyzer,
 		guardedby.Analyzer,
 	}
 }

@@ -1,9 +1,9 @@
 // Package guardedby checks documented lock discipline: a struct field
 // whose comment says `guarded by mu` may only be touched by functions
 // that demonstrably hold mu. The repo's shared state — the Runner's
-// memo/cache maps, the flight.Group duplicate table, the cellcache
-// store, the Lab render cache — all carry this comment; the analyzer
-// turns the comment from prose into a checked contract.
+// memo/cache maps and cell stats, the flight.Group duplicate table, the
+// cellcache store's stats — all carry this comment; the analyzer turns
+// the comment from prose into a checked contract.
 //
 // Annotation grammar:
 //
@@ -13,16 +13,15 @@
 //	}
 //
 // The named mutex must be a sibling field of type sync.Mutex or
-// sync.RWMutex in the same struct. A function "holds" the mutex when:
+// sync.RWMutex in the same struct, and the guarded field must be
+// unexported. Then every access to it is in its own package, so checking
+// one package at a time sees them all. A function may access the field
+// when:
 //
 //   - its body (closures included) calls <x>.mu.Lock() or <x>.mu.RLock()
 //     — the check is flow-insensitive by design: it catches the real
 //     failure mode (a new method that never locks at all), not exotic
-//     early-unlock interleavings;
-//   - its doc comment declares `// caller holds mu`, shifting the
-//     obligation to its callers — every static (non-devirtualized)
-//     caller must then itself hold mu, checked transitively over the
-//     call graph; or
+//     early-unlock interleavings; or
 //   - the accessed value is a function-local (created inside the body,
 //     as in constructors), so no other goroutine can see it yet.
 package guardedby
@@ -39,115 +38,87 @@ import (
 // Analyzer is the guardedby check.
 var Analyzer = &lint.Analyzer{
 	Name: "guardedby",
-	Doc: "fields commented `guarded by <mu>` may only be accessed while holding " +
-		"the named sibling mutex (or under a `caller holds <mu>` contract)",
-	RunModule: run,
+	Doc: "fields commented `guarded by <mu>` must be unexported and may only be " +
+		"accessed by functions that lock the named sibling mutex",
+	Run: run,
 }
 
-// FactCallerHolds marks a function whose doc declares `caller holds
-// <mu>`; the value is the mutex name.
-const FactCallerHolds = "guardedby.callerholds"
+var guardRe = regexp.MustCompile(`(?:^|\s)guarded by (\w+)`)
 
-var (
-	guardRe = regexp.MustCompile(`(?:^|\s)guarded by (\w+)`)
-	holdsRe = regexp.MustCompile(`(?:^|\s)caller holds (\w+)`)
-)
-
-func run(pass *lint.ModulePass) {
-	graph := pass.Graph
-	fields := pass.Mod.Fields()
-
-	// Scan phase 1: guarded fields. guards[field] = mutex field name.
-	guards := make(map[*types.Var]string)
-	for v, decl := range fields {
-		mu, ok := guardAnnotation(decl.Field)
-		if !ok {
-			continue
-		}
-		if !hasMutexSibling(decl.Pkg, decl.Struct, mu) {
-			pass.Reportf(decl.Field.Pos(),
-				"field %s is marked `guarded by %s` but the struct has no sync.Mutex/sync.RWMutex field named %s",
-				v.Name(), mu, mu)
-			continue
-		}
-		guards[v] = mu
-	}
+func run(pass *lint.Pass) {
+	guards := guardedFields(pass)
 	if len(guards) == 0 {
 		return
 	}
+	for _, f := range pass.Files {
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			locked := lockCalls(fn.Body)
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				s, ok := pass.Info.Selections[sel]
+				if !ok || s.Kind() != types.FieldVal {
+					return true
+				}
+				v, ok := s.Obj().(*types.Var)
+				if !ok {
+					return true
+				}
+				// Origin maps a field of an instantiated generic struct
+				// (flight.Group[K, V]) back to its declaration.
+				mu, guarded := guards[v.Origin()]
+				if !guarded || locked[mu] || localValue(pass.Info, fn.Body, sel.X) {
+					return true
+				}
+				pass.Reportf(sel.Sel.Pos(), "access to %s (guarded by %s) in %s, which does not lock %s",
+					v.Name(), mu, funcName(fn), mu)
+				return true
+			})
+		}
+	}
+}
 
-	// Scan phase 2: per-function lock evidence and caller-holds contracts.
-	locksHeld := make(map[*types.Func]map[string]bool) // fn -> mutex names locked in body
-	callerHolds := make(map[*types.Func]string)
-	for _, fn := range graph.Functions() {
-		info := graph.Decl(fn)
-		if doc := info.Decl.Doc; doc != nil {
-			for _, c := range doc.List {
-				if m := holdsRe.FindStringSubmatch(c.Text); m != nil {
-					callerHolds[fn] = m[1]
-					pass.Facts.Export(fn, FactCallerHolds, m[1])
+// guardedFields maps every field of the package's structs that carries a
+// `guarded by <mu>` comment to the mutex name. It reports an annotation
+// naming no sibling mutex, and a guarded field that is exported.
+func guardedFields(pass *lint.Pass) map[*types.Var]string {
+	guards := make(map[*types.Var]string)
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			st, ok := n.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			for _, field := range st.Fields.List {
+				mu, ok := guardAnnotation(field)
+				if !ok {
+					continue
+				}
+				if !hasMutexSibling(pass.Info, st, mu) {
+					pass.Reportf(field.Pos(),
+						"field is marked `guarded by %s` but the struct has no sync.Mutex/sync.RWMutex field named %s", mu, mu)
+					continue
+				}
+				for _, name := range field.Names {
+					if name.IsExported() {
+						pass.Reportf(name.Pos(),
+							"guarded field %s is exported; other packages could access it without locking %s", name.Name, mu)
+					}
+					if v, ok := pass.Info.Defs[name].(*types.Var); ok {
+						guards[v] = mu
+					}
 				}
 			}
-		}
-		locksHeld[fn] = lockCalls(info.Decl.Body)
-	}
-
-	holds := func(fn *types.Func, mu string) bool {
-		return locksHeld[fn][mu] || callerHolds[fn] == mu
-	}
-
-	// Check phase 1: every access to a guarded field happens in a
-	// function that holds its mutex.
-	for _, fn := range graph.Functions() {
-		info := graph.Decl(fn)
-		body := info.Decl.Body
-		ast.Inspect(body, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			s, ok := info.Pkg.Info.Selections[sel]
-			if !ok || s.Kind() != types.FieldVal {
-				return true
-			}
-			v, ok := s.Obj().(*types.Var)
-			if !ok {
-				return true
-			}
-			mu, guarded := guards[v]
-			if !guarded || holds(fn, mu) || localValue(info.Pkg.Info, body, sel.X) {
-				return true
-			}
-			pass.Reportf(sel.Sel.Pos(),
-				"access to %s (guarded by %s) in %s, which neither locks %s nor documents `caller holds %s`",
-				v.Name(), mu, lint.FuncName(fn), mu, mu)
 			return true
 		})
 	}
-
-	// Check phase 2: caller-holds contracts propagate — every static
-	// caller of a `caller holds mu` function must itself hold mu.
-	// Devirtualized interface edges are skipped: the interface call site
-	// cannot know the implementation's lock contract, and flagging every
-	// possible implementation would drown real findings.
-	for fn, mu := range callerHolds {
-		for _, e := range graph.CallersOf(fn) {
-			if e.Dynamic {
-				continue
-			}
-			if holds(e.Caller, mu) {
-				continue
-			}
-			// A call on a function-local value (a constructor wiring up an
-			// object before sharing it) needs no lock, mirroring phase 1.
-			if caller := graph.Decl(e.Caller); caller != nil && localCallReceiver(caller, e.Pos) {
-				continue
-			}
-			pass.Reportf(e.Pos,
-				"call to %s requires holding %s (`caller holds %s`) but %s neither locks %s nor documents the same contract",
-				lint.FuncName(fn), mu, mu, lint.FuncName(e.Caller), mu)
-		}
-	}
+	return guards
 }
 
 // guardAnnotation reads a field's `guarded by <mu>` comment (doc or
@@ -168,13 +139,13 @@ func guardAnnotation(f *ast.Field) (string, bool) {
 
 // hasMutexSibling reports whether the struct declares a field named mu of
 // type sync.Mutex or sync.RWMutex.
-func hasMutexSibling(pkg *lint.Package, st *ast.StructType, mu string) bool {
+func hasMutexSibling(info *types.Info, st *ast.StructType, mu string) bool {
 	for _, f := range st.Fields.List {
 		for _, name := range f.Names {
 			if name.Name != mu {
 				continue
 			}
-			if v, ok := pkg.Info.Defs[name].(*types.Var); ok && isMutex(v.Type()) {
+			if v, ok := info.Defs[name].(*types.Var); ok && isMutex(v.Type()) {
 				return true
 			}
 		}
@@ -218,24 +189,6 @@ func lockCalls(body *ast.BlockStmt) map[string]bool {
 	return out
 }
 
-// localCallReceiver reports whether the method call whose callee
-// identifier sits at pos is invoked on a function-local value.
-func localCallReceiver(caller *lint.FuncInfo, pos token.Pos) bool {
-	found := false
-	ast.Inspect(caller.Decl.Body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok || sel.Sel.Pos() != pos {
-			return true
-		}
-		found = localValue(caller.Pkg.Info, caller.Decl.Body, sel.X)
-		return false
-	})
-	return found
-}
-
 // localValue reports whether the accessed base expression is a variable
 // declared inside the function body — a value under construction that no
 // other goroutine can reach, so lock discipline does not yet apply.
@@ -274,4 +227,12 @@ func rootIdent(e ast.Expr) *ast.Ident {
 			return nil
 		}
 	}
+}
+
+// funcName names a declaration as F or (*T).M for reports.
+func funcName(fn *ast.FuncDecl) string {
+	if fn.Recv == nil || len(fn.Recv.List) == 0 {
+		return fn.Name.Name
+	}
+	return "(" + types.ExprString(fn.Recv.List[0].Type) + ")." + fn.Name.Name
 }

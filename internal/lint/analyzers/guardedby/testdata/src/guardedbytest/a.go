@@ -1,6 +1,6 @@
 // Package guardedbytest is the guardedby corpus: a store with a
 // documented lock discipline, correct and incorrect accessors, a
-// caller-holds contract, and a constructor.
+// constructor, a generic table, and an exported guarded field.
 package guardedbytest
 
 import "sync"
@@ -9,8 +9,9 @@ import "sync"
 type Store struct {
 	mu sync.Mutex
 	// mem is the cached payload map.
-	mem map[string]int // guarded by mu
-	n   int            // guarded by lock; want `no sync\.Mutex/sync\.RWMutex field named lock`
+	mem  map[string]int // guarded by mu
+	n    int            // guarded by lock; want `no sync\.Mutex/sync\.RWMutex field named lock`
+	Hits int            // guarded by mu; want `guarded field Hits is exported`
 }
 
 // RW exercises RLock recognition.
@@ -19,12 +20,17 @@ type RW struct {
 	stats map[string]int // guarded by mu
 }
 
-// New builds a Store; the value is local, so no locking is required —
-// for direct field writes and for caller-holds method calls alike.
+// Table mirrors flight.Group: a generic struct whose methods see its
+// fields through an instantiation.
+type Table[K comparable] struct {
+	mu sync.Mutex
+	m  map[K]int // guarded by mu
+}
+
+// New builds a Store; the value is local, so no locking is required.
 func New() *Store {
 	s := &Store{}
 	s.mem = make(map[string]int)
-	s.locked("seed", 1)
 	return s
 }
 
@@ -37,34 +43,7 @@ func (s *Store) Get(k string) int {
 
 // Bad reads the guarded map without the lock.
 func (s *Store) Bad(k string) int {
-	return s.mem[k] // want `access to mem \(guarded by mu\)`
-}
-
-// locked writes under a caller-holds contract.
-//
-// caller holds mu
-func (s *Store) locked(k string, v int) {
-	s.mem[k] = v
-}
-
-// Put honours the contract.
-func (s *Store) Put(k string, v int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.locked(k, v)
-}
-
-// relocked chains the contract one level: it may call locked because it
-// declares the same obligation.
-//
-// caller holds mu
-func (s *Store) relocked(k string) {
-	s.locked(k, 0)
-}
-
-// PutUnlocked violates the contract.
-func (s *Store) PutUnlocked(k string, v int) {
-	s.locked(k, v) // want `call to \(\*guardedbytest\.Store\)\.locked requires holding mu`
+	return s.mem[k] // want `access to mem \(guarded by mu\) in \(\*Store\)\.Bad`
 }
 
 // Snapshot uses a read lock on the RWMutex.
@@ -81,4 +60,16 @@ func (r *RW) Snapshot() map[string]int {
 // Peek reads without any lock.
 func (r *RW) Peek(k string) int {
 	return r.stats[k] // want `access to stats \(guarded by mu\)`
+}
+
+// Put locks correctly.
+func (t *Table[K]) Put(k K, v int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.m[k] = v
+}
+
+// Len reads without the lock.
+func (t *Table[K]) Len() int {
+	return len(t.m) // want `access to m \(guarded by mu\) in \(\*Table\[K\]\)\.Len`
 }

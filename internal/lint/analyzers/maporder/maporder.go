@@ -7,10 +7,6 @@
 // The canonical fix — collect the keys, sort them, then iterate — is
 // recognized: a loop whose appended slice is passed to sort.* or
 // slices.* later in the same block is not flagged.
-//
-// The core detection is exported as FindViolations so the
-// interprocedural detertaint analyzer can apply the same rule to the
-// bodies of functions reachable from determinism roots.
 package maporder
 
 import (
@@ -32,16 +28,15 @@ var Analyzer = &lint.Analyzer{
 
 func run(pass *lint.Pass) {
 	for _, f := range pass.Files {
-		FindViolations(pass.Info, f, func(pos token.Pos, msg string) {
+		findViolations(pass.Info, f, func(pos token.Pos, msg string) {
 			pass.Reportf(pos, "%s", msg)
 		})
 	}
 }
 
-// FindViolations walks root and reports each order-dependent effect
-// inside a map-range body. The sorted-later exemption applies within
-// root's statement lists exactly as in the package analyzer.
-func FindViolations(info *types.Info, root ast.Node, report func(pos token.Pos, msg string)) {
+// findViolations walks root and reports each order-dependent effect
+// inside a map-range body.
+func findViolations(info *types.Info, root ast.Node, report func(pos token.Pos, msg string)) {
 	ast.Inspect(root, func(n ast.Node) bool {
 		list := stmtList(n)
 		if list == nil {

@@ -1,9 +1,10 @@
 // Package nodirectrand forbids importing math/rand, math/rand/v2, or
-// crypto/rand anywhere except internal/rng. All simulator randomness must
-// flow through the explicitly-seeded xoshiro256** streams in internal/rng;
-// a stray math/rand call ties figure output to Go-release-dependent
-// generator behaviour (or, for crypto/rand, to the OS entropy pool) and
-// silently breaks bit-for-bit reproducibility.
+// crypto/rand in any package, internal/rng included. All simulator
+// randomness must flow through the explicitly-seeded xoshiro256**
+// streams that internal/rng implements from scratch; a stray math/rand
+// call ties figure output to Go-release-dependent generator behaviour
+// (or, for crypto/rand, to the OS entropy pool) and silently breaks
+// bit-for-bit reproducibility.
 package nodirectrand
 
 import (
@@ -22,10 +23,9 @@ var forbidden = map[string]bool{
 // Analyzer is the nodirectrand check.
 var Analyzer = &lint.Analyzer{
 	Name: "nodirectrand",
-	Doc: "forbid math/rand and crypto/rand outside internal/rng; " +
+	Doc: "forbid math/rand and crypto/rand in every package; " +
 		"use the seeded streams of repro/internal/rng so results stay deterministic",
-	Applies: func(pkgPath string) bool { return pkgPath != "repro/internal/rng" },
-	Run:     run,
+	Run: run,
 }
 
 func run(pass *lint.Pass) {

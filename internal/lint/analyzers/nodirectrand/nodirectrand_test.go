@@ -12,13 +12,8 @@ func TestAnalyzer(t *testing.T) {
 }
 
 func TestScope(t *testing.T) {
-	applies := nodirectrand.Analyzer.Applies
-	if applies("repro/internal/rng") {
-		t.Error("internal/rng is the sanctioned home of randomness; must be exempt")
-	}
-	for _, p := range []string{"repro/internal/core", "repro/cmd/aquasim", "repro", "a"} {
-		if !applies(p) {
-			t.Errorf("%s should be in scope", p)
-		}
+	// A nil Applies runs the analyzer on every package.
+	if nodirectrand.Analyzer.Applies != nil {
+		t.Error("internal/rng implements its generators from scratch; a math/rand draw there must fail lint too, so every package must be in scope")
 	}
 }

@@ -2,16 +2,9 @@
 // spirit of golang.org/x/tools/go/analysis, built only on the standard
 // library's go/ast and go/types so the repository carries no external
 // dependencies. It powers cmd/aqualint, the multichecker that enforces
-// the simulator's determinism and timing-soundness rules (see DESIGN.md,
-// "Static analysis v2").
-//
-// Analyzers come in two depths. A per-package analyzer inspects one
-// type-checked package at a time through a Pass. A module analyzer
-// (Analyzer.RunModule) sees the whole loaded module at once through a
-// ModulePass — every package in dependency order, a call graph with
-// interface devirtualization (see callgraph.go), and a cross-package
-// facts store (see facts.go) — which is what the interprocedural rules
-// (detertaint, keycoverage, guardedby) are built on.
+// the simulator's determinism and lock-discipline rules (see DESIGN.md,
+// "Determinism & invariants"). Each analyzer inspects one type-checked
+// package at a time through a Pass.
 //
 // Diagnostics on a line that carries an `//aqualint:ignore <name>`
 // comment are suppressed, giving call sites a reviewed escape hatch.
@@ -41,8 +34,7 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 }
 
-// Analyzer is one named check. Exactly one of Run and RunModule is set:
-// Run makes a per-package analyzer, RunModule a whole-module one.
+// Analyzer is one named per-package check.
 type Analyzer struct {
 	// Name is the analyzer's identifier, used in reports and in
 	// `//aqualint:ignore <name>` suppression comments.
@@ -52,13 +44,9 @@ type Analyzer struct {
 	// Applies filters packages by import path; nil means every package.
 	// Paths outside the module (e.g. the "a"-style paths of test corpora)
 	// should be accepted so analyzer tests are unaffected by scoping.
-	// Module analyzers ignore it — they always see the whole module.
 	Applies func(pkgPath string) bool
 	// Run inspects one package and reports findings via pass.Reportf.
 	Run func(pass *Pass)
-	// RunModule inspects the whole loaded module at once, with the call
-	// graph and facts store available (see RunModuleAnalyzers).
-	RunModule func(pass *ModulePass)
 }
 
 // Pass carries one type-checked package through one analyzer.
@@ -129,8 +117,8 @@ type ignoreEntry struct {
 }
 
 // ignoreIndex holds a package's ignore directives by file and line. A
-// package builds it once (Package.ignoreIndex) so suppression hits are
-// shared between per-package and module analyses of the same load.
+// package builds it once (Package.ignoreIndex), so the suppression hits
+// of every analyzer in the suite land in one index for the audit.
 type ignoreIndex struct {
 	byLine map[string]map[int][]*ignoreEntry
 	all    []*ignoreEntry
@@ -186,15 +174,11 @@ func newIgnoreIndex(fset *token.FileSet, files []*ast.File) *ignoreIndex {
 	return ix
 }
 
-// RunAnalyzers applies every applicable per-package analyzer to a loaded
-// package and returns the diagnostics sorted by position. Analyzers with
-// only RunModule set are skipped; use RunModuleAnalyzers for those.
+// RunAnalyzers applies every applicable analyzer to a loaded package and
+// returns the diagnostics sorted by position.
 func RunAnalyzers(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	for _, an := range analyzers {
-		if an.Run == nil {
-			continue
-		}
 		if an.Applies != nil && !an.Applies(pkg.Path) {
 			continue
 		}
@@ -214,93 +198,22 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	return diags
 }
 
-// ModulePass carries the whole loaded module through one module
-// analyzer: every package in dependency order, the call graph, and the
-// shared facts store. Analyzers run in suite order over one store, so a
-// fact exported by an earlier analyzer is importable by a later one.
-type ModulePass struct {
-	Analyzer *Analyzer
-	Mod      *Module
-	Graph    *CallGraph
-	Facts    *Facts
-
-	diags *[]Diagnostic
-}
-
-// Reportf records a diagnostic at pos unless the line carries a matching
-// `//aqualint:ignore` comment (looked up in the package owning pos).
-func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
-	position := p.Mod.Fset.Position(pos)
-	if pkg := p.Mod.PackageOf(position.Filename); pkg != nil {
-		if pkg.ignoreIndex().suppress(p.Analyzer.Name, position) {
-			return
-		}
-	}
-	*p.diags = append(*p.diags, Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      position,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// RunModuleAnalyzers builds the module's call graph once and applies
-// every module analyzer in the suite, returning the diagnostics sorted
-// by position.
-func RunModuleAnalyzers(mod *Module, analyzers []*Analyzer) []Diagnostic {
-	var diags []Diagnostic
-	var graph *CallGraph
-	facts := NewFacts()
-	for _, an := range analyzers {
-		if an.RunModule == nil {
-			continue
-		}
-		if graph == nil {
-			graph = BuildCallGraph(mod)
-		}
-		an.RunModule(&ModulePass{
-			Analyzer: an,
-			Mod:      mod,
-			Graph:    graph,
-			Facts:    facts,
-			diags:    &diags,
-		})
-	}
-	sortDiagnostics(diags)
-	return diags
-}
-
 // UnusedIgnores audits the given packages for `//aqualint:ignore`
-// directives that suppressed nothing in the analyses run so far. enabled
-// names the analyzers that actually ran: an unused entry naming a
-// disabled analyzer is not reported (it may well suppress something when
-// its analyzer runs), and blanket entries (no analyzer name) are only
-// reported when the full suite ran (full = true).
-func UnusedIgnores(pkgs []*Package, enabled map[string]bool, full bool) []Diagnostic {
+// directives that suppressed nothing. Call it after the whole suite has
+// run over them: a directive naming an analyzer outside the suite, and a
+// blanket directive on a clean line, are both stale.
+func UnusedIgnores(pkgs []*Package) []Diagnostic {
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		for _, e := range pkg.ignoreIndex().all {
 			if e.used {
 				continue
 			}
-			if e.name == "" {
-				if !full {
-					continue
-				}
-				diags = append(diags, Diagnostic{
-					Analyzer: "unusedignore",
-					Pos:      e.pos,
-					Message:  "aqualint:ignore suppresses nothing; remove the stale directive",
-				})
-				continue
+			msg := "aqualint:ignore suppresses nothing; remove the stale directive"
+			if e.name != "" {
+				msg = fmt.Sprintf("aqualint:ignore %s suppresses no %s diagnostic; remove the stale directive", e.name, e.name)
 			}
-			if enabled != nil && !enabled[e.name] {
-				continue
-			}
-			diags = append(diags, Diagnostic{
-				Analyzer: "unusedignore",
-				Pos:      e.pos,
-				Message:  fmt.Sprintf("aqualint:ignore %s suppresses no %s diagnostic; remove the stale directive", e.name, e.name),
-			})
+			diags = append(diags, Diagnostic{Analyzer: "unusedignore", Pos: e.pos, Message: msg})
 		}
 	}
 	sortDiagnostics(diags)

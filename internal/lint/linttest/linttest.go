@@ -50,15 +50,7 @@ func Run(t *testing.T, an *lint.Analyzer, testdataDir string, pkgs ...string) {
 		if err != nil {
 			t.Fatalf("linttest: %v", err)
 		}
-		var diags []lint.Diagnostic
-		if an.RunModule != nil {
-			mod := lint.ModuleFromPackages(loader, pkg)
-			diags = lint.RunModuleAnalyzers(mod, []*lint.Analyzer{an})
-		} else {
-			diags = lint.RunAnalyzers(pkg, []*lint.Analyzer{an})
-		}
-
-		for _, d := range diags {
+		for _, d := range lint.RunAnalyzers(pkg, []*lint.Analyzer{an}) {
 			matched := false
 			for _, e := range expects {
 				if e.file == d.Pos.Filename && e.line == d.Pos.Line && e.re.MatchString(d.Message) {

@@ -32,12 +32,12 @@ type Package struct {
 	// corpora that deliberately contain odd code).
 	TypeErrors []error
 
-	ign *ignoreIndex // built on first use; shared across analyses
+	ign *ignoreIndex // built on first use; shared across analyzers
 }
 
 // ignoreIndex returns the package's `//aqualint:ignore` index, building
-// it on first use. Sharing one index across per-package and module
-// analyses is what lets the unused-suppression audit see every hit.
+// it on first use. Sharing one index across the suite's analyzers is
+// what lets the unused-suppression audit see every hit.
 func (p *Package) ignoreIndex() *ignoreIndex {
 	if p.ign == nil {
 		p.ign = newIgnoreIndex(p.Fset, p.Files)
@@ -57,18 +57,6 @@ type Loader struct {
 	pkgs    map[string]*Package // memoized by directory (cleaned, absolute)
 	seen    map[string]bool     // import-cycle guard by import path
 	loading map[string]bool     // directories currently mid-load (re-entrancy = cycle)
-	order   []*Package          // completion order: imports before importers
-}
-
-// Loaded returns every package this loader has finished loading, in
-// completion order. Because Load resolves a package's module-internal
-// imports before the package itself completes, this order is
-// topological: dependencies come before dependents, which is the order
-// module analyses process packages in.
-func (l *Loader) Loaded() []*Package {
-	out := make([]*Package, len(l.order))
-	copy(out, l.order)
-	return out
 }
 
 // NewLoader builds a loader rooted at the module containing dir (the
@@ -247,7 +235,6 @@ func (l *Loader) LoadAs(dir, path string) (*Package, error) {
 	}
 	pkg.Types = tpkg
 	l.pkgs[abs] = pkg
-	l.order = append(l.order, pkg)
 	return pkg, nil
 }
 

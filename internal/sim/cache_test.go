@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/cellcache"
 	"repro/internal/dram"
+	"repro/internal/fault"
 )
 
 // storeAt opens a store over dir, failing the test on error.
@@ -463,38 +464,95 @@ func TestThresholdBelowTwoFailsBeforeCache(t *testing.T) {
 	}
 }
 
+// keyExempt lists the fields that must not reach a cell's key, each with
+// its reason. Every other field of ExpConfig, workload.Spec and GridCell
+// must change the key text.
+var keyExempt = map[string]string{
+	"ExpConfig.Parallel": "concurrency width changes wall-clock only; results are read back in canonical order",
+}
+
 // TestCellKeyDeterminism pins that the key is a pure function of the
-// configuration: same config same key, any varied determinant a
-// different key, and wall-clock-only knobs (Parallel) no change.
+// configuration that covers all of it. The same inputs give the same
+// key. Changing any one field of ExpConfig, of a core's workload.Spec or
+// of the GridCell changes the key text, unless keyExempt lists the
+// field, which must then leave the text alone. The cell's Variant starts
+// non-zero, so a Variant field that Variant.String leaves out shows as
+// an unchanged variant= line.
 func TestCellKeyDeterminism(t *testing.T) {
 	base := gridCfg(1)
 	k0 := keyOf(t, base, "xz", SchemeAquaMemMapped, 1000)
 	if k0 != keyOf(t, base, "xz", SchemeAquaMemMapped, 1000) {
 		t.Fatal("same configuration produced different keys")
 	}
-	if k0 != keyOf(t, gridCfg(8), "xz", SchemeAquaMemMapped, 1000) {
-		t.Fatal("Parallel changed the key; it must not (wall-clock only)")
+	if k0 == keyOf(t, base, "wrf", SchemeAquaMemMapped, 1000) {
+		t.Fatal("two workloads share a key")
 	}
-	variants := map[string]string{
-		"scheme":   keyOf(t, base, "xz", SchemeRRS, 1000),
-		"trh":      keyOf(t, base, "xz", SchemeAquaMemMapped, 2000),
-		"workload": keyOf(t, base, "wrf", SchemeAquaMemMapped, 1000),
+
+	cfg := base
+	specs, err := caseSpecs("xz")
+	if err != nil {
+		t.Fatal(err)
 	}
-	seed := base
-	seed.Seed = 7
-	variants["seed"] = keyOf(t, seed, "xz", SchemeAquaMemMapped, 1000)
-	window := base
-	window.Window = 2 * base.Window
-	variants["window"] = keyOf(t, window, "xz", SchemeAquaMemMapped, 1000)
-	// Rules change every key, even of a cell no rule matches.
-	faults := base
-	faults.Faults = mustRules(t, "wrf/rrs/1000=panic@once:0")
-	variants["faults"] = keyOf(t, faults, "xz", SchemeAquaMemMapped, 1000)
-	seen := map[string]string{k0: "base"}
-	for what, k := range variants {
-		if prior, dup := seen[k]; dup {
-			t.Fatalf("varying %s collided with %s", what, prior)
+	cell := GridCell{Scheme: SchemeAquaMemMapped, TRH: 1000, Variant: Variant{BloomGroupSize: 16}}
+	text := func() string { return cellKeyText(SchemaVersion, cfg, "xz", specs, cell, false) }
+	want := text()
+	keyed := func(field string) {
+		got := text()
+		if reason, exempt := keyExempt[field]; exempt {
+			if got != want {
+				t.Errorf("changing %s changed the key text; it must not: %s", field, reason)
+			}
+		} else if got == want {
+			t.Errorf("changing %s left the key text unchanged, so configurations differing only there share a cached result", field)
 		}
-		seen[k] = what
+	}
+	rules := mustRules(t, "wrf/rrs/1000=panic@once:0")
+	varyFields(t, "ExpConfig", reflect.ValueOf(&cfg).Elem(), rules, keyed)
+	varyFields(t, "workload.Spec", reflect.ValueOf(&specs[0]).Elem(), rules, keyed)
+	varyFields(t, "GridCell", reflect.ValueOf(&cell).Elem(), rules, keyed)
+}
+
+// varyFields changes each field under the struct v in turn, recursing
+// into struct fields: ints +1, floats doubled (set to 1 when zero), bools
+// flipped, strings suffixed and a *fault.Rules set to rules. It calls
+// keyed with the field's path after each change, then restores the
+// field. A field the walk cannot change fails the test.
+func varyFields(t *testing.T, path string, v reflect.Value, rules *fault.Rules, keyed func(field string)) {
+	t.Helper()
+	for i := 0; i < v.NumField(); i++ {
+		f, name := v.Field(i), path+"."+v.Type().Field(i).Name
+		if !f.CanSet() {
+			t.Errorf("%s is unexported; the walk cannot change it", name)
+			continue
+		}
+		old := reflect.New(f.Type()).Elem()
+		old.Set(f)
+		switch f.Kind() {
+		case reflect.Struct:
+			varyFields(t, name, f, rules, keyed)
+			continue
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			f.SetInt(f.Int() + 1)
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			f.SetUint(f.Uint() + 1)
+		case reflect.Float32, reflect.Float64:
+			if f.Float() == 0 {
+				f.SetFloat(1)
+			} else {
+				f.SetFloat(2 * f.Float())
+			}
+		case reflect.Bool:
+			f.SetBool(!f.Bool())
+		case reflect.String:
+			f.SetString(f.String() + "x")
+		default:
+			if f.Type() != reflect.TypeOf(rules) {
+				t.Errorf("%s: the walk cannot change a %s; extend varyFields", name, f.Type())
+				continue
+			}
+			f.Set(reflect.ValueOf(rules))
+		}
+		keyed(name)
+		f.Set(old)
 	}
 }

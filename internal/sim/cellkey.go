@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/cellcache"
 	"repro/internal/dram"
+	"repro/internal/workload"
 )
 
 // SchemaVersion names the generation of simulation semantics that cached
@@ -72,41 +73,43 @@ func (r *Runner) ipcKey(name string) (string, error) {
 // cellKeyAt is a cell's key under an explicit schema version (tests derive
 // old-generation keys with it to prove a bump invalidates); ipc selects
 // the workload's calibrated-IPC entry instead of the cell's result.
-//
-// The aquakey:hash annotation is the keycoverage analyzer's contract:
-// every field of ExpConfig, workload.Spec and Variant must be hashed
-// below or carry an //aquakey:exclude on its declaration.
-//
-//aquakey:hash ExpConfig workload.Spec Variant
 func (r *Runner) cellKeyAt(version string, key cellKey, ipc bool) (string, error) {
 	specs, err := caseSpecs(key.workload)
 	if err != nil {
 		return "", err
 	}
+	sum := sha256.Sum256([]byte(cellKeyText(version, r.cfg, key.workload, specs, key.cell, ipc)))
+	return hex.EncodeToString(sum[:]), nil
+}
+
+// cellKeyText is the text a key hashes, a pure function of its inputs.
+// TestCellKeyDeterminism changes every field of ExpConfig, workload.Spec
+// and GridCell (its Variant included) in turn and requires this text to
+// change, except for the fields it lists as exempt with their reasons.
+func cellKeyText(version string, cfg ExpConfig, name string, specs []workload.Spec, cell GridCell, ipc bool) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", version)
 	fmt.Fprintf(&b, "window=%d cores=%d seed=%#x calibrate=%t\n",
-		r.cfg.Window, paperCores, r.cfg.Seed, r.cfg.Calibrate)
+		cfg.Window, paperCores, cfg.Seed, cfg.Calibrate)
 	fmt.Fprintf(&b, "geom=%+v\n", dram.Baseline())
 	fmt.Fprintf(&b, "timing=%+v\n", dram.DDR4())
-	fmt.Fprintf(&b, "cell=%s/%s/%d\n", key.workload, key.cell.Scheme, key.cell.TRH)
+	fmt.Fprintf(&b, "cell=%s/%s/%d\n", name, cell.Scheme, cell.TRH)
 	for i := 0; i < paperCores && i < len(specs); i++ {
 		sp := specs[i]
 		fmt.Fprintf(&b, "core%d spec=%s mpki=%g rows=%d/%d/%d budget=%d\n",
 			i, sp.Name, sp.MPKI, sp.Rows166, sp.Rows500, sp.Rows1K,
-			requestBudget(r.cfg.Window, 1.0, sp.MPKI))
+			requestBudget(cfg.Window, 1.0, sp.MPKI))
 	}
-	if faults := r.cfg.Faults.String(); faults != "" {
+	if faults := cfg.Faults.String(); faults != "" {
 		fmt.Fprintf(&b, "faults=%s\n", faults)
 	}
-	if v := key.cell.Variant; v != (Variant{}) {
+	if v := cell.Variant; v != (Variant{}) {
 		fmt.Fprintf(&b, "variant=%s\n", v)
 	}
 	if ipc {
 		b.WriteString("ipc\n")
 	}
-	sum := sha256.Sum256([]byte(b.String()))
-	return hex.EncodeToString(sum[:]), nil
+	return b.String()
 }
 
 // AttachCellCache attaches a content-addressed store: completed cells

@@ -38,7 +38,6 @@ type ExpConfig struct {
 	// isolated system, and callers read results back in their own
 	// canonical order, so the value changes wall-clock only — never the
 	// numbers (see DESIGN.md "Concurrency model").
-	//aquakey:exclude concurrency width changes wall-clock only; results are read back in canonical order
 	Parallel int
 	// Faults maps grid cells to injected fault plans (see fault.ParseRules
 	// for the grammar). Nil means no faults anywhere. The cell-level kind
@@ -519,8 +518,6 @@ func (r *Runner) Run(name string, scheme Scheme, trh int64) (WorkloadRun, error)
 // simulation. Fault rules are part of the cache key, so a result computed
 // under rules is only ever served to a Runner with the same rules. Failed
 // (including cancelled) cells are neither memoized nor stored.
-//
-//detertaint:root
 func (r *Runner) RunCtx(ctx context.Context, name string, cell GridCell) (WorkloadRun, error) {
 	key := cellKey{name, cell}
 	if err := CheckTRH(cell.Scheme, cell.TRH); err != nil {
@@ -599,8 +596,6 @@ func (r *Runner) computeCell(ctx context.Context, key cellKey) (WorkloadRun, err
 // *CellError), independent of completion order. When ctx ends, no
 // further cell is dispatched and the context's error is returned; the
 // cells completed so far stay memoized.
-//
-//detertaint:root
 func (r *Runner) Precompute(ctx context.Context, names []string, cells []GridCell) error {
 	if len(cells) == 0 {
 		return nil
@@ -613,8 +608,6 @@ func (r *Runner) Precompute(ctx context.Context, names []string, cells []GridCel
 
 // Cells returns every memoized cell, in canonical workload/scheme/trh
 // order, a plain cell before its variants and variants by label.
-//
-//detertaint:root
 func (r *Runner) Cells() []WorkloadRun {
 	r.mu.Lock()
 	out := make([]WorkloadRun, 0, len(r.cellMemo))

@@ -437,8 +437,6 @@ func (s *System) batchLimit(until dram.PS) dram.PS {
 // is serviced, in due order, inside Submit -> Advance, and its next due
 // time (Controller.NextEvent) only bounds the batch. See DESIGN.md
 // "Event-driven core & time-skip invariants".
-//
-//detertaint:root
 func (s *System) RunCtx(ctx context.Context, until dram.PS) (Result, error) {
 	if _, err := s.issueLoop(ctx, until, math.MaxInt); err != nil {
 		return Result{}, err
