@@ -29,12 +29,14 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzz smoke against the AQUA engine's structural invariants, the
-# aqua-trace-v1 reader (the only trace file format the repo parses) and
-# the trace tier's packed column codec.
+# aqua-trace-v1 reader (the only trace file format the repo parses), the
+# trace tier's packed column codec and the paged CAT against its eager
+# reference layout.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCore -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzBinaryReader -fuzztime=10s ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzPackedRoundTrip -fuzztime=10s ./internal/trace
+	$(GO) test -run='^$$' -fuzz=FuzzCATMatchesEager -fuzztime=10s ./internal/cat
 
 # Full benchmark sweep (64ms window, 34 workloads). Knobs:
 #   REPRO_BENCH_WINDOW_MS=4 REPRO_BENCH_WORKLOADS=spec  quick mode

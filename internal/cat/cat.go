@@ -11,11 +11,18 @@
 // 23K valid) the probability of an unplaceable entry is negligible; the
 // implementation surfaces it as ErrFull so tests can verify the
 // provisioning claim empirically.
+//
+// The table is provisioned for a whole epoch's worst case (6 MiB of slots
+// for RRS's RIT at T_RH 1K), while a short run fills a few hundred
+// entries. So the slots are allocated a page of sets at a time, on the
+// first insert that lands in the page; a page never written reads as
+// empty. Pages are kept once made, so a warm table allocates nothing.
 package cat
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/dram"
 )
@@ -56,22 +63,26 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// pageSets is the number of sets one page holds (512 bytes at 8 ways).
+// Pages this small keep a few hundred scattered entries to a few hundred
+// KiB of a 4 MiB table, while the page table stays at 24 bytes per page.
+const pageSets = 8
+
 type slot struct {
-	key   dram.Row
+	key   uint32 // row+1; 0 marks an empty way
 	value uint32
-	valid bool
 }
 
 // Table is a two-skew CAT mapping dram.Row keys to 32-bit values. Not safe
 // for concurrent use.
 type Table struct {
-	cfg   Config
-	skews [2][]slot // each skew: Sets*Ways slots
-	count int
-
-	// stats
+	cfg Config
+	// pages holds skew 0's sets followed by skew 1's, pageSets (or all
+	// 2*Sets, if fewer) to a page; a nil page has never been written.
+	pages       [][]slot
+	pageShift   uint // log2 of the sets per page
+	count       int
 	relocations int64
-	failures    int64
 }
 
 // New builds a CAT; it panics on invalid configuration.
@@ -79,11 +90,12 @@ func New(cfg Config) *Table {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	t := &Table{cfg: cfg}
-	for i := range t.skews {
-		t.skews[i] = make([]slot, cfg.Sets*cfg.Ways)
+	per := min(pageSets, 2*cfg.Sets)
+	return &Table{
+		cfg:       cfg,
+		pages:     make([][]slot, 2*cfg.Sets/per),
+		pageShift: uint(bits.TrailingZeros(uint(per))),
 	}
-	return t
 }
 
 // Capacity returns the total number of slots across both skews.
@@ -104,20 +116,42 @@ func (t *Table) hash(skew int, key dram.Row) int {
 	return int(z & uint64(t.cfg.Sets-1))
 }
 
-// set returns the slots of the given skew/set.
-func (t *Table) set(skew, setIdx int) []slot {
-	base := setIdx * t.cfg.Ways
-	return t.skews[skew][base : base+t.cfg.Ways]
+// set returns the slots of the given skew/set, or nil while its page has
+// never been written (every way empty). alloc makes the page if needed.
+func (t *Table) set(skew, setIdx int, alloc bool) []slot {
+	g := skew*t.cfg.Sets + setIdx
+	page := &t.pages[g>>t.pageShift]
+	if *page == nil {
+		if !alloc {
+			return nil
+		}
+		*page = make([]slot, t.cfg.Ways<<t.pageShift)
+	}
+	base := (g & (1<<t.pageShift - 1)) * t.cfg.Ways
+	return (*page)[base : base+t.cfg.Ways]
+}
+
+// find returns the set and way holding key, or a nil set if it is absent.
+func (t *Table) find(key dram.Row) ([]slot, int) {
+	if key == dram.InvalidRow {
+		return nil, 0 // its key+1 is 0, which every empty way holds
+	}
+	k := uint32(key) + 1
+	for skew := 0; skew < 2; skew++ {
+		set := t.set(skew, t.hash(skew, key), false)
+		for i := range set {
+			if set[i].key == k {
+				return set, i
+			}
+		}
+	}
+	return nil, 0
 }
 
 // Lookup returns the value mapped to key.
 func (t *Table) Lookup(key dram.Row) (uint32, bool) {
-	for skew := 0; skew < 2; skew++ {
-		for _, s := range t.set(skew, t.hash(skew, key)) {
-			if s.valid && s.key == key {
-				return s.value, true
-			}
-		}
+	if set, i := t.find(key); set != nil {
+		return set[i].value, true
 	}
 	return 0, false
 }
@@ -128,11 +162,11 @@ func (t *Table) Contains(key dram.Row) bool {
 	return ok
 }
 
-// freeWays counts invalid slots in a set.
-func freeWays(set []slot) int {
+// used counts occupied ways in a set; a nil (unwritten) set has none.
+func used(set []slot) int {
 	n := 0
 	for _, s := range set {
-		if !s.valid {
+		if s.key != 0 {
 			n++
 		}
 	}
@@ -140,54 +174,54 @@ func freeWays(set []slot) int {
 }
 
 // Insert adds or updates a mapping. Returns ErrFull only if both candidate
-// sets are full and bounded relocation cannot make room.
+// sets are full and bounded relocation cannot make room. It panics on
+// dram.InvalidRow, which is no row.
 func (t *Table) Insert(key dram.Row, value uint32) error {
-	// Update in place if present.
-	for skew := 0; skew < 2; skew++ {
-		set := t.set(skew, t.hash(skew, key))
-		for i := range set {
-			if set[i].valid && set[i].key == key {
-				set[i].value = value
-				return nil
-			}
-		}
+	if key == dram.InvalidRow {
+		panic("cat: InvalidRow is not a key")
 	}
-	return t.place(key, value, t.cfg.MaxRelocations)
+	if set, i := t.find(key); set != nil {
+		set[i].value = value
+		return nil
+	}
+	return t.place(slot{key: uint32(key) + 1, value: value}, t.cfg.MaxRelocations)
 }
 
-// place installs a (key, value) that is known to be absent.
-func (t *Table) place(key dram.Row, value uint32, budget int) error {
-	set0 := t.set(0, t.hash(0, key))
-	set1 := t.set(1, t.hash(1, key))
-	f0, f1 := freeWays(set0), freeWays(set1)
-	target := set0
-	if f1 > f0 {
-		target = set1
-	}
-	if f0 == 0 && f1 == 0 {
+// place installs an entry whose key is known to be absent.
+func (t *Table) place(s slot, budget int) error {
+	key := dram.Row(s.key - 1)
+	h0, h1 := t.hash(0, key), t.hash(1, key)
+	set0, set1 := t.set(0, h0, false), t.set(1, h1, false)
+	u0, u1 := used(set0), used(set1)
+	if u0 == t.cfg.Ways && u1 == t.cfg.Ways {
 		if budget <= 0 {
-			t.failures++
 			return ErrFull
 		}
 		// Relocate: displace the first entry of skew 0's set to its
 		// alternate skew, recursively.
 		victim := set0[0]
-		set0[0] = slot{key: key, value: value, valid: true}
+		set0[0] = s
 		t.relocations++
 		t.count-- // the displaced victim is re-inserted below
-		if err := t.place(victim.key, victim.value, budget-1); err != nil {
+		if err := t.place(victim, budget-1); err != nil {
 			// Roll back: restore the victim and report failure.
 			set0[0] = victim
 			t.count++
-			t.failures++
 			return ErrFull
 		}
 		t.count++
 		return nil
 	}
+	// The emptier set wins, skew 0 on a tie; an unwritten set gets its
+	// page now.
+	skew, idx := 0, h0
+	if u1 < u0 {
+		skew, idx = 1, h1
+	}
+	target := t.set(skew, idx, true)
 	for i := range target {
-		if !target[i].valid {
-			target[i] = slot{key: key, value: value, valid: true}
+		if target[i].key == 0 {
+			target[i] = s
 			t.count++
 			return nil
 		}
@@ -197,45 +231,11 @@ func (t *Table) place(key dram.Row, value uint32, budget int) error {
 
 // Delete removes a mapping; it reports whether the key was present.
 func (t *Table) Delete(key dram.Row) bool {
-	for skew := 0; skew < 2; skew++ {
-		set := t.set(skew, t.hash(skew, key))
-		for i := range set {
-			if set[i].valid && set[i].key == key {
-				set[i] = slot{}
-				t.count--
-				return true
-			}
-		}
+	set, i := t.find(key)
+	if set == nil {
+		return false
 	}
-	return false
-}
-
-// Clear removes all entries.
-func (t *Table) Clear() {
-	for skew := range t.skews {
-		for i := range t.skews[skew] {
-			t.skews[skew][i] = slot{}
-		}
-	}
-	t.count = 0
-}
-
-// Range calls fn for every valid entry until fn returns false. Iteration
-// order is unspecified but deterministic.
-func (t *Table) Range(fn func(key dram.Row, value uint32) bool) {
-	for skew := range t.skews {
-		for _, s := range t.skews[skew] {
-			if s.valid && !fn(s.key, s.value) {
-				return
-			}
-		}
-	}
-}
-
-// SRAMBytes returns the storage footprint given key and value widths in
-// bits (plus one valid bit per slot), mirroring the paper's accounting
-// (e.g. 32K entries x 27 bits ~= 108KB for the FPT).
-func (t *Table) SRAMBytes(keyBits, valueBits int) int {
-	bits := t.Capacity() * (1 + keyBits + valueBits)
-	return (bits + 7) / 8
+	set[i] = slot{}
+	t.count--
+	return true
 }

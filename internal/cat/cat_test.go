@@ -1,6 +1,7 @@
 package cat
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -151,58 +152,6 @@ func TestRelocationMakesRoom(t *testing.T) {
 	}
 }
 
-func TestRangeVisitsAll(t *testing.T) {
-	tab := New(smallCfg())
-	want := map[dram.Row]uint32{1: 10, 2: 20, 3: 30}
-	for k, v := range want {
-		tab.Insert(k, v)
-	}
-	got := make(map[dram.Row]uint32)
-	tab.Range(func(k dram.Row, v uint32) bool {
-		got[k] = v
-		return true
-	})
-	if len(got) != len(want) {
-		t.Fatalf("range visited %d entries", len(got))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("range saw %d=%d", k, got[k])
-		}
-	}
-	// Early termination.
-	n := 0
-	tab.Range(func(dram.Row, uint32) bool { n++; return false })
-	if n != 1 {
-		t.Fatalf("range did not stop: %d", n)
-	}
-}
-
-func TestClear(t *testing.T) {
-	tab := New(smallCfg())
-	for i := 0; i < 20; i++ {
-		tab.Insert(dram.Row(i), uint32(i))
-	}
-	tab.Clear()
-	if tab.Len() != 0 {
-		t.Fatal("clear left entries")
-	}
-	if tab.Contains(dram.Row(3)) {
-		t.Fatal("clear left key 3")
-	}
-}
-
-func TestSRAMBytes(t *testing.T) {
-	tab := New(DefaultFPT(1))
-	// 32K entries x (1 + 21 + 15) bits = 148KB; with the paper's folded
-	// tag accounting it reports 108KB — verify our first-principles value.
-	got := tab.SRAMBytes(21, 15)
-	want := 32 * 1024 * 37 / 8
-	if got != want {
-		t.Fatalf("SRAMBytes = %d, want %d", got, want)
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{Sets: 0, Ways: 1},
@@ -223,11 +172,71 @@ func TestDeterministicPlacement(t *testing.T) {
 		a.Insert(dram.Row(i*17), uint32(i))
 		b.Insert(dram.Row(i*17), uint32(i))
 	}
-	a.Range(func(k dram.Row, v uint32) bool {
-		bv, ok := b.Lookup(k)
-		if !ok || bv != v {
-			t.Fatalf("tables diverged at %d", k)
+	for i := 0; i < 100; i++ {
+		av, aok := a.Lookup(dram.Row(i * 17))
+		bv, bok := b.Lookup(dram.Row(i * 17))
+		if av != bv || aok != bok {
+			t.Fatalf("tables diverged at %d", i*17)
 		}
-		return true
-	})
+	}
+	if a.Len() != b.Len() || a.Relocations() != b.Relocations() {
+		t.Fatalf("tables diverged: len %d/%d, relocations %d/%d",
+			a.Len(), b.Len(), a.Relocations(), b.Relocations())
+	}
+}
+
+// TestRefillDoesNotAllocate pins what keeps a warm table allocation-free:
+// a page stays allocated once made, so deleting every entry (as RRS's
+// epoch end does to the RIT) and inserting the keys again makes no malloc.
+func TestRefillDoesNotAllocate(t *testing.T) {
+	tab := New(Config{Sets: 1024, Ways: 8, Seed: 3, MaxRelocations: 16})
+	refill := func() {
+		for i := 0; i < 2000; i++ {
+			tab.Delete(dram.Row(i * 977))
+		}
+		for i := 0; i < 2000; i++ {
+			if err := tab.Insert(dram.Row(i*977), uint32(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	refill()
+	if allocs := testing.AllocsPerRun(5, refill); allocs != 0 {
+		t.Fatalf("deleting and reinserting 2000 keys made %v mallocs, want 0", allocs)
+	}
+}
+
+// TestFullOccupancyFootprint fills a table at RRS's T_RH 1K RIT
+// provisioning (32,768 sets x 8 ways x 2 skews) with 261,860 distinct keys,
+// two per swap the 64 ms epoch allows, and bounds the bytes that takes
+// (the TotalAlloc delta across New and the inserts) by the 6 MiB an
+// eagerly allocated table of 12-byte slots cost. Allocating every page
+// costs 4 MiB of 8-byte slots plus the page table; a slot pool grown by
+// append would pay for its discarded doublings as well.
+func TestFullOccupancyFootprint(t *testing.T) {
+	const (
+		mib  = 1 << 20
+		keys = 261860
+	)
+	cfg := Config{Sets: 32768, Ways: 8, Seed: 1, MaxRelocations: 16}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tab := New(cfg)
+	for i := 0; i < keys; i++ {
+		// An odd multiplier permutes the 2M rows of the paper's rank, so
+		// the keys are distinct and spread like random rows.
+		key := dram.Row(uint32(i) * 0x9e3779b1 & (1<<21 - 1))
+		if err := tab.Insert(key, uint32(i)); err != nil {
+			t.Fatalf("insert %d of %d: %v", i, keys, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if tab.Len() != keys {
+		t.Fatalf("len = %d, want %d", tab.Len(), keys)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d entries: %.2f MiB", keys, float64(got)/mib)
+	if got > 6*mib {
+		t.Fatalf("filling the table allocated %.2f MiB, more than the 6 MiB of eager slots", float64(got)/mib)
+	}
 }

@@ -149,13 +149,13 @@ func (c Config) EffectiveThreshold() int64 {
 	return t
 }
 
-// rptEntry is one Reverse-Pointer Table slot.
+// rptEntry is one Reverse-Pointer Table slot (12 bytes).
 type rptEntry struct {
 	install dram.Row // original (install) row held in this slot
 	valid   bool
 	// epochUsed is the last epoch in which this slot was installed to or
 	// hammered; a slot is never reused as a destination within that epoch.
-	epochUsed int64
+	epochUsed int32
 }
 
 // Engine is the AQUA mitigation engine for one rank. It implements
@@ -175,9 +175,11 @@ type Engine struct {
 	tableRowsPerBnk int
 
 	// fptSlot is the authoritative forward mapping: install row -> RQA slot,
-	// holding exactly the quarantined rows (at most one per slot, so it is
-	// made RQA-sized up front). In hardware this is the FPT content; the
-	// SRAM CAT / in-DRAM table model the *access cost* of reaching it.
+	// holding exactly the quarantined rows. It starts empty and doubles to
+	// its high-water mark, at most one entry per slot; a short run
+	// quarantines a small fraction of an epoch-sized RQA. In hardware this
+	// is the FPT content; the SRAM CAT / in-DRAM table model the *access
+	// cost* of reaching it.
 	fptSlot rowmap.Map
 	rpt     []rptEntry
 	// fast is the Translate fast path: bit `row` is set exactly when the
@@ -200,7 +202,9 @@ type Engine struct {
 	fastLat   dram.PS
 	fastClass mitigation.LookupClass
 	head      int
-	epoch     int64
+	// epoch counts tracker epochs; an int32 lasts 2^31 64 ms epochs, over
+	// four years of simulated time.
+	epoch int32
 	// quarCount tracks the number of valid RPT entries incrementally, so
 	// the invariant layer can assert occupancy in O(1) after each
 	// mitigation and cross-check it against the full scan at epoch ends.
@@ -311,7 +315,6 @@ func New(rank *dram.Rank, cfg Config) *Engine {
 		fptTableRows:    l.fptTableRows,
 		rptTableRows:    l.rptTableRows,
 		tableRowsPerBnk: l.tableRowsPerBnk,
-		fptSlot:         rowmap.New(rqa),
 		rpt:             make([]rptEntry, rqa),
 	}
 	for i := range e.rpt {
@@ -324,7 +327,10 @@ func New(rank *dram.Rank, cfg Config) *Engine {
 	}
 
 	if cfg.Mode == ModeSRAM {
-		sets := nextPow2(ceilDiv(rqa*14/10, 16)) // ~1.4x overprovision, 2 skews x 8 ways
+		// Provisioned for a full RQA, ~1.4x overprovisioned as 2 skews x 8
+		// ways; the CAT allocates its slots a page at a time as entries
+		// land in them.
+		sets := nextPow2(ceilDiv(rqa*14/10, 16))
 		if sets < 1 {
 			sets = 1
 		}

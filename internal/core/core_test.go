@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -613,5 +614,51 @@ func TestHeadSkipsSameEpochSlots(t *testing.T) {
 	}
 	if err := eng.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWarmQuarantinesDoNotAllocate is RRS's TestWarmMitigationsDoNotAllocate
+// for AQUA, in both table modes. The forward map and the SRAM mode's CAT
+// pages grow to a high-water mark instead of being made at full size, so
+// once the RQA head has wrapped, 1,250 more quarantines must make no
+// malloc. Mallocs are counted rather than using testing.AllocsPerRun,
+// which rounds a fractional per-ACT rate down to zero. The hammer cycles
+// a 64-row hot set that moves on at every epoch (4,096 activations), so
+// the RQA holds an epoch's quarantines and the head evicts rows left
+// there by earlier epochs, deleting their forward entries.
+func TestWarmQuarantinesDoNotAllocate(t *testing.T) {
+	geom := testGeom()
+	for _, mode := range []Mode{ModeSRAM, ModeMemMapped} {
+		t.Run(mode.String(), func(t *testing.T) {
+			eng := New(dram.NewRank(geom, dram.DDR4()), Config{TRH: 60, Mode: mode, RQARows: 256, Seed: 1}) // default Misra-Gries tracker
+			visible := eng.VisibleRowsPerBank()
+			at := dram.PS(0)
+			acts := 0
+			quarantine := func(n int64) {
+				for target := eng.Stats().Mitigations + n; eng.Stats().Mitigations < target; acts++ {
+					hot := acts/geom.Banks*7%16 + 16*(acts/4096)
+					tr := eng.Translate(geom.RowOf(acts%geom.Banks, hot%visible), at)
+					at += eng.OnActivate(tr.PhysRow, at) + 50*dram.Nanosecond
+					if acts%4096 == 4095 {
+						eng.OnEpoch(at)
+					}
+				}
+			}
+			quarantine(1250) // the head wraps more than four times
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			evictions := eng.Stats().Evictions
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			quarantine(1250)
+			runtime.ReadMemStats(&after)
+			if n := after.Mallocs - before.Mallocs; n != 0 {
+				t.Fatalf("1250 warm quarantines made %d mallocs, want 0", n)
+			}
+			s := eng.Stats()
+			if s.Evictions == evictions || s.ReuseViolations != 0 || eng.CATFailures() != 0 {
+				t.Fatalf("%d evictions, %d reuse violations, %d CAT failures; want >0, 0, 0",
+					s.Evictions-evictions, s.ReuseViolations, eng.CATFailures())
+			}
+		})
 	}
 }

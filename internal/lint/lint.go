@@ -54,9 +54,7 @@ type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
 	Files    []*ast.File
-	Pkg      *types.Package
 	Info     *types.Info
-	PkgPath  string
 
 	diags   *[]Diagnostic
 	ignores *ignoreIndex
@@ -89,20 +87,6 @@ func (p *Pass) PkgNameOf(id *ast.Ident) *types.PkgName {
 		}
 	}
 	return nil
-}
-
-// IsPkgCall reports whether call invokes pkgPath.name (e.g. "time", "Now").
-func (p *Pass) IsPkgCall(call *ast.CallExpr, pkgPath, name string) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != name {
-		return false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	pn := p.PkgNameOf(id)
-	return pn != nil && pn.Imported().Path() == pkgPath
 }
 
 var ignoreRe = regexp.MustCompile(`^//\s*aqualint:ignore(?:\s+([A-Za-z0-9_,-]+))?`)
@@ -186,9 +170,7 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 			Analyzer: an,
 			Fset:     pkg.Fset,
 			Files:    pkg.Files,
-			Pkg:      pkg.Types,
 			Info:     pkg.Info,
-			PkgPath:  pkg.Path,
 			diags:    &diags,
 			ignores:  pkg.ignoreIndex(),
 		}

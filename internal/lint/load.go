@@ -20,9 +20,7 @@ import (
 type Package struct {
 	// Path is the import path ("repro/internal/dram"), or a synthetic
 	// label for directories outside the module (analyzer test corpora).
-	Path string
-	// Dir is the directory the package was loaded from.
-	Dir   string
+	Path  string
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
@@ -211,7 +209,6 @@ func (l *Loader) LoadAs(dir, path string) (*Package, error) {
 	}
 	pkg := &Package{
 		Path:  path,
-		Dir:   abs,
 		Fset:  l.Fset,
 		Files: files,
 		Info: &types.Info{

@@ -107,9 +107,13 @@ func New(rank *dram.Rank, cfg Config) *Engine {
 		rnd:  rng.New(cfg.Seed ^ 0x5272735f), // "rrs_"
 	}
 	// RIT provisioning: entries for every row swappable in one epoch (two
-	// per swap), 1.4x overprovisioned, organised as a 2-skew x 8-way CAT.
+	// per swap, but no more than the rank's rows, since a row is in at most
+	// one pair), 1.4x overprovisioned, organised as a 2-skew x 8-way CAT.
+	// That is 4 MiB of slots at T_RH 1K, which the CAT allocates a page at
+	// a time as entries land in them: a run that swaps a few hundred rows
+	// holds a few hundred KiB of it.
 	maxSwaps := rank.Timing().ACTMax() * int64(geom.Banks) / cfg.SwapThreshold()
-	entries := int(float64(2*maxSwaps) * 1.4)
+	entries := int(float64(min(2*maxSwaps, int64(geom.Rows()))) * 1.4)
 	sets := nextPow2(ceilDiv(entries, 16))
 	if sets < 1 {
 		sets = 1

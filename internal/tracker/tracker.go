@@ -48,10 +48,12 @@ type Tracker interface {
 // count here is a *lazily maintained lower bound* on the row's true count
 // in MisraGries.cnt: the hot path increments cnt without touching the
 // heap, and ensureMin refreshes keys only when an eviction decision needs
-// the true minimum.
+// the true minimum. The heaps are provisioned at ProvisionEntries per
+// bank (8,183 entries, 130,928 per rank, at RRS's T_RH 1K), so the count
+// takes cnt's int32 bound to keep an entry at 8 bytes.
 type entry struct {
 	row   dram.Row
-	count int64
+	count int32
 }
 
 // MisraGries is a per-bank Misra-Gries (Graphene-style) tracker. Each bank
@@ -95,7 +97,7 @@ type MisraGries struct {
 
 type mgBank struct {
 	heap  []entry // min-heap on the stale (count, row) lower bounds
-	spill int64
+	spill int32   // bounded like the counts: by the bank's ACTs per epoch
 }
 
 // NewMisraGries builds a tracker that flags rows every `threshold`
@@ -211,7 +213,7 @@ func (b *mgBank) siftDown(i int) int {
 // RecordACT calls the work is bounded by the hit-path sifts it replaced.
 func (t *MisraGries) ensureMin(b *mgBank) {
 	for {
-		true_ := t.EstimatedCount(b.heap[0].row)
+		true_, _ := t.cnt.Get(b.heap[0].row)
 		if true_ == b.heap[0].count {
 			return
 		}
@@ -259,10 +261,10 @@ func (t *MisraGries) install(row dram.Row) bool {
 		// Free slot: install with the spill counter inherited, which may
 		// immediately cross the threshold (the spurious-mitigation path).
 		c := b.spill + 1
-		t.cnt.Set(row, int32(c))
+		t.cnt.Set(row, c)
 		b.heap = append(b.heap, entry{row: row, count: c})
 		b.siftUp(len(b.heap) - 1)
-		return t.thr.of(c)
+		return t.thr.of(int64(c))
 	}
 	// Table full: bump the spill counter; once it catches up with the
 	// minimum tracked count, the minimum entry and the spill counter
@@ -280,11 +282,11 @@ func (t *MisraGries) install(row dram.Row) bool {
 			evicted := b.heap[0].count
 			t.cnt.Delete(b.heap[0].row)
 			c := b.spill
-			t.cnt.Set(row, int32(c))
+			t.cnt.Set(row, c)
 			b.heap[0] = entry{row: row, count: c}
 			b.siftDown(0)
 			b.spill = evicted
-			return t.thr.of(c)
+			return t.thr.of(int64(c))
 		}
 	}
 	return false
@@ -308,7 +310,7 @@ func (t *MisraGries) EstimatedCount(row dram.Row) int64 {
 
 // Spill returns the current spill counter of the row's bank; exposed for
 // tests of the Misra-Gries invariant.
-func (t *MisraGries) Spill(bank int) int64 { return t.banks[bank].spill }
+func (t *MisraGries) Spill(bank int) int64 { return int64(t.banks[bank].spill) }
 
 // CorruptEntry deliberately corrupts one tracked counter (fault
 // injection): in the chosen bank, the heap entry at index idx (both taken
@@ -331,7 +333,7 @@ func (t *MisraGries) CorruptEntry(bank, idx int, newCount int64) (row dram.Row, 
 	// The corruption lands on the authoritative count and the heap key
 	// together (the key must stay a lower bound on the count).
 	t.cnt.Set(row, int32(newCount))
-	b.heap[i].count = newCount
+	b.heap[i].count = int32(newCount)
 	// Recovery: restore heap order around the bad value. siftDown handles
 	// an increased key; if the key shrank, siftDown is a no-op and siftUp
 	// lifts it.
@@ -352,7 +354,7 @@ func (t *MisraGries) CheckConsistency() error {
 		b := &t.banks[bi]
 		tracked += len(b.heap)
 		for i := range b.heap {
-			c := t.EstimatedCount(b.heap[i].row)
+			c, _ := t.cnt.Get(b.heap[i].row)
 			if c < 1 {
 				return fmt.Errorf("tracker: bank %d heap[%d] row %d has count %d < 1", bi, i, b.heap[i].row, c)
 			}
