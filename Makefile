@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build lint test race fuzz bench bench-quick bench-smoke bench-full fault-smoke cache-smoke examples-smoke
+.PHONY: all build lint test race fuzz bench bench-quick bench-smoke bench-full cache-smoke examples-smoke
 
 all: build lint test
 
@@ -121,46 +121,6 @@ cache-smoke:
 	grep -q 'cell cache: .* 0 simulated' "$$dir/all2.err" || { echo "FAIL: warm -all run simulated cells"; exit 1; }; \
 	! grep -q '\[trace tier:' "$$dir/all2.err" || { grep '\[trace tier:' "$$dir/all2.err"; echo "FAIL: warm -all run built systems"; exit 1; }; \
 	echo "cache-smoke OK"
-
-# Fault-matrix smoke (see DESIGN.md "Failure model & graceful
-# degradation"): an injected panicking cell must not abort the run — the
-# process finishes, names the cell in the failure summary, and exits 1 —
-# and an injected RQA overflow must degrade to the victim-refresh
-# fallback and be reported, not crash. Fault-matched cells are cached
-# under keys that hash the rules: a rerun with the same rules over the
-# same -cache-dir must print the same output, degraded-cells table
-# included, while simulating nothing, and a run without the rules over
-# that directory must take no hits.
-fault-smoke:
-	@echo "--- panic cell: run completes, reports the cell, exits non-zero"
-	@out=$$($(GO) run ./cmd/figures -workloads spec -window 1 -j 4 -figure 7 \
-		-faults 'xz/rrs/1000=panic@once:0' 2>&1); code=$$?; \
-	echo "$$out" | tail -6; \
-	test $$code -ne 0 || { echo "FAIL: expected non-zero exit"; exit 1; }; \
-	echo "$$out" | grep -q 'Failure summary' || { echo "FAIL: no failure summary"; exit 1; }; \
-	echo "$$out" | grep -q 'xz/rrs/1000' || { echo "FAIL: failed cell not named"; exit 1; }
-	@echo "--- rqa-overflow cell: run completes and reports the degraded mitigation"
-	@out=$$($(GO) run ./cmd/aquasim -workload lbm -scheme aqua-memmapped -trh 125 -window 1 \
-		-faults 'lbm/aqua-memmapped/125=rqa-overflow@p:1' 2>&1) || { echo "$$out"; echo "FAIL: aquasim exited non-zero"; exit 1; }; \
-	echo "$$out" | grep 'faults injected'; \
-	echo "$$out" | grep -q 'overflow fallbacks' || { echo "FAIL: overflow fallback not reported"; exit 1; }
-	@echo "--- degraded cell, cached: a rerun with the same rules serves it; a run without them takes no hits"
-	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
-	$(GO) build -o "$$dir/figures" ./cmd/figures || exit 1; \
-	run() { "$$dir/figures" -workloads spec -window 1 -figure 7 -cache-dir "$$dir/cache" "$$@"; }; \
-	rules='wrf/aqua-sram/1000=refresh-collision@p:0.5'; \
-	run -faults "$$rules" >"$$dir/cold.out" 2>"$$dir/cold.err" || { cat "$$dir/cold.err"; echo "FAIL: faulted run"; exit 1; }; \
-	grep -q '^wrf  *aqua-sram  *1000 ' "$$dir/cold.out" || { echo "FAIL: degraded cell not reported"; exit 1; }; \
-	run -faults "$$rules" >"$$dir/rerun.out" 2>"$$dir/rerun.err" || { cat "$$dir/rerun.err"; echo "FAIL: faulted rerun"; exit 1; }; \
-	grep -o 'cell cache: .*' "$$dir/rerun.err"; \
-	cmp -s "$$dir/cold.out" "$$dir/rerun.out" || { echo "FAIL: cached rerun printed different output"; exit 1; }; \
-	sim=$$(sed -n 's/.*cell cache: .* \([0-9]*\) simulated.*/\1/p' "$$dir/cold.err"); \
-	grep -q "cell cache: $$sim hits, 0 misses, .* 0 simulated" "$$dir/rerun.err" \
-		|| { echo "FAIL: cached rerun did not serve all $$sim cells the first run simulated"; exit 1; }; \
-	run >/dev/null 2>"$$dir/clean.err" || { cat "$$dir/clean.err"; echo "FAIL: fault-free run"; exit 1; }; \
-	grep -o 'cell cache: .*' "$$dir/clean.err"; \
-	grep -q 'cell cache: 0 hits' "$$dir/clean.err" || { echo "FAIL: a fault-free run was served entries written under rules"; exit 1; }
-	@echo "fault-smoke OK"
 
 # Examples smoke: every example under examples/ must run to exit 0 (CI
 # otherwise only compiles them), and the Half-Double demo must show its

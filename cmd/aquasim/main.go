@@ -10,7 +10,6 @@
 //
 //	aquasim -workload lbm -scheme aqua-memmapped -trh 1000
 //	aquasim -workload mix03 -scheme rrs -trh 1000 -window 16
-//	aquasim -faults '*/*/*=ecc-flip@p:0.01' -workload lbm
 //	aquasim -timeout 2m -workload mix03
 //	aquasim -cache-dir ~/.cache/aqua -workload lbm   # persist + reuse results
 //	aquasim -attack double-sided -scheme baseline              # succeeds (flips)
@@ -40,7 +39,6 @@ import (
 	"repro"
 	"repro/internal/cellcache"
 	"repro/internal/dram"
-	"repro/internal/fault"
 	"repro/internal/mitigation"
 	"repro/internal/sim"
 )
@@ -70,7 +68,6 @@ func run(args []string, stdout io.Writer) error {
 	trh := flags.Int64("trh", 1000, "Rowhammer threshold T_RH (>= 2; AQUA >= 4, RRS >= 42)")
 	windowMS := flags.Int("window", 64, "simulated window in ms (>= 1)")
 	seed := flags.Uint64("seed", 0, "experiment seed")
-	faultSpec := flags.String("faults", "", "fault-injection rules, e.g. 'lbm/aqua-memmapped/1000=ecc-flip@p:0.01'")
 	timeout := flags.Duration("timeout", 0, "cancel the run after this wall-clock duration (0 = none)")
 	cacheDir := flags.String("cache-dir", "", "result cache directory shared with cmd/figures (empty = no cache)")
 	jsonOut := flags.Bool("json", false, "emit machine-readable JSON instead of text")
@@ -114,7 +111,7 @@ func run(args []string, stdout io.Writer) error {
 		var set []string
 		flags.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "workload", "window", "faults", "cache-dir", "json":
+			case "workload", "window", "cache-dir", "json":
 				set = append(set, "-"+f.Name)
 			}
 		})
@@ -127,15 +124,10 @@ func run(args []string, stdout io.Writer) error {
 	if *windowMS < 1 {
 		return fmt.Errorf("-window %d: must be at least 1 ms", *windowMS)
 	}
-	rules, err := fault.ParseRules(*faultSpec)
-	if err != nil {
-		return fmt.Errorf("-faults: %w", err)
-	}
 	runner, err := sim.NewRunnerE(sim.ExpConfig{
 		Window:    dram.PS(*windowMS) * dram.Millisecond,
 		Seed:      *seed,
 		Calibrate: true,
-		Faults:    rules,
 	})
 	if err != nil {
 		return err
@@ -181,8 +173,7 @@ func run(args []string, stdout io.Writer) error {
 				"singleton":      bd.Singleton,
 				"dram":           bd.DRAM,
 			},
-			"wall_time":       time.Since(start).String(),
-			"faults_injected": res.FaultStats.Injected,
+			"wall_time": time.Since(start).String(),
 		}
 		if useCache {
 			cs := runner.CellStats()
@@ -227,10 +218,6 @@ func run(args []string, stdout io.Writer) error {
 		if classes != "" {
 			fmt.Fprintf(stdout, "lookup classes %s\n", classes)
 		}
-	}
-	if fs := res.FaultStats; fs.Injected > 0 {
-		fmt.Fprintf(stdout, "faults injected %d (migration aborts %d, overflow fallbacks %d, refresh collisions %d)\n",
-			fs.Injected, st.MigrationAborts, st.OverflowFallbacks, res.CtrlStats.RefreshCollisions)
 	}
 	if useCache {
 		if cs := runner.CellStats(); cs.Requests > 0 {

@@ -120,8 +120,7 @@ func TestRejectsWindowBelowOneMs(t *testing.T) {
 // are errors next to -attack.
 func TestAttackRejectsWorkloadFlags(t *testing.T) {
 	for _, extra := range [][]string{
-		{"-workload", "lbm"}, {"-window", "1"}, {"-faults", "*/*/*=ecc-flip@p:0.01"},
-		{"-cache-dir", t.TempDir()}, {"-json"},
+		{"-workload", "lbm"}, {"-window", "1"}, {"-cache-dir", t.TempDir()}, {"-json"},
 	} {
 		args := append([]string{"-attack", "dos"}, extra...)
 		var out bytes.Buffer

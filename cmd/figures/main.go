@@ -10,10 +10,14 @@
 //	figures -window 16               # simulated window in ms (default 64)
 //	figures -j 8                     # concurrent simulations (0 = all cores)
 //
-// Robustness (see DESIGN.md "Failure model & graceful degradation"):
+// Timeouts and failures (see DESIGN.md "Failure model: cell isolation
+// and cancellation"):
 //
-//	figures -faults 'xz/rrs/1000=panic@once:0'   # deterministic fault injection
-//	figures -timeout 10m                         # cancel the whole run after a deadline
+//	figures -timeout 10m             # cancel the whole run after a deadline
+//
+// A failing cell does not abort the run: every figure that doesn't
+// depend on it still renders byte-identically, failed figures are listed
+// in a summary table, and the exit status is 1.
 //
 // Incremental recomputation and resume (see DESIGN.md "Result cache &
 // incremental recomputation"):
@@ -25,10 +29,6 @@
 // finished cells are served, the rest simulate. Cached output is
 // byte-identical to a cold run; hit/miss/dedup counts are reported on
 // stderr at exit.
-//
-// A failing cell no longer aborts the run: every figure that doesn't
-// depend on it still renders byte-identically, failed figures are listed
-// in a summary table, and the exit status is 1.
 //
 // Profiling the simulator (see DESIGN.md "Performance model"):
 //
@@ -48,6 +48,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"runtime"
@@ -58,7 +59,6 @@ import (
 	"repro"
 	"repro/internal/cellcache"
 	"repro/internal/dram"
-	"repro/internal/fault"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -81,7 +81,6 @@ func realMain() int {
 	windowMS := flag.Int("window", 64, "simulated window per run in ms (>= 1)")
 	seed := flag.Uint64("seed", 0, "experiment seed (0 = default)")
 	par := flag.Int("j", 0, "concurrent simulations (0 = one per core, 1 = serial)")
-	faultSpec := flag.String("faults", "", "fault-injection rules, e.g. 'xz/rrs/1000=panic@once:0;*/aqua-memmapped/*=ecc-flip@p:0.01'")
 	timeout := flag.Duration("timeout", 0, "cancel the whole run after this wall-clock duration (0 = none)")
 	cacheDir := flag.String("cache-dir", "", "result cache directory: completed cells persist here, so a rerun resumes an interrupted run and warms future ones (empty = no cache)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
@@ -132,10 +131,6 @@ func realMain() int {
 		*all = true
 	}
 
-	rules, err := fault.ParseRules(*faultSpec)
-	if err != nil {
-		log.Fatalf("-faults: %v", err)
-	}
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
@@ -147,7 +142,6 @@ func realMain() int {
 		Window:   dram.PS(*windowMS) * dram.Millisecond,
 		Seed:     *seed,
 		Parallel: *par,
-		Faults:   rules,
 		Context:  ctx,
 	}
 	switch *workloads {
@@ -238,10 +232,6 @@ func realMain() int {
 			(*section != "" && j.name == "section "+*section)
 	}
 
-	type failure struct {
-		name string
-		err  error
-	}
 	var failures []failure
 	ran := 0
 	for _, j := range jobs {
@@ -272,36 +262,35 @@ func realMain() int {
 		return 1
 	}
 
-	// Degraded cells that still completed (injected hardware faults the
-	// scheme recovered from) are reported but don't fail the run.
-	if faulted := lab.FaultedCells(); len(faulted) > 0 {
-		t := stats.NewTable("Fault-injection summary: degraded cells (run completed)",
-			"Workload", "Scheme", "T_RH", "Faults injected")
-		for _, c := range faulted {
-			scheme := c.Scheme.String()
-			if c.Variant != "" {
-				scheme += " (" + c.Variant + ")"
-			}
-			t.AddRow(c.Workload, scheme, fmt.Sprintf("%d", c.TRH), fmt.Sprintf("%d", c.Injected))
-		}
-		fmt.Println(t.String())
-	}
+	return reportFailures(os.Stdout, failures, ran)
+}
 
-	if len(failures) > 0 {
-		t := stats.NewTable("Failure summary: outputs lost to failed cells",
-			"Output", "Cell", "Cause")
-		for _, f := range failures {
-			cell, cause := "-", f.err.Error()
-			var ce *sim.CellError
-			if errors.As(f.err, &ce) {
-				cell = ce.Label()
-				cause = ce.Err.Error()
-			}
-			t.AddRow(f.name, cell, cause)
-		}
-		fmt.Println(t.String())
-		log.Printf("%d of %d selected outputs failed", len(failures), ran+len(failures))
-		return 1
+// failure is one selected output lost to an error.
+type failure struct {
+	name string
+	err  error
+}
+
+// reportFailures writes the summary table of outputs lost to failed
+// cells to w and returns the exit status: 1 when any output failed, 0
+// otherwise. A *sim.CellError's row names the cell by its label and the
+// cell's own cause; any other error's row shows "-" as its cell.
+func reportFailures(w io.Writer, failures []failure, ran int) int {
+	if len(failures) == 0 {
+		return 0
 	}
-	return 0
+	t := stats.NewTable("Failure summary: outputs lost to failed cells",
+		"Output", "Cell", "Cause")
+	for _, f := range failures {
+		cell, cause := "-", f.err.Error()
+		var ce *sim.CellError
+		if errors.As(f.err, &ce) {
+			cell = ce.Label()
+			cause = ce.Err.Error()
+		}
+		t.AddRow(f.name, cell, cause)
+	}
+	fmt.Fprintln(w, t.String())
+	log.Printf("%d of %d selected outputs failed", len(failures), ran+len(failures))
+	return 1
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/analytic"
 	"repro/internal/cellcache"
 	"repro/internal/dram"
-	"repro/internal/fault"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -35,11 +34,6 @@ type LabOptions struct {
 	// cells simulate on isolated systems and the renderers read results
 	// back in canonical workload/cell order (see DESIGN.md).
 	Parallel int
-	// Faults injects deterministic faults into matching grid cells (see
-	// fault.ParseRules). A rule on a workload's baseline cell also reaches
-	// its calibration and baseline passes, and so every cell of that
-	// workload. Every other cell is bit-for-bit unaffected.
-	Faults *fault.Rules
 	// Context, when set, cancels in-flight and pending simulations when
 	// it is done; figure calls then return its error. Nil means
 	// context.Background().
@@ -82,7 +76,6 @@ func NewLab(opts LabOptions) *Lab {
 			Seed:      opts.Seed,
 			Calibrate: !opts.NoCalibration,
 			Parallel:  opts.Parallel,
-			Faults:    opts.Faults,
 		}),
 	}
 }
@@ -91,39 +84,16 @@ func NewLab(opts LabOptions) *Lab {
 // and calibrated IPCs are served from it without re-simulating and
 // written back to it as they complete (see DESIGN.md "Result cache &
 // incremental recomputation"). The store is shared across any number of
-// configurations — the key hashes the configuration, fault rules
-// included, so a changed option simply misses — and a lab interrupted
-// mid-run resumes by rerunning over the same directory. Failed and
-// cancelled cells never enter the store.
+// configurations — the key hashes the configuration, so a changed
+// option simply misses — and a lab interrupted mid-run resumes by
+// rerunning over the same directory. Failed and cancelled cells never
+// enter the store.
 func (l *Lab) AttachCache(s *cellcache.Store) { l.runner.AttachCellCache(s) }
 
 // CellStats reports how the lab's cell requests were satisfied: cache
 // hits/misses, deduplicated requests (renders re-reading a cell
 // included), and real simulations.
 func (l *Lab) CellStats() sim.CellStats { return l.runner.CellStats() }
-
-// FaultedCell summarizes one completed cell that had faults injected.
-type FaultedCell struct {
-	Workload string
-	Scheme   Scheme
-	TRH      int64
-	Variant  string // the cell's sim.Variant label
-	Injected int64
-}
-
-// FaultedCells lists every completed cell whose run had injected faults,
-// in canonical cell order, whether it simulated here or was served from
-// the store. Cells that failed outright have no result and are reported
-// through CellError instead.
-func (l *Lab) FaultedCells() []FaultedCell {
-	var out []FaultedCell
-	for _, r := range l.runner.Cells() {
-		if n := r.Result.FaultStats.Injected; n > 0 {
-			out = append(out, FaultedCell{Workload: r.Workload, Scheme: r.Scheme, TRH: r.TRH, Variant: r.Variant, Injected: n})
-		}
-	}
-	return out
-}
 
 // Run measures one workload under one scheme at a threshold through the
 // runner (see sim.Runner.RunCtx): memoized, coalesced with concurrent

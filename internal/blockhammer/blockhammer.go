@@ -14,6 +14,7 @@ package blockhammer
 import (
 	"repro/internal/dram"
 	"repro/internal/mitigation"
+	"repro/internal/rowmap"
 )
 
 // Config parameterizes Blockhammer.
@@ -64,7 +65,10 @@ type Engine struct {
 	cfg  Config
 	geom dram.Geometry
 
-	counts      map[dram.Row]int64
+	// counts holds each activated row's ACTs in the current window; a
+	// window's ACTs to one row fit in an int32. nextAllowed holds only
+	// blacklisted rows.
+	counts      rowmap.Map
 	nextAllowed map[dram.Row]dram.PS
 
 	stats mitigation.Stats
@@ -78,7 +82,6 @@ func New(rank *dram.Rank, cfg Config) *Engine {
 	return &Engine{
 		cfg:         cfg,
 		geom:        rank.Geometry(),
-		counts:      make(map[dram.Row]int64),
 		nextAllowed: make(map[dram.Row]dram.PS),
 	}
 }
@@ -95,7 +98,7 @@ func (e *Engine) Translate(row dram.Row, _ dram.PS) mitigation.Translation {
 // Delay implements mitigation.Mitigator: blacklisted rows are released at
 // the configured spacing.
 func (e *Engine) Delay(row dram.Row, now dram.PS) dram.PS {
-	if e.counts[row] < e.cfg.BlacklistThreshold {
+	if !e.Blacklisted(row) {
 		return now
 	}
 	issue := now
@@ -111,8 +114,14 @@ func (e *Engine) Delay(row dram.Row, now dram.PS) dram.PS {
 
 // OnActivate implements mitigation.Mitigator: count the activation.
 func (e *Engine) OnActivate(physRow dram.Row, _ dram.PS) dram.PS {
-	e.counts[physRow]++
-	if e.counts[physRow] == e.cfg.BlacklistThreshold {
+	n := int64(1)
+	if c := e.counts.Ref(physRow); c != nil {
+		*c++
+		n = int64(*c)
+	} else {
+		e.counts.Set(physRow, 1)
+	}
+	if n == e.cfg.BlacklistThreshold {
 		e.stats.Mitigations++ // a row entered the blacklist
 	}
 	return 0
@@ -120,12 +129,13 @@ func (e *Engine) OnActivate(physRow dram.Row, _ dram.PS) dram.PS {
 
 // Blacklisted reports whether a row is currently throttled.
 func (e *Engine) Blacklisted(row dram.Row) bool {
-	return e.counts[row] >= e.cfg.BlacklistThreshold
+	n, _ := e.counts.Get(row)
+	return int64(n) >= e.cfg.BlacklistThreshold
 }
 
 // OnEpoch implements mitigation.Mitigator: the history window rolls over.
 func (e *Engine) OnEpoch(_ dram.PS) {
-	clear(e.counts)
+	e.counts.Clear()
 	clear(e.nextAllowed)
 }
 

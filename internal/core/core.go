@@ -33,7 +33,6 @@ import (
 	"repro/internal/bloom"
 	"repro/internal/cat"
 	"repro/internal/dram"
-	"repro/internal/fault"
 	"repro/internal/invariant"
 	"repro/internal/mitigation"
 	"repro/internal/rowmap"
@@ -101,10 +100,6 @@ type Config struct {
 	// CheckInvariants sweep at each epoch boundary, reported through the
 	// checker instead of panicking.
 	Invariants *invariant.Checker
-	// Faults, when non-nil, consults the injector for mitigation-level
-	// faults (RQAOverflow, MigrationAbort, FPTCachePoison, TrackerCorrupt)
-	// and scopes the DRAM layer's ECCFlip to the quarantine region.
-	Faults *fault.Injector
 }
 
 // DefaultConfig returns the paper's default configuration at T_RH=1K with
@@ -188,7 +183,7 @@ type Engine struct {
 	// (memory-mapped mode) its bloom group bit clear. The common
 	// "ordinary row" case then costs one branch-predictable bit probe
 	// instead of the layout arithmetic and filter walk; translateSlow
-	// keeps every panic, fault hook, and latency charge for the rest.
+	// keeps every panic and latency charge for the rest.
 	// A bitmap rather than a byte array because the probe is a cache
 	// miss magnet: one bit per row keeps the whole structure (~256KB for
 	// 2M rows) cache-resident where a byte map would not be. Maintained
@@ -230,10 +225,6 @@ type Engine struct {
 	// streams, to be fed to the tracker after the current mitigation
 	// completes (avoids re-entrancy).
 	pending []dram.Row
-
-	// faults, when non-nil, is consulted at each mitigation-level fault
-	// opportunity (nil-safe methods; one pointer test on the hot path).
-	faults *fault.Injector
 
 	stats mitigation.Stats
 }
@@ -372,16 +363,6 @@ func New(rank *dram.Rank, cfg Config) *Engine {
 		e.art = tracker.NewMisraGries(geom, cfg.EffectiveThreshold(),
 			tracker.ProvisionEntries(timing, cfg.EffectiveThreshold()))
 	}
-	e.faults = cfg.Faults
-	if e.faults != nil {
-		// Scope the DRAM layer's ECC flips to the quarantine region: the
-		// RQA is where hammering concentrates, so that is where the fault
-		// model places correctable flips (ISSUE fault taxonomy).
-		e.faults.SetRowFilter(fault.ECCFlip, func(row int64) bool {
-			_, isSlot := e.rowSlot(dram.Row(row))
-			return isSlot
-		})
-	}
 	return e
 }
 
@@ -506,7 +487,7 @@ func (e *Engine) Name() string { return "aqua-" + e.cfg.Mode.String() }
 // sits behind the bloom filter's definitive negative, so the fast path
 // skips the filter's internal test counter but charges the same latency
 // and increments the same Lookups class). Everything else — RQA/geometry
-// panics, pinned table rows, quarantine hits, fault hooks — falls through
+// panics, pinned table rows, quarantine hits — falls through
 // to translateSlow, which is the previous Translate verbatim.
 func (e *Engine) Translate(row dram.Row, now dram.PS) mitigation.Translation {
 	if w := uint64(row); w < e.fastRows && e.fast[w>>6]&(1<<(w&63)) != 0 {
@@ -592,13 +573,6 @@ func (e *Engine) translateSlow(row dram.Row, now dram.PS) mitigation.Translation
 		e.stats.Lookups[mitigation.LookupBloomFiltered]++
 		return mitigation.Translation{PhysRow: row, Latency: lat, Class: mitigation.LookupBloomFiltered}
 	}
-	if e.faults != nil && e.faults.Fire(fault.FPTCachePoison, now) {
-		// Poisoned FPT-Cache entry: drop it so the lookup must walk the
-		// in-DRAM FPT below, which re-inserts the authoritative mapping —
-		// the cache self-heals and the translation stays correct (the
-		// fptSlot map, not the cache, is the source of truth).
-		e.fptCache.Invalidate(uint32(row))
-	}
 	lat += e.cfg.CacheLatency
 	if slot, hit := e.fptCache.Lookup(uint32(row)); hit {
 		e.stats.Lookups[mitigation.LookupCacheHit]++
@@ -642,9 +616,6 @@ func (e *Engine) Delay(_ dram.Row, now dram.PS) dram.PS { return now }
 // quarantined. Activations caused by the migration's own row streams are
 // fed back to the tracker iteratively.
 func (e *Engine) OnActivate(physRow dram.Row, at dram.PS) dram.PS {
-	if e.faults != nil && e.faults.Fire(fault.TrackerCorrupt, at) {
-		e.corruptTracker(at)
-	}
 	var busy dram.PS
 	if e.art.RecordACT(physRow) {
 		busy += e.mitigate(physRow, at+busy)
@@ -667,12 +638,6 @@ func (e *Engine) OnActivate(physRow dram.Row, at dram.PS) dram.PS {
 // mitigate quarantines the aggressor at physRow (Section IV-D) and returns
 // the channel time consumed.
 func (e *Engine) mitigate(physRow dram.Row, at dram.PS) dram.PS {
-	if e.faults != nil && e.faults.Fire(fault.RQAOverflow, at) {
-		// Forced overflow: the quarantine refuses the aggressor before any
-		// table state changes, and the engine degrades gracefully to a
-		// victim-refresh fallback for this one mitigation.
-		return e.fallbackRefresh(physRow, at)
-	}
 	// Identify the install row X and the source of the copy.
 	var install dram.Row
 	src := physRow
@@ -797,13 +762,6 @@ func (e *Engine) mitigate(physRow dram.Row, at dram.PS) dram.PS {
 func (e *Engine) streamPair(src, dst dram.Row, at dram.PS) dram.PS {
 	t := e.rank.StreamRow(src, false, at)
 	e.pending = append(e.pending, src)
-	if e.faults != nil && e.faults.Fire(fault.MigrationAbort, t) {
-		// Aborted mid-copy: the write pass is torn down and the migration
-		// retries from scratch, wasting one full-row read of channel time.
-		e.stats.MigrationAborts++
-		t = e.rank.StreamRow(src, false, t)
-		e.pending = append(e.pending, src)
-	}
 	t = e.rank.StreamRow(dst, true, t)
 	e.pending = append(e.pending, dst)
 	if e.chk != nil {
@@ -812,54 +770,6 @@ func (e *Engine) streamPair(src, dst dram.Row, at dram.PS) dram.PS {
 			"migration %d -> %d finished at %dps, before one full copy could", src, dst, t)
 	}
 	return t
-}
-
-// fallbackRefresh is the graceful-degradation path when an injected RQA
-// overflow refuses a quarantine: refresh the aggressor's distance-1
-// neighbours instead (the victim-refresh model of internal/vrefresh),
-// preserving the Rowhammer guarantee for this mitigation at tRC per victim
-// without touching FPT/RPT state. The occupancy invariant is re-checked
-// after the recovery: degradation must not have perturbed the quarantine.
-func (e *Engine) fallbackRefresh(physRow dram.Row, at dram.PS) dram.PS {
-	e.stats.Mitigations++
-	e.stats.OverflowFallbacks++
-	trc := e.rank.Timing().TRC
-	t := at
-	_, n := e.geom.NeighborPair(physRow, 1)
-	for v := 0; v < n; v++ {
-		t += trc
-		e.stats.VictimRefreshes++
-	}
-	e.rank.Reserve(t)
-	busy := t - at
-	e.stats.ChannelBusy += busy
-	if e.chk != nil {
-		e.chk.Checkf(e.quarCount <= e.rqaRows && e.quarCount >= 0,
-			"core", "rqa-occupancy", t,
-			"occupancy %d out of range after overflow fallback (capacity %d)", e.quarCount, e.rqaRows)
-	}
-	return busy
-}
-
-// corruptTracker injects a Misra-Gries counter corruption: the payload
-// stream picks a bank, an entry, and a bogus count; CorruptEntry
-// re-heapifies around the bad value, and the structural re-check verifies
-// the recovery left a well-formed tracker (the *estimate* is now wrong,
-// which is the fault — Misra-Gries over-estimates stay safe, while an
-// under-estimate models a real missed-detection hazard).
-func (e *Engine) corruptTracker(at dram.PS) {
-	mg, ok := e.art.(*tracker.MisraGries)
-	if !ok {
-		return // only the Misra-Gries tracker models counter corruption
-	}
-	bank := int(e.faults.Draw(fault.TrackerCorrupt) % uint64(e.geom.Banks))
-	idx := int(e.faults.Draw(fault.TrackerCorrupt) & 0x7fffffff)
-	bogus := int64(e.faults.Draw(fault.TrackerCorrupt)%uint64(2*e.cfg.EffectiveThreshold())) + 1
-	if _, corrupted := mg.CorruptEntry(bank, idx, bogus); corrupted && e.chk != nil {
-		if err := mg.CheckConsistency(); err != nil {
-			e.chk.Reportf("core", "tracker-recovery", at, "%v", err)
-		}
-	}
 }
 
 // clearMapping removes install row old from all mapping structures after

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"repro/internal/fault"
 	"repro/internal/invariant"
 )
 
@@ -293,11 +292,6 @@ type Rank struct {
 	ref    Timing
 	shadow *timingShadow
 
-	// faults, when non-nil, consults the injector for DRAM-level faults
-	// (StuckRow decoder errors, ECC-correctable flips). Nil means no
-	// faults, at the cost of one pointer test per access.
-	faults *fault.Injector
-
 	stats RankStats
 
 	// refreshListeners observe targeted row refreshes (NotifyRefresh);
@@ -410,31 +404,6 @@ func (r *Rank) EnableInvariants(c *invariant.Checker, ref Timing) {
 // InvariantsEnabled reports whether a shadow checker is installed.
 func (r *Rank) InvariantsEnabled() bool { return r.chk != nil }
 
-// EnableFaults attaches a fault injector for DRAM-level faults. The rank
-// consults it on every Access/StreamRow for StuckRow (the row decoder
-// selects a neighbouring row) and ECCFlip (an ECC-correctable flip stalls
-// the access by one tCL while the correction pipeline runs).
-func (r *Rank) EnableFaults(inj *fault.Injector) { r.faults = inj }
-
-// redirectStuckRow models a row-decoder fault: the activation lands on the
-// distance-1 neighbour instead of the addressed row. The redirected row is
-// re-checked against the geometry (same bank, in range) after the fault —
-// the recovery invariant that a decoder fault can corrupt data but never
-// escape the bank.
-func (r *Rank) redirectStuckRow(row Row) Row {
-	pair, n := r.geom.NeighborPair(row, 1)
-	if n == 0 {
-		return row // single-row bank: nowhere to be stuck toward
-	}
-	red := pair[0]
-	if r.chk != nil {
-		r.chk.Checkf(r.geom.Contains(red) && r.geom.BankOf(red) == r.geom.BankOf(row),
-			"dram", "stuck-row-escape", 0,
-			"stuck-row redirect %d -> %d left bank %d", row, red, r.geom.BankOf(row))
-	}
-	return red
-}
-
 // checkACT verifies one committed ACT against the reference timing
 // windows and updates the shadow state.
 func (r *Rank) checkACT(bank int, at PS) {
@@ -533,9 +502,6 @@ func (r *Rank) Access(row Row, write bool, earliest PS) (done PS, activated bool
 	if !r.geom.Contains(row) {
 		panic(fmt.Sprintf("dram: access to row %d outside geometry", row))
 	}
-	if r.faults != nil && r.faults.FireRow(fault.StuckRow, int64(row), earliest) {
-		row = r.redirectStuckRow(row)
-	}
 	bankIdx := r.geom.BankOf(row)
 	b := &r.banks[bankIdx]
 	t := &r.timing
@@ -572,14 +538,6 @@ func (r *Rank) Access(row Row, write bool, earliest PS) (done PS, activated bool
 		b.readyCol = act + t.TRCD + t.TCCDL
 		done = data + t.TBL
 	}
-	if r.faults != nil && r.faults.FireRow(fault.ECCFlip, int64(row), earliest) {
-		// ECC-correctable flip: the correction pipeline stalls the access
-		// by one tCL and holds the bus for the re-delivered data.
-		done += t.TCL
-		if r.busFree < done {
-			r.busFree = done
-		}
-	}
 	if write {
 		r.stats.Writes++
 		b.readyPRE = maxPS(b.readyPRE, done+t.TWR)
@@ -615,10 +573,6 @@ func (r *Rank) StreamRow(row Row, write bool, earliest PS) (done PS) {
 	// RowTransferTime includes the activation (tRC) plus the column
 	// stream; completion is act + stream duration.
 	done = act + t.RowTransferTime(r.geom.LinesPerRow())
-	if r.faults != nil && r.faults.FireRow(fault.ECCFlip, int64(row), earliest) {
-		// A correctable flip somewhere in the streamed row: one tCL stall.
-		done += t.TCL
-	}
 	r.busFree = done
 	b.readyCol = done
 	b.readyPRE = done

@@ -11,11 +11,12 @@
 // parallel experiment engine emit byte-identical tables to the serial
 // one (see DESIGN.md "Concurrency model").
 //
-// Panic policy: a panic inside work submitted to ForEachCtx, Group.Do or
-// Protect never crosses the package boundary. It is caught at the index
-// (or call) that raised it and converted into a *PanicError carrying the
-// panic value and stack, so one poisoned grid cell reports a structured
-// failure instead of killing a multi-minute run.
+// Panic policy: a panic inside work submitted to ForEachCtx,
+// Group.DoCtx or Protect never crosses the package boundary. It is
+// caught at the index (or call) that raised it and converted into a
+// *PanicError carrying the panic value and stack, so one poisoned grid
+// cell reports a structured failure instead of killing a multi-minute
+// run.
 package flight
 
 import (
@@ -74,19 +75,15 @@ type Group[K comparable, V any] struct {
 	m  map[K]*call[V] // guarded by mu
 }
 
-// Do executes fn for key, unless a call for key is already in flight, in
-// which case it waits for that call and returns its result. A panic in
-// fn is contained: the executing caller and every waiter receive a
+// DoCtx executes fn for key, unless a call for key is already in flight,
+// in which case it waits for that call and returns its result. A panic
+// in fn is contained: the executing caller and every waiter receive a
 // *PanicError instead of a hung WaitGroup or a crashed process.
-func (g *Group[K, V]) Do(key K, fn func() (V, error)) (V, error) {
-	return g.DoCtx(context.Background(), key, fn)
-}
-
-// DoCtx is Do with cancellation: a waiter whose context ends abandons
-// the wait and returns ctx.Err() (the in-flight execution itself is not
-// interrupted — its result still lands for other waiters), and a would-be
-// executor whose context has already ended returns ctx.Err() without
-// executing.
+//
+// A waiter whose context ends abandons the wait and returns ctx.Err()
+// (the in-flight execution itself is not interrupted — its result still
+// lands for other waiters), and a would-be executor whose context has
+// already ended returns ctx.Err() without executing.
 func (g *Group[K, V]) DoCtx(ctx context.Context, key K, fn func() (V, error)) (V, error) {
 	var zero V
 	if err := ctx.Err(); err != nil {

@@ -17,12 +17,12 @@ func TestGroupSharesInFlightCall(t *testing.T) {
 
 	// Leader: opens the flight and holds it open on release. Its fn runs
 	// only after the call is registered, so once started closes, every
-	// later Do("k", …) is guaranteed to find the call in flight.
+	// later DoCtx(…, "k", …) is guaranteed to find the call in flight.
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		v, err := g.Do("k", func() (int, error) {
+		v, err := g.DoCtx(context.Background(), "k", func() (int, error) {
 			executions.Add(1)
 			close(started)
 			<-release
@@ -42,7 +42,7 @@ func TestGroupSharesInFlightCall(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			arrived.Add(1)
-			v, err := g.Do("k", func() (int, error) {
+			v, err := g.DoCtx(context.Background(), "k", func() (int, error) {
 				executions.Add(1)
 				return -1, nil // must never run: the flight is open
 			})
@@ -53,7 +53,7 @@ func TestGroupSharesInFlightCall(t *testing.T) {
 		}(i)
 	}
 	// Keep the flight open until every follower has arrived and had
-	// ample chance to advance from its arrival mark into Do (each yield
+	// ample chance to advance from its arrival mark into DoCtx (each yield
 	// lets runnable goroutines run until they block on the call).
 	for arrived.Load() < int64(len(results)) {
 		runtime.Gosched()
@@ -77,7 +77,7 @@ func TestGroupSharesInFlightCall(t *testing.T) {
 func TestGroupDistinctKeysDoNotBlock(t *testing.T) {
 	var g Group[int, int]
 	for k := 0; k < 10; k++ {
-		v, err := g.Do(k, func() (int, error) { return k * k, nil })
+		v, err := g.DoCtx(context.Background(), k, func() (int, error) { return k * k, nil })
 		if err != nil || v != k*k {
 			t.Fatalf("key %d: %d, %v", k, v, err)
 		}
@@ -87,11 +87,11 @@ func TestGroupDistinctKeysDoNotBlock(t *testing.T) {
 func TestGroupPropagatesError(t *testing.T) {
 	var g Group[string, int]
 	boom := errors.New("boom")
-	if _, err := g.Do("k", func() (int, error) { return 0, boom }); err != boom {
+	if _, err := g.DoCtx(context.Background(), "k", func() (int, error) { return 0, boom }); err != boom {
 		t.Fatalf("got %v", err)
 	}
 	// The key is forgotten after the call; a retry re-executes.
-	v, err := g.Do("k", func() (int, error) { return 7, nil })
+	v, err := g.DoCtx(context.Background(), "k", func() (int, error) { return 7, nil })
 	if err != nil || v != 7 {
 		t.Fatalf("retry: %d, %v", v, err)
 	}
@@ -244,7 +244,7 @@ func TestGroupLeaderPanicPropagatesToWaiters(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, errs[0] = g.Do("k", func() (int, error) {
+		_, errs[0] = g.DoCtx(context.Background(), "k", func() (int, error) {
 			close(started)
 			<-release
 			panic("leader died")
@@ -257,7 +257,7 @@ func TestGroupLeaderPanicPropagatesToWaiters(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			arrived.Add(1)
-			_, errs[i] = g.Do("k", func() (int, error) { return -1, nil })
+			_, errs[i] = g.DoCtx(context.Background(), "k", func() (int, error) { return -1, nil })
 		}(i)
 	}
 	for arrived.Load() < int64(len(errs)-1) {
@@ -289,7 +289,7 @@ func TestGroupDoCtxWaiterAbandonsOnCancel(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		v, err := g.Do("k", func() (int, error) {
+		v, err := g.DoCtx(context.Background(), "k", func() (int, error) {
 			close(started)
 			<-release
 			return 42, nil

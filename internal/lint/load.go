@@ -44,8 +44,9 @@ func (p *Package) ignoreIndex() *ignoreIndex {
 }
 
 // Loader parses and type-checks packages of one module, resolving
-// module-internal imports from source and standard-library imports
-// through the compiler's source importer (both work offline).
+// module-internal imports from source and standard-library imports from
+// the gc compiler's export data, which the go command keeps in its build
+// cache (both work offline).
 type Loader struct {
 	Fset       *token.FileSet
 	ModuleDir  string
@@ -73,7 +74,7 @@ func NewLoader(dir string) (*Loader, error) {
 		Fset:       fset,
 		ModuleDir:  modDir,
 		ModulePath: modPath,
-		std:        importer.ForCompiler(fset, "source", nil),
+		std:        importer.ForCompiler(fset, "gc", nil),
 		pkgs:       make(map[string]*Package),
 		seen:       make(map[string]bool),
 		loading:    make(map[string]bool),

@@ -15,8 +15,8 @@
 // hot path and make draw order (hence results) depend on goroutine
 // scheduling. The rule for concurrent code is therefore structural:
 // every goroutine, simulation cell, core, or component owns its own
-// Rand, constructed up front from the experiment seed via New, Split,
-// or Derive. Distinct streams built that way are statistically
+// Rand, constructed up front from the experiment seed via New or
+// Derive. Distinct streams built that way are statistically
 // independent (tested in rng_test.go), so per-cell results never depend
 // on how many cells run concurrently or in what order they finish —
 // the property the parallel experiment engine relies on.
@@ -26,7 +26,7 @@ import "math"
 
 // Rand is a deterministic xoshiro256** generator. The zero value is not
 // valid; construct with New. A Rand must not be shared across
-// goroutines; derive one stream per owner with New, Split, or Derive.
+// goroutines; derive one stream per owner with New or Derive.
 type Rand struct {
 	s [4]uint64
 }
@@ -57,21 +57,13 @@ func New(seed uint64) *Rand {
 	return r
 }
 
-// Split derives a new independent generator from this one. It is used to
-// give each core, bank, or workload its own stream without sharing state.
-// Split advances the parent stream, so it must be called from the
-// goroutine that owns the parent.
-func (r *Rand) Split() *Rand {
-	return New(r.Uint64() ^ 0xa0761d6478bd642f)
-}
-
 // Derive mixes a base seed with derivation keys into a new seed. It is
 // the canonical way to hand a sub-stream to a simulation cell, worker,
 // or component identified by a tuple of small integers: streams built
 // from New(Derive(seed, k...)) for distinct key tuples are independent
 // of each other and of New(seed) itself. Derive is a pure function of
-// its arguments — unlike Split it reads no stream state, so concurrent
-// cells can derive their seeds without synchronization or ordering.
+// its arguments — it reads no stream state, so concurrent cells can
+// derive their seeds without synchronization or ordering.
 func Derive(seed uint64, keys ...uint64) uint64 {
 	state := seed
 	out := splitmix64(&state)
@@ -181,28 +173,6 @@ func (u Uniform) Draw(r *Rand) uint64 {
 // Float64 returns a uniform value in [0, 1).
 func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle pseudo-randomizes the order of n elements using the given swap
-// function, matching the contract of math/rand.Shuffle.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 // Zipf draws from a Zipf(s, v, imax) distribution over [0, imax] using

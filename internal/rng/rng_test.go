@@ -4,7 +4,6 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -26,14 +25,6 @@ func TestDistinctSeedsDiverge(t *testing.T) {
 	}
 	if same > 0 {
 		t.Fatalf("distinct seeds produced %d identical draws", same)
-	}
-}
-
-func TestSplitIndependence(t *testing.T) {
-	parent := New(7)
-	child := parent.Split()
-	if parent.Uint64() == child.Uint64() {
-		t.Fatal("split stream mirrors parent")
 	}
 }
 
@@ -92,37 +83,6 @@ func TestFloat64Range(t *testing.T) {
 	}
 	if mean := sum / 100000; math.Abs(mean-0.5) > 0.01 {
 		t.Errorf("Float64 mean = %g, want ~0.5", mean)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	check := func(seed uint64, n uint8) bool {
-		r := New(seed)
-		p := r.Perm(int(n))
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= int(n) || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return len(p) == int(n)
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestShuffleKeepsElements(t *testing.T) {
-	r := New(17)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	for _, v := range xs {
-		sum += v
-	}
-	if sum != 36 {
-		t.Fatalf("shuffle lost elements: sum=%d", sum)
 	}
 }
 

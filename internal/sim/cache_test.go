@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/cellcache"
 	"repro/internal/dram"
-	"repro/internal/fault"
 )
 
 // storeAt opens a store over dir, failing the test on error.
@@ -260,120 +259,40 @@ func TestCellCachePayloadMismatch(t *testing.T) {
 	}
 }
 
-// TestFaultedCellStoredUnderRules pins how a fault-matched cell takes
-// the one path every cell takes: it is memoized and stored under a key
-// that hashes the rules, so a rerun with the same rules is served it with
-// its injected faults intact, while a Runner without rules over the same
-// directory takes no hits. A panicking cell still fails as a *CellError
-// carrying its stack and is never stored.
-func TestFaultedCellStoredUnderRules(t *testing.T) {
-	faulted := gridCfg(1)
-	faulted.Faults = mustRules(t, "lbm/aqua-memmapped/125=rqa-overflow@p:1;xz/rrs/1000=panic@once:0")
+// TestFailedCellNeverStored: a cell that panics fails as a *CellError
+// carrying its stack, and is neither memoized nor stored, while a healthy
+// variant cell of the same scheme beside it is both. A rerun over the
+// same store misses the failed cell and fails again the same way.
+func TestFailedCellNeverStored(t *testing.T) {
+	cfg := gridCfg(1)
 	dir := t.TempDir()
-	stored := func(hash string) bool {
-		_, err := os.Stat(filepath.Join(dir, hash))
+	r := NewRunner(cfg)
+	r.AttachCellCache(storeAt(t, dir))
+	_, err := r.RunCtx(context.Background(), "xz", badCell)
+	checkBadCell(t, err, "xz")
+	good := cellOf(t, r, "xz", bloomCell)
+	stored := func(cell GridCell) bool {
+		t.Helper()
+		key, err := r.cellKeyAt(SchemaVersion, cellKey{"xz", cell}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = os.Stat(filepath.Join(dir, key))
 		return err == nil
 	}
-
-	r := NewRunner(faulted)
-	r.AttachCellCache(storeAt(t, dir))
-	first, err := r.Run("lbm", SchemeAquaMemMapped, 125)
-	if err != nil {
-		t.Fatal(err)
+	if stored(badCell) || !stored(bloomCell) {
+		t.Fatalf("store holds the failed cell: %v, the healthy one: %v; want only the healthy one", stored(badCell), stored(bloomCell))
 	}
-	if first.Result.FaultStats.Injected == 0 {
-		t.Fatal("injected faults not observed")
-	}
-	again, err := r.Run("lbm", SchemeAquaMemMapped, 125)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(again, first) {
-		t.Fatal("memoized faulted cell diverged")
-	}
-	if st := r.CellStats(); st.Requests != 2 || st.Simulated != 1 || st.Deduped() != 1 {
-		t.Fatalf("cell stats %+v; want the faulted cell simulated once and then served by the memo", st)
-	}
-	ruled := keyOf(t, faulted, "lbm", SchemeAquaMemMapped, 125)
-	if ruled == keyOf(t, gridCfg(1), "lbm", SchemeAquaMemMapped, 125) {
-		t.Fatal("the cell key does not hash the fault rules")
-	}
-	if !stored(ruled) {
-		t.Fatal("the faulted cell was not stored under its rules-keyed entry")
+	if cells := r.Cells(); len(cells) != 1 || !reflect.DeepEqual(cells[0], good) {
+		t.Fatalf("memo holds %d cells; want only the healthy variant cell", len(cells))
 	}
 
-	_, err = r.Run("xz", SchemeRRS, 1000)
-	var ce *CellError
-	if !errors.As(err, &ce) || len(ce.Stack) == 0 {
-		t.Fatalf("panicking cell returned %v, want a *CellError with a stack", err)
-	}
-	if stored(keyOf(t, faulted, "xz", SchemeRRS, 1000)) {
-		t.Fatal("a panicking cell was stored")
-	}
-	if cells := r.Cells(); len(cells) != 1 || !reflect.DeepEqual(cells[0], first) {
-		t.Fatalf("memo holds %d cells; want only the faulted lbm cell", len(cells))
-	}
-
-	rerun := NewRunner(faulted)
+	rerun := NewRunner(cfg)
 	rerun.AttachCellCache(storeAt(t, dir))
-	got, err := rerun.Run("lbm", SchemeAquaMemMapped, 125)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, first) {
-		t.Fatalf("rerun served a different cell:\ngot  %+v\nwant %+v", got.Result.FaultStats, first.Result.FaultStats)
-	}
-	if st := rerun.CellStats(); st.CacheHits != 1 || st.Simulated != 0 {
-		t.Fatalf("rerun stats %+v; want the faulted cell served from the store", st)
-	}
-
-	store := storeAt(t, dir)
-	clean := NewRunner(gridCfg(1))
-	clean.AttachCellCache(store)
-	if _, err := clean.Run("lbm", SchemeAquaMemMapped, 125); err != nil {
-		t.Fatal(err)
-	}
-	if hits := store.Stats().DiskHits; clean.CellStats().CacheHits != 0 || hits != 0 {
-		t.Fatalf("fault-free runner took %d cell hits and %d store hits, want 0", clean.CellStats().CacheHits, hits)
-	}
-}
-
-// TestFaultRulesNeverPoisonCleanKeys: a rule on a workload's baseline
-// cell shifts its calibrated IPC and baseline, and through them every
-// cell of the workload, matched or not. A fault-free Runner over the
-// directory such a run filled must still return exactly what a fresh
-// fault-free run computes.
-func TestFaultRulesNeverPoisonCleanKeys(t *testing.T) {
-	dir := t.TempDir()
-	cfg := resCfg(mustRules(t, "lbm/baseline/1000=ecc-flip@p:0.05"))
-	cfg.Calibrate = true
-	faulted := NewRunner(cfg)
-	faulted.AttachCellCache(storeAt(t, dir))
-	base, err := faulted.Run("lbm", SchemeBaseline, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Result.FaultStats.Injected == 0 {
-		t.Fatal("the baseline rule never fired")
-	}
-	if _, err := faulted.Run("lbm", SchemeAquaMemMapped, 1000); err != nil {
-		t.Fatal(err)
-	}
-
-	cleanCfg := resCfg(nil)
-	cleanCfg.Calibrate = true
-	want, err := NewRunner(cleanCfg).Run("lbm", SchemeAquaMemMapped, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewRunner(cleanCfg)
-	r.AttachCellCache(storeAt(t, dir))
-	got, err := r.Run("lbm", SchemeAquaMemMapped, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("fault-free runner was served a faulted result: NormIPC %v, a fresh run gives %v", got.NormIPC, want.NormIPC)
+	_, err = rerun.RunCtx(context.Background(), "xz", badCell)
+	checkBadCell(t, err, "xz")
+	if st := rerun.CellStats(); st.CacheMisses != 1 || st.Errors != 1 || st.Simulated != 0 {
+		t.Fatalf("rerun stats %+v; want the failed cell to miss the store and fail again", st)
 	}
 }
 
@@ -506,18 +425,17 @@ func TestCellKeyDeterminism(t *testing.T) {
 			t.Errorf("changing %s left the key text unchanged, so configurations differing only there share a cached result", field)
 		}
 	}
-	rules := mustRules(t, "wrf/rrs/1000=panic@once:0")
-	varyFields(t, "ExpConfig", reflect.ValueOf(&cfg).Elem(), rules, keyed)
-	varyFields(t, "workload.Spec", reflect.ValueOf(&specs[0]).Elem(), rules, keyed)
-	varyFields(t, "GridCell", reflect.ValueOf(&cell).Elem(), rules, keyed)
+	varyFields(t, "ExpConfig", reflect.ValueOf(&cfg).Elem(), keyed)
+	varyFields(t, "workload.Spec", reflect.ValueOf(&specs[0]).Elem(), keyed)
+	varyFields(t, "GridCell", reflect.ValueOf(&cell).Elem(), keyed)
 }
 
 // varyFields changes each field under the struct v in turn, recursing
 // into struct fields: ints +1, floats doubled (set to 1 when zero), bools
-// flipped, strings suffixed and a *fault.Rules set to rules. It calls
-// keyed with the field's path after each change, then restores the
-// field. A field the walk cannot change fails the test.
-func varyFields(t *testing.T, path string, v reflect.Value, rules *fault.Rules, keyed func(field string)) {
+// flipped and strings suffixed. It calls keyed with the field's path
+// after each change, then restores the field. A field the walk cannot
+// change fails the test.
+func varyFields(t *testing.T, path string, v reflect.Value, keyed func(field string)) {
 	t.Helper()
 	for i := 0; i < v.NumField(); i++ {
 		f, name := v.Field(i), path+"."+v.Type().Field(i).Name
@@ -529,7 +447,7 @@ func varyFields(t *testing.T, path string, v reflect.Value, rules *fault.Rules, 
 		old.Set(f)
 		switch f.Kind() {
 		case reflect.Struct:
-			varyFields(t, name, f, rules, keyed)
+			varyFields(t, name, f, keyed)
 			continue
 		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
 			f.SetInt(f.Int() + 1)
@@ -546,11 +464,8 @@ func varyFields(t *testing.T, path string, v reflect.Value, rules *fault.Rules, 
 		case reflect.String:
 			f.SetString(f.String() + "x")
 		default:
-			if f.Type() != reflect.TypeOf(rules) {
-				t.Errorf("%s: the walk cannot change a %s; extend varyFields", name, f.Type())
-				continue
-			}
-			f.Set(reflect.ValueOf(rules))
+			t.Errorf("%s: the walk cannot change a %s; extend varyFields", name, f.Type())
+			continue
 		}
 		keyed(name)
 		f.Set(old)

@@ -44,15 +44,8 @@ func (k cellKey) fail(err error) *CellError {
 // simulated numbers (window, seed, calibration), the fixed Table I
 // system every cell runs on (cores, geometry, timing), the cell
 // identity, the per-core workload specs with their static request
-// budgets, and the canonical fault rules and non-zero Variant when there
-// are any. Parallel is excluded: it changes wall-clock only, never
-// results.
-//
-// The rules are hashed whole, not just the ones matching the cell: a rule
-// on a workload's baseline cell reaches its calibration and baseline
-// passes, and so every cell of that workload. A run under rules therefore
-// never shares an entry with a fault-free run, whose key text carries no
-// faults line at all.
+// budgets, and the Variant when it is non-zero. Parallel is excluded: it
+// changes wall-clock only, never results.
 //
 // The request budget is recorded at nominal IPC 1.0. The calibrated
 // budget scales with the measured baseline IPC, which is itself a
@@ -100,9 +93,6 @@ func cellKeyText(version string, cfg ExpConfig, name string, specs []workload.Sp
 			i, sp.Name, sp.MPKI, sp.Rows166, sp.Rows500, sp.Rows1K,
 			requestBudget(cfg.Window, 1.0, sp.MPKI))
 	}
-	if faults := cfg.Faults.String(); faults != "" {
-		fmt.Fprintf(&b, "faults=%s\n", faults)
-	}
 	if v := cell.Variant; v != (Variant{}) {
 		fmt.Fprintf(&b, "variant=%s\n", v)
 	}
@@ -114,9 +104,8 @@ func cellKeyText(version string, cfg ExpConfig, name string, specs []workload.Sp
 
 // AttachCellCache attaches a content-addressed store: completed cells
 // and calibrated IPCs are served from it without simulating and written
-// back to it as they complete. Results computed under fault rules are
-// keyed by those rules; failed and cancelled cells never enter the
-// store. Pass nil to detach.
+// back to it as they complete. Failed and cancelled cells never enter
+// the store. Pass nil to detach.
 func (r *Runner) AttachCellCache(s *cellcache.Store) { r.cells = s }
 
 // CellStats summarizes how RunCtx requests were satisfied, for cells of

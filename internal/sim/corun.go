@@ -78,7 +78,6 @@ func (r *Runner) coRunLeg(ctx context.Context, name string, scheme Scheme, trh i
 		Cores:   paperCores,
 		Seed:    r.cfg.Seed,
 		Monitor: true,
-		Faults:  r.injectorFor(name, scheme, trh),
 	}, streams)
 	if err != nil {
 		return 0, Result{}, err

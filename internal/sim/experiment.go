@@ -12,10 +12,8 @@ import (
 	"repro/internal/cellcache"
 	"repro/internal/cpu"
 	"repro/internal/dram"
-	"repro/internal/fault"
 	"repro/internal/flight"
 	"repro/internal/mitigation"
-	"repro/internal/rng"
 	"repro/internal/rowmap"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -39,12 +37,6 @@ type ExpConfig struct {
 	// canonical order, so the value changes wall-clock only — never the
 	// numbers (see DESIGN.md "Concurrency model").
 	Parallel int
-	// Faults maps grid cells to injected fault plans (see fault.ParseRules
-	// for the grammar). Nil means no faults anywhere. The cell-level kind
-	// ("panic") fires before the simulation is built; hardware kinds are
-	// threaded through the system layers. Non-empty rules are hashed into
-	// every cell and IPC key (see cellKeyAt).
-	Faults *fault.Rules
 }
 
 func (e *ExpConfig) fillDefaults() {
@@ -226,7 +218,7 @@ func (r *Runner) measuredBaseline(ctx context.Context, name string, nominal floa
 		return res, nil
 	}
 	return r.baseFlight.DoCtx(ctx, name, func() (Result, error) {
-		// A flight that completed between the cache miss and Do may have
+		// A flight that completed between the cache miss and DoCtx may have
 		// already stored the result.
 		r.mu.Lock()
 		res, ok := r.baseCache[name]
@@ -383,25 +375,8 @@ func (r *Runner) baseline(ctx context.Context, name string) (Result, float64, er
 	return base, nominal, nil
 }
 
-// injectorFor arms the cell's injected faults. The cell-level kind
-// ("panic") fires here, before the system is built — it models a harness
-// failure rather than a hardware one. Hardware kinds ride the returned
-// injector into the system layers.
-func (r *Runner) injectorFor(name string, scheme Scheme, trh int64) *fault.Injector {
-	plan := r.cfg.Faults.PlanFor(name, scheme.String(), trh)
-	if plan.Empty() {
-		return nil
-	}
-	seed := rng.Derive(r.cfg.Seed, rng.HashString(name), rng.HashString(scheme.String()), uint64(trh), 0xFA17)
-	inj := fault.NewInjector(seed, plan)
-	if inj.Fire(fault.CellPanic, 0) {
-		panic(fmt.Sprintf("injected panic in cell %s/%s/%d", name, scheme, trh))
-	}
-	return inj
-}
-
 // newSystem builds the cell's system over the workload's streams at the
-// nominal IPC, with the cell's structure sizes and fault plan. The trace
+// nominal IPC, with the cell's structure sizes. The trace
 // tier keeps the streams it captures for it only if keep is set.
 func (r *Runner) newSystem(name string, cell GridCell, nominalIPC float64, keep bool) (*System, error) {
 	streams, err := r.streamsFor(name, nominalIPC, keep)
@@ -415,7 +390,6 @@ func (r *Runner) newSystem(name string, cell GridCell, nominalIPC float64, keep 
 		Seed:            r.cfg.Seed,
 		BloomGroupSize:  cell.Variant.BloomGroupSize,
 		FPTCacheEntries: cell.Variant.FPTCacheEntries,
-		Faults:          r.injectorFor(name, cell.Scheme, cell.TRH),
 	}, streams)
 }
 
@@ -512,12 +486,10 @@ func (r *Runner) Run(name string, scheme Scheme, trh int64) (WorkloadRun, error)
 // A threshold CheckTRH rejects fails as a *CellError before the memo or
 // the cache is consulted, so nothing is ever stored under its key.
 //
-// Every cell takes one path, whether or not a fault rule matches it: the
-// in-memory memo, then a coalesced in-flight execution of the same cell,
-// then the content-addressed cache, and only then one protected
-// simulation. Fault rules are part of the cache key, so a result computed
-// under rules is only ever served to a Runner with the same rules. Failed
-// (including cancelled) cells are neither memoized nor stored.
+// Every cell takes one path: the in-memory memo, then a coalesced
+// in-flight execution of the same cell, then the content-addressed cache,
+// and only then one protected simulation. Failed (including cancelled)
+// cells are neither memoized nor stored.
 func (r *Runner) RunCtx(ctx context.Context, name string, cell GridCell) (WorkloadRun, error) {
 	key := cellKey{name, cell}
 	if err := CheckTRH(cell.Scheme, cell.TRH); err != nil {

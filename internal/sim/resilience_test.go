@@ -9,23 +9,40 @@ import (
 	"testing"
 
 	"repro/internal/dram"
-	"repro/internal/fault"
+	"repro/internal/flight"
 )
 
-func mustRules(t *testing.T, spec string) *fault.Rules {
-	t.Helper()
-	rules, err := fault.ParseRules(spec)
-	if err != nil {
-		t.Fatalf("ParseRules(%q): %v", spec, err)
-	}
-	return rules
-}
-
-func resCfg(faults *fault.Rules) ExpConfig {
+func resCfg() ExpConfig {
 	return ExpConfig{
 		Window:   150 * dram.PS(dram.Microsecond),
 		Parallel: 2,
-		Faults:   faults,
+	}
+}
+
+// badCell is a cell whose system build panics: bloom.New rejects a group
+// size that is not a power of two. It runs after its workload's baseline,
+// like any cell, and fails the same way every time, so it stands for any
+// cell that crashes mid-grid.
+var badCell = GridCell{Scheme: SchemeAquaMemMapped, TRH: 1000, Variant: Variant{BloomGroupSize: 3}}
+
+// checkBadCell requires err to be badCell's failure on workload name: a
+// *CellError with the cell's label, the recovered panic as its cause and
+// the panic's stack.
+func checkBadCell(t *testing.T, err error, name string) {
+	t.Helper()
+	var ce *CellError
+	if !errors.As(err, &ce) {
+		t.Fatalf("got %v, want the *CellError of %s's malformed-variant cell", err, name)
+	}
+	if want := name + "/aqua-memmapped/1000/bloom=3"; ce.Label() != want {
+		t.Fatalf("failed cell %s, want %s", ce.Label(), want)
+	}
+	var pe *flight.PanicError
+	if !errors.As(ce.Err, &pe) || !strings.Contains(pe.Error(), "bloom") {
+		t.Fatalf("cause %v, want the recovered bloom.New panic", ce.Err)
+	}
+	if len(ce.Stack) == 0 {
+		t.Fatal("panicking cell carried no stack")
 	}
 }
 
@@ -51,83 +68,32 @@ func TestNewRunnerInvalidConfig(t *testing.T) {
 	}
 }
 
-// TestGridPartialResults: a grid with one injected panicking cell and one
-// injected RQA-overflow cell must run to completion, report the panic as
-// a structured failure, and leave every healthy cell's numbers identical
-// to a fault-free run.
+// TestGridPartialResults: a grid with a panicking cell on every workload
+// must run to completion and return the failure at the lowest grid
+// index, while every other cell's numbers stay identical to a grid run
+// without it and the failed cells stay out of the memo.
 func TestGridPartialResults(t *testing.T) {
 	names := []string{"xz", "lbm"}
-	cells := withBaseline([]GridCell{
+	healthy := withBaseline([]GridCell{
 		{Scheme: SchemeRRS, TRH: 1000},
-		// TRH 125 is low enough that lbm's hot rows cross it within the
-		// reduced window, so the scheme actually mitigates — a
-		// prerequisite for the RQA-overflow fault to have a site to fire.
 		{Scheme: SchemeAquaMemMapped, TRH: 125},
 	})
-	clean := precomputeGrid(t, NewRunner(resCfg(nil)), names, cells)
+	clean := precomputeGrid(t, NewRunner(resCfg()), names, healthy)
 
-	rules := mustRules(t, "xz/rrs/1000=panic@once:0;lbm/aqua-memmapped/125=rqa-overflow@p:1")
-	r := NewRunner(resCfg(rules))
-	err := r.Precompute(context.Background(), names, cells)
-	var ce *CellError
-	if !errors.As(err, &ce) {
-		t.Fatalf("Precompute returned %v, want *CellError", err)
+	r := NewRunner(resCfg())
+	err := r.Precompute(context.Background(), names, append([]GridCell{badCell}, healthy...))
+	checkBadCell(t, err, "xz")
+	if st := r.CellStats(); st.Errors != 2 || st.Simulated != int64(len(names)*len(healthy)) {
+		t.Fatalf("stats %+v; want both bad cells failed and every healthy cell simulated", st)
 	}
-	if st := r.CellStats(); st.Errors != 1 {
-		t.Fatalf("%d cells failed, want 1 (stats %+v)", st.Errors, st)
+	// The cells beside the failures are byte-identical to the clean run
+	// (same structs, so DeepEqual is exact), and they are all the memo
+	// holds.
+	if grid := gridOf(t, r, names, healthy); !reflect.DeepEqual(grid, clean) {
+		t.Fatalf("healthy cells diverged beside a failed cell:\ngot:  %+v\nwant: %+v", grid, clean)
 	}
-	if ce.Workload != "xz" || ce.Scheme != SchemeRRS || ce.TRH != 1000 {
-		t.Fatalf("failed cell identity = %s/%s/%d", ce.Workload, ce.Scheme, ce.TRH)
-	}
-	if len(ce.Stack) == 0 {
-		t.Fatalf("panicking cell carried no stack")
-	}
-	if !strings.Contains(ce.Error(), "injected panic") {
-		t.Fatalf("CellError %q does not name the injected panic", ce.Error())
-	}
-
-	// The RQA-overflow cell must have survived, degraded to the
-	// victim-refresh fallback, and counted its faults.
-	over := cellOf(t, r, "lbm", cells[1])
-	if over.Result.FaultStats.Injected == 0 {
-		t.Fatalf("overflow cell reports no injected faults")
-	}
-	if over.Result.MitStats.OverflowFallbacks == 0 {
-		t.Fatalf("overflow cell reports no fallback mitigations")
-	}
-
-	// Every cell the faults did not touch is byte-identical to the clean
-	// run (same structs, so DeepEqual is exact).
-	if !reflect.DeepEqual(cellOf(t, r, "xz", cells[1]), clean[0][1]) {
-		t.Fatalf("healthy cell xz/aqua-memmapped diverged under unrelated faults")
-	}
-	if !reflect.DeepEqual(cellOf(t, r, "lbm", cells[0]), clean[1][0]) {
-		t.Fatalf("healthy cell lbm/rrs diverged under unrelated faults")
-	}
-	if !reflect.DeepEqual(cellOf(t, r, "xz", baselineCell), clean[0][2]) ||
-		!reflect.DeepEqual(cellOf(t, r, "lbm", baselineCell), clean[1][2]) {
-		t.Fatalf("baselines diverged under faults")
-	}
-}
-
-// TestFaultScheduleDeterminism: the same seed and rules must produce the
-// same injected-fault counts and the same simulation numbers.
-func TestFaultScheduleDeterminism(t *testing.T) {
-	rules := mustRules(t, "xz/aqua-memmapped/1000=ecc-flip@p:0.01;xz/aqua-memmapped/1000=refresh-collision@p:0.5")
-	run := func() WorkloadRun {
-		r := NewRunner(resCfg(rules))
-		wr, err := r.Run("xz", SchemeAquaMemMapped, 1000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return wr
-	}
-	a, b := run(), run()
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("faulted runs diverged:\na: %+v\nb: %+v", a, b)
-	}
-	if a.Result.FaultStats.Injected == 0 {
-		t.Fatalf("fault schedule never fired")
+	if n := len(r.Cells()); n != len(names)*len(healthy) {
+		t.Fatalf("memo holds %d cells, want the %d healthy ones", n, len(names)*len(healthy))
 	}
 }
 
@@ -156,7 +122,7 @@ func (c *pollCancelCtx) Err() error {
 // so the run is provably mid-flight: some cells done, one cut short, the
 // rest not yet run.
 func TestGridCancellation(t *testing.T) {
-	r := NewRunner(resCfg(nil))
+	r := NewRunner(resCfg())
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	pctx := &pollCancelCtx{Context: ctx, cancel: cancel, at: 20}
@@ -192,7 +158,7 @@ func TestCacheResume(t *testing.T) {
 		{Scheme: SchemeAquaMemMapped, TRH: 1000},
 	})
 	first := withBaseline(cells[:1])
-	cfg := resCfg(nil)
+	cfg := resCfg()
 	cfg.Calibrate = true
 	cold := NewRunner(cfg)
 	clean := precomputeGrid(t, cold, names, cells)

@@ -17,7 +17,6 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/dram"
 	"repro/internal/event"
-	"repro/internal/fault"
 	"repro/internal/flight"
 	"repro/internal/invariant"
 	"repro/internal/memctrl"
@@ -142,12 +141,6 @@ type Config struct {
 	// AQUA's structural checks. Tests enable it; production runs leave it
 	// nil at zero cost.
 	Invariants *invariant.Checker
-	// Faults, when non-nil, threads the deterministic fault injector
-	// through every layer the same way: the rank (stuck rows, ECC flips),
-	// the controller (refresh collisions), and the AQUA engine (RQA
-	// overflow, migration aborts, FPT-cache poisoning, tracker
-	// corruption). Nil costs one pointer test per opportunity.
-	Faults *fault.Injector
 }
 
 // TrackerKind selects an aggressor-tracker implementation.
@@ -235,9 +228,6 @@ func NewSystem(cfg Config, streams []cpu.Stream) *System {
 		panic(fmt.Sprintf("sim: %d streams for %d cores", len(streams), cfg.Cores))
 	}
 	rank := dram.NewRank(cfg.Geometry, cfg.Timing)
-	if cfg.Faults != nil {
-		rank.EnableFaults(cfg.Faults)
-	}
 
 	s := &System{Cfg: cfg, Rank: rank}
 	if cfg.Monitor {
@@ -256,7 +246,6 @@ func NewSystem(cfg Config, streams []cpu.Stream) *System {
 			FPTCacheEntries: cfg.FPTCacheEntries,
 			ProactiveDrain:  cfg.ProactiveDrain,
 			Invariants:      cfg.Invariants,
-			Faults:          cfg.Faults,
 		}
 	}
 	switch cfg.Scheme {
@@ -290,7 +279,7 @@ func NewSystem(cfg Config, streams []cpu.Stream) *System {
 		s.Mit = mitigation.Checked(s.Mit, cfg.Geometry, cfg.Invariants)
 	}
 
-	ctrlCfg := memctrl.Config{EpochLength: cfg.EpochLength, Invariants: cfg.Invariants, Faults: cfg.Faults}
+	ctrlCfg := memctrl.Config{EpochLength: cfg.EpochLength, Invariants: cfg.Invariants}
 	if cfg.ProactiveDrain {
 		ctrlCfg.IdleDrainInterval = 10 * dram.Microsecond
 	}
@@ -357,9 +346,18 @@ type Result struct {
 	// DRAMPowerMW is the IDD-model DRAM power estimate for the run
 	// (Section V-H methodology).
 	DRAMPowerMW float64
-	// FaultStats counts the faults injected into this run (all-zero when
-	// no injector was attached).
-	FaultStats fault.Stats
+	// FaultStats is always zero; see its type.
+	FaultStats FaultStats
+}
+
+// FaultStats is the JSON shape of the counters fault injection, now
+// gone, used to report: {"Injected":0,"ByKind":[0,...]} with ten kinds.
+// Result keeps it, always zero, only so that its JSON, which aquabench's
+// committed digests hash, keeps its bytes until the next change to those
+// digests drops it.
+type FaultStats struct {
+	Injected int64
+	ByKind   [10]int64
 }
 
 // Run drives the system until all cores finish or simulated time exceeds
@@ -529,6 +527,5 @@ func (s *System) result(until dram.PS) Result {
 	if end > 0 {
 		res.DRAMPowerMW = power.FromStats(power.MicronDDR4(), s.Cfg.Timing, s.Rank.Stats(), end).Total()
 	}
-	res.FaultStats = s.Cfg.Faults.Stats()
 	return res
 }

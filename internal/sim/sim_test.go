@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -376,5 +377,35 @@ func TestCoRunFullWindowMonitor(t *testing.T) {
 	}
 	if res.Violated {
 		t.Fatalf("AQUA co-run violated T_RH: %d mitigations", res.MitStats.Mitigations)
+	}
+}
+
+// resultJSON is json.Marshal(Result{}). aquabench hashes a run's Result
+// JSON into the committed digests of cell_lbm64 and dos_corun16, so a
+// field added, dropped, renamed or reordered anywhere in Result moves
+// them.
+const resultJSON = `{"Scheme":0,"SimTime":0,"Instr":0,"Requests":0,"IPC":0,` +
+	`"MitStats":{"Mitigations":0,"RowMigrations":0,"Evictions":0,"ProactiveDrains":0,"VictimRefreshes":0,` +
+	`"ChannelBusy":0,"ThrottleDelay":0,"Lookups":[0,0,0,0,0,0,0],"TableDRAMAccesses":0,"ReuseViolations":0,` +
+	`"MigrationAborts":0,"OverflowFallbacks":0},` +
+	`"CtrlStats":{"Requests":0,"Reads":0,"Writes":0,"TotalLatency":0,"MaxLatency":0,"Refreshes":0,"Epochs":0,` +
+	`"RefreshCollisions":0},` +
+	`"MigrationsPer64ms":0,"Violated":false,"MaxWindowACTs":0,"DRAMPowerMW":0,` +
+	`"FaultStats":{"Injected":0,"ByKind":[0,0,0,0,0,0,0,0,0,0]}}`
+
+// TestResultJSONPinned pins Result's JSON shape, always-zero fields
+// included.
+func TestResultJSONPinned(t *testing.T) {
+	got, err := json.Marshal(Result{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != resultJSON {
+		t.Fatalf("json.Marshal(Result{}) changed:\n got %s\nwant %s\n"+
+			"aquabench's committed digests hash this JSON for cell_lbm64 and dos_corun16. "+
+			"The change that moves it (for example, dropping the always-zero FaultStats, "+
+			"MitStats.MigrationAborts, MitStats.OverflowFallbacks and CtrlStats.RefreshCollisions) "+
+			"must re-commit bench/aquabench/testdata/digests.txt with it and update resultJSON",
+			got, resultJSON)
 	}
 }

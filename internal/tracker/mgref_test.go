@@ -67,9 +67,8 @@ func (d *denseMG) reset() {
 	}
 }
 
-// TestMisraGriesMatchesDenseReference runs random ACT streams, epoch
-// resets and counter corruptions through MisraGries and the dense
-// reference. Hot rows cross small thresholds often, cold rows churn the
+// TestMisraGriesMatchesDenseReference runs random ACT streams and epoch
+// resets through MisraGries and the dense reference. Hot rows cross small thresholds often, cold rows churn the
 // tables through the spill-swap path, and tiny capacities keep every bank
 // full. After every step the flag, every row's estimate and every bank's
 // spill must agree, and the tracker must pass CheckConsistency.
@@ -90,12 +89,6 @@ func TestMisraGriesMatchesDenseReference(t *testing.T) {
 			case op < 2:
 				mg.Reset()
 				ref.reset()
-			case op < 12:
-				bank, idx := r.Intn(geom.Banks), r.Intn(16)
-				count := int64(r.Intn(int(3*threshold))) - 1
-				if row, ok := mg.CorruptEntry(bank, idx, count); ok {
-					ref.cnt[row] = max(count, 1)
-				}
 			default:
 				row := dram.Row(r.Intn(geom.Rows()))
 				if op < 600 {

@@ -184,9 +184,8 @@ func (b *mgBank) siftUp(i int) {
 	}
 }
 
-// siftDown restores heap order below i and returns the entry's final
-// position (CorruptEntry's recovery needs it).
-func (b *mgBank) siftDown(i int) int {
+// siftDown restores heap order below i.
+func (b *mgBank) siftDown(i int) {
 	n := len(b.heap)
 	for {
 		left, right := 2*i+1, 2*i+2
@@ -198,7 +197,7 @@ func (b *mgBank) siftDown(i int) int {
 			smallest = right
 		}
 		if smallest == i {
-			return i
+			return
 		}
 		b.heap[i], b.heap[smallest] = b.heap[smallest], b.heap[i]
 		i = smallest
@@ -312,42 +311,10 @@ func (t *MisraGries) EstimatedCount(row dram.Row) int64 {
 // tests of the Misra-Gries invariant.
 func (t *MisraGries) Spill(bank int) int64 { return int64(t.banks[bank].spill) }
 
-// CorruptEntry deliberately corrupts one tracked counter (fault
-// injection): in the chosen bank, the heap entry at index idx (both taken
-// modulo the live sizes so any payload draw maps to a valid target) has
-// its count replaced by newCount, after which the heap is re-sifted
-// around the corrupted key. The *value* is wrong — that is the fault —
-// but the structure recovers to a well-formed heap, which
-// CheckConsistency re-verifies. Returns the affected row, or ok=false
-// when the bank tracks nothing yet.
-func (t *MisraGries) CorruptEntry(bank, idx int, newCount int64) (row dram.Row, ok bool) {
-	b := &t.banks[bank%len(t.banks)]
-	if len(b.heap) == 0 {
-		return 0, false
-	}
-	if newCount < 1 {
-		newCount = 1 // a tracked entry always has at least its install count
-	}
-	i := idx % len(b.heap)
-	row = b.heap[i].row
-	// The corruption lands on the authoritative count and the heap key
-	// together (the key must stay a lower bound on the count).
-	t.cnt.Set(row, int32(newCount))
-	b.heap[i].count = int32(newCount)
-	// Recovery: restore heap order around the bad value. siftDown handles
-	// an increased key; if the key shrank, siftDown is a no-op and siftUp
-	// lifts it.
-	if b.siftDown(i) == i {
-		b.siftUp(i)
-	}
-	return row, true
-}
-
 // CheckConsistency verifies the tracker's structural invariants: min-heap
 // order on the stale keys in every bank, every key a lower bound on the
 // row's authoritative count, counts at least 1, and no counted row outside
-// the heaps. Fault injection calls it after CorruptEntry to prove
-// re-sifting restored a well-formed structure.
+// the heaps.
 func (t *MisraGries) CheckConsistency() error {
 	tracked := 0
 	for bi := range t.banks {

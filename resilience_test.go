@@ -1,15 +1,10 @@
 package repro
 
-// Acceptance tests for the fault-injection layer and the resilient
-// experiment engine (see DESIGN.md "Failure model & graceful
-// degradation"):
+// Acceptance tests for the resilient experiment engine (see DESIGN.md
+// "Failure model: cell isolation and cancellation"):
 //
-//   - a lab run with an injected panicking cell completes, reports the
-//     panic as a structured *sim.CellError, and renders every figure that
-//     doesn't depend on the broken cell byte-identically to the golden
-//     file;
-//   - a degraded cell (injected hardware fault the scheme recovered from)
-//     completes and shows up in FaultedCells;
+//   - a cell that panics inside a lab's grid fails as a structured
+//     *sim.CellError, and every renderer still emits the golden bytes;
 //   - a run interrupted after partial completion and rerun over its
 //     cache directory reproduces the uninterrupted golden output exactly;
 //   - a cancelled lab surfaces the context's error.
@@ -17,111 +12,41 @@ package repro
 import (
 	"context"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/dram"
-	"repro/internal/fault"
 	"repro/internal/sim"
 )
 
-// goldenSections parses the committed golden file into its "=== name ==="
-// sections.
-func goldenSections(t *testing.T) map[string]string {
-	t.Helper()
-	raw, err := os.ReadFile(filepath.Join("testdata", "lab_golden.txt"))
-	if err != nil {
-		t.Fatalf("missing golden file: %v", err)
+// TestLabFailedCellIsolated: a panicking cell in the same Precompute as
+// the whole paper grid fails as a *sim.CellError that names it and
+// carries its stack, and every renderer on that lab stays byte-identical
+// to the golden file. The cell's system build panics because bloom.New
+// rejects a group size that is not a power of two; it stands for any
+// cell that crashes mid-grid.
+func TestLabFailedCellIsolated(t *testing.T) {
+	l := labAt(2)
+	bad := sim.GridCell{Scheme: SchemeAquaMemMapped, TRH: 1000, Variant: sim.Variant{BloomGroupSize: 3}}
+	err := l.Precompute(append(PaperGrid(), bad)...)
+	var ce *sim.CellError
+	if !errors.As(err, &ce) {
+		t.Fatalf("Precompute returned %v, want *sim.CellError", err)
 	}
-	out := make(map[string]string)
-	parts := strings.Split(string(raw), "=== ")
-	for _, p := range parts[1:] {
-		name, body, ok := strings.Cut(p, " ===\n")
-		if !ok {
-			t.Fatalf("malformed golden section %q", p[:40])
-		}
-		out[name] = body
+	if want := "xz/aqua-memmapped/1000/bloom=3"; ce.Label() != want || len(ce.Stack) == 0 {
+		t.Fatalf("failed cell %s with a %d-byte stack, want %s with its panic stack", ce.Label(), len(ce.Stack), want)
 	}
-	return out
-}
-
-// faultedLab builds the reduced golden lab with fault rules attached.
-func faultedLab(t *testing.T, spec string) *Lab {
-	t.Helper()
-	rules, err := fault.ParseRules(spec)
+	got, err := renderGoldenLab(l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewLab(LabOptions{
-		Window:        500 * dram.PS(dram.Microsecond),
-		Workloads:     []string{"xz", "wrf"},
-		NoCalibration: true,
-		Parallel:      2,
-		Faults:        rules,
-	})
-}
-
-// TestLabFaultMatrix is the headline acceptance scenario: one injected
-// panicking cell plus one injected hardware-fault cell. The run must
-// complete, report the panic with full cell identity, flag the degraded
-// cell, and leave every untouched renderer byte-identical to the golden
-// file.
-func TestLabFaultMatrix(t *testing.T) {
-	l := faultedLab(t, "xz/rrs/1000=panic@once:0;wrf/aqua-sram/1000=refresh-collision@p:0.5")
-	golden := goldenSections(t)
-
-	// Renderers whose grid contains xz/rrs/1000 fail — with the cell named.
-	for _, r := range Renderers() {
-		switch r.Name {
-		case "figure3", "figure6", "figure7", "table6":
-			_, err := r.Fn(l)
-			var ce *sim.CellError
-			if !errors.As(err, &ce) {
-				t.Fatalf("%s: got %v, want *sim.CellError", r.Name, err)
-			}
-			if ce.Workload != "xz" || ce.Scheme != SchemeRRS || ce.TRH != 1000 {
-				t.Fatalf("%s failed on cell %s/%s/%d, want xz/rrs/1000", r.Name, ce.Workload, ce.Scheme, ce.TRH)
-			}
-			if len(ce.Stack) == 0 {
-				t.Fatalf("%s: panic CellError carries no stack", r.Name)
-			}
-		}
+	want, err := os.ReadFile(filepath.Join("testdata", "lab_golden.txt"))
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// figure9 contains the degraded (but surviving) wrf/aqua-sram cell: it
-	// must complete, and the injection must be visible in the summary.
-	if _, err := l.Figure9(); err != nil {
-		t.Fatalf("figure9 should survive a recovered hardware fault: %v", err)
-	}
-	faulted := l.FaultedCells()
-	found := false
-	for _, c := range faulted {
-		if c.Workload == "wrf" && c.Scheme == SchemeAquaSRAM && c.TRH == 1000 && c.Injected > 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("FaultedCells() = %+v, want wrf/aqua-sram/1000 listed", faulted)
-	}
-
-	// Every renderer whose grid avoids both faulted cells must render
-	// byte-identically to the committed golden output.
-	for _, r := range Renderers() {
-		switch r.Name {
-		case "table2", "figure10", "figure11", "table4", "section5f", "section5h":
-			out, err := r.Fn(l)
-			if err != nil {
-				t.Fatalf("%s: %v", r.Name, err)
-			}
-			if want, ok := golden[r.Name]; !ok {
-				t.Fatalf("golden file has no section %q", r.Name)
-			} else if out+"\n" != want {
-				t.Errorf("%s diverged from golden under unrelated faults:\n%s", r.Name, firstDiff(want, out+"\n"))
-			}
-		}
+	if got != string(want) {
+		t.Errorf("renderers diverged from golden beside a failed cell:\n%s", firstDiff(string(want), got))
 	}
 }
 
@@ -208,25 +133,5 @@ func TestLabCancelledContext(t *testing.T) {
 	_, err := l.Figure7()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled lab returned %v, want context.Canceled", err)
-	}
-}
-
-// TestFaultedLabRulesRoundTrip pins the CLI grammar used throughout the
-// docs: the canonical string of parsed rules re-parses to the same rules.
-func TestFaultedLabRulesRoundTrip(t *testing.T) {
-	spec := "xz/rrs/1000=panic@once:0;*/aqua-memmapped/*=ecc-flip@p:0.01"
-	rules, err := fault.ParseRules(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := fault.ParseRules(rules.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rules.String() != again.String() {
-		t.Fatalf("rules did not round-trip: %q vs %q", rules.String(), again.String())
-	}
-	if fmt.Sprint(rules.PlanFor("xz", "rrs", 1000)) != fmt.Sprint(again.PlanFor("xz", "rrs", 1000)) {
-		t.Fatalf("round-tripped rules produce a different plan")
 	}
 }
