@@ -13,13 +13,15 @@ build:
 # lint = a gofmt check over every tracked .go file, the standard vet pass
 # plus aqualint, the repo's own per-package analyzer suite: determinism,
 # float comparison, recovered goroutines and lock discipline (see
-# cmd/aqualint -list). The lint framework's own tests run here too, under
+# cmd/aqualint -list), over this module and the bench/ module, which
+# ./... stops at. The lint framework's own tests run here too, under
 # -race as in CI, so `make lint` alone checks a change to an analyzer.
 lint:
 	@out=$$(gofmt -l $$(git ls-files '*.go')); \
 	test -z "$$out" || { echo "gofmt -l lists unformatted files (run gofmt -w on them):"; echo "$$out"; exit 1; }
 	$(GO) vet ./...
 	$(GO) run ./cmd/aqualint ./...
+	$(GO) -C bench run repro/cmd/aqualint ./...
 	$(GO) test -race ./internal/lint/...
 
 test:

@@ -1,7 +1,8 @@
 // Command aqualint is the repository's static-analysis multichecker: it
-// type-checks the requested packages one at a time and runs the
-// determinism and lock-discipline analyzer suite over each (nodirectrand,
-// noclock, maporder, floatcmp, nakedgo, guardedby). After the suite it
+// loads the requested packages with one go list run (lint.Load),
+// type-checks each from source and runs the determinism and
+// lock-discipline analyzer suite over each (nodirectrand, noclock,
+// maporder, floatcmp, nakedgo, guardedby). After the suite it
 // audits `//aqualint:ignore` directives and reports any that suppressed
 // nothing (analyzer name "unusedignore").
 //
@@ -11,6 +12,7 @@
 //	go run ./cmd/aqualint ./internal/dram
 //	go run ./cmd/aqualint -list                 # describe the analyzers
 //	go run ./cmd/aqualint -json ./...           # machine-readable output
+//	go -C bench run repro/cmd/aqualint ./...    # the bench/ module, which ./... stops at
 //
 // Exit status: 0 clean, 1 diagnostics reported, 2 load or usage failure.
 // Suppress a reviewed finding with an `//aqualint:ignore <name>` comment
@@ -74,19 +76,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	cwd, err := os.Getwd()
+	pkgs, err := lint.Load(".", patterns...)
 	if err != nil {
 		return fail(err)
 	}
-	loader, err := lint.NewLoader(cwd)
-	if err != nil {
-		return fail(err)
-	}
-	dirs, err := lint.PackageDirs(cwd, patterns)
-	if err != nil {
-		return fail(err)
-	}
-	if len(dirs) == 0 {
+	if len(pkgs) == 0 {
 		return fail(fmt.Errorf("no packages match %v", patterns))
 	}
 
@@ -94,12 +88,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// still linted. The ignore audit runs last: only then is every
 	// suppression hit recorded.
 	exit := 0
-	var pkgs []*lint.Package
+	var linted []*lint.Package
 	var diags []lint.Diagnostic
-	for _, dir := range dirs {
-		pkg, err := loader.Load(dir)
-		if err != nil {
-			fmt.Fprintf(stderr, "aqualint: %s: %v\n", dir, err)
+	for _, pkg := range pkgs {
+		if pkg.Err != nil {
+			fmt.Fprintf(stderr, "aqualint: %s: %v\n", pkg.Path, pkg.Err)
 			exit = 2
 			continue
 		}
@@ -108,9 +101,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			exit = 2
 		}
 		diags = append(diags, lint.RunAnalyzers(pkg, suite)...)
-		pkgs = append(pkgs, pkg)
+		linted = append(linted, pkg)
 	}
-	diags = append(diags, lint.UnusedIgnores(pkgs)...)
+	diags = append(diags, lint.UnusedIgnores(linted)...)
 
 	if *asJSON {
 		out := make([]jsonDiag, 0, len(diags))

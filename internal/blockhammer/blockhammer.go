@@ -26,23 +26,19 @@ type Config struct {
 	// BlacklistThreshold is the activation count after which a row is
 	// throttled (the paper's Table VI comparison uses 256).
 	BlacklistThreshold int64
-	// Window is the enforcement window (default tREFW).
-	Window dram.PS
 }
 
-func (c *Config) fillDefaults(t dram.Timing) {
+func (c *Config) fillDefaults() {
 	if c.TRH == 0 {
 		c.TRH = 1000
 	}
 	if c.BlacklistThreshold == 0 {
 		c.BlacklistThreshold = 256
 	}
-	if c.Window == 0 {
-		c.Window = t.TREFW
-	}
 }
 
-// Quota returns the maximum activations a row may receive per window.
+// Quota returns the maximum activations a row may receive per refresh
+// window.
 func (c Config) Quota() int64 {
 	q := c.TRH / 2
 	if q < 1 {
@@ -52,9 +48,9 @@ func (c Config) Quota() int64 {
 }
 
 // Spacing returns the enforced minimum time between activations of a
-// blacklisted row.
-func (c Config) Spacing() dram.PS {
-	return c.Window / dram.PS(c.Quota())
+// blacklisted row: the refresh window tREFW over the quota.
+func (c Config) Spacing(t dram.Timing) dram.PS {
+	return t.TREFW / dram.PS(c.Quota())
 }
 
 // Engine implements mitigation.Mitigator for Blockhammer. It uses an ideal
@@ -62,8 +58,9 @@ func (c Config) Spacing() dram.PS {
 // comparison, so the measured overhead is a lower bound for the scheme.
 // Not safe for concurrent use.
 type Engine struct {
-	cfg  Config
-	geom dram.Geometry
+	cfg     Config
+	geom    dram.Geometry
+	spacing dram.PS // cfg.Spacing at the rank's timing
 
 	// counts holds each activated row's ACTs in the current window; a
 	// window's ACTs to one row fit in an int32. nextAllowed holds only
@@ -78,10 +75,11 @@ var _ mitigation.Mitigator = (*Engine)(nil)
 
 // New builds a Blockhammer engine for the rank.
 func New(rank *dram.Rank, cfg Config) *Engine {
-	cfg.fillDefaults(rank.Timing())
+	cfg.fillDefaults()
 	return &Engine{
 		cfg:         cfg,
 		geom:        rank.Geometry(),
+		spacing:     cfg.Spacing(rank.Timing()),
 		nextAllowed: make(map[dram.Row]dram.PS),
 	}
 }
@@ -105,7 +103,7 @@ func (e *Engine) Delay(row dram.Row, now dram.PS) dram.PS {
 	if na, ok := e.nextAllowed[row]; ok && na > issue {
 		issue = na
 	}
-	e.nextAllowed[row] = issue + e.cfg.Spacing()
+	e.nextAllowed[row] = issue + e.spacing
 	if issue > now {
 		e.stats.ThrottleDelay += issue - now
 	}

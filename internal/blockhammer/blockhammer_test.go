@@ -38,7 +38,7 @@ func TestBlacklistedRowThrottled(t *testing.T) {
 	if !e.Blacklisted(row) {
 		t.Fatal("not blacklisted at threshold")
 	}
-	spacing := e.cfg.Spacing()
+	spacing := e.spacing
 	first := e.Delay(row, 1000)
 	second := e.Delay(row, 1000)
 	if second-first != spacing {
@@ -54,11 +54,11 @@ func TestSpacingEnforcesQuota(t *testing.T) {
 	// TRH=1K that is 64ms/500 = 128us, the figure behind the paper's
 	// 1280x worst case.
 	cfg := Config{TRH: 1000}
-	cfg.fillDefaults(dram.DDR4())
+	cfg.fillDefaults()
 	if q := cfg.Quota(); q != 500 {
 		t.Fatalf("quota = %d", q)
 	}
-	if s := cfg.Spacing(); s != 128*dram.Microsecond {
+	if s := cfg.Spacing(dram.DDR4()); s != 128*dram.Microsecond {
 		t.Fatalf("spacing = %d, want 128us", s)
 	}
 }
@@ -68,12 +68,12 @@ func TestWorstCaseSlowdownFactor(t *testing.T) {
 	// versus one per spacing when blacklisted: the ratio at TRH=1K is
 	// ~1280x (Section VII-B).
 	cfg := Config{TRH: 1000}
-	cfg.fillDefaults(dram.DDR4())
+	cfg.fillDefaults()
 	// One round = two conflicting ACTs ~= 100ns unthrottled; throttled,
 	// both rows release one activation per 128us spacing, so rounds
 	// proceed at the spacing rate: 128us / ~100ns ~= 1280x-1400x.
 	unthrottledRound := 2 * dram.DDR4().TRC
-	ratio := float64(cfg.Spacing()) / float64(unthrottledRound)
+	ratio := float64(cfg.Spacing(dram.DDR4())) / float64(unthrottledRound)
 	if ratio < 1000 || ratio > 1600 {
 		t.Fatalf("worst-case ratio = %.0fx, want ~1280x", ratio)
 	}

@@ -43,12 +43,6 @@ type Config struct {
 	MaxRelocations int
 }
 
-// DefaultFPT returns the paper's FPT provisioning: 32K entries (2 skews x
-// 2K sets x 8 ways) for up to 23K valid entries.
-func DefaultFPT(seed uint64) Config {
-	return Config{Sets: 2048, Ways: 8, Seed: seed, MaxRelocations: 16}
-}
-
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.Sets < 1 || c.Sets&(c.Sets-1) != 0 {

@@ -84,9 +84,9 @@ func TestMapSemanticsProperty(t *testing.T) {
 }
 
 func TestPaperProvisioningHolds23K(t *testing.T) {
-	// Section IV-C: a 32K-entry CAT must hold 23K arbitrary entries
-	// without placement failure.
-	tab := New(DefaultFPT(3))
+	// Section IV-C: a 32K-entry CAT (2 skews x 2K sets x 8 ways) must
+	// hold 23K arbitrary entries without placement failure.
+	tab := New(Config{Sets: 2048, Ways: 8, Seed: 3, MaxRelocations: 16})
 	if tab.Capacity() != 32*1024 {
 		t.Fatalf("capacity = %d, want 32K", tab.Capacity())
 	}

@@ -35,25 +35,21 @@ type Stream interface {
 	Next() (Request, bool)
 }
 
+// FreqHz is every core's clock: 3 GHz (Table I).
+const FreqHz = 3_000_000_000
+
+// nonMemIPC is the IPC a core sustains on non-miss instructions: an
+// 8-wide fetch core bound by dependencies.
+const nonMemIPC = 2.0
+
 // Config parameterizes one core.
 type Config struct {
-	// FreqHz is the core clock (default 3GHz, Table I).
-	FreqHz int64
-	// NonMemIPC is the IPC the core sustains on non-miss instructions
-	// (default 2.0: an 8-wide fetch core bound by dependencies).
-	NonMemIPC float64
 	// MLP is the number of outstanding misses the core overlaps (default
 	// 4).
 	MLP int
 }
 
 func (c *Config) fillDefaults() {
-	if c.FreqHz == 0 {
-		c.FreqHz = 3_000_000_000
-	}
-	if c.NonMemIPC == 0 {
-		c.NonMemIPC = 2.0
-	}
 	if c.MLP == 0 {
 		c.MLP = 4
 	}
@@ -116,7 +112,7 @@ func (c *Core) IPC(elapsed dram.PS) float64 {
 	if elapsed <= 0 {
 		return 0
 	}
-	cycles := float64(elapsed) / 1e12 * float64(c.cfg.FreqHz)
+	cycles := float64(elapsed) / 1e12 * FreqHz
 	return float64(c.instrRetired) / cycles
 }
 
@@ -125,7 +121,7 @@ func (c *Core) gapTime(instr int64) dram.PS {
 	if instr <= 0 {
 		return 0
 	}
-	sec := float64(instr) / c.cfg.NonMemIPC / float64(c.cfg.FreqHz)
+	sec := float64(instr) / nonMemIPC / FreqHz
 	return dram.PS(sec * 1e12)
 }
 

@@ -1,12 +1,13 @@
 // Package flight provides the concurrency primitives the experiment
-// engine is built on: a generic singleflight group (concurrent callers
-// asking for the same key share one execution and its result), a bounded
-// worker pool with deterministic error selection, and the resilience
-// helpers layered on both — context cancellation and panic containment.
+// engine is built on: a generic memoizing group (callers asking for the
+// same key share one execution, and a succeeded one's value is kept for
+// every later caller), a bounded worker pool with deterministic error
+// selection, and the resilience helpers layered on both — context
+// cancellation and panic containment.
 //
 // The primitives are deliberately free of any randomness or wall-clock
 // reads: which goroutine computes a value may vary run to run, but the
-// value computed, the caches it lands in, and the error reported are
+// value computed, the memo it lands in, and the error reported are
 // identical regardless of scheduling. That property is what lets the
 // parallel experiment engine emit byte-identical tables to the serial
 // one (see DESIGN.md "Concurrency model").
@@ -55,52 +56,60 @@ func Protect(fn func() error) (err error) {
 	return fn()
 }
 
-// call is one in-flight computation. done is closed when val/err are
-// final, so waiters can select against a context.
+// call is one computation. done is closed when val/err are final, so
+// waiters can select against a context.
 type call[V any] struct {
 	done chan struct{}
 	val  V
 	err  error
 }
 
-// Group deduplicates concurrent computations by key: while a call for a
-// key is executing, later callers for the same key block and receive the
-// same result instead of re-executing. The zero value is ready to use.
-//
-// Unlike a cache, a Group forgets the key once the call completes; pair
-// it with a mutex-guarded map when results should persist (the Runner's
-// calibration, baseline and cell memos do exactly that).
+// Group memoizes computations by key. The first caller for a key runs fn;
+// callers that arrive while it runs block and receive the same result,
+// and once it has succeeded every later caller receives its value without
+// running fn. A failed call (an error, a contained panic or a
+// cancellation) is forgotten, so the next caller for the key runs fn
+// again. The zero value is ready to use.
 type Group[K comparable, V any] struct {
 	mu sync.Mutex
 	m  map[K]*call[V] // guarded by mu
 }
 
-// DoCtx executes fn for key, unless a call for key is already in flight,
-// in which case it waits for that call and returns its result. A panic
+// DoCtx returns the value a succeeded call for key computed, waits for a
+// call already in flight and returns its result, or else runs fn. A panic
 // in fn is contained: the executing caller and every waiter receive a
 // *PanicError instead of a hung WaitGroup or a crashed process.
 //
-// A waiter whose context ends abandons the wait and returns ctx.Err()
-// (the in-flight execution itself is not interrupted — its result still
-// lands for other waiters), and a would-be executor whose context has
-// already ended returns ctx.Err() without executing.
+// A succeeded call answers even a caller whose context has ended. A
+// waiter whose context ends abandons the wait and returns ctx.Err() (the
+// in-flight execution itself is not interrupted — its result still lands
+// for other callers), and a would-be executor whose context has already
+// ended returns ctx.Err() without executing.
 func (g *Group[K, V]) DoCtx(ctx context.Context, key K, fn func() (V, error)) (V, error) {
 	var zero V
-	if err := ctx.Err(); err != nil {
-		return zero, err
-	}
 	g.mu.Lock()
-	if g.m == nil {
-		g.m = make(map[K]*call[V])
-	}
 	if c, ok := g.m[key]; ok {
 		g.mu.Unlock()
+		// done goes first: one select over both picks at random when the
+		// call has completed and ctx has ended.
+		select {
+		case <-c.done:
+			return c.val, c.err
+		default:
+		}
 		select {
 		case <-c.done:
 			return c.val, c.err
 		case <-ctx.Done():
 			return zero, ctx.Err()
 		}
+	}
+	if err := ctx.Err(); err != nil {
+		g.mu.Unlock()
+		return zero, err
+	}
+	if g.m == nil {
+		g.m = make(map[K]*call[V])
 	}
 	c := &call[V]{done: make(chan struct{})}
 	g.m[key] = c
@@ -114,12 +123,33 @@ func (g *Group[K, V]) DoCtx(ctx context.Context, key K, fn func() (V, error)) (V
 		}()
 		c.val, c.err = fn()
 	}()
+	if c.err != nil {
+		// Forget the failure before waking its waiters, so a caller that
+		// arrives from now on runs fn again.
+		g.mu.Lock()
+		delete(g.m, key)
+		g.mu.Unlock()
+	}
 	close(c.done)
-
-	g.mu.Lock()
-	delete(g.m, key)
-	g.mu.Unlock()
 	return c.val, c.err
+}
+
+// Range calls fn with each key whose call has succeeded and its value, in
+// no particular order.
+func (g *Group[K, V]) Range(fn func(K, V)) {
+	done := make(map[K]V)
+	g.mu.Lock()
+	for k, c := range g.m {
+		select {
+		case <-c.done:
+			done[k] = c.val
+		default:
+		}
+	}
+	g.mu.Unlock()
+	for k, v := range done {
+		fn(k, v)
+	}
 }
 
 // ForEachCtx runs fn(0), fn(1), …, fn(n-1) on at most workers goroutines

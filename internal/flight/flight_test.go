@@ -97,6 +97,53 @@ func TestGroupPropagatesError(t *testing.T) {
 	}
 }
 
+func TestGroupMemoizesSucceededCall(t *testing.T) {
+	var g Group[string, int]
+	var ran atomic.Int64
+	fn := func() (int, error) { ran.Add(1); return 42, nil }
+	for i := 0; i < 3; i++ {
+		if v, err := g.DoCtx(context.Background(), "k", fn); err != nil || v != 42 {
+			t.Fatalf("call %d: %d, %v", i, v, err)
+		}
+	}
+	// A completed call answers a caller whose context has ended, every
+	// time: a select that weighed done against ctx.Done() would pick the
+	// context in about half of these.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 100; i++ {
+		if v, err := g.DoCtx(ctx, "k", fn); err != nil || v != 42 {
+			t.Fatalf("cancelled caller %d: %d, %v; want the memoized 42", i, v, err)
+		}
+	}
+	if n := ran.Load(); n != 1 {
+		t.Fatalf("fn ran %d times, want once", n)
+	}
+
+	// Range visits the succeeded key only: not a failed one, nor one
+	// still in flight.
+	if _, err := g.DoCtx(context.Background(), "bad", func() (int, error) { return 0, errors.New("boom") }); err == nil {
+		t.Fatal("error swallowed")
+	}
+	started, release, finished := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(finished)
+		_, _ = g.DoCtx(context.Background(), "open", func() (int, error) {
+			close(started)
+			<-release
+			return 1, nil
+		})
+	}()
+	<-started
+	seen := map[string]int{}
+	g.Range(func(k string, v int) { seen[k] = v })
+	close(release)
+	<-finished
+	if len(seen) != 1 || seen["k"] != 42 {
+		t.Fatalf("Range visited %v, want only k=42", seen)
+	}
+}
+
 func TestForEachRunsEveryIndex(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 16} {
 		n := 50

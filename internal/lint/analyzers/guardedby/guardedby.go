@@ -1,7 +1,7 @@
 // Package guardedby checks documented lock discipline: a struct field
 // whose comment says `guarded by mu` may only be touched by functions
 // that demonstrably hold mu. The repo's shared state — the Runner's
-// memo/cache maps and cell stats, the flight.Group duplicate table, the
+// trace tier and cell stats, the flight.Group call table, the
 // cellcache store's stats — all carry this comment; the analyzer turns
 // the comment from prose into a checked contract.
 //

@@ -1,7 +1,7 @@
 // Package nakedgo forbids naked `go` statements in the goroutine-spawning
 // packages (repro/internal/flight, repro/internal/sim). A panic inside a
 // bare goroutine cannot be recovered by any caller — it kills the whole
-// process, bypassing the harness's cell isolation (flight.Protect /
+// process, bypassing the harness's cell isolation (flight.PanicError /
 // sim.CellError). Every goroutine in those packages must therefore be a
 // func literal that lexically contains a recover() call (normally inside
 // a deferred literal), so the panic is converted into a structured error

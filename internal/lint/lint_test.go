@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/token"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -18,13 +17,9 @@ func H() int { return 3 } //aqualint:ignore otherrule
 func I() int { return 4 } //aqualint:ignore
 `,
 	})
-	l, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := l.Load(filepath.Join(root, "p"))
-	if err != nil {
-		t.Fatal(err)
+	pkg := loadOne(t, root, "./p")
+	if pkg.Err != nil {
+		t.Fatal(pkg.Err)
 	}
 
 	// testrule fires only on F's line: that ignore is used, G's is stale.

@@ -38,14 +38,16 @@ func Run(t *testing.T, an *lint.Analyzer, testdataDir string, pkgs ...string) {
 	t.Helper()
 	for _, name := range pkgs {
 		dir := filepath.Join(testdataDir, "src", name)
-		loader, err := lint.NewLoader(dir)
+		loaded, err := lint.Load(dir, ".")
 		if err != nil {
 			t.Fatalf("linttest: %v", err)
 		}
-		pkg, err := loader.LoadAs(dir, name)
-		if err != nil {
-			t.Fatalf("linttest: loading %s: %v", dir, err)
+		pkg := loaded[0]
+		if pkg.Err != nil {
+			t.Fatalf("linttest: loading %s: %v", dir, pkg.Err)
 		}
+		// Scope the corpus by its name, as a path outside the module.
+		pkg.Path = name
 		expects, err := collectWants(pkg)
 		if err != nil {
 			t.Fatalf("linttest: %v", err)

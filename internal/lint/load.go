@@ -1,25 +1,28 @@
 package lint
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
-	"go/version"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 )
 
 // Package is one parsed and type-checked package ready for analysis.
 type Package struct {
-	// Path is the import path ("repro/internal/dram"), or a synthetic
-	// label for directories outside the module (analyzer test corpora).
+	// Path is the import path ("repro/internal/dram"). Analyzer tests
+	// relabel a corpus under testdata/src with its directory name ("a"),
+	// which no path-scoping rule excludes.
 	Path  string
 	Fset  *token.FileSet
 	Files []*ast.File
@@ -29,6 +32,11 @@ type Package struct {
 	// best-effort in their presence (mirroring x/tools behaviour for
 	// corpora that deliberately contain odd code).
 	TypeErrors []error
+	// Err is why the package could not be loaded: an import cycle, build
+	// constraints excluding every file, no non-test Go file, a pattern
+	// outside the module, a file that does not parse. A package with Err
+	// is not analyzed.
+	Err error
 
 	ign *ignoreIndex // built on first use; shared across analyzers
 }
@@ -43,317 +51,111 @@ func (p *Package) ignoreIndex() *ignoreIndex {
 	return p.ign
 }
 
-// Loader parses and type-checks packages of one module, resolving
-// module-internal imports from source and standard-library imports from
-// the gc compiler's export data, which the go command keeps in its build
-// cache (both work offline).
-type Loader struct {
-	Fset       *token.FileSet
-	ModuleDir  string
-	ModulePath string
-
-	std     types.Importer
-	pkgs    map[string]*Package // memoized by directory (cleaned, absolute)
-	seen    map[string]bool     // import-cycle guard by import path
-	loading map[string]bool     // directories currently mid-load (re-entrancy = cycle)
+// listed is the part of one `go list -json` record that Load reads.
+type listed struct {
+	ImportPath, Dir, Export string
+	GoFiles                 []string
+	DepOnly                 bool
+	Error                   *struct{ Err string }
 }
 
-// NewLoader builds a loader rooted at the module containing dir (the
-// nearest ancestor with a go.mod).
-func NewLoader(dir string) (*Loader, error) {
-	abs, err := filepath.Abs(dir)
+// Load lists the packages that patterns match in the module containing
+// dir with one `go list -deps -export` run, so the go command decides
+// what a pattern matches, which files build under the current GOOS,
+// GOARCH and tags, and whether an import cycle exists. Each matched
+// package is parsed and type-checked from source; every import, from the
+// module or the standard library, is read from the gc export data that
+// run leaves in the build cache (offline). Packages come back sorted by
+// import path.
+//
+// The error is a go list run that failed as a whole (no go.mod above dir).
+// A package that cannot be loaded carries its own Err, so the others can
+// still be linted. A package the compiler rejects is still type-checked
+// from source, its errors collected in TypeErrors.
+func Load(dir string, patterns ...string) ([]*Package, error) {
+	cmd := exec.Command("go", append([]string{"list", "-e", "-deps", "-export",
+		"-json=ImportPath,Dir,Export,GoFiles,DepOnly,Error"}, patterns...)...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("go list: %v: %s", err, strings.TrimSpace(stderr.String()))
 	}
-	modDir, modPath, err := findModule(abs)
-	if err != nil {
-		return nil, err
+	byPath := make(map[string]*listed)
+	var roots []*listed
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		lp := new(listed)
+		if err := dec.Decode(lp); err != nil {
+			return nil, fmt.Errorf("go list: %v", err)
+		}
+		byPath[lp.ImportPath] = lp
+		if !lp.DepOnly {
+			roots = append(roots, lp)
+		}
 	}
+
 	fset := token.NewFileSet()
-	return &Loader{
-		Fset:       fset,
-		ModuleDir:  modDir,
-		ModulePath: modPath,
-		std:        importer.ForCompiler(fset, "gc", nil),
-		pkgs:       make(map[string]*Package),
-		seen:       make(map[string]bool),
-		loading:    make(map[string]bool),
-	}, nil
-}
-
-// findModule walks upward from dir looking for go.mod and returns the
-// module directory and module path.
-func findModule(dir string) (string, string, error) {
-	for d := dir; ; d = filepath.Dir(d) {
-		data, err := os.ReadFile(filepath.Join(d, "go.mod"))
-		if err == nil {
-			for _, line := range strings.Split(string(data), "\n") {
-				line = strings.TrimSpace(line)
-				if rest, ok := strings.CutPrefix(line, "module "); ok {
-					return d, strings.TrimSpace(rest), nil
-				}
-			}
-			return "", "", fmt.Errorf("lint: %s/go.mod has no module directive", d)
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		lp := byPath[path]
+		switch {
+		case lp == nil:
+			return nil, fmt.Errorf("go list did not list %s", path)
+		case lp.Export == "" && lp.Error != nil:
+			return nil, errors.New(strings.TrimSpace(lp.Error.Err))
+		case lp.Export == "":
+			return nil, fmt.Errorf("no export data for %s", path)
 		}
-		if filepath.Dir(d) == d {
-			return "", "", fmt.Errorf("lint: no go.mod above %s", dir)
-		}
+		return os.Open(lp.Export)
+	})
+	pkgs := make([]*Package, 0, len(roots))
+	for _, lp := range roots {
+		pkgs = append(pkgs, check(fset, imp, lp))
 	}
+	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
+	return pkgs, nil
 }
 
-// importPathFor maps a directory inside the module to its import path.
-// Directories outside the module get a synthetic path (their base name),
-// matching the layout of analyzer test corpora (testdata/src/<name>).
-func (l *Loader) importPathFor(dir string) string {
-	rel, err := filepath.Rel(l.ModuleDir, dir)
-	if err != nil || strings.HasPrefix(rel, "..") {
-		return filepath.Base(dir)
+// check parses and type-checks one listed package from source.
+func check(fset *token.FileSet, imp types.Importer, lp *listed) *Package {
+	pkg := &Package{Path: lp.ImportPath, Fset: fset}
+	// A failed compile reaches Error as the compiler's output under a
+	// "# importpath" header. The type-checker reports the same faults from
+	// source; any other go list error is the package's load error.
+	compileFailed := lp.Error != nil && strings.HasPrefix(lp.Error.Err, "# ")
+	switch {
+	case lp.Error != nil && !compileFailed:
+		pkg.Err = errors.New(strings.TrimSpace(lp.Error.Err))
+		return pkg
+	case len(lp.GoFiles) == 0:
+		pkg.Err = fmt.Errorf("no non-test Go files in %s", lp.Dir)
+		return pkg
 	}
-	if rel == "." {
-		return l.ModulePath
-	}
-	return l.ModulePath + "/" + filepath.ToSlash(rel)
-}
-
-// dirForImport maps a module-internal import path to its directory.
-func (l *Loader) dirForImport(path string) (string, bool) {
-	if path == l.ModulePath {
-		return l.ModuleDir, true
-	}
-	if rest, ok := strings.CutPrefix(path, l.ModulePath+"/"); ok {
-		return filepath.Join(l.ModuleDir, filepath.FromSlash(rest)), true
-	}
-	return "", false
-}
-
-// Import implements types.Importer so the type-checker can resolve the
-// imports of packages under analysis.
-func (l *Loader) Import(path string) (*types.Package, error) {
-	if path == "unsafe" {
-		return types.Unsafe, nil
-	}
-	if dir, ok := l.dirForImport(path); ok {
-		if l.seen[path] {
-			return nil, fmt.Errorf("lint: import cycle through %s", path)
-		}
-		l.seen[path] = true
-		defer delete(l.seen, path)
-		pkg, err := l.Load(dir)
+	for _, name := range lp.GoFiles {
+		f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments)
 		if err != nil {
-			return nil, err
+			pkg.Err = err
+			return pkg
 		}
-		return pkg.Types, nil
+		pkg.Files = append(pkg.Files, f)
 	}
-	return l.std.Import(path)
-}
-
-// Load parses and type-checks the package in dir (test files excluded),
-// memoizing the result. Type errors are collected, not fatal.
-func (l *Loader) Load(dir string) (*Package, error) {
-	return l.LoadAs(dir, "")
-}
-
-// LoadAs is Load with an explicit import path, used by analyzer tests to
-// give corpora under testdata/src a synthetic path ("a") that no
-// path-scoping rule excludes. An empty path derives it from the module.
-func (l *Loader) LoadAs(dir, path string) (*Package, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
-	if pkg, ok := l.pkgs[abs]; ok {
-		return pkg, nil
-	}
-	// A directory re-entered while its own load is still running can only
-	// mean its imports lead back to it.
-	if l.loading[abs] {
-		return nil, fmt.Errorf("lint: import cycle through %s", abs)
-	}
-	l.loading[abs] = true
-	defer delete(l.loading, abs)
-	entries, err := os.ReadDir(abs)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-			strings.HasSuffix(name, "_test.go") ||
-			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-			continue
-		}
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		return nil, fmt.Errorf("lint: no Go files in %s", abs)
-	}
-
-	var files []*ast.File
-	for _, name := range names {
-		f, err := parser.ParseFile(l.Fset, filepath.Join(abs, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		if !fileIncluded(f) {
-			continue
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: no Go files in %s after build constraints", abs)
-	}
-
-	if path == "" {
-		path = l.importPathFor(abs)
-	}
-	pkg := &Package{
-		Path:  path,
-		Fset:  l.Fset,
-		Files: files,
-		Info: &types.Info{
-			Types:      make(map[ast.Expr]types.TypeAndValue),
-			Defs:       make(map[*ast.Ident]types.Object),
-			Uses:       make(map[*ast.Ident]types.Object),
-			Implicits:  make(map[ast.Node]types.Object),
-			Selections: make(map[*ast.SelectorExpr]*types.Selection),
-			Scopes:     make(map[ast.Node]*types.Scope),
-		},
+	pkg.Info = &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Implicits:  make(map[ast.Node]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Scopes:     make(map[ast.Node]*types.Scope),
 	}
 	conf := types.Config{
-		Importer: l,
+		Importer: imp,
 		Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
 	}
-	// Hard errors (unresolvable imports) surface through the returned
-	// error; everything else lands in TypeErrors and analysis proceeds.
-	tpkg, err := conf.Check(pkg.Path, l.Fset, files, pkg.Info)
-	if tpkg == nil {
-		return nil, err
+	pkg.Types, _ = conf.Check(lp.ImportPath, fset, pkg.Files, pkg.Info)
+	if compileFailed && len(pkg.TypeErrors) == 0 {
+		// The compiler rejects what the type-checker accepts (a missing
+		// function body, say): report the compiler's verdict.
+		pkg.Err = errors.New(strings.TrimSpace(lp.Error.Err))
 	}
-	pkg.Types = tpkg
-	l.pkgs[abs] = pkg
-	return pkg, nil
-}
-
-// fileIncluded evaluates a file's `//go:build` constraint (if any)
-// against the host: GOOS, GOARCH, unix, the gc toolchain, and go1.N
-// language-version tags are satisfied as the go tool would satisfy them;
-// anything else (ignore, custom tags) is false. Files with no constraint
-// are always included.
-func fileIncluded(f *ast.File) bool {
-	for _, cg := range f.Comments {
-		// Build constraints must precede the package clause.
-		if cg.Pos() >= f.Package {
-			break
-		}
-		for _, c := range cg.List {
-			if !constraint.IsGoBuild(c.Text) {
-				continue
-			}
-			expr, err := constraint.Parse(c.Text)
-			if err != nil {
-				// An unparsable constraint excludes the file, matching
-				// the go tool's refusal to build it.
-				return false
-			}
-			if !expr.Eval(buildTagSatisfied) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// unixGOOS mirrors the go tool's "unix" build-tag set (the subset that
-// matters for this module's platforms).
-var unixGOOS = map[string]bool{
-	"aix": true, "darwin": true, "dragonfly": true, "freebsd": true,
-	"linux": true, "netbsd": true, "openbsd": true, "solaris": true,
-}
-
-// buildTagSatisfied reports whether one build tag holds on this host.
-func buildTagSatisfied(tag string) bool {
-	switch tag {
-	case runtime.GOOS, runtime.GOARCH, "gc":
-		return true
-	case "unix":
-		return unixGOOS[runtime.GOOS]
-	}
-	if strings.HasPrefix(tag, "go1") && version.IsValid(tag) {
-		return version.Compare(version.Lang(runtime.Version()), tag) >= 0
-	}
-	return false
-}
-
-// PackageDirs expands a pattern list into package directories. Patterns
-// ending in "/..." are walked recursively; others name single package
-// directories. testdata, vendor, and hidden directories are skipped,
-// mirroring the go tool's pattern semantics.
-func PackageDirs(root string, patterns []string) ([]string, error) {
-	var dirs []string
-	seen := make(map[string]bool)
-	add := func(dir string) {
-		abs, err := filepath.Abs(dir)
-		if err != nil || seen[abs] {
-			return
-		}
-		seen[abs] = true
-		dirs = append(dirs, abs)
-	}
-	for _, pat := range patterns {
-		base, recursive := strings.CutSuffix(pat, "/...")
-		if pat == "..." {
-			base, recursive = ".", true
-		}
-		if base == "" {
-			base = "."
-		}
-		if !filepath.IsAbs(base) {
-			base = filepath.Join(root, base)
-		}
-		if !recursive {
-			if hasGoFiles(base) {
-				add(base)
-			}
-			continue
-		}
-		err := filepath.WalkDir(base, func(path string, d os.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if !d.IsDir() {
-				return nil
-			}
-			name := d.Name()
-			if path != base && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
-				name == "testdata" || name == "vendor") {
-				return filepath.SkipDir
-			}
-			if hasGoFiles(path) {
-				add(path)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	sort.Strings(dirs)
-	return dirs, nil
-}
-
-func hasGoFiles(dir string) bool {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if !e.IsDir() && strings.HasSuffix(name, ".go") &&
-			!strings.HasSuffix(name, "_test.go") && !strings.HasPrefix(name, ".") {
-			return true
-		}
-	}
-	return false
+	return pkg
 }

@@ -27,18 +27,27 @@ func writeTree(t *testing.T, files map[string]string) string {
 
 const demoGoMod = "module demo\n\ngo 1.24\n"
 
+// loadOne loads the one package pattern names under root.
+func loadOne(t *testing.T, root, pattern string) *Package {
+	t.Helper()
+	pkgs, err := Load(root, pattern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 1 {
+		t.Fatalf("Load(%q) = %d packages, want 1", pattern, len(pkgs))
+	}
+	return pkgs[0]
+}
+
 func TestLoadCollectsTypeErrors(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		"go.mod": demoGoMod,
 		"p/p.go": "package p\n\nfunc F() int { return undefinedIdent }\n",
 	})
-	l, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := l.Load(filepath.Join(root, "p"))
-	if err != nil {
-		t.Fatalf("Load: soft type errors must not be fatal, got %v", err)
+	pkg := loadOne(t, root, "./p")
+	if pkg.Err != nil {
+		t.Fatalf("soft type errors must not fail the load, got %v", pkg.Err)
 	}
 	if len(pkg.TypeErrors) == 0 {
 		t.Fatal("expected TypeErrors for undefined identifier, got none")
@@ -60,13 +69,9 @@ func TestLoadSkipsBuildConstrainedFiles(t *testing.T) {
 		"p/other.go":  "//go:build " + otherOS + "\n\npackage p\n\nfunc G() int { return brokenOnPurpose }\n",
 		"p/future.go": "//go:build go1.999\n\npackage p\n\nfunc H() {}\n",
 	})
-	l, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := l.Load(filepath.Join(root, "p"))
-	if err != nil {
-		t.Fatal(err)
+	pkg := loadOne(t, root, "./p")
+	if pkg.Err != nil {
+		t.Fatal(pkg.Err)
 	}
 	if len(pkg.Files) != 1 {
 		t.Fatalf("want 1 file after build constraints, got %d", len(pkg.Files))
@@ -83,13 +88,8 @@ func TestLoadAllFilesConstrainedOut(t *testing.T) {
 		"go.mod": demoGoMod,
 		"p/p.go": "//go:build ignore\n\npackage main\n\nfunc main() {}\n",
 	})
-	l, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = l.Load(filepath.Join(root, "p"))
-	if err == nil || !strings.Contains(err.Error(), "after build constraints") {
-		t.Fatalf("want 'after build constraints' error, got %v", err)
+	if err := loadOne(t, root, "./p").Err; err == nil || !strings.Contains(err.Error(), "build constraints") {
+		t.Fatalf("want a build constraints error, got %v", err)
 	}
 }
 
@@ -98,13 +98,8 @@ func TestLoadTestOnlyDir(t *testing.T) {
 		"go.mod":      demoGoMod,
 		"p/p_test.go": "package p\n",
 	})
-	l, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = l.Load(filepath.Join(root, "p"))
-	if err == nil || !strings.Contains(err.Error(), "no Go files") {
-		t.Fatalf("want 'no Go files' error for test-only dir, got %v", err)
+	if err := loadOne(t, root, "./p").Err; err == nil || !strings.Contains(err.Error(), "no non-test Go files") {
+		t.Fatalf("want 'no non-test Go files' error for test-only dir, got %v", err)
 	}
 }
 
@@ -114,25 +109,15 @@ func TestLoadImportCycle(t *testing.T) {
 		"a/a.go": "package a\n\nimport \"demo/b\"\n\nvar X = b.Y\n",
 		"b/b.go": "package b\n\nimport \"demo/a\"\n\nvar Y = a.X\n",
 	})
-	l, err := NewLoader(root)
+	pkgs, err := Load(root, "./...")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The cycle must surface somewhere — as a hard load error or as a
-	// collected type error on either package in it (b is memoized by
-	// a's load) — never hang or succeed silently.
-	for _, dir := range []string{"a", "b"} {
-		pkg, err := l.Load(filepath.Join(root, dir))
-		if err != nil {
-			if !strings.Contains(err.Error(), "cycle") {
-				t.Fatalf("want cycle in load error, got %v", err)
-			}
+	// The cycle must fail the load of a package in it, never hang or
+	// succeed silently.
+	for _, pkg := range pkgs {
+		if pkg.Err != nil && strings.Contains(pkg.Err.Error(), "cycle") {
 			return
-		}
-		for _, terr := range pkg.TypeErrors {
-			if strings.Contains(terr.Error(), "cycle") {
-				return
-			}
 		}
 	}
 	t.Fatal("import cycle went undetected")
@@ -140,60 +125,33 @@ func TestLoadImportCycle(t *testing.T) {
 
 func TestLoadNoGoMod(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := NewLoader(dir); err == nil || !strings.Contains(err.Error(), "go.mod") {
+	if _, err := Load(dir, "."); err == nil || !strings.Contains(err.Error(), "go.mod") {
 		t.Fatalf("want go.mod error, got %v", err)
 	}
 }
 
-func TestBuildTagSatisfied(t *testing.T) {
-	cases := []struct {
-		tag  string
-		want bool
-	}{
-		{runtime.GOOS, true},
-		{runtime.GOARCH, true},
-		{"gc", true},
-		{"go1.1", true},
-		{"go1.999", false},
-		{"ignore", false},
-		{"sometag", false},
-	}
-	for _, c := range cases {
-		if got := buildTagSatisfied(c.tag); got != c.want {
-			t.Errorf("buildTagSatisfied(%q) = %v, want %v", c.tag, got, c.want)
-		}
-	}
-	if unix := buildTagSatisfied("unix"); unix != unixGOOS[runtime.GOOS] {
-		t.Errorf("buildTagSatisfied(unix) = %v on %s", unix, runtime.GOOS)
-	}
-}
-
-func TestPackageDirsSkipsTestdata(t *testing.T) {
+// TestLoadSkipsTestdata: the packages ./... matches leave out testdata,
+// vendor, and _- or .-prefixed directories, and ones with no Go file.
+func TestLoadSkipsTestdata(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		"go.mod":            demoGoMod,
 		"p/p.go":            "package p\n",
 		"p/testdata/x.go":   "package x\n",
 		"p/_hidden/h.go":    "package h\n",
+		"p/.dot/d.go":       "package d\n",
 		"vendor/v/v.go":     "package v\n",
 		"q/sub/deep/d.go":   "package deep\n",
 		"emptydir/.gitkeep": "",
 	})
-	dirs, err := PackageDirs(root, []string{"./..."})
+	pkgs, err := Load(root, "./...")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rels []string
-	for _, d := range dirs {
-		rel, _ := filepath.Rel(root, d)
-		rels = append(rels, filepath.ToSlash(rel))
+	var paths []string
+	for _, pkg := range pkgs {
+		paths = append(paths, pkg.Path)
 	}
-	want := []string{"p", "q/sub/deep"}
-	if len(rels) != len(want) {
-		t.Fatalf("PackageDirs = %v, want %v", rels, want)
-	}
-	for i := range want {
-		if rels[i] != want[i] {
-			t.Fatalf("PackageDirs = %v, want %v", rels, want)
-		}
+	if want := "demo/p demo/q/sub/deep"; strings.Join(paths, " ") != want {
+		t.Fatalf("./... matched %v, want %s", paths, want)
 	}
 }

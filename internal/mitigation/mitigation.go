@@ -69,6 +69,11 @@ func (c LookupClass) String() string {
 	}
 }
 
+// SRAMLatency is the lookup latency of an SRAM indirection table (AQUA's
+// SRAM tables and pinned entries, RRS's RIT): 4 cycles at 3 GHz, the
+// paper's "3 to 4 cycles".
+const SRAMLatency dram.PS = 1330
+
 // Translation is the result of mapping an install row to a physical row.
 type Translation struct {
 	// PhysRow is the physical row the access must be routed to.

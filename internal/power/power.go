@@ -97,32 +97,3 @@ func FromStats(idd IDD, timing dram.Timing, stats dram.RankStats, elapsed dram.P
 		Refresh:    mw(float64(stats.Refreshes) * eRef),
 	}
 }
-
-// Overhead compares a mitigated run against a baseline run of the same
-// work and returns the extra power in milliwatts and as a fraction of the
-// baseline total (the Section V-H metric).
-func Overhead(idd IDD, timing dram.Timing, base, mitigated dram.RankStats, baseElapsed, mitElapsed dram.PS) (extraMW, fraction float64) {
-	pb := FromStats(idd, timing, base, baseElapsed)
-	pm := FromStats(idd, timing, mitigated, mitElapsed)
-	extraMW = pm.Total() - pb.Total()
-	if t := pb.Total(); t > 0 {
-		fraction = extraMW / t
-	}
-	return extraMW, fraction
-}
-
-// SRAMPower holds the CACTI-derived SRAM structure powers the paper
-// reports (Section V-H); these are constants, not simulated.
-type SRAMPower struct {
-	BloomMW      float64
-	FPTCacheMW   float64
-	CopyBufferMW float64
-}
-
-// PaperSRAM returns the Section V-H values (5.4 + 5.4 + 2.8 = 13.6mW).
-func PaperSRAM() SRAMPower {
-	return SRAMPower{BloomMW: 5.4, FPTCacheMW: 5.4, CopyBufferMW: 2.8}
-}
-
-// Total sums the SRAM components.
-func (s SRAMPower) Total() float64 { return s.BloomMW + s.FPTCacheMW + s.CopyBufferMW }

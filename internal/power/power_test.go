@@ -63,7 +63,9 @@ func TestOverheadOfMigrations(t *testing.T) {
 	mit.Activates += 2000
 	mit.Reads += 128_000
 	mit.Writes += 128_000
-	extra, frac := Overhead(MicronDDR4(), tm, base, mit, el, el)
+	pb := FromStats(MicronDDR4(), tm, base, el).Total()
+	extra := FromStats(MicronDDR4(), tm, mit, el).Total() - pb
+	frac := extra / pb
 	if extra <= 0 {
 		t.Fatalf("extra = %g", extra)
 	}
@@ -76,11 +78,5 @@ func TestEstimateString(t *testing.T) {
 	e := Estimate{Background: 55, ActPre: 10}
 	if !strings.Contains(e.String(), "65.0 mW") {
 		t.Fatalf("string: %s", e.String())
-	}
-}
-
-func TestPaperSRAM(t *testing.T) {
-	if got := PaperSRAM().Total(); math.Abs(got-13.6) > 1e-9 {
-		t.Fatalf("SRAM total = %g", got)
 	}
 }

@@ -15,18 +15,21 @@
 // hot path and make draw order (hence results) depend on goroutine
 // scheduling. The rule for concurrent code is therefore structural:
 // every goroutine, simulation cell, core, or component owns its own
-// Rand, constructed up front from the experiment seed via New or
-// Derive. Distinct streams built that way are statistically
-// independent (tested in rng_test.go), so per-cell results never depend
-// on how many cells run concurrently or in what order they finish —
-// the property the parallel experiment engine relies on.
+// Rand, constructed up front with New from a seed fixed by the
+// experiment seed and the owner's identity (the simulator XORs the
+// experiment seed with a workload name's hash, a core index or a
+// per-scheme constant). Streams from
+// distinct seeds, adjacent ones included, are statistically independent
+// (tested in rng_test.go), so per-cell results never depend on how many
+// cells run concurrently or in what order they finish — the property
+// the parallel experiment engine relies on.
 package rng
 
 import "math"
 
 // Rand is a deterministic xoshiro256** generator. The zero value is not
 // valid; construct with New. A Rand must not be shared across
-// goroutines; derive one stream per owner with New or Derive.
+// goroutines; build one stream per owner with New.
 type Rand struct {
 	s [4]uint64
 }
@@ -55,37 +58,6 @@ func New(seed uint64) *Rand {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
 	return r
-}
-
-// Derive mixes a base seed with derivation keys into a new seed. It is
-// the canonical way to hand a sub-stream to a simulation cell, worker,
-// or component identified by a tuple of small integers: streams built
-// from New(Derive(seed, k...)) for distinct key tuples are independent
-// of each other and of New(seed) itself. Derive is a pure function of
-// its arguments — it reads no stream state, so concurrent cells can
-// derive their seeds without synchronization or ordering.
-func Derive(seed uint64, keys ...uint64) uint64 {
-	state := seed
-	out := splitmix64(&state)
-	for _, k := range keys {
-		// Multiplying by the splitmix increment decorrelates small
-		// adjacent keys (0,1,2,…) before they are absorbed.
-		state ^= k * 0x9e3779b97f4a7c15
-		out ^= splitmix64(&state)
-	}
-	return out
-}
-
-// HashString folds a string into a 64-bit derivation key (FNV-1a), for
-// use with Derive when a sub-stream is identified by a name (a workload
-// or scheme) rather than an index.
-func HashString(s string) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 0x100000001b3
-	}
-	return h
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

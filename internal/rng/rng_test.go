@@ -121,42 +121,6 @@ func TestZipfPanicsOnBadParams(t *testing.T) {
 	NewZipf(New(1), 1.0, 1, 10)
 }
 
-func TestDerivePureAndDeterministic(t *testing.T) {
-	a := Derive(42, 1, 2, 3)
-	b := Derive(42, 1, 2, 3)
-	if a != b {
-		t.Fatal("Derive is not a pure function of its arguments")
-	}
-	if Derive(42) == Derive(43) {
-		t.Fatal("base seed ignored")
-	}
-}
-
-func TestDeriveKeySensitivity(t *testing.T) {
-	// Every distinct key tuple over a dense grid of small integers —
-	// exactly the shape of (workload, scheme, threshold) cell keys —
-	// must map to a distinct seed, including tuples that differ only in
-	// arity or only by which position holds a value.
-	seen := make(map[uint64][3]uint64)
-	for i := uint64(0); i < 40; i++ {
-		for j := uint64(0); j < 40; j++ {
-			for k := uint64(0); k < 8; k++ {
-				s := Derive(7, i, j, k)
-				if prev, dup := seen[s]; dup {
-					t.Fatalf("Derive(7,%d,%d,%d) collides with Derive(7,%v)", i, j, k, prev)
-				}
-				seen[s] = [3]uint64{i, j, k}
-			}
-		}
-	}
-	if Derive(7) == Derive(7, 0) || Derive(7, 0) == Derive(7, 0, 0) {
-		t.Fatal("arity not absorbed")
-	}
-	if Derive(7, 1, 0) == Derive(7, 0, 1) {
-		t.Fatal("key order not absorbed")
-	}
-}
-
 // independent checks that two streams look unrelated: no identical draw
 // at the same index, and the XOR of paired draws has balanced bits (a
 // correlated pair would bias the XOR toward zero or toward the shared
@@ -182,33 +146,17 @@ func independent(t *testing.T, label string, a, b *Rand) {
 
 func TestDerivedStreamsIndependent(t *testing.T) {
 	const seed = 0x41515541
-	independent(t, "base vs derived", New(seed), New(Derive(seed, 1)))
-	independent(t, "sibling cells", New(Derive(seed, 1)), New(Derive(seed, 2)))
 	independent(t, "adjacent seeds", New(seed), New(seed+1))
-	independent(t, "named streams",
-		New(Derive(seed, HashString("lbm"))), New(Derive(seed, HashString("mcf"))))
-}
-
-func TestHashStringDistinguishesNames(t *testing.T) {
-	names := []string{"", "lbm", "mcf", "xz", "wrf", "mix01", "mix16", "aqua-sram", "aqua-memmapped"}
-	seen := make(map[uint64]string)
-	for _, n := range names {
-		h := HashString(n)
-		if prev, dup := seen[h]; dup {
-			t.Fatalf("HashString(%q) == HashString(%q)", n, prev)
-		}
-		seen[h] = n
-	}
 }
 
 func TestConcurrentDerivedStreamsMatchSerial(t *testing.T) {
 	// The parallel engine's contract: a goroutine drawing from its own
-	// derived stream produces the same sequence it would serially, no
+	// stream produces the same sequence it would serially, no
 	// matter how many sibling streams run beside it.
 	const seed, workers, draws = 99, 8, 4096
 	serial := make([][]uint64, workers)
 	for w := range serial {
-		r := New(Derive(seed, uint64(w)))
+		r := New(seed + uint64(w))
 		for i := 0; i < draws; i++ {
 			serial[w] = append(serial[w], r.Uint64())
 		}
@@ -219,7 +167,7 @@ func TestConcurrentDerivedStreamsMatchSerial(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			r := New(Derive(seed, uint64(w)))
+			r := New(seed + uint64(w))
 			for i := 0; i < draws; i++ {
 				concurrent[w] = append(concurrent[w], r.Uint64())
 			}

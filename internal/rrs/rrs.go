@@ -42,8 +42,6 @@ type Config struct {
 	// Tracker overrides the aggressor tracker; nil uses per-bank
 	// Misra-Gries provisioned for the swap threshold.
 	Tracker tracker.Tracker
-	// SRAMLatency is the RIT lookup latency (default ~4 cycles at 3GHz).
-	SRAMLatency dram.PS
 	// Seed drives destination randomization.
 	Seed uint64
 	// MaxSwappableRows caps the randomly chosen destination space; 0 means
@@ -54,9 +52,6 @@ type Config struct {
 func (c *Config) fillDefaults() {
 	if c.TRH == 0 {
 		c.TRH = 1000
-	}
-	if c.SRAMLatency == 0 {
-		c.SRAMLatency = 1330
 	}
 }
 
@@ -157,7 +152,7 @@ func (e *Engine) Translate(row dram.Row, _ dram.PS) mitigation.Translation {
 		phys = p
 	}
 	e.stats.Lookups[mitigation.LookupSRAM]++
-	return mitigation.Translation{PhysRow: phys, Latency: e.cfg.SRAMLatency, Class: mitigation.LookupSRAM}
+	return mitigation.Translation{PhysRow: phys, Latency: mitigation.SRAMLatency, Class: mitigation.LookupSRAM}
 }
 
 // Delay implements mitigation.Mitigator; RRS never throttles.

@@ -96,6 +96,6 @@ func (r *Runner) coRunLeg(ctx context.Context, name string, scheme Scheme, trh i
 	if end <= 0 {
 		return 0, Result{}, fmt.Errorf("sim: co-run made no progress")
 	}
-	cycles := float64(end) / 1e12 * 3e9
+	cycles := float64(end) / 1e12 * cpu.FreqHz
 	return float64(instr) / cycles / float64(len(sys.Cores)-1), res, nil
 }

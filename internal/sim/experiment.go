@@ -95,10 +95,10 @@ func cellLabel(name string, scheme Scheme, trh int64, variant string) string {
 
 // Runner executes workload x scheme grids with shared calibration. A
 // Runner is safe for concurrent use: the per-workload calibration and
-// baseline measurement are cached under a mutex and deduplicated with
-// singleflight semantics, so concurrent cells wanting the same workload
-// block on one shared pass instead of repeating it, while each cell's
-// own simulation runs on a fully isolated system build.
+// baseline measurement and every cell are memoized in flight.Groups, so
+// concurrent cells wanting the same workload block on one shared pass
+// instead of repeating it, while each cell's own simulation runs on a
+// fully isolated system build.
 type Runner struct {
 	cfg ExpConfig
 	// region is the baseline system's software-visible address region,
@@ -119,27 +119,24 @@ type Runner struct {
 	traceBudget int64
 
 	mu sync.Mutex
-	// calibrated per-workload IPC from the baseline pass.
-	ipcCache map[string]float64 // guarded by mu
-	// measured baseline results, keyed by workload (the baseline run
-	// depends only on the workload and its calibrated IPC, not on the
-	// scheme or threshold being compared against).
-	baseCache map[string]Result // guarded by mu
 	// traceMem is the trace tier (tracetier.go): packed per-core request
 	// streams keyed by (spec, core, nominal IPC, request budget), replayed
 	// by every cell sharing the workload. cellStats.TraceBytes tracks its
 	// footprint against the budget.
 	traceMem map[streamKey]*trace.Packed // guarded by mu
-	// cellMemo memoizes completed cells, keyed by (workload, GridCell),
-	// for the life of the Runner, so identical grid cells (the same
-	// baseline repeated at every sweep point) simulate at most once even
-	// with no cache attached and even when requested sequentially.
-	cellMemo map[cellKey]WorkloadRun // guarded by mu
 	// cellStats counts how cacheable cell requests were satisfied.
 	cellStats CellStats // guarded by mu
 
+	// ipcFlight holds each workload's calibrated IPC from its baseline
+	// pass, and baseFlight its measured baseline result (which depends only
+	// on the workload and that IPC, not on the scheme or threshold compared
+	// against it).
 	ipcFlight  flight.Group[string, float64]
 	baseFlight flight.Group[string, Result]
+	// cellFlight memoizes completed cells, keyed by (workload, GridCell),
+	// for the life of the Runner, so identical grid cells (the same
+	// baseline repeated at every sweep point) simulate at most once even
+	// with no cache attached and even when requested sequentially.
 	cellFlight flight.Group[cellKey, WorkloadRun]
 }
 
@@ -164,10 +161,7 @@ func NewRunner(cfg ExpConfig) *Runner {
 		region:      VisibleRegion(Config{}),
 		initErr:     cfg.validate(),
 		traceBudget: traceBudgetBytes,
-		ipcCache:    make(map[string]float64),
-		baseCache:   make(map[string]Result),
 		traceMem:    make(map[streamKey]*trace.Packed),
-		cellMemo:    make(map[cellKey]WorkloadRun),
 	}
 }
 
@@ -211,35 +205,11 @@ func (c *CellError) Unwrap() error { return c.Err }
 // workload at the given nominal IPC. The baseline cell's store entry holds
 // this very Result, so it is read before simulating.
 func (r *Runner) measuredBaseline(ctx context.Context, name string, nominal float64) (Result, error) {
-	r.mu.Lock()
-	res, ok := r.baseCache[name]
-	r.mu.Unlock()
-	if ok {
-		return res, nil
-	}
 	return r.baseFlight.DoCtx(ctx, name, func() (Result, error) {
-		// A flight that completed between the cache miss and DoCtx may have
-		// already stored the result.
-		r.mu.Lock()
-		res, ok := r.baseCache[name]
-		r.mu.Unlock()
-		if ok {
-			return res, nil
-		}
 		if run, ok := r.cacheLookup(cellKey{name, baselineCell}); ok {
-			r.mu.Lock()
-			r.baseCache[name] = run.Result
-			r.mu.Unlock()
 			return run.Result, nil
 		}
-		res, err := r.runOnce(ctx, name, baselineCell, nominal, true)
-		if err != nil {
-			return Result{}, err
-		}
-		r.mu.Lock()
-		r.baseCache[name] = res
-		r.mu.Unlock()
-		return res, nil
+		return r.runOnce(ctx, name, baselineCell, nominal, true)
 	})
 }
 
@@ -301,9 +271,9 @@ func (r *Runner) streamsFor(name string, nominalIPC float64, keep bool) ([]cpu.S
 }
 
 // requestBudget is a core's request count: a window's instructions at
-// 3 GHz and the nominal IPC, at the spec's MPKI, plus a small floor.
+// cpu.FreqHz and the nominal IPC, at the spec's MPKI, plus a small floor.
 func requestBudget(window dram.PS, nominalIPC, mpki float64) int64 {
-	return int64(float64(window)/1e12*3e9*nominalIPC*mpki/1000) + 16
+	return int64(float64(window)/1e12*cpu.FreqHz*nominalIPC*mpki/1000) + 16
 }
 
 // baselineIPC returns (and caches) the calibrated baseline IPC for a case.
@@ -312,39 +282,21 @@ func requestBudget(window dram.PS, nominalIPC, mpki float64) int64 {
 // the trace tier: every cell of the workload runs at the calibrated IPC,
 // so none would replay them.
 func (r *Runner) baselineIPC(ctx context.Context, name string) (float64, error) {
-	r.mu.Lock()
-	ipc, ok := r.ipcCache[name]
-	r.mu.Unlock()
-	if ok {
-		return ipc, nil
-	}
 	return r.ipcFlight.DoCtx(ctx, name, func() (float64, error) {
-		r.mu.Lock()
-		ipc, ok := r.ipcCache[name]
-		r.mu.Unlock()
-		if ok {
-			return ipc, nil
-		}
 		if ipc, ok := r.cachedIPC(name); ok {
-			r.mu.Lock()
-			r.ipcCache[name] = ipc
-			r.mu.Unlock()
 			return ipc, nil
 		}
 		res, err := r.runOnce(ctx, name, baselineCell, 1.0, false)
 		if err != nil {
 			return 0, err
 		}
-		ipc = res.IPC
+		ipc := res.IPC
 		if ipc <= 0.01 {
 			ipc = 0.01
 		}
 		if ipc > 2 {
 			ipc = 2
 		}
-		r.mu.Lock()
-		r.ipcCache[name] = ipc
-		r.mu.Unlock()
 		r.storeIPC(name, ipc)
 		return ipc, nil
 	})
@@ -402,32 +354,7 @@ func (r *Runner) runOnce(ctx context.Context, name string, cell GridCell, nomina
 	return sys.RunCtx(ctx, 0)
 }
 
-// protectCell runs fn once with panic isolation, converting any failure
-// into a *CellError carrying the cell's identity (and, for a recovered
-// panic, the stack). A cell is deterministic, so a failed one would fail
-// the same way again: nothing is retried. Cancellation passes through
-// untouched so callers can tell "the run was stopped" from "this cell is
-// broken".
-func (r *Runner) protectCell(key cellKey, fn func() error) error {
-	if r.initErr != nil {
-		return key.fail(r.initErr)
-	}
-	err := flight.Protect(fn)
-	if err == nil {
-		return nil
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return err
-	}
-	ce := key.fail(err)
-	var pe *flight.PanicError
-	if errors.As(err, &pe) {
-		ce.Stack = pe.Stack
-	}
-	return ce
-}
-
-// runCell is one unprotected cell execution. An IPC cell is normalized
+// runCell is one cell execution. An IPC cell is normalized
 // against the workload's baseline; a tier cell needs only the nominal
 // IPC; a co-run cell runs at nominal IPC 1.0.
 func (r *Runner) runCell(ctx context.Context, key cellKey) (WorkloadRun, error) {
@@ -486,10 +413,12 @@ func (r *Runner) Run(name string, scheme Scheme, trh int64) (WorkloadRun, error)
 // A threshold CheckTRH rejects fails as a *CellError before the memo or
 // the cache is consulted, so nothing is ever stored under its key.
 //
-// Every cell takes one path: the in-memory memo, then a coalesced
-// in-flight execution of the same cell, then the content-addressed cache,
-// and only then one protected simulation. Failed (including cancelled)
-// cells are neither memoized nor stored.
+// Every cell takes one path: the cell memo, which also joins an in-flight
+// execution of the same cell, then the content-addressed cache, and only
+// then one simulation, whose panic the memo contains. A cell is
+// deterministic, so a failed one would fail the same way again: nothing
+// is retried, and failed (including cancelled) cells are neither memoized
+// nor stored.
 func (r *Runner) RunCtx(ctx context.Context, name string, cell GridCell) (WorkloadRun, error) {
 	key := cellKey{name, cell}
 	if err := CheckTRH(cell.Scheme, cell.TRH); err != nil {
@@ -497,39 +426,37 @@ func (r *Runner) RunCtx(ctx context.Context, name string, cell GridCell) (Worklo
 	}
 	r.mu.Lock()
 	r.cellStats.Requests++
-	run, ok := r.cellMemo[key]
 	r.mu.Unlock()
-	if ok {
-		return run, nil
-	}
 	run, err := r.cellFlight.DoCtx(ctx, key, func() (WorkloadRun, error) {
 		return r.computeCell(ctx, key)
 	})
-	if err != nil {
-		r.mu.Lock()
-		r.cellStats.Errors++
-		r.mu.Unlock()
+	if err == nil {
+		return run, nil
+	}
+	r.mu.Lock()
+	r.cellStats.Errors++
+	r.mu.Unlock()
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return WorkloadRun{}, err
 	}
-	return run, nil
+	ce := key.fail(err)
+	var pe *flight.PanicError
+	if errors.As(err, &pe) {
+		ce.Stack = pe.Stack
+	}
+	return WorkloadRun{}, ce
 }
 
-// computeCell resolves one cell inside its singleflight execution: memo
-// recheck (a flight that completed between the caller's miss and DoCtx
-// may have stored it), then the content-addressed cache, then a real
-// simulation.
+// computeCell resolves one cell inside its memoized execution: the
+// content-addressed cache, then a real simulation.
 func (r *Runner) computeCell(ctx context.Context, key cellKey) (WorkloadRun, error) {
-	r.mu.Lock()
-	run, ok := r.cellMemo[key]
-	r.mu.Unlock()
-	if ok {
-		return run, nil
+	if r.initErr != nil {
+		return WorkloadRun{}, r.initErr
 	}
 	if r.cells != nil {
 		if run, ok := r.cacheLookup(key); ok {
 			r.mu.Lock()
 			r.cellStats.CacheHits++
-			r.cellMemo[key] = run
 			r.mu.Unlock()
 			return run, nil
 		}
@@ -537,17 +464,12 @@ func (r *Runner) computeCell(ctx context.Context, key cellKey) (WorkloadRun, err
 		r.cellStats.CacheMisses++
 		r.mu.Unlock()
 	}
-	err := r.protectCell(key, func() error {
-		var err error
-		run, err = r.runCell(ctx, key)
-		return err
-	})
+	run, err := r.runCell(ctx, key)
 	if err != nil {
 		return WorkloadRun{}, err
 	}
 	r.mu.Lock()
 	r.cellStats.Simulated++
-	r.cellMemo[key] = run
 	r.mu.Unlock()
 	if r.cells != nil {
 		r.cacheStore(key, run)
@@ -581,12 +503,8 @@ func (r *Runner) Precompute(ctx context.Context, names []string, cells []GridCel
 // Cells returns every memoized cell, in canonical workload/scheme/trh
 // order, a plain cell before its variants and variants by label.
 func (r *Runner) Cells() []WorkloadRun {
-	r.mu.Lock()
-	out := make([]WorkloadRun, 0, len(r.cellMemo))
-	for _, run := range r.cellMemo {
-		out = append(out, run)
-	}
-	r.mu.Unlock()
+	var out []WorkloadRun
+	r.cellFlight.Range(func(_ cellKey, run WorkloadRun) { out = append(out, run) })
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Workload != b.Workload {

@@ -511,11 +511,7 @@ func (s *System) result(until dram.PS) Result {
 		CtrlStats: s.Ctrl.Stats(),
 	}
 	if end > 0 {
-		freq := float64(s.Cfg.CoreCfg.FreqHz)
-		if freq == 0 {
-			freq = 3e9
-		}
-		cycles := float64(end) / 1e12 * freq
+		cycles := float64(end) / 1e12 * cpu.FreqHz
 		res.IPC = float64(instr) / cycles / float64(len(s.Cores))
 		res.MigrationsPer64ms = float64(res.MitStats.RowMigrations) *
 			float64(64*dram.Millisecond) / float64(end)

@@ -154,9 +154,10 @@ func TestTraceTierCounters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cal.mu.Lock()
-		ipc := cal.ipcCache[name]
-		cal.mu.Unlock()
+		ipc, err := cal.baselineIPC(context.Background(), name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for core, spec := range specs {
 			want[streamKey{spec.Name, core, ipc, requestBudget(dram.Millisecond, ipc, spec.MPKI)}] = true
 		}

@@ -493,8 +493,3 @@ func (t *Hydra) Reset() {
 // counters are excluded, as in the paper's Table VII which charges Hydra
 // 28.3KB SRAM).
 func (t *Hydra) SRAMBytes() int { return len(t.groups) * 2 }
-
-// String summarises a tracker for logs.
-func Describe(t Tracker) string {
-	return fmt.Sprintf("%s (%d KB SRAM)", t.Name(), t.SRAMBytes()/1024)
-}
