@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build lint test race fuzz bench bench-quick bench-smoke bench-full cache-smoke examples-smoke
+.PHONY: all build lint test race fuzz bench-smoke bench-full cache-smoke examples-smoke
 
 all: build lint test
 
@@ -40,17 +40,6 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPackedRoundTrip -fuzztime=10s ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzCATMatchesEager -fuzztime=10s ./internal/cat
 
-# Full benchmark sweep (64ms window, 34 workloads). Knobs:
-#   REPRO_BENCH_WINDOW_MS=4 REPRO_BENCH_WORKLOADS=spec  quick mode
-#   REPRO_BENCH_PAR=N                                   parallelism (0 = cores)
-bench:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x -timeout 0 .
-
-# Quick benchmark for contributors: 4ms window, 18 SPEC workloads — same
-# harness, minutes instead of hours.
-bench-quick:
-	REPRO_BENCH_WINDOW_MS=4 REPRO_BENCH_WORKLOADS=spec $(GO) test -run='^$$' -bench=. -benchtime=1x -timeout 0 .
-
 # CI smoke over the hot-path measurement layer: one iteration of each
 # internal/perf microbenchmark plus the zero-allocation budget tests.
 bench-smoke:
@@ -65,7 +54,7 @@ bench-full:
 
 # Result-cache and resume smoke (see DESIGN.md "Result cache & incremental
 # recomputation"): resuming a run means rerunning it against the same
-# cache directory. On the bench-quick figure-7 grid:
+# cache directory. On the 4 ms SPEC figure-7 grid:
 #   1. an uninterrupted run without -cache-dir records the reference figures;
 #   2. a run into a fresh -cache-dir is SIGKILLed once at least one cell
 #      entry has landed (calibrated-IPC entries land first, and a cell

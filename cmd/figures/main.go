@@ -5,7 +5,9 @@
 //
 //	figures -all                     # everything (default)
 //	figures -figure 7                # one figure (2,3,6,7,9,10,11,12)
-//	figures -table 3                 # one table (2..7)
+//	figures -table 3                 # one table (1..7)
+//	figures -section 6c              # one section report (5f, 5h, 6c)
+//	figures -figure 7 -table 3       # several, printed in registry order
 //	figures -workloads spec          # 18 SPEC workloads only (default all 34)
 //	figures -window 16               # simulated window in ms (default 64)
 //	figures -j 8                     # concurrent simulations (0 = all cores)
@@ -54,6 +56,8 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"runtime/trace"
+	"slices"
+	"strings"
 	"time"
 
 	"repro"
@@ -64,52 +68,104 @@ import (
 )
 
 func main() {
-	// Indirection so deferred cleanup (profiles, stats lines) runs even
-	// when the process exits non-zero for failed cells.
-	os.Exit(realMain())
-}
-
-func realMain() int {
 	log.SetFlags(0)
 	log.SetPrefix("figures: ")
+	// Indirection so deferred cleanup (profiles, stats lines) runs even
+	// when the process exits non-zero for failed cells.
+	os.Exit(run(os.Args[1:], os.Stdout))
+}
 
-	figure := flag.Int("figure", 0, "regenerate one figure (2,3,6,7,9,10,11,12)")
-	table := flag.Int("table", 0, "regenerate one table (2..7)")
-	section := flag.String("section", "", `regenerate one section ("5f" sensitivity, "5h" power)`)
-	all := flag.Bool("all", false, "regenerate everything")
-	workloads := flag.String("workloads", "all", `workload set: "all" (34) or "spec" (18)`)
-	windowMS := flag.Int("window", 64, "simulated window per run in ms (>= 1)")
-	seed := flag.Uint64("seed", 0, "experiment seed (0 = default)")
-	par := flag.Int("j", 0, "concurrent simulations (0 = one per core, 1 = serial)")
-	timeout := flag.Duration("timeout", 0, "cancel the whole run after this wall-clock duration (0 = none)")
-	cacheDir := flag.String("cache-dir", "", "result cache directory: completed cells persist here, so a rerun resumes an interrupted run and warms future ones (empty = no cache)")
-	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	memprofile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-	traceFile := flag.String("trace", "", "write a runtime execution trace to this file")
-	flag.Parse()
+// run parses args, prints the outputs they select to stdout in registry
+// order and returns the exit status. Progress, cache statistics and
+// errors go to stderr.
+func run(args []string, stdout io.Writer) (status int) {
+	flags := flag.NewFlagSet("figures", flag.ContinueOnError)
+	figure := flags.Int("figure", 0, "regenerate one figure (2,3,6,7,9,10,11,12)")
+	table := flags.Int("table", 0, "regenerate one table (1..7)")
+	section := flags.String("section", "", `regenerate one section ("5f" sensitivity, "5h" power, "6c" co-run)`)
+	all := flags.Bool("all", false, "regenerate everything")
+	workloads := flags.String("workloads", "all", `workload set: "all" (34) or "spec" (18)`)
+	windowMS := flags.Int("window", 64, "simulated window per run in ms (>= 1)")
+	seed := flags.Uint64("seed", 0, "experiment seed (0 = default)")
+	par := flags.Int("j", 0, "concurrent simulations (0 = one per core, 1 = serial)")
+	timeout := flags.Duration("timeout", 0, "cancel the whole run after this wall-clock duration (0 = none)")
+	cacheDir := flags.String("cache-dir", "", "result cache directory: completed cells persist here, so a rerun resumes an interrupted run and warms future ones (empty = no cache)")
+	cpuprofile := flags.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	memprofile := flags.String("memprofile", "", "write a pprof heap profile at exit to this file")
+	traceFile := flags.String("trace", "", "write a runtime execution trace to this file")
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if *windowMS < 1 {
-		log.Fatalf("-window %d: must be at least 1 ms", *windowMS)
+		log.Printf("-window %d: must be at least 1 ms", *windowMS)
+		return 1
+	}
+	opts := repro.LabOptions{
+		Window:   dram.PS(*windowMS) * dram.Millisecond,
+		Seed:     *seed,
+		Parallel: *par,
+	}
+	switch *workloads {
+	case "all":
+		opts.Workloads = repro.AllWorkloads()
+	case "spec":
+		opts.Workloads = repro.SPECWorkloads()
+	default:
+		log.Printf("unknown workload set %q", *workloads)
+		return 1
+	}
+	var named []string
+	if *figure != 0 {
+		named = append(named, fmt.Sprintf("figure%d", *figure))
+	}
+	if *table != 0 {
+		named = append(named, fmt.Sprintf("table%d", *table))
+	}
+	if *section != "" {
+		named = append(named, "section"+*section)
+	}
+	*all = *all || len(named) == 0
+	var outputs []repro.Renderer
+	var names []string
+	for _, r := range repro.Renderers() {
+		if *all || slices.Contains(named, r.Name) {
+			outputs = append(outputs, r)
+		}
+		names = append(names, r.Name)
+	}
+	for _, name := range named {
+		if !slices.Contains(names, name) {
+			log.Printf("no output %s (outputs: %s)", name, strings.Join(names, ", "))
+			return 1
+		}
 	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			log.Fatalf("cpuprofile: %v", err)
+			log.Printf("cpuprofile: %v", err)
+			return 1
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatalf("cpuprofile: %v", err)
+			log.Printf("cpuprofile: %v", err)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
 	if *traceFile != "" {
 		f, err := os.Create(*traceFile)
 		if err != nil {
-			log.Fatalf("trace: %v", err)
+			log.Printf("trace: %v", err)
+			return 1
 		}
 		defer f.Close()
 		if err := trace.Start(f); err != nil {
-			log.Fatalf("trace: %v", err)
+			log.Printf("trace: %v", err)
+			return 1
 		}
 		defer trace.Stop()
 	}
@@ -117,18 +173,17 @@ func realMain() int {
 		defer func() {
 			f, err := os.Create(*memprofile)
 			if err != nil {
-				log.Fatalf("memprofile: %v", err)
+				log.Printf("memprofile: %v", err)
+				status = 1
+				return
 			}
 			defer f.Close()
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				log.Fatalf("memprofile: %v", err)
+				log.Printf("memprofile: %v", err)
+				status = 1
 			}
 		}()
-	}
-
-	if *figure == 0 && *table == 0 && *section == "" {
-		*all = true
 	}
 
 	ctx := context.Background()
@@ -137,21 +192,7 @@ func realMain() int {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-
-	opts := repro.LabOptions{
-		Window:   dram.PS(*windowMS) * dram.Millisecond,
-		Seed:     *seed,
-		Parallel: *par,
-		Context:  ctx,
-	}
-	switch *workloads {
-	case "all":
-		opts.Workloads = repro.AllWorkloads()
-	case "spec":
-		opts.Workloads = repro.SPECWorkloads()
-	default:
-		log.Fatalf("unknown workload set %q", *workloads)
-	}
+	opts.Context = ctx
 	lab := repro.NewLab(opts)
 	defer func() {
 		if cs := lab.CellStats(); cs.TraceCaptures > 0 || cs.TraceReplays > 0 {
@@ -162,7 +203,8 @@ func realMain() int {
 	if *cacheDir != "" {
 		store, err := cellcache.New(*cacheDir)
 		if err != nil {
-			log.Fatalf("-cache-dir: %v", err)
+			log.Printf("-cache-dir: %v", err)
+			return 1
 		}
 		lab.AttachCache(store)
 		defer func() {
@@ -173,43 +215,15 @@ func realMain() int {
 		}()
 	}
 
-	type job struct {
-		name string
-		fn   func() (string, error)
-	}
-	static := func(s string) func() (string, error) {
-		return func() (string, error) { return s, nil }
-	}
-	jobs := []job{
-		{"table 1", static(repro.Table1())},
-		{"figure 2", static(repro.Figure2())},
-		{"table 2", lab.Table2},
-		{"figure 3", lab.Figure3},
-		{"table 3", static(repro.Table3())},
-		{"table 4", lab.Table4},
-		{"table 5", static(repro.Table5())},
-		{"figure 6", lab.Figure6},
-		{"figure 7", lab.Figure7},
-		{"figure 9", lab.Figure9},
-		{"figure 10", lab.Figure10},
-		{"figure 11", lab.Figure11},
-		{"figure 12", static(repro.Figure12())},
-		{"table 6", lab.Table6},
-		{"table 7", static(repro.Table7() + "\n" + repro.StorageReport())},
-		{"section 5f", lab.SensitivityVF},
-		{"section 5h", lab.PowerReport},
-		{"section 6c", func() (string, error) { return lab.CoRunReport("gcc") }},
-	}
-
 	cancelled := func(err error) bool {
 		return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 	}
 
 	if *all {
-		// Warm the union grid once up front so the worker pool sees the
-		// whole evaluation at full width, instead of draining per figure.
-		// A failing cell is not fatal here: the figures that depend on it
-		// will report it, and every other figure still renders.
+		// Warm the plain cells once up front so the worker pool sees the
+		// whole grid at full width, instead of draining per figure. A
+		// failing cell is not fatal here: the outputs that depend on it
+		// will report it, and every other output still renders.
 		start := time.Now()
 		if err := lab.Precompute(repro.PaperGrid()...); err != nil {
 			if cancelled(err) {
@@ -223,46 +237,27 @@ func realMain() int {
 		}
 	}
 
-	want := func(j job) bool {
-		if *all {
-			return true
-		}
-		return (*figure != 0 && j.name == fmt.Sprintf("figure %d", *figure)) ||
-			(*table != 0 && j.name == fmt.Sprintf("table %d", *table)) ||
-			(*section != "" && j.name == "section "+*section)
-	}
-
 	var failures []failure
-	ran := 0
-	for _, j := range jobs {
-		if !want(j) {
-			continue
-		}
+	for _, r := range outputs {
 		start := time.Now()
-		out, err := j.fn()
+		out, err := r.Fn(lab)
 		if err != nil {
 			if cancelled(err) {
-				log.Printf("%s: %v", j.name, err)
+				log.Printf("%s: %v", r.Name, err)
 				return 1
 			}
-			// Emit the partial run: the failed figure is skipped, every
+			// Emit the partial run: the failed output is skipped, every
 			// other output still renders from the healthy cells.
-			failures = append(failures, failure{j.name, err})
-			fmt.Fprintf(os.Stderr, "[%s FAILED: %v]\n\n", j.name, err)
+			failures = append(failures, failure{r.Name, err})
+			fmt.Fprintf(os.Stderr, "[%s FAILED: %v]\n\n", r.Name, err)
 			continue
 		}
-		fmt.Println(out)
+		fmt.Fprintln(stdout, out)
 		if d := time.Since(start); d > time.Second {
-			fmt.Fprintf(os.Stderr, "[%s regenerated in %s]\n\n", j.name, d.Round(time.Millisecond))
+			fmt.Fprintf(os.Stderr, "[%s regenerated in %s]\n\n", r.Name, d.Round(time.Millisecond))
 		}
-		ran++
 	}
-	if ran == 0 && len(failures) == 0 {
-		log.Printf("nothing selected: figure %d / table %d / section %q not available", *figure, *table, *section)
-		return 1
-	}
-
-	return reportFailures(os.Stdout, failures, ran)
+	return reportFailures(stdout, failures, len(outputs)-len(failures))
 }
 
 // failure is one selected output lost to an error.

@@ -112,10 +112,11 @@ func (l *Lab) Precompute(cells ...sim.GridCell) error {
 	return l.runner.Precompute(l.ctx, l.opts.Workloads, cells)
 }
 
-// PaperGrid returns the (scheme, threshold) cells the full evaluation
-// sweeps: the union of every simulation-backed figure and table's grid.
-// Lab.Precompute(PaperGrid()...) warms the whole evaluation in one
-// parallel pass.
+// PaperGrid returns the plain (scheme, threshold) cells the registry's
+// outputs read, those with no Variant. The Section V-F variants, Table
+// II's tier cells and the Section VI-C co-run are left to the outputs
+// that use them. Lab.Precompute(PaperGrid()...) warms the plain cells
+// in one parallel pass.
 func PaperGrid() []sim.GridCell {
 	return []sim.GridCell{
 		{Scheme: SchemeBaseline, TRH: 1000},
@@ -577,16 +578,6 @@ func StorageReport() string {
 	fmt.Fprintf(&b, "  Power (Section V-H): DRAM +%.1f mW, SRAM %.1f mW (bloom %.1f + cache %.1f + buffer %.1f)\n",
 		p.DRAMMilliwatts, p.SRAMTotalMilliwatts(), p.BloomMilliwatts, p.FPTCacheMilliwatts, p.CopyBufferMilliwatts)
 	return b.String()
-}
-
-// SortedCacheKeys lists the lab's memoized cells by label
-// (sim.WorkloadRun.Label), in canonical order (for debugging/reports).
-func (l *Lab) SortedCacheKeys() []string {
-	var keys []string
-	for _, r := range l.runner.Cells() {
-		keys = append(keys, r.Label())
-	}
-	return keys
 }
 
 func pct(v float64) string { return fmt.Sprintf("%.1f%%", v*100) }

@@ -27,7 +27,7 @@ func runFullWindowCell(tb testing.TB) time.Duration {
 	region := sim.VisibleRegion(cfg)
 	window := 64 * dram.Millisecond
 	params := workload.Params{EpochLength: dram.DDR4().TREFW, NominalIPC: 0.3, Cores: 4}
-	windowInstr := float64(window) / 1e12 * 3e9 * params.NominalIPC
+	windowInstr := float64(window) / 1e12 * cpu.FreqHz * params.NominalIPC
 	reqs := int64(windowInstr*spec.MPKI/1000) + 16
 	streams := make([]cpu.Stream, 4)
 	for i := 0; i < 4; i++ {

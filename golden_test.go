@@ -1,7 +1,7 @@
 package repro
 
 // Golden-output check: the byte-for-byte contract every optimization PR
-// must preserve. TestLabGolden renders every simulation-backed renderer
+// must preserve. TestLabGolden renders eleven simulation-backed outputs
 // on the reduced grid of parallel_test.go and compares against a
 // committed golden file, so a hot-path change that alters *any* simulated
 // number — a reordered RNG draw, a different tie-break, a timing skew —
@@ -31,11 +31,29 @@ func renderGolden() (string, error) {
 	return renderGoldenLab(labAt(1))
 }
 
-// renderGoldenLab renders every registry renderer (render.go — shared
-// with the cache and resume acceptance tests, which must reproduce this
-// byte stream) on the given lab.
+// goldenSections names the registry entries testdata/lab_golden.txt
+// holds, in its order: every simulation-backed output except Section
+// VI-C's co-run.
+var goldenSections = []string{"table2", "figure3", "figure6", "figure7", "figure9",
+	"figure10", "figure11", "table4", "table6", "section5f", "section5h"}
+
+// renderGoldenLab renders the golden sections in their framing on the
+// given lab: the byte stream the cache and resume acceptance tests must
+// reproduce too.
 func renderGoldenLab(l *Lab) (string, error) {
-	return RenderAll(l)
+	var b strings.Builder
+	for _, name := range goldenSections {
+		r, ok := RendererByName(name)
+		if !ok {
+			return "", fmt.Errorf("no renderer %q", name)
+		}
+		sec, err := RenderSection(l, r)
+		if err != nil {
+			return "", err
+		}
+		b.WriteString(sec)
+	}
+	return b.String(), nil
 }
 
 func TestLabGolden(t *testing.T) {

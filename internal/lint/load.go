@@ -101,10 +101,10 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		switch {
 		case lp == nil:
 			return nil, fmt.Errorf("go list did not list %s", path)
-		case lp.Export == "" && lp.Error != nil:
-			return nil, errors.New(strings.TrimSpace(lp.Error.Err))
 		case lp.Export == "":
-			return nil, fmt.Errorf("no export data for %s", path)
+			// Name the dependency only: its own type errors, or its load
+			// error, report why.
+			return nil, fmt.Errorf("%s did not compile", path)
 		}
 		return os.Open(lp.Export)
 	})

@@ -57,6 +57,25 @@ func TestLoadCollectsTypeErrors(t *testing.T) {
 	}
 }
 
+// TestLoadNamesBrokenDependency: a package importing one that does not
+// compile gets one type error that names the dependency and leaves the
+// compiler's output to the dependency's own errors.
+func TestLoadNamesBrokenDependency(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"go.mod":                "module probe\n\ngo 1.24\n",
+		"internal/bad/bad.go":   "package bad\n\nfunc F() int { return undefinedIdent }\n",
+		"internal/user/user.go": "package user\n\nimport \"probe/internal/bad\"\n\nfunc G() int { return bad.F() }\n",
+	})
+	user := loadOne(t, root, "./internal/user")
+	if user.Err != nil || len(user.TypeErrors) != 1 {
+		t.Fatalf("importer: load error %v and type errors %v, want one type error", user.Err, user.TypeErrors)
+	}
+	msg := user.TypeErrors[0].Error()
+	if !strings.Contains(msg, "probe/internal/bad") || strings.Contains(msg, "undefinedIdent") || strings.Contains(msg, "\n") {
+		t.Fatalf("importer's type error %q: want one line naming probe/internal/bad without its compiler output", msg)
+	}
+}
+
 func TestLoadSkipsBuildConstrainedFiles(t *testing.T) {
 	otherOS := "windows"
 	if runtime.GOOS == "windows" {

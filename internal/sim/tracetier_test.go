@@ -39,10 +39,9 @@ func generated(t *testing.T, r *Runner, name string, nominal float64) []cpu.Stre
 	}
 	cfg := r.Config()
 	params := workload.Params{EpochLength: dram.DDR4().TREFW, NominalIPC: nominal, Cores: paperCores}
-	windowInstr := float64(cfg.Window) / 1e12 * 3e9 * nominal
 	out := make([]cpu.Stream, paperCores)
 	for core := range out {
-		reqs := int64(windowInstr*specs[core].MPKI/1000) + 16
+		reqs := requestBudget(cfg.Window, nominal, specs[core].MPKI)
 		gen := workload.NewGenerator(specs[core], r.region, core, cfg.Seed, params)
 		out[core] = gen.Stream(reqs, cfg.Seed+uint64(core)*7919)
 	}

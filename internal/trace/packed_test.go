@@ -193,7 +193,7 @@ func TestPackedFootprint(t *testing.T) {
 		}
 		// The Runner's request budget for one core over a 4 ms window
 		// at nominal IPC 1.0.
-		reqs := int64(4e-3*3e9*spec.MPKI/1000) + 16
+		reqs := int64(4e-3*cpu.FreqHz*spec.MPKI/1000) + 16
 		gen := workload.NewGenerator(spec, workload.Region{Geom: dram.Baseline()}, 0, seed, workload.Params{})
 		p := packAndCheck(t, drain(t, gen.Stream(reqs, seed)), reqs)
 		if p.rows.width != 3 || p.gaps.width != 1 {

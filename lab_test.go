@@ -3,37 +3,28 @@ package repro
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/dram"
 )
 
-// fastLab runs the figure machinery on a tiny window and two workloads so
-// the full pipeline is exercised in CI time; the full-window runs live in
-// bench_test.go and cmd/figures.
-func fastLab() *Lab {
+// labAt builds the reduced lab every Lab test renders on: a 500 µs
+// window over xz and wrf, no calibration, at the given parallelism (0 =
+// GOMAXPROCS). testdata/lab_golden.txt pins its output.
+func labAt(parallel int) *Lab {
 	return NewLab(LabOptions{
 		Window:        500 * dram.PS(dram.Microsecond),
 		Workloads:     []string{"xz", "wrf"},
 		NoCalibration: true,
+		Parallel:      parallel,
 	})
 }
 
-func TestLabFigure3(t *testing.T) {
-	out, err := fastLab().Figure3()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"RRS-4K", "RRS-1K", "xz", "wrf", "Gmean-2"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q in:\n%s", want, out)
-		}
-	}
-}
-
 func TestLabFigure6And7ShareCache(t *testing.T) {
-	l := fastLab()
+	l := labAt(0)
 	if _, err := l.Figure7(); err != nil {
 		t.Fatal(err)
 	}
@@ -49,101 +40,43 @@ func TestLabFigure6And7ShareCache(t *testing.T) {
 	}
 }
 
-func TestLabFigure9And10(t *testing.T) {
-	l := fastLab()
-	out9, err := l.Figure9()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out9, "AQUA-SRAM") || !strings.Contains(out9, "AQUA-MemMap") {
-		t.Fatalf("figure 9:\n%s", out9)
-	}
-	out10, err := l.Figure10()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out10, "Bloom-reset") || !strings.Contains(out10, "Average") {
-		t.Fatalf("figure 10:\n%s", out10)
-	}
-}
-
-func TestLabFigure11(t *testing.T) {
-	out, err := fastLab().Figure11()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"2000", "1000", "500", "Slowdown"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q", want)
-		}
-	}
+// TestLabTable1 and TestLabStaticFiguresAndTables pin the six
+// closed-form outputs byte for byte.
+func TestLabTable1(t *testing.T) {
+	requirePrinted(t, "table1")
 }
 
 func TestLabStaticFiguresAndTables(t *testing.T) {
-	if out := Figure2(); !strings.Contains(out, "139K") {
-		t.Error("figure 2 lost its history")
-	}
-	if out := Figure12(); !strings.Contains(out, "6.0") && !strings.Contains(out, "6") {
-		t.Errorf("figure 12:\n%s", out)
-	}
-	out := Table3()
-	for _, want := range []string{"23053", "180", "1.1%"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table 3 missing %q:\n%s", want, out)
-		}
-	}
-	out = Table5()
-	for _, want := range []string{"339601", "100.0%"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table 5 missing %q:\n%s", want, out)
-		}
-	}
-	out = Table7()
-	if !strings.Contains(out, "Total") || !strings.Contains(out, "Tracker") {
-		t.Errorf("table 7:\n%s", out)
-	}
-	out = StorageReport()
-	for _, want := range []string{"quarantine", "bloom", "Power"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("storage report missing %q:\n%s", want, out)
-		}
-	}
+	requirePrinted(t, "figure2", "table3", "table5", "figure12", "table7")
 }
 
-func TestLabTable2(t *testing.T) {
-	out, err := fastLab().Table2()
+// requirePrinted requires each named closed-form registry entry's text
+// to appear in testdata/figures_spec_1ms.txt as figures prints it, at
+// the start or after a blank line, and followed by a newline.
+func requirePrinted(t *testing.T, names ...string) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "figures_spec_1ms.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Mixes are skipped; the two SPEC workloads appear with paper values
-	// in parentheses.
-	if !strings.Contains(out, "xz") || !strings.Contains(out, "(655)") {
-		t.Fatalf("table 2:\n%s", out)
-	}
-}
-
-func TestLabTable4And6(t *testing.T) {
-	l := fastLab()
-	out4, err := l.Table4()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out4, "Half-Double") {
-		t.Fatalf("table 4:\n%s", out4)
-	}
-	out6, err := l.Table6()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"Blockhammer", "CROW", "RRS", "AQUA", "1280x", "2.95x"} {
-		if !strings.Contains(out6, want) {
-			t.Errorf("table 6 missing %q:\n%s", want, out6)
+	printed := "\n\n" + string(data)
+	for _, name := range names {
+		r, ok := RendererByName(name)
+		if !ok {
+			t.Fatalf("no renderer %q", name)
+		}
+		out, err := r.Fn(nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !strings.Contains(printed, "\n\n"+out+"\n") {
+			t.Errorf("%s is not in figures_spec_1ms.txt as printed:\n%s", name, out)
 		}
 	}
 }
 
 func TestLabRunCaching(t *testing.T) {
-	l := fastLab()
+	l := labAt(0)
 	a, err := l.Run("xz", SchemeAquaMemMapped, 1000)
 	if err != nil {
 		t.Fatal(err)
@@ -172,39 +105,6 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	if len(AllWorkloads()) != 34 || len(SPECWorkloads()) != 18 {
 		t.Fatal("workload lists")
-	}
-}
-
-func TestLabSensitivityVF(t *testing.T) {
-	out, err := fastLab().SensitivityVF()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"bloom-filter", "fpt-cache", "8 KB", "32 KB"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q in:\n%s", want, out)
-		}
-	}
-}
-
-func TestLabPowerReport(t *testing.T) {
-	out, err := fastLab().PowerReport()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"DRAM", "SRAM", "13.6 mW"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q in:\n%s", want, out)
-		}
-	}
-}
-
-func TestLabTable1(t *testing.T) {
-	out := Table1()
-	for _, want := range []string{"16 GB", "128K", "14.2-14.2-14.2-45"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table 1 missing %q:\n%s", want, out)
-		}
 	}
 }
 

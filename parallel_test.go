@@ -5,59 +5,41 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/dram"
 	"repro/internal/sim"
 )
 
-// labAt builds the reduced-grid lab of lab_test.go at an explicit
-// parallelism, for serial-vs-parallel comparisons.
-func labAt(parallel int) *Lab {
-	return NewLab(LabOptions{
-		Window:        500 * dram.PS(dram.Microsecond),
-		Workloads:     []string{"xz", "wrf"},
-		NoCalibration: true,
-		Parallel:      parallel,
-	})
+// SortedCacheKeys lists the lab's memoized cells by label
+// (sim.WorkloadRun.Label), in the Runner's canonical order.
+func (l *Lab) SortedCacheKeys() []string {
+	var keys []string
+	for _, r := range l.runner.Cells() {
+		keys = append(keys, r.Label())
+	}
+	return keys
 }
 
-// TestParallelMatchesSerial is the engine's core contract: the same
-// reduced grid rendered serially and with Parallel: 4 emits byte-
-// identical tables, for every simulation-backed renderer shape (norm-IPC
-// tables, the migration table, the breakdown table, the sensitivity
-// sweep).
+// TestParallelMatchesSerial is the engine's core contract: every
+// registry entry rendered on the reduced grid serially and with
+// Parallel: 4 emits byte-identical output.
 func TestParallelMatchesSerial(t *testing.T) {
 	serial, parallel := labAt(1), labAt(4)
-	renderers := []struct {
-		name string
-		fn   func(*Lab) (string, error)
-	}{
-		{"figure3", (*Lab).Figure3},
-		{"figure6", (*Lab).Figure6},
-		{"figure7", (*Lab).Figure7},
-		{"figure9", (*Lab).Figure9},
-		{"figure10", (*Lab).Figure10},
-		{"figure11", (*Lab).Figure11},
-		{"table4", (*Lab).Table4},
-		{"table6", (*Lab).Table6},
-		{"section5f", (*Lab).SensitivityVF},
-		{"section5h", (*Lab).PowerReport},
-	}
-	for _, r := range renderers {
-		want, err := r.fn(serial)
+	for _, r := range Renderers() {
+		want, err := r.Fn(serial)
 		if err != nil {
-			t.Fatalf("%s serial: %v", r.name, err)
+			t.Fatalf("%s serial: %v", r.Name, err)
 		}
-		got, err := r.fn(parallel)
+		got, err := r.Fn(parallel)
 		if err != nil {
-			t.Fatalf("%s parallel: %v", r.name, err)
+			t.Fatalf("%s parallel: %v", r.Name, err)
 		}
 		if got != want {
 			t.Errorf("%s diverged under Parallel: 4\n--- serial ---\n%s\n--- parallel ---\n%s",
-				r.name, want, got)
+				r.Name, want, got)
 		}
 	}
 	// Both engines simulated the identical cell set, in the same order,
-	// each cell (the Section V-F variants included) under its own label.
+	// each cell (variants, tier counts and the co-run included) under its
+	// own label.
 	s, p := serial.SortedCacheKeys(), parallel.SortedCacheKeys()
 	if !reflect.DeepEqual(s, p) {
 		t.Errorf("cell sets diverged:\nserial:   %v\nparallel: %v", s, p)
@@ -132,15 +114,28 @@ func TestPrecomputeFillsCache(t *testing.T) {
 	}
 }
 
-func TestPaperGridCoversComparedSchemes(t *testing.T) {
-	seen := make(map[Scheme]bool)
-	for _, c := range PaperGrid() {
-		seen[c.Scheme] = true
-	}
-	for _, s := range []Scheme{SchemeBaseline, SchemeAquaSRAM, SchemeAquaMemMapped,
-		SchemeRRS, SchemeBlockhammer, SchemeVictimRefresh} {
-		if !seen[s] {
-			t.Errorf("PaperGrid missing scheme %v", s)
+// TestPaperGridMatchesRegistry: rendering every registry entry on the
+// reduced lab memoizes exactly PaperGrid's ten cells as its plain cells
+// (no Variant), once per workload.
+func TestPaperGridMatchesRegistry(t *testing.T) {
+	l := labAt(2)
+	for _, r := range Renderers() {
+		if _, err := r.Fn(l); err != nil {
+			t.Fatalf("%s: %v", r.Name, err)
 		}
+	}
+	got := make(map[GridCell]int)
+	for _, run := range l.runner.Cells() {
+		if run.Variant == "" {
+			got[GridCell{Scheme: run.Scheme, TRH: run.TRH}]++
+		}
+	}
+	want := make(map[GridCell]int)
+	for _, c := range PaperGrid() {
+		want[c] += len(l.opts.Workloads)
+	}
+	if len(PaperGrid()) != 10 || !reflect.DeepEqual(got, want) {
+		t.Errorf("plain cells memoized per cell: %v\nPaperGrid's %d cells over %d workloads: %v",
+			got, len(PaperGrid()), len(l.opts.Workloads), want)
 	}
 }

@@ -4,7 +4,7 @@ package repro
 // "Failure model: cell isolation and cancellation"):
 //
 //   - a cell that panics inside a lab's grid fails as a structured
-//     *sim.CellError, and every renderer still emits the golden bytes;
+//     *sim.CellError, and the golden sections still render their bytes;
 //   - a run interrupted after partial completion and rerun over its
 //     cache directory reproduces the uninterrupted golden output exactly;
 //   - a cancelled lab surfaces the context's error.
@@ -22,8 +22,8 @@ import (
 
 // TestLabFailedCellIsolated: a panicking cell in the same Precompute as
 // the whole paper grid fails as a *sim.CellError that names it and
-// carries its stack, and every renderer on that lab stays byte-identical
-// to the golden file. The cell's system build panics because bloom.New
+// carries its stack, and the golden sections on that lab stay
+// byte-identical to the golden file. The cell's system build panics because bloom.New
 // rejects a group size that is not a power of two; it stands for any
 // cell that crashes mid-grid.
 func TestLabFailedCellIsolated(t *testing.T) {
