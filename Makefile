@@ -31,14 +31,12 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzz smoke against the AQUA engine's structural invariants, the
-# aqua-trace-v1 reader (the only trace file format the repo parses), the
-# trace tier's packed column codec and the paged CAT against its eager
-# reference layout.
+# aqua-trace-v1 reader (the only trace file format the repo parses) and
+# the trace tier's packed column codec.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCore -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzBinaryReader -fuzztime=10s ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzPackedRoundTrip -fuzztime=10s ./internal/trace
-	$(GO) test -run='^$$' -fuzz=FuzzCATMatchesEager -fuzztime=10s ./internal/cat
 
 # CI smoke over the hot-path measurement layer: one iteration of each
 # internal/perf microbenchmark plus the zero-allocation budget tests.

@@ -83,7 +83,7 @@ func runAttack(ctx context.Context, stdout io.Writer, name string, scheme sim.Sc
 	// The charge model flips at 2*T_RH combined disturbance: T_RH is
 	// defined per aggressor row (Section VI), and a double-sided victim
 	// receives two rows' contributions.
-	fm := flipmodel.New(sys.Cfg.Geometry, 2*trh, sys.Cfg.Timing.TREFW)
+	fm := flipmodel.New(sys.Rank.Geometry(), 2*trh, sys.Cfg.Timing.TREFW)
 	fm.Attach(sys.Rank)
 	res, err := sys.RunCtx(ctx, 0)
 	if err != nil {

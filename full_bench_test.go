@@ -45,11 +45,11 @@ func runFullWindowCell(tb testing.TB) time.Duration {
 // TestFullWindowCellBudget asserts the wall-clock budget for one full
 // 64ms-window cell. It only runs with REPRO_BENCH_FULL=1 (set by `make
 // bench-full` and the CI benchmark smoke) because wall-clock assertions
-// are meaningless on arbitrarily loaded developer machines; the budget
-// defaults to 750ms (tightened from 1000ms with the blocked-bank overlap
-// scheduler and hot-path flattening) and can be adjusted per host with
-// REPRO_BENCH_FULL_BUDGET_MS — CI pins 2000ms to absorb shared-runner
-// noise.
+// are meaningless on arbitrarily loaded developer machines. The 750ms
+// default was set on a faster host: on a 2-vCPU host this lbm cell has
+// taken 0.74-1.50s wall (0.88-1.25 CPU-s), so a local `make bench-full`
+// there fails more often than not without REPRO_BENCH_FULL_BUDGET_MS. CI
+// pins 2000ms to absorb shared-runner noise.
 func TestFullWindowCellBudget(t *testing.T) {
 	if os.Getenv("REPRO_BENCH_FULL") != "1" {
 		t.Skip("set REPRO_BENCH_FULL=1 (or run `make bench-full`) to assert the full-cell wall-clock budget")

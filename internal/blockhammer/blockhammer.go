@@ -139,6 +139,3 @@ func (e *Engine) OnEpoch(_ dram.PS) {
 
 // Stats implements mitigation.Mitigator.
 func (e *Engine) Stats() mitigation.Stats { return e.stats }
-
-// StatsReset zeroes the counters.
-func (e *Engine) StatsReset() { e.stats = mitigation.Stats{} }

@@ -118,19 +118,6 @@ func TestMitigationsCountBlacklistEntries(t *testing.T) {
 	}
 }
 
-func TestStatsReset(t *testing.T) {
-	e := newEngine(1000, 2)
-	row := testGeom().RowOf(0, 1)
-	e.OnActivate(row, 0)
-	e.OnActivate(row, 1)
-	e.Delay(row, 2)
-	e.Delay(row, 3)
-	e.StatsReset()
-	if s := e.Stats(); s.Mitigations != 0 || s.ThrottleDelay != 0 {
-		t.Fatal("stats reset incomplete")
-	}
-}
-
 func TestName(t *testing.T) {
 	if newEngine(1000, 16).Name() != "blockhammer" {
 		t.Fatal("name")

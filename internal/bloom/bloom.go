@@ -21,10 +21,6 @@ type Filter struct {
 	bits       []uint64
 	occupancy  []uint16 // valid FPT entries per group (model-side bookkeeping)
 	nGroups    int
-
-	// Lookup statistics for the Figure 10 breakdown.
-	tests     int64
-	positives int64
 }
 
 // New builds a filter covering totalRows rows with groupSize rows per bit.
@@ -93,12 +89,7 @@ func (f *Filter) Remove(row uint32) {
 func (f *Filter) MightContain(row uint32) bool {
 	g := f.GroupOf(row)
 	f.checkGroup(g)
-	set := f.bits[g/64]&(1<<(g%64)) != 0
-	f.tests++
-	if set {
-		f.positives++
-	}
-	return set
+	return f.bits[g/64]&(1<<(g%64)) != 0
 }
 
 // GroupOccupancy returns the number of valid FPT entries in the row's
@@ -107,32 +98,6 @@ func (f *Filter) GroupOccupancy(row uint32) int {
 	g := f.GroupOf(row)
 	f.checkGroup(g)
 	return int(f.occupancy[g])
-}
-
-// PositiveRate returns the fraction of MightContain calls that returned
-// true since construction or the last StatsReset.
-func (f *Filter) PositiveRate() float64 {
-	if f.tests == 0 {
-		return 0
-	}
-	return float64(f.positives) / float64(f.tests)
-}
-
-// Tests returns the number of MightContain calls recorded.
-func (f *Filter) Tests() int64 { return f.tests }
-
-// StatsReset clears the lookup statistics without touching filter state.
-func (f *Filter) StatsReset() { f.tests, f.positives = 0, 0 }
-
-// Reset clears all bits and occupancy (e.g. when reconfiguring; the normal
-// epoch flow never bulk-resets, matching the paper's lazy draining).
-func (f *Filter) Reset() {
-	for i := range f.bits {
-		f.bits[i] = 0
-	}
-	for i := range f.occupancy {
-		f.occupancy[i] = 0
-	}
 }
 
 // SetBits returns the number of groups whose bit is currently set.

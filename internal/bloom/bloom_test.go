@@ -101,39 +101,6 @@ func TestRemoveWithoutAddPanics(t *testing.T) {
 	f.Remove(3)
 }
 
-func TestPositiveRateStats(t *testing.T) {
-	f := New(1024, 16)
-	f.Add(0)
-	f.MightContain(0)   // positive
-	f.MightContain(512) // negative
-	if f.Tests() != 2 {
-		t.Fatalf("tests = %d", f.Tests())
-	}
-	if rate := f.PositiveRate(); rate != 0.5 {
-		t.Fatalf("positive rate = %g", rate)
-	}
-	f.StatsReset()
-	if f.Tests() != 0 || f.PositiveRate() != 0 {
-		t.Fatal("stats reset failed")
-	}
-	if !f.MightContain(0) {
-		t.Fatal("stats reset cleared filter state")
-	}
-}
-
-func TestReset(t *testing.T) {
-	f := New(1024, 16)
-	f.Add(1)
-	f.Add(100)
-	f.Reset()
-	if f.SetBits() != 0 {
-		t.Fatal("reset left bits set")
-	}
-	if f.GroupOccupancy(1) != 0 {
-		t.Fatal("reset left occupancy")
-	}
-}
-
 func TestSetBits(t *testing.T) {
 	f := New(1024, 16)
 	f.Add(0)   // group 0

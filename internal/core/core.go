@@ -31,7 +31,6 @@ import (
 
 	"repro/internal/analytic"
 	"repro/internal/bloom"
-	"repro/internal/cat"
 	"repro/internal/dram"
 	"repro/internal/invariant"
 	"repro/internal/mitigation"
@@ -83,8 +82,6 @@ type Config struct {
 	// the head pointer, so a later quarantine rarely pays the extra
 	// 1.37us move-out on its critical path.
 	ProactiveDrain bool
-	// Seed controls hash seeds of the CAT.
-	Seed uint64
 	// Invariants, when non-nil, enables runtime invariant checking: O(1)
 	// structural assertions after every mitigation plus the full
 	// CheckInvariants sweep at each epoch boundary, reported through the
@@ -153,8 +150,10 @@ type Engine struct {
 	// holding exactly the quarantined rows. It starts empty and doubles to
 	// its high-water mark, at most one entry per slot; a short run
 	// quarantines a small fraction of an epoch-sized RQA. In hardware this
-	// is the FPT content; the SRAM CAT / in-DRAM table model the *access
-	// cost* of reaching it.
+	// is the FPT content; the mode's lookup latency, and in memory-mapped
+	// mode the in-DRAM table walk, model the *access cost* of reaching it.
+	// The SRAM FPT's CAT organisation is charged in storage
+	// (analytic.ComputeStorage), not simulated.
 	fptSlot rowmap.Map
 	rpt     []rptEntry
 	// fast is the Translate fast path: bit `row` is set exactly when the
@@ -190,12 +189,6 @@ type Engine struct {
 	// (0 = sweep complete, nothing more to drain until the next epoch).
 	drainCursor    int
 	drainRemaining int
-
-	// SRAM mode: the CAT models set-conflict behaviour of the real FPT.
-	fptCAT *cat.Table
-	// catFailures counts placements the CAT could not hold (must stay 0
-	// with the paper's overprovisioning).
-	catFailures int64
 
 	// Memory-mapped mode structures.
 	bloom    *bloom.Filter
@@ -295,17 +288,6 @@ func New(rank *dram.Rank, cfg Config) *Engine {
 	if cfg.Mode == ModeMemMapped {
 		e.bloom = bloom.New(geom.Rows(), cfg.BloomGroupSize)
 		e.fptCache = sramcache.New(cfg.FPTCacheEntries, fptCacheWays, cfg.BloomGroupSize)
-	}
-
-	if cfg.Mode == ModeSRAM {
-		// Provisioned for a full RQA, ~1.4x overprovisioned as 2 skews x 8
-		// ways; the CAT allocates its slots a page at a time as entries
-		// land in them.
-		sets := nextPow2(ceilDiv(rqa*14/10, 16))
-		if sets < 1 {
-			sets = 1
-		}
-		e.fptCAT = cat.New(cat.Config{Sets: sets, Ways: 8, Seed: cfg.Seed ^ 0xa9fa, MaxRelocations: 16})
 	}
 
 	e.fast = make([]uint64, (geom.Rows()+63)/64)
@@ -437,19 +419,12 @@ func (e *Engine) QuarantinedCount() int {
 	return n
 }
 
-// CATFailures returns the number of FPT placements the SRAM CAT rejected
-// (always 0 with correct provisioning).
-func (e *Engine) CATFailures() int64 { return e.catFailures }
-
 // Tracker exposes the engine's ART (for tests).
 func (e *Engine) Tracker() tracker.Tracker { return e.art }
 
 // BloomFilter exposes the bloom filter in memory-mapped mode (nil in SRAM
 // mode); used by tests and storage accounting.
 func (e *Engine) BloomFilter() *bloom.Filter { return e.bloom }
-
-// FPTCache exposes the FPT-Cache in memory-mapped mode (nil in SRAM mode).
-func (e *Engine) FPTCache() *sramcache.Cache { return e.fptCache }
 
 // --- Mitigator implementation -------------------------------------------
 
@@ -465,10 +440,9 @@ func (e *Engine) Name() string { return "aqua-" + e.cfg.Mode.String() }
 // the mode's precomputed latency and class; it returns exactly what the
 // slow path's earliest return would (in memory-mapped mode that return
 // sits behind the bloom filter's definitive negative, so the fast path
-// skips the filter's internal test counter but charges the same latency
-// and increments the same Lookups class). Everything else — RQA/geometry
-// panics, pinned table rows, quarantine hits — falls through
-// to translateSlow, which is the previous Translate verbatim.
+// charges the same latency and increments the same Lookups class).
+// Everything else — RQA/geometry panics, pinned table rows, quarantine
+// hits — falls through to translateSlow.
 func (e *Engine) Translate(row dram.Row, now dram.PS) mitigation.Translation {
 	if w := uint64(row); w < e.fastRows && e.fast[w>>6]&(1<<(w&63)) != 0 {
 		e.stats.Lookups[e.fastClass]++
@@ -691,12 +665,7 @@ func (e *Engine) mitigate(physRow dram.Row, at dram.PS) dram.PS {
 	e.rpt[d] = rptEntry{install: install, valid: true, epochUsed: e.epoch}
 	e.quarCount++
 
-	switch e.cfg.Mode {
-	case ModeSRAM:
-		if err := e.fptCAT.Insert(install, uint32(d)); err != nil {
-			e.catFailures++
-		}
-	case ModeMemMapped:
+	if e.cfg.Mode == ModeMemMapped {
 		if !wasQuarantined && !e.isTableRow(install) {
 			occBefore := e.bloom.GroupOccupancy(uint32(install))
 			e.bloom.Add(uint32(install))
@@ -758,7 +727,6 @@ func (e *Engine) clearMapping(old dram.Row, t dram.PS) {
 	e.fptSlot.Delete(old)
 	switch e.cfg.Mode {
 	case ModeSRAM:
-		e.fptCAT.Delete(old)
 		e.setFast(old, e.fastEligible(old))
 	case ModeMemMapped:
 		if !e.isTableRow(old) {
@@ -863,17 +831,6 @@ func (e *Engine) OnIdle(now dram.PS) dram.PS {
 // Stats implements mitigation.Mitigator.
 func (e *Engine) Stats() mitigation.Stats { return e.stats }
 
-// StatsReset zeroes the counters (between measurement phases).
-func (e *Engine) StatsReset() {
-	e.stats = mitigation.Stats{}
-	if e.bloom != nil {
-		e.bloom.StatsReset()
-	}
-	if e.fptCache != nil {
-		e.fptCache.StatsReset()
-	}
-}
-
 // CheckInvariants validates the engine's structural invariants; tests call
 // it after arbitrary operation sequences:
 //
@@ -947,11 +904,3 @@ func (e *Engine) CheckInvariants() error {
 // --- helpers -------------------------------------------------------------
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}

@@ -25,7 +25,6 @@ func newEngine(t *testing.T, mode Mode, rqaRows int, trh int64) (*dram.Rank, *En
 		Mode:    mode,
 		RQARows: rqaRows,
 		Tracker: tracker.NewExact(testGeom(), trh/2),
-		Seed:    1,
 	})
 	return rank, eng
 }
@@ -59,7 +58,6 @@ func TestFreshEngineFastBitmap(t *testing.T) {
 				Mode:    mode,
 				RQARows: 8,
 				Tracker: tracker.NewExact(geom, 20),
-				Seed:    1,
 			})
 			if err := eng.CheckInvariants(); err != nil {
 				t.Fatalf("geom %dx%d mode %v: fresh engine: %v",
@@ -251,9 +249,6 @@ func TestLookupClassSRAMMode(t *testing.T) {
 	if tr.Latency <= 0 {
 		t.Fatal("SRAM lookup has no latency")
 	}
-	if eng.CATFailures() != 0 {
-		t.Fatal("CAT failures on empty engine")
-	}
 }
 
 func TestPinnedTableRows(t *testing.T) {
@@ -350,8 +345,7 @@ func TestTranslatePanicsOnRQARow(t *testing.T) {
 
 func TestRandomizedInvariantProperty(t *testing.T) {
 	// Property: after an arbitrary mix of hammering, epochs, and
-	// re-hammering, the FPT/RPT/bloom state is always mutually consistent
-	// and the CAT never overflows.
+	// re-hammering, the FPT/RPT/bloom state is always mutually consistent.
 	geom := testGeom()
 	check := func(seed uint64) bool {
 		for _, mode := range []Mode{ModeSRAM, ModeMemMapped} {
@@ -372,27 +366,11 @@ func TestRandomizedInvariantProperty(t *testing.T) {
 			if eng.CheckInvariants() != nil {
 				return false
 			}
-			if mode == ModeSRAM && eng.CATFailures() != 0 {
-				return false
-			}
 		}
 		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestStatsReset(t *testing.T) {
-	_, eng := newEngine(t, ModeMemMapped, 8, 40)
-	hammer(eng, testGeom().RowOf(0, 5), 20, 0)
-	eng.StatsReset()
-	st := eng.Stats()
-	if st.Mitigations != 0 || st.TotalLookups() != 0 {
-		t.Fatal("stats reset incomplete")
-	}
-	if !eng.IsQuarantined(testGeom().RowOf(0, 5)) {
-		t.Fatal("stats reset dropped engine state")
 	}
 }
 
@@ -618,11 +596,11 @@ func TestHeadSkipsSameEpochSlots(t *testing.T) {
 }
 
 // TestWarmQuarantinesDoNotAllocate is RRS's TestWarmMitigationsDoNotAllocate
-// for AQUA, in both table modes. The forward map and the SRAM mode's CAT
-// pages grow to a high-water mark instead of being made at full size, so
-// once the RQA head has wrapped, 1,250 more quarantines must make no
-// malloc. Mallocs are counted rather than using testing.AllocsPerRun,
-// which rounds a fractional per-ACT rate down to zero. The hammer cycles
+// for AQUA, in both table modes. The forward map grows to a high-water
+// mark instead of being made at full size, so once the RQA head has
+// wrapped, 1,250 more quarantines must make no malloc. Mallocs are
+// counted rather than using testing.AllocsPerRun, which rounds a
+// fractional per-ACT rate down to zero. The hammer cycles
 // a 64-row hot set that moves on at every epoch (4,096 activations), so
 // the RQA holds an epoch's quarantines and the head evicts rows left
 // there by earlier epochs, deleting their forward entries.
@@ -630,7 +608,7 @@ func TestWarmQuarantinesDoNotAllocate(t *testing.T) {
 	geom := testGeom()
 	for _, mode := range []Mode{ModeSRAM, ModeMemMapped} {
 		t.Run(mode.String(), func(t *testing.T) {
-			eng := New(dram.NewRank(geom, dram.DDR4()), Config{TRH: 60, Mode: mode, RQARows: 256, Seed: 1}) // default Misra-Gries tracker
+			eng := New(dram.NewRank(geom, dram.DDR4()), Config{TRH: 60, Mode: mode, RQARows: 256}) // default Misra-Gries tracker
 			visible := eng.VisibleRowsPerBank()
 			at := dram.PS(0)
 			acts := 0
@@ -655,9 +633,9 @@ func TestWarmQuarantinesDoNotAllocate(t *testing.T) {
 				t.Fatalf("1250 warm quarantines made %d mallocs, want 0", n)
 			}
 			s := eng.Stats()
-			if s.Evictions == evictions || s.ReuseViolations != 0 || eng.CATFailures() != 0 {
-				t.Fatalf("%d evictions, %d reuse violations, %d CAT failures; want >0, 0, 0",
-					s.Evictions-evictions, s.ReuseViolations, eng.CATFailures())
+			if s.Evictions == evictions || s.ReuseViolations != 0 {
+				t.Fatalf("%d evictions, %d reuse violations; want >0, 0",
+					s.Evictions-evictions, s.ReuseViolations)
 			}
 		})
 	}

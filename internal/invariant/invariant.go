@@ -53,23 +53,14 @@ const storeLimit = 256
 type Checker struct {
 	violations []Violation
 	count      int
-	failFast   bool
 }
 
 // New returns an enabled checker.
 func New() *Checker { return &Checker{} }
 
-// SetFailFast makes the checker panic on the first violation instead of
-// collecting it — the right mode under `go test -fuzz`, where the panic
-// point pins the offending operation.
-func (c *Checker) SetFailFast(on bool) { c.failFast = on }
-
 // Reportf records a violation.
 func (c *Checker) Reportf(component, rule string, at int64, format string, args ...any) {
 	v := Violation{Component: component, Rule: rule, At: at, Detail: fmt.Sprintf(format, args...)}
-	if c.failFast {
-		panic("invariant: " + v.String())
-	}
 	c.count++
 	if len(c.violations) < storeLimit {
 		c.violations = append(c.violations, v)
@@ -108,10 +99,4 @@ func (c *Checker) Err() error {
 		fmt.Fprintf(&b, "\n  %s", v.String())
 	}
 	return fmt.Errorf("%s", b.String())
-}
-
-// Reset clears the collected state (between measurement phases).
-func (c *Checker) Reset() {
-	c.violations = c.violations[:0]
-	c.count = 0
 }

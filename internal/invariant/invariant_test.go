@@ -60,27 +60,3 @@ func TestStoreLimitBoundsRetention(t *testing.T) {
 		t.Fatalf("retained = %d", len(c.Violations()))
 	}
 }
-
-func TestResetClears(t *testing.T) {
-	c := New()
-	c.Reportf("x", "r", 0, "v")
-	c.Reset()
-	if c.Count() != 0 || c.Err() != nil {
-		t.Fatalf("after reset: count=%d err=%v", c.Count(), c.Err())
-	}
-}
-
-func TestFailFastPanics(t *testing.T) {
-	c := New()
-	c.SetFailFast(true)
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("no panic in fail-fast mode")
-		}
-		if s, ok := r.(string); !ok || !strings.Contains(s, "dram/tRP") {
-			t.Fatalf("panic value = %v", r)
-		}
-	}()
-	c.Checkf(false, "dram", "tRP", 1, "boom")
-}

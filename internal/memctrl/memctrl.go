@@ -147,9 +147,6 @@ func (c *Controller) Mitigator() mitigation.Mitigator { return c.mit }
 // Stats returns a snapshot of the controller counters.
 func (c *Controller) Stats() Stats { return c.stats }
 
-// StatsReset zeroes the counters (between warmup and measurement).
-func (c *Controller) StatsReset() { c.stats = Stats{} }
-
 // Advance processes background work (refresh commands, epoch boundaries,
 // idle drains) up to the given time, in due-timestamp order. Submit calls
 // it implicitly.

@@ -139,15 +139,6 @@ func TestMaxLatencyTracked(t *testing.T) {
 	}
 }
 
-func TestStatsReset(t *testing.T) {
-	_, c := newCtrl(t, nil, Config{})
-	c.Submit(testGeom().RowOf(0, 1), false, 0)
-	c.StatsReset()
-	if c.Stats().Requests != 0 {
-		t.Fatal("reset failed")
-	}
-}
-
 func TestNilMitigatorIsBaseline(t *testing.T) {
 	_, c := newCtrl(t, nil, Config{})
 	if c.Mitigator().Name() != "baseline" {

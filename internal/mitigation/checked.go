@@ -72,18 +72,12 @@ func (c *checked) OnEpoch(now dram.PS) {
 
 func (c *checked) Stats() Stats { return c.inner.Stats() }
 
-// checkStats asserts the cumulative counters never decrease. StatsReset
-// on the wrapped scheme (between warmup and measurement) happens outside
-// any OnActivate/OnEpoch call, so the snapshot is refreshed lazily: a
-// wholesale drop back to zero on every counter is a reset, a partial
-// decrease is a bug.
+// checkStats asserts the cumulative counters never decrease: no scheme
+// resets them mid-run, so any drop, a fall of every counter to zero
+// included, is a bug.
 func (c *checked) checkStats(at dram.PS) {
 	s := c.inner.Stats()
 	if c.haveStat {
-		if s == (Stats{}) && c.lastStat != (Stats{}) {
-			c.lastStat = s
-			return
-		}
 		ok := s.Mitigations >= c.lastStat.Mitigations &&
 			s.RowMigrations >= c.lastStat.RowMigrations &&
 			s.Evictions >= c.lastStat.Evictions &&

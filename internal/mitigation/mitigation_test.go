@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/dram"
+	"repro/internal/invariant"
 )
 
 func TestNoneIsTransparent(t *testing.T) {
@@ -60,5 +61,29 @@ func TestNumLookupClassesCoversAll(t *testing.T) {
 		if c.String() == "unknown" {
 			t.Fatalf("class %d has no name", c)
 		}
+	}
+}
+
+// statsStub is a Mitigator whose Stats the test sets directly.
+type statsStub struct {
+	None
+	stats Stats
+}
+
+func (s *statsStub) Stats() Stats { return s.stats }
+
+// TestCheckedFlagsCountersFallingToZero: cumulative counters never
+// reset mid-run, so a fall of every counter to zero between two
+// OnActivate calls is a stats-monotonic violation like any other drop.
+func TestCheckedFlagsCountersFallingToZero(t *testing.T) {
+	chk := invariant.New()
+	stub := &statsStub{stats: Stats{Mitigations: 3}}
+	m := Checked(stub, dram.Geometry{Banks: 1, RowsPerBank: 8, RowBytes: 1024, LineBytes: 64}, chk)
+	m.OnActivate(1, 0)
+	stub.stats = Stats{}
+	m.OnActivate(1, 1)
+	vs := chk.Violations()
+	if len(vs) != 1 || vs[0].Rule != "stats-monotonic" {
+		t.Fatalf("violations %v, want one stats-monotonic", vs)
 	}
 }

@@ -22,7 +22,6 @@ package rrs
 import (
 	"fmt"
 
-	"repro/internal/cat"
 	"repro/internal/dram"
 	"repro/internal/mitigation"
 	"repro/internal/rng"
@@ -76,13 +75,10 @@ type Engine struct {
 	// partner maps each swapped row to the row its content currently
 	// resides in; unswapped rows are absent. Swaps are symmetric:
 	// partner[partner[x]] == x, so the map holds two entries per pair. It
-	// grows while pairs accumulate and keeps its size across epochs.
+	// grows while pairs accumulate and keeps its size across epochs. In
+	// hardware this is the RIT's content; the RIT's CAT organisation is
+	// charged in storage (analytic.RRSRITBytes), not simulated.
 	partner rowmap.Map
-
-	// rit mirrors the swapped pairs in a CAT to account for the SRAM
-	// structure's set-conflict behaviour and storage.
-	rit         *cat.Table
-	ritFailures int64
 
 	pending []dram.Row
 
@@ -101,20 +97,6 @@ func New(rank *dram.Rank, cfg Config) *Engine {
 		geom: geom,
 		rnd:  rng.New(cfg.Seed ^ 0x5272735f), // "rrs_"
 	}
-	// RIT provisioning: entries for every row swappable in one epoch (two
-	// per swap, but no more than the rank's rows, since a row is in at most
-	// one pair), 1.4x overprovisioned, organised as a 2-skew x 8-way CAT.
-	// That is 4 MiB of slots at T_RH 1K, which the CAT allocates a page at
-	// a time as entries land in them: a run that swaps a few hundred rows
-	// holds a few hundred KiB of it.
-	maxSwaps := rank.Timing().ACTMax() * int64(geom.Banks) / cfg.SwapThreshold()
-	entries := int(float64(min(2*maxSwaps, int64(geom.Rows()))) * 1.4)
-	sets := nextPow2(ceilDiv(entries, 16))
-	if sets < 1 {
-		sets = 1
-	}
-	e.rit = cat.New(cat.Config{Sets: sets, Ways: 8, Seed: cfg.Seed ^ 0x524954, MaxRelocations: 16})
-
 	e.art = cfg.Tracker
 	if e.art == nil {
 		e.art = tracker.NewMisraGries(geom, cfg.SwapThreshold(),
@@ -134,9 +116,6 @@ func (e *Engine) Partner(x dram.Row) (dram.Row, bool) {
 	p, ok := e.partner.Get(x)
 	return dram.Row(p), ok
 }
-
-// RITFailures returns CAT placement failures (0 with correct provisioning).
-func (e *Engine) RITFailures() int64 { return e.ritFailures }
 
 // Tracker exposes the engine's tracker (for tests).
 func (e *Engine) Tracker() tracker.Tracker { return e.art }
@@ -246,19 +225,11 @@ func (e *Engine) moveRows(a, b dram.Row, at dram.PS) dram.PS {
 func (e *Engine) link(a, b dram.Row) {
 	e.partner.Set(a, int32(b))
 	e.partner.Set(b, int32(a))
-	if err := e.rit.Insert(a, uint32(b)); err != nil {
-		e.ritFailures++
-	}
-	if err := e.rit.Insert(b, uint32(a)); err != nil {
-		e.ritFailures++
-	}
 }
 
 func (e *Engine) unlink(a, b dram.Row) {
 	e.partner.Delete(a)
 	e.partner.Delete(b)
-	e.rit.Delete(a)
-	e.rit.Delete(b)
 }
 
 // OnEpoch implements mitigation.Mitigator: the tracker resets and stale
@@ -266,25 +237,8 @@ func (e *Engine) unlink(a, b dram.Row) {
 // Appendix-A accounting).
 func (e *Engine) OnEpoch(_ dram.PS) {
 	e.art.Reset()
-	e.partner.Range(func(x dram.Row, _ int32) bool {
-		e.rit.Delete(x)
-		return true
-	})
 	e.partner.Clear()
 }
 
 // Stats implements mitigation.Mitigator.
 func (e *Engine) Stats() mitigation.Stats { return e.stats }
-
-// StatsReset zeroes the counters.
-func (e *Engine) StatsReset() { e.stats = mitigation.Stats{} }
-
-func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}

@@ -44,8 +44,7 @@ func TestRefreshEpochIssueCollision(t *testing.T) {
 		Cores:       1,
 		CoreCfg:     cpu.Config{MLP: 1},
 	}
-	cfg.fillDefaults()
-	row := cfg.Geometry.RowOf(0, 3)
+	row := dram.Baseline().RowOf(0, 3)
 	sys := NewSystem(cfg, []cpu.Stream{&pairStream{left: 2, row: row}})
 	res := sys.Run(0)
 

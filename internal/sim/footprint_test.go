@@ -13,9 +13,8 @@ import (
 // delta across the call. Per-row simulator state is sized by its live
 // entries, so the ceilings sit well below one dense array over the rank's
 // 2M rows (4-8 MiB): a reintroduced one fails here instead of silently
-// growing every cell of every grid. The CATs (RRS's RIT, AQUA's SRAM FPT)
-// and AQUA's forward map start empty and grow as entries land, so a
-// build pays only for their page tables. What remains is provisioned
+// growing every cell of every grid. AQUA's forward map and RRS's partner
+// map start empty and grow as entries land. What remains is provisioned
 // state: the Misra-Gries tables, AQUA's RPT, translate bitmap and bloom
 // filter.
 func TestSystemFootprint(t *testing.T) {

@@ -104,10 +104,10 @@ func CheckTRH(scheme Scheme, trh int64) error {
 	return nil
 }
 
-// Config parameterizes a system build.
+// Config parameterizes a system build. Every system runs on the
+// paper's Table I rank, dram.Baseline().
 type Config struct {
-	Geometry dram.Geometry
-	Timing   dram.Timing
+	Timing dram.Timing
 	// TRH is the Rowhammer threshold handed to the mitigation.
 	TRH int64
 	// Scheme selects the mitigation.
@@ -171,9 +171,6 @@ func (k TrackerKind) build(geom dram.Geometry, timing dram.Timing, threshold int
 }
 
 func (c *Config) fillDefaults() {
-	if c.Geometry == (dram.Geometry{}) {
-		c.Geometry = dram.Baseline()
-	}
 	if c.Timing == (dram.Timing{}) {
 		c.Timing = dram.DDR4()
 	}
@@ -215,9 +212,10 @@ type System struct {
 // memory).
 func VisibleRegion(cfg Config) workload.Region {
 	cfg.fillDefaults()
-	visible := core.VisibleRowsPerBankFor(cfg.Geometry, cfg.Timing,
+	geom := dram.Baseline()
+	visible := core.VisibleRowsPerBankFor(geom, cfg.Timing,
 		core.Config{TRH: 2, Mode: core.ModeMemMapped})
-	return workload.Region{Geom: cfg.Geometry, VisibleRowsPerBank: visible}
+	return workload.Region{Geom: geom, VisibleRowsPerBank: visible}
 }
 
 // NewSystem wires a system; streams[i] drives core i. len(streams) must
@@ -227,7 +225,8 @@ func NewSystem(cfg Config, streams []cpu.Stream) *System {
 	if len(streams) != cfg.Cores {
 		panic(fmt.Sprintf("sim: %d streams for %d cores", len(streams), cfg.Cores))
 	}
-	rank := dram.NewRank(cfg.Geometry, cfg.Timing)
+	geom := dram.Baseline()
+	rank := dram.NewRank(geom, cfg.Timing)
 
 	s := &System{Cfg: cfg, Rank: rank}
 	if cfg.Monitor {
@@ -240,8 +239,7 @@ func NewSystem(cfg Config, streams []cpu.Stream) *System {
 		return core.Config{
 			TRH:             trh,
 			Mode:            mode,
-			Seed:            cfg.Seed,
-			Tracker:         cfg.Tracker.build(cfg.Geometry, cfg.Timing, max(trh/2, 1)),
+			Tracker:         cfg.Tracker.build(geom, cfg.Timing, max(trh/2, 1)),
 			BloomGroupSize:  cfg.BloomGroupSize,
 			FPTCacheEntries: cfg.FPTCacheEntries,
 			ProactiveDrain:  cfg.ProactiveDrain,
@@ -260,14 +258,14 @@ func NewSystem(cfg Config, streams []cpu.Stream) *System {
 	case SchemeRRS:
 		s.Mit = rrs.New(rank, rrs.Config{
 			TRH: cfg.TRH, Seed: cfg.Seed,
-			Tracker: cfg.Tracker.build(cfg.Geometry, cfg.Timing, max(cfg.TRH/rrs.SwapDivisor, 1)),
+			Tracker: cfg.Tracker.build(geom, cfg.Timing, max(cfg.TRH/rrs.SwapDivisor, 1)),
 		})
 	case SchemeBlockhammer:
 		s.Mit = blockhammer.New(rank, blockhammer.Config{TRH: cfg.TRH})
 	case SchemeVictimRefresh:
 		s.Mit = vrefresh.New(rank, vrefresh.Config{
 			TRH:     cfg.TRH,
-			Tracker: cfg.Tracker.build(cfg.Geometry, cfg.Timing, max(cfg.TRH/2, 1)),
+			Tracker: cfg.Tracker.build(geom, cfg.Timing, max(cfg.TRH/2, 1)),
 		})
 	default:
 		panic(fmt.Sprintf("sim: unknown scheme %d", cfg.Scheme))
@@ -276,7 +274,7 @@ func NewSystem(cfg Config, streams []cpu.Stream) *System {
 	if cfg.Invariants != nil {
 		// Wrap the scheme in the mitigation-contract checker; s.Aqua keeps
 		// pointing at the concrete engine for layout/breakdown queries.
-		s.Mit = mitigation.Checked(s.Mit, cfg.Geometry, cfg.Invariants)
+		s.Mit = mitigation.Checked(s.Mit, geom, cfg.Invariants)
 	}
 
 	ctrlCfg := memctrl.Config{EpochLength: cfg.EpochLength, Invariants: cfg.Invariants}
@@ -292,11 +290,11 @@ func NewSystem(cfg Config, streams []cpu.Stream) *System {
 }
 
 // NewSystemE is NewSystem with validation and panic containment: malformed
-// configurations (a T_RH CheckTRH rejects once defaulted, bad
-// geometry/timing, a stream/core mismatch, a layout the RQA arithmetic
-// rejects) come back as errors instead of process aborts, so a bad grid
-// cell fails as a CellError. The library panics in analytic/layout code
-// stay — NewSystemE converts them at this boundary.
+// configurations (a T_RH CheckTRH rejects once defaulted, bad timing, a
+// stream/core mismatch, a layout the RQA arithmetic rejects) come back
+// as errors instead of process aborts, so a bad grid cell fails as a
+// CellError. The library panics in analytic/layout code stay —
+// NewSystemE converts them at this boundary.
 func NewSystemE(cfg Config, streams []cpu.Stream) (*System, error) {
 	probe := cfg
 	probe.fillDefaults()
@@ -305,9 +303,6 @@ func NewSystemE(cfg Config, streams []cpu.Stream) (*System, error) {
 	}
 	if len(streams) != probe.Cores {
 		return nil, fmt.Errorf("sim: %d streams for %d cores", len(streams), probe.Cores)
-	}
-	if err := probe.Geometry.Validate(); err != nil {
-		return nil, err
 	}
 	if err := probe.Timing.Validate(); err != nil {
 		return nil, err

@@ -32,11 +32,6 @@ type Cache struct {
 	ways       int
 	groupShift uint
 	lines      []line
-
-	// stats
-	hits, misses int64
-	inserts      int64
-	evictions    int64
 }
 
 // New builds a cache with the given total entries and associativity.
@@ -91,11 +86,9 @@ func (c *Cache) Lookup(row uint32) (value uint16, hit bool) {
 	for i := range set {
 		if set[i].valid && set[i].row == row {
 			set[i].rrpv = rrpvHit
-			c.hits++
 			return set[i].value, true
 		}
 	}
-	c.misses++
 	return 0, false
 }
 
@@ -131,11 +124,7 @@ func (c *Cache) Insert(row uint32, value uint16, singleton bool) {
 		}
 	}
 	victim := c.findVictim(set)
-	if set[victim].valid {
-		c.evictions++
-	}
 	set[victim] = line{valid: true, row: row, value: value, singleton: singleton, rrpv: rrpvFill}
-	c.inserts++
 }
 
 // findVictim implements SRRIP: evict the first invalid line, otherwise the
@@ -204,31 +193,6 @@ func (c *Cache) Len() int {
 	}
 	return n
 }
-
-// Clear invalidates the whole cache.
-func (c *Cache) Clear() {
-	for i := range c.lines {
-		c.lines[i] = line{}
-	}
-}
-
-// Hits returns the number of Lookup calls that found their row.
-func (c *Cache) Hits() int64 { return c.hits }
-
-// Misses returns the number of Lookup calls that did not.
-func (c *Cache) Misses() int64 { return c.misses }
-
-// HitRate returns hits/(hits+misses), 0 when no lookups occurred.
-func (c *Cache) HitRate() float64 {
-	total := c.hits + c.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(total)
-}
-
-// StatsReset zeroes the statistics counters.
-func (c *Cache) StatsReset() { c.hits, c.misses, c.inserts, c.evictions = 0, 0, 0, 0 }
 
 // SRAMBytes returns the cache's SRAM footprint given the tag width in bits:
 // per line one valid bit, tag, RRPV, singleton bit, and a 2-byte FPT entry.

@@ -38,10 +38,6 @@ type Tracker interface {
 	// Reset clears per-epoch state. Called every tracker epoch (the paper
 	// resets at every 64ms refresh interval).
 	Reset()
-	// SRAMBytes returns the tracker's SRAM footprint for storage accounting.
-	SRAMBytes() int
-	// Name identifies the tracker in reports.
-	Name() string
 }
 
 // entry is one Misra-Gries table slot as the eviction heap sees it. The
@@ -235,9 +231,6 @@ func ProvisionEntries(timing dram.Timing, threshold int64) int {
 	return int(n)
 }
 
-// Name implements Tracker.
-func (t *MisraGries) Name() string { return "misra-gries" }
-
 // Threshold returns the per-epoch flagging threshold.
 func (t *MisraGries) Threshold() int64 { return t.threshold }
 
@@ -345,16 +338,6 @@ func (t *MisraGries) CheckConsistency() error {
 	return nil
 }
 
-// SRAMBytes implements Tracker: per entry one row tag (log2 rowsPerBank
-// bits, rounded up) plus a counter, per bank, matching the ~396KB/rank the
-// paper charges the MG tracker at threshold 500 (Appendix B). The count
-// map is a simulator acceleration structure, not hardware state, so it is
-// not charged here.
-func (t *MisraGries) SRAMBytes() int {
-	perEntry := 5 // 21-bit row tag + ~19-bit counter, rounded up to 5 bytes
-	return t.capacity * perEntry * len(t.banks)
-}
-
 // Exact tracks every row with an exact counter. It is the reference
 // implementation used to validate guarantee properties; its SRAM cost would
 // be impractical in hardware.
@@ -370,9 +353,6 @@ func NewExact(geom dram.Geometry, threshold int64) *Exact {
 	}
 	return &Exact{threshold: threshold, counts: make([]int64, geom.Rows())}
 }
-
-// Name implements Tracker.
-func (t *Exact) Name() string { return "exact" }
 
 // RecordACT implements Tracker.
 func (t *Exact) RecordACT(row dram.Row) bool {
@@ -390,15 +370,12 @@ func (t *Exact) Reset() {
 // Count returns the exact per-epoch count for a row.
 func (t *Exact) Count(row dram.Row) int64 { return t.counts[row] }
 
-// SRAMBytes implements Tracker.
-func (t *Exact) SRAMBytes() int { return len(t.counts) * 3 }
-
 // Hydra is a storage-optimized hybrid tracker in the spirit of Qureshi et
 // al.'s Hydra: a small SRAM table of *group* counters covers all rows; when
 // a group's shared counter crosses a fraction of the threshold, the group
 // is "split" and exact per-row counters are materialized (in DRAM in the
-// real design; here the DRAM residency only affects the storage accounting
-// and a per-access latency charge recorded in stats).
+// real design; here in plain memory, with no access cost, and Table VII's
+// storage figure comes from analytic.Table7).
 type Hydra struct {
 	threshold  int64
 	groupShift uint // rows per group = 1<<groupShift
@@ -416,9 +393,6 @@ type Hydra struct {
 	// only ever increments). int32 is safe because per-epoch counts are
 	// physically bounded far below 2^31.
 	split []int32
-	// DRAMLookups counts accesses that had to consult the in-DRAM row
-	// counters (a proxy for Hydra's extra memory traffic).
-	DRAMLookups int64
 	// thr is the precomputed divide-free divisibility test for threshold.
 	thr multiple
 }
@@ -445,9 +419,6 @@ func NewHydra(geom dram.Geometry, threshold int64, groupSize int) *Hydra {
 	}
 }
 
-// Name implements Tracker.
-func (t *Hydra) Name() string { return "hydra" }
-
 func (t *Hydra) groupOf(row dram.Row) uint32 { return uint32(row) >> t.groupShift }
 
 // RecordACT implements Tracker. The group counter over-approximates each
@@ -466,13 +437,11 @@ func (t *Hydra) RecordACT(row dram.Row) bool {
 		if int64(gc) >= t.threshold/2 {
 			// Split: per-row counters take over from here.
 			t.groups[g] = -gc
-			t.DRAMLookups++
 			t.split[row] = gc
 			return t.thr.of(int64(gc))
 		}
 		return false
 	}
-	t.DRAMLookups++
 	c := t.split[row]
 	if c == 0 {
 		c = -gc // lazy seeding with the split-time group count
@@ -486,10 +455,4 @@ func (t *Hydra) RecordACT(row dram.Row) bool {
 func (t *Hydra) Reset() {
 	clear(t.groups)
 	clear(t.split)
-	t.DRAMLookups = 0
 }
-
-// SRAMBytes implements Tracker: 2 bytes per group counter (the in-DRAM row
-// counters are excluded, as in the paper's Table VII which charges Hydra
-// 28.3KB SRAM).
-func (t *Hydra) SRAMBytes() int { return len(t.groups) * 2 }

@@ -214,8 +214,8 @@ func TestHydraSplitsGroups(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		tr.RecordACT(row)
 	}
-	if tr.DRAMLookups == 0 {
-		t.Fatal("group never split despite crossing threshold/2")
+	if gc := tr.groups[tr.groupOf(row)]; gc >= 0 {
+		t.Fatalf("group never split despite crossing threshold/2 (shared count %d)", gc)
 	}
 }
 
@@ -226,8 +226,8 @@ func TestHydraReset(t *testing.T) {
 		tr.RecordACT(g.RowOf(0, 0))
 	}
 	tr.Reset()
-	if tr.DRAMLookups != 0 {
-		t.Fatal("reset kept DRAM lookups")
+	if gc := tr.groups[tr.groupOf(g.RowOf(0, 0))]; gc != 0 {
+		t.Fatalf("reset left the group at %d, want an unsplit 0", gc)
 	}
 	// After reset the same guarantee applies afresh.
 	triggers := 0
@@ -238,19 +238,6 @@ func TestHydraReset(t *testing.T) {
 	}
 	if triggers == 0 {
 		t.Fatal("no trigger after reset")
-	}
-}
-
-func TestSRAMBytesPositive(t *testing.T) {
-	g := testGeom()
-	for _, tr := range []Tracker{
-		NewMisraGries(g, 100, 16),
-		NewExact(g, 100),
-		NewHydra(g, 100, 8),
-	} {
-		if tr.SRAMBytes() <= 0 {
-			t.Errorf("%s reports non-positive SRAM", tr.Name())
-		}
 	}
 }
 

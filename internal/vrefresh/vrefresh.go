@@ -116,6 +116,3 @@ func (e *Engine) OnEpoch(_ dram.PS) { e.art.Reset() }
 
 // Stats implements mitigation.Mitigator.
 func (e *Engine) Stats() mitigation.Stats { return e.stats }
-
-// StatsReset zeroes the counters.
-func (e *Engine) StatsReset() { e.stats = mitigation.Stats{} }
