@@ -39,10 +39,12 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPackedRoundTrip -fuzztime=10s ./internal/trace
 
 # CI smoke over the hot-path measurement layer: one iteration of each
-# internal/perf microbenchmark plus the zero-allocation budget tests.
+# internal/perf microbenchmark plus every allocation budget test: the
+# request path's, the warm Misra-Gries tables', the row map's at
+# capacity and AQUA's and RRS's warm mitigations.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/perf
-	$(GO) test -run='ZeroAlloc' ./internal/perf ./internal/dram
+	$(GO) test -run='ZeroAlloc|DoNotAllocate|NoAlloc' ./internal/perf ./internal/dram ./internal/core ./internal/rrs ./internal/rowmap ./internal/tracker
 
 # Full-cell wall-clock budget: one complete 64ms refresh-window cell (the
 # unit every figure grid decomposes into) must finish inside the budget

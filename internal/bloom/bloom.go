@@ -99,19 +99,3 @@ func (f *Filter) GroupOccupancy(row uint32) int {
 	f.checkGroup(g)
 	return int(f.occupancy[g])
 }
-
-// SetBits returns the number of groups whose bit is currently set.
-func (f *Filter) SetBits() int {
-	n := 0
-	for _, w := range f.bits {
-		for ; w != 0; w &= w - 1 {
-			n++
-		}
-	}
-	return n
-}
-
-// SRAMBytes returns the filter's SRAM footprint: one bit per group. (The
-// occupancy counters model information hardware reads from the FPT
-// cacheline itself, so they are not charged to SRAM.)
-func (f *Filter) SRAMBytes() int { return (f.nGroups + 7) / 8 }

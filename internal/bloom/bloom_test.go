@@ -101,24 +101,6 @@ func TestRemoveWithoutAddPanics(t *testing.T) {
 	f.Remove(3)
 }
 
-func TestSetBits(t *testing.T) {
-	f := New(1024, 16)
-	f.Add(0)   // group 0
-	f.Add(3)   // group 0
-	f.Add(100) // group 6
-	if n := f.SetBits(); n != 2 {
-		t.Fatalf("set bits = %d", n)
-	}
-}
-
-func TestSRAMBytesPaperConfig(t *testing.T) {
-	// 2M rows, groups of 16 -> 128K bits = 16KB (Section V-A).
-	f := New(2*1024*1024, 16)
-	if got := f.SRAMBytes(); got != 16*1024 {
-		t.Fatalf("SRAMBytes = %d, want 16KB", got)
-	}
-}
-
 func TestExpectedPositiveRateAtPaperLoad(t *testing.T) {
 	// Section V-D: with 23K quarantined rows over 128K groups, ~16% of
 	// groups have at least one quarantined row, so a uniform random

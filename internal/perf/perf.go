@@ -92,7 +92,9 @@ func BenchSubmit(b *testing.B) {
 }
 
 // BenchTrackerACT measures the aggressor tracker alone: one RecordACT
-// per op on the provisioned Misra-Gries table.
+// per op on a Misra-Gries tracker with the paper's table size. Its bank
+// tables grow to hold rowPattern's reqSpread rows in the first reqSpread
+// ops and stay that size.
 func BenchTrackerACT(b *testing.B) {
 	geom := dram.Baseline()
 	timing := dram.DDR4()

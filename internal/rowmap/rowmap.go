@@ -33,12 +33,16 @@ type Map struct {
 }
 
 // New returns a map that holds n entries without growing.
-func New(n int) Map {
+func New(n int) Map { return sized(slotsFor(n)) }
+
+// slotsFor returns the fewest slots, a power of two and at least 8, that
+// hold n entries at the load bound.
+func slotsFor(n int) int {
 	size := 8
 	for size < 2*n {
 		size <<= 1
 	}
-	return sized(size)
+	return size
 }
 
 // sized returns an empty map with size slots, a power of two.
@@ -98,15 +102,28 @@ func (m *Map) Set(row dram.Row, v int32) {
 		return
 	}
 	if 2*(m.n+1) > len(m.slots) {
-		old := m.slots
-		*m = sized(max(8, 2*len(old)))
-		for _, s := range old {
-			if s.key != 0 {
-				m.insert(s)
-			}
-		}
+		m.resize(max(8, 2*len(m.slots)))
 	}
 	m.insert(slot{key: uint32(row) + 1, val: v})
+}
+
+// Reserve grows the map, if it must, so that it holds n entries without
+// growing again.
+func (m *Map) Reserve(n int) {
+	if size := slotsFor(n); size > len(m.slots) {
+		m.resize(size)
+	}
+}
+
+// resize moves the entries into a new table of size slots.
+func (m *Map) resize(size int) {
+	old := m.slots
+	*m = sized(size)
+	for _, s := range old {
+		if s.key != 0 {
+			m.insert(s)
+		}
+	}
 }
 
 // insert places an absent key; the table has room for it.

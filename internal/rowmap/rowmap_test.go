@@ -34,11 +34,13 @@ func TestMatchesGoMap(t *testing.T) {
 					t.Fatalf("trial %d step %d: Delete(%d) = %v, want %v", trial, step, row, got, want)
 				}
 				delete(ref, row)
-			case op < 98:
+			case op < 97:
 				if p := m.Ref(row); p != nil {
 					*p++
 					ref[row]++
 				}
+			case op < 98:
+				m.Reserve(r.Intn(2 * universe))
 			default:
 				m.Clear()
 				clear(ref)
@@ -124,11 +126,21 @@ func TestInvalidRowAbsent(t *testing.T) {
 }
 
 // TestNoAllocAtCapacity pins the pre-sizing contract the tracker and the
-// AQUA forward table rely on: a map made with New(n) takes n entries, and
-// any churn that keeps at most n live, without allocating.
+// AQUA forward table rely on: a map made with New(n), or grown with
+// Reserve(n), takes n entries, and any churn that keeps at most n live,
+// without allocating.
 func TestNoAllocAtCapacity(t *testing.T) {
 	const n = 4096
-	m := New(n)
+	var m Map
+	m.Set(7, 7)
+	m.Reserve(n)
+	if v, ok := m.Get(7); !ok || v != 7 {
+		t.Fatalf("Reserve lost an entry: Get(7) = %d, %v", v, ok)
+	}
+	if len(m.slots) != len(New(n).slots) {
+		t.Fatalf("Reserve(%d) made %d slots, New(%d) %d", n, len(m.slots), n, len(New(n).slots))
+	}
+	m = New(n)
 	stride := dram.Row(2*1024*1024/n - 1) // spread keys over a 2M-row rank
 	if avg := testing.AllocsPerRun(1, func() {
 		m.Clear()

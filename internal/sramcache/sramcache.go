@@ -193,10 +193,3 @@ func (c *Cache) Len() int {
 	}
 	return n
 }
-
-// SRAMBytes returns the cache's SRAM footprint given the tag width in bits:
-// per line one valid bit, tag, RRPV, singleton bit, and a 2-byte FPT entry.
-func (c *Cache) SRAMBytes(tagBits int) int {
-	bits := len(c.lines) * (1 + tagBits + rrpvBits + 1 + 16)
-	return (bits + 7) / 8
-}

@@ -154,17 +154,6 @@ func TestResidencyProperty(t *testing.T) {
 	}
 }
 
-func TestSRAMBytesPaperConfig(t *testing.T) {
-	// 4K entries x 16 ways, ~16KB (Section V-A says 16KB for the
-	// FPT-Cache); with a 21-bit tag our accounting gives 4K x 41 bits =
-	// 20.5KB — same order, difference documented in EXPERIMENTS.md.
-	c := New(4096, 16, 16)
-	got := c.SRAMBytes(21)
-	if got < 16*1024 || got > 24*1024 {
-		t.Fatalf("SRAMBytes = %d", got)
-	}
-}
-
 func TestConstructorPanics(t *testing.T) {
 	for i, fn := range []func(){
 		func() { New(0, 4, 16) },

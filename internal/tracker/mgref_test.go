@@ -68,16 +68,23 @@ func (d *denseMG) reset() {
 }
 
 // TestMisraGriesMatchesDenseReference runs random ACT streams and epoch
-// resets through MisraGries and the dense reference. Hot rows cross small thresholds often, cold rows churn the
-// tables through the spill-swap path, and tiny capacities keep every bank
-// full. After every step the flag, every row's estimate and every bank's
-// spill must agree, and the tracker must pass CheckConsistency.
+// resets through MisraGries and the dense reference. Hot rows cross small
+// thresholds often and cold rows churn the tables through the spill-swap
+// path. Even trials draw tiny capacities, which keep every bank full; odd
+// ones draw up to twice a bank's rows, so the tables grow through several
+// doublings, some to the whole bank. A Reset at step 1000, besides the
+// random ones, makes every trial refill grown tables. After every step
+// the flag, every row's estimate and every bank's spill must agree, and
+// the tracker must pass CheckConsistency.
 func TestMisraGriesMatchesDenseReference(t *testing.T) {
 	geom := dram.Geometry{Banks: 3, RowsPerBank: 40, RowBytes: 1024, LineBytes: 64}
 	for trial := 0; trial < 60; trial++ {
 		r := rng.New(uint64(trial) + 1)
 		threshold := int64(1 + r.Intn(12))
 		capacity := 1 + r.Intn(8)
+		if trial%2 == 1 {
+			capacity = 1 + r.Intn(2*geom.RowsPerBank)
+		}
 		mg := NewMisraGries(geom, threshold, capacity)
 		ref := newDenseMG(geom, threshold, capacity)
 		hot := make([]dram.Row, 1+r.Intn(6))
@@ -86,7 +93,7 @@ func TestMisraGriesMatchesDenseReference(t *testing.T) {
 		}
 		for step := 0; step < 1500; step++ {
 			switch op := r.Intn(1000); {
-			case op < 2:
+			case op < 2 || step == 1000:
 				mg.Reset()
 				ref.reset()
 			default:

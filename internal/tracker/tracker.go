@@ -42,11 +42,11 @@ type Tracker interface {
 
 // entry is one Misra-Gries table slot as the eviction heap sees it. The
 // count here is a *lazily maintained lower bound* on the row's true count
-// in MisraGries.cnt: the hot path increments cnt without touching the
+// in its bank's cnt: the hot path increments cnt without touching the
 // heap, and ensureMin refreshes keys only when an eviction decision needs
-// the true minimum. The heaps are provisioned at ProvisionEntries per
-// bank (8,183 entries, 130,928 per rank, at RRS's T_RH 1K), so the count
-// takes cnt's int32 bound to keep an entry at 8 bytes.
+// the true minimum. A full heap holds ProvisionEntries entries (8,183 per
+// bank at RRS's T_RH 1K), so the count takes cnt's int32 bound to keep an
+// entry at 8 bytes.
 type entry struct {
 	row   dram.Row
 	count int32
@@ -64,9 +64,9 @@ type entry struct {
 // banks therefore trigger occasional *spurious* mitigations exactly as the
 // paper reports for workloads like imagick (Section IV-F).
 //
-// Layout: the authoritative counts live in the cnt row map (one probe per
-// RecordACT on the already-tracked fast path — the common case, since hot
-// rows stay tracked). Each bank's heap orders entries by a stale
+// Layout: the authoritative counts live in each bank's cnt row map (one
+// probe per RecordACT on the already-tracked fast path — the common case,
+// since hot rows stay tracked). Each bank's heap orders entries by a stale
 // (count, row) key that is a lower bound on the true count; keys are
 // refreshed top-down only when the full-table install path needs the true
 // minimum. Deferring the per-hit sift-down this way keeps the eviction
@@ -78,28 +78,56 @@ type MisraGries struct {
 	geom      dram.Geometry
 	threshold int64
 	capacity  int
-	banks     []mgBank
-	// cnt maps every tracked row to its estimated count, shared by all
-	// banks (each row belongs to exactly one bank); a row is present
-	// exactly when it sits in its bank's heap, so the map never holds more
-	// than capacity entries per bank and is made that big up front. This
-	// is the single probe of the RecordACT fast path. int32 cannot
-	// overflow: counts reset every epoch, and an epoch holds at most
-	// ~tREFW/tRC ~ 1.4M activations per bank, far below 2^31.
-	cnt rowmap.Map
+	// live is min(capacity, RowsPerBank): a bank's table never holds more
+	// rows than the bank has, so no heap grows past it.
+	live  int
+	banks []mgBank
 	// thr is the precomputed divide-free divisibility test for threshold.
 	thr multiple
 }
 
+// mgBank is one bank's table. Its map and heap start empty and grow
+// together as rows are installed (see grow), so a bank holds memory for
+// the most rows it has tracked at once rather than for the worst case: a
+// short cell tracks a fraction of ProvisionEntries, and a busy 64 ms cell
+// ends at the provisioned size. A growth step copies one bank's table,
+// never the whole tracker's.
 type mgBank struct {
+	// cnt maps every tracked row of the bank to its estimated count; a
+	// row is present exactly when it sits in heap. This is the single
+	// probe of the RecordACT fast path. int32 cannot overflow: counts
+	// reset every epoch, and an epoch holds at most ~tREFW/tRC ~ 1.4M
+	// activations per bank, far below 2^31.
+	cnt   rowmap.Map
 	heap  []entry // min-heap on the stale (count, row) lower bounds
 	spill int32   // bounded like the counts: by the bank's ACTs per epoch
+}
+
+// minHeapCap is the capacity a bank's heap is first made with.
+const minHeapCap = 8
+
+// grow makes room in a full bank table. The heap grows fourfold, or
+// straight to live once the next step would pass half of it, and the map
+// is reserved for as many rows, so it never grows on its own. Each step
+// leaves the old table as garbage until the next collection: doubling
+// left about a full table's worth per bank, which raised a 64 ms cell's
+// peak RSS by a quarter, and these steps leave about a fifth.
+func (b *mgBank) grow(live int) {
+	n := max(4*cap(b.heap), minHeapCap)
+	if 2*n > live {
+		n = live
+	}
+	b.cnt.Reserve(n)
+	heap := make([]entry, len(b.heap), n)
+	copy(heap, b.heap)
+	b.heap = heap
 }
 
 // NewMisraGries builds a tracker that flags rows every `threshold`
 // activations. entriesPerBank is sized so the Misra-Gries guarantee holds:
 // the canonical provisioning is ACTmax/threshold entries (use
-// ProvisionEntries).
+// ProvisionEntries). It allocates only the bank headers; each bank's
+// table grows as rows are installed.
 func NewMisraGries(geom dram.Geometry, threshold int64, entriesPerBank int) *MisraGries {
 	if threshold < 1 {
 		panic("tracker: threshold must be >= 1")
@@ -107,20 +135,14 @@ func NewMisraGries(geom dram.Geometry, threshold int64, entriesPerBank int) *Mis
 	if entriesPerBank < 1 {
 		panic("tracker: need at least one entry per bank")
 	}
-	// A bank's table never holds more rows than the bank has.
-	live := min(entriesPerBank, geom.RowsPerBank)
-	t := &MisraGries{
+	return &MisraGries{
 		geom:      geom,
 		threshold: threshold,
 		capacity:  entriesPerBank,
+		live:      min(entriesPerBank, geom.RowsPerBank),
 		banks:     make([]mgBank, geom.Banks),
-		cnt:       rowmap.New(live * geom.Banks),
 		thr:       newMultiple(threshold),
 	}
-	for i := range t.banks {
-		t.banks[i] = mgBank{heap: make([]entry, 0, live)}
-	}
-	return t
 }
 
 // multiple tests divisibility by a fixed positive divisor without a
@@ -206,9 +228,9 @@ func (b *mgBank) siftDown(i int) {
 // and distinct rows make the order strict. Each iteration freshens one
 // stale entry, so the loop terminates in at most len(heap) steps; across
 // RecordACT calls the work is bounded by the hit-path sifts it replaced.
-func (t *MisraGries) ensureMin(b *mgBank) {
+func (b *mgBank) ensureMin() {
 	for {
-		true_, _ := t.cnt.Get(b.heap[0].row)
+		true_, _ := b.cnt.Get(b.heap[0].row)
 		if true_ == b.heap[0].count {
 			return
 		}
@@ -238,22 +260,25 @@ func (t *MisraGries) Threshold() int64 { return t.threshold }
 // row-map probe and increment; the heap is not touched (its key for this
 // row goes stale as a lower bound, repaired lazily by ensureMin).
 func (t *MisraGries) RecordACT(row dram.Row) bool {
-	if c := t.cnt.Ref(row); c != nil {
+	b := &t.banks[t.geom.BankOf(row)]
+	if c := b.cnt.Ref(row); c != nil {
 		*c++
 		return t.thr.of(int64(*c))
 	}
-	return t.install(row)
+	return t.install(b, row)
 }
 
 // install is the untracked-row slow path: claim a free slot, or pump the
 // spill counter and apply Graphene's swap rule against the true minimum.
-func (t *MisraGries) install(row dram.Row) bool {
-	b := &t.banks[t.geom.BankOf(row)]
+func (t *MisraGries) install(b *mgBank, row dram.Row) bool {
 	if len(b.heap) < t.capacity {
 		// Free slot: install with the spill counter inherited, which may
 		// immediately cross the threshold (the spurious-mitigation path).
 		c := b.spill + 1
-		t.cnt.Set(row, c)
+		if len(b.heap) == cap(b.heap) {
+			b.grow(t.live)
+		}
+		b.cnt.Set(row, c)
 		b.heap = append(b.heap, entry{row: row, count: c})
 		b.siftUp(len(b.heap) - 1)
 		return t.thr.of(int64(c))
@@ -269,12 +294,12 @@ func (t *MisraGries) install(row dram.Row) bool {
 	// it is below the true minimum too and skips the refresh entirely.
 	b.spill++
 	if b.spill >= b.heap[0].count {
-		t.ensureMin(b)
+		b.ensureMin()
 		if b.spill >= b.heap[0].count {
 			evicted := b.heap[0].count
-			t.cnt.Delete(b.heap[0].row)
+			b.cnt.Delete(b.heap[0].row)
 			c := b.spill
-			t.cnt.Set(row, c)
+			b.cnt.Set(row, c)
 			b.heap[0] = entry{row: row, count: c}
 			b.siftDown(0)
 			b.spill = evicted
@@ -284,19 +309,21 @@ func (t *MisraGries) install(row dram.Row) bool {
 	return false
 }
 
-// Reset implements Tracker.
+// Reset implements Tracker. Every bank keeps its grown map and heap, so
+// an epoch that tracks no more rows than an earlier one allocates nothing.
 func (t *MisraGries) Reset() {
-	t.cnt.Clear()
 	for i := range t.banks {
-		t.banks[i].heap = t.banks[i].heap[:0]
-		t.banks[i].spill = 0
+		b := &t.banks[i]
+		b.cnt.Clear()
+		b.heap = b.heap[:0]
+		b.spill = 0
 	}
 }
 
 // EstimatedCount returns the tracker's current estimate for a row (0 if
 // untracked); exposed for tests.
 func (t *MisraGries) EstimatedCount(row dram.Row) int64 {
-	c, _ := t.cnt.Get(row)
+	c, _ := t.banks[t.geom.BankOf(row)].cnt.Get(row)
 	return int64(c)
 }
 
@@ -306,15 +333,20 @@ func (t *MisraGries) Spill(bank int) int64 { return int64(t.banks[bank].spill) }
 
 // CheckConsistency verifies the tracker's structural invariants: min-heap
 // order on the stale keys in every bank, every key a lower bound on the
-// row's authoritative count, counts at least 1, and no counted row outside
-// the heaps.
+// row's authoritative count, counts at least 1, every tracked row in its
+// own bank's table, no counted row outside the heaps, and no heap grown
+// past the rows its bank can hold.
 func (t *MisraGries) CheckConsistency() error {
-	tracked := 0
 	for bi := range t.banks {
 		b := &t.banks[bi]
-		tracked += len(b.heap)
+		if cap(b.heap) > t.live {
+			return fmt.Errorf("tracker: bank %d heap grew to %d entries, past its %d", bi, cap(b.heap), t.live)
+		}
 		for i := range b.heap {
-			c, _ := t.cnt.Get(b.heap[i].row)
+			if rb := t.geom.BankOf(b.heap[i].row); rb != bi {
+				return fmt.Errorf("tracker: bank %d heap[%d] holds row %d of bank %d", bi, i, b.heap[i].row, rb)
+			}
+			c, _ := b.cnt.Get(b.heap[i].row)
 			if c < 1 {
 				return fmt.Errorf("tracker: bank %d heap[%d] row %d has count %d < 1", bi, i, b.heap[i].row, c)
 			}
@@ -329,11 +361,11 @@ func (t *MisraGries) CheckConsistency() error {
 				}
 			}
 		}
-	}
-	// Heap rows are distinct and each is counted, so equal sizes mean the
-	// map holds nothing else.
-	if t.cnt.Len() != tracked {
-		return fmt.Errorf("tracker: %d rows counted but %d tracked in the heaps", t.cnt.Len(), tracked)
+		// Heap rows are distinct and each is counted, so equal sizes mean
+		// the map holds nothing else.
+		if b.cnt.Len() != len(b.heap) {
+			return fmt.Errorf("tracker: bank %d counts %d rows but tracks %d in its heap", bi, b.cnt.Len(), len(b.heap))
+		}
 	}
 	return nil
 }

@@ -1,8 +1,10 @@
 package tracker
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/dram"
 	"repro/internal/rng"
@@ -142,6 +144,102 @@ func TestMisraGriesPerBankIsolation(t *testing.T) {
 	}
 	if tr.EstimatedCount(a) != 50 || tr.EstimatedCount(b) != 50 {
 		t.Fatal("banks interfered")
+	}
+}
+
+// TestNewMisraGriesAllocatesOnlyBankHeaders builds a tracker at the paper
+// geometry with RRS's T_RH 1K table size, 8,183 entries per bank: it must
+// make only itself and its bank headers, and every bank's table must
+// start empty.
+func TestNewMisraGriesAllocatesOnlyBankHeaders(t *testing.T) {
+	geom := dram.Baseline()
+	capacity := ProvisionEntries(dram.DDR4(), 166)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr := NewMisraGries(geom, 166, capacity)
+	runtime.ReadMemStats(&after)
+	headers := unsafe.Sizeof(*tr) + uintptr(geom.Banks)*unsafe.Sizeof(mgBank{})
+	if n := after.Mallocs - before.Mallocs; n != 2 {
+		t.Errorf("NewMisraGries made %d objects, want 2: the tracker and its bank headers", n)
+	}
+	// Size classes and the runtime's object headers round the bytes up,
+	// but never to twice the headers.
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2*uint64(headers) {
+		t.Errorf("NewMisraGries allocated %d bytes, want about %d of headers", got, headers)
+	}
+	for i := range tr.banks {
+		if b := &tr.banks[i]; cap(b.heap) != 0 || b.cnt.Len() != 0 {
+			t.Fatalf("bank %d starts with a %d-entry heap and %d counts", i, cap(b.heap), b.cnt.Len())
+		}
+	}
+}
+
+// TestMisraGriesTablesGrowToCapacity fills one bank past its capacity.
+// Its heap must end exactly min(capacity, RowsPerBank) entries long, the
+// other bank's table must stay unmade, and Reset must keep the grown heap.
+func TestMisraGriesTablesGrowToCapacity(t *testing.T) {
+	for _, c := range []struct {
+		geom     dram.Geometry
+		capacity int
+	}{
+		{dram.Baseline(), ProvisionEntries(dram.DDR4(), 500)},
+		{testGeom(), 100},
+		{dram.Geometry{Banks: 2, RowsPerBank: 40, RowBytes: 1024, LineBytes: 64}, 100},
+	} {
+		tr := NewMisraGries(c.geom, 1000, c.capacity)
+		want := min(c.capacity, c.geom.RowsPerBank)
+		for i := 0; i < min(2*want, c.geom.RowsPerBank); i++ {
+			tr.RecordACT(c.geom.RowOf(1, i))
+		}
+		b := &tr.banks[1]
+		if len(b.heap) != want || cap(b.heap) != want || b.cnt.Len() != want {
+			t.Errorf("capacity %d over %d rows: heap %d of %d entries, %d counts; want %d of %d, %d",
+				c.capacity, c.geom.RowsPerBank, len(b.heap), cap(b.heap), b.cnt.Len(), want, want, want)
+		}
+		if cap(tr.banks[0].heap) != 0 {
+			t.Errorf("capacity %d: untouched bank 0 grew a %d-entry heap", c.capacity, cap(tr.banks[0].heap))
+		}
+		tr.Reset()
+		if len(b.heap) != 0 || cap(b.heap) != want {
+			t.Errorf("capacity %d: Reset left a heap of %d of %d entries, want 0 of %d", c.capacity, len(b.heap), cap(b.heap), want)
+		}
+		if err := tr.CheckConsistency(); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// TestWarmTablesDoNotAllocate holds the tracker to zero allocations once
+// its tables have grown: an epoch that tracks the rows an earlier one
+// tracked, its Reset and spill-swap evictions included, makes no malloc.
+// Mallocs are counted rather than using testing.AllocsPerRun, which
+// rounds a few growth steps over many ACTs down to zero.
+func TestWarmTablesDoNotAllocate(t *testing.T) {
+	geom := dram.Baseline()
+	tr := NewMisraGries(geom, 500, 512)
+	r := rng.New(7)
+	rows := make([]dram.Row, 20000)
+	for i := range rows {
+		rows[i] = geom.RowOf(r.Intn(geom.Banks), r.Intn(2048))
+	}
+	epoch := func() {
+		tr.Reset()
+		for _, row := range rows {
+			tr.RecordACT(row)
+		}
+	}
+	epoch()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	epoch()
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("a warm epoch of 20000 ACTs made %d mallocs, want 0", n)
+	}
+	if tr.Spill(0) == 0 {
+		t.Fatal("bank 0 never spilled: the epoch did not fill its table")
 	}
 }
 

@@ -20,6 +20,7 @@ package workload
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/cpu"
 	"repro/internal/dram"
@@ -109,22 +110,43 @@ func (r Region) rows() int {
 	return r.Geom.RowsPerBank
 }
 
-// RowAt maps a flat visible-row index to a physical install row: with n
-// visible rows per bank, index i is row i mod n of bank (i / n) mod Banks.
-// Generator builds call it for every background row, so it takes a single
-// division.
-func (r Region) RowAt(i int) dram.Row {
-	n := r.rows()
-	bank := i / n
-	idx := i - bank*n
-	if bank >= r.Geom.Banks {
-		bank %= r.Geom.Banks
-	}
-	return r.Geom.RowOf(bank, idx)
-}
-
 // VisibleRows returns the number of addressable rows.
 func (r Region) VisibleRows() int { return r.rows() * r.Geom.Banks }
+
+// rowIndex maps flat visible-row indices to physical rows without a
+// divide: with n visible rows per bank, index i is row i mod n of bank
+// i / n. A generator build maps every hot and background row it draws
+// (64K per core), and a hardware divide per row was most of its time.
+//
+// The quotient is hi64(ceil(2^64/n) * i), exact whenever i and n are
+// below 2^32 (Lemire, Kaser and Kurz, "Faster Remainder by Direct
+// Computation", 2019), which a dram.Row's 32 bits guarantee. ceil(2^64/n)
+// needs 65 bits when n is 1, so m holds ceil(2^64/n) - 1, which equals
+// floor((2^64-1)/n), and the product is taken as m*i + i.
+type rowIndex struct {
+	n           uint64 // visible rows per bank
+	m           uint64 // ceil(2^64/n) - 1
+	rowsPerBank uint64
+}
+
+func (r Region) rowIndex() rowIndex {
+	n := uint64(r.rows())
+	return rowIndex{n: n, m: ^uint64(0) / n, rowsPerBank: uint64(r.Geom.RowsPerBank)}
+}
+
+// rowAt returns the row of visible-row index i, which must be below
+// VisibleRows.
+func (x rowIndex) rowAt(i uint64) dram.Row {
+	bank := x.quotient(i)
+	return dram.Row(bank*x.rowsPerBank + i - bank*x.n)
+}
+
+// quotient returns i / n for i below 2^32.
+func (x rowIndex) quotient(i uint64) uint64 {
+	hi, lo := bits.Mul64(x.m, i)
+	_, carry := bits.Add64(lo, i, 0)
+	return hi + carry
+}
 
 // backgroundRows sizes each core's cold working set.
 const backgroundRows = 64 * 1024
@@ -177,7 +199,6 @@ type hotRow struct {
 type Generator struct {
 	spec   Spec
 	params Params
-	region Region
 
 	gapInstr   int64       // instructions between requests
 	gapDraw    rng.Uniform // precomputed [0, gapInstr+1) drawer (hot path)
@@ -204,7 +225,7 @@ func NewGenerator(spec Spec, region Region, coreIdx int, seed uint64, params Par
 	if spec.MPKI <= 0 {
 		panic(fmt.Sprintf("workload: %s has non-positive MPKI", spec.Name))
 	}
-	g := &Generator{spec: spec, params: params, region: region}
+	g := &Generator{spec: spec, params: params}
 	g.gapInstr = int64(1000 / spec.MPKI)
 	if g.gapInstr < 1 {
 		g.gapInstr = 1
@@ -228,10 +249,11 @@ func NewGenerator(spec Spec, region Region, coreIdx int, seed uint64, params Par
 
 	// A precomputed Uniform draws exactly what r.Intn(visible) would
 	// without recomputing the rejection bound for each of the 64K
-	// background rows.
+	// background rows; rows maps each draw to its row without a divide.
 	visible := region.VisibleRows()
 	draw := rng.NewUniform(uint64(visible))
-	pick := func() dram.Row { return region.RowAt(int(draw.Draw(r))) }
+	rows := region.rowIndex()
+	pick := func() dram.Row { return rows.rowAt(draw.Draw(r)) }
 
 	addTier := func(count int, lo, hi float64) {
 		for i := 0; i < count; i++ {
@@ -297,12 +319,12 @@ func (g *Generator) Stream(n int64, seed uint64) cpu.Stream {
 		r:      rng.New(seed ^ hashName(g.spec.Name) ^ 0x53545245),
 		remain: n,
 	}
-	if len(g.background) > 0 {
-		// Constructing the Zipf sampler consumes no RNG draws, so building
-		// it eagerly keeps the draw sequence identical to the old lazy path
-		// while moving the allocation off the steady-state request path.
-		s.zipf = rng.NewZipf(s.r, 1.2, 8, uint64(len(g.background)-1))
-	}
+	// Constructing the Zipf sampler consumes no RNG draws, so building it
+	// eagerly keeps the draw sequence identical to the old lazy path while
+	// moving the allocation off the steady-state request path. The
+	// background set is never empty: a region with no visible rows panics
+	// in NewGenerator.
+	s.zipf = rng.NewZipf(s.r, 1.2, 8, uint64(len(g.background)-1))
 	return s
 }
 
@@ -334,11 +356,7 @@ func (s *stream) Next() (cpu.Request, bool) {
 	case len(g.hot) > 0 && s.r.Float64() < g.pHot:
 		row = g.hot[g.pickHot(s.r)].row
 	default:
-		if len(g.background) > 0 {
-			row = g.background[int(s.zipf.Uint64())]
-		} else {
-			row = g.region.RowAt(s.r.Intn(g.region.VisibleRows()))
-		}
+		row = g.background[int(s.zipf.Uint64())]
 		// Start a burst with geometric length (mean BackgroundBurst).
 		if b := g.params.BackgroundBurst; b > 1 {
 			s.burstRow = row

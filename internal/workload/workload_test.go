@@ -67,11 +67,12 @@ func TestRegionMapping(t *testing.T) {
 	if r.VisibleRows() != 4000 {
 		t.Fatalf("visible rows = %d", r.VisibleRows())
 	}
+	rows := r.rowIndex()
 	seen := make(map[dram.Row]bool)
 	for i := 0; i < r.VisibleRows(); i++ {
-		row := r.RowAt(i)
+		row := rows.rowAt(uint64(i))
 		if seen[row] {
-			t.Fatalf("RowAt not injective at %d", i)
+			t.Fatalf("rowAt not injective at %d", i)
 		}
 		seen[row] = true
 		if idx := r.Geom.IndexOf(row); idx >= r.VisibleRowsPerBank {
@@ -80,10 +81,10 @@ func TestRegionMapping(t *testing.T) {
 	}
 }
 
-// TestRowAtMatchesFormula pins the single-division RowAt to the plain
-// formula bank = i/n mod Banks, index = i mod n, on power-of-two and
-// other geometries, across whole visible ranges, wrapped indices past
-// them, and indices around and above 2^32.
+// TestRowAtMatchesFormula pins the divide-free rowAt to the plain formula
+// bank = i/n, index = i mod n over the whole visible range of
+// power-of-two and other geometries, the baseline's 2M rows and a bank
+// of one visible row (where ceil(2^64/n) needs 65 bits) included.
 func TestRowAtMatchesFormula(t *testing.T) {
 	regions := []Region{
 		{Geom: dram.Baseline()},
@@ -91,25 +92,29 @@ func TestRowAtMatchesFormula(t *testing.T) {
 		{Geom: dram.Geometry{Banks: 3, RowsPerBank: 1000, RowBytes: 1024, LineBytes: 64}, VisibleRowsPerBank: 999},
 		{Geom: dram.Geometry{Banks: 5, RowsPerBank: 96, RowBytes: 1024, LineBytes: 64}},
 		{Geom: dram.Geometry{Banks: 1, RowsPerBank: 7, RowBytes: 1024, LineBytes: 64}},
+		{Geom: dram.Geometry{Banks: 6, RowsPerBank: 4, RowBytes: 1024, LineBytes: 64}, VisibleRowsPerBank: 1},
 	}
 	for _, r := range regions {
 		n := r.rows()
-		want := func(i int) dram.Row { return r.Geom.RowOf(i/n%r.Geom.Banks, i%n) }
-		check := func(i int) {
-			if got := r.RowAt(i); got != want(i) {
-				t.Fatalf("%+v: RowAt(%d) = %d, formula gives %d", r, i, got, want(i))
+		rows := r.rowIndex()
+		for i := 0; i < r.VisibleRows(); i++ {
+			if got, want := rows.rowAt(uint64(i)), r.Geom.RowOf(i/n, i%n); got != want {
+				t.Fatalf("%+v: rowAt(%d) = %d, formula gives %d", r, i, got, want)
 			}
 		}
-		stride := max(1, r.VisibleRows()/50000)
-		for i := 0; i < 3*r.VisibleRows(); i += stride {
-			check(i)
+	}
+	// The reciprocal's quotient is exact for every index and divisor a
+	// dram.Row can hold, not only the geometries above.
+	r := rng.New(0x524f5741)
+	edges := []uint64{1, 2, 3, 7, 1<<31 - 1, 1 << 31, 1<<31 + 1, 1<<32 - 2, 1<<32 - 1}
+	for k := 0; k < 200000; k++ {
+		n, i := 1+r.Uint64n(1<<32-1), r.Uint64n(1<<32)
+		if k < len(edges)*len(edges) {
+			n, i = edges[k/len(edges)], edges[k%len(edges)]
 		}
-		for k := 1; k <= 3*r.Geom.Banks; k++ {
-			check(k*n - 1)
-			check(k * n)
-		}
-		for _, i := range []int{math.MaxUint32 - 1, math.MaxUint32, math.MaxUint32 + 1, 1<<40 + 12345} {
-			check(i)
+		x := Region{Geom: dram.Geometry{Banks: 1, RowsPerBank: int(n)}}.rowIndex()
+		if got := x.quotient(i); got != i/n {
+			t.Fatalf("quotient(%d) with n = %d is %d, want %d", i, n, got, i/n)
 		}
 	}
 }
