@@ -20,6 +20,7 @@ lint:
 	@out=$$(gofmt -l $$(git ls-files '*.go')); \
 	test -z "$$out" || { echo "gofmt -l lists unformatted files (run gofmt -w on them):"; echo "$$out"; exit 1; }
 	$(GO) vet ./...
+	$(GO) -C bench vet ./...
 	$(GO) run ./cmd/aqualint ./...
 	$(GO) -C bench run repro/cmd/aqualint ./...
 	$(GO) test -race ./internal/lint/...

@@ -140,11 +140,7 @@ type Engine struct {
 	art tracker.Tracker
 
 	// Region layout (rows reserved from the top of every bank).
-	rqaRows         int
-	rqaRowsPerBank  int
-	fptTableRows    int // memory-mapped mode only
-	rptTableRows    int
-	tableRowsPerBnk int
+	layout
 
 	// fptSlot is the authoritative forward mapping: install row -> RQA slot,
 	// holding exactly the quarantined rows. It starts empty and doubles to
@@ -268,18 +264,12 @@ func New(rank *dram.Rank, cfg Config) *Engine {
 	timing := rank.Timing()
 
 	l := layoutFor(geom, timing, cfg)
-	rqa := l.rqaRows
-
 	e := &Engine{
-		cfg:             cfg,
-		rank:            rank,
-		geom:            geom,
-		rqaRows:         rqa,
-		rqaRowsPerBank:  l.rqaRowsPerBank,
-		fptTableRows:    l.fptTableRows,
-		rptTableRows:    l.rptTableRows,
-		tableRowsPerBnk: l.tableRowsPerBnk,
-		rpt:             make([]rptEntry, rqa),
+		cfg:    cfg,
+		rank:   rank,
+		geom:   geom,
+		layout: l,
+		rpt:    make([]rptEntry, l.rqaRows),
 	}
 	for i := range e.rpt {
 		e.rpt[i].epochUsed = -1
@@ -574,12 +564,18 @@ func (e *Engine) OnActivate(physRow dram.Row, at dram.PS) dram.PS {
 	if e.art.RecordACT(physRow) {
 		busy += e.mitigate(physRow, at+busy)
 	}
-	// Drain activations generated by the mitigation itself (bounded: each
-	// mitigation adds a handful of ACTs, and triggering again requires
-	// another 500 on one row, so this loop terminates immediately in
-	// practice). Indexed iteration (appends during the loop extend it)
-	// with a final truncation keeps the queue's backing array reusable
-	// instead of re-slicing its capacity away.
+	return e.drainPending(at, busy)
+}
+
+// drainPending feeds the activations queued by the engine's own row
+// streams to the tracker, mitigating any row that crosses the threshold,
+// and returns busy, the channel time consumed since at, plus what those
+// mitigations consume. It is bounded: each mitigation adds a handful of
+// ACTs, and triggering again requires another T_RH/2 on one row, so the
+// loop ends almost at once in practice. Indexed iteration (appends during
+// the loop extend it) with a final truncation keeps the queue's backing
+// array reusable instead of re-slicing its capacity away.
+func (e *Engine) drainPending(at, busy dram.PS) dram.PS {
 	for i := 0; i < len(e.pending); i++ {
 		if e.art.RecordACT(e.pending[i]) {
 			busy += e.mitigate(e.pending[i], at+busy)
@@ -645,13 +641,7 @@ func (e *Engine) mitigate(physRow dram.Row, at dram.PS) dram.PS {
 	// Evict a stale occupant from a previous epoch back to its original
 	// location (lazy drain, Section IV-A).
 	if e.rpt[d].valid {
-		old := e.rpt[d].install
-		t = e.streamPair(e.slotRow(d), old, t)
-		e.clearMapping(old, t)
-		e.rpt[d].valid = false
-		e.quarCount--
-		e.stats.Evictions++
-		e.stats.RowMigrations++
+		t = e.evict(d, t)
 	}
 
 	// Copy the aggressor into the quarantine slot.
@@ -718,6 +708,21 @@ func (e *Engine) streamPair(src, dst dram.Row, at dram.PS) dram.PS {
 			"core", "migration-complete", t,
 			"migration %d -> %d finished at %dps, before one full copy could", src, dst, t)
 	}
+	return t
+}
+
+// evict copies slot d's occupant back to its install row starting at
+// `at`, removes its mapping and frees the slot; it returns when the copy
+// completes. mitigate calls it on a stale destination slot (lazy drain),
+// OnIdle on a stale slot it sweeps (proactive drain).
+func (e *Engine) evict(d int, at dram.PS) dram.PS {
+	old := e.rpt[d].install
+	t := e.streamPair(e.slotRow(d), old, at)
+	e.clearMapping(old, t)
+	e.rpt[d].valid = false
+	e.quarCount--
+	e.stats.Evictions++
+	e.stats.RowMigrations++
 	return t
 }
 
@@ -801,29 +806,15 @@ func (e *Engine) OnIdle(now dram.PS) dram.PS {
 		d := e.drainCursor
 		e.drainCursor = (e.drainCursor + 1) % e.rqaRows
 		e.drainRemaining--
-		ent := &e.rpt[d]
-		if !ent.valid || ent.epochUsed >= e.epoch {
+		if ent := e.rpt[d]; !ent.valid || ent.epochUsed >= e.epoch {
 			continue
 		}
-		old := ent.install
-		t := e.streamPair(e.slotRow(d), old, now)
-		e.clearMapping(old, t)
-		ent.valid = false
-		e.quarCount--
-		e.stats.Evictions++
+		t := e.evict(d, now)
 		e.stats.ProactiveDrains++
-		e.stats.RowMigrations++
 		e.rank.Reserve(t)
 		busy := t - now
 		e.stats.ChannelBusy += busy
-		// Feed the drain's own activations to the tracker.
-		for i := 0; i < len(e.pending); i++ {
-			if e.art.RecordACT(e.pending[i]) {
-				busy += e.mitigate(e.pending[i], now+busy)
-			}
-		}
-		e.pending = e.pending[:0]
-		return busy
+		return e.drainPending(now, busy)
 	}
 	return 0
 }

@@ -78,7 +78,6 @@ type Core struct {
 
 	instrRetired int64
 	lastComplete dram.PS
-	stallTime    dram.PS
 }
 
 // New builds a core over a stream.
@@ -102,10 +101,6 @@ func (c *Core) InstrRetired() int64 { return c.instrRetired }
 
 // FinishTime returns the completion time of the last memory request.
 func (c *Core) FinishTime() dram.PS { return c.lastComplete }
-
-// StallTime returns the accumulated time the core spent with all miss
-// slots occupied.
-func (c *Core) StallTime() dram.PS { return c.stallTime }
 
 // IPC returns instructions per cycle given a measurement interval.
 func (c *Core) IPC(elapsed dram.PS) float64 {
@@ -165,7 +160,7 @@ func (c *Core) NextIssueTime() (dram.PS, bool) {
 // a run of same-core issues below the limit cannot change — or be
 // changed by — any other core's issue; an issue time exactly AT the
 // limit ends the batch and goes back through the run loop's (time, core
-// index) heap. See DESIGN.md "Event-driven core & time-skip invariants".
+// index) scan. See DESIGN.md "Event-driven core & time-skip invariants".
 func (c *Core) IssueRun(at, limit dram.PS, max int, submit func(row dram.Row, write bool, at dram.PS) dram.PS) (n int, next dram.PS, more bool) {
 	for {
 		c.Issue(at, submit)
@@ -199,15 +194,13 @@ func (c *Core) Issue(at dram.PS, submit func(row dram.Row, write bool, at dram.P
 		panic(fmt.Sprintf("cpu: core %d Issue without a queued request", c.id))
 	}
 	if c.outLen >= c.cfg.MLP {
-		oldest := c.outstanding[c.outHead]
+		// Every miss slot is busy: the oldest miss, which NextIssueTime
+		// waited for, frees its slot.
 		c.outHead++
 		if c.outHead == len(c.outstanding) {
 			c.outHead = 0
 		}
 		c.outLen--
-		if oldest > c.nextIssue {
-			c.stallTime += oldest - c.nextIssue
-		}
 	}
 	done := submit(c.queued.Row, c.queued.Write, at)
 	// Insert keeping completions ordered; out-of-order completions are

@@ -20,11 +20,7 @@
 // aggressor is relocated after T_RH/2 activations.
 package flipmodel
 
-import (
-	"sort"
-
-	"repro/internal/dram"
-)
+import "repro/internal/dram"
 
 // Flip records one bit-flip event.
 type Flip struct {
@@ -44,7 +40,6 @@ type Model struct {
 	flips   []Flip
 
 	lastWindow int64
-	opens      int64
 }
 
 // New builds a model in which a row flips once it accumulates `threshold`
@@ -79,7 +74,6 @@ func (m *Model) Attach(r *dram.Rank) {
 // disturbed by one unit.
 func (m *Model) RowOpened(row dram.Row, at dram.PS) {
 	m.rollWindow(at)
-	m.opens++
 	delete(m.disturb, row) // opening restores the row's own charge
 	pair, np := m.geom.NeighborPair(row, 1)
 	for _, n := range pair[:np] {
@@ -109,33 +103,3 @@ func (m *Model) Flipped() bool { return len(m.flips) > 0 }
 
 // Disturbance returns a row's current accumulated disturbance.
 func (m *Model) Disturbance(row dram.Row) int64 { return m.disturb[row] }
-
-// MaxDisturbance returns the highest current disturbance and its row.
-func (m *Model) MaxDisturbance() (dram.Row, int64) {
-	var bestRow dram.Row
-	var best int64
-	rows := make([]dram.Row, 0, len(m.disturb))
-	for r := range m.disturb {
-		rows = append(rows, r)
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i] < rows[j] })
-	for _, r := range rows {
-		if m.disturb[r] > best {
-			best = m.disturb[r]
-			bestRow = r
-		}
-	}
-	return bestRow, best
-}
-
-// Opens returns the number of row openings observed.
-func (m *Model) Opens() int64 { return m.opens }
-
-// Reset clears all state.
-func (m *Model) Reset() {
-	clear(m.disturb)
-	clear(m.flipped)
-	m.flips = nil
-	m.lastWindow = 0
-	m.opens = 0
-}

@@ -135,20 +135,6 @@ func TestFlipRecordedOncePerRow(t *testing.T) {
 	}
 }
 
-func TestMaxDisturbance(t *testing.T) {
-	m := New(testGeom(), 1000, 64*ms)
-	aggr := testGeom().RowOf(0, 11)
-	for i := 0; i < 7; i++ {
-		m.RowOpened(aggr, dram.PS(i)*1000)
-	}
-	if _, d := m.MaxDisturbance(); d != 7 {
-		t.Fatalf("max disturbance = %d", d)
-	}
-	if m.Opens() != 7 {
-		t.Fatalf("opens = %d", m.Opens())
-	}
-}
-
 func TestAttach(t *testing.T) {
 	g := testGeom()
 	rank := dram.NewRank(g, dram.DDR4())
@@ -177,18 +163,7 @@ func TestAttachObservesRefreshes(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		rank.NotifyRefresh(g.RowOf(0, 11), dram.PS(i))
 	}
-	if m.Opens() != 5 || m.Disturbance(g.RowOf(0, 12)) != 5 || !m.Flipped() {
-		t.Fatalf("opens %d, neighbour disturbance %d, flipped %v", m.Opens(), m.Disturbance(g.RowOf(0, 12)), m.Flipped())
-	}
-}
-
-func TestReset(t *testing.T) {
-	m := New(testGeom(), 10, 64*ms)
-	for i := 0; i < 20; i++ {
-		m.RowOpened(testGeom().RowOf(0, 11), dram.PS(i))
-	}
-	m.Reset()
-	if m.Flipped() || m.Opens() != 0 {
-		t.Fatal("reset incomplete")
+	if m.Disturbance(g.RowOf(0, 12)) != 5 || !m.Flipped() {
+		t.Fatalf("neighbour disturbance %d, flipped %v", m.Disturbance(g.RowOf(0, 12)), m.Flipped())
 	}
 }

@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/dram"
-	"repro/internal/event"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/tracker"
@@ -29,8 +28,12 @@ import (
 )
 
 // sinkRow keeps replayed rows observably live so the replay micro cannot
-// be dead-code-eliminated around an inlined Next.
-var sinkRow dram.Row
+// be dead-code-eliminated around an inlined Next; sinkHorizon does the
+// same for the horizon half of the core-selection scan.
+var (
+	sinkRow     dram.Row
+	sinkHorizon dram.PS
+)
 
 // reqSpread is the number of distinct rows the drivers cycle through:
 // large enough to exercise row misses and tracker installs, small enough
@@ -219,11 +222,9 @@ func BenchTraceReplay(b *testing.B) {
 	}
 }
 
-// benchIssueLoop measures the full issue-selection loop — heap-ordered
-// core selection plus the request pipeline — at a given core count. The
-// selection cost is what scales with cores: the min-heap pays O(log
-// cores) per request where the previous linear scan paid O(cores), so
-// the 8- and 16-core variants are where the difference shows.
+// benchIssueLoop measures the full run loop — the per-batch core
+// selection scan plus the request pipeline — at a given core count,
+// through System.IssueN.
 func benchIssueLoop(b *testing.B, cores int) {
 	streams := make([]cpu.Stream, cores)
 	for i := range streams {
@@ -241,36 +242,31 @@ func benchIssueLoop(b *testing.B, cores int) {
 	}
 }
 
-// BenchEventPop measures the issue-heap primitive the run loop leans on:
-// one read-root + reschedule-root cycle against a 16-entry heap — the
-// shape of a 16-core system between background events. This is
-// aquabench's perf.event_pop_ns micro; its alloc count must stay at zero.
+// BenchEventPop measures the run loop's core-selection step: one
+// sim.Earliest scan over 16 next-issue times plus the root's
+// reschedule — the shape of a 16-core system between background
+// events. This is aquabench's perf.event_pop_ns micro; its alloc count
+// must stay at zero.
 func BenchEventPop(b *testing.B) {
-	var c event.Calendar
-	const entries = 16
-	for i := int32(0); i < entries; i++ {
-		c.Push(event.Event{Time: event.PS(1000 + i), Index: i})
+	var next [16]dram.PS
+	for i := range next {
+		next[i] = dram.PS(1000 + i)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e, ok := c.MinIndexed()
-		if !ok {
-			b.Fatal("heap drained")
+		root, horizon := sim.Earliest(next[:])
+		if root < 0 {
+			b.Fatal("every entry finished")
 		}
-		c.ReplaceIndexedMin(e.Time + 7919)
+		next[root] += 7919
+		sinkHorizon = horizon
 	}
 }
 
 // BenchIssueLoop4 measures the issue loop at the paper's 4-core
 // configuration.
 func BenchIssueLoop4(b *testing.B) { benchIssueLoop(b, 4) }
-
-// BenchIssueLoop8 measures the issue loop at 8 cores.
-func BenchIssueLoop8(b *testing.B) { benchIssueLoop(b, 8) }
-
-// BenchIssueLoop16 measures the issue loop at 16 cores.
-func BenchIssueLoop16(b *testing.B) { benchIssueLoop(b, 16) }
 
 // SyntheticStream is an endless allocation-free request stream over the
 // driver row pattern; the zero-allocation budget test drives the full

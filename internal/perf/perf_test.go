@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/dram"
-	"repro/internal/event"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/tracker"
@@ -23,8 +22,6 @@ func BenchmarkGeneratorStream(b *testing.B) { BenchGeneratorStream(b) }
 func BenchmarkTraceReplay(b *testing.B)     { BenchTraceReplay(b) }
 func BenchmarkEventPop(b *testing.B)        { BenchEventPop(b) }
 func BenchmarkIssueLoop4(b *testing.B)      { BenchIssueLoop4(b) }
-func BenchmarkIssueLoop8(b *testing.B)      { BenchIssueLoop8(b) }
-func BenchmarkIssueLoop16(b *testing.B)     { BenchIssueLoop16(b) }
 
 // mallocs runs fn n times and returns the mallocs made meanwhile. The
 // tests that drive the tracker count this way rather than with
@@ -109,10 +106,10 @@ func TestTranslateTrackerZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestIssueLoopZeroAlloc holds the allocation budget for the heap-driven
-// issue-selection loop at 8 cores: once the heap's backing slice and the
-// tracker's tables are warm, selecting and issuing a request must not
-// allocate.
+// TestIssueLoopZeroAlloc holds the allocation budget for the run loop at
+// 8 cores: once the tracker's tables are warm, rescanning the cores'
+// next-issue times (each IssueN call rebuilds them) and issuing a request
+// must not allocate.
 func TestIssueLoopZeroAlloc(t *testing.T) {
 	const cores = 8
 	streams := make([]cpu.Stream, cores)
@@ -129,34 +126,6 @@ func TestIssueLoopZeroAlloc(t *testing.T) {
 	}
 	if n := mallocs(5000, func() { sys.IssueN(1) }); n != 0 {
 		t.Fatalf("5000 issue-loop steps made %d mallocs, want 0", n)
-	}
-}
-
-// TestEventCalendarZeroAlloc holds the budget for the issue heap itself:
-// once the heap's backing slice exists, the run loop's primitives
-// (MinIndexed/ReplaceIndexedMin/Horizon/DropIndexedMin and a Reset +
-// refill cycle) must not allocate.
-func TestEventCalendarZeroAlloc(t *testing.T) {
-	var c event.Calendar
-	fill := func() {
-		c.Reset()
-		for i := int32(0); i < 16; i++ {
-			c.Push(event.Event{Time: event.PS(100 + i), Index: i})
-		}
-	}
-	fill()
-	if avg := testing.AllocsPerRun(5000, func() {
-		e, _ := c.MinIndexed()
-		c.ReplaceIndexedMin(e.Time + 7919)
-		c.Horizon()
-	}); avg != 0 {
-		t.Fatalf("calendar hot loop allocates %.2f allocs/op, want 0", avg)
-	}
-	if avg := testing.AllocsPerRun(500, func() {
-		fill()
-		c.DropIndexedMin()
-	}); avg != 0 {
-		t.Fatalf("calendar Reset+refill allocates %.2f allocs/op, want 0", avg)
 	}
 }
 

@@ -75,9 +75,6 @@ func (r *Rand) Uint64() uint64 {
 	return result
 }
 
-// Uint32 returns the next 32 bits from the stream.
-func (r *Rand) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
-
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {
@@ -86,32 +83,15 @@ func (r *Rand) Intn(n int) int {
 	return int(r.Uint64n(uint64(n)))
 }
 
-// Uint64n returns a uniform value in [0, n) using Lemire's multiply-shift
-// rejection method. It panics if n == 0.
-func (r *Rand) Uint64n(n uint64) uint64 {
-	if n == 0 {
-		panic("rng: Uint64n called with zero n")
-	}
-	// Fast path for powers of two.
-	if n&(n-1) == 0 {
-		return r.Uint64() & (n - 1)
-	}
-	// Rejection sampling to remove modulo bias.
-	max := ^uint64(0) - (^uint64(0)%n+1)%n
-	for {
-		v := r.Uint64()
-		if v <= max {
-			return v % n
-		}
-	}
-}
+// Uint64n returns a uniform value in [0, n): NewUniform(n).Draw(r). It
+// panics if n == 0. Call sites that draw from one bound repeatedly keep
+// the Uniform instead, so its rejection threshold is computed once.
+func (r *Rand) Uint64n(n uint64) uint64 { return NewUniform(n).Draw(r) }
 
-// Uniform is a precomputed drawer of uniform values in [0, n) for hot
-// call sites that draw from the same bound repeatedly: Uint64n recomputes
-// its rejection threshold — two 64-bit divides — on every call, while a
-// Uniform pays them once. Draw consumes exactly the same stream values
-// and returns exactly the same results as Uint64n(n), so swapping one in
-// never changes a deterministic run.
+// Uniform draws uniform values in [0, n): a mask when n is a power of two,
+// otherwise threshold rejection of the top (2^64 mod n) values to remove
+// modulo bias, then v % n. NewUniform computes the threshold, two 64-bit
+// divides, once.
 type Uniform struct {
 	n    uint64
 	mask uint64 // n-1 when n is a power of two

@@ -182,14 +182,3 @@ func TestConcurrentDerivedStreamsMatchSerial(t *testing.T) {
 		}
 	}
 }
-
-func TestUint32(t *testing.T) {
-	r := New(29)
-	var or uint32
-	for i := 0; i < 64; i++ {
-		or |= r.Uint32()
-	}
-	if or == 0 {
-		t.Fatal("Uint32 always returned 0")
-	}
-}

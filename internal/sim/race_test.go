@@ -8,7 +8,7 @@ import (
 
 // TestConcurrentSystemsIndependent drives two identically-configured
 // systems through RunCtx concurrently. Each System owns its whole stack —
-// event calendar, rank, tracker, cores — so parallel runs must neither
+// next-issue times, rank, tracker, cores — so parallel runs must neither
 // trip the race detector (this test is part of `make race`) nor perturb
 // each other's results; a serially-run third copy pins the expected
 // Result both concurrent runs must reproduce exactly.

@@ -9,14 +9,12 @@ package sim
 import (
 	"context"
 	"fmt"
-
 	"math"
 
 	"repro/internal/blockhammer"
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/dram"
-	"repro/internal/event"
 	"repro/internal/flight"
 	"repro/internal/invariant"
 	"repro/internal/memctrl"
@@ -195,13 +193,13 @@ type System struct {
 	// and layout queries).
 	Aqua *core.Engine
 
-	// cal is the run loop's issue heap: one next-issue event per
-	// unfinished core, ordered by (time, core index) (see internal/event).
-	// Reused across runs so the steady-state request path stays
-	// allocation-free. Deliberately not `// guarded by` anything: a System
-	// is confined to one grid worker (the result cache exchanges Result
-	// values, never live Systems), so the heap is never shared.
-	cal event.Calendar
+	// next is the run loop's only scheduling state: core i's cached
+	// next-issue time, or finished once its stream is exhausted (see
+	// Earliest). Allocated with the System so the steady-state request
+	// path stays allocation-free. Deliberately not `// guarded by`
+	// anything: a System is confined to one grid worker (the result cache
+	// exchanges Result values, never live Systems), so it is never shared.
+	next []dram.PS
 }
 
 // VisibleRegion returns the software-visible address region for a
@@ -283,6 +281,7 @@ func NewSystem(cfg Config, streams []cpu.Stream) *System {
 	}
 	s.Ctrl = memctrl.New(rank, s.Mit, ctrlCfg)
 	s.Cores = make([]*cpu.Core, cfg.Cores)
+	s.next = make([]dram.PS, cfg.Cores)
 	for i := range s.Cores {
 		s.Cores[i] = cpu.New(i, streams[i], cfg.CoreCfg)
 	}
@@ -379,31 +378,50 @@ const ctxCheckInterval = 4096
 // per-request path.
 const ctxCheckSimStride = 100 * dram.Microsecond
 
-// resetEvents rebuilds the issue heap for a fresh run: every unfinished
-// core contributes its next-issue event. The heap's backing slice
-// survives Reset, so repeat runs allocate nothing.
-func (s *System) resetEvents() {
-	s.cal.Reset()
-	for i, c := range s.Cores {
-		if t, ok := c.NextIssueTime(); ok {
-			s.cal.Push(event.Event{Time: t, Index: int32(i)})
+// finished is a finished core's entry in System.next: later than any
+// issue time, so Earliest never picks it.
+const finished = dram.PS(math.MaxInt64)
+
+// Earliest is the run loop's core selection: a scan of the cores'
+// next-issue times, in which math.MaxInt64 marks a finished core. It
+// returns the root, the core that issues next: the earliest time, the
+// lowest index on a tie. horizon is the earliest time among the other
+// cores, the bound on the root's same-core batch. With every core
+// finished it returns -1 and math.MaxInt64. It is exported for the perf
+// harness, like IssueN.
+func Earliest(next []dram.PS) (root int, horizon dram.PS) {
+	root, first, horizon := -1, finished, finished
+	for i, t := range next {
+		if t < first {
+			root, first, horizon = i, t, first
+		} else if t < horizon {
+			horizon = t
 		}
+	}
+	return root, horizon
+}
+
+// resetNext caches every core's next-issue time for a fresh run.
+func (s *System) resetNext() {
+	for i, c := range s.Cores {
+		t, ok := c.NextIssueTime()
+		if !ok {
+			t = finished
+		}
+		s.next[i] = t
 	}
 }
 
-// batchLimit returns the bound on the heap root's same-core batch: the
-// earlier of the next issue of any other core (the heap's Horizon) and the
+// batchLimit returns the bound on the root's same-core batch: the earlier
+// of the next issue of any other core (Earliest's horizon) and the
 // controller's next background event, capped at until+1 when the run is
 // bounded. The root's core may issue freely at times strictly below it; an
-// issue time at or past it goes back through the heap, whose (time, core
+// issue time at or past it goes back through Earliest, whose (time, core
 // index) order resolves the tie exactly as per-request selection would
 // have, and background work due at or before an issue still runs first,
 // inside that issue's Submit -> Advance.
-func (s *System) batchLimit(until dram.PS) dram.PS {
-	limit := s.Ctrl.NextEvent()
-	if hz, ok := s.cal.Horizon(); ok && hz.Time < limit {
-		limit = hz.Time
-	}
+func (s *System) batchLimit(horizon, until dram.PS) dram.PS {
+	limit := min(s.Ctrl.NextEvent(), horizon)
 	if until > 0 && until+1 < limit {
 		// Issues AT until are still in-window; the first one past it ends
 		// the run.
@@ -421,14 +439,16 @@ func (s *System) batchLimit(until dram.PS) dram.PS {
 // observed before the first request issues. The partial simulation
 // state is discarded — a cancelled cell has no result.
 //
-// The loop's only scheduling structure is a min-heap of per-core
-// next-issue times ordered by (time, core index) — "earliest time, lowest
-// index on ties", the order per-request selection defines. The fast path
-// batches a run of same-core issues that provably stays below batchLimit,
-// so quiet spans between refreshes cost one bound computation instead of
-// a heap fix-up per request. Background work is never scheduled here: it
-// is serviced, in due order, inside Submit -> Advance, and its next due
-// time (Controller.NextEvent) only bounds the batch. See DESIGN.md
+// The loop's only scheduling state is System.next, the cores' cached
+// next-issue times, scanned once per batch by Earliest in (time, core
+// index) order — "earliest time, lowest index on ties", the order
+// per-request selection defines. The fast path batches a run of same-core
+// issues that provably stays below batchLimit, so a core issuing alone (a
+// one-core run) pays one scan per background event or ctxCheckInterval
+// requests, not one per request; the paper's 4 cores interleave too
+// closely to batch. Background work is never scheduled here: it is
+// serviced, in due order, inside Submit -> Advance, and its next due time
+// (Controller.NextEvent) only bounds the batch. See DESIGN.md
 // "Event-driven core & time-skip invariants".
 func (s *System) RunCtx(ctx context.Context, until dram.PS) (Result, error) {
 	if _, err := s.issueLoop(ctx, until, math.MaxInt); err != nil {
@@ -439,8 +459,8 @@ func (s *System) RunCtx(ctx context.Context, until dram.PS) (Result, error) {
 
 // IssueN runs the RunCtx loop for exactly n requests (or until all cores
 // finish), returning how many were issued. It is the perf-harness hook
-// for benchmarking the selection path at arbitrary core counts; figure
-// runs use RunCtx.
+// for benchmarking the loop without a window bound; figure runs use
+// RunCtx.
 func (s *System) IssueN(n int) int {
 	issued, _ := s.issueLoop(context.Background(), 0, n)
 	return issued
@@ -451,31 +471,31 @@ func (s *System) IssueN(n int) int {
 // until > 0), budget requests have issued, or ctx ends, and returns how
 // many issued plus ctx's error in the last case.
 func (s *System) issueLoop(ctx context.Context, until dram.PS, budget int) (int, error) {
-	s.resetEvents()
+	s.resetNext()
 	issued := 0
 	var nextCtxCheck dram.PS // 0: the very first batch observes a pre-cancelled ctx
 	for issued < budget {
-		root, ok := s.cal.MinIndexed()
-		if !ok {
+		root, horizon := Earliest(s.next)
+		if root < 0 {
 			break
 		}
-		if root.Time >= nextCtxCheck {
+		at := s.next[root]
+		if at >= nextCtxCheck {
 			if err := ctx.Err(); err != nil {
 				return issued, err
 			}
-			nextCtxCheck = root.Time + ctxCheckSimStride
+			nextCtxCheck = at + ctxCheckSimStride
 		}
-		if until > 0 && root.Time > until {
+		if until > 0 && at > until {
 			break
 		}
-		n, next, more := s.Cores[root.Index].IssueRun(root.Time, s.batchLimit(until),
+		n, next, more := s.Cores[root].IssueRun(at, s.batchLimit(horizon, until),
 			min(ctxCheckInterval-issued%ctxCheckInterval, budget-issued), s.Ctrl.Submit)
 		issued += n
-		if more {
-			s.cal.ReplaceIndexedMin(next)
-		} else {
-			s.cal.DropIndexedMin()
+		if !more {
+			next = finished
 		}
+		s.next[root] = next
 		if issued%ctxCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
 				return issued, err

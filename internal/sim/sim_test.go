@@ -4,10 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/cpu"
 	"repro/internal/dram"
+	"repro/internal/rng"
 	"repro/internal/workload"
 )
 
@@ -134,11 +136,11 @@ func TestDeterministicRuns(t *testing.T) {
 // as one Run. The one-core row cycles budgets that straddle the context
 // check interval, so same-core batches run long and a budget the batch
 // ignored would overshoot. The 4-core rows issue one request per call:
-// each IssueN(1) rebuilds the heap from every core's next issue time and
-// issues the (time, core index) minimum — per-request selection — so
-// matching one Run pins that the batch bound preserves the cross-core
-// issue order. The drain row puts the controller's idle-drain events into
-// NextEvent alongside refresh and epoch.
+// each IssueN(1) rereads every core's next issue time and issues the
+// (time, core index) minimum — per-request selection — so matching one
+// Run pins that the batch bound preserves the cross-core issue order. The
+// drain row puts the controller's idle-drain events into NextEvent
+// alongside refresh and epoch.
 func TestIssueNRunsTheRunLoop(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -184,6 +186,155 @@ func TestIssueNRunsTheRunLoop(t *testing.T) {
 				t.Fatalf("IssueN slices diverged from Run:\nslices: %+v\nrun:    %+v", got, want)
 			}
 		})
+	}
+}
+
+// earliestCase is one row of the Earliest tables: the cores' next-issue
+// times and the root and horizon Earliest must return for them.
+type earliestCase struct {
+	name    string
+	next    []dram.PS
+	root    int
+	horizon dram.PS
+}
+
+func checkEarliest(t *testing.T, cases []earliestCase) {
+	t.Helper()
+	for _, tc := range cases {
+		root, horizon := Earliest(tc.next)
+		if root != tc.root || horizon != tc.horizon {
+			t.Errorf("%s: Earliest(%v) = %d, %d; want %d, %d",
+				tc.name, tc.next, root, horizon, tc.root, tc.horizon)
+		}
+	}
+}
+
+// TestEarliest pins how the run loop's core selection treats finished
+// cores: their sentinel entries are never picked, never bound the
+// horizon, and with no core left the root is -1.
+func TestEarliest(t *testing.T) {
+	checkEarliest(t, []earliestCase{
+		{"finished entries are skipped", []dram.PS{finished, 20, finished, 10}, 3, 20},
+		{"one unfinished core", []dram.PS{finished, 5, finished}, 1, finished},
+		{"every core finished", []dram.PS{finished, finished}, -1, finished},
+		{"no cores", nil, -1, finished},
+	})
+}
+
+// TestEarliestTotalOrder pins the (time, core index) order: the earliest
+// time wins whatever the indices, and the lowest index breaks a tie.
+func TestEarliestTotalOrder(t *testing.T) {
+	checkEarliest(t, []earliestCase{
+		{"time dominates index", []dram.PS{2, 1}, 1, 2},
+		{"earliest time wins", []dram.PS{30, 10, 20}, 1, 20},
+		{"index breaks a time tie", []dram.PS{5, 5}, 0, 5},
+		{"tie behind an earlier core", []dram.PS{50, 40, 40}, 1, 40},
+	})
+	// Over every ordered pair the order is strict and total: core 1 wins
+	// only with a strictly earlier time.
+	times := []dram.PS{0, 1, 5, 9, finished - 1}
+	for _, a := range times {
+		for _, b := range times {
+			want := 0
+			if b < a {
+				want = 1
+			}
+			if root, _ := Earliest([]dram.PS{a, b}); root != want {
+				t.Errorf("Earliest([%d %d]) root = %d, want %d", a, b, root, want)
+			}
+		}
+	}
+}
+
+// TestEarliestEqualTimestampCollision drains cores that reached the same
+// instant in any order: they must be picked in core-index order, each
+// with the tied time as horizon while another tied core remains.
+func TestEarliestEqualTimestampCollision(t *testing.T) {
+	next := []dram.PS{finished, finished, finished, finished}
+	for _, i := range []int{2, 0, 3, 1} {
+		next[i] = 100
+	}
+	for want := 0; want < 4; want++ {
+		wantHorizon := dram.PS(100)
+		if want == 3 {
+			wantHorizon = finished
+		}
+		root, horizon := Earliest(next)
+		if root != want || horizon != wantHorizon {
+			t.Fatalf("pick %d: Earliest(%v) = %d, %d; want %d, %d",
+				want, next, root, horizon, want, wantHorizon)
+		}
+		next[root] = finished
+	}
+	if root, _ := Earliest(next); root != -1 {
+		t.Fatalf("Earliest after draining = %d, want -1", root)
+	}
+}
+
+// TestEarliestHorizonExcludesRoot pins the horizon as the earliest time
+// among the cores other than the root, never the root's own time.
+func TestEarliestHorizonExcludesRoot(t *testing.T) {
+	checkEarliest(t, []earliestCase{
+		{"no cores have no horizon", nil, -1, finished},
+		{"a lone root has no horizon", []dram.PS{10}, 0, finished},
+		{"runner-up bounds the root", []dram.PS{10, 30, 20}, 0, 20},
+		// Rescheduling the root past every other core hands the horizon
+		// to the next-earliest remaining core, never to the old root.
+		{"rescheduled root", []dram.PS{40, 30, 20}, 2, 30},
+	})
+}
+
+// TestEarliestMatchesReferenceModel drives random interleavings of the
+// run loop's write-backs (the root rescheduled forward or back, the root
+// finishing, a finished core's entry set again) against a sorted
+// reference, checking after every step that the root is exactly the
+// reference minimum and the horizon exactly the reference runner-up.
+func TestEarliestMatchesReferenceModel(t *testing.T) {
+	type entry struct {
+		t dram.PS
+		i int
+	}
+	for seed := uint64(1); seed <= 8; seed++ {
+		r := rng.New(seed * 0x9e3779b97f4a7c15)
+		next := make([]dram.PS, 1+r.Intn(64))
+		for i := range next {
+			next[i] = finished
+		}
+		var ref []entry
+		for step := 0; step < 4000; step++ {
+			root, _ := Earliest(next)
+			switch op := r.Intn(10); {
+			case op < 5 || root < 0: // set a random core's entry
+				next[r.Intn(len(next))] = dram.PS(r.Intn(1 << 20))
+			case op < 8: // reschedule the root, forward or back
+				next[root] = dram.PS(r.Intn(1 << 20))
+			default: // the root finishes
+				next[root] = finished
+			}
+			ref = ref[:0]
+			for i, tm := range next {
+				if tm != finished {
+					ref = append(ref, entry{tm, i})
+				}
+			}
+			sort.Slice(ref, func(a, b int) bool {
+				if ref[a].t != ref[b].t {
+					return ref[a].t < ref[b].t
+				}
+				return ref[a].i < ref[b].i
+			})
+			wantRoot, wantHorizon := -1, finished
+			if len(ref) > 0 {
+				wantRoot = ref[0].i
+			}
+			if len(ref) > 1 {
+				wantHorizon = ref[1].t
+			}
+			if root, horizon := Earliest(next); root != wantRoot || horizon != wantHorizon {
+				t.Fatalf("seed %d step %d: Earliest(%v) = %d, %d; reference %d, %d",
+					seed, step, next, root, horizon, wantRoot, wantHorizon)
+			}
+		}
 	}
 }
 

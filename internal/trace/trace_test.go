@@ -64,7 +64,7 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 		recs := make([]Record, int(n))
 		for i := range recs {
 			recs[i] = Record{
-				Row:      dram.Row(rnd.Uint32()),
+				Row:      dram.Row(rnd.Uint64() >> 32),
 				Write:    rnd.Float64() < 0.5,
 				GapInstr: int64(rnd.Uint64n(1 << 30)),
 			}
