@@ -1,12 +1,17 @@
 // Full-window cell budget: one complete 64ms refresh-window simulation —
 // the unit of work every figure grid decomposes into — must stay under a
 // wall-clock budget, so grid regeneration time stays bounded as the
-// simulator grows. `make bench-full` runs the gated budget test.
+// simulator grows, and must reproduce aquabench's committed cell_lbm64
+// digest. `make bench-full` runs the gated budget test.
 package repro
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"os"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,9 +21,16 @@ import (
 	"repro/internal/workload"
 )
 
+// benchDigests holds aquabench's committed output digests, one
+// "<workload> <seed> <sha256>" line each.
+const benchDigests = "bench/aquabench/testdata/digests.txt"
+
 // runFullWindowCell simulates one full 64ms-window cell (lbm under AQUA
-// memory-mapped at T_RH=1000, 4 cores) and returns the wall-clock it took.
-func runFullWindowCell(tb testing.TB) time.Duration {
+// memory-mapped at T_RH=1000, 4 cores), built exactly as aquabench's
+// cell_lbm64 op builds it at the default seed. It returns the wall-clock
+// the run took and the op's output digest: a SHA-256 over the JSON
+// sim.Result and the rank's RankStats, as aquabench hashes them.
+func runFullWindowCell(tb testing.TB) (time.Duration, string) {
 	spec, ok := workload.ByName("lbm")
 	if !ok {
 		tb.Fatal("lbm spec missing")
@@ -39,11 +51,21 @@ func runFullWindowCell(tb testing.TB) time.Duration {
 	res := sys.Run(0)
 	el := time.Since(start)
 	tb.Logf("full cell: %s wall, %d requests, simtime %.1fms", el, res.Requests, float64(res.SimTime)/1e9)
-	return el
+	a, err := json.Marshal(res)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	b, err := json.Marshal(sys.Rank.Stats())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sum := sha256.Sum256([]byte(string(a) + "\n" + string(b) + "\n"))
+	return el, hex.EncodeToString(sum[:])
 }
 
 // TestFullWindowCellBudget asserts the wall-clock budget for one full
-// 64ms-window cell. It only runs with REPRO_BENCH_FULL=1 (set by `make
+// 64ms-window cell and checks its output against aquabench's committed
+// cell_lbm64 digest. It only runs with REPRO_BENCH_FULL=1 (set by `make
 // bench-full` and the CI benchmark smoke) because wall-clock assertions
 // are meaningless on arbitrarily loaded developer machines. The 750ms
 // default was set on a faster host: on a 2-vCPU host this lbm cell has
@@ -60,7 +82,24 @@ func TestFullWindowCellBudget(t *testing.T) {
 			budget = time.Duration(n) * time.Millisecond
 		}
 	}
-	if el := runFullWindowCell(t); el > budget {
+	data, err := os.ReadFile(benchDigests)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want string
+	for _, line := range strings.Split(string(data), "\n") {
+		if f := strings.Fields(line); len(f) == 3 && f[0] == "cell_lbm64" && f[1] == "0x41515541" {
+			want = f[2]
+		}
+	}
+	if want == "" {
+		t.Fatalf("%s has no cell_lbm64 0x41515541 line", benchDigests)
+	}
+	el, got := runFullWindowCell(t)
+	if got != want {
+		t.Errorf("full cell digest %s, %s commits %s for cell_lbm64 0x41515541", got, benchDigests, want)
+	}
+	if el > budget {
 		t.Errorf("full 64ms-window cell took %s, budget %s (REPRO_BENCH_FULL_BUDGET_MS to adjust)", el, budget)
 	}
 }

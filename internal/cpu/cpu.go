@@ -147,35 +147,6 @@ func (c *Core) NextIssueTime() (dram.PS, bool) {
 	return issue, true
 }
 
-// IssueRun issues a batch of consecutive requests on this core: the first
-// at time `at` (which must be the core's current next-issue time),
-// then repeatedly while the core's following issue time stays strictly
-// below `limit` — the bound the run loop computes from the other cores'
-// next issues and the controller's next background event. At most `max`
-// requests are issued.
-//
-// It returns the number issued, the core's next issue time, and whether
-// the core still has requests (more=false means the stream is exhausted).
-// Batching is sound because NextIssueTime reads only core-local state, so
-// a run of same-core issues below the limit cannot change — or be
-// changed by — any other core's issue; an issue time exactly AT the
-// limit ends the batch and goes back through the run loop's (time, core
-// index) scan. See DESIGN.md "Event-driven core & time-skip invariants".
-func (c *Core) IssueRun(at, limit dram.PS, max int, submit func(row dram.Row, write bool, at dram.PS) dram.PS) (n int, next dram.PS, more bool) {
-	for {
-		c.Issue(at, submit)
-		n++
-		nt, ok := c.NextIssueTime()
-		if !ok {
-			return n, 0, false
-		}
-		if n >= max || nt >= limit {
-			return n, nt, true
-		}
-		at = nt
-	}
-}
-
 // outSlot maps a logical position in the outstanding window (0 = oldest)
 // to its ring slot.
 func (c *Core) outSlot(i int) *dram.PS {

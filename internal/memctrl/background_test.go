@@ -135,3 +135,129 @@ func TestIdleDrainEpochBoundaryOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestAdvanceStepsThroughSchedule walks the due-order regression one
+// event at a time: advancing to just before each of refresh@7.8us,
+// epoch@10us, refresh@15.6us and epoch@20us services nothing, and
+// advancing exactly to it services it, with the epoch probe observing
+// one refresh at 10us and two at 20us — the property the old
+// refreshes-before-epochs switch violated.
+func TestAdvanceStepsThroughSchedule(t *testing.T) {
+	rank := dram.NewRank(testGeom(), dram.DDR4())
+	probe := &epochProbe{rank: rank}
+	c := New(rank, probe, Config{EpochLength: 10 * dram.Microsecond})
+
+	trefi := dram.DDR4().TREFI
+	want := []struct {
+		at                dram.PS
+		refreshes, epochs int64
+	}{
+		{trefi, 1, 0},
+		{10 * dram.Microsecond, 1, 1},
+		{2 * trefi, 2, 1},
+		{20 * dram.Microsecond, 2, 2},
+	}
+	for i, w := range want {
+		before := c.Stats()
+		c.Advance(w.at - 1)
+		if st := c.Stats(); st != before {
+			t.Fatalf("step %d: Advance(%d) serviced an event due at %d: %+v", i, w.at-1, w.at, st)
+		}
+		c.Advance(w.at)
+		if st := c.Stats(); st.Refreshes != w.refreshes || st.Epochs != w.epochs {
+			t.Fatalf("step %d: after Advance(%d) refreshes=%d epochs=%d, want %d, %d",
+				i, w.at, st.Refreshes, st.Epochs, w.refreshes, w.epochs)
+		}
+	}
+	if len(probe.refreshes) != 2 || probe.refreshes[0] != 1 || probe.refreshes[1] != 2 {
+		t.Fatalf("epoch probe saw refreshes %v, want [1 2]", probe.refreshes)
+	}
+}
+
+// collisionProbe is both an epoch observer and a Drainer, recording the
+// rank refresh count at each epoch and the epoch count at each drain.
+type collisionProbe struct {
+	mitigation.None
+	rank          *dram.Rank
+	refreshesSeen []int64 // at each OnEpoch
+	epochsSeen    []int   // at each OnIdle
+	epochs        int
+}
+
+func (p *collisionProbe) OnEpoch(dram.PS) {
+	p.refreshesSeen = append(p.refreshesSeen, p.rank.Stats().Refreshes)
+	p.epochs++
+}
+
+func (p *collisionProbe) OnIdle(now dram.PS) dram.PS {
+	p.epochsSeen = append(p.epochsSeen, p.epochs)
+	return 0
+}
+
+// TestAdvanceEqualTimeCollision pins the tie-break when refresh, epoch,
+// and drain all fall due at the same picosecond: Advance services
+// refresh -> epoch -> drain — the epoch sees the refresh already counted,
+// the drain sees the epoch already rolled over — and re-arms all three
+// one interval forward, together.
+func TestAdvanceEqualTimeCollision(t *testing.T) {
+	trefi := dram.DDR4().TREFI
+	rank := dram.NewRank(testGeom(), dram.DDR4())
+	probe := &collisionProbe{rank: rank}
+	c := New(rank, probe, Config{
+		EpochLength:       trefi,
+		IdleDrainInterval: trefi,
+	})
+	c.Advance(trefi - 1)
+	if st := c.Stats(); st.Refreshes != 0 || st.Epochs != 0 || len(probe.epochsSeen) != 0 {
+		t.Fatalf("Advance(%d) serviced an event due at %d: %+v, %d drains", trefi-1, trefi, st, len(probe.epochsSeen))
+	}
+	for i := 1; i <= 2; i++ {
+		c.Advance(dram.PS(i) * trefi)
+		if st := c.Stats(); st.Refreshes != int64(i) || st.Epochs != int64(i) {
+			t.Fatalf("at %d*tREFI: refreshes=%d epochs=%d, want %d each", i, st.Refreshes, st.Epochs, i)
+		}
+		if len(probe.refreshesSeen) != i || probe.refreshesSeen[i-1] != int64(i) {
+			t.Fatalf("epochs saw refreshes %v: refresh must be serviced first", probe.refreshesSeen)
+		}
+		if len(probe.epochsSeen) != i || probe.epochsSeen[i-1] != i {
+			t.Fatalf("drains saw epochs %v: epoch must precede drain", probe.epochsSeen)
+		}
+		c.Advance(dram.PS(i+1)*trefi - 1)
+		if st := c.Stats(); st.Refreshes != int64(i) || len(probe.epochsSeen) != i {
+			t.Fatalf("an event due at %d*tREFI ran early: %+v, %d drains", i+1, st, len(probe.epochsSeen))
+		}
+	}
+}
+
+// TestAdvanceSkipsDisabledSources checks the negative space: with
+// refresh disabled and a mitigator that is no Drainer, the only
+// background event is the epoch, even though tREFI and the drain
+// interval fall earlier, and bgNext, the one comparison Advance makes
+// when nothing is due, holds that epoch.
+func TestAdvanceSkipsDisabledSources(t *testing.T) {
+	rank, c := newCtrl(t, nil, Config{
+		DisableRefresh:    true,
+		EpochLength:       20 * dram.Microsecond,
+		IdleDrainInterval: dram.Microsecond,
+	})
+	if c.bgNext != 20*dram.Microsecond {
+		t.Fatalf("bgNext = %d, want the 20us epoch", c.bgNext)
+	}
+	for _, step := range []struct {
+		at     dram.PS
+		epochs int64
+	}{
+		{20*dram.Microsecond - 1, 0},
+		{20 * dram.Microsecond, 1},
+		{40*dram.Microsecond - 1, 1},
+		{40 * dram.Microsecond, 2},
+	} {
+		c.Advance(step.at)
+		if st := c.Stats(); st.Epochs != step.epochs || st.Refreshes != 0 || rank.Stats().Refreshes != 0 {
+			t.Fatalf("after Advance(%d): %+v, want %d epochs and no refresh", step.at, st, step.epochs)
+		}
+	}
+	if c.bgNext != 60*dram.Microsecond {
+		t.Fatalf("bgNext after two epochs = %d, want 60us", c.bgNext)
+	}
+}

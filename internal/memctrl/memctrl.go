@@ -132,12 +132,6 @@ func (c *Controller) updateBGNext() {
 	c.bgNext = n
 }
 
-// NextEvent returns the due time of the earliest pending background event
-// (refresh, epoch, or drain). Submissions strictly before it cannot
-// trigger background work. The run loop ends each same-core issue batch
-// at it.
-func (c *Controller) NextEvent() dram.PS { return c.bgNext }
-
 // Rank returns the attached rank.
 func (c *Controller) Rank() *dram.Rank { return c.rank }
 

@@ -28,12 +28,8 @@ import (
 )
 
 // sinkRow keeps replayed rows observably live so the replay micro cannot
-// be dead-code-eliminated around an inlined Next; sinkHorizon does the
-// same for the horizon half of the core-selection scan.
-var (
-	sinkRow     dram.Row
-	sinkHorizon dram.PS
-)
+// be dead-code-eliminated around an inlined Next.
+var sinkRow dram.Row
 
 // reqSpread is the number of distinct rows the drivers cycle through:
 // large enough to exercise row misses and tracker installs, small enough
@@ -222,7 +218,7 @@ func BenchTraceReplay(b *testing.B) {
 	}
 }
 
-// benchIssueLoop measures the full run loop — the per-batch core
+// benchIssueLoop measures the full run loop — the per-request core
 // selection scan plus the request pipeline — at a given core count,
 // through System.IssueN.
 func benchIssueLoop(b *testing.B, cores int) {
@@ -243,10 +239,9 @@ func benchIssueLoop(b *testing.B, cores int) {
 }
 
 // BenchEventPop measures the run loop's core-selection step: one
-// sim.Earliest scan over 16 next-issue times plus the root's
-// reschedule — the shape of a 16-core system between background
-// events. This is aquabench's perf.event_pop_ns micro; its alloc count
-// must stay at zero.
+// sim.Earliest argmin over 16 next-issue times plus the chosen core's
+// reschedule. This is aquabench's perf.event_pop_ns micro; its alloc
+// count must stay at zero.
 func BenchEventPop(b *testing.B) {
 	var next [16]dram.PS
 	for i := range next {
@@ -255,12 +250,11 @@ func BenchEventPop(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		root, horizon := sim.Earliest(next[:])
+		root := sim.Earliest(next[:])
 		if root < 0 {
 			b.Fatal("every entry finished")
 		}
 		next[root] += 7919
-		sinkHorizon = horizon
 	}
 }
 

@@ -40,9 +40,9 @@ func TestRunCtxPreCancelledQuietCell(t *testing.T) {
 }
 
 func TestRunCtxCancelAtStrideBoundary(t *testing.T) {
-	// Call 1 lands at the first event (sim time ~0); call 2 at the first
-	// event past one stride. Cancelling there must abandon the run even
-	// though fewer than ctxCheckInterval requests ever issue.
+	// Call 1 lands at the first request (sim time ~0); call 2 at the
+	// first request past one stride. Cancelling there must abandon the
+	// run even though fewer than ctxCheckInterval requests ever issue.
 	ctx := &countingCtx{Context: context.Background(), cancelAt: 2}
 	if _, err := quietSystem(t).RunCtx(ctx, 0); err != context.Canceled {
 		t.Fatalf("quiet cell ignored mid-run cancellation: %v", err)
@@ -54,10 +54,10 @@ func TestRunCtxCancelAtStrideBoundary(t *testing.T) {
 
 // TestRunCtxCancellationLatencyBound pins the latency guarantee in
 // simulated time: over a full quiet-cell run the ctx is polled at least
-// once per stride of simulated time (the first event at or after each
+// once per stride of simulated time (the first request at or after each
 // boundary), so cancellation lands within ~ctxCheckSimStride plus one
-// inter-event gap — ~13 refresh intervals wide, far smaller than the
-// stride — rather than "never" as the request stride alone would give.
+// inter-request gap rather than "never" as the request stride alone
+// would give.
 func TestRunCtxCancellationLatencyBound(t *testing.T) {
 	ctx := &countingCtx{Context: context.Background()}
 	res, err := quietSystem(t).RunCtx(ctx, 0)

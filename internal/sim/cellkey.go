@@ -75,6 +75,11 @@ func (r *Runner) cellKeyAt(version string, key cellKey, ipc bool) (string, error
 	return hex.EncodeToString(sum[:]), nil
 }
 
+// systemKeyText is the key text's geometry and timing lines. Both are
+// constants of the Table I system, so they are formatted once rather than
+// through reflection for every key.
+var systemKeyText = fmt.Sprintf("geom=%+v\ntiming=%+v\n", dram.Baseline(), dram.DDR4())
+
 // cellKeyText is the text a key hashes, a pure function of its inputs.
 // TestCellKeyDeterminism changes every field of ExpConfig, workload.Spec
 // and GridCell (its Variant included) in turn and requires this text to
@@ -84,8 +89,7 @@ func cellKeyText(version string, cfg ExpConfig, name string, specs []workload.Sp
 	fmt.Fprintf(&b, "%s\n", version)
 	fmt.Fprintf(&b, "window=%d cores=%d seed=%#x calibrate=%t\n",
 		cfg.Window, paperCores, cfg.Seed, cfg.Calibrate)
-	fmt.Fprintf(&b, "geom=%+v\n", dram.Baseline())
-	fmt.Fprintf(&b, "timing=%+v\n", dram.DDR4())
+	b.WriteString(systemKeyText)
 	fmt.Fprintf(&b, "cell=%s/%s/%d\n", name, cell.Scheme, cell.TRH)
 	for i := 0; i < paperCores && i < len(specs); i++ {
 		sp := specs[i]

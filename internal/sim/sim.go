@@ -368,71 +368,44 @@ func (s *System) Run(until dram.PS) Result {
 const ctxCheckInterval = 4096
 
 // ctxCheckSimStride is the simulated-time companion to ctxCheckInterval:
-// RunCtx also checks ctx at the first issue batch that starts at or after
+// RunCtx also checks ctx at the first request that issues at or after
 // each stride boundary. The request stride alone lets a quiet cell (fewer
 // than ctxCheckInterval requests in its whole window) run to completion
 // without ever observing cancellation; the stride bounds that latency in
-// simulated time instead. 100 us is ~13 refresh intervals — every batch
-// ends at the controller's next refresh at the latest, so the first batch
-// past a boundary is never far past it, and the check stays off the
-// per-request path.
+// simulated time instead, at the cost of one comparison per request.
 const ctxCheckSimStride = 100 * dram.Microsecond
 
 // finished is a finished core's entry in System.next: later than any
 // issue time, so Earliest never picks it.
 const finished = dram.PS(math.MaxInt64)
 
-// Earliest is the run loop's core selection: a scan of the cores'
+// Earliest is the run loop's core selection: an argmin over the cores'
 // next-issue times, in which math.MaxInt64 marks a finished core. It
-// returns the root, the core that issues next: the earliest time, the
-// lowest index on a tie. horizon is the earliest time among the other
-// cores, the bound on the root's same-core batch. With every core
-// finished it returns -1 and math.MaxInt64. It is exported for the perf
-// harness, like IssueN.
-func Earliest(next []dram.PS) (root int, horizon dram.PS) {
-	root, first, horizon := -1, finished, finished
+// returns the core that issues next: the earliest time, the lowest index
+// on a tie, or -1 when every core has finished. It is exported for the
+// perf harness, like IssueN.
+func Earliest(next []dram.PS) int {
+	root, first := -1, finished
 	for i, t := range next {
 		if t < first {
-			root, first, horizon = i, t, first
-		} else if t < horizon {
-			horizon = t
+			root, first = i, t
 		}
 	}
-	return root, horizon
+	return root
 }
 
-// resetNext caches every core's next-issue time for a fresh run.
-func (s *System) resetNext() {
-	for i, c := range s.Cores {
-		t, ok := c.NextIssueTime()
-		if !ok {
-			t = finished
-		}
-		s.next[i] = t
+// nextIssue is core i's next-issue time, or finished once its stream is
+// exhausted.
+func (s *System) nextIssue(i int) dram.PS {
+	if t, ok := s.Cores[i].NextIssueTime(); ok {
+		return t
 	}
-}
-
-// batchLimit returns the bound on the root's same-core batch: the earlier
-// of the next issue of any other core (Earliest's horizon) and the
-// controller's next background event, capped at until+1 when the run is
-// bounded. The root's core may issue freely at times strictly below it; an
-// issue time at or past it goes back through Earliest, whose (time, core
-// index) order resolves the tie exactly as per-request selection would
-// have, and background work due at or before an issue still runs first,
-// inside that issue's Submit -> Advance.
-func (s *System) batchLimit(horizon, until dram.PS) dram.PS {
-	limit := min(s.Ctrl.NextEvent(), horizon)
-	if until > 0 && until+1 < limit {
-		// Issues AT until are still in-window; the first one past it ends
-		// the run.
-		limit = until + 1
-	}
-	return limit
+	return finished
 }
 
 // RunCtx is Run with cancellation: the issue loop polls ctx every
-// ctxCheckInterval requests AND at the first issue batch at or after
-// each ctxCheckSimStride boundary of simulated time, then abandons the
+// ctxCheckInterval requests AND at the first request at or after each
+// ctxCheckSimStride boundary of simulated time, then abandons the
 // simulation with ctx.Err() when it has been cancelled. The dual stride
 // bounds cancellation latency for both request-dense cells (request
 // stride) and quiet ones (simulated-time stride); a pre-cancelled ctx is
@@ -440,16 +413,12 @@ func (s *System) batchLimit(horizon, until dram.PS) dram.PS {
 // state is discarded — a cancelled cell has no result.
 //
 // The loop's only scheduling state is System.next, the cores' cached
-// next-issue times, scanned once per batch by Earliest in (time, core
-// index) order — "earliest time, lowest index on ties", the order
-// per-request selection defines. The fast path batches a run of same-core
-// issues that provably stays below batchLimit, so a core issuing alone (a
-// one-core run) pays one scan per background event or ctxCheckInterval
-// requests, not one per request; the paper's 4 cores interleave too
-// closely to batch. Background work is never scheduled here: it is
-// serviced, in due order, inside Submit -> Advance, and its next due time
-// (Controller.NextEvent) only bounds the batch. See DESIGN.md
-// "Event-driven core & time-skip invariants".
+// next-issue times. Each request starts with one Earliest scan of it, in
+// (time, core index) order: "earliest time, lowest index on ties". The
+// chosen core issues one request, and its next-issue time is written
+// back. Background work is never scheduled here: it is serviced, in due
+// order, inside Submit -> Advance. See DESIGN.md "Event-driven core &
+// time-skip invariants".
 func (s *System) RunCtx(ctx context.Context, until dram.PS) (Result, error) {
 	if _, err := s.issueLoop(ctx, until, math.MaxInt); err != nil {
 		return Result{}, err
@@ -467,15 +436,17 @@ func (s *System) IssueN(n int) int {
 }
 
 // issueLoop is the run loop behind RunCtx and IssueN. It issues requests
-// until every core finishes, the next event lies past until (when
+// until every core finishes, the next issue lies past until (when
 // until > 0), budget requests have issued, or ctx ends, and returns how
 // many issued plus ctx's error in the last case.
 func (s *System) issueLoop(ctx context.Context, until dram.PS, budget int) (int, error) {
-	s.resetNext()
+	for i := range s.next {
+		s.next[i] = s.nextIssue(i)
+	}
 	issued := 0
-	var nextCtxCheck dram.PS // 0: the very first batch observes a pre-cancelled ctx
+	var nextCtxCheck dram.PS // 0: the very first request observes a pre-cancelled ctx
 	for issued < budget {
-		root, horizon := Earliest(s.next)
+		root := Earliest(s.next)
 		if root < 0 {
 			break
 		}
@@ -489,13 +460,9 @@ func (s *System) issueLoop(ctx context.Context, until dram.PS, budget int) (int,
 		if until > 0 && at > until {
 			break
 		}
-		n, next, more := s.Cores[root].IssueRun(at, s.batchLimit(horizon, until),
-			min(ctxCheckInterval-issued%ctxCheckInterval, budget-issued), s.Ctrl.Submit)
-		issued += n
-		if !more {
-			next = finished
-		}
-		s.next[root] = next
+		s.Cores[root].Issue(at, s.Ctrl.Submit)
+		s.next[root] = s.nextIssue(root)
+		issued++
 		if issued%ctxCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
 				return issued, err

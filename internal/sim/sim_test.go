@@ -134,13 +134,11 @@ func TestDeterministicRuns(t *testing.T) {
 // budget. Each call issues exactly its budget while requests remain, and
 // a system driven to completion in IssueN slices ends in the same Result
 // as one Run. The one-core row cycles budgets that straddle the context
-// check interval, so same-core batches run long and a budget the batch
-// ignored would overshoot. The 4-core rows issue one request per call:
-// each IssueN(1) rereads every core's next issue time and issues the
-// (time, core index) minimum — per-request selection — so matching one
-// Run pins that the batch bound preserves the cross-core issue order. The
-// drain row puts the controller's idle-drain events into NextEvent
-// alongside refresh and epoch.
+// check interval. The 4-core rows issue one request per call, and each
+// call reads every core's next-issue time afresh from the core, so
+// matching one Run pins the times the loop writes back to System.next
+// between requests. The drain row adds the controller's idle-drain
+// events to refresh and epoch.
 func TestIssueNRunsTheRunLoop(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -190,34 +188,32 @@ func TestIssueNRunsTheRunLoop(t *testing.T) {
 }
 
 // earliestCase is one row of the Earliest tables: the cores' next-issue
-// times and the root and horizon Earliest must return for them.
+// times and the core Earliest must pick from them.
 type earliestCase struct {
-	name    string
-	next    []dram.PS
-	root    int
-	horizon dram.PS
+	name string
+	next []dram.PS
+	root int
 }
 
 func checkEarliest(t *testing.T, cases []earliestCase) {
 	t.Helper()
 	for _, tc := range cases {
-		root, horizon := Earliest(tc.next)
-		if root != tc.root || horizon != tc.horizon {
-			t.Errorf("%s: Earliest(%v) = %d, %d; want %d, %d",
-				tc.name, tc.next, root, horizon, tc.root, tc.horizon)
+		if root := Earliest(tc.next); root != tc.root {
+			t.Errorf("%s: Earliest(%v) = %d, want %d", tc.name, tc.next, root, tc.root)
 		}
 	}
 }
 
 // TestEarliest pins how the run loop's core selection treats finished
-// cores: their sentinel entries are never picked, never bound the
-// horizon, and with no core left the root is -1.
+// cores: their sentinel entries are never picked, and with no core left
+// the result is -1.
 func TestEarliest(t *testing.T) {
 	checkEarliest(t, []earliestCase{
-		{"finished entries are skipped", []dram.PS{finished, 20, finished, 10}, 3, 20},
-		{"one unfinished core", []dram.PS{finished, 5, finished}, 1, finished},
-		{"every core finished", []dram.PS{finished, finished}, -1, finished},
-		{"no cores", nil, -1, finished},
+		{"finished entries are skipped", []dram.PS{finished, 20, finished, 10}, 3},
+		{"one unfinished core", []dram.PS{finished, 5, finished}, 1},
+		{"a lone core", []dram.PS{10}, 0},
+		{"every core finished", []dram.PS{finished, finished}, -1},
+		{"no cores", nil, -1},
 	})
 }
 
@@ -225,10 +221,10 @@ func TestEarliest(t *testing.T) {
 // time wins whatever the indices, and the lowest index breaks a tie.
 func TestEarliestTotalOrder(t *testing.T) {
 	checkEarliest(t, []earliestCase{
-		{"time dominates index", []dram.PS{2, 1}, 1, 2},
-		{"earliest time wins", []dram.PS{30, 10, 20}, 1, 20},
-		{"index breaks a time tie", []dram.PS{5, 5}, 0, 5},
-		{"tie behind an earlier core", []dram.PS{50, 40, 40}, 1, 40},
+		{"time dominates index", []dram.PS{2, 1}, 1},
+		{"earliest time wins", []dram.PS{30, 10, 20}, 1},
+		{"index breaks a time tie", []dram.PS{5, 5}, 0},
+		{"tie behind an earlier core", []dram.PS{50, 40, 40}, 1},
 	})
 	// Over every ordered pair the order is strict and total: core 1 wins
 	// only with a strictly earlier time.
@@ -239,56 +235,37 @@ func TestEarliestTotalOrder(t *testing.T) {
 			if b < a {
 				want = 1
 			}
-			if root, _ := Earliest([]dram.PS{a, b}); root != want {
-				t.Errorf("Earliest([%d %d]) root = %d, want %d", a, b, root, want)
+			if root := Earliest([]dram.PS{a, b}); root != want {
+				t.Errorf("Earliest([%d %d]) = %d, want %d", a, b, root, want)
 			}
 		}
 	}
 }
 
 // TestEarliestEqualTimestampCollision drains cores that reached the same
-// instant in any order: they must be picked in core-index order, each
-// with the tied time as horizon while another tied core remains.
+// instant in any order: they must be picked in core-index order.
 func TestEarliestEqualTimestampCollision(t *testing.T) {
 	next := []dram.PS{finished, finished, finished, finished}
 	for _, i := range []int{2, 0, 3, 1} {
 		next[i] = 100
 	}
 	for want := 0; want < 4; want++ {
-		wantHorizon := dram.PS(100)
-		if want == 3 {
-			wantHorizon = finished
-		}
-		root, horizon := Earliest(next)
-		if root != want || horizon != wantHorizon {
-			t.Fatalf("pick %d: Earliest(%v) = %d, %d; want %d, %d",
-				want, next, root, horizon, want, wantHorizon)
+		root := Earliest(next)
+		if root != want {
+			t.Fatalf("pick %d: Earliest(%v) = %d, want %d", want, next, root, want)
 		}
 		next[root] = finished
 	}
-	if root, _ := Earliest(next); root != -1 {
+	if root := Earliest(next); root != -1 {
 		t.Fatalf("Earliest after draining = %d, want -1", root)
 	}
 }
 
-// TestEarliestHorizonExcludesRoot pins the horizon as the earliest time
-// among the cores other than the root, never the root's own time.
-func TestEarliestHorizonExcludesRoot(t *testing.T) {
-	checkEarliest(t, []earliestCase{
-		{"no cores have no horizon", nil, -1, finished},
-		{"a lone root has no horizon", []dram.PS{10}, 0, finished},
-		{"runner-up bounds the root", []dram.PS{10, 30, 20}, 0, 20},
-		// Rescheduling the root past every other core hands the horizon
-		// to the next-earliest remaining core, never to the old root.
-		{"rescheduled root", []dram.PS{40, 30, 20}, 2, 30},
-	})
-}
-
 // TestEarliestMatchesReferenceModel drives random interleavings of the
-// run loop's write-backs (the root rescheduled forward or back, the root
-// finishing, a finished core's entry set again) against a sorted
-// reference, checking after every step that the root is exactly the
-// reference minimum and the horizon exactly the reference runner-up.
+// run loop's write-backs (the chosen core rescheduled forward or back,
+// that core finishing, a finished core's entry set again) against a
+// sorted reference, checking after every step that Earliest picks
+// exactly the reference minimum.
 func TestEarliestMatchesReferenceModel(t *testing.T) {
 	type entry struct {
 		t dram.PS
@@ -302,13 +279,13 @@ func TestEarliestMatchesReferenceModel(t *testing.T) {
 		}
 		var ref []entry
 		for step := 0; step < 4000; step++ {
-			root, _ := Earliest(next)
+			root := Earliest(next)
 			switch op := r.Intn(10); {
 			case op < 5 || root < 0: // set a random core's entry
 				next[r.Intn(len(next))] = dram.PS(r.Intn(1 << 20))
-			case op < 8: // reschedule the root, forward or back
+			case op < 8: // reschedule the chosen core, forward or back
 				next[root] = dram.PS(r.Intn(1 << 20))
-			default: // the root finishes
+			default: // the chosen core finishes
 				next[root] = finished
 			}
 			ref = ref[:0]
@@ -323,16 +300,13 @@ func TestEarliestMatchesReferenceModel(t *testing.T) {
 				}
 				return ref[a].i < ref[b].i
 			})
-			wantRoot, wantHorizon := -1, finished
+			want := -1
 			if len(ref) > 0 {
-				wantRoot = ref[0].i
+				want = ref[0].i
 			}
-			if len(ref) > 1 {
-				wantHorizon = ref[1].t
-			}
-			if root, horizon := Earliest(next); root != wantRoot || horizon != wantHorizon {
-				t.Fatalf("seed %d step %d: Earliest(%v) = %d, %d; reference %d, %d",
-					seed, step, next, root, horizon, wantRoot, wantHorizon)
+			if root := Earliest(next); root != want {
+				t.Fatalf("seed %d step %d: Earliest(%v) = %d; reference %d",
+					seed, step, next, root, want)
 			}
 		}
 	}

@@ -189,12 +189,6 @@ func (p *Params) fillDefaults() {
 	}
 }
 
-// hotRow is one row with a per-epoch activation target.
-type hotRow struct {
-	row    dram.Row
-	weight float64
-}
-
 // Generator produces per-core streams for one workload.
 type Generator struct {
 	spec   Spec
@@ -202,16 +196,15 @@ type Generator struct {
 
 	gapInstr   int64       // instructions between requests
 	gapDraw    rng.Uniform // precomputed [0, gapInstr+1) drawer (hot path)
-	hot        []hotRow
-	cum        []float64 // cumulative weights over hot rows
+	hot        []dram.Row
+	cum        []float64 // cum[i]: the activation targets of hot[0..i], summed
 	pHot       float64   // probability a request hits the hot set
 	background []dram.Row
 
-	// pick/pickScale index the cumulative array for pickHot: bucket j of
-	// the total weight range holds the only indices whose cum span
-	// intersects it, so the inverse-CDF search degenerates to a one- or
-	// two-element scan. Stored as interleaved (lo, hi) int32 pairs so a
-	// draw touches one cache line, not two. Built once per generator; see
+	// pick/pickScale index the cumulative array for pickHot: pick[j] is
+	// the lowest index whose cum span intersects bucket j of the total
+	// weight range, so the inverse-CDF search degenerates to a scan of one
+	// or two elements from there. Built once per generator; see
 	// buildPickIndex.
 	pick      []int32
 	pickScale float64
@@ -255,26 +248,27 @@ func NewGenerator(spec Spec, region Region, coreIdx int, seed uint64, params Par
 	rows := region.rowIndex()
 	pick := func() dram.Row { return rows.rowAt(draw.Draw(r)) }
 
+	// Each hot row draws its per-epoch activation target, then its row, an
+	// order every stream depends on; only the running sum of the targets
+	// is kept, for pickHot.
+	var hotActs float64
+	g.hot = make([]dram.Row, 0, n1k+n500+n166)
+	g.cum = make([]float64, 0, n1k+n500+n166)
 	addTier := func(count int, lo, hi float64) {
 		for i := 0; i < count; i++ {
-			target := lo + r.Float64()*(hi-lo)
-			g.hot = append(g.hot, hotRow{row: pick(), weight: target})
+			hotActs += lo + r.Float64()*(hi-lo)
+			g.cum = append(g.cum, hotActs)
+			g.hot = append(g.hot, pick())
 		}
 	}
 	addTier(n1k, 1000, 2200)
 	addTier(n500, 500, 1000)
 	addTier(n166, 166, 500)
+	g.buildPickIndex()
 
 	// Requests this core issues per epoch at the nominal IPC.
 	reqsPerEpoch := spec.MPKI / 1000 * params.NominalIPC * cpu.FreqHz *
 		(float64(params.EpochLength) / 1e12)
-	var hotActs float64
-	g.cum = make([]float64, len(g.hot))
-	for i, h := range g.hot {
-		hotActs += h.weight
-		g.cum[i] = hotActs
-	}
-	g.buildPickIndex()
 	if reqsPerEpoch > 0 {
 		// h is the desired fraction of *requests* that hit the hot set.
 		// Background selections expand into bursts of mean length b, so
@@ -354,7 +348,7 @@ func (s *stream) Next() (cpu.Request, bool) {
 		s.burstLeft--
 		row = s.burstRow
 	case len(g.hot) > 0 && s.r.Float64() < g.pHot:
-		row = g.hot[g.pickHot(s.r)].row
+		row = g.hot[g.pickHot(s.r)]
 	default:
 		row = g.background[int(s.zipf.Uint64())]
 		// Start a burst with geometric length (mean BackgroundBurst).
@@ -386,20 +380,22 @@ func (g *Generator) pickHot(r *rng.Rand) int {
 	return g.pickIndex(r.Float64() * g.cum[len(g.cum)-1])
 }
 
-// pickIndex returns the smallest i with g.cum[i] >= x. The answer index a
-// satisfies cum[a-1] < x <= cum[a] (with cum[-1] taken as 0), and bucketOf
-// is monotone and identical on the build and lookup sides, so a was
-// registered in bucket bucketOf(x) during buildPickIndex and the scan over
-// its (lo, hi) pair — typically a single element — finds it.
+// pickIndex returns the smallest i with g.cum[i] >= x, for any x in
+// [0, cum[n-1]]. The answer index a satisfies cum[a-1] < x <= cum[a]
+// (with cum[-1] taken as 0), and bucketOf is monotone and identical on
+// the build and lookup sides, so a was registered in bucket bucketOf(x)
+// during buildPickIndex and the bucket's lowest index is at most a. Every
+// index from there up to a has cum < x, so the scan — typically a single
+// step — stops exactly at a, and it needs no upper bound because
+// x <= cum[n-1].
 func (g *Generator) pickIndex(x float64) int {
-	j := 2 * int(x*g.pickScale)
+	j := int(x * g.pickScale)
 	if j >= len(g.pick) {
-		j = len(g.pick) - 2
+		j = len(g.pick) - 1
 	}
 	cum := g.cum
 	i := int(g.pick[j])
-	hi := int(g.pick[j+1])
-	for i < hi && cum[i] < x {
+	for cum[i] < x {
 		i++
 	}
 	return i
@@ -407,8 +403,8 @@ func (g *Generator) pickIndex(x float64) int {
 
 // buildPickIndex precomputes the bucket index over g.cum: k (a power of
 // two >= 2*len(cum)) equal-width buckets over [0, total], where bucket j
-// records the min/max cumulative-array indices whose weight span
-// intersects it. Weights are bounded below (>= 166 activations/epoch), so
+// records the lowest cumulative-array index whose weight span intersects
+// it. Weights are bounded below (>= 166 activations/epoch), so
 // occupancy is O(1) and the expected lookup scan length is ~1. Built once
 // per generator — off the steady-state request path, which stays
 // allocation-free.
@@ -426,10 +422,7 @@ func (g *Generator) buildPickIndex() {
 		k <<= 1
 	}
 	g.pickScale = float64(k) / total
-	g.pick = make([]int32, 2*k)
-	for j := 0; j < k; j++ {
-		g.pick[2*j] = int32(n)
-	}
+	g.pick = make([]int32, k)
 	bucketOf := func(v float64) int {
 		b := int(v * g.pickScale)
 		if b >= k {
@@ -437,16 +430,15 @@ func (g *Generator) buildPickIndex() {
 		}
 		return b
 	}
-	prev := 0
+	// Index i's span (cum[i-1], cum[i]] covers buckets bucketOf(cum[i-1])
+	// through bucketOf(cum[i]). Walking i upward, the first index to reach
+	// a bucket is its lowest; every bucket up to bucketOf(total) = k-1 is
+	// reached.
+	next := 0 // the lowest bucket no index has reached yet
 	for i := 0; i < n; i++ {
-		hi := bucketOf(g.cum[i])
-		for j := prev; j <= hi; j++ {
-			if g.pick[2*j] > int32(i) {
-				g.pick[2*j] = int32(i)
-			}
-			g.pick[2*j+1] = int32(i)
+		for hi := bucketOf(g.cum[i]); next <= hi; next++ {
+			g.pick[next] = int32(i)
 		}
-		prev = hi
 	}
 }
 

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -270,7 +271,7 @@ func TestCoreCopiesGetDistinctHotRows(t *testing.T) {
 	g1 := NewGenerator(spec, region, 1, 42, Params{})
 	same := 0
 	for i := range g0.hot {
-		if i < len(g1.hot) && g0.hot[i].row == g1.hot[i].row {
+		if i < len(g1.hot) && g0.hot[i] == g1.hot[i] {
 			same++
 		}
 	}
@@ -289,40 +290,45 @@ func TestZeroMPKIPanics(t *testing.T) {
 }
 
 // TestPickIndexMatchesSearchFloat64s pins the bucket-indexed inverse-CDF
-// draw against its reference semantics: for any x, pickIndex must return
-// exactly sort.SearchFloat64s(cum, x) — the smallest i with cum[i] >= x.
-// The draw feeds hot-row selection, so a one-off here shifts golden
-// figure bytes.
+// draw against its reference semantics: for any x in [0, total], pickIndex
+// must return exactly sort.SearchFloat64s(cum, x) — the smallest i with
+// cum[i] >= x. The draw feeds hot-row selection, so a one-off here shifts
+// golden figure bytes. It covers every table shape the generator builds:
+// each spec with hot rows (lbm, blender, gcc, mcf, cactuBSSN, roms, xz),
+// at the paper's 4 cores and at one core, which gives lbm all 6,794 hot
+// rows and a pick table 4x larger.
 func TestPickIndexMatchesSearchFloat64s(t *testing.T) {
-	for _, name := range []string{"gcc", "lbm", "xz"} {
-		spec, ok := ByName(name)
-		if !ok {
-			t.Fatalf("%s spec missing", name)
+	for _, spec := range SPEC17() {
+		if spec.Rows166 == 0 {
+			continue
 		}
-		g := NewGenerator(spec, testRegion(), 0, 7, Params{})
-		if len(g.cum) == 0 {
-			t.Fatalf("%s: no hot rows", name)
-		}
-		total := g.cum[len(g.cum)-1]
-		check := func(x float64) {
-			got := g.pickIndex(x)
-			want := sort.SearchFloat64s(g.cum, x)
-			if got != want {
-				t.Fatalf("%s: pickIndex(%v) = %d, want %d", name, x, got, want)
+		for _, cores := range []int{4, 1} {
+			name := fmt.Sprintf("%s/%d-core", spec.Name, cores)
+			g := NewGenerator(spec, testRegion(), 0, 7, Params{Cores: cores})
+			if len(g.cum) == 0 {
+				t.Fatalf("%s: no hot rows", name)
 			}
-		}
-		// Boundary probes: exact cumulative values and their neighbours are
-		// where an off-by-one in the bucket scan would land.
-		for _, c := range g.cum {
-			check(c)
-			check(math.Nextafter(c, 0))
-			check(math.Nextafter(c, total))
-		}
-		check(0)
-		check(total)
-		r := rng.New(0xA11CE)
-		for i := 0; i < 100000; i++ {
-			check(r.Float64() * total)
+			total := g.cum[len(g.cum)-1]
+			check := func(x float64) {
+				got := g.pickIndex(x)
+				want := sort.SearchFloat64s(g.cum, x)
+				if got != want {
+					t.Fatalf("%s: pickIndex(%v) = %d, want %d", name, x, got, want)
+				}
+			}
+			// Boundary probes: exact cumulative values and their neighbours
+			// are where an off-by-one in the bucket scan would land.
+			for _, c := range g.cum {
+				check(c)
+				check(math.Nextafter(c, 0))
+				check(math.Nextafter(c, total))
+			}
+			check(0)
+			check(total)
+			r := rng.New(0xA11CE)
+			for i := 0; i < 100000; i++ {
+				check(r.Float64() * total)
+			}
 		}
 	}
 }
