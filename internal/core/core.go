@@ -28,6 +28,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/analytic"
 	"repro/internal/bloom"
@@ -151,27 +152,16 @@ type Engine struct {
 	// The SRAM FPT's CAT organisation is charged in storage
 	// (analytic.ComputeStorage), not simulated.
 	fptSlot rowmap.Map
+	// present (SRAM mode only) holds one bit per row of the rank, set
+	// exactly for the rows fptSlot holds: Translate tests a row's bit
+	// before it probes fptSlot, so an unquarantined row costs one bit test
+	// instead of a hash probe. Memory-mapped mode's bloom filter does the
+	// same job there. mitigate sets a bit where it writes fptSlot,
+	// clearMapping clears it where it deletes the entry, and
+	// CheckInvariants audits the two against each other.
+	present []uint64
 	rpt     []rptEntry
-	// fast is the Translate fast path: bit `row` is set exactly when the
-	// row resolves to itself through the slow path's cheapest early
-	// return — not an RQA slot or table row, not quarantined, and
-	// (memory-mapped mode) its bloom group bit clear. The common
-	// "ordinary row" case then costs one branch-predictable bit probe
-	// instead of the layout arithmetic and filter walk; translateSlow
-	// keeps every panic and latency charge for the rest.
-	// A bitmap rather than a byte array because the probe is a cache
-	// miss magnet: one bit per row keeps the whole structure (~256KB for
-	// 2M rows) cache-resident where a byte map would not be. Maintained
-	// at the three places the predicate can change: New, mitigate,
-	// clearMapping.
-	fast     []uint64
-	fastRows uint64
-	// fastLat/fastClass are the mode's precomputed fast-path translation
-	// (bloomLatency/LookupBloomFiltered memory-mapped, SRAMLatency/
-	// LookupSRAM in SRAM mode), so the hot path is branch-free on mode.
-	fastLat   dram.PS
-	fastClass mitigation.LookupClass
-	head      int
+	head    int
 	// epoch counts tracker epochs; an int32 lasts 2^31 64 ms epochs, over
 	// four years of simulated time.
 	epoch int32
@@ -247,8 +237,8 @@ func layoutFor(geom dram.Geometry, timing dram.Timing, cfg Config) layout {
 
 // VisibleRowsPerBankFor returns the software-visible rows per bank an
 // engine with this configuration would leave, without building one: the
-// layout arithmetic alone, not the tracker, bitmap and filter state. An
-// engine build per region query used to dominate experiment setup time.
+// layout arithmetic alone, not the tracker, presence-bit and filter state.
+// An engine build per region query used to dominate experiment setup time.
 func VisibleRowsPerBankFor(geom dram.Geometry, timing dram.Timing, cfg Config) int {
 	cfg.fillDefaults()
 	l := layoutFor(geom, timing, cfg)
@@ -275,38 +265,12 @@ func New(rank *dram.Rank, cfg Config) *Engine {
 		e.rpt[i].epochUsed = -1
 	}
 
-	if cfg.Mode == ModeMemMapped {
+	switch cfg.Mode {
+	case ModeSRAM:
+		e.present = make([]uint64, (geom.Rows()+63)/64)
+	case ModeMemMapped:
 		e.bloom = bloom.New(geom.Rows(), cfg.BloomGroupSize)
 		e.fptCache = sramcache.New(cfg.FPTCacheEntries, fptCacheWays, cfg.BloomGroupSize)
-	}
-
-	e.fast = make([]uint64, (geom.Rows()+63)/64)
-	e.fastRows = uint64(geom.Rows())
-	if cfg.Mode == ModeMemMapped {
-		e.fastLat, e.fastClass = bloomLatency, mitigation.LookupBloomFiltered
-	} else {
-		e.fastLat, e.fastClass = mitigation.SRAMLatency, mitigation.LookupSRAM
-	}
-	// At construction nothing is quarantined, no forward entry exists, and
-	// the bloom is empty, so fastEligible reduces to the static region
-	// predicates — false only inside the reserved strip at the top of each
-	// bank (RQA slots + table rows). Bulk-set every bit and recompute just
-	// the strip: O(rows/64 + reserved) instead of a predicate call per row,
-	// which dominated per-cell engine construction on grid runs.
-	// CheckInvariants audits bitmap == fastEligible over all rows, so the
-	// equivalence is a tested contract, not an assumption.
-	for i := range e.fast {
-		e.fast[i] = ^uint64(0)
-	}
-	if tail := uint(geom.Rows()) & 63; tail != 0 {
-		e.fast[len(e.fast)-1] = 1<<tail - 1
-	}
-	reserved := l.rqaRowsPerBank + l.tableRowsPerBnk
-	for bank := 0; bank < geom.Banks; bank++ {
-		hi := (bank + 1) * geom.RowsPerBank
-		for r := hi - reserved; r < hi; r++ {
-			e.setFast(dram.Row(r), e.fastEligible(dram.Row(r)))
-		}
 	}
 
 	e.chk = cfg.Invariants
@@ -424,89 +388,28 @@ func (e *Engine) Name() string { return "aqua-" + e.cfg.Mode.String() }
 // Translate implements mitigation.Mitigator: it resolves the current
 // physical location of an install row, charging the lookup path of the
 // configured mode (Figure 10's four categories in memory-mapped mode).
-//
-// The common "ordinary row" case — not quarantined, not remapped, outside
-// AQUA's own regions — is answered by one probe of the fast bitmap with
-// the mode's precomputed latency and class; it returns exactly what the
-// slow path's earliest return would (in memory-mapped mode that return
-// sits behind the bloom filter's definitive negative, so the fast path
-// charges the same latency and increments the same Lookups class).
-// Everything else — RQA/geometry panics, pinned table rows, quarantine
-// hits — falls through to translateSlow.
 func (e *Engine) Translate(row dram.Row, now dram.PS) mitigation.Translation {
-	if w := uint64(row); w < e.fastRows && e.fast[w>>6]&(1<<(w&63)) != 0 {
-		e.stats.Lookups[e.fastClass]++
-		return mitigation.Translation{PhysRow: row, Latency: e.fastLat, Class: e.fastClass}
-	}
-	return e.translateSlow(row, now)
-}
-
-// setFast writes one row's fast-bitmap bit.
-func (e *Engine) setFast(r dram.Row, v bool) {
-	if v {
-		e.fast[uint64(r)>>6] |= 1 << (uint64(r) & 63)
-	} else {
-		e.fast[uint64(r)>>6] &^= 1 << (uint64(r) & 63)
-	}
-}
-
-// fastEligible computes one row's fast-bitmap entry from the authoritative
-// structures; the maintenance hooks keep the bitmap equal to this
-// predicate at all times (CheckInvariants audits it).
-func (e *Engine) fastEligible(r dram.Row) bool {
-	if _, isSlot := e.rowSlot(r); isSlot {
-		return false
-	}
-	if e.isTableRow(r) || e.IsQuarantined(r) {
-		return false
-	}
-	if e.cfg.Mode == ModeMemMapped && e.bloom.GroupOccupancy(uint32(r)) > 0 {
-		// Group bit set (bit state and occupancy move together): the slow
-		// path must walk the cache/singleton/DRAM chain.
-		return false
-	}
-	return true
-}
-
-// fastRefreshGroup recomputes the bitmap for every row sharing old's bloom
-// group, called on the two transitions that flip a whole group's bit:
-// first quarantine in a group (all members lose the fast path to the
-// filter's possibly-quarantined answer) and last eviction from it (the
-// surviving ordinary members get it back). Group size is a small constant
-// (default 16 rows).
-func (e *Engine) fastRefreshGroup(member dram.Row) {
-	size := e.bloom.GroupSize()
-	start := int(e.bloom.GroupOf(uint32(member))) * size
-	end := start + size
-	if end > int(e.fastRows) {
-		end = int(e.fastRows)
-	}
-	for r := start; r < end; r++ {
-		e.setFast(dram.Row(r), e.fastEligible(dram.Row(r)))
-	}
-}
-
-func (e *Engine) translateSlow(row dram.Row, now dram.PS) mitigation.Translation {
 	if !e.geom.Contains(row) {
 		panic(fmt.Sprintf("core: translate of row %d outside geometry", row))
 	}
-	if _, isSlot := e.rowSlot(row); isSlot {
-		panic(fmt.Sprintf("core: translate of RQA row %d (software must not address the RQA)", row))
-	}
-
-	// The forward-table read is deferred into the branches that resolve
-	// through it: the memory-mapped bloom/cache/singleton paths below
-	// never consult fptSlot directly (the FPT-Cache and the in-DRAM walk
-	// carry the mapping).
-
-	// Rows holding AQUA's own tables resolve from pinned SRAM entries.
-	if e.isTableRow(row) {
-		e.stats.Lookups[mitigation.LookupPinned]++
-		return mitigation.Translation{PhysRow: e.physRow(row), Latency: mitigation.SRAMLatency, Class: mitigation.LookupPinned}
+	if e.geom.IndexOf(row) >= e.VisibleRowsPerBank() {
+		// The reserved strip at the top of the bank: RQA slots, then (in
+		// memory-mapped mode) the rows holding AQUA's own tables, which
+		// resolve from pinned SRAM entries.
+		if _, isSlot := e.rowSlot(row); isSlot {
+			panic(fmt.Sprintf("core: translate of RQA row %d (software must not address the RQA)", row))
+		}
+		if e.isTableRow(row) {
+			e.stats.Lookups[mitigation.LookupPinned]++
+			return mitigation.Translation{PhysRow: e.physRow(row), Latency: mitigation.SRAMLatency, Class: mitigation.LookupPinned}
+		}
 	}
 
 	if e.cfg.Mode == ModeSRAM {
-		phys := e.physRow(row)
+		phys := row
+		if e.present[row>>6]&(1<<(row&63)) != 0 {
+			phys = e.physRow(row)
+		}
 		e.stats.Lookups[mitigation.LookupSRAM]++
 		return mitigation.Translation{PhysRow: phys, Latency: mitigation.SRAMLatency, Class: mitigation.LookupSRAM}
 	}
@@ -570,11 +473,14 @@ func (e *Engine) OnActivate(physRow dram.Row, at dram.PS) dram.PS {
 // drainPending feeds the activations queued by the engine's own row
 // streams to the tracker, mitigating any row that crosses the threshold,
 // and returns busy, the channel time consumed since at, plus what those
-// mitigations consume. It is bounded: each mitigation adds a handful of
-// ACTs, and triggering again requires another T_RH/2 on one row, so the
-// loop ends almost at once in practice. Indexed iteration (appends during
-// the loop extend it) with a final truncation keeps the queue's backing
-// array reusable instead of re-slicing its capacity away.
+// mitigations consume. Each mitigation queues a handful of ACTs of its
+// own, so the loop ends only while one migration's ACTs cannot trigger
+// the next: at the thresholds sim.CheckTRH admits, it ends almost at
+// once. At T_RH/2 = 1 (AQUA SRAM at T_RH 3) every migration triggers
+// another and the loop never ends; ROADMAP.md's "Mitigation cascades
+// that end" plans the fix. Indexed iteration (appends during the loop
+// extend it) with a final truncation keeps the queue's backing array
+// reusable instead of re-slicing its capacity away.
 func (e *Engine) drainPending(at, busy dram.PS) dram.PS {
 	for i := 0; i < len(e.pending); i++ {
 		if e.art.RecordACT(e.pending[i]) {
@@ -651,19 +557,16 @@ func (e *Engine) mitigate(physRow dram.Row, at dram.PS) dram.PS {
 	// Update FPT and RPT.
 	wasQuarantined := e.IsQuarantined(install)
 	e.fptSlot.Set(install, int32(d))
-	e.setFast(install, false) // quarantined rows always take the slow path
 	e.rpt[d] = rptEntry{install: install, valid: true, epochUsed: e.epoch}
 	e.quarCount++
 
-	if e.cfg.Mode == ModeMemMapped {
+	switch e.cfg.Mode {
+	case ModeSRAM:
+		e.present[install>>6] |= 1 << (install & 63)
+	case ModeMemMapped:
 		if !wasQuarantined && !e.isTableRow(install) {
 			occBefore := e.bloom.GroupOccupancy(uint32(install))
 			e.bloom.Add(uint32(install))
-			if occBefore == 0 {
-				// The group bit flipped set: every member now gets the
-				// filter's "possibly quarantined" answer.
-				e.fastRefreshGroup(install)
-			}
 			if occBefore == 1 {
 				// The group just stopped being a singleton.
 				e.fptCache.SetGroupSingleton(uint32(install), false)
@@ -732,16 +635,11 @@ func (e *Engine) clearMapping(old dram.Row, t dram.PS) {
 	e.fptSlot.Delete(old)
 	switch e.cfg.Mode {
 	case ModeSRAM:
-		e.setFast(old, e.fastEligible(old))
+		e.present[old>>6] &^= 1 << (old & 63)
 	case ModeMemMapped:
 		if !e.isTableRow(old) {
 			e.fptCache.Invalidate(uint32(old))
 			e.bloom.Remove(uint32(old))
-			if e.bloom.GroupOccupancy(uint32(old)) == 0 {
-				// The group bit flipped clear: surviving ordinary members
-				// regain the bloom-filtered fast path.
-				e.fastRefreshGroup(old)
-			}
 			if e.bloom.GroupOccupancy(uint32(old)) == 1 {
 				// Back to a singleton group: set the bit on the remaining
 				// resident member, if cached.
@@ -828,6 +726,7 @@ func (e *Engine) Stats() mitigation.Stats { return e.stats }
 //   - forward/backward consistency: fptSlot[x] = s implies rpt[s] is valid
 //     and points back to x, and vice versa;
 //   - no two install rows share an RQA slot;
+//   - in SRAM mode, the presence bits mark exactly fptSlot's rows;
 //   - in memory-mapped mode, the bloom filter's per-group occupancy equals
 //     the number of quarantined (non-table) rows in that group, and every
 //     quarantined row tests positive.
@@ -861,10 +760,24 @@ func (e *Engine) CheckInvariants() error {
 	if quarantined := e.fptSlot.Len(); quarantined != valid {
 		return fmt.Errorf("core: %d forward pointers vs %d valid slots", quarantined, valid)
 	}
-	for r := uint64(0); r < e.fastRows; r++ {
-		have := e.fast[r>>6]&(1<<(r&63)) != 0
-		if want := e.fastEligible(dram.Row(r)); have != want {
-			return fmt.Errorf("core: translate fast bitmap stale at row %d (have %v, want %v)", r, have, want)
+	if e.cfg.Mode == ModeSRAM {
+		// Every forward entry's bit is set, and the set bits number the
+		// entries, so no other bit is: O(rows/64 + entries).
+		marked := 0
+		for _, w := range e.present {
+			marked += bits.OnesCount64(w)
+		}
+		if marked != valid {
+			return fmt.Errorf("core: %d presence bits set vs %d forward pointers", marked, valid)
+		}
+		e.fptSlot.Range(func(x dram.Row, _ int32) bool {
+			if e.present[x>>6]&(1<<(x&63)) == 0 {
+				err = fmt.Errorf("core: quarantined row %d has no presence bit", x)
+			}
+			return err == nil
+		})
+		if err != nil {
+			return err
 		}
 	}
 	if e.cfg.Mode == ModeMemMapped {

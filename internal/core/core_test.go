@@ -42,11 +42,10 @@ func hammer(eng *Engine, install dram.Row, acts int, at dram.PS) dram.PS {
 	return busy
 }
 
-// TestFreshEngineFastBitmap pins the construction fast path: the bulk
-// bitmap fill plus per-bank strip recompute must land exactly where the
-// old full-row predicate sweep did, in both modes and on a geometry
-// whose row count is not a multiple of 64 (the partial-word tail).
-func TestFreshEngineFastBitmap(t *testing.T) {
+// TestFreshEngineInvariants checks a freshly built engine in both modes,
+// on a geometry whose row count is not a multiple of 64: SRAM mode's
+// presence bits then end in a partial word.
+func TestFreshEngineInvariants(t *testing.T) {
 	geoms := []dram.Geometry{
 		testGeom(),
 		{Banks: 3, RowsPerBank: 50, RowBytes: 1024, LineBytes: 64}, // 150 rows: 64-bit tail
@@ -62,14 +61,6 @@ func TestFreshEngineFastBitmap(t *testing.T) {
 			if err := eng.CheckInvariants(); err != nil {
 				t.Fatalf("geom %dx%d mode %v: fresh engine: %v",
 					geom.Banks, geom.RowsPerBank, mode, err)
-			}
-			// The tail bits past Rows() must stay clear so the bitmap never
-			// claims rows outside the geometry.
-			for w := uint64(geom.Rows()); w < uint64(len(eng.fast)*64); w++ {
-				if eng.fast[w>>6]&(1<<(w&63)) != 0 {
-					t.Fatalf("geom %dx%d mode %v: fast bit set past Rows() at %d",
-						geom.Banks, geom.RowsPerBank, mode, w)
-				}
 			}
 		}
 	}
@@ -341,6 +332,84 @@ func TestTranslatePanicsOnRQARow(t *testing.T) {
 		}
 	}()
 	eng.Translate(geom.RowOf(0, geom.RowsPerBank-1), 0)
+}
+
+// TestTranslateBoundaries pins the lower edge of the reserved strip at
+// the top of each bank in both modes: the highest visible row resolves to
+// itself, the lowest RQA slot row panics, and in memory-mapped mode the
+// lowest table row, which sits right above the visible rows, is pinned.
+func TestTranslateBoundaries(t *testing.T) {
+	geom := testGeom()
+	for _, mode := range []Mode{ModeSRAM, ModeMemMapped} {
+		t.Run(mode.String(), func(t *testing.T) {
+			_, eng := newEngine(t, mode, 8, 40)
+			vis := eng.VisibleRowsPerBank()
+			top := geom.RowOf(0, vis-1)
+			want := mitigation.LookupSRAM
+			if mode == ModeMemMapped {
+				want = mitigation.LookupBloomFiltered
+			}
+			if tr := eng.Translate(top, 0); tr.PhysRow != top || tr.Class != want {
+				t.Fatalf("highest visible row %d: %+v, want itself, class %v", top, tr, want)
+			}
+
+			slot := eng.slotRow(eng.RQASize() - 1)
+			if idx := geom.IndexOf(slot); idx != geom.RowsPerBank-eng.rqaRowsPerBank {
+				t.Fatalf("last RQA slot at index %d, not the strip's lowest", idx)
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("translate of the lowest RQA row %d did not panic", slot)
+					}
+				}()
+				eng.Translate(slot, 0)
+			}()
+
+			if mode != ModeMemMapped {
+				return
+			}
+			table := eng.tableRowAt(eng.fptTableRows + eng.rptTableRows - 1)
+			if idx := geom.IndexOf(table); idx != vis {
+				t.Fatalf("last table row at index %d, want %d", idx, vis)
+			}
+			if tr := eng.Translate(table, 0); tr.PhysRow != table || tr.Class != mitigation.LookupPinned {
+				t.Fatalf("lowest table row %d: %+v, want itself, pinned", table, tr)
+			}
+		})
+	}
+}
+
+// TestStalePresenceBitFails shows that CheckInvariants audits SRAM mode's
+// presence bits against the forward map: a bit set for a row that is not
+// quarantined fails it, and so does a quarantined row's bit moved to
+// another row.
+func TestStalePresenceBitFails(t *testing.T) {
+	geom := testGeom()
+	_, eng := newEngine(t, ModeSRAM, 8, 40)
+	row, other := geom.RowOf(1, 9), geom.RowOf(2, 9)
+	hammer(eng, row, 20, 0)
+	if !eng.IsQuarantined(row) {
+		t.Fatal("setup: row not quarantined")
+	}
+	if err := eng.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	flip := func(r dram.Row) { eng.present[r>>6] ^= 1 << (r & 63) }
+
+	flip(other)
+	if eng.CheckInvariants() == nil {
+		t.Fatal("an extra presence bit passed the audit")
+	}
+	flip(row)
+	if eng.CheckInvariants() == nil {
+		t.Fatal("a quarantined row's bit moved to another row passed the audit")
+	}
+	flip(row)
+	flip(other)
+	if err := eng.CheckInvariants(); err != nil {
+		t.Fatalf("restored bits: %v", err)
+	}
 }
 
 func TestRandomizedInvariantProperty(t *testing.T) {

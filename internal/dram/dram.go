@@ -238,20 +238,11 @@ func (g Geometry) NeighborPair(r Row, distance int) (pair [2]Row, n int) {
 type ActListener func(row Row, at PS)
 
 // bank holds the open-page state machine for one bank.
-//
-// Refresh state is lazy: RefreshAll bumps the rank's refresh generation
-// and ACT floor instead of touching every bank, so a bank's effective
-// state is read through bankOpen/bankReadyACT — an open row is only open
-// if its generation matches the rank's, and the ACT window is the stored
-// value raised to the floor. Idle banks therefore cost nothing at
-// refresh time (and nothing later: their state is never materialized).
 type bank struct {
-	openRow  Row
-	hasOpen  bool
-	gen      uint64 // refresh generation openRow/hasOpen belong to
-	readyACT PS     // earliest next activation (tRC from previous ACT)
-	readyCol PS     // earliest next column command in this bank
-	readyPRE PS     // earliest precharge (covers tRAS/tWR approximations)
+	openRow  Row // InvalidRow while the bank is precharged
+	readyACT PS  // earliest next activation (tRC from previous ACT)
+	readyCol PS  // earliest next column command in this bank
+	readyPRE PS  // earliest precharge (covers tRAS/tWR approximations)
 }
 
 // Rank models all banks of one rank plus the shared data bus. It is not
@@ -262,21 +253,11 @@ type Rank struct {
 
 	banks   []bank
 	busFree PS // data bus availability
-	// refGen and actFloor carry refresh effects lazily (see bank): refGen
-	// invalidates every open row, actFloor raises every bank's ACT window
-	// to the refresh end. Reserve still writes banks eagerly — migrations
-	// are thousands of times rarer than refresh commands.
-	refGen   uint64
-	actFloor PS
 	// actHist holds the last four rank-level ACT times (tFAW enforcement).
 	actHist [4]PS
 	actIdx  int
 
 	listeners []ActListener
-	// single caches the sole listener when exactly one is registered — the
-	// common case (one tracker) — so activate makes a direct call instead
-	// of ranging over the slice.
-	single ActListener
 
 	// reservedUntil is the end of the latest channel reservation
 	// (monotonic); the memory controller's invariant hook checks accesses
@@ -366,11 +347,6 @@ func (r *Rank) Stats() RankStats { return r.stats }
 // registration order on every committed ACT.
 func (r *Rank) Listen(l ActListener) {
 	r.listeners = append(r.listeners, l)
-	if len(r.listeners) == 1 {
-		r.single = l
-	} else {
-		r.single = nil
-	}
 }
 
 // ListenRefresh registers a listener for the targeted row refreshes a
@@ -435,9 +411,6 @@ func (r *Rank) checkACT(bank int, at PS) {
 
 // notePRE records a precharge issue for the tRP shadow check.
 func (r *Rank) notePRE(bank int, at PS) {
-	if r.chk == nil {
-		return
-	}
 	bs := &r.shadow.banks[bank]
 	bs.lastPRE = at
 	bs.hasPRE = true
@@ -452,14 +425,6 @@ func (r *Rank) checkCol(bank int, at PS) {
 			"bank %d: column command only %dps after ACT (tRCD=%dps)", bank, at-bs.lastACT, r.ref.TRCD)
 	}
 }
-
-// bankOpen reports whether b's row buffer is effectively open: the stored
-// flag is only meaningful if no refresh has closed it since (lazy close).
-func (r *Rank) bankOpen(b *bank) bool { return b.hasOpen && b.gen == r.refGen }
-
-// bankReadyACT returns b's effective ACT window end: the stored per-bank
-// value raised to the rank-wide refresh floor.
-func (r *Rank) bankReadyACT(b *bank) PS { return maxPS(b.readyACT, r.actFloor) }
 
 // fawReady returns the earliest time a new ACT may issue under the
 // four-activate-window constraint given a candidate time.
@@ -479,18 +444,12 @@ func (r *Rank) activate(b *bank, row Row, at PS) {
 	r.actHist[r.actIdx] = at
 	r.actIdx = (r.actIdx + 1) % len(r.actHist)
 	b.openRow = row
-	b.hasOpen = true
-	b.gen = r.refGen
 	b.readyACT = at + r.timing.TRC
 	b.readyCol = at + r.timing.TRCD
 	b.readyPRE = at + r.timing.TRCD // simplified tRAS floor
 	r.stats.Activates++
-	if r.single != nil {
-		r.single(row, at)
-	} else {
-		for _, l := range r.listeners {
-			l(row, at)
-		}
+	for _, l := range r.listeners {
+		l(row, at)
 	}
 }
 
@@ -507,7 +466,7 @@ func (r *Rank) Access(row Row, write bool, earliest PS) (done PS, activated bool
 	t := &r.timing
 
 	at := earliest
-	if r.bankOpen(b) && b.openRow == row {
+	if b.openRow == row {
 		// Row-buffer hit: column access only.
 		r.stats.RowHits++
 		col := maxPS(at, b.readyCol)
@@ -523,14 +482,14 @@ func (r *Rank) Access(row Row, write bool, earliest PS) (done PS, activated bool
 		// Row-buffer miss (or closed row): PRE if needed, then ACT, then column.
 		r.stats.RowMisses++
 		start := at
-		if r.bankOpen(b) {
+		if b.openRow != InvalidRow {
 			pre := maxPS(start, b.readyPRE)
 			if r.chk != nil {
 				r.notePRE(bankIdx, pre)
 			}
 			start = pre + t.TRP
 		}
-		act := r.fawReady(maxPS(start, r.bankReadyACT(b)))
+		act := r.fawReady(maxPS(start, b.readyACT))
 		r.activate(b, row, act)
 		activated = true
 		data := maxPS(act+t.TRCD+t.TCL, r.busFree)
@@ -559,14 +518,14 @@ func (r *Rank) StreamRow(row Row, write bool, earliest PS) (done PS) {
 	b := &r.banks[bankIdx]
 	t := &r.timing
 	start := earliest
-	if r.bankOpen(b) {
+	if b.openRow != InvalidRow {
 		pre := maxPS(start, b.readyPRE)
 		if r.chk != nil {
 			r.notePRE(bankIdx, pre)
 		}
 		start = pre + t.TRP
 	}
-	act := maxPS(start, r.bankReadyACT(b))
+	act := maxPS(start, b.readyACT)
 	act = maxPS(act, r.busFree) // streaming saturates the bus; serialize
 	act = r.fawReady(act)
 	r.activate(b, row, act)
@@ -588,19 +547,19 @@ func (r *Rank) StreamRow(row Row, write bool, earliest PS) (done PS) {
 	return done
 }
 
-// RefreshAll models one auto-refresh command issued at 'at': the rank is
-// unavailable until at+tRFC. Refresh restores charge; it does not reset the
-// Rowhammer activation counters (refresh of a *victim* row does, which is
-// the victim-refresh mitigation's job, not the periodic refresh's).
+// RefreshAll models one auto-refresh command issued at 'at': every bank's
+// row is closed and the rank is unavailable until at+tRFC. Refresh restores
+// charge; it does not reset the Rowhammer activation counters (refresh of
+// a *victim* row does, which is the victim-refresh mitigation's job, not
+// the periodic refresh's).
 func (r *Rank) RefreshAll(at PS) (done PS) {
 	done = at + r.timing.TRFC
-	// Lazy per-bank effects: bumping the generation closes every open row
-	// and raising the floor blocks every ACT window, in O(1) instead of
-	// O(banks). Banks observe both through bankOpen/bankReadyACT on their
-	// next use; idle banks never pay for the refresh at all.
-	r.refGen++
-	if r.actFloor < done {
-		r.actFloor = done
+	for i := range r.banks {
+		b := &r.banks[i]
+		b.openRow = InvalidRow
+		if b.readyACT < done {
+			b.readyACT = done
+		}
 	}
 	if r.busFree < done {
 		r.busFree = done
@@ -638,25 +597,8 @@ func (r *Rank) ReservedUntil() PS { return r.reservedUntil }
 
 // OpenRow returns the currently open row in a bank, if any.
 func (r *Rank) OpenRow(bankIdx int) (Row, bool) {
-	b := &r.banks[bankIdx]
-	if !r.bankOpen(b) {
-		return InvalidRow, false
-	}
-	return b.openRow, true
-}
-
-// PrechargeAll closes all open rows (e.g. at epoch boundaries in tests).
-func (r *Rank) PrechargeAll(at PS) {
-	for i := range r.banks {
-		b := &r.banks[i]
-		if r.bankOpen(b) {
-			pre := maxPS(at, b.readyPRE)
-			r.notePRE(i, pre)
-			b.openRow = InvalidRow
-			b.hasOpen = false
-			b.readyACT = maxPS(r.bankReadyACT(b), pre+r.timing.TRP)
-		}
-	}
+	row := r.banks[bankIdx].openRow
+	return row, row != InvalidRow
 }
 
 func maxPS(a, b PS) PS {

@@ -305,21 +305,42 @@ func TestStreamBlocksBus(t *testing.T) {
 	}
 }
 
+// TestRefreshBlocksAndCloses drives a refresh over three kinds of bank:
+// bank 0 has an open row, bank 1 was never used, and bank 2 is busy until
+// past the refresh end (its last ACT came late, so tRC holds its next
+// one). The refresh must close every row, hold the idle bank's first ACT
+// until the refresh ends, and leave the busy bank's later wait in place.
 func TestRefreshBlocksAndCloses(t *testing.T) {
 	r := NewRank(testGeom(), DDR4())
 	g := r.Geometry()
+	var acts []PS
+	r.Listen(func(_ Row, at PS) { acts = append(acts, at) })
+	lastACT := func() PS { return acts[len(acts)-1] }
+
 	r.Access(g.RowOf(0, 1), false, 0)
-	end := r.RefreshAll(100 * Nanosecond)
-	if end != 100*Nanosecond+r.Timing().TRFC {
+	r.Access(g.RowOf(2, 3), false, 10*Microsecond)
+	busy := lastACT() + r.Timing().TRC
+	at := PS(100 * Nanosecond)
+	end := r.RefreshAll(at)
+	if end != at+r.Timing().TRFC {
 		t.Fatalf("refresh end = %d", end)
 	}
-	if _, open := r.OpenRow(0); open {
-		t.Fatal("refresh left a row open")
+	if busy <= end {
+		t.Fatalf("bank 2 is ready at %d, not past the refresh end %d", busy, end)
 	}
-	// Next access re-activates.
-	_, act := r.Access(g.RowOf(0, 1), false, end)
-	if !act {
-		t.Fatal("access after refresh did not activate")
+	for b := 0; b < g.Banks; b++ {
+		if row, open := r.OpenRow(b); open {
+			t.Fatalf("refresh left row %d open in bank %d", row, b)
+		}
+	}
+	if _, act := r.Access(g.RowOf(0, 1), false, at); !act || lastACT() < end {
+		t.Fatalf("open bank: activated %v at %d, refresh ends %d", act, lastACT(), end)
+	}
+	if _, act := r.Access(g.RowOf(1, 2), false, at); !act || lastACT() < end {
+		t.Fatalf("idle bank: activated %v at %d, refresh ends %d", act, lastACT(), end)
+	}
+	if _, act := r.Access(g.RowOf(2, 4), false, at); !act || lastACT() < busy {
+		t.Fatalf("busy bank: activated %v at %d, want at or after %d", act, lastACT(), busy)
 	}
 	if r.Stats().Refreshes != 1 {
 		t.Fatal("refresh not counted")
@@ -336,16 +357,6 @@ func TestReserveBlocksAllBanks(t *testing.T) {
 		if done < until {
 			t.Fatalf("bank %d access completed at %d during reservation", b, done)
 		}
-	}
-}
-
-func TestPrechargeAll(t *testing.T) {
-	r := NewRank(testGeom(), DDR4())
-	g := r.Geometry()
-	r.Access(g.RowOf(0, 1), false, 0)
-	r.PrechargeAll(1 * Microsecond)
-	if _, open := r.OpenRow(0); open {
-		t.Fatal("row still open after PrechargeAll")
 	}
 }
 

@@ -31,7 +31,12 @@ func TestShadowCheckerCleanOnCorrectTiming(t *testing.T) {
 	r.StreamRow(g.RowOf(1, 4), true, 0)
 	r.RefreshAll(10 * Microsecond)
 	hammerBank(r, g, 20)
-	r.PrechargeAll(50 * Microsecond)
+	// Two rows of each bank in turn: the second access misses an open
+	// row, so the tRP check runs on every bank after the refresh.
+	for b := 0; b < g.Banks; b++ {
+		at, _ := r.Access(g.RowOf(b, 5), false, 50*Microsecond)
+		r.Access(g.RowOf(b, 6), true, at)
+	}
 	hammerBank(r, g, 20)
 
 	if err := chk.Err(); err != nil {

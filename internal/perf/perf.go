@@ -107,10 +107,10 @@ func BenchTrackerACT(b *testing.B) {
 
 // BenchTranslate measures the AQUA engine's address translation alone —
 // the per-request FPT lookup the mitigation charges on the critical
-// path. The driver pattern is ordinary (never-quarantined) rows, so this
-// tracks the flattened fast path: one bitmap probe per op in the common
-// "not quarantined, not remapped" case the full-window profile is
-// dominated by.
+// path. The driver pattern is ordinary (never-quarantined) rows under
+// memory-mapped tables, so each op is the common case a full-window cell
+// is dominated by: a test that the row lies below the reserved strip,
+// then one bloom-filter bit probe that answers "not quarantined".
 func BenchTranslate(b *testing.B) {
 	sys := newSystem()
 	geom := sys.Rank.Geometry()

@@ -71,24 +71,29 @@ func TestRequestPathZeroAlloc(t *testing.T) {
 }
 
 // TestTranslateTrackerZeroAlloc holds the budget for the two flattened
-// profile leaders in isolation: the AQUA translate fast path and both
-// tracker RecordACT paths must not allocate. The tracker's tables grow as
-// rows are installed, so the cold stride first fills every bank to its
-// capacity; the measured installs then all take the spill-swap path.
+// profile leaders in isolation: AQUA's translate, under SRAM and under
+// memory-mapped tables, and both tracker RecordACT paths must not
+// allocate. The tracker's tables grow as rows are installed, so the cold
+// stride first fills every bank to its capacity; the measured installs
+// then all take the spill-swap path.
 func TestTranslateTrackerZeroAlloc(t *testing.T) {
-	sys := sim.NewSystem(sim.Config{
-		Scheme: sim.SchemeAquaMemMapped,
-		TRH:    1000,
-		Cores:  1,
-	}, []cpu.Stream{NewSyntheticStream(dram.Baseline())})
-	geom := sys.Rank.Geometry()
-	i := 0
-	if n := mallocs(5000, func() {
-		sys.Mit.Translate(rowPattern(geom, i), 0)
-		i++
-	}); n != 0 {
-		t.Fatalf("5000 translates made %d mallocs, want 0", n)
+	var sys *sim.System
+	for _, scheme := range []sim.Scheme{sim.SchemeAquaSRAM, sim.SchemeAquaMemMapped} {
+		sys = sim.NewSystem(sim.Config{
+			Scheme: scheme,
+			TRH:    1000,
+			Cores:  1,
+		}, []cpu.Stream{NewSyntheticStream(dram.Baseline())})
+		geom := sys.Rank.Geometry()
+		i := 0
+		if n := mallocs(5000, func() {
+			sys.Mit.Translate(rowPattern(geom, i), 0)
+			i++
+		}); n != 0 {
+			t.Fatalf("%v: 5000 translates made %d mallocs, want 0", scheme, n)
+		}
 	}
+	geom := sys.Rank.Geometry()
 	tr := sys.Aqua.Tracker().(*tracker.MisraGries)
 	j := 0
 	act := func() {
