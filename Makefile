@@ -32,11 +32,12 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzz smoke against the AQUA engine's structural invariants, the
-# aqua-trace-v1 reader (the only trace file format the repo parses) and
-# the trace tier's packed column codec.
+# trace file reader (ReadPacked: no input panics it, and a file it
+# accepts re-encodes to the same bytes) and the packed column codec that
+# the trace tier and the trace files share.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCore -fuzztime=10s ./internal/core
-	$(GO) test -run='^$$' -fuzz=FuzzBinaryReader -fuzztime=10s ./internal/trace
+	$(GO) test -run='^$$' -fuzz=FuzzReadPacked -fuzztime=10s ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzPackedRoundTrip -fuzztime=10s ./internal/trace
 
 # CI smoke over the hot-path measurement layer: one iteration of each

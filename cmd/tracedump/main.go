@@ -1,5 +1,6 @@
-// Command tracedump records, inspects, and replays memory request traces
-// in aqua-trace-v1, the reproducible-artifact format of internal/trace.
+// Command tracedump records, inspects, and replays memory request traces:
+// trace.Packed's columns in their file form, the reproducible-artifact
+// format of internal/trace.
 //
 // Usage:
 //
@@ -11,6 +12,8 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -34,7 +37,7 @@ func main() {
 	var err error
 	switch args := os.Args[2:]; os.Args[1] {
 	case "record":
-		record(args)
+		err = runRecord(args, os.Stdout)
 	case "stats":
 		err = runStats(args, os.Stdout)
 	case "dump":
@@ -49,85 +52,80 @@ func main() {
 	}
 }
 
-func record(args []string) {
-	fs := flag.NewFlagSet("record", flag.ExitOnError)
+// runRecord packs at most -n records of a workload or attack stream and
+// writes them to the -o file.
+func runRecord(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("record", flag.ContinueOnError)
 	wl := fs.String("workload", "", "workload name to synthesize")
 	atk := fs.String("attack", "", "attack pattern (single-sided, double-sided, adaptive, dos)")
 	n := fs.Int64("n", 100_000, "records to capture")
 	core := fs.Int("core", 0, "core index (rate-copy hot-row placement)")
 	seed := fs.Uint64("seed", 1, "generator seed")
 	out := fs.String("o", "", "output file (required)")
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *out == "" {
-		log.Fatal("record: -o is required")
+		return errors.New("record: -o is required")
 	}
-
-	region := sim.VisibleRegion(sim.Config{})
-	geom := region.Geom
-	var stream cpu.Stream
-	switch {
-	case *wl != "" && *atk != "":
-		log.Fatal("record: -workload and -attack are mutually exclusive")
-	case *wl != "":
-		spec, ok := workload.ByName(*wl)
-		if !ok {
-			log.Fatalf("unknown workload %q", *wl)
-		}
-		gen := workload.NewGenerator(spec, region, *core, *seed, workload.Params{})
-		stream = gen.Stream(*n, *seed)
-	case *atk != "":
-		switch *atk {
-		case "single-sided":
-			stream = attack.SingleSided(geom, geom.RowOf(0, 777), region.VisibleRowsPerBank, *n/2)
-		case "double-sided":
-			stream = attack.DoubleSided(geom, geom.RowOf(3, 5000), *n/2)
-		case "adaptive":
-			stream = attack.AdaptiveHammer(geom, geom.RowOf(0, 42), region.VisibleRowsPerBank, *n/17)
-		case "dos":
-			stream = attack.NewRotatingDoS(geom, region.VisibleRowsPerBank, 500, *n)
-		default:
-			log.Fatalf("unknown attack %q", *atk)
-		}
-	default:
-		log.Fatal("record: need -workload or -attack")
+	if *n < 0 {
+		return fmt.Errorf("record: -n %d is negative", *n)
 	}
-
-	f, err := os.Create(*out)
+	stream, err := recordStream(*wl, *atk, *n, *core, *seed)
 	if err != nil {
-		log.Fatal(err)
+		return fmt.Errorf("record: %w", err)
 	}
-	defer f.Close()
-	written, err := trace.Capture(f, stream, *n)
-	if err != nil {
-		log.Fatal(err)
+	p := trace.PackStream(stream, *n)
+	var file bytes.Buffer
+	p.WriteTo(&file)
+	if err := os.WriteFile(*out, file.Bytes(), 0o644); err != nil {
+		return err
 	}
-	fmt.Printf("wrote %d records to %s\n", written, *out)
+	fmt.Fprintf(stdout, "wrote %d records to %s\n", p.Len(), *out)
+	return nil
 }
 
-// readTrace decodes every record of a trace file. Any decode error, a
-// truncated body included, fails the whole read, so no subcommand acts on
-// a partial trace.
-func readTrace(path string) ([]trace.Record, error) {
+// recordStream builds the stream record captures: workload wl's
+// generator for core, or attack pattern atk, sized for n records.
+func recordStream(wl, atk string, n int64, core int, seed uint64) (cpu.Stream, error) {
+	region := sim.VisibleRegion(sim.Config{})
+	geom := region.Geom
+	switch {
+	case wl != "" && atk != "":
+		return nil, errors.New("-workload and -attack are mutually exclusive")
+	case wl != "":
+		spec, ok := workload.ByName(wl)
+		if !ok {
+			return nil, fmt.Errorf("unknown workload %q", wl)
+		}
+		return workload.NewGenerator(spec, region, core, seed, workload.Params{}).Stream(n, seed), nil
+	case atk == "single-sided":
+		return attack.SingleSided(geom, geom.RowOf(0, 777), region.VisibleRowsPerBank, n/2), nil
+	case atk == "double-sided":
+		return attack.DoubleSided(geom, geom.RowOf(3, 5000), n/2), nil
+	case atk == "adaptive":
+		return attack.AdaptiveHammer(geom, geom.RowOf(0, 42), region.VisibleRowsPerBank, n/17), nil
+	case atk == "dos":
+		return attack.NewRotatingDoS(geom, region.VisibleRowsPerBank, 500, n), nil
+	case atk != "":
+		return nil, fmt.Errorf("unknown attack %q", atk)
+	}
+	return nil, errors.New("need -workload or -attack")
+}
+
+// readTrace reads a whole trace file. Any error, a truncated file
+// included, fails the read, so no subcommand acts on a partial trace.
+func readTrace(path string) (*trace.Packed, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	r, err := trace.NewReader(f)
+	p, err := trace.ReadPacked(f)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	var recs []trace.Record
-	for {
-		rec, err := r.Read()
-		if err == io.EOF {
-			return recs, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%s: record %d: %w", path, len(recs), err)
-		}
-		recs = append(recs, rec)
-	}
+	return p, nil
 }
 
 // traceArg parses a subcommand that takes flags and exactly one trace
@@ -152,7 +150,7 @@ func runStats(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	recs, err := readTrace(path)
+	p, err := readTrace(path)
 	if err != nil {
 		return err
 	}
@@ -160,14 +158,15 @@ func runStats(args []string, stdout io.Writer) error {
 	var writes, instr int64
 	rows := make(map[dram.Row]int64)
 	banks := make(map[int]bool)
-	for _, rec := range recs {
-		if rec.Write {
+	s := p.Stream()
+	for req, ok := s.Next(); ok; req, ok = s.Next() {
+		if req.Write {
 			writes++
 		}
-		instr += rec.GapInstr
-		rows[rec.Row]++
-		if geom.Contains(rec.Row) {
-			banks[geom.BankOf(rec.Row)] = true
+		instr += req.GapInstr
+		rows[req.Row]++
+		if geom.Contains(req.Row) {
+			banks[geom.BankOf(req.Row)] = true
 		}
 	}
 	var hotRow dram.Row
@@ -178,11 +177,11 @@ func runStats(args []string, stdout io.Writer) error {
 		}
 	}
 	perRec, hottest := "-", "-"
-	if len(recs) > 0 {
-		perRec = fmt.Sprintf("%.2f B/record", float64(st.Size())/float64(len(recs)))
+	if p.Len() > 0 {
+		perRec = fmt.Sprintf("%.2f B/record", float64(st.Size())/float64(p.Len()))
 		hottest = fmt.Sprintf("%d (%d accesses)", hotRow, hot)
 	}
-	fmt.Fprintf(stdout, "records       %d\n", len(recs))
+	fmt.Fprintf(stdout, "records       %d\n", p.Len())
 	fmt.Fprintf(stdout, "file bytes    %d (%s)\n", st.Size(), perRec)
 	fmt.Fprintf(stdout, "writes        %d\n", writes)
 	fmt.Fprintf(stdout, "instructions  %d\n", instr)
@@ -192,17 +191,28 @@ func runStats(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// runDump prints a trace one text line per record (trace.WriteText).
+// runDump prints a trace one "R|W <row> <gap>" text line per record.
+// Nothing parses that text back.
 func runDump(args []string, stdout io.Writer) error {
 	path, err := traceArg(flag.NewFlagSet("dump", flag.ContinueOnError), args)
 	if err != nil {
 		return err
 	}
-	recs, err := readTrace(path)
+	p, err := readTrace(path)
 	if err != nil {
 		return err
 	}
-	return trace.WriteText(stdout, recs)
+	var text bytes.Buffer
+	s := p.Stream()
+	for req, ok := s.Next(); ok; req, ok = s.Next() {
+		op := "R"
+		if req.Write {
+			op = "W"
+		}
+		fmt.Fprintf(&text, "%s %d %d\n", op, req.Row, req.GapInstr)
+	}
+	_, err = text.WriteTo(stdout)
+	return err
 }
 
 // runReplay runs a trace as one core of a full system under a scheme and
@@ -224,20 +234,25 @@ func runReplay(args []string, stdout io.Writer) error {
 	if err := sim.CheckTRH(sch, *trh); err != nil {
 		return fmt.Errorf("replay: -trh: %w", err)
 	}
-	recs, err := readTrace(path)
+	p, err := readTrace(path)
 	if err != nil {
 		return err
 	}
 	region := sim.VisibleRegion(sim.Config{})
-	for i, rec := range recs {
-		if !region.Geom.Contains(rec.Row) || region.Geom.IndexOf(rec.Row) >= region.VisibleRowsPerBank {
+	s := p.Stream()
+	for i := 0; ; i++ {
+		req, ok := s.Next()
+		if !ok {
+			break
+		}
+		if !region.Geom.Contains(req.Row) || region.Geom.IndexOf(req.Row) >= region.VisibleRowsPerBank {
 			return fmt.Errorf("replay: record %d: row %d is outside the simulated region (%d banks x %d visible rows)",
-				i, rec.Row, region.Geom.Banks, region.VisibleRowsPerBank)
+				i, req.Row, region.Geom.Banks, region.VisibleRowsPerBank)
 		}
 	}
 
 	sys, err := sim.NewSystemE(sim.Config{Scheme: sch, TRH: *trh, Cores: 1, Monitor: true},
-		[]cpu.Stream{trace.NewSliceStream(recs)})
+		[]cpu.Stream{p.Stream()})
 	if err != nil {
 		return err
 	}

@@ -2,7 +2,7 @@ package main
 
 import (
 	"bytes"
-	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -15,24 +15,13 @@ import (
 	"repro/internal/workload"
 )
 
-// writeTrace writes recs as a v1 trace file and returns its path.
+// writeTrace packs recs into a trace file and returns its path.
 func writeTrace(t *testing.T, recs []trace.Record) string {
 	t.Helper()
-	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf, int64(len(recs)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range recs {
-		if err := w.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	var file bytes.Buffer
+	trace.PackStream(trace.NewSliceStream(recs), int64(len(recs))).WriteTo(&file)
 	path := filepath.Join(t.TempDir(), "t.trace")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -54,7 +43,7 @@ func gccRecords(t *testing.T, n int64) []trace.Record {
 	}
 }
 
-// TestStats checks every line stats prints for a small v1 trace.
+// TestStats checks every line stats prints for a small trace.
 func TestStats(t *testing.T) {
 	bank1 := dram.Baseline().RowOf(1, 5)
 	path := writeTrace(t, []trace.Record{
@@ -81,25 +70,34 @@ func TestStats(t *testing.T) {
 	}
 }
 
-// TestDumpMatchesWriteText: dump prints exactly trace.WriteText of the
-// trace's records.
-func TestDumpMatchesWriteText(t *testing.T) {
+// dumpLine is the line dump prints for r.
+func dumpLine(r trace.Record) string {
+	op := "R"
+	if r.Write {
+		op = "W"
+	}
+	return fmt.Sprintf("%s %d %d\n", op, r.Row, r.GapInstr)
+}
+
+// TestDumpPrintsOneLinePerRecord: dump prints "R|W <row> <gap>" for
+// every record, in order, and nothing else.
+func TestDumpPrintsOneLinePerRecord(t *testing.T) {
 	recs := gccRecords(t, 1000)
 	var got, want bytes.Buffer
 	if err := runDump([]string{writeTrace(t, recs)}, &got); err != nil {
 		t.Fatal(err)
 	}
-	if err := trace.WriteText(&want, recs); err != nil {
-		t.Fatal(err)
+	for _, r := range recs {
+		want.WriteString(dumpLine(r))
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("dump differs from WriteText (%d vs %d bytes)", got.Len(), want.Len())
+		t.Fatalf("dump printed %d bytes, want %d", got.Len(), want.Len())
 	}
 }
 
-// TestTruncatedTraceFails cuts a 1,000-record gcc trace (5,020 B) to
-// 2,000 B: stats and dump must fail with trace.ErrTruncated instead of
-// reporting the records they could decode.
+// TestTruncatedTraceFails cuts a 1,000-record gcc trace to 2,000 B:
+// every reading subcommand must fail instead of acting on the records
+// the cut left.
 func TestTruncatedTraceFails(t *testing.T) {
 	path := writeTrace(t, gccRecords(t, 1000))
 	data, err := os.ReadFile(path)
@@ -112,15 +110,109 @@ func TestTruncatedTraceFails(t *testing.T) {
 	for _, sub := range []struct {
 		name string
 		run  func([]string, io.Writer) error
-	}{{"stats", runStats}, {"dump", runDump}} {
+	}{{"stats", runStats}, {"dump", runDump}, {"replay", runReplay}} {
 		var out bytes.Buffer
 		err := sub.run([]string{path}, &out)
-		if !errors.Is(err, trace.ErrTruncated) {
-			t.Errorf("%s on a truncated trace: err = %v, want %v", sub.name, err, trace.ErrTruncated)
+		if err == nil || !strings.Contains(err.Error(), "1000 records take") {
+			t.Errorf("%s on a truncated trace: err = %v, want the missing bytes named", sub.name, err)
 		}
 		if out.Len() != 0 {
 			t.Errorf("%s printed %d bytes for a truncated trace", sub.name, out.Len())
 		}
+	}
+}
+
+// TestRecordThenRead runs record, then every reading subcommand on the
+// file it wrote, and record's argument errors.
+func TestRecordThenRead(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "gcc.trace")
+	var out bytes.Buffer
+	if err := runRecord([]string{"-workload", "gcc", "-n", "2000", "-o", path}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if want := "wrote 2000 records to " + path + "\n"; out.String() != want {
+		t.Fatalf("record printed %q, want %q", out.String(), want)
+	}
+	for _, sub := range []struct {
+		name string
+		run  func([]string, io.Writer) error
+		want string
+	}{
+		{"stats", runStats, "records       2000\n"},
+		{"dump", runDump, dumpLine(gccRecords(t, 1)[0])},
+		{"replay", runReplay, "invariant held\n"},
+	} {
+		out.Reset()
+		if err := sub.run([]string{path}, &out); err != nil || !strings.Contains(out.String(), sub.want) {
+			t.Errorf("%s of a recorded trace: err = %v, output lacks %q:\n%.300s", sub.name, err, sub.want, out.String())
+		}
+	}
+
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-workload", "gcc"}, "-o is required"},
+		{[]string{"-workload", "gcc", "-attack", "dos", "-o", path}, "mutually exclusive"},
+		{[]string{"-workload", "no-such", "-o", path}, `unknown workload "no-such"`},
+		{[]string{"-attack", "no-such", "-o", path}, `unknown attack "no-such"`},
+		{[]string{"-o", path}, "need -workload or -attack"},
+		{[]string{"-workload", "gcc", "-n", "-1", "-o", path}, "-n -1 is negative"},
+	} {
+		out.Reset()
+		if err := runRecord(tc.args, &out); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("record %s: err = %v, want %q", strings.Join(tc.args, " "), err, tc.want)
+		}
+	}
+}
+
+// TestRecordRoundTrip records every SPEC17 workload and every attack
+// pattern at the default 100,000 records. Each file must replay the
+// stream record for record, and writing the Packed read back must give
+// the file's bytes.
+func TestRecordRoundTrip(t *testing.T) {
+	var sources [][2]string // {-workload, -attack}
+	for _, spec := range workload.SPEC17() {
+		sources = append(sources, [2]string{spec.Name, ""})
+	}
+	for _, atk := range []string{"single-sided", "double-sided", "adaptive", "dos"} {
+		sources = append(sources, [2]string{"", atk})
+	}
+	dir := t.TempDir()
+	for _, src := range sources {
+		path := filepath.Join(dir, src[0]+src[1]+".trace")
+		if err := runRecord([]string{"-workload", src[0], "-attack", src[1], "-o", path}, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		file, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := trace.ReadPacked(bytes.NewBuffer(file))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		want, err := recordStream(src[0], src[1], 100_000, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, n := p.Stream(), 0
+		for {
+			g, gok := got.Next()
+			w, wok := want.Next()
+			if gok != wok || g != w {
+				t.Fatalf("%s: record %d replays %+v (%v), the stream gave %+v (%v)", path, n, g, gok, w, wok)
+			}
+			if !gok {
+				break
+			}
+			n++
+		}
+		var again bytes.Buffer
+		if _, err := p.WriteTo(&again); err != nil || !bytes.Equal(again.Bytes(), file) {
+			t.Fatalf("%s: rewriting the %d records read back differs from the file (%v)", path, n, err)
+		}
+		t.Logf("%-13s %7d records, %7d B, %.3f B/record", src[0]+src[1], n, len(file), float64(len(file))/float64(n))
 	}
 }
 

@@ -1,5 +1,5 @@
-// Trace record & replay: capture a workload's memory request stream into
-// the compact binary trace format, then replay the identical stream
+// Trace record & replay: pack a workload's memory request stream into
+// the trace file format, read it back, then replay the identical stream
 // through two mitigation configurations — the reproducible-artifact
 // workflow (the role gem5 checkpoints play for the paper's artifact).
 //
@@ -20,31 +20,27 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	// 1. Record: synthesize 200K requests of gcc and capture them.
+	// 1. Record: synthesize 200K requests of gcc, pack them and write
+	// the trace file's bytes.
 	spec, _ := workload.ByName("gcc")
 	region := sim.VisibleRegion(sim.Config{})
 	gen := workload.NewGenerator(spec, region, 0, 42, workload.Params{})
 
 	var buf bytes.Buffer
-	n, err := trace.Capture(&buf, gen.Stream(200_000, 42), 0)
+	trace.PackStream(gen.Stream(200_000, 42), 200_000).WriteTo(&buf)
+	size := buf.Len()
+	p, err := trace.ReadPacked(&buf)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("recorded %d requests (%d bytes, %.1f bytes/request)\n\n",
-		n, buf.Len(), float64(buf.Len())/float64(n))
+		p.Len(), size, float64(size)/float64(p.Len()))
 
-	// 2. Replay the identical stream through two configurations, each on
-	// one core of a full system.
+	// 2. Replay the identical stream, read back from those bytes, through
+	// two configurations, each on one core of a full system.
 	replay := func(name string, scheme sim.Scheme) {
-		r, err := trace.NewReader(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			log.Fatal(err)
-		}
-		sys := sim.NewSystem(sim.Config{Scheme: scheme, TRH: 1000, Cores: 1}, []cpu.Stream{r})
+		sys := sim.NewSystem(sim.Config{Scheme: scheme, TRH: 1000, Cores: 1}, []cpu.Stream{p.Stream()})
 		res := sys.Run(0)
-		if r.Err() != nil {
-			log.Fatal(r.Err())
-		}
 		fmt.Printf("%-10s IPC=%.3f time=%.2fms mitigations=%d migrations=%d\n",
 			name, res.IPC, float64(res.SimTime)/1e9,
 			res.MitStats.Mitigations, res.MitStats.RowMigrations)

@@ -55,9 +55,21 @@ func (f *Filter) GroupOf(row uint32) uint32 { return row >> f.groupShift }
 // GroupSize returns the number of rows per group.
 func (f *Filter) GroupSize() int { return 1 << f.groupShift }
 
+// groupRangeError is checkGroup's panic value. Formatting the message
+// only when it is printed keeps Add, Remove, MightContain and
+// GroupOccupancy within the inliner's budget.
+type groupRangeError struct {
+	group  uint32
+	groups int
+}
+
+func (e groupRangeError) Error() string {
+	return fmt.Sprintf("bloom: group %d out of range (%d groups)", e.group, e.groups)
+}
+
 func (f *Filter) checkGroup(g uint32) {
 	if int(g) >= f.nGroups {
-		panic(fmt.Sprintf("bloom: group %d out of range (%d groups)", g, f.nGroups))
+		panic(groupRangeError{g, f.nGroups})
 	}
 }
 

@@ -144,3 +144,42 @@ func TestConstructorPanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestOutOfRangeRowPanics: every method that takes a row panics on a row
+// past the filter's last group, and the panic value's Error names the
+// group and the group count. A row in the last, partial group is in
+// range.
+func TestOutOfRangeRowPanics(t *testing.T) {
+	f := New(1000, 16) // 63 groups; rows 1000-1007 share the last
+	f.Add(1007)
+	for _, m := range []struct {
+		name string
+		call func(row uint32)
+	}{
+		{"Add", f.Add},
+		{"Remove", f.Remove},
+		{"MightContain", func(row uint32) { f.MightContain(row) }},
+		{"GroupOccupancy", func(row uint32) { f.GroupOccupancy(row) }},
+	} {
+		for _, tc := range []struct {
+			row  uint32
+			want string
+		}{
+			{1008, "bloom: group 63 out of range (63 groups)"},
+			{^uint32(0), "bloom: group 268435455 out of range (63 groups)"},
+		} {
+			func() {
+				defer func() {
+					err, ok := recover().(error)
+					if !ok || err.Error() != tc.want {
+						t.Errorf("%s(%d) panicked with %v, want %q", m.name, tc.row, err, tc.want)
+					}
+				}()
+				m.call(tc.row)
+			}()
+		}
+	}
+	if !f.MightContain(1007) || f.GroupOccupancy(1007) != 1 {
+		t.Fatal("a row in the last group lost its entry")
+	}
+}

@@ -652,7 +652,9 @@ func (e *Engine) clearMapping(old dram.Row, t dram.PS) {
 }
 
 // OnEpoch implements mitigation.Mitigator: the tracker resets every
-// refresh interval; FPT/RPT drain lazily (Section IV-A).
+// refresh interval; FPT/RPT drain lazily (Section IV-A). Under the
+// invariant checker, the engine's structures and a Misra-Gries tracker's
+// tables are audited first.
 func (e *Engine) OnEpoch(now dram.PS) {
 	if e.chk != nil {
 		// Full structural sweep at the epoch boundary, reported through the
@@ -662,6 +664,12 @@ func (e *Engine) OnEpoch(now dram.PS) {
 		}
 		e.chk.Checkf(e.quarCount == e.QuarantinedCount(), "core", "occupancy-count", now,
 			"incremental occupancy %d disagrees with RPT scan %d", e.quarCount, e.QuarantinedCount())
+		// The tracker's tables are audited before the reset clears them.
+		if mg, ok := e.art.(*tracker.MisraGries); ok {
+			if err := mg.CheckConsistency(); err != nil {
+				e.chk.Reportf("core", "tracker-consistency", now, "%v", err)
+			}
+		}
 		if e.cfg.ProactiveDrain && e.drainRemaining == 0 {
 			// A completed drain sweep must leave no quarantined row from an
 			// earlier epoch: entries installed after their slot was swept

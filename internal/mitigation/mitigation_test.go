@@ -87,3 +87,61 @@ func TestCheckedFlagsCountersFallingToZero(t *testing.T) {
 		t.Fatalf("violations %v, want one stats-monotonic", vs)
 	}
 }
+
+// contractStub is a Mitigator with the background-drain hook whose
+// answers the test sets. Its zero value keeps every Checked rule.
+type contractStub struct {
+	None
+	tr       Translation
+	issueLag dram.PS // Delay returns now + issueLag
+	busy     dram.PS // OnActivate's channel-busy time
+	idleBusy dram.PS // OnIdle's drain time
+}
+
+func (s *contractStub) Translate(dram.Row, dram.PS) Translation { return s.tr }
+func (s *contractStub) Delay(_ dram.Row, now dram.PS) dram.PS   { return now + s.issueLag }
+func (s *contractStub) OnActivate(dram.Row, dram.PS) dram.PS    { return s.busy }
+func (s *contractStub) OnIdle(dram.PS) dram.PS                  { return s.idleBusy }
+
+// TestCheckedFlagsEachRule: a stub whose one answer breaks one contract
+// rule, driven through every Checked method, records exactly one
+// violation, of that rule. The zero stub records none.
+func TestCheckedFlagsEachRule(t *testing.T) {
+	geom := dram.Geometry{Banks: 1, RowsPerBank: 8, RowBytes: 1024, LineBytes: 64}
+	for _, tc := range []struct {
+		rule    string
+		breakIt func(s *contractStub)
+	}{
+		{"", func(*contractStub) {}},
+		{"translate-range", func(s *contractStub) { s.tr.PhysRow = dram.Row(geom.Rows()) }},
+		{"translate-latency", func(s *contractStub) { s.tr.Latency = -1 }},
+		{"translate-class", func(s *contractStub) { s.tr.Class = NumLookupClasses }},
+		{"delay-backwards", func(s *contractStub) { s.issueLag = -1 }},
+		{"busy-negative", func(s *contractStub) { s.busy = -1 }},
+		{"idle-busy-negative", func(s *contractStub) { s.idleBusy = -1 }},
+	} {
+		stub := &contractStub{}
+		tc.breakIt(stub)
+		chk := invariant.New()
+		m := Checked(stub, geom, chk)
+		d, ok := m.(drainer)
+		if !ok {
+			t.Fatal("Checked dropped the stub's OnIdle")
+		}
+		m.Translate(3, 100)
+		m.Delay(3, 100)
+		m.OnActivate(3, 100)
+		m.OnEpoch(200)
+		d.OnIdle(300)
+		vs := chk.Violations()
+		if tc.rule == "" {
+			if len(vs) != 0 {
+				t.Errorf("a stub keeping every rule recorded %v", vs)
+			}
+			continue
+		}
+		if len(vs) != 1 || vs[0].Component != "mitigation" || vs[0].Rule != tc.rule {
+			t.Errorf("breaking %s recorded %v, want exactly one %s violation", tc.rule, vs, tc.rule)
+		}
+	}
+}

@@ -19,11 +19,15 @@ func fastCfg(scheme Scheme) Config {
 	return Config{TRH: 1000, Scheme: scheme, Monitor: true}
 }
 
-func xzStreams(t *testing.T, reqs int64) []cpu.Stream {
+func xzStreams(t *testing.T, reqs int64) []cpu.Stream { return specStreams(t, "xz", reqs) }
+
+// specStreams returns four streams of the named workload, reqs requests
+// each, seeded per core.
+func specStreams(t *testing.T, name string, reqs int64) []cpu.Stream {
 	t.Helper()
-	spec, ok := workload.ByName("xz")
+	spec, ok := workload.ByName(name)
 	if !ok {
-		t.Fatal("xz spec missing")
+		t.Fatalf("%s spec missing", name)
 	}
 	region := VisibleRegion(Config{})
 	streams := make([]cpu.Stream, 4)

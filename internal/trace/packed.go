@@ -20,7 +20,8 @@ import (
 // plus one bit per record. Every column is allocated once at its final
 // length. Replaying via Stream costs a few nanoseconds per record and
 // allocates nothing — the point of capturing a stream once and
-// replaying it through every grid cell that shares it.
+// replaying it through every grid cell that shares it. WriteTo and
+// ReadPacked store the same columns as a trace file.
 //
 // Only generator streams are packed, and a generator gap is at most
 // 1.5 x floor(1000/MPKI) instructions: 150,000 at Table II's smallest

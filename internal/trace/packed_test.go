@@ -51,8 +51,8 @@ func sameRecords(t *testing.T, got, want []Record, label string) {
 // packAndCheck packs recs under limit and requires the replay to return
 // the first limit records exactly, each column to take the fewest whole
 // bytes that hold its range, every column's capacity to equal its
-// length, and Bytes to count exactly the widths, the pad bytes and the
-// bitset.
+// length, Bytes to count exactly the widths, the pad bytes and the
+// bitset, and the file form to give back the same Packed.
 func packAndCheck(t *testing.T, recs []Record, limit int64) *Packed {
 	t.Helper()
 	want := recs[:min(limit, int64(len(recs)))]
@@ -86,6 +86,7 @@ func packAndCheck(t *testing.T, recs []Record, limit int64) *Packed {
 	if want := n*int64(p.rows.width+p.gaps.width) + 2*columnPad + bitset; p.Bytes() != want {
 		t.Fatalf("Bytes = %d, want %d", p.Bytes(), want)
 	}
+	fileRoundTrip(t, p)
 	return p
 }
 

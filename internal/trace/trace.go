@@ -1,35 +1,46 @@
-// Package trace defines a compact on-disk format for memory request
-// streams, so experiments are reproducible artifacts: a workload or attack
-// stream can be recorded once, shipped, inspected, and replayed bit-for-bit
-// through any mitigation configuration (the role gem5 checkpoints play for
-// the paper's artifact).
+// Package trace holds memory request streams in one encoding, Packed,
+// so experiments are reproducible artifacts: a workload or attack
+// stream can be recorded once, shipped, inspected, and replayed
+// bit-for-bit through any mitigation configuration (the role gem5
+// checkpoints play for the paper's artifact). The runner's trace tier
+// replays the same columns in memory.
 //
-// aqua-trace-v1 is the only file format: a fixed 16-byte header followed
-// by varint-delta records (Row, Write, GapInstr) — rows are XOR-delta
-// encoded against the previous row and gaps are raw varints, which
-// compresses typical streams to ~3-5 bytes/record. WriteText prints
-// records one "R|W <row> <gap>" line each for inspection; nothing parses
-// that text back.
+// A trace file is a Packed's columns as WriteTo writes them: a fixed
+// 26-byte header, then the row column, the gap column and the write
+// bitset, with no pad bytes. Every column stores a record's value as
+// its offset from the column's minimum in the fewest whole bytes (1-4)
+// that hold the column's range, so a generator stream's file takes
+// 4.1-6.1 bytes per record. ReadPacked accepts exactly that form.
 //
-// Readers implement cpu.Stream, so a trace plugs directly into the
-// simulator in place of a generator.
+// A Packed replays through Stream, a cpu.Stream, so a trace plugs
+// directly into the simulator in place of a generator.
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/cpu"
 	"repro/internal/dram"
 )
 
-// magic identifies the binary format ("AQTR") and its version.
+// The file header, little-endian:
+//
+//	offset  size  field
+//	0       4     magic "AQTR"
+//	4       4     format version
+//	8       8     record count
+//	16      4     row column minimum
+//	20      1     row column width in bytes (1-4)
+//	21      4     gap column minimum
+//	25      1     gap column width in bytes (1-4)
 const (
-	magic   = 0x41515452
-	version = 1
+	magic       = 0x41515452
+	version     = 2
+	headerBytes = 26
 )
 
 // Record is one memory request.
@@ -39,218 +50,111 @@ type Record struct {
 	GapInstr int64
 }
 
-// Header describes a binary trace.
-type Header struct {
-	// Records is the number of records that follow.
-	Records int64
-	// Flags is reserved (0).
-	Flags uint32
-}
-
-var (
-	// ErrBadMagic marks a stream that is not a binary trace.
-	ErrBadMagic = errors.New("trace: bad magic")
-	// ErrBadVersion marks an unsupported format version.
-	ErrBadVersion = errors.New("trace: unsupported version")
-	// ErrTruncated marks a stream that ends mid-record.
-	ErrTruncated = errors.New("trace: truncated")
-)
-
-// Writer encodes records in the binary format. Close must be called to
-// flush buffered data; the record count is written up front, so the
-// number of Append calls must match the declared count.
-type Writer struct {
-	w        *bufio.Writer
-	declared int64
-	written  int64
-	prevRow  uint32
-	buf      [binary.MaxVarintLen64 + 1]byte
-}
-
-// NewWriter starts a binary trace of exactly `records` records on w.
-func NewWriter(w io.Writer, records int64) (*Writer, error) {
-	if records < 0 {
-		return nil, fmt.Errorf("trace: negative record count %d", records)
+// WriteTo implements io.WriterTo: it writes p's file form, the header,
+// the row column and the gap column at their widths without their pad,
+// and the write bitset as little-endian 64-bit words.
+func (p *Packed) WriteTo(w io.Writer) (int64, error) {
+	rows, gaps := p.rows.data[:p.n*p.rows.width], p.gaps.data[:p.n*p.gaps.width]
+	buf := make([]byte, headerBytes, headerBytes+len(rows)+len(gaps)+8*len(p.writes))
+	binary.LittleEndian.PutUint32(buf[0:], magic)
+	binary.LittleEndian.PutUint32(buf[4:], version)
+	binary.LittleEndian.PutUint64(buf[8:], uint64(p.n))
+	binary.LittleEndian.PutUint32(buf[16:], p.rows.min)
+	buf[20] = byte(p.rows.width)
+	binary.LittleEndian.PutUint32(buf[21:], p.gaps.min)
+	buf[25] = byte(p.gaps.width)
+	buf = append(append(buf, rows...), gaps...)
+	for _, word := range p.writes {
+		buf = binary.LittleEndian.AppendUint64(buf, word)
 	}
-	bw := bufio.NewWriter(w)
-	var hdr [16]byte
-	binary.LittleEndian.PutUint32(hdr[0:], magic)
-	binary.LittleEndian.PutUint32(hdr[4:], version)
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(records))
-	if _, err := bw.Write(hdr[:]); err != nil {
+	n, err := w.Write(buf)
+	return int64(n), err
+}
+
+// ReadPacked reads r to its end and decodes the file form WriteTo
+// writes. It accepts only what WriteTo can have written: the magic, the
+// current version, a body of exactly the length the header implies, no
+// write bit past the last record, and each column as PackStream lays it
+// out. Writing the result therefore gives back the input byte for byte.
+func ReadPacked(r io.Reader) (*Packed, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return nil, err
 	}
-	return &Writer{w: bw, declared: records}, nil
-}
-
-// Append encodes one record.
-func (w *Writer) Append(r Record) error {
-	if w.written >= w.declared {
-		return fmt.Errorf("trace: more than the declared %d records", w.declared)
+	// The version is checked before the header's length, so that a file
+	// of an older, shorter header is named by its version.
+	switch {
+	case len(data) < 4 || binary.LittleEndian.Uint32(data) != magic:
+		return nil, errors.New("trace: not a trace file (bad magic)")
+	case len(data) >= 8 && binary.LittleEndian.Uint32(data[4:]) != version:
+		return nil, fmt.Errorf("trace: format version %d, but only version %d is read: re-record the trace with `tracedump record`",
+			binary.LittleEndian.Uint32(data[4:]), version)
+	case len(data) < headerBytes:
+		return nil, fmt.Errorf("trace: %d bytes, shorter than the %d-byte header", len(data), headerBytes)
 	}
-	// Byte 0: write flag; then XOR-delta row varint; then gap varint.
-	flag := byte(0)
-	if r.Write {
-		flag = 1
+	count := binary.LittleEndian.Uint64(data[8:])
+	rowW, gapW := int(data[20]), int(data[25])
+	if rowW < 1 || rowW > 4 || gapW < 1 || gapW > 4 {
+		return nil, fmt.Errorf("trace: column widths %d and %d bytes, want 1-4", rowW, gapW)
 	}
-	if err := w.w.WriteByte(flag); err != nil {
-		return err
+	body := data[headerBytes:]
+	// Every record takes at least two bytes, so a count past the body's
+	// length is rejected before any size is computed from it.
+	if count > uint64(len(body)) {
+		return nil, fmt.Errorf("trace: header claims %d records, but the file holds %d bytes after it", count, len(body))
 	}
-	delta := uint32(r.Row) ^ w.prevRow
-	n := binary.PutUvarint(w.buf[:], uint64(delta))
-	if _, err := w.w.Write(w.buf[:n]); err != nil {
-		return err
+	n := int(count)
+	rowEnd := n * rowW
+	gapEnd := rowEnd + n*gapW
+	words := (n + 63) / 64
+	if want := gapEnd + 8*words; len(body) != want {
+		return nil, fmt.Errorf("trace: %d records take %d bytes after the header, the file holds %d", n, want, len(body))
 	}
-	if r.GapInstr < 0 {
-		return fmt.Errorf("trace: negative gap %d", r.GapInstr)
-	}
-	n = binary.PutUvarint(w.buf[:], uint64(r.GapInstr))
-	if _, err := w.w.Write(w.buf[:n]); err != nil {
-		return err
-	}
-	w.prevRow = uint32(r.Row)
-	w.written++
-	return nil
-}
-
-// Close flushes the trace; it fails if fewer records were appended than
-// declared.
-func (w *Writer) Close() error {
-	if w.written != w.declared {
-		return fmt.Errorf("trace: wrote %d of %d declared records", w.written, w.declared)
-	}
-	return w.w.Flush()
-}
-
-// Reader decodes a binary trace and implements cpu.Stream.
-type Reader struct {
-	r       *bufio.Reader
-	hdr     Header
-	read    int64
-	prevRow uint32
-	err     error
-}
-
-var _ cpu.Stream = (*Reader)(nil)
-
-// NewReader opens a binary trace.
-func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReader(r)
-	var hdr [16]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading header: %w", err)
-	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != magic {
-		return nil, ErrBadMagic
-	}
-	if v := binary.LittleEndian.Uint32(hdr[4:]); v != version {
-		return nil, fmt.Errorf("%w: %d", ErrBadVersion, v)
-	}
-	return &Reader{
-		r:   br,
-		hdr: Header{Records: int64(binary.LittleEndian.Uint64(hdr[8:]))},
-	}, nil
-}
-
-// Header returns the trace header.
-func (r *Reader) Header() Header { return r.hdr }
-
-// Err returns the first decoding error encountered by Next.
-func (r *Reader) Err() error { return r.err }
-
-// Read decodes the next record.
-func (r *Reader) Read() (Record, error) {
-	if r.read >= r.hdr.Records {
-		return Record{}, io.EOF
-	}
-	flag, err := r.r.ReadByte()
+	rows, err := readColumn(body[:rowEnd], n, binary.LittleEndian.Uint32(data[16:]), rowW)
 	if err != nil {
-		return Record{}, truncated(err)
+		return nil, fmt.Errorf("trace: row column: %w", err)
 	}
-	if flag > 1 {
-		return Record{}, fmt.Errorf("trace: bad flag byte %#x", flag)
-	}
-	delta, err := binary.ReadUvarint(r.r)
+	gaps, err := readColumn(body[rowEnd:gapEnd], n, binary.LittleEndian.Uint32(data[21:]), gapW)
 	if err != nil {
-		return Record{}, truncated(err)
+		return nil, fmt.Errorf("trace: gap column: %w", err)
 	}
-	if delta > uint64(^uint32(0)) {
-		return Record{}, fmt.Errorf("trace: row delta %d overflows", delta)
+	writes := make([]uint64, words)
+	for i := range writes {
+		writes[i] = binary.LittleEndian.Uint64(body[gapEnd+8*i:])
 	}
-	gap, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		return Record{}, truncated(err)
+	if n%64 != 0 && writes[words-1]>>(n%64) != 0 {
+		return nil, fmt.Errorf("trace: write bit set past the last of %d records", n)
 	}
-	if gap > 1<<62 {
-		return Record{}, fmt.Errorf("trace: gap %d overflows", gap)
-	}
-	r.prevRow ^= uint32(delta)
-	r.read++
-	return Record{
-		Row:      dram.Row(r.prevRow),
-		Write:    flag == 1,
-		GapInstr: int64(gap),
-	}, nil
+	return &Packed{n: n, rows: rows, gaps: gaps, writes: writes}, nil
 }
 
-// Next implements cpu.Stream; decode errors end the stream and are
-// reported by Err.
-func (r *Reader) Next() (cpu.Request, bool) {
-	rec, err := r.Read()
-	if err != nil {
-		if err != io.EOF {
-			r.err = err
-		}
-		return cpu.Request{}, false
+// readColumn rebuilds a column of n values, width bytes each, from its
+// file form and adds the pad that column.at's 4-byte load needs. It
+// accepts only what newColumn writes: offsets whose least is 0 (an empty
+// column has minimum 0), the narrowest width that holds the greatest,
+// and no value past 2^32-1 once the minimum is added back.
+func readColumn(b []byte, n int, least uint32, width int) (column, error) {
+	c := column{data: make([]byte, len(b)+columnPad), min: least, width: width, mask: uint32(1)<<(8*width) - 1}
+	copy(c.data, b)
+	lo, hi := uint32(0), uint32(0)
+	if n > 0 {
+		lo = c.mask
 	}
-	return cpu.Request{Row: rec.Row, Write: rec.Write, GapInstr: rec.GapInstr}, true
-}
-
-func truncated(err error) error {
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		return ErrTruncated
+	for i := range n {
+		off := binary.LittleEndian.Uint32(c.data[i*width:]) & c.mask
+		lo, hi = min(lo, off), max(hi, off)
 	}
-	return err
-}
-
-// Capture drains a cpu.Stream into a binary trace, returning the number
-// of records written. The stream must be finite.
-func Capture(w io.Writer, s cpu.Stream, limit int64) (int64, error) {
-	// First pass into memory: streams are not rewindable and the header
-	// needs the count.
-	var recs []Record
-	for int64(len(recs)) < limit || limit == 0 {
-		req, ok := s.Next()
-		if !ok {
-			break
-		}
-		recs = append(recs, Record{Row: req.Row, Write: req.Write, GapInstr: req.GapInstr})
+	switch {
+	case lo != 0:
+		return column{}, fmt.Errorf("minimum %d is not the least value (every offset is at least %d)", least, lo)
+	case n == 0 && least != 0:
+		return column{}, fmt.Errorf("empty column with minimum %d", least)
+	case hi > math.MaxUint32-least:
+		return column{}, fmt.Errorf("offset %d past minimum %d overflows 32 bits", hi, least)
+	case width > 1 && hi <= c.mask>>8:
+		return column{}, fmt.Errorf("%d-byte width for offsets up to %d", width, hi)
 	}
-	tw, err := NewWriter(w, int64(len(recs)))
-	if err != nil {
-		return 0, err
-	}
-	for _, rec := range recs {
-		if err := tw.Append(rec); err != nil {
-			return 0, err
-		}
-	}
-	return int64(len(recs)), tw.Close()
-}
-
-// WriteText prints records one "R|W <row> <gap>" line each.
-func WriteText(w io.Writer, recs []Record) error {
-	bw := bufio.NewWriter(w)
-	for _, r := range recs {
-		op := "R"
-		if r.Write {
-			op = "W"
-		}
-		if _, err := fmt.Fprintf(bw, "%s %d %d\n", op, r.Row, r.GapInstr); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return c, nil
 }
 
 // SliceStream adapts a record slice to cpu.Stream.
