@@ -34,11 +34,13 @@ race:
 # Short fuzz smoke against the AQUA engine's structural invariants, the
 # trace file reader (ReadPacked: no input panics it, and a file it
 # accepts re-encodes to the same bytes) and the packed column codec that
-# the trace tier and the trace files share.
+# the trace tier and the trace files share. -fuzzminimizetime=0s keeps
+# each 10 s budget on fuzzing: minimizing every new input stalled the
+# runs within seconds.
 fuzz:
-	$(GO) test -run='^$$' -fuzz=FuzzCore -fuzztime=10s ./internal/core
-	$(GO) test -run='^$$' -fuzz=FuzzReadPacked -fuzztime=10s ./internal/trace
-	$(GO) test -run='^$$' -fuzz=FuzzPackedRoundTrip -fuzztime=10s ./internal/trace
+	$(GO) test -run='^$$' -fuzz=FuzzCore -fuzztime=10s -fuzzminimizetime=0s ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzReadPacked -fuzztime=10s -fuzzminimizetime=0s ./internal/trace
+	$(GO) test -run='^$$' -fuzz=FuzzPackedRoundTrip -fuzztime=10s -fuzzminimizetime=0s ./internal/trace
 
 # CI smoke over the hot-path measurement layer: one iteration of each
 # internal/perf microbenchmark plus every allocation budget test: the

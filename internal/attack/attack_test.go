@@ -35,7 +35,7 @@ func replayACTs(geom dram.Geometry, s cpu.Stream) map[dram.Row]uint64 {
 		if !ok {
 			return acts
 		}
-		at, _ = rank.Access(req.Row, req.Write, at)
+		at = rank.Access(req.Row, req.Write, at)
 	}
 }
 

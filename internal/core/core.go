@@ -180,11 +180,6 @@ type Engine struct {
 	bloom    *bloom.Filter
 	fptCache *sramcache.Cache
 
-	// pending holds physical rows activated by the engine's own row
-	// streams, to be fed to the tracker after the current mitigation
-	// completes (avoids re-entrancy).
-	pending []dram.Row
-
 	stats mitigation.Stats
 }
 
@@ -443,16 +438,12 @@ func (e *Engine) Translate(row dram.Row, now dram.PS) mitigation.Translation {
 }
 
 // tableAccess performs one line access to an engine table row, resolving
-// the (pinned) indirection for the table row itself and feeding the
-// resulting activation to the tracker via the pending queue.
+// the (pinned) indirection for the table row itself. An activation it
+// causes reaches the tracker through the controller's feed, like any
+// other.
 func (e *Engine) tableAccess(tr dram.Row, write bool, at dram.PS) dram.PS {
-	phys := e.physRow(tr)
-	done, activated := e.rank.Access(phys, write, at)
 	e.stats.TableDRAMAccesses++
-	if activated {
-		e.pending = append(e.pending, phys)
-	}
-	return done
+	return e.rank.Access(e.physRow(tr), write, at)
 }
 
 // Delay implements mitigation.Mitigator; AQUA never throttles accesses.
@@ -460,35 +451,13 @@ func (e *Engine) Delay(_ dram.Row, now dram.PS) dram.PS { return now }
 
 // OnActivate implements mitigation.Mitigator: the tracker counts the
 // activation and, when it crosses a multiple of T_RH/2, the row is
-// quarantined. Activations caused by the migration's own row streams are
-// fed back to the tracker iteratively.
+// quarantined. The controller calls it for the ACTs of the engine's own
+// migrations and table walks too, so those count like demand ACTs.
 func (e *Engine) OnActivate(physRow dram.Row, at dram.PS) dram.PS {
-	var busy dram.PS
 	if e.art.RecordACT(physRow) {
-		busy += e.mitigate(physRow, at+busy)
+		return e.mitigate(physRow, at)
 	}
-	return e.drainPending(at, busy)
-}
-
-// drainPending feeds the activations queued by the engine's own row
-// streams to the tracker, mitigating any row that crosses the threshold,
-// and returns busy, the channel time consumed since at, plus what those
-// mitigations consume. Each mitigation queues a handful of ACTs of its
-// own, so the loop ends only while one migration's ACTs cannot trigger
-// the next: at the thresholds sim.CheckTRH admits, it ends almost at
-// once. At T_RH/2 = 1 (AQUA SRAM at T_RH 3) every migration triggers
-// another and the loop never ends; ROADMAP.md's "Mitigation cascades
-// that end" plans the fix. Indexed iteration (appends during the loop
-// extend it) with a final truncation keeps the queue's backing array
-// reusable instead of re-slicing its capacity away.
-func (e *Engine) drainPending(at, busy dram.PS) dram.PS {
-	for i := 0; i < len(e.pending); i++ {
-		if e.art.RecordACT(e.pending[i]) {
-			busy += e.mitigate(e.pending[i], at+busy)
-		}
-	}
-	e.pending = e.pending[:0]
-	return busy
+	return 0
 }
 
 // mitigate quarantines the aggressor at physRow (Section IV-D) and returns
@@ -599,13 +568,10 @@ func (e *Engine) mitigate(physRow dram.Row, at dram.PS) dram.PS {
 }
 
 // streamPair copies one row through the copy buffer: a full-row read from
-// src followed by a full-row write to dst (~1.37us). The activations it
-// causes are queued for the tracker.
+// src followed by a full-row write to dst (~1.37us).
 func (e *Engine) streamPair(src, dst dram.Row, at dram.PS) dram.PS {
 	t := e.rank.StreamRow(src, false, at)
-	e.pending = append(e.pending, src)
 	t = e.rank.StreamRow(dst, true, t)
-	e.pending = append(e.pending, dst)
 	if e.chk != nil {
 		e.chk.Checkf(t >= at+e.rank.Timing().MigrationTime(e.geom.LinesPerRow()),
 			"core", "migration-complete", t,
@@ -692,14 +658,14 @@ func (e *Engine) OnEpoch(now dram.PS) {
 	}
 }
 
-// OnIdle implements memctrl's optional Drainer hook: when the channel is
-// idle and proactive draining is enabled, evict one stale quarantine
-// entry (Section IV-D: "the latency for moving out a row from the RQA can
-// be removed from the critical path by periodically draining old
-// entries"). A persistent cursor sweeps the RQA so every stale entry is
-// eventually restored to its original location; per call, at most
-// drainLookahead slots are scanned and at most one eviction is performed.
-// Returns the channel time consumed (0 if there was nothing to drain).
+// OnIdle implements mitigation.Drainer: when the channel is idle and
+// proactive draining is enabled, evict one stale quarantine entry
+// (Section IV-D: "the latency for moving out a row from the RQA can be
+// removed from the critical path by periodically draining old entries").
+// A persistent cursor sweeps the RQA so every stale entry is eventually
+// restored to its original location; per call, at most drainLookahead
+// slots are scanned and at most one eviction is performed. Returns the
+// eviction's channel time (0 if there was nothing to drain).
 func (e *Engine) OnIdle(now dram.PS) dram.PS {
 	if !e.cfg.ProactiveDrain || e.drainRemaining == 0 {
 		return 0
@@ -720,7 +686,7 @@ func (e *Engine) OnIdle(now dram.PS) dram.PS {
 		e.rank.Reserve(t)
 		busy := t - now
 		e.stats.ChannelBusy += busy
-		return e.drainPending(now, busy)
+		return busy
 	}
 	return 0
 }

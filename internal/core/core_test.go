@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/dram"
+	"repro/internal/memctrl"
 	"repro/internal/mitigation"
 	"repro/internal/rng"
 	"repro/internal/tracker"
@@ -669,24 +670,29 @@ func TestHeadSkipsSameEpochSlots(t *testing.T) {
 // mark instead of being made at full size, so once the RQA head has
 // wrapped, 1,250 more quarantines must make no malloc. Mallocs are
 // counted rather than using testing.AllocsPerRun, which rounds a
-// fractional per-ACT rate down to zero. The hammer cycles
-// a 64-row hot set that moves on at every epoch (4,096 activations), so
-// the RQA holds an epoch's quarantines and the head evicts rows left
-// there by earlier epochs, deleting their forward entries.
+// fractional per-ACT rate down to zero. The requests go through a memory
+// controller, so its ACT feed, and the engine's own ACTs it feeds back,
+// are inside the measurement. The hammer cycles a 64-row hot set that
+// moves on at every epoch (4,096 requests), so the RQA holds an epoch's
+// quarantines and the head evicts rows left there by earlier epochs,
+// deleting their forward entries.
 func TestWarmQuarantinesDoNotAllocate(t *testing.T) {
 	geom := testGeom()
 	for _, mode := range []Mode{ModeSRAM, ModeMemMapped} {
 		t.Run(mode.String(), func(t *testing.T) {
-			eng := New(dram.NewRank(geom, dram.DDR4()), Config{TRH: 60, Mode: mode, RQARows: 256}) // default Misra-Gries tracker
+			rank := dram.NewRank(geom, dram.DDR4())
+			eng := New(rank, Config{TRH: 60, Mode: mode, RQARows: 256}) // default Misra-Gries tracker
+			c := memctrl.New(rank, eng, memctrl.Config{})
 			visible := eng.VisibleRowsPerBank()
 			at := dram.PS(0)
-			acts := 0
+			reqs := 0
 			quarantine := func(n int64) {
-				for target := eng.Stats().Mitigations + n; eng.Stats().Mitigations < target; acts++ {
-					hot := acts/geom.Banks*7%16 + 16*(acts/4096)
-					tr := eng.Translate(geom.RowOf(acts%geom.Banks, hot%visible), at)
-					at += eng.OnActivate(tr.PhysRow, at) + 50*dram.Nanosecond
-					if acts%4096 == 4095 {
+				for target := eng.Stats().Mitigations + n; eng.Stats().Mitigations < target; reqs++ {
+					hot := reqs/geom.Banks*7%16 + 16*(reqs/4096)
+					at = c.Submit(geom.RowOf(reqs%geom.Banks, hot%visible), false, at)
+					if reqs%4096 == 4095 {
+						// The run ends long before the controller's own
+						// 64 ms epoch.
 						eng.OnEpoch(at)
 					}
 				}

@@ -28,8 +28,10 @@ func newInvEngine(t *testing.T, chk *invariant.Checker) *Engine {
 }
 
 // hammerAt drives enough activations on a row to cross the quarantine
-// threshold, feeding the engine the way the controller would, and
-// returns the advanced time (core_test.go's hammer returns busy time).
+// threshold, calling Translate and OnActivate as the controller would
+// for a request's ACT, and returns the advanced time (core_test.go's
+// hammer returns busy time). The engine's own migrations' ACTs reach no
+// tracker this way; FuzzCore drives the engine through a controller.
 func hammerAt(e *Engine, row dram.Row, n int, at dram.PS) dram.PS {
 	for i := 0; i < n; i++ {
 		tr := e.Translate(row, at)

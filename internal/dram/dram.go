@@ -1,9 +1,9 @@
 // Package dram models a DDR4 rank at transaction level: bank state machines
 // with open-page row buffers, the timing constraints that matter for
 // Rowhammer arithmetic (tRC, tRCD, tCL, tRP, tCCD, tRFC, tREFI, tREFW), and
-// activation listeners through which trackers and monitors observe every
-// row activation, plus refresh listeners that observe the targeted row
-// refreshes a mitigation issues.
+// activation listeners through which the memory controller's mitigation
+// feed and the security monitor observe every row activation, plus refresh
+// listeners that observe the targeted row refreshes a mitigation issues.
 //
 // The model reproduces the latency arithmetic the AQUA paper relies on:
 // streaming one 8KB row takes tRC + 127*tCCD_L ~= 680ns, so a quarantine
@@ -233,8 +233,8 @@ func (g Geometry) NeighborPair(r Row, distance int) (pair [2]Row, n int) {
 }
 
 // ActListener observes every row activation as it is committed to a bank.
-// Trackers and the security monitor register here. The row reported is the
-// physical row that was opened.
+// The memory controller's mitigation feed and the security monitor
+// register here. The row reported is the physical row that was opened.
 type ActListener func(row Row, at PS)
 
 // bank holds the open-page state machine for one bank.
@@ -456,8 +456,8 @@ func (r *Rank) activate(b *bank, row Row, at PS) {
 // Access performs one cache-line read or write to the given physical row.
 // 'earliest' is the first time the command may be considered (request
 // arrival or channel-reservation end). It returns the time at which the
-// data transfer completes and whether the access caused a row activation.
-func (r *Rank) Access(row Row, write bool, earliest PS) (done PS, activated bool) {
+// data transfer completes; an activation it causes reaches the listeners.
+func (r *Rank) Access(row Row, write bool, earliest PS) (done PS) {
 	if !r.geom.Contains(row) {
 		panic(fmt.Sprintf("dram: access to row %d outside geometry", row))
 	}
@@ -491,7 +491,6 @@ func (r *Rank) Access(row Row, write bool, earliest PS) (done PS, activated bool
 		}
 		act := r.fawReady(maxPS(start, b.readyACT))
 		r.activate(b, row, act)
-		activated = true
 		data := maxPS(act+t.TRCD+t.TCL, r.busFree)
 		r.busFree = data + t.TBL
 		b.readyCol = act + t.TRCD + t.TCCDL
@@ -503,7 +502,7 @@ func (r *Rank) Access(row Row, write bool, earliest PS) (done PS, activated bool
 	} else {
 		r.stats.Reads++
 	}
-	return done, activated
+	return done
 }
 
 // StreamRow models a full-row transfer between DRAM and the controller's

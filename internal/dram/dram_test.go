@@ -166,9 +166,10 @@ func TestNeighborPairZeroAlloc(t *testing.T) {
 
 func TestAccessRowMissThenHit(t *testing.T) {
 	r := NewRank(testGeom(), DDR4())
+	acts := countACTs(r)
 	row := r.Geometry().RowOf(0, 10)
-	done1, act1 := r.Access(row, false, 0)
-	if !act1 {
+	done1 := r.Access(row, false, 0)
+	if acts[row] != 1 {
 		t.Fatal("first access did not activate")
 	}
 	// Miss latency: tRCD + tCL + tBL.
@@ -176,8 +177,8 @@ func TestAccessRowMissThenHit(t *testing.T) {
 	if want := tm.TRCD + tm.TCL + tm.TBL; done1 != want {
 		t.Fatalf("miss latency = %d, want %d", done1, want)
 	}
-	done2, act2 := r.Access(row, false, done1)
-	if act2 {
+	done2 := r.Access(row, false, done1)
+	if acts[row] != 1 {
 		t.Fatal("row hit activated")
 	}
 	if done2 <= done1 {
@@ -198,10 +199,7 @@ func TestAccessConflictActivates(t *testing.T) {
 	g := r.Geometry()
 	a, b := g.RowOf(0, 1), g.RowOf(0, 2)
 	r.Access(a, false, 0)
-	_, act := r.Access(b, false, 1000)
-	if !act {
-		t.Fatal("conflicting access did not activate")
-	}
+	r.Access(b, false, 1000)
 	if acts[a] != 1 || acts[b] != 1 {
 		t.Fatalf("act counts: %d, %d", acts[a], acts[b])
 	}
@@ -216,7 +214,7 @@ func TestActToActSpacingEnforced(t *testing.T) {
 	g := r.Geometry()
 	a, b := g.RowOf(0, 1), g.RowOf(0, 2)
 	r.Access(a, false, 0)
-	done, _ := r.Access(b, false, 0)
+	done := r.Access(b, false, 0)
 	// The second ACT cannot start before tRC after the first, so data
 	// cannot complete before tRC + tRCD + tCL.
 	tm := r.Timing()
@@ -228,8 +226,8 @@ func TestActToActSpacingEnforced(t *testing.T) {
 func TestDifferentBanksOverlap(t *testing.T) {
 	r := NewRank(testGeom(), DDR4())
 	g := r.Geometry()
-	d1, _ := r.Access(g.RowOf(0, 1), false, 0)
-	d2, _ := r.Access(g.RowOf(1, 1), false, 0)
+	d1 := r.Access(g.RowOf(0, 1), false, 0)
+	d2 := r.Access(g.RowOf(1, 1), false, 0)
 	// Bank-parallel accesses serialize only on the data bus (tBL), not
 	// the full row cycle.
 	if d2-d1 > r.Timing().TBL {
@@ -268,7 +266,7 @@ func TestRefreshListenersSeeOnlyRefreshes(t *testing.T) {
 	// No bank timing either: the notified row's bank still serves a cold
 	// access at time 0 in exactly ACT -> column -> data -> burst end.
 	tm := DDR4()
-	if done, _ := r.Access(a, false, 0); done != tm.TRCD+tm.TCL+tm.TBL {
+	if done := r.Access(a, false, 0); done != tm.TRCD+tm.TCL+tm.TBL {
 		t.Fatalf("access after a notification completed at %d, want the cold-bank %d", done, tm.TRCD+tm.TCL+tm.TBL)
 	}
 	if len(refreshes) != 1 || len(acts) != 1 {
@@ -299,7 +297,7 @@ func TestStreamBlocksBus(t *testing.T) {
 	end := r.StreamRow(g.RowOf(0, 3), false, 0)
 	// An access to another bank issued during the stream must wait for
 	// the bus.
-	done, _ := r.Access(g.RowOf(1, 1), false, 0)
+	done := r.Access(g.RowOf(1, 1), false, 0)
 	if done < end {
 		t.Fatalf("access completed during stream: %d < %d", done, end)
 	}
@@ -333,13 +331,20 @@ func TestRefreshBlocksAndCloses(t *testing.T) {
 			t.Fatalf("refresh left row %d open in bank %d", row, b)
 		}
 	}
-	if _, act := r.Access(g.RowOf(0, 1), false, at); !act || lastACT() < end {
+	// access reports whether the access to row activated it, by the
+	// listener's count.
+	access := func(row Row) bool {
+		n := len(acts)
+		r.Access(row, false, at)
+		return len(acts) == n+1
+	}
+	if act := access(g.RowOf(0, 1)); !act || lastACT() < end {
 		t.Fatalf("open bank: activated %v at %d, refresh ends %d", act, lastACT(), end)
 	}
-	if _, act := r.Access(g.RowOf(1, 2), false, at); !act || lastACT() < end {
+	if act := access(g.RowOf(1, 2)); !act || lastACT() < end {
 		t.Fatalf("idle bank: activated %v at %d, refresh ends %d", act, lastACT(), end)
 	}
-	if _, act := r.Access(g.RowOf(2, 4), false, at); !act || lastACT() < busy {
+	if act := access(g.RowOf(2, 4)); !act || lastACT() < busy {
 		t.Fatalf("busy bank: activated %v at %d, want at or after %d", act, lastACT(), busy)
 	}
 	if r.Stats().Refreshes != 1 {
@@ -353,7 +358,7 @@ func TestReserveBlocksAllBanks(t *testing.T) {
 	until := PS(5 * Microsecond)
 	r.Reserve(until)
 	for b := 0; b < g.Banks; b++ {
-		done, _ := r.Access(g.RowOf(b, 1), false, 0)
+		done := r.Access(g.RowOf(b, 1), false, 0)
 		if done < until {
 			t.Fatalf("bank %d access completed at %d during reservation", b, done)
 		}
@@ -374,9 +379,9 @@ func TestWriteDelaysPrecharge(t *testing.T) {
 	r := NewRank(testGeom(), DDR4())
 	g := r.Geometry()
 	a, b := g.RowOf(0, 1), g.RowOf(0, 2)
-	dw, _ := r.Access(a, true, 0)
+	dw := r.Access(a, true, 0)
 	// Opening another row must wait for write recovery.
-	done, _ := r.Access(b, false, dw)
+	done := r.Access(b, false, dw)
 	tm := r.Timing()
 	if done < dw+tm.TWR {
 		t.Fatalf("conflict after write ignored tWR: %d < %d", done, dw+tm.TWR)

@@ -12,8 +12,8 @@ func hammerBank(r *Rank, g Geometry, rounds int) {
 	at := PS(0)
 	r0, r1 := g.RowOf(0, 0), g.RowOf(0, 1)
 	for i := 0; i < rounds; i++ {
-		at, _ = r.Access(r0, i%2 == 0, at)
-		at, _ = r.Access(r1, false, at)
+		at = r.Access(r0, i%2 == 0, at)
+		at = r.Access(r1, false, at)
 	}
 }
 
@@ -34,7 +34,7 @@ func TestShadowCheckerCleanOnCorrectTiming(t *testing.T) {
 	// Two rows of each bank in turn: the second access misses an open
 	// row, so the tRP check runs on every bank after the refresh.
 	for b := 0; b < g.Banks; b++ {
-		at, _ := r.Access(g.RowOf(b, 5), false, 50*Microsecond)
+		at := r.Access(g.RowOf(b, 5), false, 50*Microsecond)
 		r.Access(g.RowOf(b, 6), true, at)
 	}
 	hammerBank(r, g, 20)

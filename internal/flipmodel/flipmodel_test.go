@@ -143,8 +143,8 @@ func TestAttach(t *testing.T) {
 	a, b := g.RowOf(0, 10), g.RowOf(0, 30)
 	at := dram.PS(0)
 	for i := 0; i < 6; i++ {
-		done, _ := rank.Access(a, false, at)
-		done2, _ := rank.Access(b, false, done)
+		done := rank.Access(a, false, at)
+		done2 := rank.Access(b, false, done)
 		at = done2
 	}
 	if !m.Flipped() {

@@ -22,7 +22,7 @@ func TestAvgLatencyZeroRequests(t *testing.T) {
 // TestLatencyAccounting checks TotalLatency/MaxLatency against latencies
 // reconstructed from the returned completion times.
 func TestLatencyAccounting(t *testing.T) {
-	_, c := newCtrl(t, nil, Config{DisableRefresh: true})
+	_, c := newCtrl(t, nil, Config{})
 	row1, row2 := testGeom().RowOf(0, 1), testGeom().RowOf(0, 90)
 	var total, max dram.PS
 	at := dram.PS(0)
@@ -114,11 +114,11 @@ func TestIdleDrainEpochBoundaryOrder(t *testing.T) {
 	rank := dram.NewRank(testGeom(), dram.DDR4())
 	probe := &drainProbe{}
 	c := New(rank, probe, Config{
-		DisableRefresh:    true,
 		EpochLength:       10 * dram.Microsecond,
 		IdleDrainInterval: 3 * dram.Microsecond,
 	})
-	// Events in one gap: drains@3,6,9us, epoch@10us, drain@12us.
+	// Events in one gap: drains@3,6us, refresh@7.8us, drain@9us,
+	// epoch@10us, drain@12us.
 	c.Advance(12 * dram.Microsecond)
 	wantCalls := []dram.PS{3 * dram.Microsecond, 6 * dram.Microsecond, 9 * dram.Microsecond, 12 * dram.Microsecond}
 	wantSeen := []int{0, 0, 0, 1}
@@ -229,35 +229,38 @@ func TestAdvanceEqualTimeCollision(t *testing.T) {
 	}
 }
 
-// TestAdvanceSkipsDisabledSources checks the negative space: with
-// refresh disabled and a mitigator that is no Drainer, the only
-// background event is the epoch, even though tREFI and the drain
-// interval fall earlier, and bgNext, the one comparison Advance makes
-// when nothing is due, holds that epoch.
+// TestAdvanceSkipsDisabledSources checks the negative space: a
+// mitigator that is no Drainer gets no idle drain, so the drain interval,
+// though it falls before every refresh and epoch, is never an event, and
+// bgNext, the one comparison Advance makes when nothing is due, holds the
+// next refresh or epoch instead.
 func TestAdvanceSkipsDisabledSources(t *testing.T) {
 	rank, c := newCtrl(t, nil, Config{
-		DisableRefresh:    true,
 		EpochLength:       20 * dram.Microsecond,
 		IdleDrainInterval: dram.Microsecond,
 	})
-	if c.bgNext != 20*dram.Microsecond {
-		t.Fatalf("bgNext = %d, want the 20us epoch", c.bgNext)
+	if c.drainer != nil {
+		t.Fatal("the baseline, which has no OnIdle, was taken for a Drainer")
+	}
+	trefi := rank.Timing().TREFI // 7.8us
+	if c.bgNext != trefi {
+		t.Fatalf("bgNext = %d, want the first refresh at %d", c.bgNext, trefi)
 	}
 	for _, step := range []struct {
-		at     dram.PS
-		epochs int64
+		at                dram.PS
+		refreshes, epochs int64
+		bgNext            dram.PS
 	}{
-		{20*dram.Microsecond - 1, 0},
-		{20 * dram.Microsecond, 1},
-		{40*dram.Microsecond - 1, 1},
-		{40 * dram.Microsecond, 2},
+		{trefi - 1, 0, 0, trefi},
+		{trefi, 1, 0, 2 * trefi},
+		{20*dram.Microsecond - 1, 2, 0, 20 * dram.Microsecond},
+		{20 * dram.Microsecond, 2, 1, 3 * trefi},
+		{40 * dram.Microsecond, 5, 2, 6 * trefi},
 	} {
 		c.Advance(step.at)
-		if st := c.Stats(); st.Epochs != step.epochs || st.Refreshes != 0 || rank.Stats().Refreshes != 0 {
-			t.Fatalf("after Advance(%d): %+v, want %d epochs and no refresh", step.at, st, step.epochs)
+		if st := c.Stats(); st.Epochs != step.epochs || st.Refreshes != step.refreshes || c.bgNext != step.bgNext {
+			t.Fatalf("after Advance(%d): %+v, bgNext %d; want %d refreshes, %d epochs, bgNext %d",
+				step.at, st, c.bgNext, step.refreshes, step.epochs, step.bgNext)
 		}
-	}
-	if c.bgNext != 60*dram.Microsecond {
-		t.Fatalf("bgNext after two epochs = %d, want 60us", c.bgNext)
 	}
 }

@@ -1,8 +1,8 @@
 // Package memctrl implements the memory controller: the component that
 // accepts line-granularity requests from the cores, routes them through
 // the mitigation scheme's indirection (FPT for AQUA, RIT for RRS), issues
-// them to the DRAM rank, schedules periodic refresh, and drives tracker
-// epochs.
+// them to the DRAM rank, feeds every activation the rank commits to the
+// scheme, schedules periodic refresh, and drives tracker epochs.
 //
 // The controller is transaction-level: requests are processed in arrival
 // order and the rank's bank state machines resolve row hits, conflicts,
@@ -24,25 +24,15 @@ import (
 type Config struct {
 	// EpochLength is the tracker epoch (default tREFW = 64ms).
 	EpochLength dram.PS
-	// DisableRefresh turns off periodic refresh (micro-benchmarks only).
-	DisableRefresh bool
 	// IdleDrainInterval, when non-zero, gives the mitigation scheme a
-	// background-work opportunity (Drainer.OnIdle) at most once per
-	// interval, modelling work done while the channel is idle.
+	// background-work opportunity (mitigation.Drainer.OnIdle) at most once
+	// per interval, modelling work done while the channel is idle.
 	IdleDrainInterval dram.PS
 	// Invariants, when non-nil, enables runtime invariant checking on
 	// this controller and (if not already enabled) the rank's timing
 	// shadow checker. Tests turn this on everywhere; release-mode
 	// simulation leaves it nil and pays nothing.
 	Invariants *invariant.Checker
-}
-
-// Drainer is the optional background-work hook a mitigation scheme may
-// implement (AQUA's proactive quarantine draining, Section IV-D).
-type Drainer interface {
-	// OnIdle performs at most one unit of background work at the given
-	// time and returns the channel time it consumed.
-	OnIdle(now dram.PS) dram.PS
 }
 
 // Stats aggregates controller-level counters.
@@ -84,9 +74,13 @@ type Controller struct {
 	// overwhelmingly common case: tREFI is ~7.8us of simulated time, i.e.
 	// thousands of requests apart).
 	bgNext  dram.PS
-	drainer Drainer
+	drainer mitigation.Drainer
 	now     dram.PS
 	chk     *invariant.Checker
+
+	// acts queues the rows the rank activates until feed hands them to the
+	// mitigator. Its backing array is kept across feeds.
+	acts []dram.Row
 
 	stats Stats
 }
@@ -106,10 +100,15 @@ func New(rank *dram.Rank, mit mitigation.Mitigator, cfg Config) *Controller {
 		nextRefresh: rank.Timing().TREFI,
 		nextEpoch:   cfg.EpochLength,
 		nextDrain:   cfg.IdleDrainInterval,
+		// Room for a request's ACTs and about eight mitigations' (an AQUA
+		// quarantine with an eviction commits up to seven, an RRS re-swap
+		// eight) before the queue grows.
+		acts: make([]dram.Row, 0, 64),
 	}
 	if cfg.IdleDrainInterval > 0 {
-		c.drainer, _ = mit.(Drainer)
+		c.drainer, _ = mit.(mitigation.Drainer)
 	}
+	rank.Listen(func(row dram.Row, _ dram.PS) { c.acts = append(c.acts, row) })
 	if cfg.Invariants != nil {
 		c.chk = cfg.Invariants
 		if !rank.InvariantsEnabled() {
@@ -122,10 +121,7 @@ func New(rank *dram.Rank, mit mitigation.Mitigator, cfg Config) *Controller {
 
 // updateBGNext recomputes the earliest pending background event.
 func (c *Controller) updateBGNext() {
-	n := c.nextEpoch
-	if !c.cfg.DisableRefresh && c.nextRefresh < n {
-		n = c.nextRefresh
-	}
+	n := min(c.nextEpoch, c.nextRefresh)
 	if c.drainer != nil && c.nextDrain < n {
 		n = c.nextDrain
 	}
@@ -173,7 +169,7 @@ func (c *Controller) drainBackground(at dram.PS) {
 		)
 		ev := evNone
 		var due dram.PS
-		if !c.cfg.DisableRefresh && c.nextRefresh <= at {
+		if c.nextRefresh <= at {
 			ev, due = evRefresh, c.nextRefresh
 		}
 		if c.nextEpoch <= at && (ev == evNone || c.nextEpoch < due) {
@@ -194,17 +190,16 @@ func (c *Controller) drainBackground(at dram.PS) {
 		case evDrain:
 			// Background draining: the work happens "behind" the current
 			// request, modelling idle-channel use.
-			c.drainer.OnIdle(c.nextDrain)
+			busy := c.drainer.OnIdle(c.nextDrain)
+			c.feed(c.nextDrain + busy)
 			c.nextDrain += c.cfg.IdleDrainInterval
 		default:
 			if c.chk != nil {
 				// All due background work must have been drained: a
 				// starved refresh or epoch would silently skew both the
 				// charge model and the tracker guarantee.
-				if !c.cfg.DisableRefresh {
-					c.chk.Checkf(c.nextRefresh > at, "memctrl", "refresh-starved", at,
-						"refresh due at %dps not issued by %dps", c.nextRefresh, at)
-				}
+				c.chk.Checkf(c.nextRefresh > at, "memctrl", "refresh-starved", at,
+					"refresh due at %dps not issued by %dps", c.nextRefresh, at)
 				c.chk.Checkf(c.nextEpoch > at, "memctrl", "epoch-starved", at,
 					"epoch due at %dps not processed by %dps", c.nextEpoch, at)
 			}
@@ -218,8 +213,9 @@ func (c *Controller) drainBackground(at dram.PS) {
 // Submit processes one line-granularity request to an install (software-
 // visible) row arriving at time `at`, and returns its completion time.
 // The request flows through: rate-limiter delay -> indirection lookup ->
-// DRAM access -> tracker accounting (which may trigger a mitigation that
-// reserves the channel before the completion is reported).
+// DRAM access -> the feed of the request's ACTs to the mitigator (which
+// may trigger a mitigation that reserves the channel before the
+// completion is reported).
 func (c *Controller) Submit(row dram.Row, write bool, at dram.PS) dram.PS {
 	c.Advance(at)
 	return c.submitOne(row, write, at)
@@ -237,17 +233,26 @@ func (c *Controller) submitOne(row dram.Row, write bool, at dram.PS) dram.PS {
 	if c.chk != nil {
 		resBefore = c.rank.ReservedUntil()
 	}
-	done, activated := c.rank.Access(tr.PhysRow, write, issue+tr.Latency)
+	// The ACTs queued so far are the translation's table walk; the
+	// access's own ACT, if it makes one, joins behind them.
+	walked := len(c.acts)
+	done := c.rank.Access(tr.PhysRow, write, issue+tr.Latency)
 	if c.chk != nil {
 		c.chk.Checkf(done > resBefore, "memctrl", "reserved-channel", done,
 			"access to row %d completed at %dps inside a reservation ending %dps",
 			tr.PhysRow, done, resBefore)
 	}
-	if activated {
-		// Mitigative action (if triggered) reserves the channel; the
-		// triggering access itself has already completed.
-		c.mit.OnActivate(tr.PhysRow, done)
+	if walked > 0 && len(c.acts) > walked {
+		// The request's own ACT goes ahead of the walk. Commit order would
+		// move recorded results: the 16 ms section VI-C DoS co-run would
+		// make 536 mitigations instead of 538.
+		own := c.acts[walked]
+		copy(c.acts[1:walked+1], c.acts[:walked])
+		c.acts[0] = own
 	}
+	// Mitigative action (if triggered) reserves the channel; the
+	// triggering access itself has already completed.
+	c.feed(done)
 
 	c.stats.Requests++
 	if write {
@@ -261,6 +266,20 @@ func (c *Controller) submitOne(row dram.Row, write bool, at dram.PS) dram.PS {
 		c.stats.MaxLatency = lat
 	}
 	return done
+}
+
+// feed hands the queued ACTs to the mitigator. The first mitigation it
+// triggers starts at `at`, each later one when the previous one's busy
+// time ends, and the ACTs a mitigation commits join the queue, so the loop
+// ends once one mitigation's ACTs stop triggering the next: almost at once
+// at the thresholds sim.CheckTRH admits, maybe never below them
+// (ROADMAP.md, "Mitigation cascades that end"). The loop indexes because
+// the queue grows under it.
+func (c *Controller) feed(at dram.PS) {
+	for i := 0; i < len(c.acts); i++ {
+		at += c.mit.OnActivate(c.acts[i], at)
+	}
+	c.acts = c.acts[:0]
 }
 
 // EpochLength returns the configured tracker epoch.

@@ -51,14 +51,6 @@ func TestRefreshScheduledEveryTREFI(t *testing.T) {
 	}
 }
 
-func TestRefreshDisable(t *testing.T) {
-	rank, c := newCtrl(t, nil, Config{DisableRefresh: true})
-	c.Advance(100 * rank.Timing().TREFI)
-	if c.Stats().Refreshes != 0 {
-		t.Fatal("refresh ran while disabled")
-	}
-}
-
 func TestEpochFiresEveryEpochLength(t *testing.T) {
 	epochs := 0
 	mit := &epochCounter{onEpoch: func() { epochs++ }}

@@ -5,23 +5,17 @@ import (
 	"repro/internal/invariant"
 )
 
-// Drainer mirrors memctrl.Drainer (redeclared here to avoid an import
-// cycle): the optional background-work hook of a scheme.
-type drainer interface {
-	OnIdle(now dram.PS) dram.PS
-}
-
 // Checked wraps a Mitigator with contract assertions against the given
 // checker: translations must stay inside the rank's physical geometry
 // with non-negative lookup latency and a valid lookup class, Delay may
 // only postpone (never reorder into the past), OnActivate's reported
 // channel-busy time must be non-negative, and the cumulative Stats
 // counters must be monotone across calls. If the wrapped scheme
-// implements the background-drain hook, the wrapper forwards it so
-// memctrl's Drainer type assertion still succeeds.
+// implements Drainer, the wrapper forwards it so the controller's Drainer
+// type assertion still succeeds.
 func Checked(m Mitigator, geom dram.Geometry, chk *invariant.Checker) Mitigator {
 	c := &checked{inner: m, geom: geom, chk: chk}
-	if d, ok := m.(drainer); ok {
+	if d, ok := m.(Drainer); ok {
 		return &checkedDrainer{checked: c, d: d}
 	}
 	return c
@@ -101,7 +95,7 @@ func (c *checked) checkStats(at dram.PS) {
 // the background.
 type checkedDrainer struct {
 	*checked
-	d drainer
+	d Drainer
 }
 
 func (c *checkedDrainer) OnIdle(now dram.PS) dram.PS {

@@ -11,9 +11,11 @@
 //     charge any indirection-lookup latency;
 //  2. Delay, before issuing an activation, so rate-limiting schemes can
 //     postpone it;
-//  3. OnActivate, after a row activation commits, so the scheme's tracker
-//     can count it and trigger mitigative action (migrations reserve the
-//     channel themselves and report the busy time for accounting).
+//  3. OnActivate, for every row activation the rank commits, the
+//     scheme's own migrations' and table walks' included, so its tracker
+//     counts them as the security invariant requires and can trigger
+//     mitigative action (migrations reserve the channel themselves and
+//     report the busy time).
 package mitigation
 
 import "repro/internal/dram"
@@ -145,14 +147,27 @@ type Mitigator interface {
 	// schemes without rate limiting return now.
 	Delay(row dram.Row, now dram.PS) dram.PS
 	// OnActivate informs the scheme that an activation of physRow
-	// committed at time at. It returns the channel-busy time consumed by
-	// any mitigative action triggered (0 if none). The scheme performs the
-	// action against the rank itself, including reserving the channel.
+	// committed. The controller feeds it every ACT after each request and
+	// idle drain, in commit order but for a request's own ACT, which goes
+	// ahead of its translation's table walk. A mitigative action it
+	// triggers starts at at, runs against the rank itself, reserving the
+	// channel, and returns its channel-busy time (0 if none); the ACTs it
+	// commits come back through OnActivate.
 	OnActivate(physRow dram.Row, at dram.PS) dram.PS
 	// OnEpoch marks a tracker epoch boundary (every tREFW).
 	OnEpoch(now dram.PS)
 	// Stats returns a snapshot of the scheme's counters.
 	Stats() Stats
+}
+
+// Drainer is the optional background-work hook a scheme may implement
+// (AQUA's proactive quarantine draining, Section IV-D). A controller with
+// an idle-drain interval calls it at most once per interval.
+type Drainer interface {
+	// OnIdle performs at most one unit of background work at the given
+	// time and returns the channel time it consumed. The controller feeds
+	// the ACTs that work commits to OnActivate from the end of that time.
+	OnIdle(now dram.PS) dram.PS
 }
 
 // None is the unprotected baseline.

@@ -124,7 +124,7 @@ func TestCheckedFlagsEachRule(t *testing.T) {
 		tc.breakIt(stub)
 		chk := invariant.New()
 		m := Checked(stub, geom, chk)
-		d, ok := m.(drainer)
+		d, ok := m.(Drainer)
 		if !ok {
 			t.Fatal("Checked dropped the stub's OnIdle")
 		}

@@ -56,7 +56,7 @@ func BenchAccess(b *testing.B) {
 	b.ResetTimer()
 	at := dram.PS(0)
 	for i := 0; i < b.N; i++ {
-		done, _ := rank.Access(rowPattern(geom, i), i%3 == 0, at)
+		done := rank.Access(rowPattern(geom, i), i%3 == 0, at)
 		at = done
 	}
 }

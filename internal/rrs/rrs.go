@@ -80,8 +80,6 @@ type Engine struct {
 	// charged in storage (analytic.RRSRITBytes), not simulated.
 	partner rowmap.Map
 
-	pending []dram.Row
-
 	stats mitigation.Stats
 }
 
@@ -137,22 +135,14 @@ func (e *Engine) Translate(row dram.Row, _ dram.PS) mitigation.Translation {
 // Delay implements mitigation.Mitigator; RRS never throttles.
 func (e *Engine) Delay(_ dram.Row, now dram.PS) dram.PS { return now }
 
-// OnActivate implements mitigation.Mitigator. Activations caused by the
-// swaps' own row streams are fed back to the tracker in FIFO order; the
-// indexed drain (appends during the loop extend it) with a final
-// truncation keeps the queue's backing array for the next call.
+// OnActivate implements mitigation.Mitigator: the tracker counts the
+// activation and a row that crosses the swap threshold is swapped. The
+// controller calls it for the ACTs of the swaps' own row streams too.
 func (e *Engine) OnActivate(physRow dram.Row, at dram.PS) dram.PS {
-	var busy dram.PS
 	if e.art.RecordACT(physRow) {
-		busy += e.mitigate(physRow, at+busy)
+		return e.mitigate(physRow, at)
 	}
-	for i := 0; i < len(e.pending); i++ {
-		if e.art.RecordACT(e.pending[i]) {
-			busy += e.mitigate(e.pending[i], at+busy)
-		}
-	}
-	e.pending = e.pending[:0]
-	return busy
+	return 0
 }
 
 // mitigate swaps the install row whose content occupies physRow with a
@@ -212,12 +202,9 @@ func (e *Engine) pickDestination(x dram.Row) dram.Row {
 // controller's swap buffers: two row reads plus two row writes (~2.74us).
 func (e *Engine) moveRows(a, b dram.Row, at dram.PS) dram.PS {
 	t := e.rank.StreamRow(a, false, at)
-	e.pending = append(e.pending, a)
 	t = e.rank.StreamRow(b, false, t)
-	e.pending = append(e.pending, b)
 	t = e.rank.StreamRow(a, true, t)
 	t = e.rank.StreamRow(b, true, t)
-	e.pending = append(e.pending, a, b)
 	e.stats.RowMigrations += 2
 	return t
 }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/dram"
+	"repro/internal/memctrl"
 	"repro/internal/mitigation"
 	"repro/internal/rng"
 	"repro/internal/tracker"
@@ -225,20 +226,21 @@ func TestDefaultTrackerProvisioned(t *testing.T) {
 // TestWarmMitigationsDoNotAllocate holds RRS's mitigation path to zero
 // allocations once warm. It counts runtime mallocs across a whole burst
 // of mitigations rather than using testing.AllocsPerRun, which rounds a
-// fractional per-ACT rate down to zero. The round-robin hammer swaps
-// every row of the test rank many times over, so the warm-up leaves the
-// partner map, the tracker and the stream-activation queue at their
-// steady-state sizes.
+// fractional per-ACT rate down to zero. The requests go through a memory
+// controller, so its ACT feed, and the swaps' own ACTs it feeds back, are
+// inside the measurement. The round-robin hammer swaps every row of the
+// test rank many times over, so the warm-up leaves the partner map, the
+// tracker and the controller's ACT queue at their steady-state sizes.
 func TestWarmMitigationsDoNotAllocate(t *testing.T) {
 	rank := dram.NewRank(testGeom(), dram.DDR4())
 	eng := New(rank, Config{TRH: 60, Seed: 1}) // default Misra-Gries tracker
+	c := memctrl.New(rank, eng, memctrl.Config{})
 	rows := testGeom().Rows()
 	at := dram.PS(0)
 	i := 0
 	mitigate := func(n int64) {
 		for target := eng.Stats().Mitigations + n; eng.Stats().Mitigations < target; i++ {
-			tr := eng.Translate(dram.Row(i*7%rows), at)
-			at += eng.OnActivate(tr.PhysRow, at) + 50*dram.Nanosecond
+			at = c.Submit(dram.Row(i*7%rows), false, at)
 		}
 	}
 	mitigate(1250)

@@ -123,8 +123,8 @@ func TestAttachObservesRankACTs(t *testing.T) {
 	a, b := geom.RowOf(0, 1), geom.RowOf(0, 2)
 	at := dram.PS(0)
 	for i := 0; i < 12; i++ { // alternate: every access activates
-		done, _ := rank.Access(a, false, at)
-		done2, _ := rank.Access(b, false, done)
+		done := rank.Access(a, false, at)
+		done2 := rank.Access(b, false, done)
 		at = done2
 	}
 	if !m.Violated() {
